@@ -103,13 +103,20 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.runs < 1:
+        print("error: --runs must be >= 1", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        spec = _build_spec(args, seed=args.base_seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     named, errors = harness.load_named_instances(args.instances)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     if not named:
         return EXIT_ERROR
 
-    spec = _build_spec(args, seed=args.base_seed)
     stats = []
     per_run_lines = [harness.RUN_CSV_HEADER]
     for name, instance in named:
@@ -130,18 +137,22 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    try:
+        spec = harness.AblationSpec(
+            presets=tuple(args.presets),
+            budgets=tuple(args.budgets),
+            preset_iterations=args.preset_iters,
+            runs=args.runs,
+            base_seed=args.base_seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     named, errors = harness.load_named_instances(args.instances)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     if not named:
         return EXIT_ERROR
-    spec = harness.AblationSpec(
-        presets=tuple(args.presets),
-        budgets=tuple(args.budgets),
-        preset_iterations=args.preset_iters,
-        runs=args.runs,
-        base_seed=args.base_seed,
-    )
     csv_text = harness.ablation_csv(named, spec)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8", newline="\n")

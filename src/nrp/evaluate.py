@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    PERIOD_BITS,
     CoverageState,
     IncompleteRosterError,
     Instance,
@@ -59,6 +60,32 @@ class ComponentFitness:
     combined: float  # w1 * preference + w2 * coverage
 
 
+def _needed_masks(instance: Instance, coverage: CoverageState) -> list[int]:
+    """Per band, the periods where coverage is at or below demand.
+
+    Bit k of entry s is set iff covered[k][s] <= demand[k][s]: there every
+    qualified nurse working period k is needed, since one fewer would leave
+    the slot short.
+    """
+    demand = instance.demand.r
+    masks = []
+    for s in range(instance.g):
+        mask = 0
+        for bit, covered_k, demand_k in zip(PERIOD_BITS, coverage.covered, demand):
+            if covered_k[s] <= demand_k[s]:
+                mask |= bit
+        masks.append(mask)
+    return masks
+
+
+def _contribution(instance: Instance, needed: list[int], i: int, j: int) -> int:
+    bits = instance.patterns[j].bits
+    total = 0
+    for s in range(instance.nurses[i].grade - 1, instance.g):
+        total += (bits & needed[s]).bit_count()
+    return total
+
+
 def coverage_contribution(
     instance: Instance, roster: Roster, coverage: CoverageState, i: int
 ) -> int:
@@ -71,18 +98,7 @@ def coverage_contribution(
     j = roster.assignment[i]
     if j is None:
         raise IncompleteRosterError(f"nurse {i} is unassigned")
-    nurse = instance.nurses[i]
-    demand = instance.demand.r
-    covered = coverage.covered
-    lo, g = nurse.grade - 1, instance.g
-    value = 0
-    for k in instance.patterns[j].periods:
-        covered_k = covered[k]
-        demand_k = demand[k]
-        for s in range(lo, g):
-            if covered_k[s] - 1 < demand_k[s]:
-                value += 1
-    return value
+    return _contribution(instance, _needed_masks(instance, coverage), i, j)
 
 
 def component_fitness_all(
@@ -105,9 +121,9 @@ def component_fitness_all(
     costs = [
         instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment)
     ]
+    needed = _needed_masks(instance, coverage)
     contribs = [
-        coverage_contribution(instance, roster, coverage, i)
-        for i in range(instance.n)
+        _contribution(instance, needed, i, j) for i, j in enumerate(roster.assignment)
     ]
 
     p_min, p_max = min(costs), max(costs)

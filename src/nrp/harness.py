@@ -96,6 +96,8 @@ def run_batch(
     instance: Instance, spec: RunSpec, runs: int, base_seed: int, threads: int | None = None
 ) -> list[RunResult]:
     """runs independent executions with seeds base_seed, base_seed+1, ..."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     jobs = [
         (instance, replace(spec, config=replace(spec.config, seed=base_seed + k)))
         for k in range(runs)
@@ -229,6 +231,12 @@ class AblationSpec:
     preset_iterations: int = 50_000
     runs: int = 20
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
+        if min(self.budgets, default=1) < 1 or self.preset_iterations < 1:
+            raise ValueError("iteration budgets must be >= 1")
 
 
 def ablation_csv(

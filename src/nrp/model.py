@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 N_PERIODS = 14  # 7 day shifts followed by 7 night shifts
+PERIOD_BITS = tuple(1 << k for k in range(N_PERIODS))  # bit k stands for period k
 
 
 class RosterError(ValueError):
@@ -30,19 +31,24 @@ class IncompleteRosterError(RosterError):
 
 @dataclass(frozen=True)
 class ShiftPattern:
-    """One weekly work pattern: which of the 14 periods are worked."""
+    """One weekly work pattern: which of the 14 periods are worked.
+
+    bits is the same set as a 14-bit integer, bit k set iff period k is
+    worked; the scoring rules count covered periods as popcounts of it.
+    """
 
     id: int
     mask: tuple[bool, ...]
-    # indices of worked periods, precomputed for the scoring loops
+    # indices of worked periods, precomputed for the per-period loops
     periods: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mask) != N_PERIODS:
             raise ValueError(f"pattern {self.id}: mask must have {N_PERIODS} entries")
-        object.__setattr__(
-            self, "periods", tuple(k for k, on in enumerate(self.mask) if on)
-        )
+        periods = tuple(k for k, on in enumerate(self.mask) if on)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "bits", sum(PERIOD_BITS[k] for k in periods))
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,11 @@ class CoverageState:
     covered[k][s] counts assigned nurses qualified for band s+1 working
     period k; shortfall[k][s] = max(demand - covered, 0); band_short[s] is
     the shortfall column total, kept for quick worst-band lookups.
+
+    The scoring rules read a band as a 14-bit mask, in the same layout as
+    ShiftPattern.bits.  short_mask builds it on demand from the shortfall
+    column; add and remove keep no masks, because the exact solver calls
+    them once per search node and never reads one.
     """
 
     __slots__ = ("covered", "shortfall", "band_short")
@@ -209,6 +220,14 @@ class CoverageState:
 
     def total_shortfall(self) -> int:
         return sum(self.band_short)
+
+    def short_mask(self, s: int) -> int:
+        """Periods still short at band s+1, bit k set iff shortfall[k][s] > 0."""
+        mask = 0
+        for bit, row in zip(PERIOD_BITS, self.shortfall):
+            if row[s] > 0:
+                mask |= bit
+        return mask
 
     def add(self, instance: Instance, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id starting to work pattern pattern_id."""

@@ -6,6 +6,18 @@ the worst understaffed band the nurse can serve, the combined rule trades
 preference cost against shortfall reduction, and the random rule picks any
 feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.
+
+Scoring runs on 14-bit masks.  Each pattern carries its worked periods as
+ShiftPattern.bits, and a band's still-short periods come from
+CoverageState.short_mask(s), built on demand once per pick (14 comparisons)
+rather than kept up to date by every coverage change.  The number of short
+periods a pattern covers at band s is then (bits & short).bit_count().  The
+cover rule builds one mask per nurse, for the nurse's focus band; the
+combined rule in indicator mode builds one per weighted band and adds the
+bands in ascending order, the order the per-period definition sums them
+in, so the float scores and hence the first-pattern tie-breaks are
+unchanged.  The shortfall e-mode weights each period by its shortfall and
+so still sums over the pattern's periods.
 """
 
 from __future__ import annotations
@@ -14,7 +26,14 @@ import random
 from dataclasses import dataclass
 
 from .evaluate import EvalWeights
-from .model import CoverageState, Instance, InvalidRosterError, Roster, compute_coverage
+from .model import (
+    CoverageState,
+    Instance,
+    InvalidRosterError,
+    Nurse,
+    Roster,
+    compute_coverage,
+)
 
 E_MODES = ("indicator", "shortfall")
 
@@ -42,6 +61,18 @@ class ReconstructionConfig:
             raise ValueError(f"e_mode must be one of {E_MODES}")
 
 
+def _focus_mask(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:
+    """Short mask of the first band the nurse serves that has any shortfall.
+
+    Zero when no band the nurse can serve is short.
+    """
+    band_short = coverage.band_short
+    for s in range(nurse.grade - 1, instance.g):
+        if band_short[s] > 0:
+            return coverage.short_mask(s)
+    return 0
+
+
 def cover_value(
     instance: Instance, coverage: CoverageState, i: int, j: int
 ) -> int:
@@ -56,16 +87,8 @@ def cover_value(
     nurse = instance.nurses[i]
     if j not in nurse.feasible_set:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    band_short = coverage.band_short
-    focus = -1
-    for s in range(nurse.grade - 1, instance.g):
-        if band_short[s] > 0:
-            focus = s
-            break
-    if focus < 0:
-        return 0
-    shortfall = coverage.shortfall
-    return sum(1 for k in instance.patterns[j].periods if shortfall[k][focus] > 0)
+    short = _focus_mask(instance, coverage, nurse)
+    return (instance.patterns[j].bits & short).bit_count()
 
 
 def combined_score(
@@ -88,21 +111,45 @@ def combined_score(
         raise ValueError(
             f"w_grade has {len(weights.w_grade)} entries, instance needs {instance.g}"
         )
-    score = weights.w_p * (100 - nurse.pref_cost[j])
-    shortfall = coverage.shortfall
+    return _combined_scores(instance, coverage, weights, nurse, (j,), e_mode)[0]
+
+
+def _combined_scores(
+    instance: Instance,
+    coverage: CoverageState,
+    weights: EvalWeights,
+    nurse: Nurse,
+    pattern_ids: tuple[int, ...],
+    e_mode: str,
+) -> list[float]:
+    """combined_score of each pattern id, in order.
+
+    Every score is summed in the same order (preference term, then bands
+    ascending, zero weights skipped), so equal inputs give bit-equal floats.
+    """
+    patterns = instance.patterns
+    costs = nurse.pref_cost
+    w_p = weights.w_p
+    scores = [w_p * (100 - costs[j]) for j in pattern_ids]
     w_grade = weights.w_grade
-    indicator = e_mode == "indicator"
+    pattern_bits = [patterns[j].bits for j in pattern_ids]
     for s in range(nurse.grade - 1, instance.g):
         ws = w_grade[s]
         if ws == 0:
             continue
-        gain = 0
-        for k in instance.patterns[j].periods:
-            short = shortfall[k][s]
-            if short > 0:
-                gain += 1 if indicator else short
-        score += ws * gain
-    return score
+        if e_mode == "indicator":
+            short = coverage.short_mask(s)
+            scores = [
+                score + ws * (bits & short).bit_count()
+                for score, bits in zip(scores, pattern_bits)
+            ]
+        else:
+            column = [row[s] for row in coverage.shortfall]
+            scores = [
+                score + ws * sum(column[k] for k in patterns[j].periods)
+                for score, j in zip(scores, pattern_ids)
+            ]
+    return scores
 
 
 def reconstruct(
@@ -144,23 +191,24 @@ def reconstruct(
     return result
 
 
-def _argmax_cover(instance: Instance, coverage: CoverageState, nurse) -> int:
-    best_j = nurse.feasible[0]
-    best = cover_value(instance, coverage, nurse.id, best_j)
-    for j in nurse.feasible[1:]:
-        value = cover_value(instance, coverage, nurse.id, j)
-        if value > best:
-            best, best_j = value, j
-    return best_j
+def _argmax_cover(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:
+    short = _focus_mask(instance, coverage, nurse)
+    feasible = nurse.feasible
+    if not short:
+        return feasible[0]
+    patterns = instance.patterns
+    return _first_max(feasible, [(patterns[j].bits & short).bit_count() for j in feasible])
 
 
 def _argmax_combined(
-    instance: Instance, coverage: CoverageState, weights: EvalWeights, nurse, e_mode: str
+    instance: Instance, coverage: CoverageState, weights: EvalWeights, nurse: Nurse, e_mode: str
 ) -> int:
-    best_j = nurse.feasible[0]
-    best = combined_score(instance, coverage, weights, nurse.id, best_j, e_mode)
-    for j in nurse.feasible[1:]:
-        score = combined_score(instance, coverage, weights, nurse.id, j, e_mode)
-        if score > best:
-            best, best_j = score, j
-    return best_j
+    feasible = nurse.feasible
+    return _first_max(
+        feasible, _combined_scores(instance, coverage, weights, nurse, feasible, e_mode)
+    )
+
+
+def _first_max(feasible: tuple[int, ...], values: list) -> int:
+    """The pattern with the highest value; ties go to the earliest one."""
+    return feasible[values.index(max(values))]

@@ -19,6 +19,13 @@ def write_instance(tmp_path: Path, name="case.nrp", seed=60) -> Path:
     return path
 
 
+def assert_one_line_error(capsys, *words) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    for word in words:
+        assert word in err
+
+
 def write_impossible(tmp_path: Path) -> Path:
     inst = make_instance(
         [pattern(0, 0)],
@@ -112,6 +119,16 @@ class TestBatch:
         bad.write_text("garbage\n")
         assert main(["batch", str(bad)]) == EXIT_ERROR
 
+    def test_zero_runs_exits_one_with_one_line(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        assert main(["batch", str(path), "--runs", "0"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "--runs")
+
+    def test_zero_max_iters_exits_one_with_one_line(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        assert main(["batch", str(path), "--max-iters", "0"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "max_iterations")
+
     def test_summary_row_recomputes_from_per_run_rows(self, tmp_path):
         # the batch statistics must be a pure function of the per-run results
         paths = [write_instance(tmp_path, f"w{k}.nrp", seed=70 + k) for k in range(3)]
@@ -151,6 +168,17 @@ class TestAblate:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "instance,iters_20,iters_50,full,construct-only"
         assert lines[-1].startswith("Av.,")
+
+    def test_zero_iteration_budgets_exit_one_with_one_line(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        for flags in (["--preset-iters", "0"], ["--budgets", "50", "0"]):
+            assert main(["ablate", str(path), "--runs", "1", *flags]) == EXIT_ERROR
+            assert_one_line_error(capsys, "budgets")
+
+    def test_zero_runs_exits_one_with_one_line(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        assert main(["ablate", str(path), "--runs", "0"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "runs")
 
 
 class TestExact:
