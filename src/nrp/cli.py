@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and a feasible best for solve), 1 any error,
 2 infeasible best (solve) and 3 exact-solver timeout.  Batch parallelism
-is capped by the NRP_THREADS environment variable (default 1).
+is set by the NRP_THREADS environment variable (default 1), capped at the
+CPU count.
 """
 
 from __future__ import annotations
@@ -164,14 +165,16 @@ def _cmd_ablate(args) -> int:
 def _cmd_exact(args) -> int:
     try:
         instance = load_instance(args.instance)
+        result = oracle.exact_solve(instance, node_budget=args.node_budget)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    result = oracle.exact_solve(instance, node_budget=args.node_budget)
     print(f"status: {result.status}")
     if result.optimal_cost is not None:
         print(f"cost: {result.optimal_cost}")
     print(f"nodes explored: {result.nodes_explored}")
+    print(f"cost cuts: {result.cost_cuts}")
+    print(f"coverage cuts: {result.coverage_cuts}")
     if args.annotate:
         if result.status == oracle.OPTIMAL:
             annotated = replace(instance, known_optimal=result.optimal_cost)
@@ -187,9 +190,12 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(args.count):
+    # every flag is checked before the output directory or any file is written
+    try:
+        if args.count < 1:
+            raise ValueError("--count must be >= 1")
+        if args.node_budget < 1:
+            raise ValueError("--node-budget must be >= 1")
         params = GeneratorParams(
             n=args.n,
             m=args.m,
@@ -198,9 +204,15 @@ def _cmd_gen(args) -> int:
             feasible_max=args.feasible_max,
             cost_exponent=args.cost_exponent,
             tightness=args.tightness,
-            seed=args.seed + k,
+            seed=args.seed,
         )
-        instance = generate_instance(params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for k in range(args.count):
+        instance = generate_instance(replace(params, seed=args.seed + k))
         if args.with_optimal:
             result = oracle.exact_solve(instance, node_budget=args.node_budget)
             if result.status == oracle.OPTIMAL:

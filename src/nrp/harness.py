@@ -69,11 +69,12 @@ def execute(instance: Instance, spec: RunSpec) -> RunResult:
 
 
 def worker_count() -> int:
-    """Batch parallelism cap, from the NRP_THREADS environment variable."""
+    """Batch parallelism cap from NRP_THREADS, at most the CPU count."""
     try:
-        return max(1, int(os.environ.get("NRP_THREADS", "1")))
+        wanted = max(1, int(os.environ.get("NRP_THREADS", "1")))
     except ValueError:
         return 1
+    return min(wanted, os.cpu_count() or 1)
 
 
 def _execute_job(job: tuple[Instance, RunSpec]) -> RunResult:
@@ -84,9 +85,8 @@ def execute_many(
     jobs: list[tuple[Instance, RunSpec]], threads: int | None = None
 ) -> list[RunResult]:
     """Run independent jobs, optionally across processes; order is preserved."""
-    if threads is None:
-        threads = worker_count()
-    if threads <= 1 or len(jobs) <= 1:
+    threads = min(worker_count() if threads is None else threads, len(jobs))
+    if threads <= 1:
         return [execute(instance, spec) for instance, spec in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_execute_job, jobs, chunksize=max(1, len(jobs) // (4 * threads))))

@@ -64,6 +64,29 @@ def brute_force_solve(instance: Instance) -> tuple[str, int | None]:
     return BF_OPTIMAL, best
 
 
+def first_optimal_roster(instance: Instance) -> list[int] | None:
+    """First minimum-cost feasible roster in the exact solver's search order.
+
+    Rosters are enumerated lexicographically: nurses in id order, each
+    nurse's patterns sorted by cost with ties kept in feasible-list order.
+    A later roster replaces the best only when strictly cheaper, so the
+    first one found at the minimum cost is returned; None if none is feasible.
+    """
+    orders = [
+        sorted(nurse.feasible, key=lambda j, nurse=nurse: nurse.pref_cost[j])
+        for nurse in instance.nurses
+    ]
+    best: int | None = None
+    best_combo: list[int] | None = None
+    for combo in itertools.product(*orders):
+        if not feasible_by_definition(instance, Roster(list(combo))):
+            continue
+        cost = sum(instance.nurses[i].pref_cost[j] for i, j in enumerate(combo))
+        if best is None or cost < best:
+            best, best_combo = cost, list(combo)
+    return best_combo
+
+
 def contribution_by_removal(instance: Instance, roster: Roster, i: int) -> int:
     """Remove nurse i, recount coverage, count her short covered slots."""
     without = roster.copy()

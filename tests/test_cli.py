@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from nrp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, main
 from nrp.instance_io import (
     GeneratorParams,
@@ -198,12 +200,45 @@ class TestExact:
         path = write_instance(tmp_path)
         assert main(["exact", str(path), "--node-budget", "1"]) == EXIT_TIMEOUT
 
+    def test_timeout_reports_at_most_the_budget(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        assert main(["exact", str(path), "--node-budget", "3"]) == EXIT_TIMEOUT
+        out = capsys.readouterr().out
+        assert "status: timeout" in out and "nodes explored: 3\n" in out
+
+    def test_prints_cut_counters_after_nodes(self, tmp_path, capsys):
+        assert main(["exact", str(write_impossible(tmp_path))]) == EXIT_INFEASIBLE
+        lines = capsys.readouterr().out.splitlines()
+        nodes = next(i for i, line in enumerate(lines) if line.startswith("nodes explored:"))
+        assert lines[nodes + 1] == "cost cuts: 0"
+        assert lines[nodes + 2] == "coverage cuts: 1"
+
+    def test_node_budget_below_one_exits_one_with_one_line(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        for budget in ("0", "-5"):
+            assert main(["exact", str(path), "--node-budget", budget]) == EXIT_ERROR
+            assert_one_line_error(capsys, "node_budget")
+
 
 class TestGen:
-    def test_zero_count_writes_nothing(self, tmp_path):
+    def test_zero_count_writes_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "suite"
-        assert main(["gen", "--out-dir", str(out_dir), "--count", "0"]) == EXIT_OK
-        assert list(out_dir.glob("*.nrp")) == []
+        assert main(["gen", "--out-dir", str(out_dir), "--count", "0"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "--count")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--count", "-1"], "--count"),
+        (["--count", "2", "--tightness", "0"], "tightness"),
+        (["--count", "2", "--feasible-min", "5", "--feasible-max", "2"], "feasible_min"),
+        (["--count", "2", "--n", "0"], "n, m and g"),
+        (["--count", "2", "--with-optimal", "--node-budget", "0"], "--node-budget"),
+    ])
+    def test_bad_flags_exit_one_before_writing(self, tmp_path, capsys, flags, word):
+        out_dir = tmp_path / "suite"
+        assert main(["gen", "--out-dir", str(out_dir), *flags]) == EXIT_ERROR
+        assert_one_line_error(capsys, word)
+        assert not out_dir.exists()
 
     def test_same_flags_are_byte_identical(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

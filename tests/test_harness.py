@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import replace
 
@@ -165,12 +166,17 @@ class TestRunBatch:
         assert [run_csv_row("x", r) for r in seq] == [run_csv_row("x", r) for r in par]
 
     def test_worker_count_reads_environment(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("NRP_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("NRP_THREADS", "junk")
         assert worker_count() == 1
         monkeypatch.delenv("NRP_THREADS")
         assert worker_count() == 1
+
+    def test_worker_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("NRP_THREADS", "100000")
+        assert 1 <= worker_count() <= (os.cpu_count() or 1)
 
 
 class TestAblationCsv:

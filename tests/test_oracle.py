@@ -1,11 +1,18 @@
 import random
 import warnings
 
+import pytest
+
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Nurse, is_feasible, preference_cost
 from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, exact_solve
 
-from bruteforce import BF_INFEASIBLE, BF_OPTIMAL, brute_force_solve
+from bruteforce import (
+    BF_INFEASIBLE,
+    BF_OPTIMAL,
+    brute_force_solve,
+    first_optimal_roster,
+)
 from conftest import demand_rows, make_instance, pattern
 
 
@@ -58,6 +65,39 @@ def test_tiny_node_budget_reports_timeout():
     assert result.status == TIMEOUT
 
 
+def test_nodes_explored_never_exceed_the_budget():
+    inst = generate_instance(GeneratorParams(n=6, m=10, g=3, seed=1))
+    needed = exact_solve(inst).nodes_explored
+    assert exact_solve(inst, node_budget=needed).status == OPTIMAL
+    for budget in (1, 2, 7, needed - 1):
+        result = exact_solve(inst, node_budget=budget)
+        assert result.status == TIMEOUT
+        assert result.nodes_explored == budget
+
+
+def test_node_budget_below_one_is_rejected():
+    inst = generate_instance(GeneratorParams(n=3, m=6, g=2, seed=1))
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="node_budget"):
+            exact_solve(inst, node_budget=budget)
+
+
+def test_cut_counters():
+    infeasible = make_instance(
+        [pattern(0, 0)],
+        [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (0,), {0: 0})],
+        demand_rows([[3]] + [[0]] * 13),
+    )
+    result = exact_solve(infeasible)
+    assert result.status == INFEASIBLE
+    assert result.coverage_cuts >= 1
+    assert result.cost_cuts == 0  # no incumbent, so no cost bound can bite
+    feasible = generate_instance(GeneratorParams(n=8, m=12, g=3, feasible_min=4, seed=3))
+    result = exact_solve(feasible)
+    assert result.status == OPTIMAL
+    assert result.cost_cuts > 0
+
+
 def test_matches_unpruned_enumeration_on_random_instances():
     rng = random.Random(9)
     for trial in range(40):
@@ -103,3 +143,51 @@ def test_deterministic_across_calls():
     assert a.optimal_cost == b.optimal_cost
     assert a.optimal_roster.assignment == b.optimal_roster.assignment
     assert a.nodes_explored == b.nodes_explored
+
+
+def _tie_break_cases():
+    """Seeded instances for the tie-break check, g = 1-3.
+
+    Each generated instance comes in three variants: as generated, with costs
+    redrawn from a two-value palette so that many rosters tie, and with one
+    demand cell bumped out of reach so that no roster is feasible.
+    """
+    rng = random.Random(31)
+    for trial in range(30):
+        inst = generate_instance(
+            GeneratorParams(
+                n=rng.randint(2, 5),
+                m=8,
+                g=1 + trial % 3,
+                feasible_min=2,
+                feasible_max=4,
+                tightness=rng.choice([0.5, 0.7, 0.9, 1.0]),
+                seed=6100 + trial,
+            )
+        )
+        yield inst
+        palette = rng.choice([(0, 10), (5, 5), (0, 0, 1)])
+        tied = [
+            Nurse(nurse.id, nurse.grade, nurse.feasible,
+                  {j: rng.choice(palette) for j in nurse.feasible})
+            for nurse in inst.nurses
+        ]
+        yield make_instance(inst.patterns, tied, inst.demand, g=inst.g)
+        rows = [list(row) for row in inst.demand.r]
+        rows[rng.randrange(14)][rng.randrange(inst.g)] += inst.n + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield make_instance(inst.patterns, tied, demand_rows(rows), g=inst.g)
+
+
+def test_returns_the_first_optimal_roster_in_search_order():
+    # among equal-cost optima the search keeps the first it meets: nurses in
+    # id order, patterns cheapest first with ties in feasible-list order
+    for inst in _tie_break_cases():
+        expected = first_optimal_roster(inst)
+        result = exact_solve(inst)
+        if expected is None:
+            assert result.status == INFEASIBLE
+        else:
+            assert result.status == OPTIMAL
+            assert result.optimal_roster.assignment == expected
