@@ -9,6 +9,7 @@ CPU count.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _w_grade(text: str | None) -> tuple[float, ...] | None:
+    """Parse --w-grade: comma-separated non-negative numbers, band 1 first."""
+    if text is None:
+        return None
+    try:
+        weights = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"--w-grade: expected numbers like 8,2,1, got {text!r}") from None
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError(f"--w-grade: weights must be non-negative numbers, got {text!r}")
+    return weights
+
+
+def _add_w_grade_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--w-grade", default=None, metavar="W1,W2,...",
+                        help="combined-rule weight per grade band, band 1 first "
+                             "(default 8,2,1); an instance with g bands needs g of them")
+
+
+def _grade_weight_error(named, w_grade: tuple[float, ...]) -> str | None:
+    """A message naming the first instance w_grade has too few weights for."""
+    for name, instance in named:
+        if len(w_grade) < instance.g:
+            return (f"{name}: instance has {instance.g} grade bands but {len(w_grade)} "
+                    f"grade weights are set; pass --w-grade with {instance.g} weights")
+    return None
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default="full", choices=harness.PRESET_NAMES,
                         help="configuration preset (default: full)")
@@ -47,6 +76,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="penalty per uncovered shift")
     parser.add_argument("--e-mode", choices=E_MODES, default=None,
                         help="combined-rule shortfall term: indicator or shortfall")
+    _add_w_grade_flag(parser)
     parser.add_argument("--no-stop-at-optimal", action="store_true",
                         help="keep iterating even after reaching a known optimum")
 
@@ -83,13 +113,22 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
 
     if args.no_stop_at_optimal:
         config = replace(config, stop_at_known_optimal=False)
-    return replace(spec, config=config)
+    spec = replace(spec, config=config)
+    w_grade = _w_grade(args.w_grade)
+    if w_grade is not None:
+        spec = harness.with_w_grade(spec, w_grade)
+    return spec
 
 
 def _cmd_solve(args) -> int:
     try:
         instance = load_instance(args.instance)
         spec = _build_spec(args, seed=args.seed)
+        message = _grade_weight_error(
+            [(args.instance, instance)], spec.config.eval_weights.w_grade
+        )
+        if message is not None:
+            raise ValueError(message)
         result = harness.execute(instance, spec)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -116,6 +155,10 @@ def _cmd_batch(args) -> int:
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     if not named:
+        return EXIT_ERROR
+    message = _grade_weight_error(named, spec.config.eval_weights.w_grade)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 
     stats = []
@@ -145,6 +188,7 @@ def _cmd_ablate(args) -> int:
             preset_iterations=args.preset_iters,
             runs=args.runs,
             base_seed=args.base_seed,
+            w_grade=_w_grade(args.w_grade) or harness.AblationSpec.w_grade,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -153,6 +197,10 @@ def _cmd_ablate(args) -> int:
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     if not named:
+        return EXIT_ERROR
+    message = _grade_weight_error(named, spec.w_grade)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     csv_text = harness.ablation_csv(named, spec)
     if args.out:
@@ -254,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", nargs="*", default=list(harness.PRESET_NAMES),
                    choices=harness.PRESET_NAMES)
     p.add_argument("--preset-iters", type=int, default=50_000)
+    _add_w_grade_flag(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ablate)
 

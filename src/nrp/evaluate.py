@@ -10,8 +10,10 @@ a component is always relative to the schedule it sits in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
+    N_PERIODS,
     PERIOD_BITS,
     CoverageState,
     IncompleteRosterError,
@@ -51,8 +53,7 @@ class EvalWeights:
             raise ValueError("grade weights must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ComponentFitness:
+class ComponentFitness(NamedTuple):
     """Normalized fitness of one nurse's assignment within the schedule."""
 
     preference: float  # 1 = cheapest current assignment, 0 = most expensive
@@ -84,6 +85,26 @@ def _contribution(instance: Instance, needed: list[int], i: int, j: int) -> int:
     for s in range(instance.nurses[i].grade - 1, instance.g):
         total += (bits & needed[s]).bit_count()
     return total
+
+
+def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:
+    """coverage_contribution of every nurse, one popcount each.
+
+    The per-band needed masks are packed at 14-bit offsets (band s at bit
+    14*s).  Multiplying a pattern's bits by spread[lo], which has bit 14*s set
+    for every band s >= lo, lays one copy of the bits over each band the
+    nurse serves; the copies cannot carry into each other because bits < 2**14.
+    """
+    g = instance.g
+    needed = 0
+    for s, mask in enumerate(_needed_masks(instance, coverage)):
+        needed |= mask << (N_PERIODS * s)
+    spread = [sum(1 << (N_PERIODS * s) for s in range(lo, g)) for lo in range(g)]
+    patterns = instance.patterns
+    return [
+        ((patterns[j].bits * spread[nurse.grade - 1]) & needed).bit_count()
+        for nurse, j in zip(instance.nurses, roster.assignment)
+    ]
 
 
 def coverage_contribution(
@@ -121,10 +142,7 @@ def component_fitness_all(
     costs = [
         instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment)
     ]
-    needed = _needed_masks(instance, coverage)
-    contribs = [
-        _contribution(instance, needed, i, j) for i, j in enumerate(roster.assignment)
-    ]
+    contribs = _contributions(instance, roster, coverage)
 
     p_min, p_max = min(costs), max(costs)
     c_min, c_max = min(contribs), max(contribs)

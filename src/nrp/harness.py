@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .eliminate import EliminationConfig
+from .evaluate import EvalWeights
 from .instance_io import load_instance
 from .model import Instance
 from .reconstruct import ReconstructionConfig
@@ -60,6 +61,12 @@ def preset_spec(name: str, max_iterations: int = 50_000, seed: int = 0) -> RunSp
     if name == "construct-only":
         return RunSpec(config, construction_only=True)
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+
+
+def with_w_grade(spec: RunSpec, w_grade: tuple[float, ...]) -> RunSpec:
+    """The spec with the combined rule's grade-band weights replaced."""
+    weights = replace(spec.config.eval_weights, w_grade=w_grade)
+    return replace(spec, config=replace(spec.config, eval_weights=weights))
 
 
 def execute(instance: Instance, spec: RunSpec) -> RunResult:
@@ -224,13 +231,18 @@ def run_csv_row(name: str, result: RunResult) -> str:
 
 @dataclass(frozen=True)
 class AblationSpec:
-    """Which presets and iteration budgets an ablation matrix spans."""
+    """Which presets and iteration budgets an ablation matrix spans.
+
+    w_grade replaces every column's combined-rule band weights; an instance
+    with g bands needs at least g of them.
+    """
 
     presets: tuple[str, ...] = PRESET_NAMES
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     preset_iterations: int = 50_000
     runs: int = 20
     base_seed: int = 0
+    w_grade: tuple[float, ...] = EvalWeights().w_grade
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -250,6 +262,7 @@ def ablation_csv(
         columns.append((f"iters_{budget}", preset_spec("full", budget)))
     for preset in spec.presets:
         columns.append((preset, preset_spec(preset, spec.preset_iterations)))
+    columns = [(name, with_w_grade(run_spec, spec.w_grade)) for name, run_spec in columns]
 
     lines = ["instance," + ",".join(name for name, _ in columns)]
     totals = [0.0] * len(columns)

@@ -122,6 +122,8 @@ class Instance:
 
     known_optimal, when present, is the verified minimum preference cost of a
     feasible roster; it drives early stopping and batch statistics.
+    feasible_bits[i] holds ShiftPattern.bits of nurse i's feasible patterns,
+    in feasible-list order, for the scoring loops.
     """
 
     n: int
@@ -131,6 +133,7 @@ class Instance:
     nurses: list[Nurse]
     demand: Demand
     known_optimal: int | None = None
+    feasible_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.g < 1:
@@ -154,6 +157,9 @@ class Instance:
             raise ValueError(
                 f"demand has {len(self.demand.r[0])} grade columns, expected {self.g}"
             )
+        self.feasible_bits = tuple(
+            tuple(self.patterns[j].bits for j in nurse.feasible) for nurse in self.nurses
+        )
 
 
 @dataclass

@@ -8,16 +8,28 @@ feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.
 
 Scoring runs on 14-bit masks.  Each pattern carries its worked periods as
-ShiftPattern.bits, and a band's still-short periods come from
-CoverageState.short_mask(s), built on demand once per pick (14 comparisons)
-rather than kept up to date by every coverage change.  The number of short
-periods a pattern covers at band s is then (bits & short).bit_count().  The
-cover rule builds one mask per nurse, for the nurse's focus band; the
-combined rule in indicator mode builds one per weighted band and adds the
-bands in ascending order, the order the per-period definition sums them
-in, so the float scores and hence the first-pattern tie-breaks are
-unchanged.  The shortfall e-mode weights each period by its shortfall and
-so still sums over the pattern's periods.
+ShiftPattern.bits (Instance.feasible_bits lists them per nurse), and a
+band's still-short periods come from CoverageState.short_mask(s), built on
+demand once per pick (14 comparisons) rather than kept up to date by every
+coverage change.  The number of short periods a pattern covers at band s is
+then (bits & short).bit_count().  The cover rule builds one mask per nurse,
+for the nurse's focus band; the combined rule in indicator mode builds one
+per band the nurse serves and adds the weighted bands in ascending order,
+the order the per-period definition sums them in, so the float scores and
+hence the first-pattern tie-breaks are unchanged.  The shortfall e-mode
+weights each period by its shortfall and so still sums over the pattern's
+periods.
+
+A pick is a pure function of the nurse and of what its rule reads of the
+coverage, and the same states recur across the iterations of a run, so
+picks are memoized in a PickMemo.  The cover rule's key is (nurse id,
+focus-band short mask); the combined rule's is the nurse id followed by
+the short mask of every band the nurse serves, or in shortfall mode by
+those bands' shortfall columns.  The keys leave out the weights and the
+e-mode because one run fixes them, so a memo lasts exactly one solver run:
+run makes one and passes it to every reconstruct call, and a reconstruct
+call without one memoizes for itself only.  A memo kept across runs would
+hand one run's picks to another with different weights.
 """
 
 from __future__ import annotations
@@ -73,6 +85,21 @@ def _focus_mask(instance: Instance, coverage: CoverageState, nurse: Nurse) -> in
     return 0
 
 
+def _band_state(
+    instance: Instance, coverage: CoverageState, nurse: Nurse, e_mode: str
+) -> tuple:
+    """What the combined rule reads of each band the nurse serves, lowest first.
+
+    In indicator mode that is the band's short mask; in shortfall mode it is
+    the band's shortfall column.
+    """
+    bands = range(nurse.grade - 1, instance.g)
+    if e_mode == "indicator":
+        return tuple([coverage.short_mask(s) for s in bands])
+    shortfall = coverage.shortfall
+    return tuple([tuple([row[s] for row in shortfall]) for s in bands])
+
+
 def cover_value(
     instance: Instance, coverage: CoverageState, i: int, j: int
 ) -> int:
@@ -111,19 +138,24 @@ def combined_score(
         raise ValueError(
             f"w_grade has {len(weights.w_grade)} entries, instance needs {instance.g}"
         )
-    return _combined_scores(instance, coverage, weights, nurse, (j,), e_mode)[0]
+    state = _band_state(instance, coverage, nurse, e_mode)
+    return _combined_scores(
+        instance, weights, nurse, (j,), (instance.patterns[j].bits,), e_mode, state
+    )[0]
 
 
 def _combined_scores(
     instance: Instance,
-    coverage: CoverageState,
     weights: EvalWeights,
     nurse: Nurse,
     pattern_ids: tuple[int, ...],
+    pattern_bits: tuple[int, ...],
     e_mode: str,
+    state: tuple,
 ) -> list[float]:
     """combined_score of each pattern id, in order.
 
+    pattern_bits holds the patterns' bits and state the nurse's _band_state.
     Every score is summed in the same order (preference term, then bands
     ascending, zero weights skipped), so equal inputs give bit-equal floats.
     """
@@ -132,24 +164,43 @@ def _combined_scores(
     w_p = weights.w_p
     scores = [w_p * (100 - costs[j]) for j in pattern_ids]
     w_grade = weights.w_grade
-    pattern_bits = [patterns[j].bits for j in pattern_ids]
-    for s in range(nurse.grade - 1, instance.g):
+    lo = nurse.grade - 1
+    for s in range(lo, instance.g):
         ws = w_grade[s]
         if ws == 0:
             continue
         if e_mode == "indicator":
-            short = coverage.short_mask(s)
+            short = state[s - lo]
             scores = [
                 score + ws * (bits & short).bit_count()
                 for score, bits in zip(scores, pattern_bits)
             ]
         else:
-            column = [row[s] for row in coverage.shortfall]
+            column = state[s - lo]
             scores = [
                 score + ws * sum(column[k] for k in patterns[j].periods)
                 for score, j in zip(scores, pattern_ids)
             ]
     return scores
+
+
+class PickMemo:
+    """The cover and combined picks already made in one solver run.
+
+    A pick depends only on the nurse and on what the rule reads of the
+    coverage, so the memo maps exactly that to the chosen pattern: cover
+    maps (nurse id, focus-band short mask) and combined maps (nurse id,
+    *_band_state).  The rules get a dict each, because a grade-3 nurse's
+    combined key (i, band-3 mask) has the same shape as a cover key.  The
+    keys leave out the instance, the weights and the e-mode, which one run
+    fixes, so a memo must not outlive the run it was made for.
+    """
+
+    __slots__ = ("cover", "combined")
+
+    def __init__(self) -> None:
+        self.cover: dict[tuple[int, int], int] = {}
+        self.combined: dict[tuple, int] = {}
 
 
 def reconstruct(
@@ -159,6 +210,7 @@ def reconstruct(
     weights: EvalWeights,
     rng: random.Random,
     coverage: CoverageState | None = None,
+    memo: PickMemo | None = None,
 ) -> Roster:
     """Assign every freed nurse a pattern; existing assignments are kept.
 
@@ -166,7 +218,9 @@ def reconstruct(
     random rule consumes one extra draw to index the feasible set.  Ties on
     rule scores go to the first pattern in the nurse's feasible list.  When a
     coverage state is passed in it must match the input roster and is updated
-    in place to match the returned complete roster.
+    in place to match the returned complete roster.  A memo passed in must
+    come from the same run (same instance, config and weights); without one
+    the picks are memoized for this call only.
     """
     result = roster.copy()
     free = result.unassigned_ids()
@@ -174,6 +228,9 @@ def reconstruct(
         return result
     if coverage is None:
         coverage = compute_coverage(instance, roster)
+    if memo is None:
+        memo = PickMemo()
+    cover_picks, combined_picks = memo.cover, memo.combined
     p1, p2 = config.p1, config.p2
     e_mode = config.e_mode
 
@@ -181,9 +238,19 @@ def reconstruct(
         nurse = instance.nurses[i]
         u = rng.random()
         if u < p1:
-            choice = _argmax_cover(instance, coverage, nurse)
+            short = _focus_mask(instance, coverage, nurse)
+            key = (i, short)
+            choice = cover_picks.get(key)
+            if choice is None:
+                choice = cover_picks[key] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p1 + p2:
-            choice = _argmax_combined(instance, coverage, weights, nurse, e_mode)
+            state = _band_state(instance, coverage, nurse, e_mode)
+            key = (i, *state)
+            choice = combined_picks.get(key)
+            if choice is None:
+                choice = combined_picks[key] = _argmax_combined(
+                    instance, coverage, weights, nurse, e_mode, state
+                )
         else:
             choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
         result.assignment[i] = choice
@@ -191,21 +258,37 @@ def reconstruct(
     return result
 
 
-def _argmax_cover(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:
-    short = _focus_mask(instance, coverage, nurse)
+def _argmax_cover(
+    instance: Instance, coverage: CoverageState, nurse: Nurse, short: int | None = None
+) -> int:
+    """Cover-rule pick; short is the nurse's focus mask when already built."""
+    if short is None:
+        short = _focus_mask(instance, coverage, nurse)
     feasible = nurse.feasible
     if not short:
         return feasible[0]
-    patterns = instance.patterns
-    return _first_max(feasible, [(patterns[j].bits & short).bit_count() for j in feasible])
+    return _first_max(
+        feasible, [(bits & short).bit_count() for bits in instance.feasible_bits[nurse.id]]
+    )
 
 
 def _argmax_combined(
-    instance: Instance, coverage: CoverageState, weights: EvalWeights, nurse: Nurse, e_mode: str
+    instance: Instance,
+    coverage: CoverageState,
+    weights: EvalWeights,
+    nurse: Nurse,
+    e_mode: str,
+    state: tuple | None = None,
 ) -> int:
+    """Combined-rule pick; state is the nurse's _band_state when already built."""
+    if state is None:
+        state = _band_state(instance, coverage, nurse, e_mode)
     feasible = nurse.feasible
     return _first_max(
-        feasible, _combined_scores(instance, coverage, weights, nurse, feasible, e_mode)
+        feasible,
+        _combined_scores(
+            instance, weights, nurse, feasible, instance.feasible_bits[nurse.id], e_mode, state
+        ),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .eliminate import EliminationConfig, eliminate_at_random, eliminate_by_fitness
 from .evaluate import EvalWeights, component_fitness_all, penalized_cost
 from .model import Instance, Roster, compute_coverage
-from .reconstruct import ReconstructionConfig, reconstruct
+from .reconstruct import PickMemo, ReconstructionConfig, reconstruct
 
 RNG_KIND = "mt19937"  # python random.Random; recorded in results for replay
 
@@ -98,6 +98,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     iteration_of_best = 0
     trajectory = [(0, best_cost)]
     stride = config.trajectory_stride
+    memo = PickMemo()  # lives exactly as long as this run
 
     def optimum_reached() -> bool:
         return (
@@ -125,7 +126,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 if j is None and roster.assignment[i] is not None:
                     coverage.remove(instance, i, roster.assignment[i])
             roster = reconstruct(
-                instance, partial, config.recon, weights, rng, coverage=coverage
+                instance, partial, config.recon, weights, rng, coverage=coverage, memo=memo
             )
             cost = penalized_cost(instance, roster, weights, coverage=coverage)
 

@@ -75,6 +75,53 @@ class TestSolve:
         assert code == EXIT_OK
 
 
+def gen_four_grade_instance(tmp_path: Path) -> Path:
+    out_dir = tmp_path / "g4"
+    assert main([
+        "gen", "--g", "4", "--n", "6", "--m", "12", "--count", "1",
+        "--out-dir", str(out_dir),
+    ]) == EXIT_OK
+    return out_dir / "inst_000.nrp"
+
+
+class TestGradeWeights:
+    """An instance with more grade bands than the default three weights."""
+
+    def test_gen_then_solve_names_the_flag(self, tmp_path, capsys):
+        path = gen_four_grade_instance(tmp_path)
+        assert main(["solve", str(path), "--max-iters", "50"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "--w-grade", "4 grade bands")
+
+    def test_gen_then_solve_with_w_grade(self, tmp_path, capsys):
+        path = gen_four_grade_instance(tmp_path)
+        code = main(["solve", str(path), "--max-iters", "50", "--w-grade", "8,4,2,1"])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        assert "best cost:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["batch", "--runs", "1", "--max-iters", "10"],
+        ["ablate", "--runs", "1", "--budgets", "10", "--presets", "full", "--preset-iters", "10"],
+    ])
+    def test_batch_and_ablate_exit_one_before_running(self, tmp_path, capsys, command):
+        path = gen_four_grade_instance(tmp_path)
+        out = tmp_path / "out.csv"
+        assert main([command[0], str(path), *command[1:], "--out", str(out)]) == EXIT_ERROR
+        assert_one_line_error(capsys, "inst_000", "--w-grade")
+        assert not out.exists()
+        # the flag lets the same command run
+        flags = [*command[1:], "--out", str(out), "--w-grade", "8,4,2,1"]
+        assert main([command[0], str(path), *flags]) == EXIT_OK
+        assert out.read_text().startswith("instance,")
+
+    @pytest.mark.parametrize("value", ["8,-1,2", "8,x", "nan", "1,,2"])
+    def test_bad_w_grade_exits_one_with_one_line(self, tmp_path, capsys, value):
+        path = write_instance(tmp_path)
+        for command in (["solve"], ["batch", "--runs", "1"], ["ablate", "--runs", "1"]):
+            args = [command[0], str(path), *command[1:], f"--w-grade={value}"]
+            assert main(args) == EXIT_ERROR
+            assert_one_line_error(capsys, "--w-grade")
+
+
 class TestBatch:
     def test_writes_summary_and_per_run_csv(self, tmp_path, capsys):
         path = write_instance(tmp_path)

@@ -4,6 +4,7 @@ import pytest
 
 from nrp.evaluate import (
     EvalWeights,
+    _contributions,
     component_fitness_all,
     coverage_contribution,
     penalized_cost,
@@ -82,6 +83,28 @@ class TestCoverageContribution:
                 assert coverage_contribution(inst, roster, cov, i) == (
                     contribution_by_removal(inst, roster, i)
                 )
+
+    def test_packed_popcount_matches_per_band_count(self):
+        # fitness counts every nurse with one popcount over 14-bit band lanes
+        rng = random.Random(17)
+        for trial in range(90):
+            g = 1 + trial % 3
+            inst = generate_instance(
+                GeneratorParams(
+                    n=rng.randint(1, 12),
+                    m=rng.randint(2, 30),
+                    g=g,
+                    feasible_min=1,
+                    feasible_max=rng.randint(1, 10),
+                    tightness=rng.uniform(0.3, 1.0),
+                    seed=1900 + trial,
+                )
+            )
+            roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
+            cov = compute_coverage(inst, roster)
+            assert _contributions(inst, roster, cov) == [
+                coverage_contribution(inst, roster, cov, i) for i in range(inst.n)
+            ]
 
 
 class TestComponentFitness:

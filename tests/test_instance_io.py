@@ -1,4 +1,6 @@
 import random
+import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +96,65 @@ class TestParse:
         text = text.replace("0\n" * 14, "2 1\n" + "0 0\n" * 13)
         with pytest.warns(UserWarning, match="non-decreasing"):
             parse_instance(text)
+
+
+FUZZ_TOKENS = (
+    "0", "1", "-1", "2", "14", "100", "101", "99999", "x", "1.5", "", ":", "0:0", "1:-3",
+    "2:101", "7:", ":4", "NRP", "PATTERNS", "DEMAND", "NURSES", "OPTIMAL", "#",
+    "11111111111111", "1111111111111", "00000000000000", "0101010101010101",
+)
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One seeded edit: replace a token, drop or duplicate a line, or cut one short."""
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    kind = rng.randrange(4)
+    if kind == 0:
+        tokens = lines[k].split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+        lines[k] = " ".join(tokens)
+    elif kind == 1:
+        del lines[k]
+    elif kind == 2:
+        lines.insert(k, lines[k])
+    else:
+        lines[k] = lines[k][: rng.randrange(len(lines[k]) + 1)]
+    return "\n".join(lines)
+
+
+class TestParseFuzz:
+    def test_mutated_files_parse_or_raise_parse_error(self):
+        rng = random.Random(2024)
+        sources = []
+        for trial in range(30):
+            inst = generate_instance(
+                GeneratorParams(
+                    n=rng.randint(1, 5),
+                    m=rng.randint(1, 8),
+                    g=1 + trial % 3,
+                    feasible_min=1,
+                    feasible_max=4,
+                    seed=7000 + trial,
+                )
+            )
+            if trial % 2:
+                inst = replace(inst, known_optimal=rng.randint(0, 300))
+            sources.append(serialize_instance(inst))
+        parsed = rejected = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-mask patterns, non-cumulative demand
+            for _ in range(3000):
+                text = rng.choice(sources)
+                for _ in range(rng.randint(1, 3)):
+                    text = mutate(text, rng)
+                try:
+                    parse_instance(text)
+                except InstanceParseError:
+                    rejected += 1
+                else:
+                    parsed += 1
+        assert parsed > 100 and rejected > 1000  # both outcomes were exercised
 
 
 class TestSerialize:

@@ -11,6 +11,8 @@ from nrp.model import (
     compute_coverage,
 )
 from nrp.reconstruct import (
+    E_MODES,
+    PickMemo,
     ReconstructionConfig,
     combined_score,
     cover_value,
@@ -298,3 +300,62 @@ class TestReconstruct:
             assert cov.covered == fresh.covered
             assert cov.shortfall == fresh.shortfall
             assert cov.band_short == fresh.band_short
+
+
+def memo_sequence_case(trial: int):
+    """A small instance, fractional weights and a release rng for one sequence."""
+    rng = random.Random(8100 + trial)
+    g = 1 + trial % 3
+    instance = generate_instance(
+        GeneratorParams(
+            n=rng.randint(3, 9),
+            m=rng.randint(6, 24),
+            g=g,
+            feasible_min=1,
+            feasible_max=rng.randint(2, 10),
+            tightness=rng.uniform(0.5, 1.0),
+            seed=8200 + trial,
+        )
+    )
+    w_grade = tuple(round(rng.uniform(0.05, 6.0), 3) for _ in range(g))
+    weights = EvalWeights(w_p=round(rng.uniform(0.1, 2.0), 3), w_grade=w_grade)
+    return instance, weights, rng
+
+
+class TestPickMemo:
+    STEPS = 60
+
+    def test_shared_memo_equals_a_fresh_memo_per_call(self):
+        # a release-and-repair sequence like the solver loop's: one memo kept
+        # across the whole sequence must change no pick and no rng draw
+        cross_call_hits = 0
+        for trial in range(36):
+            for e_mode in E_MODES:
+                instance, weights, release = memo_sequence_case(trial)
+                config = ReconstructionConfig(p1=0.5, p2=0.45, p3=0.05, e_mode=e_mode)
+                shared = PickMemo()
+                rng_shared, rng_fresh = random.Random(trial), random.Random(trial)
+                roster = Roster.empty(instance.n)
+                fresh_entries = 0
+                for _ in range(self.STEPS):
+                    cov_shared = compute_coverage(instance, roster)
+                    cov_fresh = compute_coverage(instance, roster)
+                    fresh = PickMemo()
+                    out_shared = reconstruct(
+                        instance, roster, config, weights, rng_shared, cov_shared, memo=shared
+                    )
+                    out_fresh = reconstruct(
+                        instance, roster, config, weights, rng_fresh, cov_fresh, memo=fresh
+                    )
+                    assert out_shared.assignment == out_fresh.assignment
+                    assert cov_shared.covered == cov_fresh.covered
+                    assert cov_shared.shortfall == cov_fresh.shortfall
+                    assert cov_shared.band_short == cov_fresh.band_short
+                    assert rng_shared.getstate() == rng_fresh.getstate()
+                    fresh_entries += len(fresh.cover) + len(fresh.combined)
+                    keep = release.random()
+                    roster = Roster(
+                        [j if release.random() < keep else None for j in out_shared.assignment]
+                    )
+                cross_call_hits += fresh_entries - len(shared.cover) - len(shared.combined)
+        assert cross_call_hits > 1000  # the shared memo did answer picks

@@ -6,8 +6,9 @@ import pytest
 from nrp.eliminate import EliminationConfig
 from nrp.evaluate import EvalWeights, penalized_cost
 from nrp.instance_io import GeneratorParams, generate_instance
-from nrp.model import Nurse, is_feasible
+from nrp.model import Nurse, compute_coverage, is_feasible, preference_cost
 from nrp.oracle import exact_solve
+from nrp.reconstruct import E_MODES, ReconstructionConfig
 from nrp.solver import (
     RunResult,
     SolverConfig,
@@ -142,6 +143,39 @@ class TestRun:
                 if result.best_feasible and result.best_cost == inst.known_optimal:
                     hits += 1
         assert hits / pairs >= 0.9
+
+    def test_incremental_state_matches_a_recomputation(self, monkeypatch):
+        # the loop patches coverage and cost in place; every iteration hands
+        # them to penalized_cost, so check them there against a fresh count
+        calls = 0
+
+        def checked(instance, roster, weights, coverage=None):
+            nonlocal calls
+            calls += 1
+            fresh = compute_coverage(instance, roster)
+            assert coverage.covered == fresh.covered
+            assert coverage.shortfall == fresh.shortfall
+            assert coverage.band_short == fresh.band_short
+            cost = penalized_cost(instance, roster, weights, coverage=coverage)
+            recomputed = (
+                preference_cost(instance, roster)
+                + weights.w_demand * fresh.total_shortfall()
+            )
+            assert cost == recomputed
+            return cost
+
+        monkeypatch.setattr("nrp.solver.penalized_cost", checked)
+        suite = build_desk_suite(8)
+        for e_mode in E_MODES:
+            config = SolverConfig(
+                max_iterations=300,
+                recon=ReconstructionConfig(e_mode=e_mode),
+                stop_at_known_optimal=False,
+            )
+            for inst in suite:
+                for seed in range(3):
+                    run(inst, replace(config, seed=seed))
+        assert calls == len(E_MODES) * len(suite) * 3 * 301
 
 
 class TestConstructionOnly:
