@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, oracle
+from .evaluate import EvalWeights
 from .instance_io import GeneratorParams, generate_instance, load_instance, save_instance
 from .reconstruct import E_MODES, ReconstructionConfig
 
@@ -50,13 +51,13 @@ def _add_w_grade_flag(parser: argparse.ArgumentParser) -> None:
                              "(default 8,2,1); an instance with g bands needs g of them")
 
 
-def _grade_weight_error(named, w_grade: tuple[float, ...]) -> str | None:
-    """A message naming the first instance w_grade has too few weights for."""
+def _check_grade_weights(named, weights: EvalWeights) -> None:
+    """Raise ValueError naming the first instance weights has too few bands for."""
     for name, instance in named:
-        if len(w_grade) < instance.g:
-            return (f"{name}: instance has {instance.g} grade bands but {len(w_grade)} "
-                    f"grade weights are set; pass --w-grade with {instance.g} weights")
-    return None
+        try:
+            weights.check_bands(instance.g)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}; pass one per band with --w-grade") from None
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,11 +125,7 @@ def _cmd_solve(args) -> int:
     try:
         instance = load_instance(args.instance)
         spec = _build_spec(args, seed=args.seed)
-        message = _grade_weight_error(
-            [(args.instance, instance)], spec.config.eval_weights.w_grade
-        )
-        if message is not None:
-            raise ValueError(message)
+        _check_grade_weights([(args.instance, instance)], spec.config.eval_weights)
         result = harness.execute(instance, spec)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -156,9 +153,10 @@ def _cmd_batch(args) -> int:
         print(f"error: {message}", file=sys.stderr)
     if not named:
         return EXIT_ERROR
-    message = _grade_weight_error(named, spec.config.eval_weights.w_grade)
-    if message is not None:
-        print(f"error: {message}", file=sys.stderr)
+    try:
+        _check_grade_weights(named, spec.config.eval_weights)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     stats = []
@@ -198,9 +196,10 @@ def _cmd_ablate(args) -> int:
         print(f"error: {message}", file=sys.stderr)
     if not named:
         return EXIT_ERROR
-    message = _grade_weight_error(named, spec.w_grade)
-    if message is not None:
-        print(f"error: {message}", file=sys.stderr)
+    try:
+        _check_grade_weights(named, EvalWeights(w_grade=spec.w_grade))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     csv_text = harness.ablation_csv(named, spec)
     if args.out:

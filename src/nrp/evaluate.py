@@ -52,6 +52,13 @@ class EvalWeights:
         if any(w < 0 for w in self.w_grade):
             raise ValueError("grade weights must be nonnegative")
 
+    def check_bands(self, g: int) -> None:
+        """Raise ValueError unless w_grade has a weight for each of g bands."""
+        if len(self.w_grade) < g:
+            raise ValueError(
+                f"instance has {g} grade bands but {len(self.w_grade)} grade weights are set"
+            )
+
 
 class ComponentFitness(NamedTuple):
     """Normalized fitness of one nurse's assignment within the schedule."""

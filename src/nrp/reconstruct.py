@@ -29,7 +29,12 @@ those bands' shortfall columns.  The keys leave out the weights and the
 e-mode because one run fixes them, so a memo lasts exactly one solver run:
 run makes one and passes it to every reconstruct call, and a reconstruct
 call without one memoizes for itself only.  A memo kept across runs would
-hand one run's picks to another with different weights.
+hand one run's picks to another with different weights.  New states keep
+arriving over a long run, so each rule's dict is emptied once it holds
+MEMO_PICKS_PER_NURSE entries per nurse; since a pick is pure, emptying it
+changes no pick.  On the paper's ward shape (30 nurses) that keeps the
+memo of a 100,000-iteration run to about 4 MB; unbounded, it reached 48 MB
+in shortfall mode, whose keys are whole shortfall columns.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .model import (
 )
 
 E_MODES = ("indicator", "shortfall")
+MEMO_PICKS_PER_NURSE = 256  # per rule; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -134,10 +140,7 @@ def combined_score(
     nurse = instance.nurses[i]
     if j not in nurse.feasible_set:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    if len(weights.w_grade) < instance.g:
-        raise ValueError(
-            f"w_grade has {len(weights.w_grade)} entries, instance needs {instance.g}"
-        )
+    weights.check_bands(instance.g)
     state = _band_state(instance, coverage, nurse, e_mode)
     return _combined_scores(
         instance, weights, nurse, (j,), (instance.patterns[j].bits,), e_mode, state
@@ -193,14 +196,16 @@ class PickMemo:
     *_band_state).  The rules get a dict each, because a grade-3 nurse's
     combined key (i, band-3 mask) has the same shape as a cover key.  The
     keys leave out the instance, the weights and the e-mode, which one run
-    fixes, so a memo must not outlive the run it was made for.
+    fixes, so a memo must not outlive the run it was made for.  A dict that
+    has reached limit entries is emptied before the next one is stored.
     """
 
-    __slots__ = ("cover", "combined")
+    __slots__ = ("cover", "combined", "limit")
 
-    def __init__(self) -> None:
+    def __init__(self, instance: Instance) -> None:
         self.cover: dict[tuple[int, int], int] = {}
         self.combined: dict[tuple, int] = {}
+        self.limit = MEMO_PICKS_PER_NURSE * instance.n
 
 
 def reconstruct(
@@ -229,8 +234,8 @@ def reconstruct(
     if coverage is None:
         coverage = compute_coverage(instance, roster)
     if memo is None:
-        memo = PickMemo()
-    cover_picks, combined_picks = memo.cover, memo.combined
+        memo = PickMemo(instance)
+    cover_picks, combined_picks, limit = memo.cover, memo.combined, memo.limit
     p1, p2 = config.p1, config.p2
     e_mode = config.e_mode
 
@@ -242,12 +247,16 @@ def reconstruct(
             key = (i, short)
             choice = cover_picks.get(key)
             if choice is None:
+                if len(cover_picks) >= limit:
+                    cover_picks.clear()
                 choice = cover_picks[key] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p1 + p2:
             state = _band_state(instance, coverage, nurse, e_mode)
             key = (i, *state)
             choice = combined_picks.get(key)
             if choice is None:
+                if len(combined_picks) >= limit:
+                    combined_picks.clear()
                 choice = combined_picks[key] = _argmax_combined(
                     instance, coverage, weights, nurse, e_mode, state
                 )
@@ -259,11 +268,9 @@ def reconstruct(
 
 
 def _argmax_cover(
-    instance: Instance, coverage: CoverageState, nurse: Nurse, short: int | None = None
+    instance: Instance, coverage: CoverageState, nurse: Nurse, short: int
 ) -> int:
-    """Cover-rule pick; short is the nurse's focus mask when already built."""
-    if short is None:
-        short = _focus_mask(instance, coverage, nurse)
+    """Cover-rule pick for the nurse's focus mask short (see _focus_mask)."""
     feasible = nurse.feasible
     if not short:
         return feasible[0]
@@ -278,11 +285,9 @@ def _argmax_combined(
     weights: EvalWeights,
     nurse: Nurse,
     e_mode: str,
-    state: tuple | None = None,
+    state: tuple,
 ) -> int:
-    """Combined-rule pick; state is the nurse's _band_state when already built."""
-    if state is None:
-        state = _band_state(instance, coverage, nurse, e_mode)
+    """Combined-rule pick for the nurse's band state (see _band_state)."""
     feasible = nurse.feasible
     return _first_max(
         feasible,

@@ -68,14 +68,6 @@ def initial_roster(instance: Instance, rng: random.Random) -> Roster:
     )
 
 
-def _check_config(instance: Instance, config: SolverConfig) -> None:
-    if len(config.eval_weights.w_grade) < instance.g:
-        raise ValueError(
-            f"w_grade has {len(config.eval_weights.w_grade)} entries, "
-            f"instance needs {instance.g}"
-        )
-
-
 def run(instance: Instance, config: SolverConfig) -> RunResult:
     """Full iterative search; deterministic given (instance, config).
 
@@ -83,7 +75,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     with preference cost <= instance.known_optimal is found (when enabled
     and the optimum is known).
     """
-    _check_config(instance, config)
+    config.eval_weights.check_bands(instance.g)
     weights = config.eval_weights
     rng = random.Random(config.seed)
     started = time.perf_counter()
@@ -98,7 +90,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     iteration_of_best = 0
     trajectory = [(0, best_cost)]
     stride = config.trajectory_stride
-    memo = PickMemo()  # lives exactly as long as this run
+    memo = PickMemo(instance)  # lives exactly as long as this run
 
     def optimum_reached() -> bool:
         return (
@@ -155,7 +147,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
 
 def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult:
     """Baseline: one greedy reconstruction pass from an empty roster, no loop."""
-    _check_config(instance, config)
+    config.eval_weights.check_bands(instance.g)
     weights = config.eval_weights
     rng = random.Random(config.seed)
     started = time.perf_counter()

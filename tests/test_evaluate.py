@@ -44,6 +44,13 @@ class TestEvalWeights:
         with pytest.raises(ValueError, match="w_demand"):
             EvalWeights(w_demand=0)
 
+    def test_check_bands_needs_a_grade_weight_per_band(self):
+        w = EvalWeights(w_grade=(8.0, 2.0, 1.0))
+        w.check_bands(1)
+        w.check_bands(3)
+        with pytest.raises(ValueError, match="4 grade bands but 3 grade weights"):
+            w.check_bands(4)
+
 
 class TestCoverageContribution:
     def test_zero_mask_contributes_nothing(self):

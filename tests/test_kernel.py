@@ -15,7 +15,14 @@ import random
 from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import N_PERIODS, Roster, compute_coverage
-from nrp.reconstruct import E_MODES, _argmax_combined, _argmax_cover, combined_score
+from nrp.reconstruct import (
+    E_MODES,
+    _argmax_combined,
+    _argmax_cover,
+    _band_state,
+    _focus_mask,
+    combined_score,
+)
 
 from bruteforce import (
     combined_score_by_definition,
@@ -101,7 +108,8 @@ def test_cover_argmax_matches_definition():
             expected = first_argmax(
                 nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
             )
-            assert _argmax_cover(instance, coverage, nurse) == expected
+            short = _focus_mask(instance, coverage, nurse)
+            assert _argmax_cover(instance, coverage, nurse, short) == expected
     assert ties > 50  # the tie-break to the first pattern was exercised
 
 
@@ -126,4 +134,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
                         by_definition(j)
                     )
                 expected = first_argmax(nurse.feasible, by_definition)
-                assert _argmax_combined(instance, coverage, weights, nurse, mode) == expected
+                state = _band_state(instance, coverage, nurse, mode)
+                assert _argmax_combined(instance, coverage, weights, nurse, mode, state) == (
+                    expected
+                )

@@ -12,6 +12,7 @@ from nrp.model import (
 )
 from nrp.reconstruct import (
     E_MODES,
+    MEMO_PICKS_PER_NURSE,
     PickMemo,
     ReconstructionConfig,
     combined_score,
@@ -322,40 +323,75 @@ def memo_sequence_case(trial: int):
     return instance, weights, rng
 
 
+class CountedClears(dict):
+    """A memo dict that counts how often it was emptied."""
+
+    clears = 0
+
+    def clear(self) -> None:
+        self.clears += 1
+        super().clear()
+
+
 class TestPickMemo:
     STEPS = 60
 
+    def repair_sequence(self, trial: int, e_mode: str, limit: int | None = None):
+        """Repair a release-and-repair sequence like the solver loop's twice:
+        with one memo kept across the whole sequence and with a fresh memo
+        per call.  Every step must give the same roster, coverage and rng
+        state.  Returns the shared memo and the fresh memos' total size."""
+        instance, weights, release = memo_sequence_case(trial)
+        config = ReconstructionConfig(p1=0.5, p2=0.45, p3=0.05, e_mode=e_mode)
+        shared = PickMemo(instance)
+        if limit is not None:
+            shared.limit = limit
+            shared.cover, shared.combined = CountedClears(), CountedClears()
+        rng_shared, rng_fresh = random.Random(trial), random.Random(trial)
+        roster = Roster.empty(instance.n)
+        fresh_entries = 0
+        for _ in range(self.STEPS):
+            cov_shared = compute_coverage(instance, roster)
+            cov_fresh = compute_coverage(instance, roster)
+            fresh = PickMemo(instance)
+            out_shared = reconstruct(
+                instance, roster, config, weights, rng_shared, cov_shared, memo=shared
+            )
+            out_fresh = reconstruct(
+                instance, roster, config, weights, rng_fresh, cov_fresh, memo=fresh
+            )
+            assert out_shared.assignment == out_fresh.assignment
+            assert cov_shared.covered == cov_fresh.covered
+            assert cov_shared.shortfall == cov_fresh.shortfall
+            assert cov_shared.band_short == cov_fresh.band_short
+            assert rng_shared.getstate() == rng_fresh.getstate()
+            assert len(shared.cover) <= shared.limit
+            assert len(shared.combined) <= shared.limit
+            fresh_entries += len(fresh.cover) + len(fresh.combined)
+            keep = release.random()
+            roster = Roster(
+                [j if release.random() < keep else None for j in out_shared.assignment]
+            )
+        return shared, fresh_entries
+
     def test_shared_memo_equals_a_fresh_memo_per_call(self):
-        # a release-and-repair sequence like the solver loop's: one memo kept
-        # across the whole sequence must change no pick and no rng draw
         cross_call_hits = 0
         for trial in range(36):
             for e_mode in E_MODES:
-                instance, weights, release = memo_sequence_case(trial)
-                config = ReconstructionConfig(p1=0.5, p2=0.45, p3=0.05, e_mode=e_mode)
-                shared = PickMemo()
-                rng_shared, rng_fresh = random.Random(trial), random.Random(trial)
-                roster = Roster.empty(instance.n)
-                fresh_entries = 0
-                for _ in range(self.STEPS):
-                    cov_shared = compute_coverage(instance, roster)
-                    cov_fresh = compute_coverage(instance, roster)
-                    fresh = PickMemo()
-                    out_shared = reconstruct(
-                        instance, roster, config, weights, rng_shared, cov_shared, memo=shared
-                    )
-                    out_fresh = reconstruct(
-                        instance, roster, config, weights, rng_fresh, cov_fresh, memo=fresh
-                    )
-                    assert out_shared.assignment == out_fresh.assignment
-                    assert cov_shared.covered == cov_fresh.covered
-                    assert cov_shared.shortfall == cov_fresh.shortfall
-                    assert cov_shared.band_short == cov_fresh.band_short
-                    assert rng_shared.getstate() == rng_fresh.getstate()
-                    fresh_entries += len(fresh.cover) + len(fresh.combined)
-                    keep = release.random()
-                    roster = Roster(
-                        [j if release.random() < keep else None for j in out_shared.assignment]
-                    )
+                shared, fresh_entries = self.repair_sequence(trial, e_mode)
+                # the limit (256 picks per nurse) is never reached here
                 cross_call_hits += fresh_entries - len(shared.cover) - len(shared.combined)
         assert cross_call_hits > 1000  # the shared memo did answer picks
+
+    def test_a_memo_emptied_at_its_limit_still_agrees(self):
+        cover_clears = combined_clears = 0
+        for trial in range(12):
+            for e_mode in E_MODES:
+                shared, _ = self.repair_sequence(trial, e_mode, limit=3)
+                cover_clears += shared.cover.clears
+                combined_clears += shared.combined.clears
+        assert cover_clears > 50 and combined_clears > 50
+
+    def test_limit_scales_with_the_nurse_count(self):
+        instance, _, _ = memo_sequence_case(0)
+        assert PickMemo(instance).limit == MEMO_PICKS_PER_NURSE * instance.n
