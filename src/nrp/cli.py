@@ -26,10 +26,10 @@ EXIT_TIMEOUT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1; exit 2 is reserved for "ran fine, best infeasible"
+    # usage problems exit 1 with one line, as every other error does;
+    # exit 2 is reserved for "ran fine, best infeasible"
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"error: {message} (see {self.prog} --help)\n")
 
 
 def _w_grade(text: str | None) -> tuple[float, ...] | None:

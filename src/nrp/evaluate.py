@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .model import (
     N_PERIODS,
-    PERIOD_BITS,
     CoverageState,
     IncompleteRosterError,
     Instance,
@@ -71,45 +70,28 @@ class ComponentFitness(NamedTuple):
 def _needed_masks(instance: Instance, coverage: CoverageState) -> list[int]:
     """Per band, the periods where coverage is at or below demand.
 
-    Bit k of entry s is set iff covered[k][s] <= demand[k][s]: there every
-    qualified nurse working period k is needed, since one fewer would leave
-    the slot short.
+    Guard bit k of entry s (see CoverageState) is set iff covered[k][s] <=
+    demand[k][s]: there every qualified nurse working period k is needed,
+    since one fewer would leave the slot short.
     """
-    demand = instance.demand.r
-    masks = []
-    for s in range(instance.g):
-        mask = 0
-        for bit, covered_k, demand_k in zip(PERIOD_BITS, coverage.covered, demand):
-            if covered_k[s] <= demand_k[s]:
-                mask |= bit
-        masks.append(mask)
-    return masks
-
-
-def _contribution(instance: Instance, needed: list[int], i: int, j: int) -> int:
-    bits = instance.patterns[j].bits
-    total = 0
-    for s in range(instance.nurses[i].grade - 1, instance.g):
-        total += (bits & needed[s]).bit_count()
-    return total
+    guard_bits = instance.guard_bits
+    return [(d - c) & guard_bits for d, c in zip(instance.demand_bits, coverage.cov)]
 
 
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:
     """coverage_contribution of every nurse, one popcount each.
 
-    The per-band needed masks are packed at 14-bit offsets (band s at bit
-    14*s).  Multiplying a pattern's bits by spread[lo], which has bit 14*s set
-    for every band s >= lo, lays one copy of the bits over each band the
-    nurse serves; the copies cannot carry into each other because bits < 2**14.
+    The needed masks are packed band after band, band s at bit 14*w*s.
+    Multiplying a pattern's bits by spread[lo], which has bit 14*w*s set for
+    each band s >= lo, lays one copy over each band the nurse serves; as the
+    bits are below 2**(14*w), the copies cannot carry into each other.
     """
-    g = instance.g
-    needed = 0
-    for s, mask in enumerate(_needed_masks(instance, coverage)):
-        needed |= mask << (N_PERIODS * s)
-    spread = [sum(1 << (N_PERIODS * s) for s in range(lo, g)) for lo in range(g)]
-    patterns = instance.patterns
+    g, span = instance.g, N_PERIODS * instance.field_width
+    masks = _needed_masks(instance, coverage)
+    needed = sum(mask << (span * s) for s, mask in enumerate(masks))
+    spread = [sum(1 << (span * s) for s in range(lo, g)) for lo in range(g)]
     return [
-        ((patterns[j].bits * spread[nurse.grade - 1]) & needed).bit_count()
+        ((instance.pattern_bits[j] * spread[nurse.grade - 1]) & needed).bit_count()
         for nurse, j in zip(instance.nurses, roster.assignment)
     ]
 
@@ -126,7 +108,9 @@ def coverage_contribution(
     j = roster.assignment[i]
     if j is None:
         raise IncompleteRosterError(f"nurse {i} is unassigned")
-    return _contribution(instance, _needed_masks(instance, coverage), i, j)
+    worked = instance.pattern_bits[j]
+    served = _needed_masks(instance, coverage)[instance.nurses[i].grade - 1 :]
+    return sum((worked & needed).bit_count() for needed in served)
 
 
 def component_fitness_all(

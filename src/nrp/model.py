@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 N_PERIODS = 14  # 7 day shifts followed by 7 night shifts
-PERIOD_BITS = tuple(1 << k for k in range(N_PERIODS))  # bit k stands for period k
 
 
 class RosterError(ValueError):
@@ -31,24 +30,18 @@ class IncompleteRosterError(RosterError):
 
 @dataclass(frozen=True)
 class ShiftPattern:
-    """One weekly work pattern: which of the 14 periods are worked.
-
-    bits is the same set as a 14-bit integer, bit k set iff period k is
-    worked; the scoring rules count covered periods as popcounts of it.
-    """
+    """One weekly work pattern: which of the 14 periods are worked."""
 
     id: int
     mask: tuple[bool, ...]
     # indices of worked periods, precomputed for the per-period loops
     periods: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mask) != N_PERIODS:
             raise ValueError(f"pattern {self.id}: mask must have {N_PERIODS} entries")
         periods = tuple(k for k, on in enumerate(self.mask) if on)
         object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "bits", sum(PERIOD_BITS[k] for k in periods))
 
 
 @dataclass(frozen=True)
@@ -122,8 +115,12 @@ class Instance:
 
     known_optimal, when present, is the verified minimum preference cost of a
     feasible roster; it drives early stopping and batch statistics.
-    feasible_bits[i] holds ShiftPattern.bits of nurse i's feasible patterns,
-    in feasible-list order, for the scoring loops.
+    The rest is the packed layout of CoverageState: period k in the field
+    at bit k * field_width; low_bits sets the low bit and guard_bits the top
+    (guard) bit of every field.  cells[j] has pattern j's worked periods as
+    low bits and pattern_bits[j] as guard bits; feasible_bits[i] lists the
+    pattern_bits of nurse i's feasible patterns, in feasible-list order;
+    demand_bits[s] packs band s+1's demand column, guard bits set.
     """
 
     n: int
@@ -133,7 +130,13 @@ class Instance:
     nurses: list[Nurse]
     demand: Demand
     known_optimal: int | None = None
+    field_width: int = field(init=False, repr=False, compare=False)
+    low_bits: int = field(init=False, repr=False, compare=False)
+    guard_bits: int = field(init=False, repr=False, compare=False)
+    cells: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pattern_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
     feasible_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    demand_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.g < 1:
@@ -157,8 +160,19 @@ class Instance:
             raise ValueError(
                 f"demand has {len(self.demand.r[0])} grade columns, expected {self.g}"
             )
+        # the width rule and why it is enough: see CoverageState
+        width = max(self.n, max(map(max, self.demand.r))).bit_length() + 1
+        self.field_width = width
+        self.low_bits = sum(1 << (k * width) for k in range(N_PERIODS))
+        self.guard_bits = self.low_bits << (width - 1)
+        self.cells = tuple(sum(1 << (k * width) for k in p.periods) for p in self.patterns)
+        self.pattern_bits = tuple(c << (width - 1) for c in self.cells)
         self.feasible_bits = tuple(
-            tuple(self.patterns[j].bits for j in nurse.feasible) for nurse in self.nurses
+            tuple(self.pattern_bits[j] for j in nurse.feasible) for nurse in self.nurses
+        )
+        self.demand_bits = tuple(
+            sum(row[s] << (k * width) for k, row in enumerate(self.demand.r)) | self.guard_bits
+            for s in range(self.g)
         )
 
 
@@ -188,52 +202,62 @@ class Roster:
 class CoverageState:
     """Per-(period, band) nurse counts against demand, maintained incrementally.
 
-    covered[k][s] counts assigned nurses qualified for band s+1 working
-    period k; shortfall[k][s] = max(demand - covered, 0); band_short[s] is
-    the shortfall column total, kept for quick worst-band lookups.
+    cov[s] packs band s+1's counts into one int, in the layout of Instance:
+    the number of assigned nurses qualified for the band and working period
+    k sits in the field at bit k * w.  With H = guard_bits, ONE = low_bits
+    and D = demand_bits[s], each mask is one expression per band:
+    short_mask(s) = (D - cov - ONE) & H has guard bit k set iff covered <
+    demand, fitness's needed mask (D - cov) & H iff covered <= demand, and
+    the level mask ((shortfall_bits(s) | H) - t * ONE) & H iff the shortfall
+    is at least t, for t up to max demand + 1.
 
-    The scoring rules read a band as a 14-bit mask, in the same layout as
-    ShiftPattern.bits.  short_mask builds it on demand from the shortfall
-    column; add and remove keep no masks, because the exact solver calls
-    them once per search node and never reads one.
+    Width rule: w = max(n, max demand).bit_length() + 1 keeps counts,
+    demands, shortfalls and levels within 2**(w-1), so every field of these
+    expressions stays in [0, 2**w): none borrows from the next, and its
+    guard bit reads the comparison.  (The exact solver's cut subtracts the
+    remaining nurses' counts too, which stay within n together with cov.)
+
+    band_short[s] is the band's total shortfall.  covered and shortfall are
+    read-only 14 x g views of the packed counts, for checks by recount.
     """
 
-    __slots__ = ("covered", "shortfall", "band_short")
+    __slots__ = ("instance", "cov", "band_short")
 
-    def __init__(
-        self,
-        covered: list[list[int]],
-        shortfall: list[list[int]],
-        band_short: list[int],
-    ) -> None:
-        self.covered = covered
-        self.shortfall = shortfall
-        self.band_short = band_short
+    def __init__(self, instance: Instance) -> None:
+        """The state of the empty roster: nothing covered, all demand short."""
+        self.instance = instance
+        self.cov = [0] * instance.g
+        self.band_short = [sum(row[s] for row in instance.demand.r) for s in range(instance.g)]
 
     @classmethod
     def empty(cls, instance: Instance) -> "CoverageState":
-        covered = [[0] * instance.g for _ in range(N_PERIODS)]
-        shortfall = [list(row) for row in instance.demand.r]
-        band_short = [sum(row[s] for row in instance.demand.r) for s in range(instance.g)]
-        return cls(covered, shortfall, band_short)
+        return cls(instance)
 
-    def copy(self) -> "CoverageState":
-        return CoverageState(
-            [row[:] for row in self.covered],
-            [row[:] for row in self.shortfall],
-            self.band_short[:],
-        )
+    @property
+    def covered(self) -> list[list[int]]:
+        """covered[k][s]: assigned nurses qualified for band s+1 working period k."""
+        width = self.instance.field_width
+        return [[(c >> (k * width)) % (1 << width) for c in self.cov] for k in range(N_PERIODS)]
+
+    @property
+    def shortfall(self) -> list[list[int]]:
+        """shortfall[k][s] = max(demand[k][s] - covered[k][s], 0)."""
+        rows = zip(self.instance.demand.r, self.covered)
+        return [[max(d - c, 0) for d, c in zip(*row)] for row in rows]
 
     def total_shortfall(self) -> int:
         return sum(self.band_short)
 
     def short_mask(self, s: int) -> int:
-        """Periods still short at band s+1, bit k set iff shortfall[k][s] > 0."""
-        mask = 0
-        for bit, row in zip(PERIOD_BITS, self.shortfall):
-            if row[s] > 0:
-                mask |= bit
-        return mask
+        """Periods still short at band s+1, guard bit k set iff covered < demand."""
+        instance = self.instance
+        return (instance.demand_bits[s] - self.cov[s] - instance.low_bits) & instance.guard_bits
+
+    def shortfall_bits(self, s: int) -> int:
+        """Band s+1's shortfall column, max(demand - covered, 0) per field."""
+        diff = self.instance.demand_bits[s] - self.cov[s]  # 2**(w-1) + demand - covered
+        met = diff & self.instance.guard_bits  # where demand >= covered
+        return diff & (met - (met >> (self.instance.field_width - 1)))
 
     def add(self, instance: Instance, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id starting to work pattern pattern_id."""
@@ -242,32 +266,23 @@ class CoverageState:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
-        demand = instance.demand.r
-        lo, g = nurse.grade - 1, instance.g
-        for k in instance.patterns[pattern_id].periods:
-            covered_k = self.covered[k]
-            shortfall_k = self.shortfall[k]
-            demand_k = demand[k]
-            for s in range(lo, g):
-                covered_k[s] += 1
-                if covered_k[s] <= demand_k[s]:
-                    shortfall_k[s] -= 1
-                    self.band_short[s] -= 1
+        cells, worked = instance.cells[pattern_id], instance.pattern_bits[pattern_id]
+        demand_bits, low_bits = instance.demand_bits, instance.low_bits
+        cov, band_short = self.cov, self.band_short
+        for s in range(nurse.grade - 1, instance.g):
+            covered = cov[s]
+            band_short[s] -= ((demand_bits[s] - covered - low_bits) & worked).bit_count()
+            cov[s] = covered + cells
 
     def remove(self, instance: Instance, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
-        nurse = instance.nurses[nurse_id]
-        demand = instance.demand.r
-        lo, g = nurse.grade - 1, instance.g
-        for k in instance.patterns[pattern_id].periods:
-            covered_k = self.covered[k]
-            shortfall_k = self.shortfall[k]
-            demand_k = demand[k]
-            for s in range(lo, g):
-                covered_k[s] -= 1
-                if covered_k[s] < demand_k[s]:
-                    shortfall_k[s] += 1
-                    self.band_short[s] += 1
+        cells, worked = instance.cells[pattern_id], instance.pattern_bits[pattern_id]
+        demand_bits, low_bits = instance.demand_bits, instance.low_bits
+        cov, band_short = self.cov, self.band_short
+        for s in range(instance.nurses[nurse_id].grade - 1, instance.g):
+            covered = cov[s] - cells
+            cov[s] = covered
+            band_short[s] += ((demand_bits[s] - covered - low_bits) & worked).bit_count()
 
 
 def covers_grade(nurse: Nurse, band: int) -> bool:

@@ -17,6 +17,12 @@ cuts a branch on two sound bounds taken from them:
   Inside a nurse's cost-sorted patterns the cut ends the loop, because every
   later pattern costs at least as much.
 
+Both bounds read the packed coverage of CoverageState, one int per band.
+The coverage cut is one packed compare per band against the remaining
+nurses' packed counts, and the forced extra scans the band's distinct
+extras from the highest down, stopping at the first one whose cells meet
+the band's short mask or that no longer beats the largest found so far.
+
 Both bounds only remove subtrees that hold no roster strictly cheaper than
 the incumbent, so the search meets the same incumbents in the same order as
 an unbounded one: the returned roster is the first optimal roster in the
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import N_PERIODS, CoverageState, Instance, Roster
+from .model import CoverageState, Instance, Roster
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,54 +66,74 @@ class ExactResult:
 
 def _bound_tables(
     instance: Instance, ordered: list[list[int]]
-) -> tuple[list[int], list[list[list[int]]], list[list[list[int]]]]:
+) -> tuple[list[int], list[list[int]], list[list[list[tuple[int, int]]]]]:
     """Per-depth bound tables from one backward sweep over the nurses.
 
     rest[d] is the sum of the cheapest pattern cost of nurses d..n-1.
-    avail[d][k][s] counts nurses d..n-1 qualified for band s+1 with a
-    pattern working period k.  extra[d][k][s] is the least any of them pays
-    above her cheapest pattern to work period k; it is 0 where avail is 0,
-    a cell the coverage cut settles before reading it.
+
+    cut[d][s] is demand_bits[s] - low_bits - avail, where avail packs, per
+    period, the count of nurses d..n-1 qualified for band s+1 with a pattern
+    working that period.  At depth d the coverage holds nurses 0..d-1 only,
+    so avail + covered <= n in every field and (cut[d][s] - cov[s]) cannot
+    borrow (see CoverageState's width rule): its guard bit k is set iff
+    cell (k, s) is short by more than avail, a cell no completion covers.
+
+    extra[d][s] pairs each positive cost with the guard bits of the band's
+    cells that force it, highest cost first.  A cell's cost is the least any
+    of nurses d..n-1 qualified for the band pays above her cheapest pattern
+    to work the period.  Cells no remaining nurse can work are left out: the
+    coverage cut settles them before the extras are read.
     """
-    n, g = instance.n, instance.g
+    n, g, width = instance.n, instance.g, instance.field_width
     rest = [0] * (n + 1)
-    none_left = [[0] * g for _ in range(N_PERIODS)]
-    avail = [none_left] * (n + 1)
-    extra = [none_left] * (n + 1)
+    avail = [0] * g
+    least: list[dict[int, int]] = [{} for _ in range(g)]  # per band: period -> least extra
+    cut: list[list[int]] = [[]] * n
+    extra: list[list[list[tuple[int, int]]]] = [[]] * n
     for d in range(n - 1, -1, -1):
         nurse = instance.nurses[d]
         cheapest = nurse.pref_cost[ordered[d][0]]
         rest[d] = rest[d + 1] + cheapest
         # the first pattern in cost order that works k is her cheapest cover of k
         forced: dict[int, int] = {}
+        reach = 0
         for j in ordered[d]:
+            reach |= instance.cells[j]
             for k in instance.patterns[j].periods:
                 forced.setdefault(k, nurse.pref_cost[j] - cheapest)
-        can = [row[:] for row in avail[d + 1]]
-        pay = [row[:] for row in extra[d + 1]]
-        for k, more in forced.items():
-            for s in range(nurse.grade - 1, g):
-                if can[k][s] == 0 or more < pay[k][s]:
-                    pay[k][s] = more
-                can[k][s] += 1
-        avail[d], extra[d] = can, pay
-    return rest, avail, extra
+        for s in range(nurse.grade - 1, g):
+            avail[s] += reach
+            for k, more in forced.items():
+                least[s][k] = min(more, least[s].get(k, more))
+        cut[d] = [
+            top - instance.low_bits - count for top, count in zip(instance.demand_bits, avail)
+        ]
+        extra[d] = []
+        for band in least:
+            by_cost: dict[int, int] = {}
+            for k, more in band.items():
+                if more:
+                    by_cost[more] = by_cost.get(more, 0) | 1 << (k * width + width - 1)
+            extra[d].append(sorted(by_cost.items(), reverse=True))
+    return rest, cut, extra
 
 
 def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResult:
     """Minimum-cost feasible roster, INFEASIBLE if none, TIMEOUT on budget."""
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    n, g = instance.n, instance.g
+    n = instance.n
     # cheapest-first ordering makes the in-loop cost cut a break; ties keep list order
     ordered = [
         sorted(nurse.feasible, key=lambda j, nurse=nurse: nurse.pref_cost[j])
         for nurse in instance.nurses
     ]
-    rest, avail, extra = _bound_tables(instance, ordered)
+    rest, cut, extra = _bound_tables(instance, ordered)
+    guard_bits = instance.guard_bits
+    short_tops = [top - instance.low_bits for top in instance.demand_bits]
 
     coverage = CoverageState.empty(instance)
-    shortfall = coverage.shortfall
+    cov = coverage.cov
     assignment: list[int | None] = [None] * n
     best_cost: float = math.inf
     best_assignment: list[int] | None = None
@@ -121,17 +147,19 @@ def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResul
                 best_cost = cost
                 best_assignment = list(assignment)  # type: ignore[arg-type]
             return
-        # one pass over the cells: the coverage cut and the forced extra cost
+        # one pass over the bands: the coverage cut and the forced extra cost
         forced = 0
-        for short_k, avail_k, extra_k in zip(shortfall, avail[depth], extra[depth]):
-            for s in range(g):
-                short = short_k[s]
-                if short:
-                    if short > avail_k[s]:
-                        coverage_cuts += 1
-                        return
-                    if extra_k[s] > forced:
-                        forced = extra_k[s]
+        for covered, cut_s, short_top, costs in zip(cov, cut[depth], short_tops, extra[depth]):
+            if (cut_s - covered) & guard_bits:
+                coverage_cuts += 1
+                return
+            short = (short_top - covered) & guard_bits
+            for more, cells in costs:
+                if more <= forced:
+                    break
+                if short & cells:
+                    forced = more
+                    break
         if cost + rest[depth] + forced >= best_cost:
             cost_cuts += 1
             return

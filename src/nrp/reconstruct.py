@@ -7,34 +7,36 @@ preference cost against shortfall reduction, and the random rule picks any
 feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.
 
-Scoring runs on 14-bit masks.  Each pattern carries its worked periods as
-ShiftPattern.bits (Instance.feasible_bits lists them per nurse), and a
-band's still-short periods come from CoverageState.short_mask(s), built on
-demand once per pick (14 comparisons) rather than kept up to date by every
-coverage change.  The number of short periods a pattern covers at band s is
-then (bits & short).bit_count().  The cover rule builds one mask per nurse,
-for the nurse's focus band; the combined rule in indicator mode builds one
-per band the nurse serves and adds the weighted bands in ascending order,
-the order the per-period definition sums them in, so the float scores and
-hence the first-pattern tie-breaks are unchanged.  The shortfall e-mode
-weights each period by its shortfall and so still sums over the pattern's
-periods.
+Scoring runs on the packed masks of CoverageState.  Each pattern carries
+its worked periods as guard bits (Instance.feasible_bits lists them per
+nurse), and a band's still-short periods come from
+CoverageState.short_mask(s), one subtraction on the band's packed counts.
+The number of short periods a pattern covers at band s is then
+(bits & short).bit_count().  The cover rule builds one mask per nurse, for
+the nurse's focus band; the combined rule builds one per band the nurse
+serves and adds the weighted bands in ascending order, the order the
+per-period definition sums them in, so the float scores and hence the
+first-pattern tie-breaks are unchanged.  The shortfall e-mode weights each
+period by its shortfall: a pattern's shortfall sum at a band is the sum
+over t >= 1 of its popcount against the level mask of cells short by at
+least t, built from the band's packed shortfall column, and the integer
+sum is weighted once per band, as the definition does.
 
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
 picks are memoized in a PickMemo.  The cover rule's key is (nurse id,
 focus-band short mask); the combined rule's is the nurse id followed by
 the short mask of every band the nurse serves, or in shortfall mode by
-those bands' shortfall columns.  The keys leave out the weights and the
-e-mode because one run fixes them, so a memo lasts exactly one solver run:
-run makes one and passes it to every reconstruct call, and a reconstruct
-call without one memoizes for itself only.  A memo kept across runs would
+those bands' packed shortfall columns.  The keys leave out the weights
+and the e-mode because one run fixes them, so a memo lasts exactly one
+solver run: run makes one and passes it to every reconstruct call, and a
+reconstruct call without one memoizes for itself only.  A memo kept across runs would
 hand one run's picks to another with different weights.  New states keep
 arriving over a long run, so each rule's dict is emptied once it holds
 MEMO_PICKS_PER_NURSE entries per nurse; since a pick is pure, emptying it
 changes no pick.  On the paper's ward shape (30 nurses) that keeps the
-memo of a 100,000-iteration run to about 4 MB; unbounded, it reached 48 MB
-in shortfall mode, whose keys are whole shortfall columns.
+memo of a 100,000-iteration run to about 3 MB; unbounded, it reached 22 MB
+in shortfall mode, whose states vary the most.
 """
 
 from __future__ import annotations
@@ -97,13 +99,12 @@ def _band_state(
     """What the combined rule reads of each band the nurse serves, lowest first.
 
     In indicator mode that is the band's short mask; in shortfall mode it is
-    the band's shortfall column.
+    the band's packed shortfall column.
     """
     bands = range(nurse.grade - 1, instance.g)
     if e_mode == "indicator":
         return tuple([coverage.short_mask(s) for s in bands])
-    shortfall = coverage.shortfall
-    return tuple([tuple([row[s] for row in shortfall]) for s in bands])
+    return tuple([coverage.shortfall_bits(s) for s in bands])
 
 
 def cover_value(
@@ -121,7 +122,7 @@ def cover_value(
     if j not in nurse.feasible_set:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
     short = _focus_mask(instance, coverage, nurse)
-    return (instance.patterns[j].bits & short).bit_count()
+    return (instance.pattern_bits[j] & short).bit_count()
 
 
 def combined_score(
@@ -142,9 +143,8 @@ def combined_score(
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
     weights.check_bands(instance.g)
     state = _band_state(instance, coverage, nurse, e_mode)
-    return _combined_scores(
-        instance, weights, nurse, (j,), (instance.patterns[j].bits,), e_mode, state
-    )[0]
+    bits = (instance.pattern_bits[j],)
+    return _combined_scores(instance, weights, nurse, (j,), bits, e_mode, state)[0]
 
 
 def _combined_scores(
@@ -158,11 +158,11 @@ def _combined_scores(
 ) -> list[float]:
     """combined_score of each pattern id, in order.
 
-    pattern_bits holds the patterns' bits and state the nurse's _band_state.
-    Every score is summed in the same order (preference term, then bands
-    ascending, zero weights skipped), so equal inputs give bit-equal floats.
+    pattern_bits holds the patterns' worked periods as guard bits and state
+    the nurse's _band_state.  Every score is summed in the same order
+    (preference term, then bands ascending, zero weights skipped), so equal
+    inputs give bit-equal floats.
     """
-    patterns = instance.patterns
     costs = nurse.pref_cost
     w_p = weights.w_p
     scores = [w_p * (100 - costs[j]) for j in pattern_ids]
@@ -179,12 +179,26 @@ def _combined_scores(
                 for score, bits in zip(scores, pattern_bits)
             ]
         else:
-            column = state[s - lo]
-            scores = [
-                score + ws * sum(column[k] for k in patterns[j].periods)
-                for score, j in zip(scores, pattern_ids)
-            ]
+            counts = _shortfall_sums(instance, pattern_bits, state[s - lo])
+            scores = [score + ws * count for score, count in zip(scores, counts)]
     return scores
+
+
+def _shortfall_sums(
+    instance: Instance, pattern_bits: tuple[int, ...], shortfall: int
+) -> list[int]:
+    """Per pattern, the shortfall summed over its periods, from a packed column.
+
+    Level t holds the cells short by at least t, so a cell short by r is
+    counted once at each of the levels 1..r.
+    """
+    guard_bits, low_bits = instance.guard_bits, instance.low_bits
+    sums = [0] * len(pattern_bits)
+    level = (shortfall | guard_bits) - low_bits
+    while cells := level & guard_bits:
+        sums = [total + (bits & cells).bit_count() for total, bits in zip(sums, pattern_bits)]
+        level -= low_bits
+    return sums
 
 
 class PickMemo:

@@ -65,6 +65,18 @@ class TestSolve:
         assert code == EXIT_ERROR
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, word", [
+        (["--max-iters", "abc"], "--max-iters"),
+        (["--e-mode", "both"], "--e-mode"),
+        (["--no-such-flag"], "--no-such-flag"),
+    ])
+    def test_rejected_flag_exits_one_with_one_line(self, tmp_path, capsys, flags, word):
+        path = write_instance(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["solve", str(path), *flags])
+        assert exited.value.code == EXIT_ERROR
+        assert_one_line_error(capsys, word)
+
     def test_preset_and_overrides_accepted(self, tmp_path, capsys):
         path = write_instance(tmp_path)
         code = main([

@@ -92,7 +92,7 @@ class TestCoverageContribution:
                 )
 
     def test_packed_popcount_matches_per_band_count(self):
-        # fitness counts every nurse with one popcount over 14-bit band lanes
+        # fitness counts every nurse with one popcount over packed band lanes
         rng = random.Random(17)
         for trial in range(90):
             g = 1 + trial % 3

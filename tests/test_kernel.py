@@ -1,6 +1,6 @@
 """Seeded equivalence of the bitmask scoring kernel with its definitions.
 
-The reconstruction rules score patterns as popcounts of 14-bit masks.  Here
+The reconstruction rules score patterns as popcounts of packed masks.  Here
 every argmax is compared with a first-index argmax over the per-period
 reference scores of tests/bruteforce.py, on random partial rosters with one
 to three grade bands, in both e-modes and under non-integer weights.  The
@@ -73,13 +73,24 @@ def first_argmax(feasible, score) -> int:
     return best_j
 
 
+def low_bit(instance, k: int) -> int:
+    """The low bit of period k's field in the packed layout."""
+    return 1 << (k * instance.field_width)
+
+
+def guard_bit(instance, k: int) -> int:
+    """The guard (top) bit of period k's field in the packed layout."""
+    return low_bit(instance, k) << (instance.field_width - 1)
+
+
 def test_pattern_bits_match_mask():
     rng = random.Random(41)
     for trial in range(TRIALS):
         instance, _ = random_state(rng, trial)
         for pattern in instance.patterns:
-            expected = sum(1 << k for k in range(N_PERIODS) if pattern.mask[k])
-            assert pattern.bits == expected
+            expected = sum(low_bit(instance, k) for k in range(N_PERIODS) if pattern.mask[k])
+            assert instance.cells[pattern.id] == expected
+            assert instance.pattern_bits[pattern.id] == expected << (instance.field_width - 1)
 
 
 def test_short_mask_matches_shortfall_matrix():
@@ -89,7 +100,7 @@ def test_short_mask_matches_shortfall_matrix():
         coverage = compute_coverage(instance, roster)
         short = shortfall_matrix(instance, roster)
         for s in range(instance.g):
-            expected = sum(1 << k for k in range(N_PERIODS) if short[k][s] > 0)
+            expected = sum(guard_bit(instance, k) for k in range(N_PERIODS) if short[k][s] > 0)
             assert coverage.short_mask(s) == expected
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nrp.evaluate import _needed_masks
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
@@ -16,7 +17,10 @@ from nrp.model import (
     preference_cost,
 )
 
-from bruteforce import coverage_matrix, feasible_by_definition
+from nrp.oracle import _bound_tables
+from nrp.reconstruct import _shortfall_sums
+
+from bruteforce import coverage_matrix, feasible_by_definition, qualified
 from conftest import complete_roster, demand_rows, flat_demand, make_instance, pattern
 
 
@@ -157,6 +161,131 @@ class TestComputeCoverage:
                 for s in range(inst.g):
                     expected = max(inst.demand.r[k][s] - state.covered[k][s], 0)
                     assert state.shortfall[k][s] == expected
+
+
+def random_packing_instance(rng: random.Random, trial: int):
+    """A random instance with g = 1..4; every third one has demand above n."""
+    n, m, g = rng.randint(1, 8), rng.randint(3, 12), 1 + trial % 4
+    top = 2 * n + 3 if trial % 3 == 0 else n
+    patterns = [
+        pattern(j, *(k for k in range(N_PERIODS) if rng.random() < 0.4)) for j in range(m)
+    ]
+    nurses = []
+    for i in range(n):
+        feasible = tuple(rng.sample(range(m), rng.randint(1, m)))
+        nurses.append(
+            Nurse(i, rng.randint(1, g), feasible, {j: rng.randint(0, 100) for j in feasible})
+        )
+    demand = demand_rows(
+        [sorted(rng.randint(0, top) for _ in range(g)) for _ in range(N_PERIODS)]
+    )
+    return make_instance(patterns, nurses, demand)
+
+
+def guard_mask(instance, cells) -> int:
+    """Guard bits, in the packed layout, of the periods in cells."""
+    w = instance.field_width
+    return sum(1 << (k * w + w - 1) for k in cells)
+
+
+class TestPackedCoverage:
+    """The packed coverage ints against the per-cell definitions they encode."""
+
+    def check_state(self, instance, roster, state) -> None:
+        covered = coverage_matrix(instance, roster)
+        demand = instance.demand.r
+        short = [
+            [max(demand[k][s] - covered[k][s], 0) for s in range(instance.g)]
+            for k in range(N_PERIODS)
+        ]
+        assert state.covered == covered
+        assert state.shortfall == short
+        w, guard_bits, low_bits = instance.field_width, instance.guard_bits, instance.low_bits
+        periods = range(N_PERIODS)
+        worst = max(map(max, demand))
+        needed = _needed_masks(instance, state)
+        for s in range(instance.g):
+            column = [short[k][s] for k in periods]
+            assert state.band_short[s] == sum(column)
+            assert state.short_mask(s) == guard_mask(instance, [k for k in periods if column[k]])
+            assert needed[s] == guard_mask(
+                instance, [k for k in periods if covered[k][s] <= demand[k][s]]
+            )
+            packed = state.shortfall_bits(s)
+            assert packed == sum(r << (k * w) for k, r in enumerate(column))
+            for t in range(1, worst + 2):
+                level = ((packed | guard_bits) - t * low_bits) & guard_bits
+                assert level == guard_mask(instance, [k for k in periods if column[k] >= t])
+            assert _shortfall_sums(instance, instance.pattern_bits, packed) == [
+                sum(column[k] for k in p.periods) for p in instance.patterns
+            ]
+
+    def test_add_remove_sequences_match_the_definitions(self):
+        rng = random.Random(61)
+        above_n = 0
+        for trial in range(60):
+            inst = random_packing_instance(rng, trial)
+            above_n += max(map(max, inst.demand.r)) > inst.n
+            roster = Roster.empty(inst.n)
+            state = compute_coverage(inst, roster)
+            self.check_state(inst, roster, state)
+            for _ in range(30):
+                i = rng.randrange(inst.n)
+                if roster.assignment[i] is None:
+                    j = rng.choice(inst.nurses[i].feasible)
+                    roster.assignment[i] = j
+                    state.add(inst, i, j)
+                else:
+                    state.remove(inst, i, roster.assignment[i])
+                    roster.assignment[i] = None
+                self.check_state(inst, roster, state)
+        assert above_n >= 10
+
+    def test_oracle_cut_marks_cells_no_remaining_nurse_can_fill(self):
+        rng = random.Random(67)
+        cut_cells = forced_cells = 0
+        for trial in range(60):
+            inst = random_packing_instance(rng, trial)
+            ordered = [
+                sorted(nurse.feasible, key=lambda j, nurse=nurse: nurse.pref_cost[j])
+                for nurse in inst.nurses
+            ]
+            _, cut, extra = _bound_tables(inst, ordered)
+            for depth in range(inst.n):
+                # the solver's coverage at depth d holds nurses 0..d-1 only
+                roster = Roster(
+                    [rng.choice(nurse.feasible) for nurse in inst.nurses[:depth]]
+                    + [None] * (inst.n - depth)
+                )
+                state = compute_coverage(inst, roster)
+                short = state.shortfall
+                for s in range(inst.g):
+                    can = [
+                        [i for i in range(depth, inst.n) if qualified(inst, i, s + 1)
+                         and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)]
+                        for k in range(N_PERIODS)
+                    ]
+                    hopeless = [k for k in range(N_PERIODS) if short[k][s] > len(can[k])]
+                    assert (cut[depth][s] - state.cov[s]) & inst.guard_bits == (
+                        guard_mask(inst, hopeless)
+                    )
+                    forced = {}
+                    for k in range(N_PERIODS):
+                        extras = [
+                            min(nurse.pref_cost[j] for j in nurse.feasible
+                                if inst.patterns[j].mask[k])
+                            - min(nurse.pref_cost.values())
+                            for nurse in (inst.nurses[i] for i in can[k])
+                        ]
+                        if extras and min(extras) > 0:
+                            forced[k] = min(extras)
+                    costs = [cost for cost, _ in extra[depth][s]]
+                    assert costs == sorted(set(forced.values()), reverse=True)
+                    for cost, cells in extra[depth][s]:
+                        assert cells == guard_mask(inst, [k for k in forced if forced[k] == cost])
+                    cut_cells += len(hopeless)
+                    forced_cells += len(forced)
+        assert cut_cells > 100 and forced_cells > 100
 
 
 class TestIsFeasible:
