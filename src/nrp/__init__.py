@@ -28,7 +28,6 @@ from .model import (
     RosterError,
     ShiftPattern,
     compute_coverage,
-    covers_grade,
     is_feasible,
     preference_cost,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "component_fitness_all",
     "compute_coverage",
     "coverage_contribution",
-    "covers_grade",
     "combined_score",
     "cover_value",
     "eliminate_at_random",

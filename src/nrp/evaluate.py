@@ -9,11 +9,11 @@ a component is always relative to the schedule it sits in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
-    N_PERIODS,
     CoverageState,
     IncompleteRosterError,
     Instance,
@@ -40,6 +40,9 @@ class EvalWeights:
     w_grade: tuple[float, ...] = (8.0, 2.0, 1.0)
 
     def __post_init__(self) -> None:
+        finite = (self.w1, self.w2, self.w_demand, self.w_p, *self.w_grade)
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("w1, w2, w_demand, w_p and the grade weights must be finite")
         if abs(self.w1 + self.w2 - 1.0) > 1e-12:
             raise ValueError("w1 + w2 must equal 1")
         if self.w1 < 0 or self.w2 < 0:
@@ -67,31 +70,15 @@ class ComponentFitness(NamedTuple):
     combined: float  # w1 * preference + w2 * coverage
 
 
-def _needed_masks(instance: Instance, coverage: CoverageState) -> list[int]:
-    """Per band, the periods where coverage is at or below demand.
-
-    Guard bit k of entry s (see CoverageState) is set iff covered[k][s] <=
-    demand[k][s]: there every qualified nurse working period k is needed,
-    since one fewer would leave the slot short.
-    """
-    guard_bits = instance.guard_bits
-    return [(d - c) & guard_bits for d, c in zip(instance.demand_bits, coverage.cov)]
-
-
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:
     """coverage_contribution of every nurse, one popcount each.
 
-    The needed masks are packed band after band, band s at bit 14*w*s.
-    Multiplying a pattern's bits by spread[lo], which has bit 14*w*s set for
-    each band s >= lo, lays one copy over each band the nurse serves; as the
-    bits are below 2**(14*w), the copies cannot carry into each other.
+    A nurse's row of Instance.grade_bits holds her pattern in every band she
+    serves, so one AND with the all-band needed mask finds her cells.
     """
-    g, span = instance.g, N_PERIODS * instance.field_width
-    masks = _needed_masks(instance, coverage)
-    needed = sum(mask << (span * s) for s, mask in enumerate(masks))
-    spread = [sum(1 << (span * s) for s in range(lo, g)) for lo in range(g)]
+    needed, tables = coverage.needed_mask(), instance.grade_bits
     return [
-        ((instance.pattern_bits[j] * spread[nurse.grade - 1]) & needed).bit_count()
+        (tables[nurse.grade - 1][j] & needed).bit_count()
         for nurse, j in zip(instance.nurses, roster.assignment)
     ]
 
@@ -108,9 +95,8 @@ def coverage_contribution(
     j = roster.assignment[i]
     if j is None:
         raise IncompleteRosterError(f"nurse {i} is unassigned")
-    worked = instance.pattern_bits[j]
-    served = _needed_masks(instance, coverage)[instance.nurses[i].grade - 1 :]
-    return sum((worked & needed).bit_count() for needed in served)
+    worked = instance.grade_bits[instance.nurses[i].grade - 1][j]
+    return (worked & coverage.needed_mask()).bit_count()
 
 
 def component_fitness_all(

@@ -115,12 +115,13 @@ class Instance:
 
     known_optimal, when present, is the verified minimum preference cost of a
     feasible roster; it drives early stopping and batch statistics.
-    The rest is the packed layout of CoverageState: period k in the field
-    at bit k * field_width; low_bits sets the low bit and guard_bits the top
-    (guard) bit of every field.  cells[j] has pattern j's worked periods as
-    low bits and pattern_bits[j] as guard bits; feasible_bits[i] lists the
-    pattern_bits of nurse i's feasible patterns, in feasible-list order;
-    demand_bits[s] packs band s+1's demand column, guard bits set.
+    The rest is the packed layout of CoverageState: cell (period k, band
+    s+1) in the field at bit s * band_span + k * field_width.  low_bits and
+    guard_bits set the low and the top (guard) bit of every field; demand_bits
+    packs the demand matrix, guard bits set.  pattern_bits[j] has pattern
+    j's periods as band-1 guard bits, listed per nurse in feasible_bits[i].
+    grade_cells[q-1][j] copies pattern j's periods, as low bits, into each
+    band q..g a grade-q nurse serves; grade_bits[q-1][j] as guard bits.
     """
 
     n: int
@@ -131,12 +132,14 @@ class Instance:
     demand: Demand
     known_optimal: int | None = None
     field_width: int = field(init=False, repr=False, compare=False)
+    band_span: int = field(init=False, repr=False, compare=False)
     low_bits: int = field(init=False, repr=False, compare=False)
     guard_bits: int = field(init=False, repr=False, compare=False)
-    cells: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    demand_bits: int = field(init=False, repr=False, compare=False)
     pattern_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
     feasible_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    demand_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    grade_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.g < 1:
@@ -162,18 +165,23 @@ class Instance:
             )
         # the width rule and why it is enough: see CoverageState
         width = max(self.n, max(map(max, self.demand.r))).bit_length() + 1
-        self.field_width = width
-        self.low_bits = sum(1 << (k * width) for k in range(N_PERIODS))
+        span = N_PERIODS * width
+        self.field_width, self.band_span = width, span
+        # spread[q-1] * x copies band-1 bits x into bands q..g, without carries
+        spread = [sum(1 << (s * span) for s in range(lo, self.g)) for lo in range(self.g)]
+        self.low_bits = sum(1 << (k * width) for k in range(N_PERIODS)) * spread[0]
         self.guard_bits = self.low_bits << (width - 1)
-        self.cells = tuple(sum(1 << (k * width) for k in p.periods) for p in self.patterns)
-        self.pattern_bits = tuple(c << (width - 1) for c in self.cells)
+        self.demand_bits = self.guard_bits | sum(
+            d << (s * span + k * width)
+            for k, row in enumerate(self.demand.r) for s, d in enumerate(row)
+        )
+        cells = [sum(1 << (k * width) for k in p.periods) for p in self.patterns]
+        self.pattern_bits = tuple(c << (width - 1) for c in cells)
         self.feasible_bits = tuple(
             tuple(self.pattern_bits[j] for j in nurse.feasible) for nurse in self.nurses
         )
-        self.demand_bits = tuple(
-            sum(row[s] << (k * width) for k, row in enumerate(self.demand.r)) | self.guard_bits
-            for s in range(self.g)
-        )
+        self.grade_cells = tuple(tuple(c * copies for c in cells) for copies in spread)
+        self.grade_bits = tuple(tuple(c << (width - 1) for c in t) for t in self.grade_cells)
 
 
 @dataclass
@@ -202,32 +210,37 @@ class Roster:
 class CoverageState:
     """Per-(period, band) nurse counts against demand, maintained incrementally.
 
-    cov[s] packs band s+1's counts into one int, in the layout of Instance:
-    the number of assigned nurses qualified for the band and working period
-    k sits in the field at bit k * w.  With H = guard_bits, ONE = low_bits
-    and D = demand_bits[s], each mask is one expression per band:
-    short_mask(s) = (D - cov - ONE) & H has guard bit k set iff covered <
-    demand, fitness's needed mask (D - cov) & H iff covered <= demand, and
-    the level mask ((shortfall_bits(s) | H) - t * ONE) & H iff the shortfall
-    is at least t, for t up to max demand + 1.
+    cov packs all counts into one int, in the layout of Instance: the number
+    of assigned nurses qualified for band s+1 and working period k sits in
+    the field at bit s * band_span + k * w.  A grade-q nurse counts toward
+    every band s >= q, so add and remove change all of those bands at once
+    by her grade's row of grade_cells.  With H = guard_bits, ONE = low_bits
+    and D = demand_bits, each mask covers all bands in one expression:
+    short_mask() = (D - cov - ONE) & H sets a cell's guard bit iff covered <
+    demand, needed_mask() = (D - cov) & H iff covered <= demand, and the
+    level mask ((shortfall_bits() | H) - t * ONE) & H iff the shortfall is
+    at least t, for t up to max demand + 1.  Readers slice out band s+1 by
+    a shift of s * band_span.
 
     Width rule: w = max(n, max demand).bit_length() + 1 keeps counts,
     demands, shortfalls and levels within 2**(w-1), so every field of these
     expressions stays in [0, 2**w): none borrows from the next, and its
-    guard bit reads the comparison.  (The exact solver's cut subtracts the
-    remaining nurses' counts too, which stay within n together with cov.)
+    guard bit reads the comparison.  The last field of a band is no
+    different, so no borrow crosses a band boundary either.  (The exact
+    solver's cut subtracts the remaining nurses' counts too, which stay
+    within n together with cov.)
 
-    band_short[s] is the band's total shortfall.  covered and shortfall are
+    total is the total shortfall over every cell.  covered and shortfall are
     read-only 14 x g views of the packed counts, for checks by recount.
     """
 
-    __slots__ = ("instance", "cov", "band_short")
+    __slots__ = ("instance", "cov", "total")
 
     def __init__(self, instance: Instance) -> None:
         """The state of the empty roster: nothing covered, all demand short."""
         self.instance = instance
-        self.cov = [0] * instance.g
-        self.band_short = [sum(row[s] for row in instance.demand.r) for s in range(instance.g)]
+        self.cov = 0
+        self.total = sum(map(sum, instance.demand.r))
 
     @classmethod
     def empty(cls, instance: Instance) -> "CoverageState":
@@ -236,8 +249,9 @@ class CoverageState:
     @property
     def covered(self) -> list[list[int]]:
         """covered[k][s]: assigned nurses qualified for band s+1 working period k."""
-        width = self.instance.field_width
-        return [[(c >> (k * width)) % (1 << width) for c in self.cov] for k in range(N_PERIODS)]
+        width, count = self.instance.field_width, N_PERIODS * self.instance.g
+        fields = [(self.cov >> (f * width)) % (1 << width) for f in range(count)]
+        return [fields[k::N_PERIODS] for k in range(N_PERIODS)]  # field s * 14 + k is (k, s)
 
     @property
     def shortfall(self) -> list[list[int]]:
@@ -246,16 +260,20 @@ class CoverageState:
         return [[max(d - c, 0) for d, c in zip(*row)] for row in rows]
 
     def total_shortfall(self) -> int:
-        return sum(self.band_short)
+        return self.total
 
-    def short_mask(self, s: int) -> int:
-        """Periods still short at band s+1, guard bit k set iff covered < demand."""
+    def short_mask(self) -> int:
+        """Cells still short, guard bit set iff covered < demand."""
         instance = self.instance
-        return (instance.demand_bits[s] - self.cov[s] - instance.low_bits) & instance.guard_bits
+        return (instance.demand_bits - self.cov - instance.low_bits) & instance.guard_bits
 
-    def shortfall_bits(self, s: int) -> int:
-        """Band s+1's shortfall column, max(demand - covered, 0) per field."""
-        diff = self.instance.demand_bits[s] - self.cov[s]  # 2**(w-1) + demand - covered
+    def needed_mask(self) -> int:
+        """Cells where one qualified nurse fewer would fall short (covered <= demand)."""
+        return (self.instance.demand_bits - self.cov) & self.instance.guard_bits
+
+    def shortfall_bits(self) -> int:
+        """max(demand - covered, 0) in every cell's field."""
+        diff = self.instance.demand_bits - self.cov  # 2**(w-1) + demand - covered
         met = diff & self.instance.guard_bits  # where demand >= covered
         return diff & (met - (met >> (self.instance.field_width - 1)))
 
@@ -266,28 +284,17 @@ class CoverageState:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
-        cells, worked = instance.cells[pattern_id], instance.pattern_bits[pattern_id]
-        demand_bits, low_bits = instance.demand_bits, instance.low_bits
-        cov, band_short = self.cov, self.band_short
-        for s in range(nurse.grade - 1, instance.g):
-            covered = cov[s]
-            band_short[s] -= ((demand_bits[s] - covered - low_bits) & worked).bit_count()
-            cov[s] = covered + cells
+        covered, q = self.cov, nurse.grade - 1
+        worked = instance.grade_bits[q][pattern_id]
+        self.total -= ((instance.demand_bits - covered - instance.low_bits) & worked).bit_count()
+        self.cov = covered + instance.grade_cells[q][pattern_id]
 
     def remove(self, instance: Instance, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
-        cells, worked = instance.cells[pattern_id], instance.pattern_bits[pattern_id]
-        demand_bits, low_bits = instance.demand_bits, instance.low_bits
-        cov, band_short = self.cov, self.band_short
-        for s in range(instance.nurses[nurse_id].grade - 1, instance.g):
-            covered = cov[s] - cells
-            cov[s] = covered
-            band_short[s] += ((demand_bits[s] - covered - low_bits) & worked).bit_count()
-
-
-def covers_grade(nurse: Nurse, band: int) -> bool:
-    """True iff the nurse counts toward demand at grade band (1-based)."""
-    return nurse.grade <= band
+        q = instance.nurses[nurse_id].grade - 1
+        covered = self.cov = self.cov - instance.grade_cells[q][pattern_id]
+        worked = instance.grade_bits[q][pattern_id]
+        self.total += ((instance.demand_bits - covered - instance.low_bits) & worked).bit_count()
 
 
 def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:

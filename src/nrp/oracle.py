@@ -17,11 +17,11 @@ cuts a branch on two sound bounds taken from them:
   Inside a nurse's cost-sorted patterns the cut ends the loop, because every
   later pattern costs at least as much.
 
-Both bounds read the packed coverage of CoverageState, one int per band.
-The coverage cut is one packed compare per band against the remaining
-nurses' packed counts, and the forced extra scans the band's distinct
-extras from the highest down, stopping at the first one whose cells meet
-the band's short mask or that no longer beats the largest found so far.
+Both bounds read the packed coverage of CoverageState, one int for all
+bands.  The coverage cut is one packed compare against the remaining
+nurses' packed counts, and the forced extra scans one list per depth that
+merges the distinct extras of every band, highest first, stopping at the
+first one whose cells meet the short mask.
 
 Both bounds only remove subtrees that hold no roster strictly cheaper than
 the incumbent, so the search meets the same incumbents in the same order as
@@ -66,55 +66,55 @@ class ExactResult:
 
 def _bound_tables(
     instance: Instance, ordered: list[list[int]]
-) -> tuple[list[int], list[list[int]], list[list[list[tuple[int, int]]]]]:
+) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
     """Per-depth bound tables from one backward sweep over the nurses.
 
     rest[d] is the sum of the cheapest pattern cost of nurses d..n-1.
 
-    cut[d][s] is demand_bits[s] - low_bits - avail, where avail packs, per
-    period, the count of nurses d..n-1 qualified for band s+1 with a pattern
-    working that period.  At depth d the coverage holds nurses 0..d-1 only,
-    so avail + covered <= n in every field and (cut[d][s] - cov[s]) cannot
-    borrow (see CoverageState's width rule): its guard bit k is set iff
-    cell (k, s) is short by more than avail, a cell no completion covers.
+    cut[d] is demand_bits - low_bits - avail, where avail packs, per cell
+    (period, band), the count of nurses d..n-1 qualified for the band with a
+    pattern working the period.  At depth d the coverage holds nurses
+    0..d-1 only, so avail + covered <= n in every field and (cut[d] - cov)
+    cannot borrow (see CoverageState's width rule): a cell's guard bit is
+    set iff the cell is short by more than avail, a cell no completion
+    covers.
 
-    extra[d][s] pairs each positive cost with the guard bits of the band's
-    cells that force it, highest cost first.  A cell's cost is the least any
-    of nurses d..n-1 qualified for the band pays above her cheapest pattern
-    to work the period.  Cells no remaining nurse can work are left out: the
-    coverage cut settles them before the extras are read.
+    extra[d] pairs each positive cost with the guard bits of the cells, in
+    any band, that force it, highest cost first.  A cell's cost is the least
+    any of nurses d..n-1 qualified for its band pays above her cheapest
+    pattern to work its period.  Cells no remaining nurse can work are left
+    out: the coverage cut settles them before the extras are read.
     """
-    n, g, width = instance.n, instance.g, instance.field_width
+    n, width, span = instance.n, instance.field_width, instance.band_span
+    top = instance.demand_bits - instance.low_bits
     rest = [0] * (n + 1)
-    avail = [0] * g
-    least: list[dict[int, int]] = [{} for _ in range(g)]  # per band: period -> least extra
-    cut: list[list[int]] = [[]] * n
-    extra: list[list[list[tuple[int, int]]]] = [[]] * n
+    avail = 0
+    least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
+    cut = [0] * n
+    extra: list[list[tuple[int, int]]] = [[]] * n
     for d in range(n - 1, -1, -1):
         nurse = instance.nurses[d]
         cheapest = nurse.pref_cost[ordered[d][0]]
         rest[d] = rest[d + 1] + cheapest
         # the first pattern in cost order that works k is her cheapest cover of k
         forced: dict[int, int] = {}
+        cells = instance.grade_cells[nurse.grade - 1]
         reach = 0
         for j in ordered[d]:
-            reach |= instance.cells[j]
+            reach |= cells[j]
             for k in instance.patterns[j].periods:
                 forced.setdefault(k, nurse.pref_cost[j] - cheapest)
-        for s in range(nurse.grade - 1, g):
-            avail[s] += reach
+        avail += reach
+        cut[d] = top - avail
+        for s in range(nurse.grade - 1, instance.g):
             for k, more in forced.items():
-                least[s][k] = min(more, least[s].get(k, more))
-        cut[d] = [
-            top - instance.low_bits - count for top, count in zip(instance.demand_bits, avail)
-        ]
-        extra[d] = []
-        for band in least:
-            by_cost: dict[int, int] = {}
-            for k, more in band.items():
-                if more:
-                    by_cost[more] = by_cost.get(more, 0) | 1 << (k * width + width - 1)
-            extra[d].append(sorted(by_cost.items(), reverse=True))
+                bit = s * span + k * width + width - 1
+                least[bit] = min(more, least.get(bit, more))
+        by_cost: dict[int, int] = {}
+        for bit, more in least.items():
+            if more:
+                by_cost[more] = by_cost.get(more, 0) | 1 << bit
+        extra[d] = sorted(by_cost.items(), reverse=True)
     return rest, cut, extra
 
 
@@ -130,10 +130,8 @@ def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResul
     ]
     rest, cut, extra = _bound_tables(instance, ordered)
     guard_bits = instance.guard_bits
-    short_tops = [top - instance.low_bits for top in instance.demand_bits]
 
     coverage = CoverageState.empty(instance)
-    cov = coverage.cov
     assignment: list[int | None] = [None] * n
     best_cost: float = math.inf
     best_assignment: list[int] | None = None
@@ -147,19 +145,16 @@ def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResul
                 best_cost = cost
                 best_assignment = list(assignment)  # type: ignore[arg-type]
             return
-        # one pass over the bands: the coverage cut and the forced extra cost
+        if (cut[depth] - coverage.cov) & guard_bits:
+            coverage_cuts += 1
+            return
+        # the forced extra cost: the first, costliest entry with a short cell
+        short = coverage.short_mask()
         forced = 0
-        for covered, cut_s, short_top, costs in zip(cov, cut[depth], short_tops, extra[depth]):
-            if (cut_s - covered) & guard_bits:
-                coverage_cuts += 1
-                return
-            short = (short_top - covered) & guard_bits
-            for more, cells in costs:
-                if more <= forced:
-                    break
-                if short & cells:
-                    forced = more
-                    break
+        for more, cells in extra[depth]:
+            if short & cells:
+                forced = more
+                break
         if cost + rest[depth] + forced >= best_cost:
             cost_cuts += 1
             return

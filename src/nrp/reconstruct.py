@@ -8,26 +8,26 @@ feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.
 
 Scoring runs on the packed masks of CoverageState.  Each pattern carries
-its worked periods as guard bits (Instance.feasible_bits lists them per
-nurse), and a band's still-short periods come from
-CoverageState.short_mask(s), one subtraction on the band's packed counts.
-The number of short periods a pattern covers at band s is then
-(bits & short).bit_count().  The cover rule builds one mask per nurse, for
-the nurse's focus band; the combined rule builds one per band the nurse
-serves and adds the weighted bands in ascending order, the order the
-per-period definition sums them in, so the float scores and hence the
-first-pattern tie-breaks are unchanged.  The shortfall e-mode weights each
-period by its shortfall: a pattern's shortfall sum at a band is the sum
-over t >= 1 of its popcount against the level mask of cells short by at
-least t, built from the band's packed shortfall column, and the integer
-sum is weighted once per band, as the definition does.
+its worked periods as band-1 guard bits (Instance.feasible_bits lists them
+per nurse), and CoverageState.short_mask() gives the short cells of every
+band at once.  A band shifted down out of it gives the short periods a
+pattern covers there as (bits & short).bit_count().  The cover rule takes
+one band, the nurse's focus band, from the mask's lowest set bit at or
+above her own band; the combined rule slices each band she serves in turn
+and adds the weighted bands in ascending order, the order the per-period
+definition sums them in, so the float scores and hence the first-pattern
+tie-breaks are unchanged.  The shortfall e-mode weights each period by its
+shortfall: a pattern's shortfall sum at a band is the sum over t >= 1 of
+its popcount against the level mask of cells short by at least t, built
+from the band's slice of the packed shortfall, and the integer sum is
+weighted once per band, as the definition does.
 
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
 picks are memoized in a PickMemo.  The cover rule's key is (nurse id,
-focus-band short mask); the combined rule's is the nurse id followed by
-the short mask of every band the nurse serves, or in shortfall mode by
-those bands' packed shortfall columns.  The keys leave out the weights
+focus-band short mask); the combined rule's is (nurse id, one int): the
+short mask of the bands the nurse serves, or in shortfall mode their
+packed shortfall.  The keys leave out the weights
 and the e-mode because one run fixes them, so a memo lasts exactly one
 solver run: run makes one and passes it to every reconstruct call, and a
 reconstruct call without one memoizes for itself only.  A memo kept across runs would
@@ -41,6 +41,7 @@ in shortfall mode, whose states vary the most.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -73,6 +74,8 @@ class ReconstructionConfig:
     e_mode: str = "indicator"
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.p1, self.p2, self.p3))):
+            raise ValueError("rule probabilities must be finite")
         if min(self.p1, self.p2, self.p3) < 0:
             raise ValueError("rule probabilities must be nonnegative")
         if abs(self.p1 + self.p2 + self.p3 - 1.0) > 1e-12:
@@ -84,27 +87,29 @@ class ReconstructionConfig:
 def _focus_mask(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:
     """Short mask of the first band the nurse serves that has any shortfall.
 
-    Zero when no band the nurse can serve is short.
+    The mask is moved down to band 1's bits, where Instance.pattern_bits
+    sit.  Zero when no band the nurse can serve is short.
     """
-    band_short = coverage.band_short
-    for s in range(nurse.grade - 1, instance.g):
-        if band_short[s] > 0:
-            return coverage.short_mask(s)
-    return 0
+    span = instance.band_span
+    short = coverage.short_mask() >> (nurse.grade - 1) * span
+    if not short:
+        return 0
+    # the lowest set bit lies in the focus band
+    focus = ((short & -short).bit_length() - 1) // span * span
+    return (short >> focus) & ((1 << span) - 1)
 
 
 def _band_state(
     instance: Instance, coverage: CoverageState, nurse: Nurse, e_mode: str
-) -> tuple:
-    """What the combined rule reads of each band the nurse serves, lowest first.
+) -> int:
+    """What the combined rule reads of the bands the nurse serves, as one int.
 
-    In indicator mode that is the band's short mask; in shortfall mode it is
-    the band's packed shortfall column.
+    In indicator mode that is the short mask and in shortfall mode the
+    packed shortfall, moved down so that the nurse's own band starts at bit
+    0; the bands she does not serve drop out.
     """
-    bands = range(nurse.grade - 1, instance.g)
-    if e_mode == "indicator":
-        return tuple([coverage.short_mask(s) for s in bands])
-    return tuple([coverage.shortfall_bits(s) for s in bands])
+    packed = coverage.short_mask() if e_mode == "indicator" else coverage.shortfall_bits()
+    return packed >> (nurse.grade - 1) * instance.band_span
 
 
 def cover_value(
@@ -158,28 +163,27 @@ def _combined_scores(
 ) -> list[float]:
     """combined_score of each pattern id, in order.
 
-    pattern_bits holds the patterns' worked periods as guard bits and state
-    the nurse's _band_state.  Every score is summed in the same order
-    (preference term, then bands ascending, zero weights skipped), so equal
-    inputs give bit-equal floats.
+    pattern_bits holds the patterns' worked periods as band-1 guard bits and
+    state the nurse's _band_state, from which each band is sliced in turn.
+    Every score is summed in the same order (preference term, then bands
+    ascending, zero weights skipped), so equal inputs give bit-equal floats.
     """
     costs = nurse.pref_cost
     w_p = weights.w_p
     scores = [w_p * (100 - costs[j]) for j in pattern_ids]
-    w_grade = weights.w_grade
-    lo = nurse.grade - 1
-    for s in range(lo, instance.g):
-        ws = w_grade[s]
+    span = instance.band_span
+    band = (1 << span) - 1
+    for ws in weights.w_grade[nurse.grade - 1 : instance.g]:
+        column, state = state & band, state >> span
         if ws == 0:
             continue
         if e_mode == "indicator":
-            short = state[s - lo]
             scores = [
-                score + ws * (bits & short).bit_count()
+                score + ws * (bits & column).bit_count()
                 for score, bits in zip(scores, pattern_bits)
             ]
         else:
-            counts = _shortfall_sums(instance, pattern_bits, state[s - lo])
+            counts = _shortfall_sums(instance, pattern_bits, column)
             scores = [score + ws * count for score, count in zip(scores, counts)]
     return scores
 
@@ -189,10 +193,12 @@ def _shortfall_sums(
 ) -> list[int]:
     """Per pattern, the shortfall summed over its periods, from a packed column.
 
-    Level t holds the cells short by at least t, so a cell short by r is
-    counted once at each of the levels 1..r.
+    shortfall is one band's column moved down to band 1's bits.  Level t
+    holds the cells short by at least t, so a cell short by r is counted
+    once at each of the levels 1..r.
     """
-    guard_bits, low_bits = instance.guard_bits, instance.low_bits
+    band = (1 << instance.band_span) - 1
+    guard_bits, low_bits = instance.guard_bits & band, instance.low_bits & band
     sums = [0] * len(pattern_bits)
     level = (shortfall | guard_bits) - low_bits
     while cells := level & guard_bits:
@@ -207,8 +213,9 @@ class PickMemo:
     A pick depends only on the nurse and on what the rule reads of the
     coverage, so the memo maps exactly that to the chosen pattern: cover
     maps (nurse id, focus-band short mask) and combined maps (nurse id,
-    *_band_state).  The rules get a dict each, because a grade-3 nurse's
-    combined key (i, band-3 mask) has the same shape as a cover key.  The
+    _band_state).  The rules get a dict each, because both keys are a nurse
+    id and an int, and a grade-g nurse's combined key in indicator mode
+    equals her cover key.  The
     keys leave out the instance, the weights and the e-mode, which one run
     fixes, so a memo must not outlive the run it was made for.  A dict that
     has reached limit entries is emptied before the next one is stored.
@@ -218,7 +225,7 @@ class PickMemo:
 
     def __init__(self, instance: Instance) -> None:
         self.cover: dict[tuple[int, int], int] = {}
-        self.combined: dict[tuple, int] = {}
+        self.combined: dict[tuple[int, int], int] = {}
         self.limit = MEMO_PICKS_PER_NURSE * instance.n
 
 
@@ -266,7 +273,7 @@ def reconstruct(
                 choice = cover_picks[key] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p1 + p2:
             state = _band_state(instance, coverage, nurse, e_mode)
-            key = (i, *state)
+            key = (i, state)
             choice = combined_picks.get(key)
             if choice is None:
                 if len(combined_picks) >= limit:

@@ -77,6 +77,19 @@ class TestSolve:
         assert exited.value.code == EXIT_ERROR
         assert_one_line_error(capsys, word)
 
+    @pytest.mark.parametrize("flag, value, word", [
+        ("--p1", "nan", "finite"),
+        ("--p3", "inf", "finite"),
+        ("--w1", "nan", "finite"),
+        ("--w2", "inf", "finite"),
+        ("--wdemand", "nan", "w_demand"),
+    ])
+    def test_non_finite_value_exits_one_with_one_line(self, tmp_path, capsys, flag, value, word):
+        path = write_instance(tmp_path)
+        assert main(["solve", str(path), "--max-iters", "10", flag, value]) == EXIT_ERROR
+        assert_one_line_error(capsys, word)
+        assert "best cost" not in capsys.readouterr().out
+
     def test_preset_and_overrides_accepted(self, tmp_path, capsys):
         path = write_instance(tmp_path)
         code = main([
@@ -277,6 +290,20 @@ class TestExact:
         for budget in ("0", "-5"):
             assert main(["exact", str(path), "--node-budget", budget]) == EXIT_ERROR
             assert_one_line_error(capsys, "node_budget")
+
+
+@pytest.mark.parametrize("command", [
+    ["batch", "{instance}", "--runs", "1", "--max-iters", "10", "--out", "{missing}/x.csv"],
+    ["batch", "{instance}", "--runs", "1", "--max-iters", "10", "--per-run", "{missing}/r.csv"],
+    ["ablate", "{instance}", "--runs", "1", "--budgets", "10", "--presets", "full",
+     "--preset-iters", "10", "--out", "{missing}/m.csv"],
+    ["exact", "{instance}", "--annotate", "{missing}/a.nrp"],
+    ["gen", "--count", "1", "--out-dir", "{instance}"],
+], ids=["batch-out", "batch-per-run", "ablate-out", "exact-annotate", "gen-out-dir"])
+def test_unwritable_output_exits_one_with_one_line(tmp_path, capsys, command):
+    paths = {"instance": str(write_instance(tmp_path)), "missing": str(tmp_path / "missing")}
+    assert main([part.format(**paths) for part in command]) == EXIT_ERROR
+    assert_one_line_error(capsys, str(tmp_path))
 
 
 class TestGen:

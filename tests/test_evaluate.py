@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -39,6 +40,14 @@ class TestEvalWeights:
     def test_rejects_unbalanced_fitness_weights(self):
         with pytest.raises(ValueError, match="w1"):
             EvalWeights(w1=0.7, w2=0.5)
+
+    @pytest.mark.parametrize("field", ["w1", "w2", "w_demand", "w_p"])
+    def test_rejects_non_finite_weights(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                EvalWeights(**{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            EvalWeights(w_grade=(8.0, math.nan, 1.0))
 
     def test_rejects_nonpositive_penalty(self):
         with pytest.raises(ValueError, match="w_demand"):

@@ -73,23 +73,24 @@ def first_argmax(feasible, score) -> int:
     return best_j
 
 
-def low_bit(instance, k: int) -> int:
-    """The low bit of period k's field in the packed layout."""
-    return 1 << (k * instance.field_width)
+def low_bit(instance, k: int, s: int = 0) -> int:
+    """The low bit of cell (period k, band s+1)'s field in the packed layout."""
+    return 1 << (s * instance.band_span + k * instance.field_width)
 
 
-def guard_bit(instance, k: int) -> int:
-    """The guard (top) bit of period k's field in the packed layout."""
-    return low_bit(instance, k) << (instance.field_width - 1)
+def guard_bit(instance, k: int, s: int = 0) -> int:
+    """The guard (top) bit of cell (period k, band s+1)'s field in the packed layout."""
+    return low_bit(instance, k, s) << (instance.field_width - 1)
 
 
 def test_pattern_bits_match_mask():
     rng = random.Random(41)
     for trial in range(TRIALS):
         instance, _ = random_state(rng, trial)
+        band = (1 << instance.band_span) - 1
         for pattern in instance.patterns:
             expected = sum(low_bit(instance, k) for k in range(N_PERIODS) if pattern.mask[k])
-            assert instance.cells[pattern.id] == expected
+            assert instance.grade_cells[0][pattern.id] & band == expected
             assert instance.pattern_bits[pattern.id] == expected << (instance.field_width - 1)
 
 
@@ -99,9 +100,13 @@ def test_short_mask_matches_shortfall_matrix():
         instance, roster = random_state(rng, trial)
         coverage = compute_coverage(instance, roster)
         short = shortfall_matrix(instance, roster)
-        for s in range(instance.g):
-            expected = sum(guard_bit(instance, k) for k in range(N_PERIODS) if short[k][s] > 0)
-            assert coverage.short_mask(s) == expected
+        expected = sum(
+            guard_bit(instance, k, s)
+            for s in range(instance.g)
+            for k in range(N_PERIODS)
+            if short[k][s] > 0
+        )
+        assert coverage.short_mask() == expected
 
 
 def test_cover_argmax_matches_definition():

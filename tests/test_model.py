@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from nrp.evaluate import _needed_masks
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
@@ -12,40 +11,52 @@ from nrp.model import (
     Roster,
     ShiftPattern,
     compute_coverage,
-    covers_grade,
     is_feasible,
     preference_cost,
 )
 
 from nrp.oracle import _bound_tables
-from nrp.reconstruct import _shortfall_sums
+from nrp.reconstruct import _focus_mask, _shortfall_sums
 
 from bruteforce import coverage_matrix, feasible_by_definition, qualified
 from conftest import complete_roster, demand_rows, flat_demand, make_instance, pattern
 
 
+def band_copies(instance, bits: int, bands) -> int:
+    """bits, laid in band 1's position, copied into each band s+1 for s in bands."""
+    return sum(bits << (s * instance.band_span) for s in bands)
+
+
 class TestCoversGrade:
+    """A grade-q nurse covers bands q..g: grade_cells has her pattern there only."""
+
     def test_highest_grade_covers_all_bands(self):
-        nurse = Nurse(0, 1, (0,), {0: 0})
-        assert covers_grade(nurse, 3)
+        inst = make_instance([pattern(0, 0, 3)], [Nurse(0, 1, (0,), {0: 0})], flat_demand(3))
+        assert inst.grade_cells[0][0] == band_copies(inst, 1 | 1 << 3 * inst.field_width, range(3))
 
     def test_lowest_grade_covers_only_its_band(self):
-        nurse = Nurse(0, 3, (0,), {0: 0})
-        assert not covers_grade(nurse, 1)
-        assert covers_grade(nurse, 3)
+        inst = make_instance([pattern(0, 0)], [Nurse(0, 3, (0,), {0: 0})], flat_demand(3))
+        assert inst.grade_cells[2][0] == band_copies(inst, 1, [2])
 
     def test_own_band(self):
-        nurse = Nurse(0, 2, (0,), {0: 0})
-        assert covers_grade(nurse, 2)
+        inst = make_instance([pattern(0, 5)], [Nurse(0, 2, (0,), {0: 0})], flat_demand(3))
+        own = (inst.grade_cells[1][0] >> inst.band_span) & ((1 << inst.band_span) - 1)
+        assert own == 1 << 5 * inst.field_width
 
     def test_monotone_in_band(self):
         rng = random.Random(0)
-        for _ in range(200):
-            g = rng.randint(1, 5)
-            nurse = Nurse(0, rng.randint(1, g), (0,), {0: 0})
-            for s in range(1, g + 1):
-                if covers_grade(nurse, s):
-                    assert all(covers_grade(nurse, t) for t in range(s, g + 1))
+        for trial in range(60):
+            inst = random_packing_instance(rng, trial)
+            band, bands = (1 << inst.band_span) - 1, range(inst.g)
+            for i, nurse in enumerate(inst.nurses):
+                for j in nurse.feasible:
+                    cells = sum(1 << (k * inst.field_width) for k in inst.patterns[j].periods)
+                    row = inst.grade_cells[nurse.grade - 1][j]
+                    slices = [(row >> (s * inst.band_span)) & band for s in bands]
+                    assert slices == [cells if qualified(inst, i, s + 1) else 0 for s in bands]
+                    present = [s for s in bands if slices[s]]  # a run of bands ending at g
+                    assert present == list(range(inst.g - len(present), inst.g))
+                    assert inst.grade_bits[nurse.grade - 1][j] == row << (inst.field_width - 1)
 
 
 class TestTypeInvariants:
@@ -149,7 +160,7 @@ class TestComputeCoverage:
                 fresh = compute_coverage(inst, roster)
                 assert state.covered == fresh.covered
                 assert state.shortfall == fresh.shortfall
-                assert state.band_short == fresh.band_short
+                assert state.total_shortfall() == fresh.total_shortfall()
 
     def test_shortfall_always_consistent_with_covered(self):
         rng = random.Random(3)
@@ -163,8 +174,12 @@ class TestComputeCoverage:
                     assert state.shortfall[k][s] == expected
 
 
-def random_packing_instance(rng: random.Random, trial: int):
-    """A random instance with g = 1..4; every third one has demand above n."""
+def random_packing_instance(rng: random.Random, trial: int, sparse: bool = False):
+    """A random instance with g = 1..4; every third one has demand above n.
+
+    sparse zeroes each demand draw with probability 2/3; sorted into the
+    cumulative rows, the zeros leave low bands with no demand at all.
+    """
     n, m, g = rng.randint(1, 8), rng.randint(3, 12), 1 + trial % 4
     top = 2 * n + 3 if trial % 3 == 0 else n
     patterns = [
@@ -176,20 +191,42 @@ def random_packing_instance(rng: random.Random, trial: int):
         nurses.append(
             Nurse(i, rng.randint(1, g), feasible, {j: rng.randint(0, 100) for j in feasible})
         )
-    demand = demand_rows(
-        [sorted(rng.randint(0, top) for _ in range(g)) for _ in range(N_PERIODS)]
-    )
+
+    def draw() -> int:
+        value = rng.randint(0, top)
+        return 0 if sparse and rng.random() < 2 / 3 else value
+
+    demand = demand_rows([sorted(draw() for _ in range(g)) for _ in range(N_PERIODS)])
     return make_instance(patterns, nurses, demand)
 
 
 def guard_mask(instance, cells) -> int:
-    """Guard bits, in the packed layout, of the periods in cells."""
+    """Guard bits, in the packed layout, of the cells (period k, band s+1) given as (k, s)."""
     w = instance.field_width
-    return sum(1 << (k * w + w - 1) for k in cells)
+    return sum(1 << (s * instance.band_span + k * w + w - 1) for k, s in cells)
+
+
+def random_sequences(rng: random.Random, sparse: bool = False):
+    """Seeded add/remove sequences; yields (instance, roster, state) after every step."""
+    for trial in range(60):
+        inst = random_packing_instance(rng, trial, sparse)
+        roster = Roster.empty(inst.n)
+        state = compute_coverage(inst, roster)
+        yield inst, roster, state
+        for _ in range(30):
+            i = rng.randrange(inst.n)
+            if roster.assignment[i] is None:
+                j = rng.choice(inst.nurses[i].feasible)
+                roster.assignment[i] = j
+                state.add(inst, i, j)
+            else:
+                state.remove(inst, i, roster.assignment[i])
+                roster.assignment[i] = None
+            yield inst, roster, state
 
 
 class TestPackedCoverage:
-    """The packed coverage ints against the per-cell definitions they encode."""
+    """The packed coverage int against the per-cell definitions it encodes."""
 
     def check_state(self, instance, roster, state) -> None:
         covered = coverage_matrix(instance, roster)
@@ -200,46 +237,53 @@ class TestPackedCoverage:
         ]
         assert state.covered == covered
         assert state.shortfall == short
-        w, guard_bits, low_bits = instance.field_width, instance.guard_bits, instance.low_bits
-        periods = range(N_PERIODS)
+        w, span = instance.field_width, instance.band_span
+        guard_bits, low_bits = instance.guard_bits, instance.low_bits
+        cells = [(k, s) for s in range(instance.g) for k in range(N_PERIODS)]
         worst = max(map(max, demand))
-        needed = _needed_masks(instance, state)
+        assert state.total_shortfall() == sum(map(sum, short))
+        short_cells = [(k, s) for k, s in cells if short[k][s]]
+        assert state.short_mask() == guard_mask(instance, short_cells)
+        assert state.needed_mask() == guard_mask(
+            instance, [(k, s) for k, s in cells if covered[k][s] <= demand[k][s]]
+        )
+        packed = state.shortfall_bits()
+        assert packed == sum(short[k][s] << (s * span + k * w) for k, s in cells)
+        for t in range(1, worst + 2):
+            level = ((packed | guard_bits) - t * low_bits) & guard_bits
+            assert level == guard_mask(instance, [(k, s) for k, s in cells if short[k][s] >= t])
         for s in range(instance.g):
-            column = [short[k][s] for k in periods]
-            assert state.band_short[s] == sum(column)
-            assert state.short_mask(s) == guard_mask(instance, [k for k in periods if column[k]])
-            assert needed[s] == guard_mask(
-                instance, [k for k in periods if covered[k][s] <= demand[k][s]]
-            )
-            packed = state.shortfall_bits(s)
-            assert packed == sum(r << (k * w) for k, r in enumerate(column))
-            for t in range(1, worst + 2):
-                level = ((packed | guard_bits) - t * low_bits) & guard_bits
-                assert level == guard_mask(instance, [k for k in periods if column[k] >= t])
-            assert _shortfall_sums(instance, instance.pattern_bits, packed) == [
-                sum(column[k] for k in p.periods) for p in instance.patterns
+            column = (packed >> (s * span)) & ((1 << span) - 1)
+            assert _shortfall_sums(instance, instance.pattern_bits, column) == [
+                sum(short[k][s] for k in p.periods) for p in instance.patterns
             ]
 
     def test_add_remove_sequences_match_the_definitions(self):
-        rng = random.Random(61)
-        above_n = 0
-        for trial in range(60):
-            inst = random_packing_instance(rng, trial)
+        above_n = steps = 0
+        for inst, roster, state in random_sequences(random.Random(61)):
+            steps += 1
             above_n += max(map(max, inst.demand.r)) > inst.n
-            roster = Roster.empty(inst.n)
-            state = compute_coverage(inst, roster)
             self.check_state(inst, roster, state)
-            for _ in range(30):
-                i = rng.randrange(inst.n)
-                if roster.assignment[i] is None:
-                    j = rng.choice(inst.nurses[i].feasible)
-                    roster.assignment[i] = j
-                    state.add(inst, i, j)
+        assert steps == 60 * 31 and above_n >= 10 * 31
+
+    def test_focus_mask_is_the_first_short_band_the_nurse_serves(self):
+        focused = unfocused = 0
+        for inst, roster, state in random_sequences(random.Random(71), sparse=True):
+            short = state.shortfall
+            for nurse in inst.nurses:
+                served = [
+                    s for s in range(nurse.grade - 1, inst.g)
+                    if any(short[k][s] for k in range(N_PERIODS))
+                ]
+                if served:  # as guard bits of band 1, where the pattern bits sit
+                    s = served[0]
+                    expected = guard_mask(inst, [(k, 0) for k in range(N_PERIODS) if short[k][s]])
+                    focused += s > nurse.grade - 1
                 else:
-                    state.remove(inst, i, roster.assignment[i])
-                    roster.assignment[i] = None
-                self.check_state(inst, roster, state)
-        assert above_n >= 10
+                    expected = 0
+                    unfocused += 1
+                assert _focus_mask(inst, state, nurse) == expected
+        assert focused > 500 and unfocused > 10
 
     def test_oracle_cut_marks_cells_no_remaining_nurse_can_fill(self):
         rng = random.Random(67)
@@ -259,17 +303,14 @@ class TestPackedCoverage:
                 )
                 state = compute_coverage(inst, roster)
                 short = state.shortfall
+                hopeless, forced = [], {}
                 for s in range(inst.g):
                     can = [
                         [i for i in range(depth, inst.n) if qualified(inst, i, s + 1)
                          and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)]
                         for k in range(N_PERIODS)
                     ]
-                    hopeless = [k for k in range(N_PERIODS) if short[k][s] > len(can[k])]
-                    assert (cut[depth][s] - state.cov[s]) & inst.guard_bits == (
-                        guard_mask(inst, hopeless)
-                    )
-                    forced = {}
+                    hopeless += [(k, s) for k in range(N_PERIODS) if short[k][s] > len(can[k])]
                     for k in range(N_PERIODS):
                         extras = [
                             min(nurse.pref_cost[j] for j in nurse.feasible
@@ -278,13 +319,15 @@ class TestPackedCoverage:
                             for nurse in (inst.nurses[i] for i in can[k])
                         ]
                         if extras and min(extras) > 0:
-                            forced[k] = min(extras)
-                    costs = [cost for cost, _ in extra[depth][s]]
-                    assert costs == sorted(set(forced.values()), reverse=True)
-                    for cost, cells in extra[depth][s]:
-                        assert cells == guard_mask(inst, [k for k in forced if forced[k] == cost])
-                    cut_cells += len(hopeless)
-                    forced_cells += len(forced)
+                            forced[k, s] = min(extras)
+                assert (cut[depth] - state.cov) & inst.guard_bits == guard_mask(inst, hopeless)
+                # one list per depth merges every band's extras, highest cost first
+                costs = [cost for cost, _ in extra[depth]]
+                assert costs == sorted(set(forced.values()), reverse=True)
+                for cost, cells in extra[depth]:
+                    assert cells == guard_mask(inst, [c for c in forced if forced[c] == cost])
+                cut_cells += len(hopeless)
+                forced_cells += len(forced)
         assert cut_cells > 100 and forced_cells > 100
 
 

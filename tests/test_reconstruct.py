@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -30,6 +31,12 @@ class TestReconstructionConfig:
     def test_rates_must_sum_to_one(self):
         with pytest.raises(ValueError, match="equal 1"):
             ReconstructionConfig(p1=0.5, p2=0.5, p3=0.5)
+
+    def test_rejects_non_finite_rates(self):
+        for value in (math.nan, math.inf):
+            for rates in ({"p1": value}, {"p2": value}, {"p3": value}):
+                with pytest.raises(ValueError, match="finite"):
+                    ReconstructionConfig(**rates)
 
     def test_rejects_unknown_e_mode(self):
         with pytest.raises(ValueError, match="e_mode"):
@@ -300,7 +307,7 @@ class TestReconstruct:
             fresh = compute_coverage(inst, out)
             assert cov.covered == fresh.covered
             assert cov.shortfall == fresh.shortfall
-            assert cov.band_short == fresh.band_short
+            assert cov.total_shortfall() == fresh.total_shortfall()
 
 
 def memo_sequence_case(trial: int):
@@ -363,7 +370,7 @@ class TestPickMemo:
             assert out_shared.assignment == out_fresh.assignment
             assert cov_shared.covered == cov_fresh.covered
             assert cov_shared.shortfall == cov_fresh.shortfall
-            assert cov_shared.band_short == cov_fresh.band_short
+            assert cov_shared.total_shortfall() == cov_fresh.total_shortfall()
             assert rng_shared.getstate() == rng_fresh.getstate()
             assert len(shared.cover) <= shared.limit
             assert len(shared.combined) <= shared.limit

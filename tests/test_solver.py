@@ -155,7 +155,7 @@ class TestRun:
             fresh = compute_coverage(instance, roster)
             assert coverage.covered == fresh.covered
             assert coverage.shortfall == fresh.shortfall
-            assert coverage.band_short == fresh.band_short
+            assert coverage.total_shortfall() == fresh.total_shortfall()
             cost = penalized_cost(instance, roster, weights, coverage=coverage)
             recomputed = (
                 preference_cost(instance, roster)
