@@ -3,13 +3,14 @@
 Exit codes: 0 success (and a feasible best for solve), 1 any error,
 2 infeasible best (solve) and 3 exact-solver timeout.  Batch parallelism
 is set by the NRP_THREADS environment variable (default 1), capped at the
-CPU count.
+CPU count; batch and ablate reject a value that is not a positive integer.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -82,6 +83,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="keep iterating even after reaching a known optimum")
 
 
+def _check_batch_setup(*outputs: str | None) -> None:
+    """Raise ValueError for a bad NRP_THREADS or an output without a directory.
+
+    Batch results are written only after every run, so these are checked
+    before any instance is loaded and no run's time is lost to them.
+    """
+    threads = os.environ.get("NRP_THREADS")
+    if threads is not None:
+        try:
+            valid = int(threads) >= 1
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"NRP_THREADS must be a positive integer, got {threads!r}")
+    for out in outputs:
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValueError(f"{out}: {Path(out).parent} is not a directory")
+
+
 def _build_spec(args, seed: int) -> harness.RunSpec:
     spec = harness.preset_spec(args.preset, max_iterations=args.max_iters, seed=seed)
     config = spec.config
@@ -145,6 +165,7 @@ def _cmd_batch(args) -> int:
         return EXIT_ERROR
     try:
         spec = _build_spec(args, seed=args.base_seed)
+        _check_batch_setup(args.out, args.per_run)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -188,6 +209,7 @@ def _cmd_ablate(args) -> int:
             base_seed=args.base_seed,
             w_grade=_w_grade(args.w_grade) or harness.AblationSpec.w_grade,
         )
+        _check_batch_setup(args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 N_PERIODS = 14  # 7 day shifts followed by 7 night shifts
 
@@ -119,9 +121,18 @@ class Instance:
     s+1) in the field at bit s * band_span + k * field_width.  low_bits and
     guard_bits set the low and the top (guard) bit of every field; demand_bits
     packs the demand matrix, guard bits set.  pattern_bits[j] has pattern
-    j's periods as band-1 guard bits, listed per nurse in feasible_bits[i].
-    grade_cells[q-1][j] copies pattern j's periods, as low bits, into each
-    band q..g a grade-q nurse serves; grade_bits[q-1][j] as guard bits.
+    j's periods as band-1 guard bits.  grade_cells[q-1][j] copies pattern
+    j's periods, as low bits, into each band q..g a grade-q nurse serves;
+    grade_bits[q-1][j] as guard bits.
+
+    cover_scan[i] and combined_scan[i] are the (ids, pattern bits) the
+    reconstruction rules scan for nurse i, in feasible order.  The cover
+    list leaves out a pattern when an earlier feasible pattern works all of
+    its periods: that one fills every short cell it fills, wins the ties,
+    and so the later pattern is never the first maximum.  The combined
+    score also rewards a low cost, so its list leaves a pattern out only
+    when such an earlier superset costs no more; with non-negative weights
+    it then scores at least as much (see the reconstruct module).
     """
 
     n: int
@@ -137,7 +148,12 @@ class Instance:
     guard_bits: int = field(init=False, repr=False, compare=False)
     demand_bits: int = field(init=False, repr=False, compare=False)
     pattern_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    feasible_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    cover_scan: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    combined_scan: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
     grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     grade_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -177,11 +193,44 @@ class Instance:
         )
         cells = [sum(1 << (k * width) for k in p.periods) for p in self.patterns]
         self.pattern_bits = tuple(c << (width - 1) for c in cells)
-        self.feasible_bits = tuple(
-            tuple(self.pattern_bits[j] for j in nurse.feasible) for nurse in self.nurses
-        )
+        self.cover_scan, self.combined_scan = self._scan_lists()
         self.grade_cells = tuple(tuple(c * copies for c in cells) for copies in spread)
         self.grade_bits = tuple(tuple(c << (width - 1) for c in t) for t in self.grade_cells)
+
+    def _scan_lists(self) -> tuple[tuple, tuple]:
+        """Per nurse, the feasible patterns that can be a first maximum.
+
+        sup[j] is the set, as a bitset over pattern ids, of the patterns
+        that work every period j works.  Walking a nurse's feasible list
+        with seen the ids already walked, j is left out of her cover list
+        iff sup[j] & seen is nonzero, and out of her combined list iff one
+        of those earlier supersets also costs no more than j.
+        """
+        workers = [0] * N_PERIODS
+        for pattern in self.patterns:
+            for k in pattern.periods:
+                workers[k] |= 1 << pattern.id
+        everyone = (1 << self.m) - 1
+        sup = [reduce(and_, (workers[k] for k in p.periods), everyone) for p in self.patterns]
+        cover, combined = [], []
+        for nurse in self.nurses:
+            costs = nurse.pref_cost
+            seen = 0
+            cover_ids, combined_ids = [], []
+            for j in nurse.feasible:
+                earlier = sup[j] & seen
+                seen |= 1 << j
+                if not earlier:
+                    cover_ids.append(j)
+                # clear the earlier supersets that cost more, lowest id first
+                cost = costs[j]
+                while earlier and costs[(earlier & -earlier).bit_length() - 1] > cost:
+                    earlier &= earlier - 1
+                if not earlier:
+                    combined_ids.append(j)
+            for scan, ids in ((cover, cover_ids), (combined, combined_ids)):
+                scan.append((tuple(ids), tuple(self.pattern_bits[j] for j in ids)))
+        return tuple(cover), tuple(combined)
 
 
 @dataclass

@@ -8,19 +8,35 @@ feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.
 
 Scoring runs on the packed masks of CoverageState.  Each pattern carries
-its worked periods as band-1 guard bits (Instance.feasible_bits lists them
-per nurse), and CoverageState.short_mask() gives the short cells of every
-band at once.  A band shifted down out of it gives the short periods a
-pattern covers there as (bits & short).bit_count().  The cover rule takes
-one band, the nurse's focus band, from the mask's lowest set bit at or
-above her own band; the combined rule slices each band she serves in turn
-and adds the weighted bands in ascending order, the order the per-period
-definition sums them in, so the float scores and hence the first-pattern
-tie-breaks are unchanged.  The shortfall e-mode weights each period by its
-shortfall: a pattern's shortfall sum at a band is the sum over t >= 1 of
-its popcount against the level mask of cells short by at least t, built
-from the band's slice of the packed shortfall, and the integer sum is
-weighted once per band, as the definition does.
+its worked periods as band-1 guard bits (Instance.pattern_bits), and
+CoverageState.short_mask() gives the short cells of every band at once.  A
+band shifted down out of it gives the short periods a pattern covers there
+as (bits & short).bit_count().  The cover rule takes one band, the nurse's
+focus band, from the mask's lowest set bit at or above her own band; the
+combined rule slices each band she serves in turn and adds the weighted
+bands in ascending order, the order the per-period definition sums them in,
+so the float scores and hence the first-pattern tie-breaks are unchanged.
+The shortfall e-mode weights each period by its shortfall: a pattern's
+shortfall sum at a band is the sum over t >= 1 of its popcount against the
+level mask of cells short by at least t, built from the band's slice of the
+packed shortfall, and the integer sum is weighted once per band, as the
+definition does.
+
+A rule scans only the patterns that can be its first maximum, listed per
+nurse in Instance.cover_scan and Instance.combined_scan.  Take pattern j
+and an earlier pattern j' of the nurse's feasible list that works every
+period j works.  Whatever the coverage, j' fills at least the short cells j
+fills, in every band, so its cover value is at least j's; a tie goes to j',
+so j is never the cover rule's first maximum and leaves the cover list.
+The combined score adds the band terms w_s * count to the preference term
+w_p * (100 - cost).  j' scores at least as much as j on every band term
+because the weights are non-negative (EvalWeights rejects negative ones),
+and the float sums keep that order because multiplication and addition
+round monotonically.  The preference term keeps it only if cost[j'] <=
+cost[j], so j leaves the combined list only when such a j' also costs no
+more.  The first maximum of the full list is never left out, because an
+earlier pattern scoring at least as much would contradict its being first,
+so scanning the shorter list gives the same pick.
 
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
@@ -292,12 +308,10 @@ def _argmax_cover(
     instance: Instance, coverage: CoverageState, nurse: Nurse, short: int
 ) -> int:
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask)."""
-    feasible = nurse.feasible
     if not short:
-        return feasible[0]
-    return _first_max(
-        feasible, [(bits & short).bit_count() for bits in instance.feasible_bits[nurse.id]]
-    )
+        return nurse.feasible[0]
+    ids, bits = instance.cover_scan[nurse.id]
+    return _first_max(ids, [(b & short).bit_count() for b in bits])
 
 
 def _argmax_combined(
@@ -309,13 +323,8 @@ def _argmax_combined(
     state: tuple,
 ) -> int:
     """Combined-rule pick for the nurse's band state (see _band_state)."""
-    feasible = nurse.feasible
-    return _first_max(
-        feasible,
-        _combined_scores(
-            instance, weights, nurse, feasible, instance.feasible_bits[nurse.id], e_mode, state
-        ),
-    )
+    ids, bits = instance.combined_scan[nurse.id]
+    return _first_max(ids, _combined_scores(instance, weights, nurse, ids, bits, e_mode, state))
 
 
 def _first_max(feasible: tuple[int, ...], values: list) -> int:

@@ -152,6 +152,31 @@ def combined_score_by_definition(
     return score
 
 
+def scan_lists_by_definition(
+    instance: Instance, i: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Nurse i's cover and combined scan ids, by pairwise comparison.
+
+    Pattern j leaves the cover list iff an earlier pattern j' of her
+    feasible list works every period j works, and leaves the combined list
+    iff such a j' also costs no more than j.
+    """
+    nurse = instance.nurses[i]
+    cover, combined = [], []
+    for index, j in enumerate(nurse.feasible):
+        mask = instance.patterns[j].mask
+        supersets = [
+            earlier
+            for earlier in nurse.feasible[:index]
+            if all(instance.patterns[earlier].mask[k] for k in range(N_PERIODS) if mask[k])
+        ]
+        if not supersets:
+            cover.append(j)
+        if all(nurse.pref_cost[earlier] > nurse.pref_cost[j] for earlier in supersets):
+            combined.append(j)
+    return tuple(cover), tuple(combined)
+
+
 def sign_test_p_value(wins: int, losses: int) -> float:
     """One-sided exact sign test: P[X >= wins] for X ~ Binomial(wins+losses, 1/2)."""
     import math

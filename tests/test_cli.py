@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from nrp import harness
 from nrp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, main
 from nrp.instance_io import (
     GeneratorParams,
@@ -304,6 +305,44 @@ def test_unwritable_output_exits_one_with_one_line(tmp_path, capsys, command):
     paths = {"instance": str(write_instance(tmp_path)), "missing": str(tmp_path / "missing")}
     assert main([part.format(**paths) for part in command]) == EXIT_ERROR
     assert_one_line_error(capsys, str(tmp_path))
+
+
+BATCH_COMMANDS = {
+    "batch-out": ["batch", "{instance}", "--runs", "1", "--out", "{parent}/x.csv"],
+    "batch-per-run": ["batch", "{instance}", "--runs", "1", "--per-run", "{parent}/r.csv"],
+    "ablate-out": ["ablate", "{instance}", "--runs", "1", "--out", "{parent}/m.csv"],
+}
+
+
+def refuse_runs(monkeypatch) -> None:
+    """Make loading an instance or starting a batch fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch started or an instance was loaded")
+
+    monkeypatch.setattr(harness, "run_batch", refuse)
+    monkeypatch.setattr(harness, "load_named_instances", refuse)
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("command", list(BATCH_COMMANDS.values()), ids=list(BATCH_COMMANDS))
+def test_bad_output_directory_exits_before_any_run(tmp_path, capsys, monkeypatch, command, parent):
+    instance = write_instance(tmp_path)
+    paths = {"instance": str(instance), "parent": str(tmp_path / "missing")}
+    if parent == "file":
+        paths["parent"] = str(instance)
+    refuse_runs(monkeypatch)
+    assert main([part.format(**paths) for part in command]) == EXIT_ERROR
+    assert_one_line_error(capsys, paths["parent"], "not a directory")
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-2"])
+@pytest.mark.parametrize("command", ["batch", "ablate"])
+def test_bad_thread_count_exits_before_any_run(tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("NRP_THREADS", value)
+    refuse_runs(monkeypatch)
+    assert main([command, str(write_instance(tmp_path)), "--runs", "1"]) == EXIT_ERROR
+    assert_one_line_error(capsys, "NRP_THREADS", repr(value))
 
 
 class TestGen:
