@@ -3,7 +3,18 @@ from pathlib import Path
 import pytest
 
 from nrp import harness
-from nrp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, main
+from nrp.cli import (
+    EXIT_ERROR,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_TIMEOUT,
+    _build_spec,
+    build_parser,
+    main,
+)
+from nrp.eliminate import EliminationConfig
+from nrp.evaluate import EvalWeights
+from nrp.harness import RunSpec
 from nrp.instance_io import (
     GeneratorParams,
     generate_instance,
@@ -12,6 +23,8 @@ from nrp.instance_io import (
 )
 from nrp.model import Nurse
 from nrp.oracle import exact_solve
+from nrp.reconstruct import ReconstructionConfig
+from nrp.solver import SolverConfig
 
 from conftest import demand_rows, make_instance, pattern
 
@@ -399,3 +412,54 @@ class TestGen:
         assert code == EXIT_OK
         assert "timeout" in capsys.readouterr().err
         assert load_instance(out_dir / "inst_000.nrp").known_optimal is None
+
+
+def _config(**fields) -> SolverConfig:
+    return SolverConfig(max_iterations=50_000, seed=7, **fields)
+
+
+FLAG_SPECS = {
+    "full": (["--preset", "full"], RunSpec(_config())),
+    "elim1-fixed05": (["--preset", "elim1-fixed05"],
+                      RunSpec(_config(elim=EliminationConfig(fixed_threshold=0.5)))),
+    "elim1-only": (["--preset", "elim1-only"],
+                   RunSpec(_config(elim=EliminationConfig(enable_random_elim=False)))),
+    "elim2-only": (["--preset", "elim2-only"],
+                   RunSpec(_config(elim=EliminationConfig(enable_fitness_elim=False)))),
+    "cover-only": (["--preset", "cover-only"],
+                   RunSpec(_config(recon=ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)))),
+    "combined-only": (["--preset", "combined-only"],
+                      RunSpec(_config(recon=ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0)))),
+    "construct-only": (["--preset", "construct-only"],
+                       RunSpec(_config(), construction_only=True)),
+    "rm-fixed-rs": (["--rm", "0.1", "--fixed-rs", "0.3"],
+                    RunSpec(_config(elim=EliminationConfig(r_m=0.1, fixed_threshold=0.3)))),
+    "rules-e-mode": (["--p1", "0.5", "--p2", "0.3", "--p3", "0.2", "--e-mode", "shortfall"],
+                     RunSpec(_config(recon=ReconstructionConfig(0.5, 0.3, 0.2, "shortfall")))),
+    "w1": (["--w1", "0.25"], RunSpec(_config(eval_weights=EvalWeights(w1=0.25, w2=0.75)))),
+    "w2": (["--w2", "0.75"], RunSpec(_config(eval_weights=EvalWeights(w1=0.25, w2=0.75)))),
+    "wdemand": (["--wdemand", "150"], RunSpec(_config(eval_weights=EvalWeights(w_demand=150.0)))),
+    "w-grade": (["--w-grade", "4,2,1"],
+                RunSpec(_config(eval_weights=EvalWeights(w_grade=(4.0, 2.0, 1.0))))),
+    "no-stop": (["--no-stop-at-optimal"], RunSpec(_config(stop_at_known_optimal=False))),
+    "all-on-elim1-only": (
+        ["--preset", "elim1-only", "--max-iters", "123", "--rm", "0.1", "--fixed-rs", "0.3",
+         "--p1", "0.5", "--p2", "0.3", "--p3", "0.2", "--e-mode", "shortfall",
+         "--w1", "0.25", "--w2", "0.75", "--wdemand", "150", "--w-grade", "4,2,1",
+         "--no-stop-at-optimal"],
+        RunSpec(SolverConfig(
+            max_iterations=123,
+            seed=7,
+            eval_weights=EvalWeights(w1=0.25, w2=0.75, w_demand=150.0, w_grade=(4.0, 2.0, 1.0)),
+            elim=EliminationConfig(r_m=0.1, fixed_threshold=0.3, enable_random_elim=False),
+            recon=ReconstructionConfig(0.5, 0.3, 0.2, "shortfall"),
+            stop_at_known_optimal=False,
+        )),
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, expected", list(FLAG_SPECS.values()), ids=list(FLAG_SPECS))
+def test_flags_build_the_expected_spec(flags, expected):
+    args = build_parser().parse_args(["solve", "x.nrp", *flags])
+    assert _build_spec(args, 7) == expected
