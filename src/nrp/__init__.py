@@ -1,88 +1,34 @@
-"""Nurse rostering: iterative eliminate-and-repair solver plus benchmark tools."""
+"""Nurse rostering: iterative eliminate-and-repair solver plus benchmark tools.
 
-from .eliminate import EliminationConfig, eliminate_at_random, eliminate_by_fitness
-from .evaluate import (
-    ComponentFitness,
-    EvalWeights,
-    component_fitness_all,
-    coverage_contribution,
-    penalized_cost,
-)
-from .instance_io import (
-    GeneratorParams,
-    InstanceParseError,
-    generate_instance,
-    load_instance,
-    parse_instance,
-    save_instance,
-    serialize_instance,
-)
-from .model import (
-    CoverageState,
-    Demand,
-    IncompleteRosterError,
-    Instance,
-    InvalidRosterError,
-    Nurse,
-    Roster,
-    RosterError,
-    ShiftPattern,
-    compute_coverage,
-    is_feasible,
-    preference_cost,
-)
-from .oracle import INFEASIBLE, OPTIMAL, TIMEOUT, ExactResult, exact_solve
-from .reconstruct import ReconstructionConfig, combined_score, cover_value, reconstruct
-from .solver import (
-    RunResult,
-    SolverConfig,
-    initial_roster,
-    run,
-    run_construction_only,
-)
+The package namespace holds the library entry points (generate, load and
+save an instance, run the solver, prove an optimum) and the config and
+result types they take and return.  Everything else is imported from its
+submodule: nrp.model, nrp.evaluate, nrp.eliminate, nrp.reconstruct,
+nrp.solver, nrp.oracle, nrp.harness and nrp.instance_io.
+"""
+
+from .eliminate import EliminationConfig
+from .evaluate import EvalWeights
+from .instance_io import GeneratorParams, generate_instance, load_instance, save_instance
+from .model import Instance
+from .oracle import ExactResult, exact_solve
+from .reconstruct import ReconstructionConfig
+from .solver import RunResult, SolverConfig, run
 
 __all__ = [
-    "ComponentFitness",
-    "CoverageState",
-    "Demand",
     "EliminationConfig",
     "EvalWeights",
     "ExactResult",
     "GeneratorParams",
-    "IncompleteRosterError",
-    "INFEASIBLE",
     "Instance",
-    "InstanceParseError",
-    "InvalidRosterError",
-    "Nurse",
-    "OPTIMAL",
     "ReconstructionConfig",
-    "Roster",
-    "RosterError",
     "RunResult",
-    "ShiftPattern",
     "SolverConfig",
-    "TIMEOUT",
-    "component_fitness_all",
-    "compute_coverage",
-    "coverage_contribution",
-    "combined_score",
-    "cover_value",
-    "eliminate_at_random",
-    "eliminate_by_fitness",
     "exact_solve",
     "generate_instance",
-    "initial_roster",
-    "is_feasible",
     "load_instance",
-    "parse_instance",
-    "penalized_cost",
-    "preference_cost",
-    "reconstruct",
     "run",
-    "run_construction_only",
     "save_instance",
-    "serialize_instance",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,13 @@
 """Command line interface: solve, batch, ablate, exact, gen.
 
 Exit codes: 0 success (and a feasible best for solve), 1 any error,
-2 infeasible best (solve) and 3 exact-solver timeout.  Batch parallelism
-is set by the NRP_THREADS environment variable (default 1), capped at the
-CPU count; batch and ablate reject a value that is not a positive integer.
+2 infeasible best (solve) and 3 exact-solver timeout.  Every error is one
+line starting "error:": the commands raise ValueError or OSError and main
+alone turns it into that line and exit 1 (argparse's own errors take the
+same form).  batch and ablate also print one such line per instance file
+that fails to parse and go on with the rest.  Batch parallelism is set by
+the NRP_THREADS environment variable (default 1), capped at the CPU count;
+batch and ablate reject a value that is not a positive integer.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 from . import harness, oracle
 from .evaluate import EvalWeights
 from .instance_io import GeneratorParams, generate_instance, load_instance, save_instance
-from .reconstruct import E_MODES, ReconstructionConfig
+from .reconstruct import E_MODES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -83,73 +87,70 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="keep iterating even after reaching a known optimum")
 
 
-def _check_batch_setup(*outputs: str | None) -> None:
-    """Raise ValueError for a bad NRP_THREADS or an output without a directory.
-
-    Batch results are written only after every run, so these are checked
-    before any instance is loaded and no run's time is lost to them.
-    """
-    threads = os.environ.get("NRP_THREADS")
-    if threads is not None:
-        try:
-            valid = int(threads) >= 1
-        except ValueError:
-            valid = False
-        if not valid:
-            raise ValueError(f"NRP_THREADS must be a positive integer, got {threads!r}")
-    for out in outputs:
-        if out is not None and not Path(out).parent.is_dir():
-            raise ValueError(f"{out}: {Path(out).parent} is not a directory")
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given (is not None)."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _build_spec(args, seed: int) -> harness.RunSpec:
+    """The preset's spec with every given flag replaced; the configs validate each value."""
     spec = harness.preset_spec(args.preset, max_iterations=args.max_iters, seed=seed)
     config = spec.config
+    w1, w2 = args.w1, args.w2  # one weight given sets the other to 1 minus it
+    if w1 is None and w2 is not None:
+        w1 = 1.0 - w2
+    elif w2 is None and w1 is not None:
+        w2 = 1.0 - w1
+    config = replace(
+        config,
+        elim=replace(config.elim, **_given(r_m=args.rm, fixed_threshold=args.fixed_rs)),
+        recon=replace(config.recon, **_given(p1=args.p1, p2=args.p2, p3=args.p3,
+                                             e_mode=args.e_mode)),
+        eval_weights=replace(config.eval_weights, **_given(
+            w1=w1, w2=w2, w_demand=args.wdemand, w_grade=_w_grade(args.w_grade))),
+        stop_at_known_optimal=config.stop_at_known_optimal and not args.no_stop_at_optimal,
+    )
+    return replace(spec, config=config)
 
-    if args.rm is not None or args.fixed_rs is not None:
-        elim = config.elim
-        if args.rm is not None:
-            elim = replace(elim, r_m=args.rm)
-        if args.fixed_rs is not None:
-            elim = replace(elim, fixed_threshold=args.fixed_rs)
-        config = replace(config, elim=elim)
 
-    if any(p is not None for p in (args.p1, args.p2, args.p3)) or args.e_mode is not None:
-        recon = config.recon
-        config = replace(config, recon=ReconstructionConfig(
-            p1=recon.p1 if args.p1 is None else args.p1,
-            p2=recon.p2 if args.p2 is None else args.p2,
-            p3=recon.p3 if args.p3 is None else args.p3,
-            e_mode=recon.e_mode if args.e_mode is None else args.e_mode,
-        ))
+def _load_batch(paths: list[str], weights: EvalWeights, *outputs: str | None):
+    """Check the batch set-up, then load the instances that parse.
 
-    if args.w1 is not None or args.w2 is not None or args.wdemand is not None:
-        weights = config.eval_weights
-        w1 = args.w1 if args.w1 is not None else (1.0 - args.w2 if args.w2 is not None else weights.w1)
-        w2 = args.w2 if args.w2 is not None else 1.0 - w1
-        config = replace(config, eval_weights=replace(
-            weights, w1=w1, w2=w2,
-            w_demand=args.wdemand if args.wdemand is not None else weights.w_demand,
-        ))
+    A bad NRP_THREADS or an output without a directory raises ValueError
+    before any instance is loaded: batch results are written only after
+    every run, so no run's time is lost to them.  Each file that fails to
+    parse gets one error line; an empty list means none parsed.
+    """
+    threads = os.environ.get("NRP_THREADS", "1")
+    try:
+        valid = int(threads) >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"NRP_THREADS must be a positive integer, got {threads!r}")
+    for out in outputs:
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValueError(f"{out}: {Path(out).parent} is not a directory")
+    named, errors = harness.load_named_instances(paths)
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    _check_grade_weights(named, weights)
+    return named
 
-    if args.no_stop_at_optimal:
-        config = replace(config, stop_at_known_optimal=False)
-    spec = replace(spec, config=config)
-    w_grade = _w_grade(args.w_grade)
-    if w_grade is not None:
-        spec = harness.with_w_grade(spec, w_grade)
-    return spec
+
+def _write(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-        spec = _build_spec(args, seed=args.seed)
-        _check_grade_weights([(args.instance, instance)], spec.config.eval_weights)
-        result = harness.execute(instance, spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    instance = load_instance(args.instance)
+    spec = _build_spec(args, seed=args.seed)
+    _check_grade_weights([(args.instance, instance)], spec.config.eval_weights)
+    result = harness.execute(instance, spec)
     print(f"instance: {args.instance}")
     print(f"best cost: {harness.format_cost(result.best_cost)}")
     print(f"feasible: {'yes' if result.best_feasible else 'no'}")
@@ -161,23 +162,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_batch(args) -> int:
     if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        spec = _build_spec(args, seed=args.base_seed)
-        _check_batch_setup(args.out, args.per_run)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    named, errors = harness.load_named_instances(args.instances)
-    for message in errors:
-        print(f"error: {message}", file=sys.stderr)
+        raise ValueError("--runs must be >= 1")
+    spec = _build_spec(args, seed=args.base_seed)
+    named = _load_batch(args.instances, spec.config.eval_weights, args.out, args.per_run)
     if not named:
-        return EXIT_ERROR
-    try:
-        _check_grade_weights(named, spec.config.eval_weights)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     stats = []
@@ -187,57 +175,31 @@ def _cmd_batch(args) -> int:
         stats.append(harness.compute_batch_stats(name, instance.known_optimal, results))
         per_run_lines.extend(harness.run_csv_row(name, r) for r in results)
 
-    csv_text = harness.batch_csv(stats)
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(csv_text)
+    _write(harness.batch_csv(stats), args.out)
     if args.per_run:
-        Path(args.per_run).write_text(
-            "\n".join(per_run_lines) + "\n", encoding="utf-8", newline="\n"
-        )
+        _write("\n".join(per_run_lines) + "\n", args.per_run)
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
-    try:
-        spec = harness.AblationSpec(
-            presets=tuple(args.presets),
-            budgets=tuple(args.budgets),
-            preset_iterations=args.preset_iters,
-            runs=args.runs,
-            base_seed=args.base_seed,
-            w_grade=_w_grade(args.w_grade) or harness.AblationSpec.w_grade,
-        )
-        _check_batch_setup(args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    named, errors = harness.load_named_instances(args.instances)
-    for message in errors:
-        print(f"error: {message}", file=sys.stderr)
+    spec = harness.AblationSpec(
+        presets=tuple(args.presets),
+        budgets=tuple(args.budgets),
+        preset_iterations=args.preset_iters,
+        runs=args.runs,
+        base_seed=args.base_seed,
+        w_grade=_w_grade(args.w_grade) or harness.AblationSpec.w_grade,
+    )
+    named = _load_batch(args.instances, EvalWeights(w_grade=spec.w_grade), args.out)
     if not named:
         return EXIT_ERROR
-    try:
-        _check_grade_weights(named, EvalWeights(w_grade=spec.w_grade))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    csv_text = harness.ablation_csv(named, spec)
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(csv_text)
+    _write(harness.ablation_csv(named, spec), args.out)
     return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-        result = oracle.exact_solve(instance, node_budget=args.node_budget)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    instance = load_instance(args.instance)
+    result = oracle.exact_solve(instance, node_budget=args.node_budget)
     print(f"status: {result.status}")
     if result.optimal_cost is not None:
         print(f"cost: {result.optimal_cost}")
@@ -260,24 +222,20 @@ def _cmd_exact(args) -> int:
 
 def _cmd_gen(args) -> int:
     # every flag is checked before the output directory or any file is written
-    try:
-        if args.count < 1:
-            raise ValueError("--count must be >= 1")
-        if args.node_budget < 1:
-            raise ValueError("--node-budget must be >= 1")
-        params = GeneratorParams(
-            n=args.n,
-            m=args.m,
-            g=args.g,
-            feasible_min=args.feasible_min,
-            feasible_max=args.feasible_max,
-            cost_exponent=args.cost_exponent,
-            tightness=args.tightness,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    if args.node_budget < 1:
+        raise ValueError("--node-budget must be >= 1")
+    params = GeneratorParams(
+        n=args.n,
+        m=args.m,
+        g=args.g,
+        feasible_min=args.feasible_min,
+        feasible_max=args.feasible_max,
+        cost_exponent=args.cost_exponent,
+        tightness=args.tightness,
+        seed=args.seed,
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -355,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an output path that cannot be written
+    except (ValueError, OSError) as exc:  # a bad file, flag, value or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,10 +1,12 @@
 """The two elimination steps that turn a complete roster into a partial one.
 
 The fitness-driven step draws one survival threshold per call and releases
-every nurse whose combined fitness does not exceed it, so better-placed
+every nurse whose fitness (one float in [0, 1] per nurse, from
+evaluate.component_fitness_all) does not exceed it, so better-placed
 assignments survive proportionally more often.  The random step then gives
 each survivor an unconditional small chance of being released, which is what
-lets the search climb out of local minima.
+lets the search climb out of local minima.  Both return a new roster and
+leave their input untouched.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .evaluate import ComponentFitness
 from .model import Roster
 
 
@@ -40,11 +41,11 @@ class EliminationConfig:
 
 def eliminate_by_fitness(
     roster: Roster,
-    fitness: list[ComponentFitness],
+    fitness: list[float],
     config: EliminationConfig,
     rng: random.Random,
 ) -> Roster:
-    """Release every nurse whose combined fitness is <= the survival threshold.
+    """Release every nurse whose fitness is <= the survival threshold.
 
     Consumes exactly one rng draw when the threshold is random, none when it
     is fixed.  Returns a new roster; the input is untouched.
@@ -62,7 +63,7 @@ def eliminate_by_fitness(
         threshold = config.fixed_threshold
     result = roster.copy()
     for i, fit in enumerate(fitness):
-        if fit.combined <= threshold:
+        if fit <= threshold:
             result.assignment[i] = None
     return result
 

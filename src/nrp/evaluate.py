@@ -1,17 +1,17 @@
 """Per-nurse fitness of a complete roster, and the penalized objective.
 
 Each nurse's current assignment is scored on two normalized axes: how cheap
-it is relative to the other current assignments, and how much demand
-coverage would be lost if it were removed.  Both are rescaled to [0, 1]
+it is relative to the other current assignments (f1), and how much demand
+coverage would be lost if it were removed (f2).  Both are rescaled to [0, 1]
 against the minima/maxima over the current schedule only, so the fitness of
-a component is always relative to the schedule it sits in.
+a component is always relative to the schedule it sits in.  A nurse's
+fitness is the one float w1 * f1 + w2 * f2, also in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import (
     CoverageState,
@@ -62,14 +62,6 @@ class EvalWeights:
             )
 
 
-class ComponentFitness(NamedTuple):
-    """Normalized fitness of one nurse's assignment within the schedule."""
-
-    preference: float  # 1 = cheapest current assignment, 0 = most expensive
-    coverage: float  # 1 = largest coverage contribution, 0 = smallest
-    combined: float  # w1 * preference + w2 * coverage
-
-
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:
     """coverage_contribution of every nurse, one popcount each.
 
@@ -104,12 +96,14 @@ def component_fitness_all(
     roster: Roster,
     weights: EvalWeights,
     coverage: CoverageState | None = None,
-) -> list[ComponentFitness]:
-    """Fitness of every nurse's assignment, all from the same snapshot.
+) -> list[float]:
+    """Fitness w1 * f1 + w2 * f2 of every nurse's assignment, one snapshot.
 
-    Normalization bounds are the min/max preference costs and coverage
-    contributions among the n current assignments.  Degenerate bounds
-    (all equal) pin the corresponding part to 0.5.
+    f1 is 1 for the cheapest current assignment and 0 for the most
+    expensive; f2 is 1 for the largest coverage contribution and 0 for the
+    smallest.  Normalization bounds are the min/max preference costs and
+    coverage contributions among the n current assignments.  Degenerate
+    bounds (all equal) pin the corresponding part to 0.5.
     """
     if not roster.is_complete():
         raise IncompleteRosterError("fitness is only defined for complete rosters")
@@ -131,7 +125,7 @@ def component_fitness_all(
     for cost, contrib in zip(costs, contribs):
         f1 = (p_max - cost) / p_span if p_span else 0.5
         f2 = (contrib - c_min) / c_span if c_span else 0.5
-        result.append(ComponentFitness(f1, f2, w1 * f1 + w2 * f2))
+        result.append(w1 * f1 + w2 * f2)
     return result
 
 

@@ -84,10 +84,6 @@ def worker_count() -> int:
     return min(wanted, os.cpu_count() or 1)
 
 
-def _execute_job(job: tuple[Instance, RunSpec]) -> RunResult:
-    return execute(job[0], job[1])
-
-
 def execute_many(
     jobs: list[tuple[Instance, RunSpec]], threads: int | None = None
 ) -> list[RunResult]:
@@ -95,8 +91,10 @@ def execute_many(
     threads = min(worker_count() if threads is None else threads, len(jobs))
     if threads <= 1:
         return [execute(instance, spec) for instance, spec in jobs]
+    instances, specs = zip(*jobs)
+    chunksize = max(1, len(jobs) // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_execute_job, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
+        return list(pool.map(execute, instances, specs, chunksize=chunksize))
 
 
 def run_batch(

@@ -291,10 +291,6 @@ class CoverageState:
         self.cov = 0
         self.total = sum(map(sum, instance.demand.r))
 
-    @classmethod
-    def empty(cls, instance: Instance) -> "CoverageState":
-        return cls(instance)
-
     @property
     def covered(self) -> list[list[int]]:
         """covered[k][s]: assigned nurses qualified for band s+1 working period k."""
@@ -352,7 +348,7 @@ def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
     Unassigned nurses contribute nothing.  Raises InvalidRosterError when an
     assignment falls outside the nurse's feasible set.
     """
-    state = CoverageState.empty(instance)
+    state = CoverageState(instance)
     for i, j in enumerate(roster.assignment):
         if j is not None:
             state.add(instance, i, j)

@@ -131,7 +131,7 @@ def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResul
     rest, cut, extra = _bound_tables(instance, ordered)
     guard_bits = instance.guard_bits
 
-    coverage = CoverageState.empty(instance)
+    coverage = CoverageState(instance)
     assignment: list[int | None] = [None] * n
     best_cost: float = math.inf
     best_assignment: list[int] | None = None

@@ -113,10 +113,9 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 partial = roster.copy()
             if config.elim.enable_random_elim:
                 partial = eliminate_at_random(partial, config.elim, rng)
-            # keep the coverage state in sync with the released assignments
-            for i, j in enumerate(partial.assignment):
-                if j is None and roster.assignment[i] is not None:
-                    coverage.remove(instance, i, roster.assignment[i])
+            # roster is complete here, so every unassigned nurse was just released
+            for i in partial.unassigned_ids():
+                coverage.remove(instance, i, roster.assignment[i])
             roster = reconstruct(
                 instance, partial, config.recon, weights, rng, coverage=coverage, memo=memo
             )

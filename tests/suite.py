@@ -19,7 +19,7 @@ from nrp.oracle import OPTIMAL, exact_solve
 
 def count_feasible_within(instance: Instance, cost_bound: int) -> int:
     """Number of feasible rosters costing at most cost_bound (pruned DFS)."""
-    cov = CoverageState.empty(instance)
+    cov = CoverageState(instance)
     n = instance.n
     count = 0
 

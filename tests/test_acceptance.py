@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from nrp.eliminate import EliminationConfig, eliminate_by_fitness
-from nrp.evaluate import ComponentFitness, EvalWeights, coverage_contribution
+from nrp.evaluate import EvalWeights, coverage_contribution
 from nrp.harness import censored_cost, preset_spec, run_batch
 from nrp.instance_io import GeneratorParams, generate_instance, load_instance
 from nrp.model import Nurse, Roster, compute_coverage
@@ -164,14 +164,13 @@ def test_criterion_4_iteration_monotonicity(desk_suite):
 
 def test_criterion_5_survival_law():
     values = [0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0]
-    fitness = [ComponentFitness(v, v, v) for v in values]
     roster = Roster(list(range(len(values))))
     rng = random.Random(424242)
     iterations = 10_000
     eliminated = [0] * len(values)
     config = EliminationConfig()
     for _ in range(iterations):
-        out = eliminate_by_fitness(roster, fitness, config, rng)
+        out = eliminate_by_fitness(roster, values, config, rng)
         for i, j in enumerate(out.assignment):
             if j is None:
                 eliminated[i] += 1

@@ -7,12 +7,7 @@ from nrp.eliminate import (
     eliminate_at_random,
     eliminate_by_fitness,
 )
-from nrp.evaluate import ComponentFitness
 from nrp.model import Roster
-
-
-def fits(values):
-    return [ComponentFitness(v, v, v) for v in values]
 
 
 class TestEliminationConfig:
@@ -29,7 +24,7 @@ class TestFitnessElimination:
     def test_perfect_fitness_always_survives(self):
         roster = Roster([0, 1, 2])
         out = eliminate_by_fitness(
-            roster, fits([1.0, 1.0, 1.0]), EliminationConfig(), random.Random(0)
+            roster, [1.0, 1.0, 1.0], EliminationConfig(), random.Random(0)
         )
         assert out.assignment == [0, 1, 2]
 
@@ -37,33 +32,33 @@ class TestFitnessElimination:
         roster = Roster([5, 6, 7])
         config = EliminationConfig(fixed_threshold=0.5)
         out = eliminate_by_fitness(
-            roster, fits([0.3, 0.5, 0.9]), config, random.Random(0)
+            roster, [0.3, 0.5, 0.9], config, random.Random(0)
         )
         assert out.assignment == [None, None, 7]
 
     def test_input_roster_is_untouched(self):
         roster = Roster([1, 2])
         eliminate_by_fitness(
-            roster, fits([0.0, 0.0]), EliminationConfig(fixed_threshold=0.9), random.Random(0)
+            roster, [0.0, 0.0], EliminationConfig(fixed_threshold=0.9), random.Random(0)
         )
         assert roster.assignment == [1, 2]
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="match"):
             eliminate_by_fitness(
-                Roster([0, 1]), fits([0.5]), EliminationConfig(), random.Random(0)
+                Roster([0, 1]), [0.5], EliminationConfig(), random.Random(0)
             )
 
     def test_fixed_threshold_consumes_no_draws(self):
         rng = random.Random(99)
         eliminate_by_fitness(
-            Roster([0]), fits([0.7]), EliminationConfig(fixed_threshold=0.5), rng
+            Roster([0]), [0.7], EliminationConfig(fixed_threshold=0.5), rng
         )
         assert rng.random() == random.Random(99).random()
 
     def test_random_threshold_consumes_exactly_one_draw(self):
         rng = random.Random(99)
-        eliminate_by_fitness(Roster([0]), fits([0.7]), EliminationConfig(), rng)
+        eliminate_by_fitness(Roster([0]), [0.7], EliminationConfig(), rng)
         reference = random.Random(99)
         reference.random()
         assert rng.random() == reference.random()
@@ -75,7 +70,7 @@ class TestFitnessElimination:
             out.append(
                 eliminate_by_fitness(
                     Roster(list(range(8))),
-                    fits([i / 8 for i in range(8)]),
+                    [i / 8 for i in range(8)],
                     EliminationConfig(),
                     rng,
                 ).assignment
@@ -90,9 +85,8 @@ class TestFitnessElimination:
         trials = 10_000
         eliminated = [0] * len(values)
         roster = Roster(list(range(len(values))))
-        fitness = fits(values)
         for _ in range(trials):
-            out = eliminate_by_fitness(roster, fitness, EliminationConfig(), rng)
+            out = eliminate_by_fitness(roster, values, EliminationConfig(), rng)
             for i, j in enumerate(out.assignment):
                 if j is None:
                     eliminated[i] += 1

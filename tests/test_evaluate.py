@@ -123,17 +123,21 @@ class TestCoverageContribution:
             ]
 
 
+PREFERENCE = EvalWeights(w1=1.0, w2=0.0)  # fitness equals the preference part f1
+COVERAGE = EvalWeights(w1=0.0, w2=1.0)  # fitness equals the coverage part f2
+
+
 class TestComponentFitness:
     def test_cheapest_assignment_gets_full_preference_fitness(self):
         inst = three_nurse_instance([0, 10, 100])
-        fits = component_fitness_all(inst, Roster([0, 1, 2]), EvalWeights())
-        assert fits[0].preference == 1.0
-        assert fits[2].preference == 0.0
+        fits = component_fitness_all(inst, Roster([0, 1, 2]), PREFERENCE)
+        assert fits[0] == 1.0
+        assert fits[2] == 0.0
 
     def test_middle_cost_interpolates(self):
         inst = three_nurse_instance([0, 10, 100])
-        fits = component_fitness_all(inst, Roster([0, 1, 2]), EvalWeights())
-        assert fits[1].preference == pytest.approx(0.9)
+        fits = component_fitness_all(inst, Roster([0, 1, 2]), PREFERENCE)
+        assert fits[1] == pytest.approx(0.9)
 
     def test_largest_contribution_gets_full_coverage_fitness(self):
         # nurse 0 covers three demanded days, nurse 1 covers one
@@ -141,14 +145,14 @@ class TestComponentFitness:
         nurses = [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})]
         inst = make_instance(patterns, nurses, flat_demand(1, 1))
         roster = Roster([0, 1])
-        fits = component_fitness_all(inst, roster, EvalWeights())
-        assert fits[0].coverage == 1.0
-        assert fits[1].coverage == 0.0
+        fits = component_fitness_all(inst, roster, COVERAGE)
+        assert fits[0] == 1.0
+        assert fits[1] == 0.0
 
     def test_all_equal_costs_pin_preference_to_half(self):
         inst = three_nurse_instance([7, 7, 7])
-        fits = component_fitness_all(inst, Roster([0, 1, 2]), EvalWeights())
-        assert all(f.preference == 0.5 for f in fits)
+        fits = component_fitness_all(inst, Roster([0, 1, 2]), PREFERENCE)
+        assert all(f == 0.5 for f in fits)
 
     def test_combined_is_weighted_blend_in_unit_range(self):
         rng = random.Random(17)
@@ -156,24 +160,27 @@ class TestComponentFitness:
             inst = generate_instance(GeneratorParams(n=5, m=8, g=2, seed=1300 + trial))
             roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
             w = EvalWeights(w1=0.3, w2=0.7)
-            for fit in component_fitness_all(inst, roster, w):
-                assert 0.0 <= fit.preference <= 1.0
-                assert 0.0 <= fit.coverage <= 1.0
-                assert fit.combined == pytest.approx(
-                    0.3 * fit.preference + 0.7 * fit.coverage
-                )
+            parts = zip(
+                component_fitness_all(inst, roster, PREFERENCE),
+                component_fitness_all(inst, roster, COVERAGE),
+                component_fitness_all(inst, roster, w),
+            )
+            for preference, coverage, combined in parts:
+                assert 0.0 <= preference <= 1.0
+                assert 0.0 <= coverage <= 1.0
+                assert combined == pytest.approx(0.3 * preference + 0.7 * coverage)
 
     def test_preference_fitness_shift_invariant(self):
         base = [5, 20, 60]
         shifted = [c + 30 for c in base]
         fits_a = component_fitness_all(
-            three_nurse_instance(base), Roster([0, 1, 2]), EvalWeights()
+            three_nurse_instance(base), Roster([0, 1, 2]), PREFERENCE
         )
         fits_b = component_fitness_all(
-            three_nurse_instance(shifted), Roster([0, 1, 2]), EvalWeights()
+            three_nurse_instance(shifted), Roster([0, 1, 2]), PREFERENCE
         )
         for a, b in zip(fits_a, fits_b):
-            assert a.preference == pytest.approx(b.preference)
+            assert a == pytest.approx(b)
 
     def test_pure_function_repeats_bit_for_bit(self, week_instance):
         roster = Roster([0, 1, 2])
