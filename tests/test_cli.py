@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from nrp.instance_io import (
     generate_instance,
     load_instance,
     save_instance,
+    serialize_instance,
 )
 from nrp.model import Nurse
 from nrp.oracle import exact_solve
@@ -389,6 +391,21 @@ class TestGen:
             a = (dirs[0] / f"inst_{k:03d}.nrp").read_bytes()
             b = (dirs[1] / f"inst_{k:03d}.nrp").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("flags, params", [
+        ([], GeneratorParams()),
+        (["--n", "5", "--m", "10", "--g", "2", "--feasible-min", "3", "--feasible-max", "6",
+          "--cost-exponent", "1.5", "--tightness", "0.9", "--seed", "4"],
+         GeneratorParams(n=5, m=10, g=2, feasible_min=3, feasible_max=6,
+                         cost_exponent=1.5, tightness=0.9, seed=4)),
+    ], ids=["defaults", "every-flag"])
+    def test_flags_map_to_generator_params(self, tmp_path, flags, params):
+        out_dir = tmp_path / "suite"
+        assert main(["gen", "--out-dir", str(out_dir), "--count", "2", *flags]) == EXIT_OK
+        for k in range(2):
+            expected = generate_instance(replace(params, seed=params.seed + k))
+            text = (out_dir / f"inst_{k:03d}.nrp").read_text(encoding="utf-8")
+            assert text == serialize_instance(expected)
 
     def test_with_optimal_embeds_a_verified_optimum(self, tmp_path):
         out_dir = tmp_path / "suite"
