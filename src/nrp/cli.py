@@ -7,16 +7,18 @@ alone turns it into that line and exit 1 (argparse's own errors take the
 same form).  batch and ablate also print one such line per instance file
 that fails to parse and go on with the rest.  Batch parallelism is set by
 the NRP_THREADS environment variable (default 1), capped at the CPU count;
-batch and ablate reject a value that is not a positive integer.
+harness.worker_count reads it, and batch and ablate call it before loading
+any instance, so a value that is not a positive integer ends in an error
+before any run.  gen has one flag per GeneratorParams field, --feasible-min
+for feasible_min, each defaulting to the field's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import harness, oracle
@@ -121,13 +123,7 @@ def _load_batch(paths: list[str], weights: EvalWeights, *outputs: str | None):
     every run, so no run's time is lost to them.  Each file that fails to
     parse gets one error line; an empty list means none parsed.
     """
-    threads = os.environ.get("NRP_THREADS", "1")
-    try:
-        valid = int(threads) >= 1
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"NRP_THREADS must be a positive integer, got {threads!r}")
+    harness.worker_count()  # raises on a bad NRP_THREADS
     for out in outputs:
         if out is not None and not Path(out).parent.is_dir():
             raise ValueError(f"{out}: {Path(out).parent} is not a directory")
@@ -226,20 +222,11 @@ def _cmd_gen(args) -> int:
         raise ValueError("--count must be >= 1")
     if args.node_budget < 1:
         raise ValueError("--node-budget must be >= 1")
-    params = GeneratorParams(
-        n=args.n,
-        m=args.m,
-        g=args.g,
-        feasible_min=args.feasible_min,
-        feasible_max=args.feasible_max,
-        cost_exponent=args.cost_exponent,
-        tightness=args.tightness,
-        seed=args.seed,
-    )
+    params = GeneratorParams(**{f.name: getattr(args, f.name) for f in fields(GeneratorParams)})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
-        instance = generate_instance(replace(params, seed=args.seed + k))
+        instance = generate_instance(replace(params, seed=params.seed + k))
         if args.with_optimal:
             result = oracle.exact_solve(instance, node_budget=args.node_budget)
             if result.status == oracle.OPTIMAL:
@@ -287,23 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact branch-and-bound solve")
     p.add_argument("instance")
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=oracle.NODE_BUDGET)
     p.add_argument("--annotate", help="write a copy of the instance with OPTIMAL embedded")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("gen", help="generate random instance files")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--m", type=int, default=12)
-    p.add_argument("--g", type=int, default=3)
-    p.add_argument("--feasible-min", type=int, default=2)
-    p.add_argument("--feasible-max", type=int, default=8)
-    p.add_argument("--tightness", type=float, default=0.8)
-    p.add_argument("--cost-exponent", type=float, default=2.0)
+    for f in fields(GeneratorParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--with-optimal", action="store_true")
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=oracle.NODE_BUDGET)
     p.set_defaults(func=_cmd_gen)
 
     return parser

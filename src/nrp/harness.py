@@ -3,8 +3,11 @@
 A batch runs one instance many times under consecutive seeds and reduces
 the results to the usual table row: best, censored mean (infeasible runs
 count as 255), number of infeasible runs, and how many runs ended optimal
-or within three cost units of the optimum.  Presets name the standard
-configuration plus the single-mechanism variants used for ablations.
+or within three cost units of the optimum.  The runs of a batch go to up to
+worker_count() processes, read from the NRP_THREADS environment variable
+(default 1, capped at the CPU count), unless the caller passes threads.
+Presets name the standard configuration plus the single-mechanism variants
+used for ablations.
 """
 
 from __future__ import annotations
@@ -63,12 +66,6 @@ def preset_spec(name: str, max_iterations: int = 50_000, seed: int = 0) -> RunSp
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def with_w_grade(spec: RunSpec, w_grade: tuple[float, ...]) -> RunSpec:
-    """The spec with the combined rule's grade-band weights replaced."""
-    weights = replace(spec.config.eval_weights, w_grade=w_grade)
-    return replace(spec, config=replace(spec.config, eval_weights=weights))
-
-
 def execute(instance: Instance, spec: RunSpec) -> RunResult:
     if spec.construction_only:
         return run_construction_only(instance, spec.config)
@@ -76,38 +73,38 @@ def execute(instance: Instance, spec: RunSpec) -> RunResult:
 
 
 def worker_count() -> int:
-    """Batch parallelism cap from NRP_THREADS, at most the CPU count."""
+    """Batch parallelism from NRP_THREADS (default 1), at most the CPU count.
+
+    Raises ValueError when the variable is set to anything but a positive
+    integer.
+    """
+    text = os.environ.get("NRP_THREADS", "1")
     try:
-        wanted = max(1, int(os.environ.get("NRP_THREADS", "1")))
+        wanted = int(text)
     except ValueError:
-        return 1
+        wanted = 0
+    if wanted < 1:
+        raise ValueError(f"NRP_THREADS must be a positive integer, got {text!r}")
     return min(wanted, os.cpu_count() or 1)
-
-
-def execute_many(
-    jobs: list[tuple[Instance, RunSpec]], threads: int | None = None
-) -> list[RunResult]:
-    """Run independent jobs, optionally across processes; order is preserved."""
-    threads = min(worker_count() if threads is None else threads, len(jobs))
-    if threads <= 1:
-        return [execute(instance, spec) for instance, spec in jobs]
-    instances, specs = zip(*jobs)
-    chunksize = max(1, len(jobs) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(execute, instances, specs, chunksize=chunksize))
 
 
 def run_batch(
     instance: Instance, spec: RunSpec, runs: int, base_seed: int, threads: int | None = None
 ) -> list[RunResult]:
-    """runs independent executions with seeds base_seed, base_seed+1, ..."""
+    """runs independent executions with seeds base_seed, base_seed+1, ...
+
+    threads (default worker_count()) caps the worker processes; the results
+    come back in seed order either way.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    jobs = [
-        (instance, replace(spec, config=replace(spec.config, seed=base_seed + k)))
-        for k in range(runs)
-    ]
-    return execute_many(jobs, threads)
+    specs = [replace(spec, config=replace(spec.config, seed=base_seed + k)) for k in range(runs)]
+    threads = min(worker_count() if threads is None else threads, runs)
+    if threads <= 1:
+        return [execute(instance, run_spec) for run_spec in specs]
+    chunksize = max(1, runs // (4 * threads))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(execute, [instance] * runs, specs, chunksize=chunksize))
 
 
 def censored_cost(result: RunResult, censor: float = CENSOR_COST) -> float:
@@ -247,6 +244,8 @@ class AblationSpec:
             raise ValueError("runs must be >= 1")
         if min(self.budgets, default=1) < 1 or self.preset_iterations < 1:
             raise ValueError("iteration budgets must be >= 1")
+        if not self.budgets and not self.presets:
+            raise ValueError("budgets and presets are both empty: the matrix has no column")
 
 
 def ablation_csv(
@@ -255,12 +254,12 @@ def ablation_csv(
     threads: int | None = None,
 ) -> str:
     """Censored-mean matrix: budget sweep columns, then preset columns."""
-    columns: list[tuple[str, RunSpec]] = []
-    for budget in spec.budgets:
-        columns.append((f"iters_{budget}", preset_spec("full", budget)))
-    for preset in spec.presets:
-        columns.append((preset, preset_spec(preset, spec.preset_iterations)))
-    columns = [(name, with_w_grade(run_spec, spec.w_grade)) for name, run_spec in columns]
+    columns = [(f"iters_{budget}", preset_spec("full", budget)) for budget in spec.budgets]
+    columns += [(preset, preset_spec(preset, spec.preset_iterations)) for preset in spec.presets]
+    for idx, (name, run_spec) in enumerate(columns):
+        config = run_spec.config
+        weights = replace(config.eval_weights, w_grade=spec.w_grade)
+        columns[idx] = (name, replace(run_spec, config=replace(config, eval_weights=weights)))
 
     lines = ["instance," + ",".join(name for name, _ in columns)]
     totals = [0.0] * len(columns)

@@ -21,6 +21,10 @@ The format is line oriented and human-diffable::
 Blank lines and lines starting with '#' are ignored.  Serialization is
 canonical (fixed field order, '\\n' endings), so parse(serialize(x)) == x
 and repeated serializations are byte-identical.
+
+The generator's shape is set by GeneratorParams; the number of days a
+pattern works is fixed: DAY_PERIODS for day patterns, NIGHT_PERIODS for
+night patterns, each an inclusive range drawn uniformly.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from pathlib import Path
 from .model import N_PERIODS, Demand, Instance, Nurse, ShiftPattern
 
 FORMAT_HEADER = "NRP 1"
+DAY_PERIODS = (3, 5)  # days worked by a day pattern, inclusive range
+NIGHT_PERIODS = (3, 4)  # nights worked by a night pattern
 
 
 class InstanceParseError(ValueError):
@@ -214,11 +220,12 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 class GeneratorParams:
     """Shape of randomly generated instances.
 
-    Patterns come in day-only and night-only blocks and each nurse's
-    feasible set draws from just one of the two pools.  Costs are sampled as
-    100 * u**cost_exponent, so exponents > 1 bias toward low values.  Demand
-    is set to tightness times the coverage of a hidden random roster, which
-    keeps every generated instance feasible for tightness <= 1.
+    Patterns come in day-only and night-only blocks, working DAY_PERIODS and
+    NIGHT_PERIODS days, and each nurse's feasible set draws from just one of
+    the two pools.  Costs are sampled as 100 * u**cost_exponent, so
+    exponents > 1 bias toward low values.  Demand is set to tightness times
+    the coverage of a hidden random roster, which keeps every generated
+    instance feasible for tightness <= 1.
     """
 
     n: int = 6
@@ -228,8 +235,6 @@ class GeneratorParams:
     feasible_max: int = 8
     cost_exponent: float = 2.0
     tightness: float = 0.8
-    day_periods: tuple[int, int] = (3, 5)
-    night_periods: tuple[int, int] = (3, 4)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -239,11 +244,8 @@ class GeneratorParams:
             raise ValueError("need 1 <= feasible_min <= feasible_max")
         if not 0 < self.tightness <= 1:
             raise ValueError("tightness must be in (0, 1]")
-        if self.cost_exponent <= 0:
-            raise ValueError("cost_exponent must be positive")
-        for lo, hi in (self.day_periods, self.night_periods):
-            if not 1 <= lo <= hi <= 7:
-                raise ValueError("period counts must satisfy 1 <= lo <= hi <= 7")
+        if not (math.isfinite(self.cost_exponent) and self.cost_exponent > 0):
+            raise ValueError("cost_exponent must be positive and finite")
 
 
 def _draw_mask(rng: random.Random, offset: int, lo: int, hi: int) -> tuple[bool, ...]:
@@ -263,7 +265,7 @@ def generate_instance(params: GeneratorParams) -> Instance:
     seen = set()
     for pid in range(params.m):
         is_day = pid < n_day
-        lo, hi = params.day_periods if is_day else params.night_periods
+        lo, hi = DAY_PERIODS if is_day else NIGHT_PERIODS
         mask = _draw_mask(rng, 0 if is_day else 7, lo, hi)
         for _ in range(20):  # prefer distinct masks, tolerate repeats
             if mask not in seen:

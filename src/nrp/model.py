@@ -51,14 +51,14 @@ class Nurse:
     """A nurse: qualification grade plus her feasible patterns and their costs.
 
     grade is 1-based with 1 the highest band.  pref_cost maps every feasible
-    pattern id to a preference cost in [0, 100] (0 perfect, 100 unacceptable).
+    pattern id, and no other, to a preference cost in [0, 100] (0 perfect,
+    100 unacceptable), so `j in pref_cost` tests feasibility.
     """
 
     id: int
     grade: int
     feasible: tuple[int, ...]
     pref_cost: dict[int, int]
-    feasible_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.feasible:
@@ -77,7 +77,6 @@ class Nurse:
                 raise ValueError(
                     f"nurse {self.id}: cost {cost} for pattern {j} outside [0, 100]"
                 )
-        object.__setattr__(self, "feasible_set", fset)
 
 
 @dataclass(frozen=True)
@@ -322,10 +321,11 @@ class CoverageState:
         met = diff & self.instance.guard_bits  # where demand >= covered
         return diff & (met - (met >> (self.instance.field_width - 1)))
 
-    def add(self, instance: Instance, nurse_id: int, pattern_id: int) -> None:
+    def add(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id starting to work pattern pattern_id."""
+        instance = self.instance
         nurse = instance.nurses[nurse_id]
-        if pattern_id not in nurse.feasible_set:
+        if pattern_id not in nurse.pref_cost:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
@@ -334,8 +334,9 @@ class CoverageState:
         self.total -= ((instance.demand_bits - covered - instance.low_bits) & worked).bit_count()
         self.cov = covered + instance.grade_cells[q][pattern_id]
 
-    def remove(self, instance: Instance, nurse_id: int, pattern_id: int) -> None:
+    def remove(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
+        instance = self.instance
         q = instance.nurses[nurse_id].grade - 1
         covered = self.cov = self.cov - instance.grade_cells[q][pattern_id]
         worked = instance.grade_bits[q][pattern_id]
@@ -351,7 +352,7 @@ def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
     state = CoverageState(instance)
     for i, j in enumerate(roster.assignment):
         if j is not None:
-            state.add(instance, i, j)
+            state.add(i, j)
     return state
 
 

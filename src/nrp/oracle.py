@@ -40,6 +40,7 @@ from .model import CoverageState, Instance, Roster
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
+NODE_BUDGET = 10_000_000  # default node budget of exact_solve and the CLI
 
 
 @dataclass
@@ -118,7 +119,7 @@ def _bound_tables(
     return rest, cut, extra
 
 
-def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResult:
+def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResult:
     """Minimum-cost feasible roster, INFEASIBLE if none, TIMEOUT on budget."""
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
@@ -170,9 +171,9 @@ def exact_solve(instance: Instance, node_budget: int = 10_000_000) -> ExactResul
                 return
             nodes += 1
             assignment[depth] = j
-            coverage.add(instance, depth, j)
+            coverage.add(depth, j)
             search(depth + 1, new_cost)
-            coverage.remove(instance, depth, j)
+            coverage.remove(depth, j)
             assignment[depth] = None
             if out_of_budget:
                 return

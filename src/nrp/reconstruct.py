@@ -15,7 +15,8 @@ as (bits & short).bit_count().  The cover rule takes one band, the nurse's
 focus band, from the mask's lowest set bit at or above her own band; the
 combined rule slices each band she serves in turn and adds the weighted
 bands in ascending order, the order the per-period definition sums them in,
-so the float scores and hence the first-pattern tie-breaks are unchanged.
+so the float scores, and hence the first-pattern tie-breaks, equal the
+definition's.
 The shortfall e-mode weights each period by its shortfall: a pattern's
 shortfall sum at a band is the sum over t >= 1 of its popcount against the
 level mask of cells short by at least t, built from the band's slice of the
@@ -140,7 +141,7 @@ def cover_value(
     is short.
     """
     nurse = instance.nurses[i]
-    if j not in nurse.feasible_set:
+    if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
     short = _focus_mask(instance, coverage, nurse)
     return (instance.pattern_bits[j] & short).bit_count()
@@ -160,7 +161,7 @@ def combined_score(
     w_grade[s] * (short periods the pattern covers at band s).
     """
     nurse = instance.nurses[i]
-    if j not in nurse.feasible_set:
+    if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
     weights.check_bands(instance.g)
     state = _band_state(instance, coverage, nurse, e_mode)
@@ -300,7 +301,7 @@ def reconstruct(
         else:
             choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
         result.assignment[i] = choice
-        coverage.add(instance, i, choice)
+        coverage.add(i, choice)
     return result
 
 

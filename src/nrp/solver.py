@@ -3,7 +3,8 @@
 Starting from a uniformly random roster, each iteration scores every
 nurse's assignment, releases the unfit ones (plus a few fit ones at
 random), and greedily repairs the roster.  The best penalized solution ever
-seen is retained.  A single seeded rng stream drives initialization, both
+seen is retained, and the result's trajectory records each iteration that
+improved it.  A single seeded rng stream drives initialization, both
 eliminations and reconstruction in a documented order, so a run is fully
 reproducible from (instance, config).
 """
@@ -24,12 +25,7 @@ RNG_KIND = "mt19937"  # python random.Random; recorded in results for replay
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Everything a run needs besides the instance itself.
-
-    trajectory_stride samples the best-so-far cost every that many
-    iterations (improvements are always recorded); 0 disables periodic
-    samples, 1 records every iteration.
-    """
+    """Everything a run needs besides the instance itself."""
 
     max_iterations: int = 50_000
     seed: int = 0
@@ -37,18 +33,20 @@ class SolverConfig:
     elim: EliminationConfig = field(default_factory=EliminationConfig)
     recon: ReconstructionConfig = field(default_factory=ReconstructionConfig)
     stop_at_known_optimal: bool = True
-    trajectory_stride: int = 1000
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.trajectory_stride < 0:
-            raise ValueError("trajectory_stride must be >= 0")
 
 
 @dataclass
 class RunResult:
-    """Outcome of one seeded run."""
+    """Outcome of one seeded run.
+
+    trajectory holds (0, starting cost), then one (t, best cost) entry per
+    iteration t that lowered the best cost, so its last entry is
+    (iteration_of_best, best_cost).
+    """
 
     best_cost: float
     best_roster: Roster
@@ -89,7 +87,6 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     best_feasible = coverage.total_shortfall() == 0
     iteration_of_best = 0
     trajectory = [(0, best_cost)]
-    stride = config.trajectory_stride
     memo = PickMemo(instance)  # lives exactly as long as this run
 
     def optimum_reached() -> bool:
@@ -115,7 +112,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 partial = eliminate_at_random(partial, config.elim, rng)
             # roster is complete here, so every unassigned nurse was just released
             for i in partial.unassigned_ids():
-                coverage.remove(instance, i, roster.assignment[i])
+                coverage.remove(i, roster.assignment[i])
             roster = reconstruct(
                 instance, partial, config.recon, weights, rng, coverage=coverage, memo=memo
             )
@@ -129,8 +126,6 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 trajectory.append((t, best_cost))
                 if optimum_reached():
                     break
-            elif stride and t % stride == 0:
-                trajectory.append((t, best_cost))
 
     return RunResult(
         best_cost=best_cost,

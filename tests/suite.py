@@ -34,9 +34,9 @@ def count_feasible_within(instance: Instance, cost_bound: int) -> int:
             next_cost = cost + nurse.pref_cost[j]
             if next_cost > cost_bound:
                 continue
-            cov.add(instance, depth, j)
+            cov.add(depth, j)
             rec(depth + 1, next_cost)
-            cov.remove(instance, depth, j)
+            cov.remove(depth, j)
 
     rec(0, 0)
     return count

@@ -270,6 +270,14 @@ class TestAblate:
         assert main(["ablate", str(path), "--runs", "0"]) == EXIT_ERROR
         assert_one_line_error(capsys, "runs")
 
+    def test_no_columns_exits_one_before_loading(self, tmp_path, capsys, monkeypatch):
+        path, out = write_instance(tmp_path), tmp_path / "matrix.csv"
+        refuse_runs(monkeypatch)
+        command = ["ablate", str(path), "--budgets", "--presets", "--out", str(out)]
+        assert main(command) == EXIT_ERROR
+        assert_one_line_error(capsys, "budgets", "presets")
+        assert not out.exists()
+
 
 class TestExact:
     def test_optimal_exit_and_annotation(self, tmp_path, capsys):
@@ -373,6 +381,7 @@ class TestGen:
         (["--count", "2", "--feasible-min", "5", "--feasible-max", "2"], "feasible_min"),
         (["--count", "2", "--n", "0"], "n, m and g"),
         (["--count", "2", "--with-optimal", "--node-budget", "0"], "--node-budget"),
+        (["--count", "1", "--cost-exponent", "nan"], "cost_exponent"),
     ])
     def test_bad_flags_exit_one_before_writing(self, tmp_path, capsys, flags, word):
         out_dir = tmp_path / "suite"

@@ -13,7 +13,6 @@ from nrp.harness import (
     censored_cost,
     compute_batch_stats,
     execute,
-    execute_many,
     preset_spec,
     run_batch,
     run_csv_row,
@@ -158,19 +157,18 @@ class TestRunBatch:
     def test_parallel_execution_matches_sequential(self):
         inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=54))
         spec = preset_spec("full", max_iterations=50)
-        jobs = [
-            (inst, replace(spec, config=replace(spec.config, seed=s))) for s in range(4)
-        ]
-        seq = execute_many(jobs, threads=1)
-        par = execute_many(jobs, threads=2)
+        seq = run_batch(inst, spec, 4, base_seed=0, threads=1)
+        par = run_batch(inst, spec, 4, base_seed=0, threads=2)
         assert [run_csv_row("x", r) for r in seq] == [run_csv_row("x", r) for r in par]
 
     def test_worker_count_reads_environment(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("NRP_THREADS", "3")
         assert worker_count() == 3
-        monkeypatch.setenv("NRP_THREADS", "junk")
-        assert worker_count() == 1
+        for value in ("junk", "0", "-2"):
+            monkeypatch.setenv("NRP_THREADS", value)
+            with pytest.raises(ValueError, match="NRP_THREADS"):
+                worker_count()
         monkeypatch.delenv("NRP_THREADS")
         assert worker_count() == 1
 

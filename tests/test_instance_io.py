@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from dataclasses import replace
@@ -235,3 +236,6 @@ class TestGenerator:
             GeneratorParams(feasible_min=0)
         with pytest.raises(ValueError):
             GeneratorParams(n=0)
+        for exponent in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="cost_exponent"):
+                GeneratorParams(cost_exponent=exponent)

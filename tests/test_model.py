@@ -153,9 +153,9 @@ class TestComputeCoverage:
                 if roster.assignment[i] is None:
                     j = rng.choice(inst.nurses[i].feasible)
                     roster.assignment[i] = j
-                    state.add(inst, i, j)
+                    state.add(i, j)
                 else:
-                    state.remove(inst, i, roster.assignment[i])
+                    state.remove(i, roster.assignment[i])
                     roster.assignment[i] = None
                 fresh = compute_coverage(inst, roster)
                 assert state.covered == fresh.covered
@@ -218,9 +218,9 @@ def random_sequences(rng: random.Random, sparse: bool = False):
             if roster.assignment[i] is None:
                 j = rng.choice(inst.nurses[i].feasible)
                 roster.assignment[i] = j
-                state.add(inst, i, j)
+                state.add(i, j)
             else:
-                state.remove(inst, i, roster.assignment[i])
+                state.remove(i, roster.assignment[i])
                 roster.assignment[i] = None
             yield inst, roster, state
 

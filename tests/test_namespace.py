@@ -1,10 +1,13 @@
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import nrp
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_namespace_holds_the_documented_entry_points():
@@ -18,3 +21,19 @@ def test_namespace_holds_the_documented_entry_points():
     assert imports
     for line in imports:
         exec(line, {})
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    sources = sorted((ROOT / "src" / "nrp").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "nrp" or top in sys.stdlib_module_names, f"{path.name}: {name}"

@@ -219,7 +219,7 @@ class TestReconstruct:
             for i, before in enumerate(roster.assignment):
                 if before is not None:
                     assert out.assignment[i] == before
-                assert out.assignment[i] in inst.nurses[i].feasible_set
+                assert out.assignment[i] in inst.nurses[i].feasible
 
     def test_pure_cover_greedy_hand_trace(self):
         # nurse 0's best-cover pattern is unique; nurse 1 must then prefer

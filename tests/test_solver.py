@@ -87,10 +87,15 @@ class TestRun:
         assert result_fields(run(inst, config)) == result_fields(run(inst, config))
 
     def test_best_cost_is_monotone_along_trajectory(self):
+        # one entry at t = 0, then one per improvement of the best cost
         inst = generate_instance(GeneratorParams(n=6, m=12, g=3, tightness=1.0, seed=31))
-        result = run(inst, SolverConfig(max_iterations=500, seed=5, trajectory_stride=1))
+        result = run(inst, SolverConfig(max_iterations=2500, seed=5))
+        times = [t for t, _ in result.trajectory]
         costs = [cost for _, cost in result.trajectory]
-        assert all(a >= b for a, b in zip(costs, costs[1:]))
+        assert times[0] == 0
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert all(a > b for a, b in zip(costs, costs[1:]))
+        assert result.trajectory[-1] == (result.iteration_of_best, result.best_cost)
 
     def test_result_invariants_hold(self):
         inst = generate_instance(GeneratorParams(n=6, m=12, g=3, seed=32))
