@@ -5,12 +5,15 @@ Exit codes: 0 success (and a feasible best for solve), 1 any error,
 line starting "error:": the commands raise ValueError or OSError and main
 alone turns it into that line and exit 1 (argparse's own errors take the
 same form).  batch and ablate also print one such line per instance file
-that fails to parse and go on with the rest.  Batch parallelism is set by
-the NRP_THREADS environment variable (default 1), capped at the CPU count;
-harness.worker_count reads it, and batch and ablate call it before loading
-any instance, so a value that is not a positive integer ends in an error
-before any run.  gen has one flag per GeneratorParams field, --feasible-min
-for feasible_min, each defaulting to the field's default.
+that fails to parse and go on with the rest.  A warning, such as one for a
+pattern that works no period, is one line starting "warning:".  Batch
+parallelism is set by the NRP_THREADS environment variable (default 1),
+capped at the CPU count; harness.worker_count reads it, and batch and
+ablate call it before loading any instance, so a value that is not a
+positive integer ends in an error before any run.  gen has one flag per
+GeneratorParams field, --feasible-min for feasible_min, each defaulting to
+the field's default; every instance it writes runs through solve, batch and
+ablate with default flags.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 from . import harness, oracle
-from .evaluate import EvalWeights
 from .instance_io import GeneratorParams, generate_instance, load_instance, save_instance
 from .reconstruct import E_MODES
 
@@ -52,21 +55,6 @@ def _w_grade(text: str | None) -> tuple[float, ...] | None:
     return weights
 
 
-def _add_w_grade_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--w-grade", default=None, metavar="W1,W2,...",
-                        help="combined-rule weight per grade band, band 1 first "
-                             "(default 8,2,1); an instance with g bands needs g of them")
-
-
-def _check_grade_weights(named, weights: EvalWeights) -> None:
-    """Raise ValueError naming the first instance weights has too few bands for."""
-    for name, instance in named:
-        try:
-            weights.check_bands(instance.g)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}; pass one per band with --w-grade") from None
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default="full", choices=harness.PRESET_NAMES,
                         help="configuration preset (default: full)")
@@ -84,7 +72,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="penalty per uncovered shift")
     parser.add_argument("--e-mode", choices=E_MODES, default=None,
                         help="combined-rule shortfall term: indicator or shortfall")
-    _add_w_grade_flag(parser)
+    parser.add_argument("--w-grade", default=None, metavar="W1,W2,...",
+                        help="combined-rule weight per grade band, band 1 first "
+                             "(default 8,2,1); the last weight also covers every "
+                             "band past the list")
     parser.add_argument("--no-stop-at-optimal", action="store_true",
                         help="keep iterating even after reaching a known optimum")
 
@@ -115,7 +106,7 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
     return replace(spec, config=config)
 
 
-def _load_batch(paths: list[str], weights: EvalWeights, *outputs: str | None):
+def _load_batch(paths: list[str], *outputs: str | None):
     """Check the batch set-up, then load the instances that parse.
 
     A bad NRP_THREADS or an output without a directory raises ValueError
@@ -130,7 +121,6 @@ def _load_batch(paths: list[str], weights: EvalWeights, *outputs: str | None):
     named, errors = harness.load_named_instances(paths)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
-    _check_grade_weights(named, weights)
     return named
 
 
@@ -145,7 +135,6 @@ def _write(text: str, path: str | None) -> None:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     spec = _build_spec(args, seed=args.seed)
-    _check_grade_weights([(args.instance, instance)], spec.config.eval_weights)
     result = harness.execute(instance, spec)
     print(f"instance: {args.instance}")
     print(f"best cost: {harness.format_cost(result.best_cost)}")
@@ -160,7 +149,7 @@ def _cmd_batch(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     spec = _build_spec(args, seed=args.base_seed)
-    named = _load_batch(args.instances, spec.config.eval_weights, args.out, args.per_run)
+    named = _load_batch(args.instances, args.out, args.per_run)
     if not named:
         return EXIT_ERROR
 
@@ -184,9 +173,8 @@ def _cmd_ablate(args) -> int:
         preset_iterations=args.preset_iters,
         runs=args.runs,
         base_seed=args.base_seed,
-        w_grade=_w_grade(args.w_grade) or harness.AblationSpec.w_grade,
     )
-    named = _load_batch(args.instances, EvalWeights(w_grade=spec.w_grade), args.out)
+    named = _load_batch(args.instances, args.out)
     if not named:
         return EXIT_ERROR
     _write(harness.ablation_csv(named, spec), args.out)
@@ -268,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", nargs="*", default=list(harness.PRESET_NAMES),
                    choices=harness.PRESET_NAMES)
     p.add_argument("--preset-iters", type=int, default=50_000)
-    _add_w_grade_flag(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ablate)
 
@@ -282,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, required=True)
     for f in fields(GeneratorParams):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                       help=f"GeneratorParams.{f.name} (default: %(default)s)")
     p.add_argument("--with-optimal", action="store_true")
     p.add_argument("--node-budget", type=int, default=oracle.NODE_BUDGET)
     p.set_defaults(func=_cmd_gen)
@@ -290,13 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # a bad file, flag, value or output path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn  # one line per warning, restored on exit
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:  # a bad file, flag, value or output path
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -30,7 +30,9 @@ class EvalWeights:
     w1/w2 blend the preference and coverage fitness parts and must sum to 1.
     w_demand is the penalty per uncovered (period, band) shift.  w_p and
     w_grade belong to the combined reconstruction rule: preference weight and
-    one weight per grade band (band 1 first).
+    the grade band weights, band 1 first.  Band s takes
+    w_grade[min(s, len(w_grade)) - 1], so the last weight also covers every
+    band past the end of the tuple and any grade count fits.
     """
 
     w1: float = 0.5
@@ -51,15 +53,10 @@ class EvalWeights:
             raise ValueError("w_demand must be positive")
         if self.w_p < 0:
             raise ValueError("w_p must be nonnegative")
+        if not self.w_grade:
+            raise ValueError("w_grade needs at least one grade weight")
         if any(w < 0 for w in self.w_grade):
             raise ValueError("grade weights must be nonnegative")
-
-    def check_bands(self, g: int) -> None:
-        """Raise ValueError unless w_grade has a weight for each of g bands."""
-        if len(self.w_grade) < g:
-            raise ValueError(
-                f"instance has {g} grade bands but {len(self.w_grade)} grade weights are set"
-            )
 
 
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:

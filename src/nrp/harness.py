@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .eliminate import EliminationConfig
-from .evaluate import EvalWeights
 from .instance_io import load_instance
 from .model import Instance
 from .reconstruct import ReconstructionConfig
@@ -107,9 +106,9 @@ def run_batch(
         return list(pool.map(execute, [instance] * runs, specs, chunksize=chunksize))
 
 
-def censored_cost(result: RunResult, censor: float = CENSOR_COST) -> float:
-    """Run cost for statistics: actual cost if feasible, else the censor value."""
-    return result.best_cost if result.best_feasible else censor
+def censored_cost(result: RunResult) -> float:
+    """Run cost for statistics: actual cost if feasible, else CENSOR_COST."""
+    return result.best_cost if result.best_feasible else CENSOR_COST
 
 
 @dataclass
@@ -127,12 +126,9 @@ class BatchStats:
 
 
 def compute_batch_stats(
-    name: str,
-    known_optimal: int | None,
-    results: list[RunResult],
-    censor: float = CENSOR_COST,
+    name: str, known_optimal: int | None, results: list[RunResult]
 ) -> BatchStats:
-    values = [censored_cost(r, censor) for r in results]
+    values = [censored_cost(r) for r in results]
     inf_count = sum(1 for r in results if not r.best_feasible)
     if known_optimal is None:
         optimal_count = within3_count = None
@@ -164,6 +160,8 @@ BATCH_CSV_HEADER = "instance,runs,best,mean_censored,inf,optimal_count,within3"
 
 def batch_csv(stats: list[BatchStats]) -> str:
     """CSV with one row per instance plus the Av. and % summary rows."""
+    if not stats:
+        raise ValueError("batch_csv needs at least one instance's stats")
     lines = [BATCH_CSV_HEADER]
     for s in stats:
         lines.append(
@@ -228,8 +226,8 @@ def run_csv_row(name: str, result: RunResult) -> str:
 class AblationSpec:
     """Which presets and iteration budgets an ablation matrix spans.
 
-    w_grade replaces every column's combined-rule band weights; an instance
-    with g bands needs at least g of them.
+    Every column runs with the default EvalWeights, whose band weights fit
+    any grade count.
     """
 
     presets: tuple[str, ...] = PRESET_NAMES
@@ -237,7 +235,6 @@ class AblationSpec:
     preset_iterations: int = 50_000
     runs: int = 20
     base_seed: int = 0
-    w_grade: tuple[float, ...] = EvalWeights().w_grade
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -254,12 +251,10 @@ def ablation_csv(
     threads: int | None = None,
 ) -> str:
     """Censored-mean matrix: budget sweep columns, then preset columns."""
+    if not named_instances:
+        raise ValueError("ablation_csv needs at least one instance")
     columns = [(f"iters_{budget}", preset_spec("full", budget)) for budget in spec.budgets]
     columns += [(preset, preset_spec(preset, spec.preset_iterations)) for preset in spec.presets]
-    for idx, (name, run_spec) in enumerate(columns):
-        config = run_spec.config
-        weights = replace(config.eval_weights, w_grade=spec.w_grade)
-        columns[idx] = (name, replace(run_spec, config=replace(config, eval_weights=weights)))
 
     lines = ["instance," + ",".join(name for name, _ in columns)]
     totals = [0.0] * len(columns)

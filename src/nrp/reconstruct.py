@@ -158,12 +158,12 @@ def combined_score(
     """Weighted blend of pattern cheapness and shortfall reduction.
 
     Score = w_p * (100 - cost) + sum over qualified bands s of
-    w_grade[s] * (short periods the pattern covers at band s).
+    w_grade[min(s, len(w_grade)) - 1] * (short periods the pattern covers
+    at band s), so the last weight covers every band past the tuple's end.
     """
     nurse = instance.nurses[i]
     if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    weights.check_bands(instance.g)
     state = _band_state(instance, coverage, nurse, e_mode)
     bits = (instance.pattern_bits[j],)
     return _combined_scores(instance, weights, nurse, (j,), bits, e_mode, state)[0]
@@ -176,7 +176,7 @@ def _combined_scores(
     pattern_ids: tuple[int, ...],
     pattern_bits: tuple[int, ...],
     e_mode: str,
-    state: tuple,
+    state: int,
 ) -> list[float]:
     """combined_score of each pattern id, in order.
 
@@ -186,11 +186,13 @@ def _combined_scores(
     ascending, zero weights skipped), so equal inputs give bit-equal floats.
     """
     costs = nurse.pref_cost
-    w_p = weights.w_p
+    w_p, w_grade = weights.w_p, weights.w_grade
     scores = [w_p * (100 - costs[j]) for j in pattern_ids]
     span = instance.band_span
     band = (1 << span) - 1
-    for ws in weights.w_grade[nurse.grade - 1 : instance.g]:
+    last = len(w_grade) - 1
+    for s in range(nurse.grade - 1, instance.g):
+        ws = w_grade[min(s, last)]
         column, state = state & band, state >> span
         if ws == 0:
             continue
@@ -321,7 +323,7 @@ def _argmax_combined(
     weights: EvalWeights,
     nurse: Nurse,
     e_mode: str,
-    state: tuple,
+    state: int,
 ) -> int:
     """Combined-rule pick for the nurse's band state (see _band_state)."""
     ids, bits = instance.combined_scan[nurse.id]

@@ -73,7 +73,6 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     with preference cost <= instance.known_optimal is found (when enabled
     and the optimum is known).
     """
-    config.eval_weights.check_bands(instance.g)
     weights = config.eval_weights
     rng = random.Random(config.seed)
     started = time.perf_counter()
@@ -141,7 +140,6 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
 
 def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult:
     """Baseline: one greedy reconstruction pass from an empty roster, no loop."""
-    config.eval_weights.check_bands(instance.g)
     weights = config.eval_weights
     rng = random.Random(config.seed)
     started = time.perf_counter()

@@ -137,7 +137,11 @@ def combined_score_by_definition(
     j: int,
     e_mode: str = "indicator",
 ) -> float:
-    """Combined-rule score recomputed from the partial roster itself."""
+    """Combined-rule score recomputed from the partial roster itself.
+
+    Band s is weighted by w_grade[s - 1], or by the last weight when s is
+    past the end of w_grade.
+    """
     short = shortfall_matrix(instance, roster)
     mask = instance.patterns[j].mask
     score = w_p * (100 - instance.nurses[i].pref_cost[j])
@@ -148,7 +152,7 @@ def combined_score_by_definition(
         for k in range(N_PERIODS):
             if mask[k] and short[k][s - 1] > 0:
                 gain += 1 if e_mode == "indicator" else short[k][s - 1]
-        score += w_grade[s - 1] * gain
+        score += w_grade[min(s, len(w_grade)) - 1] * gain
     return score
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -116,25 +116,32 @@ class TestSolve:
         assert code == EXIT_OK
 
 
-def gen_four_grade_instance(tmp_path: Path) -> Path:
-    out_dir = tmp_path / "g4"
+def gen_graded_instance(tmp_path: Path, g: int = 4) -> Path:
+    out_dir = tmp_path / f"g{g}"
     assert main([
-        "gen", "--g", "4", "--n", "6", "--m", "12", "--count", "1",
+        "gen", "--g", str(g), "--n", "6", "--m", "12", "--count", "1",
         "--out-dir", str(out_dir),
     ]) == EXIT_OK
     return out_dir / "inst_000.nrp"
 
 
 class TestGradeWeights:
-    """An instance with more grade bands than the default three weights."""
+    """Instances with more grade bands than the default three weights.
 
-    def test_gen_then_solve_names_the_flag(self, tmp_path, capsys):
-        path = gen_four_grade_instance(tmp_path)
-        assert main(["solve", str(path), "--max-iters", "50"]) == EXIT_ERROR
-        assert_one_line_error(capsys, "--w-grade", "4 grade bands")
+    The last weight covers every band past the list, so these run with
+    default flags; --w-grade is a solve and batch flag only.
+    """
+
+    @pytest.mark.parametrize("g", [4, 5, 6])
+    def test_gen_then_solve_runs_with_default_weights(self, tmp_path, capsys, g):
+        path = gen_graded_instance(tmp_path, g)
+        code = main(["solve", str(path), "--max-iters", "50"])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        captured = capsys.readouterr()
+        assert "best cost:" in captured.out and not captured.err
 
     def test_gen_then_solve_with_w_grade(self, tmp_path, capsys):
-        path = gen_four_grade_instance(tmp_path)
+        path = gen_graded_instance(tmp_path)
         code = main(["solve", str(path), "--max-iters", "50", "--w-grade", "8,4,2,1"])
         assert code in (EXIT_OK, EXIT_INFEASIBLE)
         assert "best cost:" in capsys.readouterr().out
@@ -142,25 +149,60 @@ class TestGradeWeights:
     @pytest.mark.parametrize("command", [
         ["batch", "--runs", "1", "--max-iters", "10"],
         ["ablate", "--runs", "1", "--budgets", "10", "--presets", "full", "--preset-iters", "10"],
-    ])
-    def test_batch_and_ablate_exit_one_before_running(self, tmp_path, capsys, command):
-        path = gen_four_grade_instance(tmp_path)
+    ], ids=["batch", "ablate"])
+    def test_batch_and_ablate_run_with_default_weights(self, tmp_path, capsys, command):
+        path = gen_graded_instance(tmp_path)
         out = tmp_path / "out.csv"
-        assert main([command[0], str(path), *command[1:], "--out", str(out)]) == EXIT_ERROR
-        assert_one_line_error(capsys, "inst_000", "--w-grade")
-        assert not out.exists()
-        # the flag lets the same command run
-        flags = [*command[1:], "--out", str(out), "--w-grade", "8,4,2,1"]
-        assert main([command[0], str(path), *flags]) == EXIT_OK
+        assert main([command[0], str(path), *command[1:], "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("instance,") and lines[1].startswith("inst_000,")
+        assert not capsys.readouterr().err
+
+    def test_batch_with_w_grade(self, tmp_path):
+        path = gen_graded_instance(tmp_path)
+        out = tmp_path / "out.csv"
+        flags = ["--runs", "1", "--max-iters", "10", "--out", str(out), "--w-grade", "8,4,2,1"]
+        assert main(["batch", str(path), *flags]) == EXIT_OK
         assert out.read_text().startswith("instance,")
+
+    def test_ablate_w_grade_is_an_unknown_flag(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["ablate", str(path), "--runs", "1", "--w-grade", "8,4,2,1"])
+        assert exited.value.code == EXIT_ERROR
+        assert_one_line_error(capsys, "--w-grade")
 
     @pytest.mark.parametrize("value", ["8,-1,2", "8,x", "nan", "1,,2"])
     def test_bad_w_grade_exits_one_with_one_line(self, tmp_path, capsys, value):
         path = write_instance(tmp_path)
-        for command in (["solve"], ["batch", "--runs", "1"], ["ablate", "--runs", "1"]):
+        for command in (["solve"], ["batch", "--runs", "1"]):
             args = [command[0], str(path), *command[1:], f"--w-grade={value}"]
             assert main(args) == EXIT_ERROR
             assert_one_line_error(capsys, "--w-grade")
+
+
+def write_with_warnings(tmp_path: Path) -> Path:
+    """A feasible instance whose pattern 1 works no period and whose demand
+    row 0 falls from band 1 to band 2: one parse warning each."""
+    path = tmp_path / "warned.nrp"
+    text = serialize_instance(make_instance(
+        [pattern(0, 0), pattern(1, 1)],
+        [Nurse(0, 1, (0, 1), {0: 5, 1: 0})],
+        demand_rows([[0, 0]] * 14),
+    ))
+    text = text.replace("1 01000000000000", "1 00000000000000")
+    path.write_text(text.replace("DEMAND\n0 0\n", "DEMAND\n1 0\n"))
+    return path
+
+
+@pytest.mark.parametrize("command", [["solve"], ["batch", "--runs", "2"]])
+def test_parse_warnings_print_one_line_each(tmp_path, capsys, command):
+    path = write_with_warnings(tmp_path)
+    assert main([command[0], str(path), *command[1:], "--max-iters", "10"]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
+    assert "pattern 1 covers no periods" in lines[0]
+    assert "demand row 0 is not non-decreasing" in lines[1]
 
 
 class TestBatch:
@@ -369,6 +411,14 @@ def test_bad_thread_count_exits_before_any_run(tmp_path, capsys, monkeypatch, co
 
 
 class TestGen:
+    def test_help_names_each_field_and_its_default(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["gen", "--help"])
+        assert exited.value.code == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())  # undo the line wrapping
+        for f in fields(GeneratorParams):
+            assert f"GeneratorParams.{f.name} (default: {f.default})" in text
+
     def test_zero_count_writes_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "suite"
         assert main(["gen", "--out-dir", str(out_dir), "--count", "0"]) == EXIT_ERROR

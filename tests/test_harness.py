@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nrp.evaluate import penalized_cost
 from nrp.harness import (
     AblationSpec,
     CENSOR_COST,
@@ -18,7 +19,8 @@ from nrp.harness import (
     worker_count,
 )
 from nrp.instance_io import GeneratorParams, generate_instance
-from nrp.model import Nurse, Roster
+from nrp.model import Nurse, Roster, is_feasible
+from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
 from nrp.solver import RunResult
 
 from conftest import demand_rows, make_instance, pattern
@@ -133,6 +135,10 @@ class TestBatchCsv:
         stats = [compute_batch_stats("a", 5, [fake_result(5.0, True)])]
         assert batch_csv(stats) == batch_csv(stats)
 
+    def test_no_stats_raise_value_error(self):
+        with pytest.raises(ValueError, match="at least one"):
+            batch_csv([])
+
     def test_per_run_row_is_byte_stable_and_excludes_wall_time(self):
         a = fake_result(8.0, True, seed=3)
         b = fake_result(8.0, True, seed=3)
@@ -195,3 +201,37 @@ class TestAblationCsv:
         for idx in range(1, 5):
             av = sum(float(row[idx]) for row in cells[:-1]) / 2
             assert float(cells[-1][idx]) == pytest.approx(av, abs=0.051)
+
+    def test_no_instances_raise_value_error(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ablation_csv([], AblationSpec(runs=1, budgets=(10,), presets=()))
+
+
+# every shape at every grade count 1..6: the smallest instance, one pattern,
+# one nurse, one feasible pattern each, the default shape and a tight one
+DOMAIN_SHAPES = (
+    dict(n=1, m=1, feasible_min=1, feasible_max=1),
+    dict(n=1, m=4),
+    dict(n=5, m=1, feasible_min=1, feasible_max=1),
+    dict(n=7, m=10, feasible_min=1, feasible_max=1),
+    dict(),
+    dict(n=8, m=14, feasible_min=3, feasible_max=5, tightness=1.0),
+)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_generator_domain_runs_through_the_solver_and_the_oracle(g):
+    for k, shape in enumerate(DOMAIN_SHAPES):
+        instance = generate_instance(GeneratorParams(g=g, seed=100 * g + k, **shape))
+        exact = exact_solve(instance, node_budget=2000)
+        for name in PRESET_NAMES:  # "full" is solver.run, "construct-only" its one pass
+            spec = preset_spec(name, max_iterations=30, seed=k)
+            result = execute(instance, spec)
+            roster = result.best_roster
+            assert penalized_cost(instance, roster, spec.config.eval_weights) == (
+                result.best_cost
+            )
+            assert is_feasible(instance, roster) == result.best_feasible
+            if exact.status == OPTIMAL and result.best_feasible:
+                assert result.best_cost >= exact.optimal_cost
+            assert not (exact.status == INFEASIBLE and result.best_feasible)

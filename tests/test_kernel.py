@@ -3,10 +3,12 @@
 The reconstruction rules score patterns as popcounts of packed masks.  Here
 every argmax is compared with a first-index argmax over the per-period
 reference scores of tests/bruteforce.py, on random partial rosters with one
-to three grade bands, in both e-modes and under non-integer weights.  The
-masks themselves are checked against the shortfall matrix recomputed from
-the roster, and each nurse's scan lists (the feasible patterns the argmax
-scans) against a pairwise filter.
+to three grade bands, in both e-modes and under non-integer weights; and
+with one to five bands under fewer band weights than bands, where the last
+weight covers the bands past the list.  The masks themselves are checked
+against the shortfall matrix recomputed from the roster, and each nurse's
+scan lists (the feasible patterns the argmax scans) against a pairwise
+filter.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import N_PERIODS, Nurse, Roster, compute_coverage
 from nrp.reconstruct import (
     E_MODES,
+    PickMemo,
+    ReconstructionConfig,
     _argmax_combined,
     _argmax_cover,
     _band_state,
     _focus_mask,
     combined_score,
+    reconstruct,
 )
 
 from bruteforce import (
@@ -37,9 +42,9 @@ from conftest import demand_rows, make_instance, pattern
 TRIALS = 150
 
 
-def random_state(rng: random.Random, trial: int):
+def random_state(rng: random.Random, trial: int, g: int | None = None):
     """A generated instance plus a random partial roster over it."""
-    g = 1 + trial % 3
+    g = 1 + trial % 3 if g is None else g
     instance = generate_instance(
         GeneratorParams(
             n=rng.randint(2, 8),
@@ -241,3 +246,57 @@ def test_combined_argmax_matches_definition_in_both_modes():
                     ) == expected
     # a pattern left out of the scan tied the maximum, in each mode
     assert min(dropped.values()) >= 10, dropped
+
+
+def combined_repair_by_definition(instance, roster, weights, mode) -> list[int]:
+    """The combined rule's repair: each freed nurse, ascending, takes the first
+    argmax of the definition on the roster repaired so far."""
+    out = roster.copy()
+    for i in roster.unassigned_ids():
+        out.assignment[i] = first_argmax(
+            instance.nurses[i].feasible,
+            lambda j: combined_score_by_definition(
+                instance, out, weights.w_p, weights.w_grade, i, j, mode
+            ),
+        )
+    return out.assignment
+
+
+def test_band_weights_past_the_list_match_definition():
+    rng = random.Random(61)
+    changed = 0  # picks that reading weight 0 past the list would change
+    for trial in range(TRIALS):
+        g = 1 + trial % 5
+        instance, roster = random_state(rng, trial, g)
+        weights = random_weights(rng, rng.randint(1, g))
+        zero_past = replace(weights, w_grade=weights.w_grade + (0.0,) * (g - len(weights.w_grade)))
+        coverage = compute_coverage(instance, roster)
+        for mode in E_MODES:
+            for i in roster.unassigned_ids():
+                nurse = instance.nurses[i]
+
+                def by_definition(j, weights=weights):
+                    return combined_score_by_definition(
+                        instance, roster, weights.w_p, weights.w_grade, i, j, mode
+                    )
+
+                for j in nurse.feasible:
+                    assert combined_score(instance, coverage, weights, i, j, mode) == (
+                        by_definition(j)
+                    )
+                expected = first_argmax(nurse.feasible, by_definition)
+                state = _band_state(instance, coverage, nurse, mode)
+                assert _argmax_combined(
+                    instance, coverage, weights, nurse, mode, state
+                ) == expected
+                changed += expected != first_argmax(
+                    nurse.feasible, lambda j: by_definition(j, zero_past)
+                )
+            expected = combined_repair_by_definition(instance, roster, weights, mode)
+            config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
+            memo = PickMemo(instance)
+            for _ in range(2):  # the second call is answered by the memo the first filled
+                repaired = reconstruct(instance, roster, config, weights, random.Random(trial),
+                                       memo=memo)
+                assert repaired.assignment == expected
+    assert changed >= 10, changed
