@@ -6,7 +6,8 @@ line starting "error:": the commands raise ValueError or OSError and main
 alone turns it into that line and exit 1 (argparse's own errors take the
 same form).  batch and ablate also print one such line per instance file
 that fails to parse and go on with the rest.  A warning, such as one for a
-pattern that works no period, is one line starting "warning:".  Batch
+pattern that works no period, is one line starting "warning:"; batch and
+ablate put the file's path after it, as in their error lines.  Batch
 parallelism is set by the NRP_THREADS environment variable (default 1),
 capped at the CPU count; harness.worker_count reads it, and batch and
 ablate call it before loading any instance, so a value that is not a

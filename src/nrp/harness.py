@@ -13,6 +13,7 @@ used for ablations.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -272,12 +273,20 @@ def ablation_csv(
 
 
 def load_named_instances(paths: list[str]) -> tuple[list[tuple[str, Instance]], list[str]]:
-    """Parse instance files, collecting per-file errors instead of aborting."""
+    """Parse instance files, collecting per-file errors instead of aborting.
+
+    Each file's parse warnings are issued again prefixed with its path, as
+    its error is, so one file's warning never hides another's.
+    """
     loaded: list[tuple[str, Instance]] = []
     errors: list[str] = []
     for path in paths:
-        try:
-            loaded.append((os.path.splitext(os.path.basename(path))[0], load_instance(path)))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{path}: {exc}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                loaded.append((os.path.splitext(os.path.basename(path))[0], load_instance(path)))
+            except (OSError, ValueError) as exc:
+                errors.append(f"{path}: {exc}")
+        for warning in caught:
+            warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
     return loaded, errors

@@ -183,6 +183,8 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 2 or parts[0] != "OPTIMAL":
             raise InstanceParseError(no, f"expected 'OPTIMAL <int>' or end of file, got {line!r}")
         known_optimal = _int_field(no, parts[1], "OPTIMAL")
+        if not 0 <= known_optimal <= 100 * n:  # every roster costs 0..100 per nurse
+            raise InstanceParseError(no, f"OPTIMAL {known_optimal} outside [0, {100 * n}]")
         extra = lines.peek()
         if extra is not None:
             raise InstanceParseError(extra[0], f"unexpected content after OPTIMAL: {extra[1]!r}")

@@ -274,9 +274,7 @@ class CoverageState:
     demands, shortfalls and levels within 2**(w-1), so every field of these
     expressions stays in [0, 2**w): none borrows from the next, and its
     guard bit reads the comparison.  The last field of a band is no
-    different, so no borrow crosses a band boundary either.  (The exact
-    solver's cut subtracts the remaining nurses' counts too, which stay
-    within n together with cov.)
+    different, so no borrow crosses a band boundary either.
 
     total is the total shortfall over every cell.  covered and shortfall are
     read-only 14 x g views of the packed counts, for checks by recount.

@@ -17,11 +17,11 @@ cuts a branch on two sound bounds taken from them:
   Inside a nurse's cost-sorted patterns the cut ends the loop, because every
   later pattern costs at least as much.
 
-Both bounds read the packed coverage of CoverageState, one int for all
-bands.  The coverage cut is one packed compare against the remaining
-nurses' packed counts, and the forced extra scans one list per depth that
-merges the distinct extras of every band, highest first, stopping at the
-first one whose cells meet the short mask.
+Both bounds read the coverage the search carries down as one int, packed
+for all bands in CoverageState's layout.  The coverage cut is one packed
+compare against the remaining nurses' packed counts, and the forced extra
+scans one list per depth that merges the distinct extras of every band,
+highest first, stopping at the first one whose cells meet the short mask.
 
 Both bounds only remove subtrees that hold no roster strictly cheaper than
 the incumbent, so the search meets the same incumbents in the same order as
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import CoverageState, Instance, Roster
+from .model import Instance, Roster
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -75,10 +75,10 @@ def _bound_tables(
     cut[d] is demand_bits - low_bits - avail, where avail packs, per cell
     (period, band), the count of nurses d..n-1 qualified for the band with a
     pattern working the period.  At depth d the coverage holds nurses
-    0..d-1 only, so avail + covered <= n in every field and (cut[d] - cov)
-    cannot borrow (see CoverageState's width rule): a cell's guard bit is
-    set iff the cell is short by more than avail, a cell no completion
-    covers.
+    0..d-1 only, so avail + covered <= n < 2**(w-1) in every field and, by
+    CoverageState's width rule, (cut[d] - cov) cannot borrow: a cell's guard
+    bit is set iff the cell is short by more than avail, a cell no
+    completion covers.
 
     extra[d] pairs each positive cost with the guard bits of the cells, in
     any band, that force it, highest cost first.  A cell's cost is the least
@@ -130,36 +130,37 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
         for nurse in instance.nurses
     ]
     rest, cut, extra = _bound_tables(instance, ordered)
+    top = instance.demand_bits - instance.low_bits
     guard_bits = instance.guard_bits
 
-    coverage = CoverageState(instance)
-    assignment: list[int | None] = [None] * n
+    assignment = [0] * n  # every entry is overwritten before a leaf reads it
     best_cost: float = math.inf
     best_assignment: list[int] | None = None
     nodes = cost_cuts = coverage_cuts = 0
     out_of_budget = False
 
-    def search(depth: int, cost: int) -> None:
+    def search(depth: int, cost: int, cov: int) -> None:
         nonlocal best_cost, best_assignment, nodes, cost_cuts, coverage_cuts, out_of_budget
+        short = (top - cov) & guard_bits  # guard bit set iff covered < demand
         if depth == n:
-            if coverage.total_shortfall() == 0 and cost < best_cost:
+            if not short and cost < best_cost:
                 best_cost = cost
-                best_assignment = list(assignment)  # type: ignore[arg-type]
+                best_assignment = list(assignment)
             return
-        if (cut[depth] - coverage.cov) & guard_bits:
+        if (cut[depth] - cov) & guard_bits:
             coverage_cuts += 1
             return
         # the forced extra cost: the first, costliest entry with a short cell
-        short = coverage.short_mask()
         forced = 0
-        for more, cells in extra[depth]:
-            if short & cells:
+        for more, bits in extra[depth]:
+            if short & bits:
                 forced = more
                 break
         if cost + rest[depth] + forced >= best_cost:
             cost_cuts += 1
             return
         nurse = instance.nurses[depth]
+        cells = instance.grade_cells[nurse.grade - 1]
         to_go = rest[depth + 1]
         for j in ordered[depth]:
             new_cost = cost + nurse.pref_cost[j]
@@ -171,14 +172,11 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
                 return
             nodes += 1
             assignment[depth] = j
-            coverage.add(depth, j)
-            search(depth + 1, new_cost)
-            coverage.remove(depth, j)
-            assignment[depth] = None
+            search(depth + 1, new_cost, cov + cells[j])
             if out_of_budget:
                 return
 
-    search(0, 0)
+    search(0, 0, 0)
 
     roster = None if best_assignment is None else Roster(best_assignment)
     if out_of_budget:

@@ -205,6 +205,32 @@ def test_parse_warnings_print_one_line_each(tmp_path, capsys, command):
     assert "demand row 0 is not non-decreasing" in lines[1]
 
 
+@pytest.mark.parametrize("command", [
+    ["batch", "--runs", "1", "--max-iters", "10"],
+    ["ablate", "--runs", "1", "--budgets", "10", "--presets", "full", "--preset-iters", "10"],
+], ids=["batch", "ablate"])
+def test_batch_warnings_name_their_file_once_per_file(tmp_path, capsys, command):
+    paths = []
+    for name in ("w1", "w2"):
+        (tmp_path / name).mkdir()
+        paths.append(str(write_with_warnings(tmp_path / name)))
+    assert main([command[0], *paths, *command[1:]]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("warning: ") for line in lines)
+    for path, pair in zip(paths, (lines[:2], lines[2:])):
+        assert all(line.startswith(f"warning: {path}: ") for line in pair)
+        assert "pattern 1 covers no periods" in pair[0]
+        assert "demand row 0 is not non-decreasing" in pair[1]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["batch", "--runs", "1"]])
+def test_optimal_no_roster_can_cost_exits_one_with_one_line(tmp_path, capsys, command):
+    path = write_instance(tmp_path)
+    path.write_text(path.read_text() + "OPTIMAL 999999\n")
+    assert main([command[0], str(path), *command[1:]]) == EXIT_ERROR
+    assert_one_line_error(capsys, "OPTIMAL 999999 outside [0, 400]", "line ")
+
+
 class TestBatch:
     def test_writes_summary_and_per_run_csv(self, tmp_path, capsys):
         path = write_instance(tmp_path)

@@ -39,6 +39,16 @@ class TestParse:
         inst = parse_instance(MINIMAL + "OPTIMAL 5\n")
         assert inst.known_optimal == 5
 
+    @pytest.mark.parametrize("value", [0, 100])
+    def test_optimal_at_either_end_of_the_cost_range_accepted(self, value):
+        assert parse_instance(MINIMAL + f"OPTIMAL {value}\n").known_optimal == value
+
+    @pytest.mark.parametrize("value", [-5, -1, 101, 999999])
+    def test_optimal_no_roster_can_cost_rejected(self, value):
+        with pytest.raises(InstanceParseError, match=r"OPTIMAL .* outside \[0, 100\]") as err:
+            parse_instance(MINIMAL + f"OPTIMAL {value}\n")
+        assert err.value.line == 24  # the OPTIMAL line
+
     def test_comments_and_blank_lines_ignored(self):
         noisy = "# header comment\n\n" + MINIMAL.replace(
             "PATTERNS", "PATTERNS\n# the patterns"

@@ -75,6 +75,28 @@ def test_nodes_explored_never_exceed_the_budget():
         assert result.nodes_explored == budget
 
 
+def test_timeout_reports_a_feasible_costed_incumbent():
+    """A budget that stops the search after a leaf admitted a roster returns
+    that roster, feasible and costed; one that stops before returns none."""
+    with_roster = without = 0
+    for seed in range(6):
+        inst = generate_instance(GeneratorParams(n=8, m=12, g=3, feasible_min=4, seed=seed))
+        full = exact_solve(inst)
+        needed = full.nodes_explored
+        for budget in sorted({1, needed // 4, needed // 2, needed - 1}):
+            result = exact_solve(inst, node_budget=budget)
+            assert result.status == TIMEOUT
+            assert (result.optimal_cost is None) == (result.optimal_roster is None)
+            if result.optimal_roster is None:
+                without += 1
+                continue
+            with_roster += 1
+            assert is_feasible(inst, result.optimal_roster)
+            assert preference_cost(inst, result.optimal_roster) == result.optimal_cost
+            assert result.optimal_cost >= full.optimal_cost
+    assert with_roster >= 10 and without >= 6  # both outcomes were exercised
+
+
 def test_node_budget_below_one_is_rejected():
     inst = generate_instance(GeneratorParams(n=3, m=6, g=2, seed=1))
     for budget in (0, -5):
