@@ -107,6 +107,12 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
     return replace(spec, config=config)
 
 
+def _check_parent(path: str | None) -> None:
+    """Raise ValueError unless path is None or its parent is a directory."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ValueError(f"{path}: {Path(path).parent} is not a directory")
+
+
 def _load_batch(paths: list[str], *outputs: str | None):
     """Check the batch set-up, then load the instances that parse.
 
@@ -117,8 +123,7 @@ def _load_batch(paths: list[str], *outputs: str | None):
     """
     harness.worker_count()  # raises on a bad NRP_THREADS
     for out in outputs:
-        if out is not None and not Path(out).parent.is_dir():
-            raise ValueError(f"{out}: {Path(out).parent} is not a directory")
+        _check_parent(out)
     named, errors = harness.load_named_instances(paths)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
@@ -183,6 +188,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    _check_parent(args.annotate)  # before the proof, which can take long
     instance = load_instance(args.instance)
     result = oracle.exact_solve(instance, node_budget=args.node_budget)
     print(f"status: {result.status}")
@@ -191,6 +197,7 @@ def _cmd_exact(args) -> int:
     print(f"nodes explored: {result.nodes_explored}")
     print(f"cost cuts: {result.cost_cuts}")
     print(f"coverage cuts: {result.coverage_cuts}")
+    print(f"components: {result.components}")
     if args.annotate:
         if result.status == oracle.OPTIMAL:
             annotated = replace(instance, known_optimal=result.optimal_cost)

@@ -132,6 +132,9 @@ class Instance:
     score also rewards a low cost, so its list leaves a pattern out only
     when such an earlier superset costs no more; with non-negative weights
     it then scores at least as much (see the reconstruct module).
+    supersets[j] is the set, as a bitset over pattern ids, of the patterns
+    that work every period j works (j among them): the one superset test
+    of the scan lists and of the exact solver's dominated patterns.
     """
 
     n: int
@@ -155,6 +158,7 @@ class Instance:
     )
     grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     grade_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    supersets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.g < 1:
@@ -192,6 +196,14 @@ class Instance:
         )
         cells = [sum(1 << (k * width) for k in p.periods) for p in self.patterns]
         self.pattern_bits = tuple(c << (width - 1) for c in cells)
+        workers = [0] * N_PERIODS
+        for pattern in self.patterns:
+            for k in pattern.periods:
+                workers[k] |= 1 << pattern.id
+        everyone = (1 << self.m) - 1
+        self.supersets = tuple(
+            reduce(and_, (workers[k] for k in p.periods), everyone) for p in self.patterns
+        )
         self.cover_scan, self.combined_scan = self._scan_lists()
         self.grade_cells = tuple(tuple(c * copies for c in cells) for copies in spread)
         self.grade_bits = tuple(tuple(c << (width - 1) for c in t) for t in self.grade_cells)
@@ -199,18 +211,12 @@ class Instance:
     def _scan_lists(self) -> tuple[tuple, tuple]:
         """Per nurse, the feasible patterns that can be a first maximum.
 
-        sup[j] is the set, as a bitset over pattern ids, of the patterns
-        that work every period j works.  Walking a nurse's feasible list
-        with seen the ids already walked, j is left out of her cover list
-        iff sup[j] & seen is nonzero, and out of her combined list iff one
-        of those earlier supersets also costs no more than j.
+        Walking a nurse's feasible list with seen the ids already walked, j
+        is left out of her cover list iff supersets[j] & seen is nonzero,
+        and out of her combined list iff one of those earlier supersets also
+        costs no more than j.
         """
-        workers = [0] * N_PERIODS
-        for pattern in self.patterns:
-            for k in pattern.periods:
-                workers[k] |= 1 << pattern.id
-        everyone = (1 << self.m) - 1
-        sup = [reduce(and_, (workers[k] for k in p.periods), everyone) for p in self.patterns]
+        sup = self.supersets
         cover, combined = [], []
         for nurse in self.nurses:
             costs = nurse.pref_cost

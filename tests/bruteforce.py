@@ -87,6 +87,43 @@ def first_optimal_roster(instance: Instance) -> list[int] | None:
     return best_combo
 
 
+def components_by_definition(instance: Instance) -> list[list[int]]:
+    """Nurse components: breadth-first search over nurses who share a cell.
+
+    Two nurses share a cell when both can work a (period, band) with
+    positive demand: qualified for the band, with a feasible pattern
+    working the period.  Each component lists its ids in id order, and the
+    components come in the order of their least id.
+    """
+    cells = [
+        {
+            (k, s)
+            for k in range(N_PERIODS)
+            for s in range(instance.g)
+            if instance.demand.r[k][s] > 0
+            and qualified(instance, i, s + 1)
+            and any(instance.patterns[j].mask[k] for j in nurse.feasible)
+        }
+        for i, nurse in enumerate(instance.nurses)
+    ]
+    placed: set[int] = set()
+    components = []
+    for start in range(instance.n):
+        if start in placed:
+            continue
+        placed.add(start)
+        queue, members = [start], []
+        while queue:
+            i = queue.pop(0)
+            members.append(i)
+            for other in range(instance.n):
+                if other not in placed and cells[i] & cells[other]:
+                    placed.add(other)
+                    queue.append(other)
+        components.append(sorted(members))
+    return components
+
+
 def contribution_by_removal(instance: Instance, roster: Roster, i: int) -> int:
     """Remove nurse i, recount coverage, count her short covered slots."""
     without = roster.copy()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nrp import harness
+from nrp import harness, oracle
 from nrp.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -382,6 +382,30 @@ class TestExact:
         for budget in ("0", "-5"):
             assert main(["exact", str(path), "--node-budget", budget]) == EXIT_ERROR
             assert_one_line_error(capsys, "node_budget")
+
+    def test_prints_the_component_count_after_the_cuts(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        assert main(["exact", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        cuts = next(i for i, line in enumerate(lines) if line.startswith("coverage cuts:"))
+        expected = exact_solve(load_instance(path)).components
+        assert lines[cuts + 1] == f"components: {expected}"
+        assert expected == 2  # a generated instance splits into days and nights
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_bad_annotate_directory_exits_before_the_search(
+        self, tmp_path, capsys, monkeypatch, parent
+    ):
+        instance = write_instance(tmp_path)
+        where = tmp_path / "missing" if parent == "missing" else instance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(oracle, "exact_solve", refuse)
+        code = main(["exact", str(instance), "--annotate", str(where / "a.nrp")])
+        assert code == EXIT_ERROR
+        assert_one_line_error(capsys, str(where), "not a directory")
 
 
 @pytest.mark.parametrize("command", [

@@ -15,7 +15,7 @@ from nrp.model import (
     preference_cost,
 )
 
-from nrp.oracle import _bound_tables
+from nrp.oracle import _bound_tables, _components, _search_orders
 from nrp.reconstruct import _focus_mask, _shortfall_sums
 
 from bruteforce import coverage_matrix, feasible_by_definition, qualified
@@ -286,49 +286,71 @@ class TestPackedCoverage:
         assert focused > 500 and unfocused > 10
 
     def test_oracle_cut_marks_cells_no_remaining_nurse_can_fill(self):
-        rng = random.Random(67)
-        cut_cells = forced_cells = 0
-        for trial in range(60):
-            inst = random_packing_instance(rng, trial)
+        """Checked on the whole instance in plain cost order, and on each
+        component in the solver's own order against its own demand.  The
+        random instances here each form one component; generated ones split in two."""
+        rng, component_rng = random.Random(67), random.Random(68)
+        cut_cells = forced_cells = split = 0
+        for trial in range(90):
+            if trial < 60:
+                inst = random_packing_instance(rng, trial)
+            else:
+                inst = generate_instance(GeneratorParams(
+                    n=2 + trial % 7, m=12, g=1 + trial % 4, feasible_min=2, feasible_max=5,
+                    seed=6700 + trial,
+                ))
             ordered = [
                 sorted(nurse.feasible, key=lambda j, nurse=nurse: nurse.pref_cost[j])
                 for nurse in inst.nurses
             ]
-            _, cut, extra = _bound_tables(inst, ordered)
-            for depth in range(inst.n):
-                # the solver's coverage at depth d holds nurses 0..d-1 only
-                roster = Roster(
-                    [rng.choice(nurse.feasible) for nurse in inst.nurses[:depth]]
-                    + [None] * (inst.n - depth)
-                )
-                state = compute_coverage(inst, roster)
-                short = state.shortfall
-                hopeless, forced = [], {}
-                for s in range(inst.g):
-                    can = [
-                        [i for i in range(depth, inst.n) if qualified(inst, i, s + 1)
-                         and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)]
-                        for k in range(N_PERIODS)
-                    ]
-                    hopeless += [(k, s) for k in range(N_PERIODS) if short[k][s] > len(can[k])]
-                    for k in range(N_PERIODS):
-                        extras = [
-                            min(nurse.pref_cost[j] for j in nurse.feasible
-                                if inst.patterns[j].mask[k])
-                            - min(nurse.pref_cost.values())
-                            for nurse in (inst.nurses[i] for i in can[k])
+            # (rng, order, nurse ids, top, the cells whose demand top keeps)
+            parts = [(rng, ordered, list(range(inst.n)), inst.demand_bits - inst.low_bits,
+                      {(k, s) for k in range(N_PERIODS) for s in range(inst.g)})]
+            components, _ = _components(inst)
+            split += len(components) > 1
+            for ids, top in components:
+                workable = {
+                    (k, s) for i in ids for s in range(inst.g) for k in range(N_PERIODS)
+                    if qualified(inst, i, s + 1)
+                    and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)
+                }
+                parts.append((component_rng, _search_orders(inst), ids, top, workable))
+            for draw, order, ids, top, kept in parts:
+                _, cut, extra = _bound_tables(inst, order, ids, top)
+                for depth in range(len(ids)):
+                    # the solver's coverage at depth d holds nurses ids[:d] only
+                    roster = Roster.empty(inst.n)
+                    for i in ids[:depth]:
+                        roster.assignment[i] = draw.choice(inst.nurses[i].feasible)
+                    state = compute_coverage(inst, roster)
+                    short = state.shortfall
+                    hopeless, forced = [], {}
+                    for s in range(inst.g):
+                        can = [
+                            [i for i in ids[depth:] if qualified(inst, i, s + 1)
+                             and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)]
+                            for k in range(N_PERIODS)
                         ]
-                        if extras and min(extras) > 0:
-                            forced[k, s] = min(extras)
-                assert (cut[depth] - state.cov) & inst.guard_bits == guard_mask(inst, hopeless)
-                # one list per depth merges every band's extras, highest cost first
-                costs = [cost for cost, _ in extra[depth]]
-                assert costs == sorted(set(forced.values()), reverse=True)
-                for cost, cells in extra[depth]:
-                    assert cells == guard_mask(inst, [c for c in forced if forced[c] == cost])
-                cut_cells += len(hopeless)
-                forced_cells += len(forced)
-        assert cut_cells > 100 and forced_cells > 100
+                        hopeless += [(k, s) for k in range(N_PERIODS)
+                                     if (k, s) in kept and short[k][s] > len(can[k])]
+                        for k in range(N_PERIODS):
+                            extras = [
+                                min(nurse.pref_cost[j] for j in nurse.feasible
+                                    if inst.patterns[j].mask[k])
+                                - min(nurse.pref_cost.values())
+                                for nurse in (inst.nurses[i] for i in can[k])
+                            ]
+                            if extras and min(extras) > 0:
+                                forced[k, s] = min(extras)
+                    assert (cut[depth] - state.cov) & inst.guard_bits == guard_mask(inst, hopeless)
+                    # one list per depth merges every band's extras, highest cost first
+                    costs = [cost for cost, _ in extra[depth]]
+                    assert costs == sorted(set(forced.values()), reverse=True)
+                    for cost, cells in extra[depth]:
+                        assert cells == guard_mask(inst, [c for c in forced if forced[c] == cost])
+                    cut_cells += len(hopeless)
+                    forced_cells += len(forced)
+        assert cut_cells > 100 and forced_cells > 100 and split > 20
 
 
 class TestIsFeasible:

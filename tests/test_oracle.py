@@ -5,12 +5,13 @@ import pytest
 
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Nurse, is_feasible, preference_cost
-from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, exact_solve
+from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, _components, _search_orders, exact_solve
 
 from bruteforce import (
     BF_INFEASIBLE,
     BF_OPTIMAL,
     brute_force_solve,
+    components_by_definition,
     first_optimal_roster,
 )
 from conftest import demand_rows, make_instance, pattern
@@ -77,9 +78,10 @@ def test_nodes_explored_never_exceed_the_budget():
 
 def test_timeout_reports_a_feasible_costed_incumbent():
     """A budget that stops the search after a leaf admitted a roster returns
-    that roster, feasible and costed; one that stops before returns none."""
+    that roster, feasible and costed; one that stops before returns none.
+    Components are searched in turn, and a roster needs one from each."""
     with_roster = without = 0
-    for seed in range(6):
+    for seed in range(10):
         inst = generate_instance(GeneratorParams(n=8, m=12, g=3, feasible_min=4, seed=seed))
         full = exact_solve(inst)
         needed = full.nodes_explored
@@ -213,3 +215,105 @@ def test_returns_the_first_optimal_roster_in_search_order():
         else:
             assert result.status == OPTIMAL
             assert result.optimal_roster.assignment == expected
+
+
+def _thinned(inst, rng):
+    """inst with most demand cells set to 0, rows kept non-decreasing."""
+    rows = [sorted(d if rng.random() < 0.3 else 0 for d in row) for row in inst.demand.r]
+    return make_instance(inst.patterns, inst.nurses, demand_rows(rows), g=inst.g)
+
+
+def test_components_match_the_definition_on_generated_instances():
+    rng = random.Random(41)
+    sizes = set()
+    for trial in range(40):
+        inst = generate_instance(GeneratorParams(
+            n=rng.randint(1, 12), m=rng.choice([6, 12, 20]), g=1 + trial % 4,
+            feasible_min=1, feasible_max=5, tightness=rng.choice([0.3, 0.7, 1.0]),
+            seed=7300 + trial,
+        ))
+        for variant in (inst, _thinned(inst, rng)):
+            expected = components_by_definition(variant)
+            components, _ = _components(variant)
+            assert [ids for ids, _ in components] == expected
+            assert exact_solve(variant).components == len(expected)
+            sizes.add(len(expected))
+    assert {1, 2} < sizes  # one component, the day/night split and finer ones all occur
+
+
+def test_a_nurse_who_works_days_and_nights_merges_the_halves():
+    patterns = [pattern(0, 0), pattern(1, 7), pattern(2, 0, 7)]
+    day, night = Nurse(0, 1, (0,), {0: 5}), Nurse(1, 1, (1,), {1: 5})
+    demand = demand_rows([[1]] + [[0]] * 6 + [[2]] + [[0]] * 6)
+    split = make_instance(patterns, [day, night, Nurse(2, 1, (1,), {1: 9})], demand)
+    assert components_by_definition(split) == [[0], [1, 2]]
+    both = make_instance(patterns, [day, night, Nurse(2, 1, (0, 2), {0: 1, 2: 9})], demand)
+    assert components_by_definition(both) == [[0, 1, 2]]
+    for inst in (split, both):
+        result = exact_solve(inst)
+        assert result.components == len(components_by_definition(inst))
+        assert result.status == OPTIMAL
+        assert result.optimal_roster.assignment == first_optimal_roster(inst)
+
+
+def test_interleaved_components_stitch_the_first_optimal_roster():
+    # nurses 0, 2 and 4 work days, 1 and 3 nights; costs tie so order decides
+    patterns = [pattern(0, 0, 1), pattern(1, 0), pattern(2, 1), pattern(3, 7), pattern(4, 8),
+                pattern(5, 7, 8)]
+    day = (0, 1, 2)
+    night = (3, 4, 5)
+    nurses = [
+        Nurse(i, 1 + i % 2, day if i % 2 == 0 else night,
+              {j: (i + j) % 3 for j in (day if i % 2 == 0 else night)})
+        for i in range(5)
+    ]
+    demand = demand_rows([[1, 2], [1, 2]] + [[0, 0]] * 5 + [[0, 1], [0, 2]] + [[0, 0]] * 5)
+    inst = make_instance(patterns, nurses, demand)
+    assert components_by_definition(inst) == [[0, 2, 4], [1, 3]]
+    result = exact_solve(inst)
+    assert result.components == 2
+    assert result.status == OPTIMAL
+    assert result.optimal_roster.assignment == first_optimal_roster(inst)
+    assert result.optimal_cost == brute_force_solve(inst)[1]
+
+
+def test_a_demanded_cell_nobody_can_work_is_infeasible_before_any_node():
+    patterns = [pattern(0, 0), pattern(1, 7)]
+    no_period = make_instance(  # nobody works period 13
+        patterns, [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})],
+        demand_rows([[1]] + [[0]] * 12 + [[1]]),
+    )
+    no_grade = make_instance(  # band 1 wants a grade-1 nurse; both are grade 2
+        patterns, [Nurse(0, 2, (0,), {0: 0}), Nurse(1, 2, (1,), {1: 0})],
+        demand_rows([[1, 1]] + [[0, 0]] * 13),
+    )
+    for inst in (no_period, no_grade):
+        result = exact_solve(inst)
+        assert (result.status, result.optimal_cost, result.optimal_roster) == (INFEASIBLE, None, None)
+        assert (result.nodes_explored, result.cost_cuts, result.coverage_cuts) == (0, 0, 1)
+        assert first_optimal_roster(inst) is None
+
+
+def test_search_orders_drop_exactly_the_dominated_patterns():
+    """Each nurse's order is her cost order, ties in feasible-list order,
+    less every pattern an earlier entry of that order works all periods of."""
+    rng = random.Random(23)
+    dropped = kept = 0
+    for trial in range(40):
+        inst = generate_instance(GeneratorParams(
+            n=rng.randint(1, 8), m=rng.choice([4, 8, 16]), g=1 + trial % 3,
+            feasible_min=1, feasible_max=8, seed=7700 + trial,
+        ))
+        for nurse, order in zip(inst.nurses, _search_orders(inst)):
+            by_cost = sorted(nurse.feasible, key=lambda j: nurse.pref_cost[j])
+            dominated = [
+                j for index, j in enumerate(by_cost)
+                if any(
+                    all(inst.patterns[earlier].mask[k] for k in inst.patterns[j].periods)
+                    for earlier in by_cost[:index]
+                )
+            ]
+            assert order == [j for j in by_cost if j not in dominated]
+            dropped += len(dominated)
+            kept += len(order)
+    assert dropped > 20 and kept > 100
