@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 N_PERIODS = 14  # 7 day shifts followed by 7 night shifts
 
@@ -135,6 +135,12 @@ class Instance:
     supersets[j] is the set, as a bitset over pattern ids, of the patterns
     that work every period j works (j among them): the one superset test
     of the scan lists and of the exact solver's dominated patterns.
+    reach[i] sets every bit of the field of each cell nurse i can work: the
+    periods some pattern of her feasible list works, in every band her
+    grade serves.  It is the union of her cover list's patterns, because a
+    pattern leaves that list only for an earlier one working all its
+    periods.  Reconstruction masks its memo keys with it and the exact
+    solver finds its components with it.
     """
 
     n: int
@@ -159,6 +165,7 @@ class Instance:
     grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     grade_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     supersets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.g < 1:
@@ -205,6 +212,11 @@ class Instance:
             reduce(and_, (workers[k] for k in p.periods), everyone) for p in self.patterns
         )
         self.cover_scan, self.combined_scan = self._scan_lists()
+        fields = (1 << width) - 1  # low bits times this fill their fields
+        self.reach = tuple(
+            spread[nurse.grade - 1] * (reduce(or_, bits) >> (width - 1)) * fields
+            for nurse, (_, bits) in zip(self.nurses, self.cover_scan)
+        )
         self.grade_cells = tuple(tuple(c * copies for c in cells) for copies in spread)
         self.grade_bits = tuple(tuple(c << (width - 1) for c in t) for t in self.grade_cells)
 

@@ -115,13 +115,8 @@ def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
     cell outside the component set to 0.  Components come in the order of
     their least id.
     """
-    width = instance.field_width
+    width, reach = instance.field_width, instance.reach
     demanded = ((instance.demand_bits - instance.low_bits) & instance.guard_bits) >> (width - 1)
-    reach = [0] * instance.n  # low bits of the cells nurse i can work
-    for nurse in instance.nurses:
-        cells = instance.grade_cells[nurse.grade - 1]
-        for j in nurse.feasible:
-            reach[nurse.id] |= cells[j]
     parent = list(range(instance.n))
 
     def find(i: int) -> int:
@@ -141,15 +136,14 @@ def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
         groups.setdefault(find(i), []).append(i)
     components = []
     for ids in groups.values():
-        cells = 0
+        fields = 0
         for i in ids:
-            cells |= reach[i]
-        fields = cells * ((1 << width) - 1)
+            fields |= reach[i]
         top = ((instance.demand_bits & fields) | instance.guard_bits) - instance.low_bits
         components.append((ids, top))
     workable = 0
-    for cells in reach:
-        workable |= cells
+    for fields in reach:
+        workable |= fields
     return components, demanded & ~workable
 
 
@@ -190,13 +184,11 @@ def _bound_tables(
         rest[d] = rest[d + 1] + cheapest
         # the first pattern in cost order that works k is her cheapest cover of k
         forced: dict[int, int] = {}
-        cells = instance.grade_cells[nurse.grade - 1]
-        reach = 0
         for j in order:
-            reach |= cells[j]
             for k in instance.patterns[j].periods:
                 forced.setdefault(k, nurse.pref_cost[j] - cheapest)
-        avail += reach
+        # the dominated patterns left out of order work no period outside it
+        avail += instance.reach[nurse.id] & instance.low_bits
         cut[d] = top - avail
         for s in range(nurse.grade - 1, instance.g):
             for k, more in forced.items():

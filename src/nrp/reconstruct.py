@@ -44,11 +44,18 @@ coverage, and the same states recur across the iterations of a run, so
 picks are memoized in a PickMemo.  The cover rule's key is (nurse id,
 focus-band short mask); the combined rule's is (nurse id, one int): the
 short mask of the bands the nurse serves, or in shortfall mode their
-packed shortfall.  The keys leave out the weights
-and the e-mode because one run fixes them, so a memo lasts exactly one
-solver run: run makes one and passes it to every reconstruct call, and a
-reconstruct call without one memoizes for itself only.  A memo kept across runs would
-hand one run's picks to another with different weights.  New states keep
+packed shortfall.  Both masks keep only the cells the nurse can work
+(Instance.reach), so a change of coverage in periods she never works, the
+other half of the week for a ward nurse, leaves her keys as they were.  The
+picks stay the same: every scanned pattern works only periods inside her
+reach, so each popcount and each shortfall sum is unchanged; a band whose
+masked column is empty is skipped, which leaves every score's float as it
+was (see _combined_scores); and the focus band is still chosen from the
+unmasked short mask.  The keys leave out the weights and the e-mode
+because one run fixes them, so a memo lasts exactly one solver run: run
+makes one and passes it to every reconstruct call, and a reconstruct call
+without one memoizes for itself only.  A memo kept across runs would hand
+one run's picks to another with different weights.  New states keep
 arriving over a long run, so each rule's dict is emptied once it holds
 MEMO_PICKS_PER_NURSE entries per nurse; since a pick is pure, emptying it
 changes no pick.  On the paper's ward shape (30 nurses) that keeps the
@@ -183,7 +190,9 @@ def _combined_scores(
     pattern_bits holds the patterns' worked periods as band-1 guard bits and
     state the nurse's _band_state, from which each band is sliced in turn.
     Every score is summed in the same order (preference term, then bands
-    ascending, zero weights skipped), so equal inputs give bit-equal floats.
+    ascending, zero weights and empty columns skipped), so equal inputs give
+    bit-equal floats.  An empty column would add ws * 0 = +0.0 to every
+    score, which changes no float but a -0.0, and that one compares equal.
     """
     costs = nurse.pref_cost
     w_p, w_grade = weights.w_p, weights.w_grade
@@ -194,7 +203,7 @@ def _combined_scores(
     for s in range(nurse.grade - 1, instance.g):
         ws = w_grade[min(s, last)]
         column, state = state & band, state >> span
-        if ws == 0:
+        if ws == 0 or not column:
             continue
         if e_mode == "indicator":
             scores = [
@@ -232,12 +241,14 @@ class PickMemo:
     A pick depends only on the nurse and on what the rule reads of the
     coverage, so the memo maps exactly that to the chosen pattern: cover
     maps (nurse id, focus-band short mask) and combined maps (nurse id,
-    _band_state).  The rules get a dict each, because both keys are a nurse
-    id and an int, and a grade-g nurse's combined key in indicator mode
-    equals her cover key.  The
-    keys leave out the instance, the weights and the e-mode, which one run
-    fixes, so a memo must not outlive the run it was made for.  A dict that
-    has reached limit entries is emptied before the next one is stored.
+    _band_state), both masked to the cells she can work (Instance.reach).
+    Her patterns fill no other cell, so one key serves every coverage that
+    differs only outside them.  The rules get a dict each, because both
+    keys are a nurse id and an int, and a grade-g nurse's combined key in
+    indicator mode equals her cover key.  The keys leave out the instance,
+    the weights and the e-mode, which one run fixes, so a memo must not
+    outlive the run it was made for.  A dict that has reached limit entries
+    is emptied before the next one is stored.
     """
 
     __slots__ = ("cover", "combined", "limit")
@@ -277,13 +288,15 @@ def reconstruct(
         memo = PickMemo(instance)
     cover_picks, combined_picks, limit = memo.cover, memo.combined, memo.limit
     p1, p2 = config.p1, config.p2
-    e_mode = config.e_mode
+    e_mode, reach, span = config.e_mode, instance.reach, instance.band_span
 
     for i in free:
         nurse = instance.nurses[i]
+        # the cells she can work, moved down as the rules' masks are
+        works = reach[i] >> (nurse.grade - 1) * span
         u = rng.random()
         if u < p1:
-            short = _focus_mask(instance, coverage, nurse)
+            short = _focus_mask(instance, coverage, nurse) & works
             key = (i, short)
             choice = cover_picks.get(key)
             if choice is None:
@@ -291,7 +304,7 @@ def reconstruct(
                     cover_picks.clear()
                 choice = cover_picks[key] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p1 + p2:
-            state = _band_state(instance, coverage, nurse, e_mode)
+            state = _band_state(instance, coverage, nurse, e_mode) & works
             key = (i, state)
             choice = combined_picks.get(key)
             if choice is None:

@@ -8,7 +8,8 @@ with one to five bands under fewer band weights than bands, where the last
 weight covers the bands past the list.  The masks themselves are checked
 against the shortfall matrix recomputed from the roster, and each nurse's
 scan lists (the feasible patterns the argmax scans) against a pairwise
-filter.
+filter.  Each nurse's reach is checked against her whole feasible list, and
+the masks kept to it, as the pick memo keys them, against the unmasked ones.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from nrp.reconstruct import (
     _argmax_combined,
     _argmax_cover,
     _band_state,
+    _combined_scores,
     _focus_mask,
     combined_score,
     reconstruct,
@@ -300,3 +302,100 @@ def test_band_weights_past_the_list_match_definition():
                                        memo=memo)
                 assert repaired.assignment == expected
     assert changed >= 10, changed
+
+
+def reach_by_definition(instance, i: int) -> int:
+    """Every bit of each cell (period k, band s+1) that some feasible pattern
+    of nurse i works, for the bands s+1 >= her grade."""
+    nurse = instance.nurses[i]
+    fields = (1 << instance.field_width) - 1
+    return sum(
+        low_bit(instance, k, s) * fields
+        for s in range(nurse.grade - 1, instance.g)
+        for k in range(N_PERIODS)
+        if any(instance.patterns[j].mask[k] for j in nurse.feasible)
+    )
+
+
+def hand_reach_instance():
+    """Nurse 0 works only Mon, Wed and Fri days, nurse 1 has a day and a
+    night pattern, and nurse 3's patterns leave Sunday night unworked."""
+    patterns = [
+        pattern(0, 0, 2, 4),
+        pattern(1, 0, 2),
+        pattern(2, 4),
+        pattern(3, 7, 8, 9),
+        pattern(4, 0, 1, 2, 3, 4),
+        pattern(5, 9, 10, 11, 12),
+        pattern(6, 1, 3, 5),
+        pattern(7, 7, 13),
+    ]
+    nurses = [
+        Nurse(0, 1, (0, 1, 2), {0: 20, 1: 5, 2: 0}),
+        Nurse(1, 2, (4, 3), {4: 10, 3: 10}),
+        Nurse(2, 2, (4, 6, 7), {4: 0, 6: 30, 7: 15}),
+        Nurse(3, 1, (3, 5), {3: 40, 5: 0}),
+        Nurse(4, 2, (6, 1, 5), {6: 5, 1: 5, 5: 50}),
+        Nurse(5, 1, (7, 6), {7: 0, 6: 0}),
+    ]
+    demand = demand_rows([[1, 2], [0, 1], [2, 3], [0, 2], [1, 1], [0, 1], [0, 0],
+                          [1, 1], [0, 2], [1, 2], [0, 1], [0, 0], [1, 1], [0, 2]])
+    return make_instance(patterns, nurses, demand)
+
+
+def reach_cases():
+    """Generated instances with g = 1-6 and the hand-built one, each with
+    random partial rosters over it."""
+    rng = random.Random(67)
+    for trial in range(TRIALS):
+        instance, roster = random_state(rng, trial, 1 + trial % 6)
+        yield rng, instance, roster
+    instance = hand_reach_instance()
+    for _ in range(TRIALS):
+        keep = rng.random()
+        roster = Roster([
+            rng.choice(nurse.feasible) if rng.random() < keep else None
+            for nurse in instance.nurses
+        ])
+        yield rng, instance, roster
+
+
+def test_reach_is_the_union_over_the_whole_feasible_list():
+    for _, instance, _ in reach_cases():
+        for i in range(instance.n):
+            assert instance.reach[i] == reach_by_definition(instance, i)
+    instance = hand_reach_instance()
+    # nurse 0 reaches days 0, 2 and 4 only, nurse 1 days 0-4 and nights 7-9
+    worked = [[k for k in range(N_PERIODS) if instance.reach[i] & low_bit(instance, k, 1)]
+              for i in range(instance.n)]
+    assert worked[0] == [0, 2, 4] and worked[1] == [0, 1, 2, 3, 4, 7, 8, 9]
+    assert worked[3] == [7, 8, 9, 10, 11, 12]
+
+
+def test_reach_mask_keeps_every_pick():
+    """The rules' masks kept to a nurse's reach, as reconstruct keys its
+    memo, give the same picks and scores as the unmasked ones."""
+    masked_cover = masked_combined = 0
+    for rng, instance, roster in reach_cases():
+        coverage = compute_coverage(instance, roster)
+        weights = random_weights(rng, instance.g)
+        for nurse in instance.nurses:
+            works = instance.reach[nurse.id] >> (nurse.grade - 1) * instance.band_span
+            short = _focus_mask(instance, coverage, nurse)
+            masked_cover += short != short & works
+            assert _argmax_cover(instance, coverage, nurse, short & works) == (
+                _argmax_cover(instance, coverage, nurse, short)
+            )
+            ids, bits = instance.combined_scan[nurse.id]
+            for mode in E_MODES:
+                state = _band_state(instance, coverage, nurse, mode)
+                masked_combined += state != state & works
+                # bit-equal floats, not merely the same pick
+                assert _combined_scores(instance, weights, nurse, ids, bits, mode,
+                                        state & works) == (
+                    _combined_scores(instance, weights, nurse, ids, bits, mode, state)
+                )
+                assert _argmax_combined(
+                    instance, coverage, weights, nurse, mode, state & works
+                ) == _argmax_combined(instance, coverage, weights, nurse, mode, state)
+    assert masked_cover > 500 and masked_combined > 1000, (masked_cover, masked_combined)

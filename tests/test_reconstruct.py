@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import nrp.reconstruct as reconstruct_module
 from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
+    N_PERIODS,
     InvalidRosterError,
     Nurse,
     Roster,
@@ -16,10 +18,13 @@ from nrp.reconstruct import (
     MEMO_PICKS_PER_NURSE,
     PickMemo,
     ReconstructionConfig,
+    _band_state,
+    _focus_mask,
     combined_score,
     cover_value,
     reconstruct,
 )
+from nrp.solver import SolverConfig, run
 
 from bruteforce import combined_score_by_definition, cover_value_by_definition
 from conftest import demand_rows, flat_demand, make_instance, pattern
@@ -402,3 +407,85 @@ class TestPickMemo:
     def test_limit_scales_with_the_nurse_count(self):
         instance, _, _ = memo_sequence_case(0)
         assert PickMemo(instance).limit == MEMO_PICKS_PER_NURSE * instance.n
+
+
+WARD = GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1)
+NIGHTS = range(7, N_PERIODS)
+
+
+def count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Count the calls of the two scoring kernels, the pick memo's misses."""
+    calls = {"cover": 0, "combined": 0}
+    for rule in calls:
+        kernel = getattr(reconstruct_module, f"_argmax_{rule}")
+
+        def counted(*args, kernel=kernel, rule=rule):
+            calls[rule] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(reconstruct_module, f"_argmax_{rule}", counted)
+    return calls
+
+
+class TestReachKeys:
+    """The memo keys hold only the cells a nurse can work, so a coverage
+    change outside them is answered from the memo."""
+
+    def night_change(self, instance):
+        """A day nurse, plus two rosters that differ only in one night
+        nurse's pattern, in which the day nurse alone is free and every
+        unmasked mask her rules read differs."""
+        def works_nights(i):
+            return any(
+                instance.patterns[j].mask[k] for j in instance.nurses[i].feasible for k in NIGHTS
+            )
+
+        day = next(i for i in range(instance.n) if not works_nights(i))
+        base = [nurse.feasible[0] for nurse in instance.nurses]
+        base[day] = None
+        for x in filter(works_nights, range(instance.n)):
+            for j in instance.nurses[x].feasible[1:]:
+                changed = base.copy()
+                changed[x] = j
+                rosters = (Roster(base), Roster(changed))
+                states = [compute_coverage(instance, r) for r in rosters]
+                nurse = instance.nurses[day]
+                reads = [
+                    [_focus_mask(instance, cov, nurse)]
+                    + [_band_state(instance, cov, nurse, mode) for mode in E_MODES]
+                    for cov in states
+                ]
+                if all(a != b for a, b in zip(*reads)):
+                    return day, rosters
+        raise AssertionError("no night change moves every unmasked mask")
+
+    @pytest.mark.parametrize(
+        "rule, e_mode", [("cover", "indicator"), ("combined", "indicator"), ("combined", "shortfall")]
+    )
+    def test_night_change_keeps_a_day_nurses_keys(self, monkeypatch, rule, e_mode):
+        instance = generate_instance(WARD)
+        day, (before, after) = self.night_change(instance)
+        p = (1.0, 0.0) if rule == "cover" else (0.0, 1.0)
+        config = ReconstructionConfig(p1=p[0], p2=p[1], p3=0.0, e_mode=e_mode)
+        weights = EvalWeights()
+        calls = count_kernel_calls(monkeypatch)
+        memo = PickMemo(instance)
+        first = reconstruct(instance, before, config, weights, random.Random(0), memo=memo)
+        assert calls[rule] == 1
+        keys = dict(memo.cover if rule == "cover" else memo.combined)
+        second = reconstruct(instance, after, config, weights, random.Random(0), memo=memo)
+        # the same key, answered from the memo without a kernel call
+        assert calls[rule] == 1
+        assert (memo.cover if rule == "cover" else memo.combined) == keys
+        assert second.assignment[day] == first.assignment[day]
+        fresh = reconstruct(instance, after, config, weights, random.Random(0))
+        assert calls[rule] == 2 and fresh.assignment == second.assignment
+
+    def test_ward_runs_make_the_pinned_kernel_calls(self, monkeypatch):
+        """Six 200-iteration runs on the ward shape.  Keyed on all 14
+        periods, the memo missed 4,844 cover and 2,132 combined picks."""
+        instance = generate_instance(WARD)
+        calls = count_kernel_calls(monkeypatch)
+        for seed in range(6):
+            run(instance, SolverConfig(max_iterations=200, seed=seed))
+        assert calls == {"cover": 2161, "combined": 1384}
