@@ -6,20 +6,24 @@ incumbent is replaced only by a strictly cheaper roster.
 
 Components.  Two nurses are joined when both can work some demanded cell
 (period, band): demand above 0, a grade that serves the band and a
-feasible pattern working the period.  Each component is searched on its
-own, over its nurses in id order, against the demand of its own cells
-only; the rosters are stitched together and their costs added.  A
-generated instance draws every nurse's patterns from days or from nights,
-so its two halves are searched apart instead of multiplying each other's
-trees.  A demanded cell no nurse can work makes the instance infeasible
-before any search.  One node budget covers all components.
+feasible pattern working the period.  Taking the nurses in id order, each
+one merges with every group whose packed reach (Instance.reach) shares a
+demanded cell with hers.  Each component is searched on its own, over its
+nurses in id order, against the demand of its own cells only; the rosters
+are stitched together and their costs added.  A generated instance draws
+every nurse's patterns from days or from nights, so its two halves are
+searched apart instead of multiplying each other's trees.  A demanded cell
+no nurse can work makes the instance infeasible before any search.  One
+node budget and one set of counters cover all components, and exact_solve
+alone decides the status.
 
 Dominated patterns.  A nurse's pattern is left out of her cost-ordered
 list when an earlier entry of that list works every period it works
 (Instance.supersets): that entry costs no more and covers at least as much.
 
-One backward sweep over a component's nurses builds three per-depth tables
-once, and the search cuts a branch on two sound bounds taken from them:
+One backward sweep over a component's nurses builds four per-depth tables
+once: each nurse's patterns in search order, and three tables from which
+the search takes two sound bounds to cut a branch:
 
 * Coverage.  A cell (period, band) still short by more than the number of
   remaining nurses who could work it can never be covered.
@@ -91,70 +95,47 @@ class ExactResult:
     components: int = 1
 
 
-def _search_orders(instance: Instance) -> list[list[int]]:
-    """Each nurse's patterns cheapest first, ties in feasible-list order,
-    without those an earlier entry works every period of."""
-    orders = []
-    for nurse in instance.nurses:
-        seen = 0
-        kept = []
-        for j in sorted(nurse.feasible, key=nurse.pref_cost.__getitem__):
-            if not instance.supersets[j] & seen:
-                kept.append(j)
-            seen |= 1 << j
-        orders.append(kept)
-    return orders
-
-
 def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
     """The nurse components, each as (its ids in id order, its top), and
     the demanded cells no nurse can work, as low bits.
 
-    Union-find joins the nurses that can work one demanded cell.  A
-    component's top is demand_bits - low_bits with the demand of every
-    cell outside the component set to 0.  Components come in the order of
-    their least id.
+    Nurses are taken in id order, and each one merges with every group whose
+    packed reach shares a demanded cell with hers.  A component's top is
+    demand_bits - low_bits with the demand of every cell outside the
+    component set to 0.  Components come in the order of their least id.
     """
-    width, reach = instance.field_width, instance.reach
+    width = instance.field_width
     demanded = ((instance.demand_bits - instance.low_bits) & instance.guard_bits) >> (width - 1)
-    parent = list(range(instance.n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]  # path halving
-        return i
-
-    owner: dict[int, int] = {}  # a demanded cell's low bit -> the first nurse who can work it
-    for i in range(instance.n):
-        bits = reach[i] & demanded
-        while bits:
-            low = bits & -bits
-            parent[find(i)] = find(owner.setdefault(low, i))
-            bits ^= low
-    groups: dict[int, list[int]] = {}
-    for i in range(instance.n):
-        groups.setdefault(find(i), []).append(i)
-    components = []
-    for ids in groups.values():
-        fields = 0
-        for i in ids:
-            fields |= reach[i]
+    groups: list[tuple[list[int], int]] = []  # (ids, the union of their reach)
+    for i, mine in enumerate(instance.reach):
+        ids, fields, apart = [i], mine, []
+        for other_ids, other in groups:
+            if other & mine & demanded:
+                ids += other_ids
+                fields |= other
+            else:
+                apart.append((other_ids, other))
+        groups = apart + [(sorted(ids), fields)]
+    components, workable = [], 0
+    for ids, fields in sorted(groups):
+        workable |= fields
         top = ((instance.demand_bits & fields) | instance.guard_bits) - instance.low_bits
         components.append((ids, top))
-    workable = 0
-    for fields in reach:
-        workable |= fields
     return components, demanded & ~workable
 
 
-def _bound_tables(
-    instance: Instance, ordered: list[list[int]], ids: list[int], top: int
-) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
-    """Per-depth bound tables from one backward sweep over nurses ids.
+def _tables(
+    instance: Instance, ids: list[int], top: int
+) -> tuple[list[list[tuple[int, int, int]]], list[int], list[int], list[list[tuple[int, int]]]]:
+    """The per-depth tables of the search over nurses ids, built in one
+    backward sweep.
 
-    Depth d is nurse ids[d], ordered[i] is nurse i's search order and top
-    is demand_bits - low_bits with the demand of the cells outside ids set
-    to 0 (see _components).
+    Depth d is nurse ids[d] and top is demand_bits - low_bits with the
+    demand of the cells outside ids set to 0 (see _components).
+
+    choices[d] lists nurse ids[d]'s (pattern, its cost, its packed cells)
+    cheapest first, ties in feasible-list order, without the patterns an
+    earlier entry works every period of.
 
     rest[d] is the sum of the cheapest pattern cost of nurses ids[d:].
 
@@ -172,22 +153,27 @@ def _bound_tables(
     out: the coverage cut settles them before the extras are read.
     """
     size, width, span = len(ids), instance.field_width, instance.band_span
+    choices: list[list[tuple[int, int, int]]] = [[]] * size
     rest = [0] * (size + 1)
-    avail = 0
-    least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
     cut = [0] * size
     extra: list[list[tuple[int, int]]] = [[]] * size
+    avail = 0
+    least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
     for d in range(size - 1, -1, -1):
         nurse = instance.nurses[ids[d]]
-        order = ordered[nurse.id]
-        cheapest = nurse.pref_cost[order[0]]
+        price, cells = nurse.pref_cost, instance.grade_cells[nurse.grade - 1]
+        order = sorted(nurse.feasible, key=price.__getitem__)
+        cheapest = price[order[0]]
         rest[d] = rest[d + 1] + cheapest
-        # the first pattern in cost order that works k is her cheapest cover of k
-        forced: dict[int, int] = {}
+        choices[d], seen = [], 0
+        forced: dict[int, int] = {}  # a period -> her cheapest cover of it, above cheapest
         for j in order:
-            for k in instance.patterns[j].periods:
-                forced.setdefault(k, nurse.pref_cost[j] - cheapest)
-        # the dominated patterns left out of order work no period outside it
+            if not instance.supersets[j] & seen:
+                choices[d].append((j, price[j], cells[j]))
+                for k in instance.patterns[j].periods:
+                    forced.setdefault(k, price[j] - cheapest)
+            seen |= 1 << j
+        # a dominated pattern works no period its kept superset does not
         avail += instance.reach[nurse.id] & instance.low_bits
         cut[d] = top - avail
         for s in range(nurse.grade - 1, instance.g):
@@ -199,40 +185,36 @@ def _bound_tables(
             if more:
                 by_cost[more] = by_cost.get(more, 0) | 1 << bit
         extra[d] = sorted(by_cost.items(), reverse=True)
-    return rest, cut, extra
+    return choices, rest, cut, extra
 
 
-def _search(
-    instance: Instance, ordered: list[list[int]], ids: list[int], top: int, node_budget: int
-) -> ExactResult:
-    """Branch and bound over one component, nurses ids in order, against top.
+class _OutOfBudget(Exception):
+    """The node budget ran out during a search."""
 
-    The roster lists the patterns of nurses ids, in that order.  A budget
-    of 0 allows the cuts at depth 0 and no node.
+
+def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResult:
+    """Minimum-cost feasible roster, INFEASIBLE if none, TIMEOUT on budget.
+
+    The components are searched in turn, each over its nurses in id order
+    against its own top, and the first one that ends with no incumbent or
+    out of budget ends the call.  All share one node count, so a component
+    that starts with the budget spent allows the cuts at depth 0 and no
+    node.  A TIMEOUT carries a roster only when every component has one.
     """
-    size = len(ids)
-    rest, cut, extra = _bound_tables(instance, ordered, ids, top)
+    if node_budget < 1:
+        raise ValueError("node_budget must be >= 1")
+    components, stranded = _components(instance)
+    if stranded:
+        return ExactResult(INFEASIBLE, None, None, 0, 0, 1, len(components))
     guard_bits = instance.guard_bits
-    # per depth, (pattern, its cost, its packed cells) in search order
-    choices = []
-    for i in ids:
-        nurse = instance.nurses[i]
-        cells = instance.grade_cells[nurse.grade - 1]
-        choices.append([(j, nurse.pref_cost[j], cells[j]) for j in ordered[i]])
-
-    assignment = [0] * size  # every entry is overwritten before a leaf reads it
-    best_cost: float = math.inf
-    best_assignment: list[int] | None = None
     nodes = cost_cuts = coverage_cuts = 0
-    out_of_budget = False
 
     def search(depth: int, cost: int, cov: int) -> None:
-        nonlocal best_cost, best_assignment, nodes, cost_cuts, coverage_cuts, out_of_budget
+        nonlocal best_cost, best, nodes, cost_cuts, coverage_cuts
         short = (top - cov) & guard_bits  # guard bit set iff covered < demand
         if depth == size:
             if not short and cost < best_cost:
-                best_cost = cost
-                best_assignment = list(assignment)
+                best_cost, best = cost, list(path)
             return
         if (cut[depth] - cov) & guard_bits:
             coverage_cuts += 1
@@ -253,53 +235,30 @@ def _search(
                 cost_cuts += 1
                 break  # patterns are cost-sorted: the rest only cost more
             if nodes == node_budget:
-                out_of_budget = True
-                return
+                raise _OutOfBudget
             nodes += 1
-            assignment[depth] = j
+            path[depth] = j
             search(depth + 1, new_cost, cov + cells)
-            if out_of_budget:
-                return
 
-    search(0, 0, 0)
-
-    roster = None if best_assignment is None else Roster(best_assignment)
-    if out_of_budget:
-        status = TIMEOUT
-    else:
-        status = INFEASIBLE if roster is None else OPTIMAL
-    cost = None if roster is None else int(best_cost)
-    return ExactResult(status, cost, roster, nodes, cost_cuts, coverage_cuts)
-
-
-def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResult:
-    """Minimum-cost feasible roster, INFEASIBLE if none, TIMEOUT on budget.
-
-    The components are searched in turn and the first one that ends
-    INFEASIBLE or TIMEOUT ends the call.  A TIMEOUT carries a roster only
-    when every component has one.
-    """
-    if node_budget < 1:
-        raise ValueError("node_budget must be >= 1")
-    components, stranded = _components(instance)
-    if stranded:
-        return ExactResult(INFEASIBLE, None, None, 0, 0, 1, len(components))
-    ordered = _search_orders(instance)
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
-    nodes = cost_cuts = coverage_cuts = 0
     for ids, top in components:
-        part = _search(instance, ordered, ids, top, node_budget - nodes)
-        nodes += part.nodes_explored
-        cost_cuts += part.cost_cuts
-        coverage_cuts += part.coverage_cuts
-        if part.optimal_roster is not None:
-            total += part.optimal_cost
-            for i, j in zip(ids, part.optimal_roster.assignment):
+        choices, rest, cut, extra = _tables(instance, ids, top)
+        size, path = len(ids), [0] * len(ids)  # path is overwritten before a leaf reads it
+        best_cost: float = math.inf
+        best: list[int] | None = None
+        try:
+            search(0, 0, 0)
+        except _OutOfBudget:
+            status = TIMEOUT
+        if best is not None:
+            total += int(best_cost)
+            for i, j in zip(ids, best):
                 assignment[i] = j
-        if part.status != OPTIMAL:
-            status = part.status
+        elif status == OPTIMAL:
+            status = INFEASIBLE
+        if status != OPTIMAL:
             break
-    roster = Roster(assignment) if status != INFEASIBLE and None not in assignment else None
+    roster = None if status == INFEASIBLE or None in assignment else Roster(assignment)
     cost = None if roster is None else total
     return ExactResult(status, cost, roster, nodes, cost_cuts, coverage_cuts, len(components))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .eliminate import EliminationConfig, eliminate_at_random, eliminate_by_fitness
 from .evaluate import EvalWeights, component_fitness_all, penalized_cost
-from .model import Instance, Roster, compute_coverage
+from .model import CoverageState, Instance, Roster, compute_coverage
 from .reconstruct import PickMemo, ReconstructionConfig, reconstruct
 
 RNG_KIND = "mt19937"  # python random.Random; recorded in results for replay
@@ -144,10 +144,10 @@ def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult
     rng = random.Random(config.seed)
     started = time.perf_counter()
 
+    coverage = CoverageState(instance)  # reconstruct brings it up to the roster
     roster = reconstruct(
-        instance, Roster.empty(instance.n), config.recon, weights, rng
+        instance, Roster.empty(instance.n), config.recon, weights, rng, coverage
     )
-    coverage = compute_coverage(instance, roster)
     cost = penalized_cost(instance, roster, weights, coverage=coverage)
 
     return RunResult(

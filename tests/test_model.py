@@ -15,7 +15,7 @@ from nrp.model import (
     preference_cost,
 )
 
-from nrp.oracle import _bound_tables, _components, _search_orders
+from nrp.oracle import _components, _tables
 from nrp.reconstruct import _focus_mask, _shortfall_sums
 
 from bruteforce import coverage_matrix, feasible_by_definition, qualified
@@ -286,9 +286,10 @@ class TestPackedCoverage:
         assert focused > 500 and unfocused > 10
 
     def test_oracle_cut_marks_cells_no_remaining_nurse_can_fill(self):
-        """Checked on the whole instance in plain cost order, and on each
-        component in the solver's own order against its own demand.  The
-        random instances here each form one component; generated ones split in two."""
+        """Checked on the whole instance and on each component against its
+        own demand, both in the solver's own order, which leaves the
+        dominated patterns out.  The random instances here each form one
+        component; generated ones split in two."""
         rng, component_rng = random.Random(67), random.Random(68)
         cut_cells = forced_cells = split = 0
         for trial in range(90):
@@ -299,12 +300,8 @@ class TestPackedCoverage:
                     n=2 + trial % 7, m=12, g=1 + trial % 4, feasible_min=2, feasible_max=5,
                     seed=6700 + trial,
                 ))
-            ordered = [
-                sorted(nurse.feasible, key=lambda j, nurse=nurse: nurse.pref_cost[j])
-                for nurse in inst.nurses
-            ]
-            # (rng, order, nurse ids, top, the cells whose demand top keeps)
-            parts = [(rng, ordered, list(range(inst.n)), inst.demand_bits - inst.low_bits,
+            # (rng, nurse ids, top, the cells whose demand top keeps)
+            parts = [(rng, list(range(inst.n)), inst.demand_bits - inst.low_bits,
                       {(k, s) for k in range(N_PERIODS) for s in range(inst.g)})]
             components, _ = _components(inst)
             split += len(components) > 1
@@ -314,9 +311,9 @@ class TestPackedCoverage:
                     if qualified(inst, i, s + 1)
                     and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)
                 }
-                parts.append((component_rng, _search_orders(inst), ids, top, workable))
-            for draw, order, ids, top, kept in parts:
-                _, cut, extra = _bound_tables(inst, order, ids, top)
+                parts.append((component_rng, ids, top, workable))
+            for draw, ids, top, kept in parts:
+                _, _, cut, extra = _tables(inst, ids, top)
                 for depth in range(len(ids)):
                     # the solver's coverage at depth d holds nurses ids[:d] only
                     roster = Roster.empty(inst.n)

@@ -5,7 +5,7 @@ import pytest
 
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Nurse, is_feasible, preference_cost
-from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, _components, _search_orders, exact_solve
+from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, _components, _tables, exact_solve
 
 from bruteforce import (
     BF_INFEASIBLE,
@@ -13,6 +13,7 @@ from bruteforce import (
     brute_force_solve,
     components_by_definition,
     first_optimal_roster,
+    qualified,
 )
 from conftest import demand_rows, make_instance, pattern
 
@@ -295,8 +296,9 @@ def test_a_demanded_cell_nobody_can_work_is_infeasible_before_any_node():
 
 
 def test_search_orders_drop_exactly_the_dominated_patterns():
-    """Each nurse's order is her cost order, ties in feasible-list order,
-    less every pattern an earlier entry of that order works all periods of."""
+    """Each nurse's choices follow her cost order, ties in feasible-list
+    order, less every pattern an earlier entry of that order works all
+    periods of."""
     rng = random.Random(23)
     dropped = kept = 0
     for trial in range(40):
@@ -304,7 +306,9 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
             n=rng.randint(1, 8), m=rng.choice([4, 8, 16]), g=1 + trial % 3,
             feasible_min=1, feasible_max=8, seed=7700 + trial,
         ))
-        for nurse, order in zip(inst.nurses, _search_orders(inst)):
+        choices, _, _, _ = _tables(inst, list(range(inst.n)), inst.demand_bits - inst.low_bits)
+        for nurse, choice in zip(inst.nurses, choices):
+            order = [j for j, _, _ in choice]
             by_cost = sorted(nurse.feasible, key=lambda j: nurse.pref_cost[j])
             dominated = [
                 j for index, j in enumerate(by_cost)
@@ -314,6 +318,60 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
                 )
             ]
             assert order == [j for j in by_cost if j not in dominated]
+            # each choice carries its cost and its cells in every band the nurse serves
+            assert choice == [
+                (j, nurse.pref_cost[j], sum(
+                    1 << (s * inst.band_span + k * inst.field_width)
+                    for s in range(nurse.grade - 1, inst.g) for k in inst.patterns[j].periods
+                ))
+                for j in order
+            ]
             dropped += len(dominated)
             kept += len(order)
     assert dropped > 20 and kept > 100
+
+
+def _component_alone(inst, ids):
+    """The instance of nurses ids alone, renumbered in id order, with the
+    demand of every cell none of them can work set to 0."""
+    nurses = [
+        Nurse(new, inst.nurses[i].grade, inst.nurses[i].feasible, inst.nurses[i].pref_cost)
+        for new, i in enumerate(ids)
+    ]
+    rows = [
+        [
+            d if any(
+                qualified(inst, i, s + 1)
+                and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)
+                for i in ids
+            ) else 0
+            for s, d in enumerate(row)
+        ]
+        for k, row in enumerate(inst.demand.r)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_instance(inst.patterns, nurses, demand_rows(rows), g=inst.g)
+
+
+def test_a_budget_spent_at_a_component_boundary_times_out_without_a_roster():
+    """The first component proves its part with the last node of the
+    budget; the second then starts with none left, so the call times out
+    with no roster.  The full count proves the instance."""
+    for seed in range(6):
+        inst = generate_instance(GeneratorParams(n=8, m=12, g=3, feasible_min=4, seed=seed))
+        components = components_by_definition(inst)
+        assert len(components) == 2
+        first = exact_solve(_component_alone(inst, components[0]))
+        assert (first.status, first.components) == (OPTIMAL, 1)
+        full = exact_solve(inst)
+        assert full.status == OPTIMAL
+        assert 0 < first.nodes_explored < full.nodes_explored
+        spent = exact_solve(inst, first.nodes_explored)
+        assert spent.status == TIMEOUT
+        assert spent.nodes_explored == first.nodes_explored
+        assert (spent.optimal_cost, spent.optimal_roster) == (None, None)
+        enough = exact_solve(inst, full.nodes_explored)
+        assert enough.status == OPTIMAL
+        assert enough.nodes_explored == full.nodes_explored
+        assert (enough.optimal_cost, enough.optimal_roster) == (full.optimal_cost, full.optimal_roster)
