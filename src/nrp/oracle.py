@@ -159,6 +159,7 @@ def _tables(
     extra: list[list[tuple[int, int]]] = [[]] * size
     avail = 0
     least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
+    by_cost: dict[int, int] = {}  # a positive least extra -> the guard bits at it
     for d in range(size - 1, -1, -1):
         nurse = instance.nurses[ids[d]]
         price, cells = nurse.pref_cost, instance.grade_cells[nurse.grade - 1]
@@ -176,14 +177,20 @@ def _tables(
         # a dominated pattern works no period its kept superset does not
         avail += instance.reach[nurse.id] & instance.low_bits
         cut[d] = top - avail
+        # a cell's least extra only falls, so move its bit between buckets then
         for s in range(nurse.grade - 1, instance.g):
             for k, more in forced.items():
                 bit = s * span + k * width + width - 1
-                least[bit] = min(more, least.get(bit, more))
-        by_cost: dict[int, int] = {}
-        for bit, more in least.items():
-            if more:
-                by_cost[more] = by_cost.get(more, 0) | 1 << bit
+                was = least.get(bit)
+                if was is not None and was <= more:
+                    continue
+                least[bit] = more
+                if was:
+                    by_cost[was] ^= 1 << bit
+                    if not by_cost[was]:
+                        del by_cost[was]
+                if more:
+                    by_cost[more] = by_cost.get(more, 0) | 1 << bit
         extra[d] = sorted(by_cost.items(), reverse=True)
     return choices, rest, cut, extra
 

@@ -7,6 +7,18 @@ seen is retained, and the result's trajectory records each iteration that
 improved it.  A single seeded rng stream drives initialization, both
 eliminations and reconstruction in a documented order, so a run is fully
 reproducible from (instance, config).
+
+Fitness memo.  A run keeps the fitness lists it has computed, keyed by the
+roster's assignment tuple, and calls component_fitness_all only for a roster
+it has not met.  Fitness is a pure function of the instance, the roster and
+the weights, and one run fixes the instance and the weights, so the memo
+changes no float, no rng draw and no pick; like the PickMemo it must not
+outlive its run.  On desk-size instances the search keeps coming back to the
+same few rosters: about 93% of fitness calls score a roster the run has
+already scored.  On the paper's ward shape about 5% do.  The memo is emptied
+once it holds FITNESS_MEMO_ROSTERS rosters, which every desk-size run fits
+and which keeps it under about 0.4 MB at n = 30.  Fitness is only computed
+when fitness elimination is on.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from .model import CoverageState, Instance, Roster, compute_coverage
 from .reconstruct import PickMemo, ReconstructionConfig, reconstruct
 
 RNG_KIND = "mt19937"  # python random.Random; recorded in results for replay
+FITNESS_MEMO_ROSTERS = 256  # per run; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,9 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     iteration_of_best = 0
     trajectory = [(0, best_cost)]
     memo = PickMemo(instance)  # lives exactly as long as this run
+    # fitness by roster, also for this run only; the stored lists are shared,
+    # so no caller may mutate them (eliminate_by_fitness only reads them)
+    fitness_memo: dict[tuple[int, ...], list[float]] = {}
 
     def optimum_reached() -> bool:
         return (
@@ -100,13 +116,18 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     if not optimum_reached():
         for t in range(1, config.max_iterations + 1):
             iterations = t
-            fitness = component_fitness_all(
-                instance, roster, weights, coverage=coverage
-            )
             if config.elim.enable_fitness_elim:
+                key = tuple(roster.assignment)
+                fitness = fitness_memo.get(key)
+                if fitness is None:
+                    if len(fitness_memo) >= FITNESS_MEMO_ROSTERS:
+                        fitness_memo.clear()
+                    fitness = fitness_memo[key] = component_fitness_all(
+                        instance, roster, weights, coverage=coverage
+                    )
                 partial = eliminate_by_fitness(roster, fitness, config.elim, rng)
             else:
-                partial = roster.copy()
+                partial = roster  # nothing below mutates its input roster
             if config.elim.enable_random_elim:
                 partial = eliminate_at_random(partial, config.elim, rng)
             # roster is complete here, so every unassigned nurse was just released

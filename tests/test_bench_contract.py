@@ -1,8 +1,10 @@
 """The benchmark's output contract: one JSON line with every declared metric.
 
 perfbench/run.py is run as BENCHMARK.json runs it, on the smallest window of
-the ward-paper workload, so a rename in src/nrp that a benchmark shim or
-figure relies on fails here rather than in the benchmark's own run.
+each workload untraced and of the ward-paper workload traced, so a rename in
+src/nrp that a benchmark shim or figure relies on, or a change to any
+workload's recorded outputs (hash and optima), fails here rather than in the
+benchmark's own run.
 """
 
 import json
@@ -22,10 +24,15 @@ COUNTS_MOVED_BY_A_RUN = (
 )
 
 
-@pytest.mark.parametrize("trace, group", [(0, "end_to_end"), (1, "per_layer")])
-def test_benchmark_prints_every_declared_metric(trace, group):
+@pytest.mark.parametrize("workload, trace, group", [
+    pytest.param("ward-paper", 0, "end_to_end", id="0-end_to_end"),
+    pytest.param("ward-paper", 1, "per_layer", id="1-per_layer"),
+    pytest.param("desk-batch", 0, "end_to_end", id="desk-batch-0-end_to_end"),
+    pytest.param("oracle-proof", 0, "end_to_end", id="oracle-proof-0-end_to_end"),
+])
+def test_benchmark_prints_every_declared_metric(workload, trace, group):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ward-paper", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

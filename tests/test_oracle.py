@@ -331,6 +331,54 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
     assert dropped > 20 and kept > 100
 
 
+def _tables_rebuilding_by_cost(inst, ids, top):
+    """_tables as it was when every depth rebuilt the cost buckets from all
+    the least extras: the reference for the kept buckets."""
+    size, width, span = len(ids), inst.field_width, inst.band_span
+    choices, rest, cut, extra = [[]] * size, [0] * (size + 1), [0] * size, [[]] * size
+    avail, least = 0, {}
+    for d in range(size - 1, -1, -1):
+        nurse = inst.nurses[ids[d]]
+        price, cells = nurse.pref_cost, inst.grade_cells[nurse.grade - 1]
+        order = sorted(nurse.feasible, key=price.__getitem__)
+        cheapest = price[order[0]]
+        rest[d] = rest[d + 1] + cheapest
+        choices[d], seen, forced = [], 0, {}
+        for j in order:
+            if not inst.supersets[j] & seen:
+                choices[d].append((j, price[j], cells[j]))
+                for k in inst.patterns[j].periods:
+                    forced.setdefault(k, price[j] - cheapest)
+            seen |= 1 << j
+        avail += inst.reach[nurse.id] & inst.low_bits
+        cut[d] = top - avail
+        for s in range(nurse.grade - 1, inst.g):
+            for k, more in forced.items():
+                bit = s * span + k * width + width - 1
+                least[bit] = min(more, least.get(bit, more))
+        by_cost = {}
+        for bit, more in least.items():
+            if more:
+                by_cost[more] = by_cost.get(more, 0) | 1 << bit
+        extra[d] = sorted(by_cost.items(), reverse=True)
+    return choices, rest, cut, extra
+
+
+def test_kept_cost_buckets_match_a_rebuild_per_depth():
+    compared = 0
+    for g in range(1, 7):
+        for n in range(4, 17, 3):
+            for seed in range(6):
+                inst = generate_instance(GeneratorParams(
+                    n=n, m=12, g=g, feasible_min=3, feasible_max=8, seed=7900 + seed,
+                ))
+                components, _ = _components(inst)
+                for ids, top in components:
+                    assert _tables(inst, ids, top) == _tables_rebuilding_by_cost(inst, ids, top)
+                    compared += 1
+    assert compared > 200
+
+
 def _component_alone(inst, ids):
     """The instance of nurses ids alone, renumbered in id order, with the
     demand of every cell none of them can work set to 0."""

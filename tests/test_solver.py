@@ -1,13 +1,15 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
-from nrp.eliminate import EliminationConfig
-from nrp.evaluate import EvalWeights, penalized_cost
+from nrp.eliminate import EliminationConfig, eliminate_by_fitness
+from nrp.evaluate import EvalWeights, component_fitness_all, penalized_cost
+from nrp.harness import PRESET_NAMES, preset_spec, run_batch, run_csv_row
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Nurse, compute_coverage, is_feasible, preference_cost
-from nrp.oracle import exact_solve
+from nrp.oracle import OPTIMAL, exact_solve
 from nrp.reconstruct import E_MODES, ReconstructionConfig
 from nrp.solver import (
     RunResult,
@@ -181,6 +183,107 @@ class TestRun:
                 for seed in range(3):
                     run(inst, replace(config, seed=seed))
         assert calls == len(E_MODES) * len(suite) * 3 * 301
+
+
+def count_fitness_calls(monkeypatch) -> list[int]:
+    """Count the loop's component_fitness_all calls, the fitness memo's misses."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return component_fitness_all(*args, **kwargs)
+
+    monkeypatch.setattr("nrp.solver.component_fitness_all", counted)
+    return calls
+
+
+LOOPING_PRESETS = [name for name in PRESET_NAMES if not preset_spec(name).construction_only]
+
+
+class TestFitnessMemo:
+    def test_a_memo_emptied_before_every_store_changes_nothing(self, monkeypatch):
+        calls = count_fitness_calls(monkeypatch)
+        suite = build_desk_suite(8)
+        default_calls = capped_calls = 0
+        for name in LOOPING_PRESETS:
+            config = replace(
+                preset_spec(name).config, max_iterations=300, stop_at_known_optimal=False
+            )
+            for e_mode in E_MODES:
+                moded = replace(config, recon=replace(config.recon, e_mode=e_mode))
+                for inst in suite:
+                    for seed in range(2):
+                        seeded = replace(moded, seed=seed)
+                        before = calls[0]
+                        default = run(inst, seeded)
+                        default_calls += calls[0] - before
+                        with monkeypatch.context() as capped:
+                            capped.setattr("nrp.solver.FITNESS_MEMO_ROSTERS", 1)
+                            before = calls[0]
+                            emptied = run(inst, seeded)
+                            capped_calls += calls[0] - before
+                        assert (
+                            emptied.best_cost,
+                            emptied.best_roster.assignment,
+                            emptied.trajectory,
+                            emptied.iterations_executed,
+                            emptied.iteration_of_best,
+                        ) == (
+                            default.best_cost,
+                            default.best_roster.assignment,
+                            default.trajectory,
+                            default.iterations_executed,
+                            default.iteration_of_best,
+                        )
+        # the default memo answered most calls, the one-roster memo far fewer
+        assert 0 < default_calls < capped_calls
+
+    def test_each_memoized_fitness_equals_a_fresh_one(self, monkeypatch):
+        misses = count_fitness_calls(monkeypatch)
+        calls = 0
+
+        def checked(roster, fitness, config, rng):
+            nonlocal calls
+            calls += 1
+            assert fitness == component_fitness_all(inst, roster, EvalWeights())
+            return eliminate_by_fitness(roster, fitness, config, rng)
+
+        monkeypatch.setattr("nrp.solver.eliminate_by_fitness", checked)
+        suite = build_desk_suite(8)
+        for e_mode in E_MODES:
+            config = SolverConfig(
+                max_iterations=300,
+                recon=ReconstructionConfig(e_mode=e_mode),
+                stop_at_known_optimal=False,
+            )
+            for inst in suite:
+                for seed in range(3):
+                    run(inst, replace(config, seed=seed))
+        assert calls == len(E_MODES) * len(suite) * 3 * 300
+        assert misses[0] < calls / 2  # the memo, not a fresh call, answered most
+
+    def test_elim2_only_scores_no_fitness_and_keeps_its_rows(self, monkeypatch):
+        # rows recorded before fitness was skipped for this preset
+        calls = count_fitness_calls(monkeypatch)
+        desk = generate_instance(GeneratorParams(n=5, m=12, g=3, tightness=0.75, seed=11001))
+        proof = exact_solve(desk)
+        assert proof.status == OPTIMAL
+        desk = replace(desk, known_optimal=proof.optimal_cost)
+        mid = generate_instance(
+            GeneratorParams(n=12, m=40, g=3, feasible_min=6, feasible_max=16, seed=5)
+        )
+        recorded = {
+            "desk": (desk, 2000, 5,
+                     "99b5bc406769e4883eb9e5a42e926141ca1c2c005b4678691d6507df707002e1"),
+            "mid": (mid, 300, 2,
+                    "cf4ea331c9bca19d1076c807bb8a0dc30a71b16dcac21df8a3950bf190f74bca"),
+        }
+        for name, (inst, iterations, runs, digest) in recorded.items():
+            spec = preset_spec("elim2-only", max_iterations=iterations)
+            results = run_batch(inst, spec, runs, base_seed=0, threads=1)
+            text = "\n".join(run_csv_row(name, r) for r in results) + "\n"
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        assert calls[0] == 0
 
 
 class TestConstructionOnly:
