@@ -222,19 +222,7 @@ class TestFitnessMemo:
                             before = calls[0]
                             emptied = run(inst, seeded)
                             capped_calls += calls[0] - before
-                        assert (
-                            emptied.best_cost,
-                            emptied.best_roster.assignment,
-                            emptied.trajectory,
-                            emptied.iterations_executed,
-                            emptied.iteration_of_best,
-                        ) == (
-                            default.best_cost,
-                            default.best_roster.assignment,
-                            default.trajectory,
-                            default.iterations_executed,
-                            default.iteration_of_best,
-                        )
+                        assert result_fields(emptied) == result_fields(default)
         # the default memo answered most calls, the one-roster memo far fewer
         assert 0 < default_calls < capped_calls
 
