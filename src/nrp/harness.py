@@ -228,7 +228,8 @@ class AblationSpec:
     """Which presets and iteration budgets an ablation matrix spans.
 
     Every column runs with the default EvalWeights, whose band weights fit
-    any grade count.
+    any grade count.  Each preset and each budget names one column, so none
+    may be listed twice.
     """
 
     presets: tuple[str, ...] = PRESET_NAMES
@@ -244,6 +245,10 @@ class AblationSpec:
             raise ValueError("iteration budgets must be >= 1")
         if not self.budgets and not self.presets:
             raise ValueError("budgets and presets are both empty: the matrix has no column")
+        for name, values in (("presets", self.presets), ("budgets", self.budgets)):
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise ValueError(f"{name}: {repeated[0]} is listed twice")
 
 
 def ablation_csv(

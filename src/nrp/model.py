@@ -124,14 +124,16 @@ class Instance:
     j's periods, as low bits, into each band q..g a grade-q nurse serves;
     grade_bits[q-1][j] as guard bits.
 
-    cover_scan[i] and combined_scan[i] are the (ids, pattern bits) the
-    reconstruction rules scan for nurse i, in feasible order.  The cover
-    list leaves out a pattern when an earlier feasible pattern works all of
-    its periods: that one fills every short cell it fills, wins the ties,
-    and so the later pattern is never the first maximum.  The combined
-    score also rewards a low cost, so its list leaves a pattern out only
-    when such an earlier superset costs no more; with non-negative weights
-    it then scores at least as much (see the reconstruct module).
+    cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
+    i, in feasible order, and combined_scan[i] the (cost, position in her
+    feasible list, id, pattern bits) rows the combined rule scans, cheapest
+    first and, at equal cost, in feasible order.  The cover list leaves out
+    a pattern when an earlier feasible pattern works all of its periods:
+    that one fills every short cell it fills, wins the ties, and so the
+    later pattern is never the first maximum.  The combined score also
+    rewards a low cost, so its list leaves a pattern out only when such an
+    earlier superset costs no more; with non-negative weights it then
+    scores at least as much (see the reconstruct module).
     supersets[j] is the set, as a bitset over pattern ids, of the patterns
     that work every period j works (j among them): the one superset test
     of the scan lists and of the exact solver's dominated patterns.
@@ -159,7 +161,7 @@ class Instance:
     cover_scan: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
-    combined_scan: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+    combined_scan: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
     grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -226,15 +228,16 @@ class Instance:
         Walking a nurse's feasible list with seen the ids already walked, j
         is left out of her cover list iff supersets[j] & seen is nonzero,
         and out of her combined list iff one of those earlier supersets also
-        costs no more than j.
+        costs no more than j.  The combined rows are then sorted by (cost,
+        position).
         """
         sup = self.supersets
         cover, combined = [], []
         for nurse in self.nurses:
             costs = nurse.pref_cost
             seen = 0
-            cover_ids, combined_ids = [], []
-            for j in nurse.feasible:
+            cover_ids, rows = [], []
+            for position, j in enumerate(nurse.feasible):
                 earlier = sup[j] & seen
                 seen |= 1 << j
                 if not earlier:
@@ -244,9 +247,10 @@ class Instance:
                 while earlier and costs[(earlier & -earlier).bit_length() - 1] > cost:
                     earlier &= earlier - 1
                 if not earlier:
-                    combined_ids.append(j)
-            for scan, ids in ((cover, cover_ids), (combined, combined_ids)):
-                scan.append((tuple(ids), tuple(self.pattern_bits[j] for j in ids)))
+                    rows.append((cost, position, j, self.pattern_bits[j]))
+            cover.append((tuple(cover_ids), tuple(self.pattern_bits[j] for j in cover_ids)))
+            # (cost, position) is unique, so this is the stable sort by cost
+            combined.append(tuple(sorted(rows)))
         return tuple(cover), tuple(combined)
 
 

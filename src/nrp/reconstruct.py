@@ -12,16 +12,18 @@ its worked periods as band-1 guard bits (Instance.pattern_bits), and
 CoverageState.short_mask() gives the short cells of every band at once.  A
 band shifted down out of it gives the short periods a pattern covers there
 as (bits & short).bit_count().  The cover rule takes one band, the nurse's
-focus band, from the mask's lowest set bit at or above her own band; the
-combined rule slices each band she serves in turn and adds the weighted
-bands in ascending order, the order the per-period definition sums them in,
-so the float scores, and hence the first-pattern tie-breaks, equal the
+focus band, from the mask's lowest set bit at or above her own band.  The
+combined rule has one scorer, _score, for both e-modes.  Per pick it builds
+the band terms once (_band_terms): each band she serves becomes a weight
+and a tuple of level masks, whose popcounts against a pattern sum to the
+band's count.  In indicator mode the one level is the band's short cells.
+The shortfall e-mode weights each period by its shortfall, so its levels
+are the masks of cells short by at least t = 1, 2, ..., built from the
+band's slice of the packed shortfall, and a cell short by r is counted at r
+levels.  _score adds the weighted integer counts to the preference term
+band by band in ascending order, the order the per-period definition sums
+them in, so the float scores, and hence the tie-breaks, equal the
 definition's.
-The shortfall e-mode weights each period by its shortfall: a pattern's
-shortfall sum at a band is the sum over t >= 1 of its popcount against the
-level mask of cells short by at least t, built from the band's slice of the
-packed shortfall, and the integer sum is weighted once per band, as the
-definition does.
 
 A rule scans only the patterns that can be its first maximum, listed per
 nurse in Instance.cover_scan and Instance.combined_scan.  Take pattern j
@@ -39,6 +41,21 @@ more.  The first maximum of the full list is never left out, because an
 earlier pattern scoring at least as much would contradict its being first,
 so scanning the shorter list gives the same pick.
 
+Both scans also stop once no later pattern can win.  No pattern fills more
+cells than are short, so the cover rule, walking its list in feasible
+order, returns the first pattern that fills all of them; only when none
+does is the whole list scored.  The combined list is stored cheapest first,
+each pattern with its position in the feasible list.  A pattern's bound is
+the float chain of its score with each band's count replaced by the band's
+cap, the count of a pattern working every period: w_p * (100 - cost), then
++ w_s * cap band by band.  Every weight is non-negative and rounding is
+monotone, so the bound is at least the score, and along the cost order the
+preference term, and with it the bound, never rises.  The scan therefore
+stops at the first pattern whose bound is below the best score so far.
+Scores equal to the best go to the lower feasible position, so the pick is
+the first maximum in feasible order, as without the stop.  With w_p = 0 no
+bound falls and the whole list is scored.
+
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
 picks are memoized in a PickMemo.  The cover rule's key is (nurse id,
@@ -50,7 +67,7 @@ other half of the week for a ward nurse, leaves her keys as they were.  The
 picks stay the same: every scanned pattern works only periods inside her
 reach, so each popcount and each shortfall sum is unchanged; a band whose
 masked column is empty is skipped, which leaves every score's float as it
-was (see _combined_scores); and the focus band is still chosen from the
+was (see _band_terms); and the focus band is still chosen from the
 unmasked short mask.  The keys leave out the weights and the e-mode
 because one run fixes them, so a memo lasts exactly one solver run: run
 makes one and passes it to every reconstruct call, and a reconstruct call
@@ -171,68 +188,65 @@ def combined_score(
     nurse = instance.nurses[i]
     if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    state = _band_state(instance, coverage, nurse, e_mode)
-    bits = (instance.pattern_bits[j],)
-    return _combined_scores(instance, weights, nurse, (j,), bits, e_mode, state)[0]
+    terms = _band_terms(instance, weights, nurse, e_mode,
+                        _band_state(instance, coverage, nurse, e_mode))
+    return _score(weights.w_p * (100 - nurse.pref_cost[j]), terms, instance.pattern_bits[j])
 
 
-def _combined_scores(
-    instance: Instance,
-    weights: EvalWeights,
-    nurse: Nurse,
-    pattern_ids: tuple[int, ...],
-    pattern_bits: tuple[int, ...],
-    e_mode: str,
-    state: int,
-) -> list[float]:
-    """combined_score of each pattern id, in order.
+def _band_terms(
+    instance: Instance, weights: EvalWeights, nurse: Nurse, e_mode: str, state: int
+) -> list[tuple[float, tuple[int, ...], float]]:
+    """(w_s, levels, w_s * cap) for each band the nurse serves that can score.
 
-    pattern_bits holds the patterns' worked periods as band-1 guard bits and
-    state the nurse's _band_state, from which each band is sliced in turn.
-    Every score is summed in the same order (preference term, then bands
-    ascending, zero weights and empty columns skipped), so equal inputs give
-    bit-equal floats.  An empty column would add ws * 0 = +0.0 to every
-    score, which changes no float but a -0.0, and that one compares equal.
+    state is the nurse's _band_state, from which each band is sliced in
+    turn, lowest first.  A band's levels are guard-bit masks whose popcounts
+    against a pattern's bits sum to its count: in indicator mode one level,
+    the short cells; in shortfall mode level t holds the cells short by at
+    least t, so a cell short by r is counted once at each of the levels
+    1..r.  cap is the count of a pattern working every period, the sum of
+    the levels' popcounts, so no pattern counts more.  A band with weight 0
+    or no short cell is left out: it would add ws * 0 = +0.0 to every score,
+    which changes no float but a -0.0, and that one compares equal.
     """
-    costs = nurse.pref_cost
-    w_p, w_grade = weights.w_p, weights.w_grade
-    scores = [w_p * (100 - costs[j]) for j in pattern_ids]
     span = instance.band_span
     band = (1 << span) - 1
+    guard_bits, low_bits = instance.guard_bits & band, instance.low_bits & band
+    w_grade = weights.w_grade
     last = len(w_grade) - 1
+    terms = []
     for s in range(nurse.grade - 1, instance.g):
         ws = w_grade[min(s, last)]
         column, state = state & band, state >> span
         if ws == 0 or not column:
             continue
         if e_mode == "indicator":
-            scores = [
-                score + ws * (bits & column).bit_count()
-                for score, bits in zip(scores, pattern_bits)
-            ]
+            levels = (column,)
         else:
-            counts = _shortfall_sums(instance, pattern_bits, column)
-            scores = [score + ws * count for score, count in zip(scores, counts)]
-    return scores
+            levels = []
+            level = (column | guard_bits) - low_bits
+            while cells := level & guard_bits:
+                levels.append(cells)
+                level -= low_bits
+            levels = tuple(levels)
+        terms.append((ws, levels, ws * sum(cells.bit_count() for cells in levels)))
+    return terms
 
 
-def _shortfall_sums(
-    instance: Instance, pattern_bits: tuple[int, ...], shortfall: int
-) -> list[int]:
-    """Per pattern, the shortfall summed over its periods, from a packed column.
+def _score(preference: float, terms: list, bits: int) -> float:
+    """A pattern's combined score: its preference term, then each band term.
 
-    shortfall is one band's column moved down to band 1's bits.  Level t
-    holds the cells short by at least t, so a cell short by r is counted
-    once at each of the levels 1..r.
+    bits holds the pattern's worked periods as band-1 guard bits and terms
+    the nurse's _band_terms.  The band terms are added lowest band first,
+    each as w_s times an integer count, the order the per-period definition
+    sums them in, so equal inputs give bit-equal floats.
     """
-    band = (1 << instance.band_span) - 1
-    guard_bits, low_bits = instance.guard_bits & band, instance.low_bits & band
-    sums = [0] * len(pattern_bits)
-    level = (shortfall | guard_bits) - low_bits
-    while cells := level & guard_bits:
-        sums = [total + (bits & cells).bit_count() for total, bits in zip(sums, pattern_bits)]
-        level -= low_bits
-    return sums
+    score = preference
+    for ws, levels, _ in terms:
+        count = 0
+        for cells in levels:
+            count += (bits & cells).bit_count()
+        score += ws * count
+    return score
 
 
 class PickMemo:
@@ -323,11 +337,20 @@ def reconstruct(
 def _argmax_cover(
     instance: Instance, coverage: CoverageState, nurse: Nurse, short: int
 ) -> int:
-    """Cover-rule pick for the nurse's focus mask short (see _focus_mask)."""
-    if not short:
-        return nurse.feasible[0]
+    """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
+
+    The first pattern filling every short cell wins outright, so the scan
+    stops there; otherwise the first maximum wins.
+    """
     ids, bits = instance.cover_scan[nurse.id]
-    return _first_max(ids, [(b & short).bit_count() for b in bits])
+    full, best = short.bit_count(), -1
+    for j, pattern_bits in zip(ids, bits):
+        value = (pattern_bits & short).bit_count()
+        if value > best:
+            if value == full:
+                return j
+            best, pick = value, j
+    return pick
 
 
 def _argmax_combined(
@@ -338,11 +361,22 @@ def _argmax_combined(
     e_mode: str,
     state: int,
 ) -> int:
-    """Combined-rule pick for the nurse's band state (see _band_state)."""
-    ids, bits = instance.combined_scan[nurse.id]
-    return _first_max(ids, _combined_scores(instance, weights, nurse, ids, bits, e_mode, state))
+    """Combined-rule pick for the nurse's band state (see _band_state).
 
-
-def _first_max(feasible: tuple[int, ...], values: list) -> int:
-    """The pattern with the highest value; ties go to the earliest one."""
-    return feasible[values.index(max(values))]
+    The scan runs cheapest first and stops at the first pattern whose bound
+    falls below the best score; equal scores go to the earlier feasible
+    position.
+    """
+    terms = _band_terms(instance, weights, nurse, e_mode, state)
+    w_p = weights.w_p
+    best, pick, first = -math.inf, 0, 0
+    for cost, position, j, bits in instance.combined_scan[nurse.id]:
+        bound = preference = w_p * (100 - cost)
+        for _, _, most in terms:
+            bound += most
+        if bound < best:
+            break
+        score = _score(preference, terms, bits)
+        if score > best or score == best and position < first:
+            best, pick, first = score, j, position
+    return pick

@@ -338,6 +338,22 @@ class TestAblate:
         assert main(["ablate", str(path), "--runs", "0"]) == EXIT_ERROR
         assert_one_line_error(capsys, "runs")
 
+    @pytest.mark.parametrize("flags, words", [
+        (["--presets", "full", "full"], ("presets", "full", "twice")),
+        (["--budgets", "10", "10"], ("budgets", "10", "twice")),
+        (["--budgets", "10", "20", "10", "--presets", "full", "elim2-only", "full"],
+         ("presets", "full", "twice")),
+    ], ids=["presets", "budgets", "both"])
+    def test_a_repeated_column_exits_one_before_loading(
+        self, tmp_path, capsys, monkeypatch, flags, words
+    ):
+        path, out = write_instance(tmp_path), tmp_path / "matrix.csv"
+        refuse_runs(monkeypatch)
+        command = ["ablate", str(path), "--runs", "1", *flags, "--out", str(out)]
+        assert main(command) == EXIT_ERROR
+        assert_one_line_error(capsys, *words)
+        assert not out.exists()
+
     def test_no_columns_exits_one_before_loading(self, tmp_path, capsys, monkeypatch):
         path, out = write_instance(tmp_path), tmp_path / "matrix.csv"
         refuse_runs(monkeypatch)

@@ -8,12 +8,16 @@ with one to five bands under fewer band weights than bands, where the last
 weight covers the bands past the list.  The masks themselves are checked
 against the shortfall matrix recomputed from the roster, and each nurse's
 scan lists (the feasible patterns the argmax scans) against a pairwise
-filter.  Each nurse's reach is checked against her whole feasible list, and
-the masks kept to it, as the pick memo keys them, against the unmasked ones.
+filter, the combined list in its (cost, feasible position) order.  Each
+nurse's reach is checked against her whole feasible list, and the masks kept
+to it, as the pick memo keys them, against the unmasked ones.  The scans'
+early stops are checked on hand-built ties and, over random states and
+weights that overflow to inf, against the first argmax of the whole list.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -27,8 +31,9 @@ from nrp.reconstruct import (
     _argmax_combined,
     _argmax_cover,
     _band_state,
-    _combined_scores,
+    _band_terms,
     _focus_mask,
+    _score,
     combined_score,
     reconstruct,
 )
@@ -126,6 +131,21 @@ def dropped_ties(feasible, kept, values) -> bool:
     return any(j not in kept and value == best for j, value in zip(feasible, values))
 
 
+def combined_rows_by_definition(instance, i: int) -> tuple:
+    """Nurse i's combined list by pairwise comparison, as the rule's rows
+    (cost, feasible position, id, pattern bits), sorted by (cost, position)."""
+    nurse = instance.nurses[i]
+    _, combined = scan_lists_by_definition(instance, i)
+    order = sorted(combined, key=lambda j: (nurse.pref_cost[j], nurse.feasible.index(j)))
+    return tuple(
+        (nurse.pref_cost[j], nurse.feasible.index(j), j, instance.pattern_bits[j]) for j in order
+    )
+
+
+def combined_ids(instance, i: int) -> tuple[int, ...]:
+    return tuple(j for _, _, j, _ in instance.combined_scan[i])
+
+
 def test_scan_lists_match_pairwise_definition():
     rng = random.Random(59)
     dropped = [0, 0]
@@ -133,9 +153,8 @@ def test_scan_lists_match_pairwise_definition():
         instance, _ = random_state(rng, trial)
         for i, nurse in enumerate(instance.nurses):
             cover, combined = scan_lists_by_definition(instance, i)
-            scans = (instance.cover_scan[i], instance.combined_scan[i])
-            for scan, ids in zip(scans, (cover, combined)):
-                assert scan == (ids, tuple(instance.pattern_bits[j] for j in ids))
+            assert instance.cover_scan[i] == (cover, tuple(instance.pattern_bits[j] for j in cover))
+            assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
             dropped[0] += len(nurse.feasible) - len(cover)
             dropped[1] += len(nurse.feasible) - len(combined)
     assert dropped[0] > dropped[1] > 0  # both filters and the cost condition dropped some
@@ -161,11 +180,14 @@ def hand_scan_instance():
 def test_scan_lists_on_hand_built_instance():
     instance = hand_scan_instance()
     assert [scan[0] for scan in instance.cover_scan] == [(2, 0, 4), (0,)]
-    assert [scan[0] for scan in instance.combined_scan] == [(2, 0, 3, 4), (0, 2)]
+    # the combined lists (2, 0, 3, 4) and (0, 2), cheapest first
+    assert [combined_ids(instance, i) for i in range(instance.n)] == [(3, 2, 0, 4), (2, 0)]
+    assert [[row[:2] for row in scan] for scan in instance.combined_scan] == [
+        [(5, 3), (10, 0), (20, 1), (30, 4)], [(10, 1), (30, 0)]
+    ]
     for i in range(instance.n):
-        assert (instance.cover_scan[i][0], instance.combined_scan[i][0]) == (
-            scan_lists_by_definition(instance, i)
-        )
+        assert instance.cover_scan[i][0] == scan_lists_by_definition(instance, i)[0]
+        assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
     # every partial roster, with w_p = 0 so that pattern 1 ties pattern 0 outright
     for weights in (EvalWeights(w_p=0.0, w_grade=(1.0,)), EvalWeights(w_p=0.5, w_grade=(2.0,))):
         for i, nurse in enumerate(instance.nurses):
@@ -239,7 +261,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
                         )
                     values = [by_definition(j) for j in nurse.feasible]
                     dropped[mode] += dropped_ties(
-                        nurse.feasible, instance.combined_scan[i][0], values
+                        nurse.feasible, combined_ids(instance, i), values
                     )
                     expected = first_argmax(nurse.feasible, by_definition)
                     state = _band_state(instance, coverage, nurse, mode)
@@ -386,16 +408,130 @@ def test_reach_mask_keeps_every_pick():
             assert _argmax_cover(instance, coverage, nurse, short & works) == (
                 _argmax_cover(instance, coverage, nurse, short)
             )
-            ids, bits = instance.combined_scan[nurse.id]
             for mode in E_MODES:
                 state = _band_state(instance, coverage, nurse, mode)
                 masked_combined += state != state & works
+                terms = _band_terms(instance, weights, nurse, mode, state)
+                masked = _band_terms(instance, weights, nurse, mode, state & works)
                 # bit-equal floats, not merely the same pick
-                assert _combined_scores(instance, weights, nurse, ids, bits, mode,
-                                        state & works) == (
-                    _combined_scores(instance, weights, nurse, ids, bits, mode, state)
-                )
+                assert [_score(weights.w_p * (100 - cost), masked, bits)
+                        for cost, _, _, bits in instance.combined_scan[nurse.id]] == [
+                    _score(weights.w_p * (100 - cost), terms, bits)
+                    for cost, _, _, bits in instance.combined_scan[nurse.id]
+                ]
                 assert _argmax_combined(
                     instance, coverage, weights, nurse, mode, state & works
                 ) == _argmax_combined(instance, coverage, weights, nurse, mode, state)
     assert masked_cover > 500 and masked_combined > 1000, (masked_cover, masked_combined)
+
+
+def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
+    """Pattern 0 comes first in the feasible list but costs 10 more than
+    pattern 1, and fills one more short cell (in shortfall mode, two more
+    units of shortfall).  A band weight of 10 per cell (5 per unit) makes
+    the scores tie, so the pick must be pattern 0 although the cost-ordered
+    scan meets pattern 1 first."""
+    instance = make_instance(
+        [pattern(0, 0, 1), pattern(1, 2)],
+        [Nurse(0, 1, (0, 1), {0: 20, 1: 10})],
+        demand_rows([[2], [1], [1]] + [[0]] * (N_PERIODS - 3)),
+    )
+    assert combined_ids(instance, 0) == (1, 0)
+    nurse, roster = instance.nurses[0], Roster([None])
+    coverage = compute_coverage(instance, roster)
+    for mode, band_weight, tie in (("indicator", 10.0, 100.0), ("shortfall", 5.0, 95.0)):
+        weights = EvalWeights(w_p=1.0, w_grade=(band_weight,))
+        scores = [combined_score(instance, coverage, weights, 0, j, mode) for j in (0, 1)]
+        assert scores == [tie, tie]
+        state = _band_state(instance, coverage, nurse, mode)
+        assert _argmax_combined(instance, coverage, weights, nurse, mode, state) == 0
+        config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
+        repaired = reconstruct(instance, roster, config, weights, random.Random(0))
+        assert repaired.assignment == [0]
+
+
+def test_the_cover_rule_returns_the_first_of_two_patterns_filling_every_short_cell():
+    """Only Monday's day shift is short.  Pattern 0 misses it; patterns 1
+    and 2 both fill it and neither works all of the other's periods, so
+    both stay in the cover list and the earlier one in the feasible list
+    wins, whichever that is."""
+    patterns = [pattern(0, 4), pattern(1, 0, 3), pattern(2, 0, 5)]
+    nurses = [Nurse(0, 1, (0, 1, 2), {0: 0, 1: 0, 2: 0}),
+              Nurse(1, 1, (0, 2, 1), {0: 0, 1: 0, 2: 0})]
+    instance = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * (N_PERIODS - 1)))
+    coverage = compute_coverage(instance, Roster([None, None]))
+    for nurse, first_full in zip(instance.nurses, (1, 2)):
+        assert len(instance.cover_scan[nurse.id][0]) == 3
+        short = _focus_mask(instance, coverage, nurse)
+        assert _argmax_cover(instance, coverage, nurse, short) == first_full
+
+
+def bound_weights(rng: random.Random, g: int):
+    """Drawn weights, the same with w_p = 0, and two whose products overflow:
+    a band weight past 1e308 / 2 and a preference weight near 1e307."""
+    drawn = random_weights(rng, g)
+    huge_band = EvalWeights(w_p=round(rng.uniform(0.5, 2.0), 3),
+                            w_grade=(1.7e308,) + drawn.w_grade[1:])
+    huge_preference = EvalWeights(w_p=rng.choice((1e307, 5e306)), w_grade=drawn.w_grade)
+    return (drawn, replace(drawn, w_p=0.0), huge_band, huge_preference)
+
+
+def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatch):
+    """Per pattern of the cost-ordered scan, the bound (the score's float chain
+    with each band count replaced by its cap) is at least the score and never
+    rises along the scan, and the pick with the stop equals the first argmax
+    over the whole feasible list.  With w_p = 0 every bound is equal, so the
+    whole list is scored; otherwise the stop skips patterns."""
+    import nrp.reconstruct as reconstruct_module
+
+    scored = []
+
+    def counted(preference, terms, bits):
+        scored.append(bits)
+        return _score(preference, terms, bits)
+
+    monkeypatch.setattr(reconstruct_module, "_score", counted)
+    rng = random.Random(71)
+    skipped = overflowed = cover_checked = 0
+    for trial in range(TRIALS):
+        instance, roster = random_state(rng, trial)
+        coverage = compute_coverage(instance, roster)
+        for weights in bound_weights(rng, instance.g):
+            for i in roster.unassigned_ids():
+                nurse = instance.nurses[i]
+                rows = instance.combined_scan[i]
+                for mode in E_MODES:
+                    state = _band_state(instance, coverage, nurse, mode)
+                    terms = _band_terms(instance, weights, nurse, mode, state)
+                    bounds = []
+                    for cost, _, j, bits in rows:
+                        preference = bound = weights.w_p * (100 - cost)
+                        for ws, levels, most in terms:
+                            # w_s * cap, the cap being the count of every short cell
+                            assert most == ws * sum(cells.bit_count() for cells in levels)
+                            bound += most
+                        score = _score(preference, terms, bits)
+                        assert bound >= score
+                        assert score == combined_score(instance, coverage, weights, i, j, mode)
+                        overflowed += score == math.inf
+                        bounds.append(bound)
+                    assert bounds == sorted(bounds, reverse=True)
+                    scored.clear()
+                    pick = _argmax_combined(instance, coverage, weights, nurse, mode, state)
+                    assert pick == first_argmax(
+                        nurse.feasible,
+                        lambda j: combined_score_by_definition(
+                            instance, roster, weights.w_p, weights.w_grade, i, j, mode
+                        ),
+                    )
+                    if weights.w_p == 0:
+                        assert len(scored) == len(rows)
+                    skipped += len(rows) - len(scored)
+                short = _focus_mask(instance, coverage, nurse)
+                assert _argmax_cover(instance, coverage, nurse, short) == first_argmax(
+                    nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
+                )
+                cover_checked += 1
+    assert skipped > 1000 and overflowed > 1000 and cover_checked > 1000, (
+        skipped, overflowed, cover_checked
+    )

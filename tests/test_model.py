@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
@@ -16,7 +17,7 @@ from nrp.model import (
 )
 
 from nrp.oracle import _components, _tables
-from nrp.reconstruct import _focus_mask, _shortfall_sums
+from nrp.reconstruct import _band_terms, _focus_mask
 
 from bruteforce import coverage_matrix, feasible_by_definition, qualified
 from conftest import complete_roster, demand_rows, flat_demand, make_instance, pattern
@@ -252,11 +253,20 @@ class TestPackedCoverage:
         for t in range(1, worst + 2):
             level = ((packed | guard_bits) - t * low_bits) & guard_bits
             assert level == guard_mask(instance, [(k, s) for k, s in cells if short[k][s] >= t])
+        # a grade-g nurse serves one band, so the column is her band state
+        last_band = Nurse(0, instance.g, (0,), {0: 0})
+        unit_weight = EvalWeights(w_grade=(1.0,))
         for s in range(instance.g):
             column = (packed >> (s * span)) & ((1 << span) - 1)
-            assert _shortfall_sums(instance, instance.pattern_bits, column) == [
+            terms = _band_terms(instance, unit_weight, last_band, "shortfall", column)
+            levels = terms[0][1] if terms else ()
+            assert [sum((bits & cells).bit_count() for cells in levels)
+                    for bits in instance.pattern_bits] == [
                 sum(short[k][s] for k in p.periods) for p in instance.patterns
             ]
+            # the cap is the count of a pattern working every period
+            band_total = sum(short[k][s] for k in range(N_PERIODS))
+            assert [cap for _, _, cap in terms] == ([band_total] if band_total else [])
 
     def test_add_remove_sequences_match_the_definitions(self):
         above_n = steps = 0
