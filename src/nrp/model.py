@@ -133,7 +133,8 @@ class Instance:
     later pattern is never the first maximum.  The combined score also
     rewards a low cost, so its list leaves a pattern out only when such an
     earlier superset costs no more; with non-negative weights it then
-    scores at least as much (see the reconstruct module).
+    scores at least as much (see the reconstruct module).  The exact solver
+    takes its cost-ordered search lists from combined_scan too.
     supersets[j] is the set, as a bitset over pattern ids, of the patterns
     that work every period j works (j among them): the one superset test
     of the scan lists and of the exact solver's dominated patterns.
@@ -298,17 +299,16 @@ class CoverageState:
     guard bit reads the comparison.  The last field of a band is no
     different, so no borrow crosses a band boundary either.
 
-    total is the total shortfall over every cell.  covered and shortfall are
-    read-only 14 x g views of the packed counts, for checks by recount.
+    No running total is kept: total_shortfall() adds up the level masks until
+    one is empty.  covered and shortfall are read-only 14 x g views, for recounts.
     """
 
-    __slots__ = ("instance", "cov", "total")
+    __slots__ = ("instance", "cov")
 
     def __init__(self, instance: Instance) -> None:
         """The state of the empty roster: nothing covered, all demand short."""
         self.instance = instance
         self.cov = 0
-        self.total = sum(map(sum, instance.demand.r))
 
     @property
     def covered(self) -> list[list[int]]:
@@ -324,7 +324,12 @@ class CoverageState:
         return [[max(d - c, 0) for d, c in zip(*row)] for row in rows]
 
     def total_shortfall(self) -> int:
-        return self.total
+        """The shortfall summed over every cell: level t's count, summed over t >= 1."""
+        guard_bits, low_bits = self.instance.guard_bits, self.instance.low_bits
+        rest, total = self.shortfall_bits() | guard_bits, 0
+        while (rest := rest - low_bits) & guard_bits:  # the level mask of the next t
+            total += (rest & guard_bits).bit_count()
+        return total
 
     def short_mask(self) -> int:
         """Cells still short, guard bit set iff covered < demand."""
@@ -349,18 +354,11 @@ class CoverageState:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
-        covered, q = self.cov, nurse.grade - 1
-        worked = instance.grade_bits[q][pattern_id]
-        self.total -= ((instance.demand_bits - covered - instance.low_bits) & worked).bit_count()
-        self.cov = covered + instance.grade_cells[q][pattern_id]
+        self.cov += instance.grade_cells[nurse.grade - 1][pattern_id]
 
     def remove(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
-        instance = self.instance
-        q = instance.nurses[nurse_id].grade - 1
-        covered = self.cov = self.cov - instance.grade_cells[q][pattern_id]
-        worked = instance.grade_bits[q][pattern_id]
-        self.total += ((instance.demand_bits - covered - instance.low_bits) & worked).bit_count()
+        self.cov -= self.instance.grade_cells[self.instance.nurses[nurse_id].grade - 1][pattern_id]
 
 
 def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
@@ -378,9 +376,7 @@ def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
 
 def is_feasible(instance: Instance, roster: Roster) -> bool:
     """True iff the roster is complete and meets demand at every (period, band)."""
-    if not roster.is_complete():
-        return False
-    return compute_coverage(instance, roster).total_shortfall() == 0
+    return roster.is_complete() and not compute_coverage(instance, roster).short_mask()
 
 
 def preference_cost(instance: Instance, roster: Roster) -> int:

@@ -20,6 +20,9 @@ alone decides the status.
 Dominated patterns.  A nurse's pattern is left out of her cost-ordered
 list when an earlier entry of that list works every period it works
 (Instance.supersets): that entry costs no more and covers at least as much.
+The list walks her combined_scan rows, already in cost order.  Each pattern
+they lack has a superset among them earlier in cost order, so the filter
+keeps the same patterns as over her whole feasible list.
 
 One backward sweep over a component's nurses builds four per-depth tables
 once: each nurse's patterns in search order, and three tables from which
@@ -41,6 +44,9 @@ for all bands in CoverageState's layout.  The coverage cut is one packed
 compare against the remaining nurses' packed counts, and the forced extra
 scans one list per depth that merges the distinct extras of every band,
 highest first, stopping at the first one whose cells meet the short mask.
+The coverage cut of a child and the leaf test run in the parent's pattern
+loop (the root's cut before its search), so only a child that passes costs
+a call; the call makes its cost cut, then tries its patterns.
 
 Why the roster is the one an undivided, unpruned search returns.  Both
 bounds only remove subtrees that hold no roster strictly cheaper than the
@@ -133,9 +139,8 @@ def _tables(
     Depth d is nurse ids[d] and top is demand_bits - low_bits with the
     demand of the cells outside ids set to 0 (see _components).
 
-    choices[d] lists nurse ids[d]'s (pattern, its cost, its packed cells)
-    cheapest first, ties in feasible-list order, without the patterns an
-    earlier entry works every period of.
+    choices[d] lists nurse ids[d]'s (pattern, its cost, its packed cells) in
+    search order, without her dominated patterns (see the module docstring).
 
     rest[d] is the sum of the cheapest pattern cost of nurses ids[d:].
 
@@ -154,25 +159,23 @@ def _tables(
     """
     size, width, span = len(ids), instance.field_width, instance.band_span
     choices: list[list[tuple[int, int, int]]] = [[]] * size
-    rest = [0] * (size + 1)
-    cut = [0] * size
+    rest, cut = [0] * (size + 1), [0] * size
     extra: list[list[tuple[int, int]]] = [[]] * size
     avail = 0
     least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
     by_cost: dict[int, int] = {}  # a positive least extra -> the guard bits at it
     for d in range(size - 1, -1, -1):
         nurse = instance.nurses[ids[d]]
-        price, cells = nurse.pref_cost, instance.grade_cells[nurse.grade - 1]
-        order = sorted(nurse.feasible, key=price.__getitem__)
-        cheapest = price[order[0]]
+        rows, cells = instance.combined_scan[nurse.id], instance.grade_cells[nurse.grade - 1]
+        cheapest = rows[0][0]
         rest[d] = rest[d + 1] + cheapest
         choices[d], seen = [], 0
         forced: dict[int, int] = {}  # a period -> her cheapest cover of it, above cheapest
-        for j in order:
+        for price, _, j, _ in rows:
             if not instance.supersets[j] & seen:
-                choices[d].append((j, price[j], cells[j]))
+                choices[d].append((j, price, cells[j]))
                 for k in instance.patterns[j].periods:
-                    forced.setdefault(k, price[j] - cheapest)
+                    forced.setdefault(k, price - cheapest)
             seen |= 1 << j
         # a dominated pattern works no period its kept superset does not
         avail += instance.reach[nurse.id] & instance.low_bits
@@ -219,15 +222,7 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
     def search(depth: int, cost: int, cov: int) -> None:
         nonlocal best_cost, best, nodes, cost_cuts, coverage_cuts
         short = (top - cov) & guard_bits  # guard bit set iff covered < demand
-        if depth == size:
-            if not short and cost < best_cost:
-                best_cost, best = cost, list(path)
-            return
-        if (cut[depth] - cov) & guard_bits:
-            coverage_cuts += 1
-            return
-        # the forced extra cost: the first, costliest entry with a short cell
-        forced = 0
+        forced = 0  # the forced extra cost: the first, costliest entry with a short cell
         for more, bits in extra[depth]:
             if short & bits:
                 forced = more
@@ -235,7 +230,8 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
         if cost + rest[depth] + forced >= best_cost:
             cost_cuts += 1
             return
-        to_go = rest[depth + 1]
+        to_go, leaf = rest[depth + 1], depth + 1 == size
+        below = top if leaf else cut[depth + 1]
         for j, price, cells in choices[depth]:
             new_cost = cost + price
             if new_cost + to_go >= best_cost:
@@ -245,17 +241,25 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
                 raise _OutOfBudget
             nodes += 1
             path[depth] = j
-            search(depth + 1, new_cost, cov + cells)
+            if (below - cov - cells) & guard_bits:  # a short leaf, or a cell no completion covers
+                if not leaf:
+                    coverage_cuts += 1
+            elif leaf:  # covered, and cheaper than the incumbent as to_go is 0
+                best_cost, best = new_cost, list(path)
+            else:
+                search(depth + 1, new_cost, cov + cells)
 
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
     for ids, top in components:
         choices, rest, cut, extra = _tables(instance, ids, top)
         size, path = len(ids), [0] * len(ids)  # path is overwritten before a leaf reads it
-        best_cost: float = math.inf
-        best: list[int] | None = None
+        best_cost, best = math.inf, None  # the incumbent's cost and roster
         try:
-            search(0, 0, 0)
+            if cut[0] & guard_bits:
+                coverage_cuts += 1
+            else:
+                search(0, 0, 0)
         except _OutOfBudget:
             status = TIMEOUT
         if best is not None:

@@ -2,14 +2,18 @@
 
 Everything here recomputes from first principles with plain loops over the
 raw instance data, deliberately sharing no code with the incremental
-machinery under test.
+machinery under test.  The one exception is exact_solve_child_by_call,
+which keeps an earlier form of the exact solver's search over the
+oracle's own tables, to pin its counters.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from nrp.model import N_PERIODS, Instance, Roster
+from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, ExactResult, _components, _tables
 
 BF_OPTIMAL = "optimal"
 BF_INFEASIBLE = "infeasible"
@@ -85,6 +89,77 @@ def first_optimal_roster(instance: Instance) -> list[int] | None:
         if best is None or cost < best:
             best, best_combo = cost, list(combo)
     return best_combo
+
+
+class _BudgetSpent(Exception):
+    """The node budget of exact_solve_child_by_call ran out."""
+
+
+def exact_solve_child_by_call(instance: Instance, node_budget: int) -> ExactResult:
+    """exact_solve as it was when every child was a call of its own.
+
+    Each search call tests, in this order, the leaf (no short cell and a
+    strictly cheaper cost), the coverage cut and the cost cut of its own
+    node, so a coverage-cut child, a leaf and the root's coverage cut each
+    take a call.  The tables come from the oracle's _components and _tables.
+    """
+    components, stranded = _components(instance)
+    if stranded:
+        return ExactResult(INFEASIBLE, None, None, 0, 0, 1, len(components))
+    guard_bits = instance.guard_bits
+    nodes = cost_cuts = coverage_cuts = 0
+
+    def search(depth: int, cost: int, cov: int) -> None:
+        nonlocal best_cost, best, nodes, cost_cuts, coverage_cuts
+        short = (top - cov) & guard_bits
+        if depth == size:
+            if not short and cost < best_cost:
+                best_cost, best = cost, list(path)
+            return
+        if (cut[depth] - cov) & guard_bits:
+            coverage_cuts += 1
+            return
+        forced = 0
+        for more, bits in extra[depth]:
+            if short & bits:
+                forced = more
+                break
+        if cost + rest[depth] + forced >= best_cost:
+            cost_cuts += 1
+            return
+        for j, price, cells in choices[depth]:
+            new_cost = cost + price
+            if new_cost + rest[depth + 1] >= best_cost:
+                cost_cuts += 1
+                break
+            if nodes == node_budget:
+                raise _BudgetSpent
+            nodes += 1
+            path[depth] = j
+            search(depth + 1, new_cost, cov + cells)
+
+    assignment: list[int | None] = [None] * instance.n
+    status, total = OPTIMAL, 0
+    for ids, top in components:
+        choices, rest, cut, extra = _tables(instance, ids, top)
+        size, path = len(ids), [0] * len(ids)
+        best_cost: float = math.inf
+        best: list[int] | None = None
+        try:
+            search(0, 0, 0)
+        except _BudgetSpent:
+            status = TIMEOUT
+        if best is not None:
+            total += int(best_cost)
+            for i, j in zip(ids, best):
+                assignment[i] = j
+        elif status == OPTIMAL:
+            status = INFEASIBLE
+        if status != OPTIMAL:
+            break
+    roster = None if status == INFEASIBLE or None in assignment else Roster(assignment)
+    cost = None if roster is None else total
+    return ExactResult(status, cost, roster, nodes, cost_cuts, coverage_cuts, len(components))
 
 
 def components_by_definition(instance: Instance) -> list[list[int]]:

@@ -276,6 +276,42 @@ class TestPackedCoverage:
             self.check_state(inst, roster, state)
         assert steps == 60 * 31 and above_n >= 10 * 31
 
+    def test_total_shortfall_up_to_the_field_maximum(self):
+        """g = 1-6, each instance with one cell demanding the field maximum
+        2**(w-1) - 1: while it is uncovered, total_shortfall reads levels up
+        to t = 2**(w-1), the last one the width rule keeps from borrowing."""
+        rng = random.Random(83)
+        planes = set()
+        for trial in range(36):
+            g, n, m = 1 + trial % 6, rng.randint(1, 8), rng.randint(3, 10)
+            peak = (1 << n.bit_length()) - 1  # >= n, so the width is peak's bits + 1
+            patterns = [
+                pattern(j, *(k for k in range(N_PERIODS) if rng.random() < 0.4))
+                for j in range(m)
+            ]
+            nurses = []
+            for i in range(n):
+                feasible = tuple(rng.sample(range(m), rng.randint(1, m)))
+                nurses.append(Nurse(i, rng.randint(1, g), feasible, {j: 0 for j in feasible}))
+            rows = [sorted(rng.randint(0, peak) for _ in range(g)) for _ in range(N_PERIODS)]
+            rows[rng.randrange(N_PERIODS)][g - 1] = peak
+            inst = make_instance(patterns, nurses, demand_rows(rows))
+            assert peak == (1 << (inst.field_width - 1)) - 1
+            planes.add(inst.field_width - 1)
+            roster = Roster.empty(inst.n)
+            state = compute_coverage(inst, roster)
+            self.check_state(inst, roster, state)
+            for _ in range(20):
+                i = rng.randrange(n)
+                if roster.assignment[i] is None:
+                    roster.assignment[i] = rng.choice(inst.nurses[i].feasible)
+                    state.add(i, roster.assignment[i])
+                else:
+                    state.remove(i, roster.assignment[i])
+                    roster.assignment[i] = None
+                self.check_state(inst, roster, state)
+        assert planes == {1, 2, 3, 4}
+
     def test_focus_mask_is_the_first_short_band_the_nurse_serves(self):
         focused = unfocused = 0
         for inst, roster, state in random_sequences(random.Random(71), sparse=True):

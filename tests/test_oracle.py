@@ -5,13 +5,16 @@ import pytest
 
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Nurse, is_feasible, preference_cost
-from nrp.oracle import INFEASIBLE, OPTIMAL, TIMEOUT, _components, _tables, exact_solve
+from nrp.oracle import (
+    INFEASIBLE, NODE_BUDGET, OPTIMAL, TIMEOUT, _components, _tables, exact_solve
+)
 
 from bruteforce import (
     BF_INFEASIBLE,
     BF_OPTIMAL,
     brute_force_solve,
     components_by_definition,
+    exact_solve_child_by_call,
     first_optimal_roster,
     qualified,
 )
@@ -295,19 +298,41 @@ def test_a_demanded_cell_nobody_can_work_is_infeasible_before_any_node():
         assert first_optimal_roster(inst) is None
 
 
+def _dearer_subset_first():
+    """One nurse whose feasible list puts A (cost 5, period 0) before B
+    (cost 1, periods 0 and 1).  The combined scan keeps both, as A's only
+    superset comes later, but in cost order B comes first and covers A."""
+    patterns = [pattern(0, 0), pattern(1, 0, 1)]
+    nurse = Nurse(0, 1, (0, 1), {0: 5, 1: 1})
+    return make_instance(patterns, [nurse], demand_rows([[1]] * 2 + [[0]] * 12))
+
+
+def _search_order_cases():
+    """Generated instances for g = 1-3, tie-heavy ones for g = 1-6 (most
+    costs round to 0 under cost_exponent 8), and _dearer_subset_first."""
+    rng = random.Random(23)
+    for trial in range(40):
+        yield generate_instance(GeneratorParams(
+            n=rng.randint(1, 8), m=rng.choice([4, 8, 16]), g=1 + trial % 3,
+            feasible_min=1, feasible_max=8, seed=7700 + trial,
+        ))
+    for trial in range(18):
+        yield generate_instance(GeneratorParams(
+            n=rng.randint(1, 8), m=rng.choice([4, 8, 16]), g=1 + trial % 6,
+            feasible_min=1, feasible_max=8, cost_exponent=8, seed=7800 + trial,
+        ))
+    yield _dearer_subset_first()
+
+
 def test_search_orders_drop_exactly_the_dominated_patterns():
     """Each nurse's choices follow her cost order, ties in feasible-list
     order, less every pattern an earlier entry of that order works all
     periods of."""
-    rng = random.Random(23)
-    dropped = kept = 0
-    for trial in range(40):
-        inst = generate_instance(GeneratorParams(
-            n=rng.randint(1, 8), m=rng.choice([4, 8, 16]), g=1 + trial % 3,
-            feasible_min=1, feasible_max=8, seed=7700 + trial,
-        ))
+    dropped = kept = tied = 0
+    for inst in _search_order_cases():
         choices, _, _, _ = _tables(inst, list(range(inst.n)), inst.demand_bits - inst.low_bits)
         for nurse, choice in zip(inst.nurses, choices):
+            tied += len(nurse.feasible) - len(set(nurse.pref_cost.values()))
             order = [j for j, _, _ in choice]
             by_cost = sorted(nurse.feasible, key=lambda j: nurse.pref_cost[j])
             dominated = [
@@ -329,6 +354,11 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
             dropped += len(dominated)
             kept += len(order)
     assert dropped > 20 and kept > 100
+    assert tied > 70  # 19 of them without the tie-heavy cases
+    hand_made = _dearer_subset_first()
+    assert [row[2] for row in hand_made.combined_scan[0]] == [1, 0]
+    choices, _, _, _ = _tables(hand_made, [0], hand_made.demand_bits - hand_made.low_bits)
+    assert [j for j, _, _ in choices[0]] == [1]
 
 
 def _tables_rebuilding_by_cost(inst, ids, top):
@@ -423,3 +453,53 @@ def test_a_budget_spent_at_a_component_boundary_times_out_without_a_roster():
         assert enough.status == OPTIMAL
         assert enough.nodes_explored == full.nodes_explored
         assert (enough.optimal_cost, enough.optimal_roster) == (full.optimal_cost, full.optimal_roster)
+
+
+def _budget_sweep_cases():
+    """Small generated instances, g = 1-4, which split into a day and a
+    night component; the infeasible instance of test_cut_counters, whose
+    root is coverage-cut; one with a demanded cell nobody can work; and one
+    whose root passes the coverage cut but whose every child is cut."""
+    rng = random.Random(61)
+    for trial in range(20):
+        yield generate_instance(GeneratorParams(
+            n=rng.randint(3, 10), m=rng.choice([6, 10, 14]), g=1 + trial % 4,
+            feasible_min=3, feasible_max=8, tightness=rng.choice([0.7, 0.9, 1.0]),
+            seed=8100 + trial,
+        ))
+    yield make_instance(
+        [pattern(0, 0)],
+        [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (0,), {0: 0})],
+        demand_rows([[3]] + [[0]] * 13),
+    )
+    yield make_instance(
+        [pattern(0, 0), pattern(1, 7)],
+        [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})],
+        demand_rows([[1]] + [[0]] * 12 + [[1]]),
+    )
+    either = (0, 1)  # each nurse works period 0 or period 1, and each period wants both
+    yield make_instance(
+        [pattern(0, 0), pattern(1, 1)],
+        [Nurse(0, 1, either, {0: 0, 1: 1}), Nurse(1, 1, either, {0: 1, 1: 0})],
+        demand_rows([[2], [2]] + [[0]] * 12),
+    )
+
+
+def test_every_budget_matches_the_search_that_calls_each_child():
+    """Testing a child's cuts in its parent's loop changes no field of the
+    result: every budget from 1 to one past the full node count gives the
+    result of the search that made a call for every child."""
+    statuses, split, compared, searched_in_vain = set(), 0, 0, 0
+    for inst in _budget_sweep_cases():
+        full = exact_solve_child_by_call(inst, NODE_BUDGET)
+        split += full.components >= 2
+        searched_in_vain += full.status == INFEASIBLE and full.nodes_explored > 0
+        for budget in range(1, full.nodes_explored + 2):
+            result = exact_solve(inst, budget)
+            assert result == exact_solve_child_by_call(inst, budget)
+            statuses.add((result.status, result.optimal_roster is None))
+            compared += 1
+    assert split >= 10 and compared > 1000 and searched_in_vain == 1
+    assert statuses == {
+        (OPTIMAL, False), (INFEASIBLE, True), (TIMEOUT, True), (TIMEOUT, False)
+    }
