@@ -62,10 +62,12 @@ class EvalWeights:
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:
     """coverage_contribution of every nurse, one popcount each.
 
-    A nurse's row of Instance.grade_bits holds her pattern in every band she
-    serves, so one AND with the all-band needed mask finds her cells.
+    A nurse's row of Instance.grade_cells holds her pattern in every band she
+    serves, so one AND with the all-band needed mask, shifted to the low
+    bits, finds her cells.
     """
-    needed, tables = coverage.needed_mask(), instance.grade_bits
+    needed = coverage.needed_mask() >> (instance.field_width - 1)
+    tables = instance.grade_cells
     return [
         (tables[nurse.grade - 1][j] & needed).bit_count()
         for nurse, j in zip(instance.nurses, roster.assignment)
@@ -84,8 +86,8 @@ def coverage_contribution(
     j = roster.assignment[i]
     if j is None:
         raise IncompleteRosterError(f"nurse {i} is unassigned")
-    worked = instance.grade_bits[instance.nurses[i].grade - 1][j]
-    return (worked & coverage.needed_mask()).bit_count()
+    worked = instance.grade_cells[instance.nurses[i].grade - 1][j]
+    return (worked & coverage.needed_mask() >> (instance.field_width - 1)).bit_count()
 
 
 def component_fitness_all(

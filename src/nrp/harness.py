@@ -25,15 +25,17 @@ from .solver import RunResult, SolverConfig, run, run_construction_only
 
 CENSOR_COST = 255.0  # stand-in cost for runs that never reach feasibility
 
-PRESET_NAMES = (
-    "full",
-    "elim1-fixed05",
-    "elim1-only",
-    "elim2-only",
-    "cover-only",
-    "combined-only",
-    "construct-only",
-)
+# each preset's SolverConfig fields besides max_iterations and seed
+PRESETS = {
+    "full": {},
+    "elim1-fixed05": {"elim": EliminationConfig(fixed_threshold=0.5)},
+    "elim1-only": {"elim": EliminationConfig(enable_random_elim=False)},
+    "elim2-only": {"elim": EliminationConfig(enable_fitness_elim=False)},
+    "cover-only": {"recon": ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)},
+    "combined-only": {"recon": ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0)},
+    "construct-only": {},  # the single reconstruction pass, not the loop
+}
+PRESET_NAMES = tuple(PRESETS)
 
 DEFAULT_BUDGETS = (10_000, 20_000, 30_000, 50_000, 100_000)
 
@@ -47,23 +49,11 @@ class RunSpec:
 
 
 def preset_spec(name: str, max_iterations: int = 50_000, seed: int = 0) -> RunSpec:
-    """Named configuration presets; see PRESET_NAMES."""
-    config = SolverConfig(max_iterations=max_iterations, seed=seed)
-    if name == "full":
-        return RunSpec(config)
-    if name == "elim1-fixed05":
-        return RunSpec(replace(config, elim=EliminationConfig(fixed_threshold=0.5)))
-    if name == "elim1-only":
-        return RunSpec(replace(config, elim=EliminationConfig(enable_random_elim=False)))
-    if name == "elim2-only":
-        return RunSpec(replace(config, elim=EliminationConfig(enable_fitness_elim=False)))
-    if name == "cover-only":
-        return RunSpec(replace(config, recon=ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)))
-    if name == "combined-only":
-        return RunSpec(replace(config, recon=ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0)))
-    if name == "construct-only":
-        return RunSpec(config, construction_only=True)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    """Named configuration presets; see PRESETS."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    config = SolverConfig(max_iterations=max_iterations, seed=seed, **PRESETS[name])
+    return RunSpec(config, construction_only=name == "construct-only")
 
 
 def execute(instance: Instance, spec: RunSpec) -> RunResult:

@@ -91,6 +91,12 @@ def _scalar(lines: _Lines, name: str) -> int:
     return value
 
 
+def _section(lines: _Lines, name: str) -> None:
+    no, line = lines.next(f"'{name}'")
+    if line != name:
+        raise InstanceParseError(no, f"expected '{name}', got {line!r}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the text format into an Instance, validating every invariant."""
     lines = _Lines(text)
@@ -102,9 +108,7 @@ def parse_instance(text: str) -> Instance:
     m = _scalar(lines, "m")
     g = _scalar(lines, "g")
 
-    no, line = lines.next("'PATTERNS'")
-    if line != "PATTERNS":
-        raise InstanceParseError(no, f"expected 'PATTERNS', got {line!r}")
+    _section(lines, "PATTERNS")
     patterns = []
     for idx in range(m):
         no, line = lines.next(f"pattern line {idx}")
@@ -121,9 +125,7 @@ def parse_instance(text: str) -> Instance:
             warnings.warn(f"line {no}: pattern {pid} covers no periods", stacklevel=2)
         patterns.append(ShiftPattern(pid, tuple(c == "1" for c in mask)))
 
-    no, line = lines.next("'DEMAND'")
-    if line != "DEMAND":
-        raise InstanceParseError(no, f"expected 'DEMAND', got {line!r}")
+    _section(lines, "DEMAND")
     rows = []
     for k in range(N_PERIODS):
         no, line = lines.next(f"demand row {k}")
@@ -136,9 +138,7 @@ def parse_instance(text: str) -> Instance:
         rows.append(row)
     demand = Demand(tuple(rows))
 
-    no, line = lines.next("'NURSES'")
-    if line != "NURSES":
-        raise InstanceParseError(no, f"expected 'NURSES', got {line!r}")
+    _section(lines, "NURSES")
     nurses = []
     for idx in range(n):
         no, line = lines.next(f"nurse line {idx}")

@@ -121,8 +121,9 @@ class Instance:
     guard_bits set the low and the top (guard) bit of every field; demand_bits
     packs the demand matrix, guard bits set.  pattern_bits[j] has pattern
     j's periods as band-1 guard bits.  grade_cells[q-1][j] copies pattern
-    j's periods, as low bits, into each band q..g a grade-q nurse serves;
-    grade_bits[q-1][j] as guard bits.
+    j's periods, as low bits, into each band q..g a grade-q nurse serves:
+    the one all-band pattern table, read by coverage, fitness and the exact
+    solver.
 
     cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
     i, in feasible order, and combined_scan[i] the (cost, position in her
@@ -166,7 +167,6 @@ class Instance:
         init=False, repr=False, compare=False
     )
     grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    grade_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     supersets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -221,7 +221,6 @@ class Instance:
             for nurse, (_, bits) in zip(self.nurses, self.cover_scan)
         )
         self.grade_cells = tuple(tuple(c * copies for c in cells) for copies in spread)
-        self.grade_bits = tuple(tuple(c << (width - 1) for c in t) for t in self.grade_cells)
 
     def _scan_lists(self) -> tuple[tuple, tuple]:
         """Per nurse, the feasible patterns that can be a first maximum.

@@ -340,7 +340,9 @@ def _argmax_cover(
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
 
     The first pattern filling every short cell wins outright, so the scan
-    stops there; otherwise the first maximum wins.
+    stops there; otherwise the first maximum wins.  coverage is unused: it
+    keeps the nurse at args[2], where perfbench's shims read it, and
+    tests/test_bench_contract.py fails if it moves.
     """
     ids, bits = instance.cover_scan[nurse.id]
     full, best = short.bit_count(), -1
@@ -365,7 +367,9 @@ def _argmax_combined(
 
     The scan runs cheapest first and stops at the first pattern whose bound
     falls below the best score; equal scores go to the earlier feasible
-    position.
+    position.  coverage is unused: it keeps the nurse at args[3], where
+    perfbench's shims read it, and tests/test_bench_contract.py fails if it
+    moves.
     """
     terms = _band_terms(instance, weights, nurse, e_mode, state)
     w_p = weights.w_p

@@ -96,7 +96,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
 
     best_cost = cost
     best_roster = roster.copy()
-    best_feasible = coverage.total_shortfall() == 0
+    best_feasible = not coverage.short_mask()
     iteration_of_best = 0
     trajectory = [(0, best_cost)]
     memo = PickMemo(instance)  # lives exactly as long as this run
@@ -141,7 +141,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
             if cost < best_cost:
                 best_cost = cost
                 best_roster = roster.copy()
-                best_feasible = coverage.total_shortfall() == 0
+                best_feasible = not coverage.short_mask()
                 iteration_of_best = t
                 trajectory.append((t, best_cost))
                 if optimum_reached():
@@ -174,7 +174,7 @@ def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult
     return RunResult(
         best_cost=cost,
         best_roster=roster,
-        best_feasible=coverage.total_shortfall() == 0,
+        best_feasible=not coverage.short_mask(),
         iterations_executed=0,
         iteration_of_best=0,
         wall_time=time.perf_counter() - started,

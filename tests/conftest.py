@@ -36,6 +36,26 @@ def make_instance(patterns, nurses, demand, g=None, known_optimal=None) -> Insta
     )
 
 
+def field_maximum_instance(rng, g: int) -> Instance:
+    """A random instance with g bands, one cell demanding the field maximum
+    2**(w-1) - 1: the largest demand the width rule packs."""
+    n, m = rng.randint(1, 8), rng.randint(3, 10)
+    peak = (1 << n.bit_length()) - 1  # >= n, so the width is peak's bits + 1
+    patterns = [
+        pattern(j, *(k for k in range(N_PERIODS) if rng.random() < 0.4))
+        for j in range(m)
+    ]
+    nurses = []
+    for i in range(n):
+        feasible = tuple(rng.sample(range(m), rng.randint(1, m)))
+        nurses.append(Nurse(i, rng.randint(1, g), feasible, {j: 0 for j in feasible}))
+    rows = [sorted(rng.randint(0, peak) for _ in range(g)) for _ in range(N_PERIODS)]
+    rows[rng.randrange(N_PERIODS)][g - 1] = peak
+    instance = make_instance(patterns, nurses, demand_rows(rows))
+    assert peak == (1 << (instance.field_width - 1)) - 1
+    return instance
+
+
 @pytest.fixture
 def week_instance() -> Instance:
     """Three nurses, two grades, day/night split; feasible by construction.

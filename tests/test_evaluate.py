@@ -20,7 +20,7 @@ from nrp.model import (
 )
 
 from bruteforce import contribution_by_removal
-from conftest import demand_rows, flat_demand, make_instance, pattern
+from conftest import demand_rows, field_maximum_instance, flat_demand, make_instance, pattern
 
 
 def three_nurse_instance(costs):
@@ -87,11 +87,18 @@ class TestCoverageContribution:
 
     def test_matches_remove_and_recount_oracle(self):
         rng = random.Random(13)
-        for trial in range(40):
-            inst = generate_instance(
-                GeneratorParams(n=rng.randint(2, 6), m=10, g=3, seed=900 + trial)
-            )
-            roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
+        cases = []
+        for g in (3, 1, 2, 4, 5, 6):  # g = 3 first draws the same 40 instances as before
+            for trial in range(40):
+                inst = generate_instance(
+                    GeneratorParams(n=rng.randint(2, 6), m=10, g=g, seed=900 + trial)
+                )
+                cases.append((inst, Roster([rng.choice(n.feasible) for n in inst.nurses])))
+        rng = random.Random(19)
+        for trial in range(36):  # g = 1-6, one cell at the field maximum
+            inst = field_maximum_instance(rng, 1 + trial % 6)
+            cases.append((inst, Roster([rng.choice(n.feasible) for n in inst.nurses])))
+        for inst, roster in cases:
             cov = compute_coverage(inst, roster)
             for i in range(inst.n):
                 assert coverage_contribution(inst, roster, cov, i) == (
@@ -101,8 +108,9 @@ class TestCoverageContribution:
     def test_packed_popcount_matches_per_band_count(self):
         # fitness counts every nurse with one popcount over packed band lanes
         rng = random.Random(17)
-        for trial in range(90):
-            g = 1 + trial % 3
+        cases = []
+        for trial in range(180):
+            g = 1 + trial % 6
             inst = generate_instance(
                 GeneratorParams(
                     n=rng.randint(1, 12),
@@ -114,7 +122,12 @@ class TestCoverageContribution:
                     seed=1900 + trial,
                 )
             )
-            roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
+            cases.append((inst, Roster([rng.choice(n.feasible) for n in inst.nurses])))
+        rng = random.Random(23)
+        for trial in range(36):  # g = 1-6, one cell at the field maximum
+            inst = field_maximum_instance(rng, 1 + trial % 6)
+            cases.append((inst, Roster([rng.choice(n.feasible) for n in inst.nurses])))
+        for inst, roster in cases:
             cov = compute_coverage(inst, roster)
             assert _contributions(inst, roster, cov) == [
                 coverage_contribution(inst, roster, cov, i) for i in range(inst.n)

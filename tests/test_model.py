@@ -20,7 +20,14 @@ from nrp.oracle import _components, _tables
 from nrp.reconstruct import _band_terms, _focus_mask
 
 from bruteforce import coverage_matrix, feasible_by_definition, qualified
-from conftest import complete_roster, demand_rows, flat_demand, make_instance, pattern
+from conftest import (
+    complete_roster,
+    demand_rows,
+    field_maximum_instance,
+    flat_demand,
+    make_instance,
+    pattern,
+)
 
 
 def band_copies(instance, bits: int, bands) -> int:
@@ -57,7 +64,6 @@ class TestCoversGrade:
                     assert slices == [cells if qualified(inst, i, s + 1) else 0 for s in bands]
                     present = [s for s in bands if slices[s]]  # a run of bands ending at g
                     assert present == list(range(inst.g - len(present), inst.g))
-                    assert inst.grade_bits[nurse.grade - 1][j] == row << (inst.field_width - 1)
 
 
 class TestTypeInvariants:
@@ -283,26 +289,13 @@ class TestPackedCoverage:
         rng = random.Random(83)
         planes = set()
         for trial in range(36):
-            g, n, m = 1 + trial % 6, rng.randint(1, 8), rng.randint(3, 10)
-            peak = (1 << n.bit_length()) - 1  # >= n, so the width is peak's bits + 1
-            patterns = [
-                pattern(j, *(k for k in range(N_PERIODS) if rng.random() < 0.4))
-                for j in range(m)
-            ]
-            nurses = []
-            for i in range(n):
-                feasible = tuple(rng.sample(range(m), rng.randint(1, m)))
-                nurses.append(Nurse(i, rng.randint(1, g), feasible, {j: 0 for j in feasible}))
-            rows = [sorted(rng.randint(0, peak) for _ in range(g)) for _ in range(N_PERIODS)]
-            rows[rng.randrange(N_PERIODS)][g - 1] = peak
-            inst = make_instance(patterns, nurses, demand_rows(rows))
-            assert peak == (1 << (inst.field_width - 1)) - 1
+            inst = field_maximum_instance(rng, 1 + trial % 6)
             planes.add(inst.field_width - 1)
             roster = Roster.empty(inst.n)
             state = compute_coverage(inst, roster)
             self.check_state(inst, roster, state)
             for _ in range(20):
-                i = rng.randrange(n)
+                i = rng.randrange(inst.n)
                 if roster.assignment[i] is None:
                     roster.assignment[i] = rng.choice(inst.nurses[i].feasible)
                     state.add(i, roster.assignment[i])

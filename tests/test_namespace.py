@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import nrp
+from nrp import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -37,3 +38,10 @@ def test_package_imports_only_itself_and_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "nrp" or top in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_readme_preset_table_lists_the_presets_in_order():
+    section = README.read_text(encoding="utf-8").split("`--preset` selects", 1)[1]
+    table = section.split("\n\n", 2)[1]
+    names = re.findall(r"^\| `([^`]+)`", table, re.M)
+    assert tuple(names) == harness.PRESET_NAMES
