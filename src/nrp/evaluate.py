@@ -102,16 +102,16 @@ def component_fitness_all(
     expensive; f2 is 1 for the largest coverage contribution and 0 for the
     smallest.  Normalization bounds are the min/max preference costs and
     coverage contributions among the n current assignments.  Degenerate
-    bounds (all equal) pin the corresponding part to 0.5.
+    bounds (all equal) pin the corresponding part to 0.5.  The costs are
+    read from the coverage state, which must match the roster; without one
+    a state is built from the roster.
     """
     if not roster.is_complete():
         raise IncompleteRosterError("fitness is only defined for complete rosters")
     if coverage is None:
         coverage = compute_coverage(instance, roster)
 
-    costs = [
-        instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment)
-    ]
+    costs = coverage.costs
     contribs = _contributions(instance, roster, coverage)
 
     p_min, p_max = min(costs), max(costs)
@@ -134,8 +134,16 @@ def penalized_cost(
     weights: EvalWeights,
     coverage: CoverageState | None = None,
 ) -> float:
-    """Preference cost plus w_demand per uncovered (period, band) shift."""
-    cost = preference_cost(instance, roster)
+    """Preference cost plus w_demand per uncovered (period, band) shift.
+
+    The preference cost is the coverage state's kept total, which must
+    match the roster; without a state it is summed from the roster.
+    """
     if coverage is None:
+        cost = preference_cost(instance, roster)
         coverage = compute_coverage(instance, roster)
+    elif None in roster.assignment:
+        raise IncompleteRosterError(f"nurse {roster.assignment.index(None)} is unassigned")
+    else:
+        cost = coverage.cost
     return cost + weights.w_demand * coverage.total_shortfall()

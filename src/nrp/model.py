@@ -254,7 +254,7 @@ class Instance:
         return tuple(cover), tuple(combined)
 
 
-@dataclass
+@dataclass(slots=True)
 class Roster:
     """One (possibly partial) assignment of a pattern id per nurse.
 
@@ -298,16 +298,24 @@ class CoverageState:
     guard bit reads the comparison.  The last field of a band is no
     different, so no borrow crosses a band boundary either.
 
-    No running total is kept: total_shortfall() adds up the level masks until
-    one is empty.  covered and shortfall are read-only 14 x g views, for recounts.
+    The state also keeps the roster's preference costs: costs[i] is the cost
+    of nurse i's current pattern, and cost their sum over the assigned
+    nurses.  The entry of an unassigned nurse is stale and never read.
+    Fitness reads costs and penalized_cost reads cost, so neither sums the
+    roster again.  The shortfall has no running total: total_shortfall()
+    adds up the level masks until one is empty.  covered and shortfall are
+    read-only 14 x g views, for recounts, and check() compares the whole
+    state with a recount of a roster.
     """
 
-    __slots__ = ("instance", "cov")
+    __slots__ = ("instance", "cov", "costs", "cost")
 
     def __init__(self, instance: Instance) -> None:
         """The state of the empty roster: nothing covered, all demand short."""
         self.instance = instance
         self.cov = 0
+        self.costs = [0] * instance.n
+        self.cost = 0
 
     @property
     def covered(self) -> list[list[int]]:
@@ -346,18 +354,44 @@ class CoverageState:
         return diff & (met - (met >> (self.instance.field_width - 1)))
 
     def add(self, nurse_id: int, pattern_id: int) -> None:
-        """Account for nurse nurse_id starting to work pattern pattern_id."""
+        """Account for nurse nurse_id starting to work pattern pattern_id.
+
+        Raises InvalidRosterError, before any field changes, when the
+        pattern is outside her feasible set.
+        """
         instance = self.instance
         nurse = instance.nurses[nurse_id]
-        if pattern_id not in nurse.pref_cost:
+        cost = nurse.pref_cost.get(pattern_id)
+        if cost is None:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
         self.cov += instance.grade_cells[nurse.grade - 1][pattern_id]
+        self.costs[nurse_id] = cost
+        self.cost += cost
 
     def remove(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
         self.cov -= self.instance.grade_cells[self.instance.nurses[nurse_id].grade - 1][pattern_id]
+        self.cost -= self.costs[nurse_id]
+
+    def check(self, roster: Roster) -> None:
+        """Raise ValueError unless the state equals a recount of roster.
+
+        The recount starts from the empty roster; the first field that
+        differs, cov, an assigned nurse's costs entry or cost, is named.
+        Draws nothing from any rng.
+        """
+        fresh = compute_coverage(self.instance, roster)
+        if self.cov != fresh.cov:
+            raise ValueError("cov differs from a recount of the roster")
+        for i, j in enumerate(roster.assignment):
+            if j is not None and self.costs[i] != fresh.costs[i]:
+                raise ValueError(
+                    f"costs[{i}] is {self.costs[i]}, but pattern {j} costs {fresh.costs[i]}"
+                )
+        if self.cost != fresh.cost:
+            raise ValueError(f"cost is {self.cost}, but the roster costs {fresh.cost}")
 
 
 def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:

@@ -13,10 +13,14 @@ CoverageState.short_mask() gives the short cells of every band at once.  A
 band shifted down out of it gives the short periods a pattern covers there
 as (bits & short).bit_count().  The cover rule takes one band, the nurse's
 focus band, from the mask's lowest set bit at or above her own band.  The
-combined rule has one scorer, _score, for both e-modes.  Per pick it builds
-the band terms once (_band_terms): each band she serves becomes a weight
-and a tuple of level masks, whose popcounts against a pattern sum to the
-band's count.  In indicator mode the one level is the band's short cells.
+pick loop computes that focus mask, and the combined rule's band state,
+inline from the packed coverage; _focus_mask and _band_state are the
+references they must equal, read by cover_value, combined_score and the
+tests.  The combined rule has one scorer, _score, for both e-modes.  Per
+pick it builds the band terms once (_band_terms): each band she serves
+becomes a weight and a tuple of level masks, whose popcounts against a
+pattern sum to the band's count.  In indicator mode the one level is the
+band's short cells.
 The shortfall e-mode weights each period by its shortfall, so its levels
 are the masks of cells short by at least t = 1, 2, ..., built from the
 band's slice of the packed shortfall, and a cell short by r is counted at r
@@ -303,14 +307,22 @@ def reconstruct(
     cover_picks, combined_picks, limit = memo.cover, memo.combined, memo.limit
     p1, p2 = config.p1, config.p2
     e_mode, reach, span = config.e_mode, instance.reach, instance.band_span
+    nurses, band, indicator = instance.nurses, (1 << span) - 1, e_mode == "indicator"
+    assignment, add = result.assignment, coverage.add
+    # short_mask() is demand - cov - ONE masked to the guard bits
+    demand_less_one, guard_bits = instance.demand_bits - instance.low_bits, instance.guard_bits
 
     for i in free:
-        nurse = instance.nurses[i]
+        nurse = nurses[i]
+        shift = (nurse.grade - 1) * span
         # the cells she can work, moved down as the rules' masks are
-        works = reach[i] >> (nurse.grade - 1) * span
+        works = reach[i] >> shift
         u = rng.random()
         if u < p1:
-            short = _focus_mask(instance, coverage, nurse) & works
+            # _focus_mask inline: the band of the lowest short cell she serves
+            short = ((demand_less_one - coverage.cov) & guard_bits) >> shift
+            if short:
+                short = short >> ((short & -short).bit_length() - 1) // span * span & band & works
             key = (i, short)
             choice = cover_picks.get(key)
             if choice is None:
@@ -318,7 +330,11 @@ def reconstruct(
                     cover_picks.clear()
                 choice = cover_picks[key] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p1 + p2:
-            state = _band_state(instance, coverage, nurse, e_mode) & works
+            # _band_state inline
+            if indicator:
+                state = ((demand_less_one - coverage.cov) & guard_bits) >> shift & works
+            else:
+                state = coverage.shortfall_bits() >> shift & works
             key = (i, state)
             choice = combined_picks.get(key)
             if choice is None:
@@ -329,8 +345,8 @@ def reconstruct(
                 )
         else:
             choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
-        result.assignment[i] = choice
-        coverage.add(i, choice)
+        assignment[i] = choice
+        add(i, choice)
     return result
 
 

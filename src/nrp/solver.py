@@ -8,6 +8,11 @@ improved it.  A single seeded rng stream drives initialization, both
 eliminations and reconstruction in a documented order, so a run is fully
 reproducible from (instance, config).
 
+One CoverageState follows the roster through the run: the released nurses
+are removed from it and reconstruct adds the new picks, so it always holds
+the current roster's coverage, each nurse's cost and their sum.  Fitness
+and penalized_cost read the costs from it instead of summing the roster.
+
 Fitness memo.  A run keeps the fitness lists it has computed, keyed by the
 roster's assignment tuple, and calls component_fitness_all only for a roster
 it has not met.  Fitness is a pure function of the instance, the roster and
@@ -112,11 +117,14 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
             and best_cost <= instance.known_optimal
         )
 
+    fitness_elim = config.elim.enable_fitness_elim
+    random_elim = config.elim.enable_random_elim
+    remove = coverage.remove
     iterations = 0
     if not optimum_reached():
         for t in range(1, config.max_iterations + 1):
             iterations = t
-            if config.elim.enable_fitness_elim:
+            if fitness_elim:
                 key = tuple(roster.assignment)
                 fitness = fitness_memo.get(key)
                 if fitness is None:
@@ -128,11 +136,12 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 partial = eliminate_by_fitness(roster, fitness, config.elim, rng)
             else:
                 partial = roster  # nothing below mutates its input roster
-            if config.elim.enable_random_elim:
+            if random_elim:
                 partial = eliminate_at_random(partial, config.elim, rng)
             # roster is complete here, so every unassigned nurse was just released
-            for i in partial.unassigned_ids():
-                coverage.remove(i, roster.assignment[i])
+            for i, j in enumerate(partial.assignment):
+                if j is None:
+                    remove(i, roster.assignment[i])
             roster = reconstruct(
                 instance, partial, config.recon, weights, rng, coverage=coverage, memo=memo
             )

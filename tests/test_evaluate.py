@@ -193,6 +193,27 @@ class TestComponentFitness:
         for a, b in zip(fits_a, fits_b):
             assert a == pytest.approx(b)
 
+    def test_a_kept_state_gives_the_fitness_of_a_fresh_one(self):
+        """The state is carried through releases and re-assignments, as the
+        solver carries it, and its kept costs give bit-equal floats."""
+        rng = random.Random(29)
+        for trial in range(60):
+            g = 1 + trial % 6
+            inst = generate_instance(GeneratorParams(n=rng.randint(2, 9), m=12, g=g,
+                                                     seed=2900 + trial))
+            roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
+            state = compute_coverage(inst, roster)
+            for _ in range(8):
+                for i in rng.sample(range(inst.n), rng.randint(1, inst.n)):
+                    state.remove(i, roster.assignment[i])
+                    roster.assignment[i] = rng.choice(inst.nurses[i].feasible)
+                    state.add(i, roster.assignment[i])
+                for weights in (EvalWeights(), PREFERENCE, COVERAGE):
+                    kept = component_fitness_all(inst, roster, weights, coverage=state)
+                    assert kept == component_fitness_all(inst, roster, weights)
+                    assert penalized_cost(inst, roster, weights, coverage=state) == (
+                        penalized_cost(inst, roster, weights))
+
     def test_pure_function_repeats_bit_for_bit(self, week_instance):
         roster = Roster([0, 1, 2])
         first = component_fitness_all(week_instance, roster, EvalWeights())
@@ -227,3 +248,15 @@ class TestPenalizedCost:
     def test_incomplete_roster_raises(self, week_instance):
         with pytest.raises(IncompleteRosterError):
             penalized_cost(week_instance, Roster([None, 1, 2]), EvalWeights())
+
+    @pytest.mark.parametrize("assignment", [[None, 1, 2], [0, None, None], [0, 1, None]])
+    def test_a_state_on_an_incomplete_roster_raises_the_same_message(
+        self, week_instance, assignment
+    ):
+        roster = Roster(assignment)
+        with pytest.raises(IncompleteRosterError) as without:
+            penalized_cost(week_instance, roster, EvalWeights())
+        state = compute_coverage(week_instance, roster)
+        with pytest.raises(IncompleteRosterError) as with_state:
+            penalized_cost(week_instance, roster, EvalWeights(), coverage=state)
+        assert str(with_state.value) == str(without.value)

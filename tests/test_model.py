@@ -244,6 +244,13 @@ class TestPackedCoverage:
         ]
         assert state.covered == covered
         assert state.shortfall == short
+        assigned = [(i, j) for i, j in enumerate(roster.assignment) if j is not None]
+        for i, j in assigned:
+            assert state.costs[i] == instance.nurses[i].pref_cost[j]
+        assert state.cost == sum(state.costs[i] for i, _ in assigned)
+        if roster.is_complete():
+            assert state.cost == preference_cost(instance, roster)
+        state.check(roster)
         w, span = instance.field_width, instance.band_span
         guard_bits, low_bits = instance.guard_bits, instance.low_bits
         cells = [(k, s) for s in range(instance.g) for k in range(N_PERIODS)]
@@ -387,6 +394,79 @@ class TestPackedCoverage:
                     cut_cells += len(hopeless)
                     forced_cells += len(forced)
         assert cut_cells > 100 and forced_cells > 100 and split > 20
+
+
+def generated_sequences(rng: random.Random):
+    """Random add/remove sequences on generated instances at g = 1-6; yields
+    (instance, roster, state) after every step."""
+    for trial in range(36):
+        inst = generate_instance(GeneratorParams(
+            n=rng.randint(1, 9), m=rng.randint(2, 16), g=1 + trial % 6,
+            feasible_min=1, feasible_max=rng.randint(1, 8), seed=8300 + trial,
+        ))
+        roster = Roster.empty(inst.n)
+        state = compute_coverage(inst, roster)
+        for _ in range(40):
+            i = rng.randrange(inst.n)
+            if roster.assignment[i] is None:
+                roster.assignment[i] = rng.choice(inst.nurses[i].feasible)
+                state.add(i, roster.assignment[i])
+            else:
+                state.remove(i, roster.assignment[i])
+                roster.assignment[i] = None
+            yield inst, roster, state
+
+
+class TestKeptCosts:
+    """CoverageState keeps each assigned nurse's cost and their sum."""
+
+    def test_sequences_keep_the_sum_of_the_assigned_costs(self):
+        grades, complete = set(), 0
+        for inst, roster, state in generated_sequences(random.Random(97)):
+            grades.add(inst.g)
+            assigned = [(i, j) for i, j in enumerate(roster.assignment) if j is not None]
+            assert state.cost == sum(inst.nurses[i].pref_cost[j] for i, j in assigned)
+            for i, j in assigned:
+                assert state.costs[i] == inst.nurses[i].pref_cost[j]
+            if roster.is_complete():
+                complete += 1
+                assert state.cost == preference_cost(inst, roster)
+            state.check(roster)
+        assert grades == set(range(1, 7)) and complete > 50
+
+    def test_an_infeasible_add_raises_and_changes_nothing(self):
+        tried = 0
+        for inst, roster, state in generated_sequences(random.Random(98)):
+            i = next((i for i, j in enumerate(roster.assignment) if j is None), None)
+            outside = set(range(inst.m)) - set(inst.nurses[i].feasible) if i is not None else ()
+            if not outside:
+                continue
+            before = (state.cov, state.cost, list(state.costs))
+            with pytest.raises(InvalidRosterError):
+                state.add(i, min(outside))
+            assert (state.cov, state.cost, state.costs) == before
+            state.check(roster)
+            tried += 1
+        assert tried > 300
+
+    def test_check_names_the_first_field_that_differs(self, week_instance):
+        roster = complete_roster(week_instance, [0, 1, 2])
+        state = compute_coverage(week_instance, roster)
+        state.check(roster)
+        state.cost += 1
+        with pytest.raises(ValueError, match="^cost is 11, but the roster costs 10$"):
+            state.check(roster)
+        state.costs[1] += 1
+        with pytest.raises(ValueError, match=r"^costs\[1\] is"):
+            state.check(roster)
+        state.cov += week_instance.low_bits
+        with pytest.raises(ValueError, match="^cov differs"):
+            state.check(roster)
+        # the stale entry of an unassigned nurse is not compared
+        state = compute_coverage(week_instance, roster)
+        state.remove(1, 1)
+        roster.assignment[1] = None
+        state.check(roster)
 
 
 class TestIsFeasible:

@@ -409,6 +409,43 @@ class TestPickMemo:
         assert PickMemo(instance).limit == MEMO_PICKS_PER_NURSE * instance.n
 
 
+def test_the_pick_keys_are_the_reference_masks():
+    """reconstruct computes the focus band and the band state inline.  With
+    one freed nurse and one rule always drawn, the rule's one key must be
+    (i, _focus_mask or _band_state & the cells she can work), whichever band
+    the shortfall lies in."""
+    rng = random.Random(131)
+    cover = ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)
+    combined = [ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode) for mode in E_MODES]
+    focus_bands, above_own = set(), 0  # the focus bands met, as band indices or None
+    for trial in range(360):
+        instance = generate_instance(GeneratorParams(
+            n=rng.randint(2, 9), m=rng.randint(4, 20), g=1 + trial % 6, feasible_min=1,
+            feasible_max=rng.randint(1, 10), tightness=rng.uniform(0.3, 1.0), seed=13100 + trial,
+        ))
+        roster = Roster([rng.choice(nurse.feasible) for nurse in instance.nurses])
+        i = rng.randrange(instance.n)
+        roster.assignment[i] = None
+        before = compute_coverage(instance, roster)
+        nurse, span = instance.nurses[i], instance.band_span
+        works = instance.reach[i] >> (nurse.grade - 1) * span
+        short = before.short_mask() >> (nurse.grade - 1) * span
+        above = ((short & -short).bit_length() - 1) // span if short else None
+        focus_bands.add(None if above is None else nurse.grade - 1 + above)
+        above_own += bool(above)
+        for config in [cover, *combined]:
+            memo = PickMemo(instance)
+            reconstruct(instance, roster, config, EvalWeights(), random.Random(trial),
+                        coverage=compute_coverage(instance, roster), memo=memo)
+            if config is cover:
+                assert list(memo.cover) == [(i, _focus_mask(instance, before, nurse) & works)]
+                assert not memo.combined
+            else:
+                state = _band_state(instance, before, nurse, config.e_mode) & works
+                assert list(memo.combined) == [(i, state)] and not memo.cover
+    assert focus_bands == {None, 0, 1, 2, 3, 4, 5} and above_own > 10
+
+
 WARD = GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1)
 NIGHTS = range(7, N_PERIODS)
 

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ from nrp.eliminate import EliminationConfig, eliminate_by_fitness
 from nrp.evaluate import EvalWeights, component_fitness_all, penalized_cost
 from nrp.harness import PRESET_NAMES, preset_spec, run_batch, run_csv_row
 from nrp.instance_io import GeneratorParams, generate_instance
-from nrp.model import Nurse, compute_coverage, is_feasible, preference_cost
+from nrp.model import Nurse, Roster, compute_coverage, is_feasible, preference_cost
 from nrp.oracle import OPTIMAL, exact_solve
 from nrp.reconstruct import E_MODES, ReconstructionConfig
 from nrp.solver import (
@@ -159,6 +161,7 @@ class TestRun:
         def checked(instance, roster, weights, coverage=None):
             nonlocal calls
             calls += 1
+            coverage.check(roster)
             fresh = compute_coverage(instance, roster)
             assert coverage.covered == fresh.covered
             assert coverage.shortfall == fresh.shortfall
@@ -183,6 +186,35 @@ class TestRun:
                 for seed in range(3):
                     run(inst, replace(config, seed=seed))
         assert calls == len(E_MODES) * len(suite) * 3 * 301
+
+
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(n=6, m=12, g=3, seed=11005),
+        GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1),
+    ], ids=["desk", "ward"])
+    def test_the_loop_never_sums_the_roster_cost_again(self, monkeypatch, params):
+        """penalized_cost reads the state's kept cost, so the loop never
+        calls preference_cost."""
+        instance = generate_instance(params)
+        expected = run(instance, SolverConfig(max_iterations=300, stop_at_known_optimal=False))
+
+        def summed(*args):
+            raise AssertionError("preference_cost called in the solver loop")
+
+        monkeypatch.setattr("nrp.evaluate.preference_cost", summed)
+        result = run(instance, SolverConfig(max_iterations=300, stop_at_known_optimal=False))
+        assert result_fields(result) == result_fields(expected)
+        assert result.iterations_executed == 300
+
+    def test_results_survive_pickle_and_deepcopy(self, week_instance):
+        result = run(week_instance, SolverConfig(max_iterations=50, seed=3))
+        for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert result_fields(copied) == result_fields(result)
+            assert copied.best_roster is not result.best_roster
+            assert copied.best_roster.assignment is not result.best_roster.assignment
+        roster = Roster([0, None, 2])
+        for copied in (pickle.loads(pickle.dumps(roster)), copy.deepcopy(roster)):
+            assert copied == roster and not hasattr(copied, "__dict__")
 
 
 def count_fitness_calls(monkeypatch) -> list[int]:
