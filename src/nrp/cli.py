@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _w_grade(text: str | None) -> tuple[float, ...] | None:
-    """Parse --w-grade: comma-separated non-negative numbers, band 1 first."""
+    """Parse --w-grade: comma-separated non-negative finite numbers, band 1 first."""
     if text is None:
         return None
     try:
@@ -52,7 +52,7 @@ def _w_grade(text: str | None) -> tuple[float, ...] | None:
     except ValueError:
         raise ValueError(f"--w-grade: expected numbers like 8,2,1, got {text!r}") from None
     if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ValueError(f"--w-grade: weights must be non-negative numbers, got {text!r}")
+        raise ValueError(f"--w-grade: weights must be non-negative finite numbers, got {text!r}")
     return weights
 
 

@@ -62,15 +62,16 @@ class EvalWeights:
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:
     """coverage_contribution of every nurse, one popcount each.
 
-    A nurse's row of Instance.grade_cells holds her pattern in every band she
-    serves, so one AND with the all-band needed mask, shifted to the low
-    bits, finds her cells.
+    Nurse i's row of Instance.nurse_cells holds her pattern in every band
+    she serves, so one AND with the all-band needed mask, shifted to the low
+    bits, finds her cells.  The state is current between repairs:
+    reconstruct writes its picks back once per call, not through
+    CoverageState.add.
     """
     needed = coverage.needed_mask() >> (instance.field_width - 1)
-    tables = instance.grade_cells
     return [
-        (tables[nurse.grade - 1][j] & needed).bit_count()
-        for nurse, j in zip(instance.nurses, roster.assignment)
+        (cells[j] & needed).bit_count()
+        for cells, j in zip(instance.nurse_cells, roster.assignment)
     ]
 
 
@@ -86,7 +87,7 @@ def coverage_contribution(
     j = roster.assignment[i]
     if j is None:
         raise IncompleteRosterError(f"nurse {i} is unassigned")
-    worked = instance.grade_cells[instance.nurses[i].grade - 1][j]
+    worked = instance.nurse_cells[i][j]
     return (worked & coverage.needed_mask() >> (instance.field_width - 1)).bit_count()
 
 

@@ -246,7 +246,12 @@ def ablation_csv(
     spec: AblationSpec,
     threads: int | None = None,
 ) -> str:
-    """Censored-mean matrix: budget sweep columns, then preset columns."""
+    """Censored-mean matrix: budget sweep columns, then preset columns.
+
+    Columns with equal RunSpecs share one batch per instance: at the
+    defaults the full preset column repeats iters_50000, so it is not run
+    again.
+    """
     if not named_instances:
         raise ValueError("ablation_csv needs at least one instance")
     columns = [(f"iters_{budget}", preset_spec("full", budget)) for budget in spec.budgets]
@@ -255,13 +260,13 @@ def ablation_csv(
     lines = ["instance," + ",".join(name for name, _ in columns)]
     totals = [0.0] * len(columns)
     for name, instance in named_instances:
-        cells = []
-        for idx, (_, run_spec) in enumerate(columns):
+        means = {}
+        for run_spec in dict.fromkeys(run_spec for _, run_spec in columns):
             results = run_batch(instance, run_spec, spec.runs, spec.base_seed, threads)
-            mean = sum(censored_cost(r) for r in results) / len(results)
-            totals[idx] += mean
-            cells.append(f"{mean:.1f}")
-        lines.append(name + "," + ",".join(cells))
+            means[run_spec] = sum(censored_cost(r) for r in results) / len(results)
+        row = [means[run_spec] for _, run_spec in columns]
+        totals = [total + mean for total, mean in zip(totals, row)]
+        lines.append(name + "," + ",".join(f"{mean:.1f}" for mean in row))
     av = [t / len(named_instances) for t in totals]
     lines.append("Av.," + ",".join(f"{v:.1f}" for v in av))
     return "\n".join(lines) + "\n"

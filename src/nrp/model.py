@@ -120,10 +120,14 @@ class Instance:
     s+1) in the field at bit s * band_span + k * field_width.  low_bits and
     guard_bits set the low and the top (guard) bit of every field; demand_bits
     packs the demand matrix, guard bits set.  pattern_bits[j] has pattern
-    j's periods as band-1 guard bits.  grade_cells[q-1][j] copies pattern
-    j's periods, as low bits, into each band q..g a grade-q nurse serves:
-    the one all-band pattern table, read by coverage, fitness and the exact
-    solver.
+    j's periods as band-1 guard bits.  nurse_cells[i][j] copies pattern
+    j's periods, as low bits, into each band nurse i serves, her grade's
+    band and every band below it: the one all-band pattern table, indexed
+    by nurse id and read by coverage, reconstruction, fitness and the exact
+    solver.  Nurses of one grade share one row, so it holds a row per grade
+    and n references.  CoverageState.add and remove step by a nurse's row;
+    reconstruct adds the rows of its picks to a local copy of the coverage
+    and writes it back once per call, without calling add.
 
     cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
     i, in feasible order, and combined_scan[i] the (cost, position in her
@@ -166,7 +170,7 @@ class Instance:
     combined_scan: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    grade_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    nurse_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     supersets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -220,7 +224,8 @@ class Instance:
             spread[nurse.grade - 1] * (reduce(or_, bits) >> (width - 1)) * fields
             for nurse, (_, bits) in zip(self.nurses, self.cover_scan)
         )
-        self.grade_cells = tuple(tuple(c * copies for c in cells) for copies in spread)
+        rows = [tuple(c * copies for c in cells) for copies in spread]
+        self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)
 
     def _scan_lists(self) -> tuple[tuple, tuple]:
         """Per nurse, the feasible patterns that can be a first maximum.
@@ -284,13 +289,18 @@ class CoverageState:
     of assigned nurses qualified for band s+1 and working period k sits in
     the field at bit s * band_span + k * w.  A grade-q nurse counts toward
     every band s >= q, so add and remove change all of those bands at once
-    by her grade's row of grade_cells.  With H = guard_bits, ONE = low_bits
+    by her row of Instance.nurse_cells.  With H = guard_bits, ONE = low_bits
     and D = demand_bits, each mask covers all bands in one expression:
     short_mask() = (D - cov - ONE) & H sets a cell's guard bit iff covered <
     demand, needed_mask() = (D - cov) & H iff covered <= demand, and the
     level mask ((shortfall_bits() | H) - t * ONE) & H iff the shortfall is
     at least t, for t up to max demand + 1.  Readers slice out band s+1 by
     a shift of s * band_span.
+
+    add is the checked way in, used by compute_coverage and other callers.
+    reconstruct does not call it: its loop places the picks on local copies
+    of cov and cost, writing costs entries as it goes, and stores cov and
+    cost back once per call.  The solver releases nurses through remove.
 
     Width rule: w = max(n, max demand).bit_length() + 1 keeps counts,
     demands, shortfalls and levels within 2**(w-1), so every field of these
@@ -366,13 +376,13 @@ class CoverageState:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
-        self.cov += instance.grade_cells[nurse.grade - 1][pattern_id]
+        self.cov += instance.nurse_cells[nurse_id][pattern_id]
         self.costs[nurse_id] = cost
         self.cost += cost
 
     def remove(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
-        self.cov -= self.instance.grade_cells[self.instance.nurses[nurse_id].grade - 1][pattern_id]
+        self.cov -= self.instance.nurse_cells[nurse_id][pattern_id]
         self.cost -= self.costs[nurse_id]
 
     def check(self, roster: Roster) -> None:

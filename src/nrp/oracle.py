@@ -166,7 +166,7 @@ def _tables(
     by_cost: dict[int, int] = {}  # a positive least extra -> the guard bits at it
     for d in range(size - 1, -1, -1):
         nurse = instance.nurses[ids[d]]
-        rows, cells = instance.combined_scan[nurse.id], instance.grade_cells[nurse.grade - 1]
+        rows, cells = instance.combined_scan[nurse.id], instance.nurse_cells[nurse.id]
         cheapest = rows[0][0]
         rest[d] = rest[d + 1] + cheapest
         choices[d], seen = [], 0

@@ -5,7 +5,11 @@ drawn: the cover rule picks the feasible pattern plugging the most holes at
 the worst understaffed band the nurse can serve, the combined rule trades
 preference cost against shortfall reduction, and the random rule picks any
 feasible pattern.  Existing assignments are never touched, and coverage is
-updated after every assignment so later choices see earlier ones.
+updated after every assignment so later choices see earlier ones.  The loop
+keeps that coverage, and the roster's cost, in local variables: it adds each
+pick's row of Instance.nurse_cells and its cost there, and writes cov and
+cost back to the CoverageState once per call, without calling
+CoverageState.add.
 
 Scoring runs on the packed masks of CoverageState.  Each pattern carries
 its worked periods as band-1 guard bits (Instance.pattern_bits), and
@@ -62,26 +66,27 @@ bound falls and the whole list is scored.
 
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
-picks are memoized in a PickMemo.  The cover rule's key is (nurse id,
-focus-band short mask); the combined rule's is (nurse id, one int): the
-short mask of the bands the nurse serves, or in shortfall mode their
-packed shortfall.  Both masks keep only the cells the nurse can work
-(Instance.reach), so a change of coverage in periods she never works, the
-other half of the week for a ward nurse, leaves her keys as they were.  The
-picks stay the same: every scanned pattern works only periods inside her
-reach, so each popcount and each shortfall sum is unchanged; a band whose
-masked column is empty is skipped, which leaves every score's float as it
-was (see _band_terms); and the focus band is still chosen from the
-unmasked short mask.  The keys leave out the weights and the e-mode
-because one run fixes them, so a memo lasts exactly one solver run: run
-makes one and passes it to every reconstruct call, and a reconstruct call
-without one memoizes for itself only.  A memo kept across runs would hand
-one run's picks to another with different weights.  New states keep
-arriving over a long run, so each rule's dict is emptied once it holds
-MEMO_PICKS_PER_NURSE entries per nurse; since a pick is pure, emptying it
-changes no pick.  On the paper's ward shape (30 nurses) that keeps the
-memo of a 100,000-iteration run to about 3 MB; unbounded, it reached 22 MB
-in shortfall mode, whose states vary the most.
+picks are memoized in a PickMemo, which holds two dicts per nurse, one per
+rule, each keyed by one mask int.  The cover rule's key is her focus-band
+short mask; the combined rule's is the short mask of the bands the nurse
+serves, or in shortfall mode their packed shortfall.  Both masks keep only
+the cells the nurse can work (Instance.reach), so a change of coverage in
+periods she never works, the other half of the week for a ward nurse,
+leaves her keys as they were.  The picks stay the same: every scanned
+pattern works only periods inside her reach, so each popcount and each
+shortfall sum is unchanged; a band whose masked column is empty is
+skipped, which leaves every score's float as it was (see _band_terms); and
+the focus band is still chosen from the unmasked short mask.  The keys
+leave out the weights and the e-mode because one run fixes them, so a memo
+lasts exactly one solver run: run makes one and passes it to every
+reconstruct call, and a reconstruct call without one memoizes for itself
+only.  A memo kept across runs would hand one run's picks to another with
+different weights.  New states keep arriving over a long run, so a nurse's
+dict is emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is
+pure, emptying it changes no pick.  A rule's memo so holds at most n *
+MEMO_PICKS_PER_NURSE picks.  On the paper's ward shape (30 nurses) the memo
+of a 100,000-iteration run peaked at about 0.6 MB; unbounded, it reached
+about 3 MB in shortfall mode, whose states vary the most.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ from .model import (
 )
 
 E_MODES = ("indicator", "shortfall")
-MEMO_PICKS_PER_NURSE = 256  # per rule; see the module docstring
+MEMO_PICKS_PER_NURSE = 256  # per nurse and rule; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -257,24 +262,30 @@ class PickMemo:
     """The cover and combined picks already made in one solver run.
 
     A pick depends only on the nurse and on what the rule reads of the
-    coverage, so the memo maps exactly that to the chosen pattern: cover
-    maps (nurse id, focus-band short mask) and combined maps (nurse id,
-    _band_state), both masked to the cells she can work (Instance.reach).
-    Her patterns fill no other cell, so one key serves every coverage that
-    differs only outside them.  The rules get a dict each, because both
-    keys are a nurse id and an int, and a grade-g nurse's combined key in
-    indicator mode equals her cover key.  The keys leave out the instance,
-    the weights and the e-mode, which one run fixes, so a memo must not
-    outlive the run it was made for.  A dict that has reached limit entries
-    is emptied before the next one is stored.
+    coverage, so the memo maps exactly that to the chosen pattern.  It keeps
+    one row per nurse, nurses[i] = (nurse, shift, works, cells, pref_cost,
+    cover, combined): her band offset (grade - 1) * band_span, her reach
+    moved down by it, her row of Instance.nurse_cells, her costs, and two
+    dicts keyed by a mask int alone.  cover maps her focus-band short mask
+    and combined her _band_state, both masked to works, the cells she can
+    work (Instance.reach).  Her patterns fill no other cell, so one key
+    serves every coverage that differs only outside them.  The keys leave
+    out the instance, the weights and the e-mode, which one run fixes, so a
+    memo must not outlive the run it was made for.  A dict that has reached
+    limit entries is emptied before the next one is stored.  reconstruct
+    reads one row per freed nurse and adds the pick's cells and cost to its
+    local coverage, which it writes back once per call without calling
+    CoverageState.add.
     """
 
-    __slots__ = ("cover", "combined", "limit")
+    __slots__ = ("nurses", "limit")
 
     def __init__(self, instance: Instance) -> None:
-        self.cover: dict[tuple[int, int], int] = {}
-        self.combined: dict[tuple[int, int], int] = {}
-        self.limit = MEMO_PICKS_PER_NURSE * instance.n
+        span, self.nurses = instance.band_span, []
+        for nurse, reach, cells in zip(instance.nurses, instance.reach, instance.nurse_cells):
+            shift = (nurse.grade - 1) * span
+            self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost, {}, {}))
+        self.limit = MEMO_PICKS_PER_NURSE
 
 
 def reconstruct(
@@ -291,10 +302,11 @@ def reconstruct(
     Per freed nurse (ascending id) one uniform draw selects the rule; the
     random rule consumes one extra draw to index the feasible set.  Ties on
     rule scores go to the first pattern in the nurse's feasible list.  When a
-    coverage state is passed in it must match the input roster and is updated
-    in place to match the returned complete roster.  A memo passed in must
-    come from the same run (same instance, config and weights); without one
-    the picks are memoized for this call only.
+    coverage state is passed in it must match the input roster; it is brought
+    in place to the returned complete roster, with one write-back after the
+    last pick.  A memo passed in must come from the same run (same instance,
+    config and weights); without one the picks are memoized for this call
+    only.
     """
     result = roster.copy()
     free = result.unassigned_ids()
@@ -304,49 +316,49 @@ def reconstruct(
         coverage = compute_coverage(instance, roster)
     if memo is None:
         memo = PickMemo(instance)
-    cover_picks, combined_picks, limit = memo.cover, memo.combined, memo.limit
-    p1, p2 = config.p1, config.p2
-    e_mode, reach, span = config.e_mode, instance.reach, instance.band_span
-    nurses, band, indicator = instance.nurses, (1 << span) - 1, e_mode == "indicator"
-    assignment, add = result.assignment, coverage.add
+    rows, limit = memo.nurses, memo.limit
+    p1, p12 = config.p1, config.p1 + config.p2
+    e_mode, span, assignment = config.e_mode, instance.band_span, result.assignment
+    band, indicator = (1 << span) - 1, e_mode == "indicator"
     # short_mask() is demand - cov - ONE masked to the guard bits
-    demand_less_one, guard_bits = instance.demand_bits - instance.low_bits, instance.guard_bits
+    demand_bits, guard_bits = instance.demand_bits, instance.guard_bits
+    demand_less_one, guard_shift = demand_bits - instance.low_bits, instance.field_width - 1
+    # the picks go on local copies, written back once after the loop
+    cov, cost, costs = coverage.cov, coverage.cost, coverage.costs
 
     for i in free:
-        nurse = nurses[i]
-        shift = (nurse.grade - 1) * span
-        # the cells she can work, moved down as the rules' masks are
-        works = reach[i] >> shift
+        nurse, shift, works, cells, prices, cover_picks, combined_picks = rows[i]
         u = rng.random()
         if u < p1:
             # _focus_mask inline: the band of the lowest short cell she serves
-            short = ((demand_less_one - coverage.cov) & guard_bits) >> shift
+            short = ((demand_less_one - cov) & guard_bits) >> shift
             if short:
                 short = short >> ((short & -short).bit_length() - 1) // span * span & band & works
-            key = (i, short)
-            choice = cover_picks.get(key)
+            choice = cover_picks.get(short)
             if choice is None:
                 if len(cover_picks) >= limit:
                     cover_picks.clear()
-                choice = cover_picks[key] = _argmax_cover(instance, coverage, nurse, short)
-        elif u < p1 + p2:
-            # _band_state inline
+                choice = cover_picks[short] = _argmax_cover(instance, coverage, nurse, short)
+        elif u < p12:
+            # _band_state inline; shortfall mode is shortfall_bits() of cov
             if indicator:
-                state = ((demand_less_one - coverage.cov) & guard_bits) >> shift & works
+                state = ((demand_less_one - cov) & guard_bits) >> shift & works
             else:
-                state = coverage.shortfall_bits() >> shift & works
-            key = (i, state)
-            choice = combined_picks.get(key)
+                met = (diff := demand_bits - cov) & guard_bits
+                state = (diff & (met - (met >> guard_shift))) >> shift & works
+            choice = combined_picks.get(state)
             if choice is None:
                 if len(combined_picks) >= limit:
                     combined_picks.clear()
-                choice = combined_picks[key] = _argmax_combined(
+                choice = combined_picks[state] = _argmax_combined(
                     instance, coverage, weights, nurse, e_mode, state
                 )
         else:
             choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
         assignment[i] = choice
-        add(i, choice)
+        costs[i] = price = prices[choice]
+        cov, cost = cov + cells[choice], cost + price
+    coverage.cov, coverage.cost = cov, cost
     return result
 
 
@@ -356,9 +368,10 @@ def _argmax_cover(
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
 
     The first pattern filling every short cell wins outright, so the scan
-    stops there; otherwise the first maximum wins.  coverage is unused: it
-    keeps the nurse at args[2], where perfbench's shims read it, and
-    tests/test_bench_contract.py fails if it moves.
+    stops there; otherwise the first maximum wins.  coverage is unused, and
+    stale while reconstruct's loop runs (the loop writes its picks back
+    after it): it keeps the nurse at args[2], where perfbench's shims read
+    it, and tests/test_bench_contract.py fails if it moves.
     """
     ids, bits = instance.cover_scan[nurse.id]
     full, best = short.bit_count(), -1
@@ -383,9 +396,10 @@ def _argmax_combined(
 
     The scan runs cheapest first and stops at the first pattern whose bound
     falls below the best score; equal scores go to the earlier feasible
-    position.  coverage is unused: it keeps the nurse at args[3], where
-    perfbench's shims read it, and tests/test_bench_contract.py fails if it
-    moves.
+    position.  coverage is unused, and stale while reconstruct's loop runs
+    (the loop writes its picks back after it): it keeps the nurse at
+    args[3], where perfbench's shims read it, and
+    tests/test_bench_contract.py fails if it moves.
     """
     terms = _band_terms(instance, weights, nurse, e_mode, state)
     w_p = weights.w_p

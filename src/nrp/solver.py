@@ -9,8 +9,9 @@ eliminations and reconstruction in a documented order, so a run is fully
 reproducible from (instance, config).
 
 One CoverageState follows the roster through the run: the released nurses
-are removed from it and reconstruct adds the new picks, so it always holds
-the current roster's coverage, each nurse's cost and their sum.  Fitness
+are removed from it and reconstruct writes the new picks back into it, so
+after each repair it holds the current roster's coverage, each nurse's cost
+and their sum.  Fitness
 and penalized_cost read the costs from it instead of summing the roster.
 
 Fitness memo.  A run keeps the fitness lists it has computed, keyed by the

@@ -172,13 +172,18 @@ class TestGradeWeights:
         assert exited.value.code == EXIT_ERROR
         assert_one_line_error(capsys, "--w-grade")
 
-    @pytest.mark.parametrize("value", ["8,-1,2", "8,x", "nan", "1,,2"])
+    # each bad value and a phrase of its message; 1e400 parses as inf
+    BAD_W_GRADES = {"8,-1,2": "non-negative finite", "8,x": "expected numbers",
+                    "nan": "non-negative finite", "1,,2": "expected numbers",
+                    "1e400": "non-negative finite", "inf": "non-negative finite"}
+
+    @pytest.mark.parametrize("value", list(BAD_W_GRADES))
     def test_bad_w_grade_exits_one_with_one_line(self, tmp_path, capsys, value):
         path = write_instance(tmp_path)
         for command in (["solve"], ["batch", "--runs", "1"]):
             args = [command[0], str(path), *command[1:], f"--w-grade={value}"]
             assert main(args) == EXIT_ERROR
-            assert_one_line_error(capsys, "--w-grade")
+            assert_one_line_error(capsys, "--w-grade", self.BAD_W_GRADES[value])
 
 
 def write_with_warnings(tmp_path: Path) -> Path:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nrp.harness as harness_module
 from nrp.evaluate import penalized_cost
 from nrp.harness import (
     AblationSpec,
@@ -205,6 +206,56 @@ class TestAblationCsv:
     def test_no_instances_raise_value_error(self):
         with pytest.raises(ValueError, match="at least one"):
             ablation_csv([], AblationSpec(runs=1, budgets=(10,), presets=()))
+
+    @staticmethod
+    def count_batches(monkeypatch, batch=run_batch) -> list:
+        """Record the spec of each run_batch call ablation_csv makes."""
+        specs = []
+
+        def counted(instance, run_spec, *args):
+            specs.append(run_spec)
+            return batch(instance, run_spec, *args)
+
+        monkeypatch.setattr(harness_module, "run_batch", counted)
+        return specs
+
+    def test_equal_columns_share_one_batch(self, monkeypatch):
+        """The full preset column at 40 iterations repeats iters_40: it is
+        run once per instance, and the CSV is byte-identical to the one
+        computed column by column."""
+        inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=55))
+        spec = AblationSpec(presets=("full", "cover-only", "construct-only"),
+                            budgets=(20, 40), preset_iterations=40, runs=3, base_seed=5)
+        named = [("a", inst), ("b", generate_instance(GeneratorParams(n=5, m=9, g=3, seed=56)))]
+        specs = self.count_batches(monkeypatch)
+        text = ablation_csv(named, spec)
+        assert len(specs) == 2 * 4 and len(set(specs)) == 4
+        # the reference: every column run on its own, as the matrix is defined
+        columns = [(f"iters_{b}", preset_spec("full", b)) for b in spec.budgets]
+        columns += [(p, preset_spec(p, spec.preset_iterations)) for p in spec.presets]
+        lines = ["instance," + ",".join(name for name, _ in columns)]
+        totals = [0.0] * len(columns)
+        for name, instance in named:
+            cells = []
+            for idx, (_, run_spec) in enumerate(columns):
+                results = run_batch(instance, run_spec, spec.runs, spec.base_seed)
+                mean = sum(censored_cost(r) for r in results) / len(results)
+                totals[idx] += mean
+                cells.append(f"{mean:.1f}")
+            lines.append(name + "," + ",".join(cells))
+        lines.append("Av.," + ",".join(f"{t / len(named):.1f}" for t in totals))
+        assert text == "\n".join(lines) + "\n"
+
+    def test_the_default_matrix_runs_eleven_of_its_twelve_columns(self, monkeypatch):
+        inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=55))
+
+        def no_run(instance, run_spec, runs, base_seed, threads):
+            return [fake_result(7, True, seed=base_seed + k) for k in range(runs)]
+
+        specs = self.count_batches(monkeypatch, no_run)
+        text = ablation_csv([("a", inst)], AblationSpec(runs=2))
+        assert text.splitlines()[0].count(",") == 12 and len(specs) == 11
+        assert specs.count(preset_spec("full", 50_000)) == 1
 
 
 # every shape at every grade count 1..6: the smallest instance, one pattern,

@@ -106,7 +106,10 @@ def test_pattern_bits_match_mask():
         band = (1 << instance.band_span) - 1
         for pattern in instance.patterns:
             expected = sum(low_bit(instance, k) for k in range(N_PERIODS) if pattern.mask[k])
-            assert instance.grade_cells[0][pattern.id] & band == expected
+            for nurse, cells in zip(instance.nurses, instance.nurse_cells):
+                # her own band, the lowest her row fills
+                own = cells[pattern.id] >> (nurse.grade - 1) * instance.band_span
+                assert own & band == expected
             assert instance.pattern_bits[pattern.id] == expected << (instance.field_width - 1)
 
 

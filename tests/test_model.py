@@ -36,19 +36,20 @@ def band_copies(instance, bits: int, bands) -> int:
 
 
 class TestCoversGrade:
-    """A grade-q nurse covers bands q..g: grade_cells has her pattern there only."""
+    """A grade-q nurse covers bands q..g: her row of nurse_cells has her
+    pattern there only."""
 
     def test_highest_grade_covers_all_bands(self):
         inst = make_instance([pattern(0, 0, 3)], [Nurse(0, 1, (0,), {0: 0})], flat_demand(3))
-        assert inst.grade_cells[0][0] == band_copies(inst, 1 | 1 << 3 * inst.field_width, range(3))
+        assert inst.nurse_cells[0][0] == band_copies(inst, 1 | 1 << 3 * inst.field_width, range(3))
 
     def test_lowest_grade_covers_only_its_band(self):
         inst = make_instance([pattern(0, 0)], [Nurse(0, 3, (0,), {0: 0})], flat_demand(3))
-        assert inst.grade_cells[2][0] == band_copies(inst, 1, [2])
+        assert inst.nurse_cells[0][0] == band_copies(inst, 1, [2])
 
     def test_own_band(self):
         inst = make_instance([pattern(0, 5)], [Nurse(0, 2, (0,), {0: 0})], flat_demand(3))
-        own = (inst.grade_cells[1][0] >> inst.band_span) & ((1 << inst.band_span) - 1)
+        own = (inst.nurse_cells[0][0] >> inst.band_span) & ((1 << inst.band_span) - 1)
         assert own == 1 << 5 * inst.field_width
 
     def test_monotone_in_band(self):
@@ -59,7 +60,7 @@ class TestCoversGrade:
             for i, nurse in enumerate(inst.nurses):
                 for j in nurse.feasible:
                     cells = sum(1 << (k * inst.field_width) for k in inst.patterns[j].periods)
-                    row = inst.grade_cells[nurse.grade - 1][j]
+                    row = inst.nurse_cells[i][j]
                     slices = [(row >> (s * inst.band_span)) & band for s in bands]
                     assert slices == [cells if qualified(inst, i, s + 1) else 0 for s in bands]
                     present = [s for s in bands if slices[s]]  # a run of bands ending at g

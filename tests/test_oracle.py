@@ -369,7 +369,7 @@ def _tables_rebuilding_by_cost(inst, ids, top):
     avail, least = 0, {}
     for d in range(size - 1, -1, -1):
         nurse = inst.nurses[ids[d]]
-        price, cells = nurse.pref_cost, inst.grade_cells[nurse.grade - 1]
+        price, cells = nurse.pref_cost, inst.nurse_cells[nurse.id]
         order = sorted(nurse.feasible, key=price.__getitem__)
         cheapest = price[order[0]]
         rest[d] = rest[d + 1] + cheapest

@@ -8,6 +8,7 @@ from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
+    CoverageState,
     InvalidRosterError,
     Nurse,
     Roster,
@@ -345,6 +346,21 @@ class CountedClears(dict):
         super().clear()
 
 
+def memo_dicts(memo: PickMemo, rule: str) -> list[dict[int, int]]:
+    """One rule's pick dict of every nurse, in id order."""
+    return [row[5] if rule == "cover" else row[6] for row in memo.nurses]
+
+
+def memo_picks(memo: PickMemo, rule: str) -> dict[tuple[int, int], int]:
+    """One rule's picks of every nurse, keyed (nurse id, mask)."""
+    return {
+        (i, key): pick for i, picks in enumerate(memo_dicts(memo, rule)) for key, pick in picks.items()
+    }
+
+
+LIMIT = 3  # the per-nurse, per-rule cap the emptying tests set
+
+
 class TestPickMemo:
     STEPS = 60
 
@@ -358,7 +374,7 @@ class TestPickMemo:
         shared = PickMemo(instance)
         if limit is not None:
             shared.limit = limit
-            shared.cover, shared.combined = CountedClears(), CountedClears()
+            shared.nurses = [row[:5] + (CountedClears(), CountedClears()) for row in shared.nurses]
         rng_shared, rng_fresh = random.Random(trial), random.Random(trial)
         roster = Roster.empty(instance.n)
         fresh_entries = 0
@@ -377,9 +393,9 @@ class TestPickMemo:
             assert cov_shared.shortfall == cov_fresh.shortfall
             assert cov_shared.total_shortfall() == cov_fresh.total_shortfall()
             assert rng_shared.getstate() == rng_fresh.getstate()
-            assert len(shared.cover) <= shared.limit
-            assert len(shared.combined) <= shared.limit
-            fresh_entries += len(fresh.cover) + len(fresh.combined)
+            for rule in ("cover", "combined"):
+                assert max(map(len, memo_dicts(shared, rule))) <= shared.limit
+                fresh_entries += len(memo_picks(fresh, rule))
             keep = release.random()
             roster = Roster(
                 [j if release.random() < keep else None for j in out_shared.assignment]
@@ -391,22 +407,61 @@ class TestPickMemo:
         for trial in range(36):
             for e_mode in E_MODES:
                 shared, fresh_entries = self.repair_sequence(trial, e_mode)
-                # the limit (256 picks per nurse) is never reached here
-                cross_call_hits += fresh_entries - len(shared.cover) - len(shared.combined)
+                # the limit (256 picks per nurse and rule) is never reached here
+                shared_entries = len(memo_picks(shared, "cover")) + len(memo_picks(shared, "combined"))
+                cross_call_hits += fresh_entries - shared_entries
         assert cross_call_hits > 1000  # the shared memo did answer picks
 
     def test_a_memo_emptied_at_its_limit_still_agrees(self):
         cover_clears = combined_clears = 0
         for trial in range(12):
             for e_mode in E_MODES:
-                shared, _ = self.repair_sequence(trial, e_mode, limit=3)
-                cover_clears += shared.cover.clears
-                combined_clears += shared.combined.clears
+                shared, _ = self.repair_sequence(trial, e_mode, limit=LIMIT)
+                cover_clears += sum(picks.clears for picks in memo_dicts(shared, "cover"))
+                combined_clears += sum(picks.clears for picks in memo_dicts(shared, "combined"))
         assert cover_clears > 50 and combined_clears > 50
 
-    def test_limit_scales_with_the_nurse_count(self):
+    def test_the_limit_is_per_nurse_and_per_rule(self):
+        """Each nurse has a dict per rule, each capped at MEMO_PICKS_PER_NURSE,
+        so a rule's memo holds at most n times that many picks."""
         instance, _, _ = memo_sequence_case(0)
-        assert PickMemo(instance).limit == MEMO_PICKS_PER_NURSE * instance.n
+        memo = PickMemo(instance)
+        assert memo.limit == MEMO_PICKS_PER_NURSE
+        dicts = memo_dicts(memo, "cover") + memo_dicts(memo, "combined")
+        assert len({id(picks) for picks in dicts}) == 2 * instance.n
+        # a nurse's full dict leaves the others' picks alone
+        shared, _ = self.repair_sequence(0, "indicator", limit=LIMIT)
+        for rule in ("cover", "combined"):
+            assert max(map(len, memo_dicts(shared, rule))) <= LIMIT
+            assert len(memo_picks(shared, rule)) > LIMIT
+
+
+RULE_MIXES = {"cover": (1.0, 0.0, 0.0), "combined": (0.0, 1.0, 0.0),
+              "random": (0.0, 0.0, 1.0), "default": (0.80, 0.18, 0.02)}
+
+
+@pytest.mark.parametrize("e_mode", E_MODES)
+@pytest.mark.parametrize("mix", RULE_MIXES)
+def test_each_write_back_matches_a_recount(monkeypatch, mix, e_mode):
+    """reconstruct places its picks on local copies of the state and writes
+    them back once per call.  After every call, with picks answered by the
+    memo and emptied dicts alike (one pick per nurse and rule), the state
+    must equal a recount of the returned roster, at every grade count."""
+    monkeypatch.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", 1)
+    config = ReconstructionConfig(*RULE_MIXES[mix], e_mode=e_mode)
+    for g in range(1, 7):
+        instance = generate_instance(GeneratorParams(n=8, m=16, g=g, seed=14000 + g))
+        memo, rng, release = PickMemo(instance), random.Random(g), random.Random(100 + g)
+        assert memo.limit == 1
+        roster, coverage = Roster.empty(instance.n), CoverageState(instance)
+        for _ in range(40):
+            roster = reconstruct(instance, roster, config, EvalWeights(), rng, coverage, memo)
+            coverage.check(roster)
+            keep = release.random()
+            for i, j in enumerate(roster.assignment):
+                if release.random() >= keep:
+                    coverage.remove(i, j)
+                    roster.assignment[i] = None
 
 
 def test_the_pick_keys_are_the_reference_masks():
@@ -437,12 +492,13 @@ def test_the_pick_keys_are_the_reference_masks():
             memo = PickMemo(instance)
             reconstruct(instance, roster, config, EvalWeights(), random.Random(trial),
                         coverage=compute_coverage(instance, roster), memo=memo)
+            cover_keys, combined_keys = memo_picks(memo, "cover"), memo_picks(memo, "combined")
             if config is cover:
-                assert list(memo.cover) == [(i, _focus_mask(instance, before, nurse) & works)]
-                assert not memo.combined
+                assert list(cover_keys) == [(i, _focus_mask(instance, before, nurse) & works)]
+                assert not combined_keys
             else:
                 state = _band_state(instance, before, nurse, config.e_mode) & works
-                assert list(memo.combined) == [(i, state)] and not memo.cover
+                assert list(combined_keys) == [(i, state)] and not cover_keys
     assert focus_bands == {None, 0, 1, 2, 3, 4, 5} and above_own > 10
 
 
@@ -509,11 +565,11 @@ class TestReachKeys:
         memo = PickMemo(instance)
         first = reconstruct(instance, before, config, weights, random.Random(0), memo=memo)
         assert calls[rule] == 1
-        keys = dict(memo.cover if rule == "cover" else memo.combined)
+        keys = memo_picks(memo, rule)
         second = reconstruct(instance, after, config, weights, random.Random(0), memo=memo)
         # the same key, answered from the memo without a kernel call
         assert calls[rule] == 1
-        assert (memo.cover if rule == "cover" else memo.combined) == keys
+        assert memo_picks(memo, rule) == keys
         assert second.assignment[day] == first.assignment[day]
         fresh = reconstruct(instance, after, config, weights, random.Random(0))
         assert calls[rule] == 2 and fresh.assignment == second.assignment

@@ -6,11 +6,19 @@ from dataclasses import replace
 
 import pytest
 
+import nrp.solver as solver_module
 from nrp.eliminate import EliminationConfig, eliminate_by_fitness
 from nrp.evaluate import EvalWeights, component_fitness_all, penalized_cost
 from nrp.harness import PRESET_NAMES, preset_spec, run_batch, run_csv_row
 from nrp.instance_io import GeneratorParams, generate_instance
-from nrp.model import Nurse, Roster, compute_coverage, is_feasible, preference_cost
+from nrp.model import (
+    CoverageState,
+    Nurse,
+    Roster,
+    compute_coverage,
+    is_feasible,
+    preference_cost,
+)
 from nrp.oracle import OPTIMAL, exact_solve
 from nrp.reconstruct import E_MODES, ReconstructionConfig
 from nrp.solver import (
@@ -215,6 +223,33 @@ class TestRun:
         roster = Roster([0, None, 2])
         for copied in (pickle.loads(pickle.dumps(roster)), copy.deepcopy(roster)):
             assert copied == roster and not hasattr(copied, "__dict__")
+
+
+@pytest.mark.parametrize("params", [
+    GeneratorParams(n=6, m=12, g=3, seed=15),
+    GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1),
+], ids=["desk", "ward"])
+def test_the_loop_never_calls_add(monkeypatch, params):
+    """Only the starting roster enters the coverage state through
+    CoverageState.add; reconstruct writes its picks back itself.  An add
+    made once the run's state exists raises."""
+    instance = generate_instance(params)
+    started, add = [], CoverageState.add
+
+    def add_before_the_loop(state, i, j):
+        if started:
+            raise AssertionError(f"CoverageState.add({i}, {j}) inside the loop")
+        add(state, i, j)
+
+    def start(instance, roster):
+        state = compute_coverage(instance, roster)
+        started.append(state)
+        return state
+
+    monkeypatch.setattr(CoverageState, "add", add_before_the_loop)
+    monkeypatch.setattr(solver_module, "compute_coverage", start)
+    result = run(instance, SolverConfig(max_iterations=300, seed=4))
+    assert len(started) == 1 and result.iterations_executed == 300
 
 
 def count_fitness_calls(monkeypatch) -> list[int]:
