@@ -148,7 +148,12 @@ class Instance:
     grade serves.  It is the union of her cover list's patterns, because a
     pattern leaves that list only for an earlier one working all its
     periods.  Reconstruction masks its memo keys with it and the exact
-    solver finds its components with it.
+    solver finds its components with it.  longest[i] is the most periods
+    any pattern of her feasible list works.  It is also the longest pattern
+    of both her scan lists, since a pattern leaves a list only for an
+    earlier superset, which works at least as many periods; no pattern
+    fills more short cells than that in a band, so the reconstruction
+    scans cap their stopping bounds with it.
     """
 
     n: int
@@ -173,6 +178,7 @@ class Instance:
     nurse_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     supersets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    longest: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.g < 1:
@@ -223,6 +229,9 @@ class Instance:
         self.reach = tuple(
             spread[nurse.grade - 1] * (reduce(or_, bits) >> (width - 1)) * fields
             for nurse, (_, bits) in zip(self.nurses, self.cover_scan)
+        )
+        self.longest = tuple(
+            max(len(self.patterns[j].periods) for j in nurse.feasible) for nurse in self.nurses
         )
         rows = [tuple(c * copies for c in cells) for copies in spread]
         self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)

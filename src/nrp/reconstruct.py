@@ -6,10 +6,11 @@ the worst understaffed band the nurse can serve, the combined rule trades
 preference cost against shortfall reduction, and the random rule picks any
 feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.  The loop
-keeps that coverage, and the roster's cost, in local variables: it adds each
-pick's row of Instance.nurse_cells and its cost there, and writes cov and
-cost back to the CoverageState once per call, without calling
-CoverageState.add.
+keeps that coverage, and the roster's cost, in local variables: it carries
+rest = demand_bits - low_bits - cov, whose guard bits are the short mask,
+subtracts each pick's row of Instance.nurse_cells from it and adds its cost,
+and writes cov and cost back to the CoverageState once per call, without
+calling CoverageState.add.
 
 Scoring runs on the packed masks of CoverageState.  Each pattern carries
 its worked periods as band-1 guard bits (Instance.pattern_bits), and
@@ -20,15 +21,15 @@ focus band, from the mask's lowest set bit at or above her own band.  The
 pick loop computes that focus mask, and the combined rule's band state,
 inline from the packed coverage; _focus_mask and _band_state are the
 references they must equal, read by cover_value, combined_score and the
-tests.  The combined rule has one scorer, _score, for both e-modes.  Per
+tests.  The combined rule has one scorer for both e-modes, its scan
+(_scan_combined), which combined_score runs over a single pattern.  Per
 pick it builds the band terms once (_band_terms): each band she serves
 becomes a weight and a tuple of level masks, whose popcounts against a
 pattern sum to the band's count.  In indicator mode the one level is the
-band's short cells.
-The shortfall e-mode weights each period by its shortfall, so its levels
-are the masks of cells short by at least t = 1, 2, ..., built from the
-band's slice of the packed shortfall, and a cell short by r is counted at r
-levels.  _score adds the weighted integer counts to the preference term
+band's short cells.  The shortfall e-mode weights each period by its
+shortfall, so its levels are the masks of cells short by at least t = 1,
+2, ..., built from the band's slice of the packed shortfall, and a cell
+short by r is counted at r levels.  The scan adds the weighted integer counts to the preference term
 band by band in ascending order, the order the per-period definition sums
 them in, so the float scores, and hence the tie-breaks, equal the
 definition's.
@@ -50,19 +51,24 @@ earlier pattern scoring at least as much would contradict its being first,
 so scanning the shorter list gives the same pick.
 
 Both scans also stop once no later pattern can win.  No pattern fills more
-cells than are short, so the cover rule, walking its list in feasible
-order, returns the first pattern that fills all of them; only when none
-does is the whole list scored.  The combined list is stored cheapest first,
-each pattern with its position in the feasible list.  A pattern's bound is
-the float chain of its score with each band's count replaced by the band's
-cap, the count of a pattern working every period: w_p * (100 - cost), then
-+ w_s * cap band by band.  Every weight is non-negative and rounding is
-monotone, so the bound is at least the score, and along the cost order the
-preference term, and with it the bound, never rises.  The scan therefore
-stops at the first pattern whose bound is below the best score so far.
-Scores equal to the best go to the lower feasible position, so the pick is
-the first maximum in feasible order, as without the stop.  With w_p = 0 no
-bound falls and the whole list is scored.
+cells than are short, nor more than the periods it works, and none of the
+nurse's works more than Instance.longest.  So the cover rule, walking its
+list in feasible order, returns the first pattern that fills min(short
+cells, longest) of them; only when none does is the whole list scored.
+The combined list is stored cheapest first, each pattern with its position
+in the feasible list.  A pattern's bound is the float chain of its score
+with each band's count replaced by the band's cap, the sum over its levels
+of min(popcount, longest): w_p * (100 - cost), then + w_s * cap band by
+band.  Every weight is non-negative and rounding is monotone, so the bound
+is at least the score, and along the cost order the preference term, and
+with it the bound, never rises.  The scan evaluates the bound once per
+distinct cost and stops at the first whose bound is below the best score
+so far.  Scores equal to the best go to the lower feasible position, so the
+pick is the first maximum in feasible order, as without the stop.  With
+w_p = 0 no bound falls and the whole list is scored.  On the paper's ward
+shape, whose patterns work at most 4 or 5 periods, a cover miss scores
+about 7 of the 32 patterns of a cover list, and a combined miss about 10 of
+the 53 of a combined list in indicator mode and 13 in shortfall mode.
 
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
@@ -193,29 +199,35 @@ def combined_score(
     Score = w_p * (100 - cost) + sum over qualified bands s of
     w_grade[min(s, len(w_grade)) - 1] * (short periods the pattern covers
     at band s), so the last weight covers every band past the tuple's end.
+    The pattern is scored by the combined rule's own scan (_scan_combined),
+    run over its one row, so the float is the one the rule compares.
     """
     nurse = instance.nurses[i]
     if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    terms = _band_terms(instance, weights, nurse, e_mode,
+    terms = _band_terms(instance, weights, nurse.grade, instance.longest[i], e_mode,
                         _band_state(instance, coverage, nurse, e_mode))
-    return _score(weights.w_p * (100 - nurse.pref_cost[j]), terms, instance.pattern_bits[j])
+    row = (nurse.pref_cost[j], 0, j, instance.pattern_bits[j])
+    return _scan_combined((row,), weights.w_p, terms)[0]
 
 
 def _band_terms(
-    instance: Instance, weights: EvalWeights, nurse: Nurse, e_mode: str, state: int
+    instance: Instance, weights: EvalWeights, grade: int, longest: int, e_mode: str, state: int
 ) -> list[tuple[float, tuple[int, ...], float]]:
-    """(w_s, levels, w_s * cap) for each band the nurse serves that can score.
+    """(w_s, levels, w_s * cap) for each band from grade up that can score.
 
-    state is the nurse's _band_state, from which each band is sliced in
-    turn, lowest first.  A band's levels are guard-bit masks whose popcounts
-    against a pattern's bits sum to its count: in indicator mode one level,
-    the short cells; in shortfall mode level t holds the cells short by at
-    least t, so a cell short by r is counted once at each of the levels
-    1..r.  cap is the count of a pattern working every period, the sum of
-    the levels' popcounts, so no pattern counts more.  A band with weight 0
-    or no short cell is left out: it would add ws * 0 = +0.0 to every score,
-    which changes no float but a -0.0, and that one compares equal.
+    These are the bands a nurse of that grade serves, and state is her
+    _band_state, from which each band is sliced in turn, lowest first.  A
+    band's levels are guard-bit masks whose popcounts against a pattern's
+    bits sum to its count: in indicator mode one level, the short cells,
+    built in one step; in shortfall mode level t holds the cells short by
+    at least t, so a cell short by r is counted once at each of the levels
+    1..r.  No pattern working at most longest periods fills more than
+    min(popcount, longest) cells of a level, so cap, the sum of that over
+    the levels, bounds the band's count for every pattern of the nurse (see
+    Instance.longest).  A band with weight 0 or no short cell is left out:
+    it would add ws * 0 = +0.0 to every score, which changes no float but a
+    -0.0, and that one compares equal.
     """
     span = instance.band_span
     band = (1 << span) - 1
@@ -223,39 +235,54 @@ def _band_terms(
     w_grade = weights.w_grade
     last = len(w_grade) - 1
     terms = []
-    for s in range(nurse.grade - 1, instance.g):
+    for s in range(grade - 1, instance.g):
         ws = w_grade[min(s, last)]
         column, state = state & band, state >> span
         if ws == 0 or not column:
             continue
         if e_mode == "indicator":
-            levels = (column,)
-        else:
-            levels = []
-            level = (column | guard_bits) - low_bits
-            while cells := level & guard_bits:
-                levels.append(cells)
-                level -= low_bits
-            levels = tuple(levels)
-        terms.append((ws, levels, ws * sum(cells.bit_count() for cells in levels)))
+            terms.append((ws, (column,), ws * min(column.bit_count(), longest)))
+            continue
+        levels, cap = [], 0
+        level = (column | guard_bits) - low_bits
+        while cells := level & guard_bits:
+            levels.append(cells)
+            cap += min(cells.bit_count(), longest)
+            level -= low_bits
+        terms.append((ws, tuple(levels), ws * cap))
     return terms
 
 
-def _score(preference: float, terms: list, bits: int) -> float:
-    """A pattern's combined score: its preference term, then each band term.
+def _scan_combined(rows, w_p: float, terms: list) -> tuple[float, int]:
+    """The best score over rows, cheapest first, and its first pattern.
 
-    bits holds the pattern's worked periods as band-1 guard bits and terms
-    the nurse's _band_terms.  The band terms are added lowest band first,
-    each as w_s times an integer count, the order the per-period definition
-    sums them in, so equal inputs give bit-equal floats.
+    rows are combined_scan rows (cost, position, id, bits), sorted by cost,
+    and terms the nurse's _band_terms.  A row's score is its preference term
+    w_p * (100 - cost), then each band term w_s * count added lowest band
+    first, the order the per-period definition sums them in, so equal
+    inputs give bit-equal floats.  Once per distinct cost the bound, the
+    same chain with each count replaced by its cap, is compared with the
+    best score so far, and the scan stops when it is below.  Equal scores go
+    to the lower position.
     """
-    score = preference
-    for ws, levels, _ in terms:
-        count = 0
-        for cells in levels:
-            count += (bits & cells).bit_count()
-        score += ws * count
-    return score
+    best, pick, first, last = -math.inf, 0, 0, None
+    for cost, position, j, bits in rows:
+        if cost != last:
+            last, preference = cost, w_p * (100 - cost)
+            bound = preference
+            for _, _, most in terms:
+                bound += most
+            if bound < best:
+                break
+        score = preference
+        for ws, levels, _ in terms:
+            count = 0
+            for cells in levels:
+                count += (bits & cells).bit_count()
+            score += ws * count
+        if score > best or score == best and position < first:
+            best, pick, first = score, j, position
+    return best, pick
 
 
 class PickMemo:
@@ -320,18 +347,18 @@ def reconstruct(
     p1, p12 = config.p1, config.p1 + config.p2
     e_mode, span, assignment = config.e_mode, instance.band_span, result.assignment
     band, indicator = (1 << span) - 1, e_mode == "indicator"
-    # short_mask() is demand - cov - ONE masked to the guard bits
-    demand_bits, guard_bits = instance.demand_bits, instance.guard_bits
-    demand_less_one, guard_shift = demand_bits - instance.low_bits, instance.field_width - 1
+    # the loop carries rest = demand - cov - ONE, whose guard bits are short_mask()
+    low_bits, guard_bits = instance.low_bits, instance.guard_bits
+    demand_less_one, guard_shift = instance.demand_bits - low_bits, instance.field_width - 1
     # the picks go on local copies, written back once after the loop
-    cov, cost, costs = coverage.cov, coverage.cost, coverage.costs
+    rest, cost, costs = demand_less_one - coverage.cov, coverage.cost, coverage.costs
 
     for i in free:
         nurse, shift, works, cells, prices, cover_picks, combined_picks = rows[i]
         u = rng.random()
         if u < p1:
             # _focus_mask inline: the band of the lowest short cell she serves
-            short = ((demand_less_one - cov) & guard_bits) >> shift
+            short = (rest & guard_bits) >> shift
             if short:
                 short = short >> ((short & -short).bit_length() - 1) // span * span & band & works
             choice = cover_picks.get(short)
@@ -340,11 +367,11 @@ def reconstruct(
                     cover_picks.clear()
                 choice = cover_picks[short] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p12:
-            # _band_state inline; shortfall mode is shortfall_bits() of cov
+            # _band_state inline; shortfall mode is shortfall_bits(), demand - cov = rest + ONE
             if indicator:
-                state = ((demand_less_one - cov) & guard_bits) >> shift & works
+                state = (rest & guard_bits) >> shift & works
             else:
-                met = (diff := demand_bits - cov) & guard_bits
+                met = (diff := rest + low_bits) & guard_bits
                 state = (diff & (met - (met >> guard_shift))) >> shift & works
             choice = combined_picks.get(state)
             if choice is None:
@@ -357,8 +384,8 @@ def reconstruct(
             choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
         assignment[i] = choice
         costs[i] = price = prices[choice]
-        cov, cost = cov + cells[choice], cost + price
-    coverage.cov, coverage.cost = cov, cost
+        rest, cost = rest - cells[choice], cost + price
+    coverage.cov, coverage.cost = demand_less_one - rest, cost
     return result
 
 
@@ -367,14 +394,15 @@ def _argmax_cover(
 ) -> int:
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
 
-    The first pattern filling every short cell wins outright, so the scan
-    stops there; otherwise the first maximum wins.  coverage is unused, and
-    stale while reconstruct's loop runs (the loop writes its picks back
-    after it): it keeps the nurse at args[2], where perfbench's shims read
-    it, and tests/test_bench_contract.py fails if it moves.
+    No pattern fills more than min(short cells, Instance.longest) of them,
+    so the first pattern filling that many wins outright and the scan stops
+    there; otherwise the first maximum wins.  coverage is unused, and stale
+    while reconstruct's loop runs (the loop writes its picks back after it):
+    it keeps the nurse at args[2], where perfbench's shims read it, and
+    tests/test_bench_contract.py fails if it moves.
     """
     ids, bits = instance.cover_scan[nurse.id]
-    full, best = short.bit_count(), -1
+    full, best = min(short.bit_count(), instance.longest[nurse.id]), -1
     for j, pattern_bits in zip(ids, bits):
         value = (pattern_bits & short).bit_count()
         if value > best:
@@ -394,23 +422,12 @@ def _argmax_combined(
 ) -> int:
     """Combined-rule pick for the nurse's band state (see _band_state).
 
-    The scan runs cheapest first and stops at the first pattern whose bound
-    falls below the best score; equal scores go to the earlier feasible
-    position.  coverage is unused, and stale while reconstruct's loop runs
-    (the loop writes its picks back after it): it keeps the nurse at
-    args[3], where perfbench's shims read it, and
-    tests/test_bench_contract.py fails if it moves.
+    The nurse's combined_scan rows go through _scan_combined, which runs
+    cheapest first and stops at the first cost whose bound falls below the
+    best score; equal scores go to the earlier feasible position.  coverage
+    is unused, and stale while reconstruct's loop runs (the loop writes its
+    picks back after it): it keeps the nurse at args[3], where perfbench's
+    shims read it, and tests/test_bench_contract.py fails if it moves.
     """
-    terms = _band_terms(instance, weights, nurse, e_mode, state)
-    w_p = weights.w_p
-    best, pick, first = -math.inf, 0, 0
-    for cost, position, j, bits in instance.combined_scan[nurse.id]:
-        bound = preference = w_p * (100 - cost)
-        for _, _, most in terms:
-            bound += most
-        if bound < best:
-            break
-        score = _score(preference, terms, bits)
-        if score > best or score == best and position < first:
-            best, pick, first = score, j, position
-    return pick
+    terms = _band_terms(instance, weights, nurse.grade, instance.longest[nurse.id], e_mode, state)
+    return _scan_combined(instance.combined_scan[nurse.id], weights.w_p, terms)[1]

@@ -36,6 +36,41 @@ def make_instance(patterns, nurses, demand, g=None, known_optimal=None) -> Insta
     )
 
 
+def count_rows_scored(monkeypatch) -> dict[str, int]:
+    """Count the rows the two reconstruction scans score.
+
+    The cover kernel's focus mask becomes an int counting its &, which the
+    scan takes once per row it scores.  Every _band_terms result gets a band
+    term of weight 0 whose one level is an empty mask counting its &, which
+    the combined scan takes once per row it scores; adding 0.0 * 0 = +0.0
+    changes no score, since none is -0.0.
+    """
+    import nrp.reconstruct as reconstruct_module
+
+    rows = {"cover": 0, "combined": 0}
+
+    def counting(rule):
+        class Counted(int):
+            def __rand__(self, other):
+                rows[rule] += 1
+                return other & int(self)
+
+        return Counted
+
+    cover_kernel, band_terms = reconstruct_module._argmax_cover, reconstruct_module._band_terms
+    short_mask, empty_level = counting("cover"), counting("combined")(0)
+
+    def cover(instance, coverage, nurse, short):
+        return cover_kernel(instance, coverage, nurse, short_mask(short))
+
+    def terms(*args):
+        return band_terms(*args) + [(0.0, (empty_level,), 0.0)]
+
+    monkeypatch.setattr(reconstruct_module, "_argmax_cover", cover)
+    monkeypatch.setattr(reconstruct_module, "_band_terms", terms)
+    return rows
+
+
 def field_maximum_instance(rng, g: int) -> Instance:
     """A random instance with g bands, one cell demanding the field maximum
     2**(w-1) - 1: the largest demand the width rule packs."""

@@ -11,7 +11,8 @@ scan lists (the feasible patterns the argmax scans) against a pairwise
 filter, the combined list in its (cost, feasible position) order.  Each
 nurse's reach is checked against her whole feasible list, and the masks kept
 to it, as the pick memo keys them, against the unmasked ones.  The scans'
-early stops are checked on hand-built ties and, over random states and
+early stops, capped by each nurse's longest pattern, are checked on
+hand-built ties and stops and, over random states, empty rosters and
 weights that overflow to inf, against the first argmax of the whole list.
 """
 
@@ -21,6 +22,7 @@ import math
 import random
 from dataclasses import replace
 
+import nrp.reconstruct as reconstruct_module
 from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import N_PERIODS, Nurse, Roster, compute_coverage
@@ -33,7 +35,7 @@ from nrp.reconstruct import (
     _band_state,
     _band_terms,
     _focus_mask,
-    _score,
+    _scan_combined,
     combined_score,
     reconstruct,
 )
@@ -44,7 +46,7 @@ from bruteforce import (
     scan_lists_by_definition,
     shortfall_matrix,
 )
-from conftest import demand_rows, make_instance, pattern
+from conftest import count_rows_scored, demand_rows, make_instance, pattern
 
 TRIALS = 150
 
@@ -158,6 +160,11 @@ def test_scan_lists_match_pairwise_definition():
             cover, combined = scan_lists_by_definition(instance, i)
             assert instance.cover_scan[i] == (cover, tuple(instance.pattern_bits[j] for j in cover))
             assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
+            # the longest feasible pattern stays in both lists
+            longest = max(len(instance.patterns[j].periods) for j in nurse.feasible)
+            assert instance.longest[i] == longest
+            assert max(bits.bit_count() for bits in instance.cover_scan[i][1]) == longest
+            assert max(row[3].bit_count() for row in instance.combined_scan[i]) == longest
             dropped[0] += len(nurse.feasible) - len(cover)
             dropped[1] += len(nurse.feasible) - len(combined)
     assert dropped[0] > dropped[1] > 0  # both filters and the cost condition dropped some
@@ -414,13 +421,14 @@ def test_reach_mask_keeps_every_pick():
             for mode in E_MODES:
                 state = _band_state(instance, coverage, nurse, mode)
                 masked_combined += state != state & works
-                terms = _band_terms(instance, weights, nurse, mode, state)
-                masked = _band_terms(instance, weights, nurse, mode, state & works)
+                longest = instance.longest[nurse.id]
+                terms = _band_terms(instance, weights, nurse.grade, longest, mode, state)
+                masked = _band_terms(instance, weights, nurse.grade, longest, mode, state & works)
                 # bit-equal floats, not merely the same pick
-                assert [_score(weights.w_p * (100 - cost), masked, bits)
-                        for cost, _, _, bits in instance.combined_scan[nurse.id]] == [
-                    _score(weights.w_p * (100 - cost), terms, bits)
-                    for cost, _, _, bits in instance.combined_scan[nurse.id]
+                assert [_scan_combined((row,), weights.w_p, masked)[0]
+                        for row in instance.combined_scan[nurse.id]] == [
+                    _scan_combined((row,), weights.w_p, terms)[0]
+                    for row in instance.combined_scan[nurse.id]
                 ]
                 assert _argmax_combined(
                     instance, coverage, weights, nurse, mode, state & works
@@ -469,6 +477,38 @@ def test_the_cover_rule_returns_the_first_of_two_patterns_filling_every_short_ce
         assert _argmax_cover(instance, coverage, nurse, short) == first_full
 
 
+def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkeypatch):
+    """Monday to Friday days are short, five cells, and every pattern works
+    at most 3 periods.  No pattern can fill more than 3 of the 5, so the
+    first one filling 3 wins and no later row is scored: for nurse 0 that
+    is pattern 1 after pattern 0 fills one, for nurse 1, whose list starts
+    with pattern 2, the earlier of the two that fill 3.  Nurse 2's patterns
+    fill at most 2, so her whole list is scored and the first of the tied
+    patterns wins."""
+    patterns = [pattern(0, 0, 7), pattern(1, 0, 1, 2), pattern(2, 2, 3, 4), pattern(3, 8, 9, 10),
+                pattern(4, 0, 1, 7), pattern(5, 3, 4, 8), pattern(6, 9, 10, 11)]
+    nurses = [Nurse(0, 1, (0, 1, 2, 3), dict.fromkeys((0, 1, 2, 3), 0)),
+              Nurse(1, 1, (2, 0, 1, 3), dict.fromkeys((0, 1, 2, 3), 0)),
+              Nurse(2, 1, (4, 5, 6), dict.fromkeys((4, 5, 6), 0))]
+    instance = make_instance(
+        patterns, nurses, demand_rows([[1]] * 5 + [[0]] * (N_PERIODS - 5))
+    )
+    assert instance.longest == (3, 3, 3)
+    roster = Roster.empty(instance.n)
+    coverage = compute_coverage(instance, roster)
+    rows_scored = count_rows_scored(monkeypatch)
+    for nurse, pick, scored in zip(instance.nurses, (1, 2, 4), (2, 1, 3)):
+        assert instance.cover_scan[nurse.id][0] == nurse.feasible
+        short = _focus_mask(instance, coverage, nurse)
+        assert short.bit_count() == 5
+        rows_scored["cover"] = 0
+        assert reconstruct_module._argmax_cover(instance, coverage, nurse, short) == pick
+        assert rows_scored["cover"] == scored
+        assert pick == first_argmax(
+            nurse.feasible, lambda j: cover_value_by_definition(instance, roster, nurse.id, j)
+        )
+
+
 def bound_weights(rng: random.Random, g: int):
     """Drawn weights, the same with w_p = 0, and two whose products overflow:
     a band weight past 1e308 / 2 and a preference weight near 1e307."""
@@ -481,60 +521,67 @@ def bound_weights(rng: random.Random, g: int):
 
 def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatch):
     """Per pattern of the cost-ordered scan, the bound (the score's float chain
-    with each band count replaced by its cap) is at least the score and never
-    rises along the scan, and the pick with the stop equals the first argmax
-    over the whole feasible list.  With w_p = 0 every bound is equal, so the
-    whole list is scored; otherwise the stop skips patterns."""
-    import nrp.reconstruct as reconstruct_module
-
-    scored = []
-
-    def counted(preference, terms, bits):
-        scored.append(bits)
-        return _score(preference, terms, bits)
-
-    monkeypatch.setattr(reconstruct_module, "_score", counted)
+    with each band count replaced by its cap, the sum over the band's levels
+    of min(popcount, the nurse's longest pattern)) is at least the score and
+    never rises along the scan, and the pick with the stop equals the first
+    argmax over the whole feasible list.  With w_p = 0 every bound is equal,
+    so the whole list is scored; otherwise the stop skips patterns.  Besides
+    a random partial roster, each instance is checked on the empty roster
+    and on one with a single nurse assigned, where bands have more short
+    cells than a nurse's longest pattern works and the cap binds."""
+    rows_scored = count_rows_scored(monkeypatch)
     rng = random.Random(71)
-    skipped = overflowed = cover_checked = 0
+    skipped = overflowed = cover_checked = capped = 0
     for trial in range(TRIALS):
-        instance, roster = random_state(rng, trial)
-        coverage = compute_coverage(instance, roster)
-        for weights in bound_weights(rng, instance.g):
-            for i in roster.unassigned_ids():
-                nurse = instance.nurses[i]
-                rows = instance.combined_scan[i]
-                for mode in E_MODES:
-                    state = _band_state(instance, coverage, nurse, mode)
-                    terms = _band_terms(instance, weights, nurse, mode, state)
-                    bounds = []
-                    for cost, _, j, bits in rows:
-                        preference = bound = weights.w_p * (100 - cost)
+        instance, partial = random_state(rng, trial)
+        weight_sets = bound_weights(rng, instance.g)
+        one_nurse = Roster.empty(instance.n)
+        one_nurse.assignment[0] = instance.nurses[0].feasible[0]
+        for roster in (partial, Roster.empty(instance.n), one_nurse):
+            coverage = compute_coverage(instance, roster)
+            for weights in weight_sets:
+                for i in roster.unassigned_ids():
+                    nurse, longest = instance.nurses[i], instance.longest[i]
+                    rows = instance.combined_scan[i]
+                    for mode in E_MODES:
+                        state = _band_state(instance, coverage, nurse, mode)
+                        terms = _band_terms(instance, weights, nurse.grade, longest, mode, state)
+                        binds = False
                         for ws, levels, most in terms:
-                            # w_s * cap, the cap being the count of every short cell
-                            assert most == ws * sum(cells.bit_count() for cells in levels)
-                            bound += most
-                        score = _score(preference, terms, bits)
-                        assert bound >= score
-                        assert score == combined_score(instance, coverage, weights, i, j, mode)
-                        overflowed += score == math.inf
-                        bounds.append(bound)
-                    assert bounds == sorted(bounds, reverse=True)
-                    scored.clear()
-                    pick = _argmax_combined(instance, coverage, weights, nurse, mode, state)
-                    assert pick == first_argmax(
-                        nurse.feasible,
-                        lambda j: combined_score_by_definition(
-                            instance, roster, weights.w_p, weights.w_grade, i, j, mode
-                        ),
+                            # w_s * cap, no level counting more than her longest pattern works
+                            assert most == ws * sum(min(cells.bit_count(), longest)
+                                                    for cells in levels)
+                            binds |= any(cells.bit_count() > longest for cells in levels)
+                        bounds = []
+                        for row in rows:
+                            bound = weights.w_p * (100 - row[0])
+                            for _, _, most in terms:
+                                bound += most
+                            score = _scan_combined((row,), weights.w_p, terms)[0]
+                            assert bound >= score
+                            assert score == combined_score(instance, coverage, weights, i, row[2],
+                                                           mode)
+                            overflowed += score == math.inf
+                            bounds.append(bound)
+                        assert bounds == sorted(bounds, reverse=True)
+                        capped += binds
+                        rows_scored["combined"] = 0
+                        pick = _argmax_combined(instance, coverage, weights, nurse, mode, state)
+                        assert pick == first_argmax(
+                            nurse.feasible,
+                            lambda j: combined_score_by_definition(
+                                instance, roster, weights.w_p, weights.w_grade, i, j, mode
+                            ),
+                        )
+                        if weights.w_p == 0:
+                            assert rows_scored["combined"] == len(rows)
+                        skipped += len(rows) - rows_scored["combined"]
+                    short = _focus_mask(instance, coverage, nurse)
+                    assert _argmax_cover(instance, coverage, nurse, short) == first_argmax(
+                        nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
                     )
-                    if weights.w_p == 0:
-                        assert len(scored) == len(rows)
-                    skipped += len(rows) - len(scored)
-                short = _focus_mask(instance, coverage, nurse)
-                assert _argmax_cover(instance, coverage, nurse, short) == first_argmax(
-                    nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
-                )
-                cover_checked += 1
+                    cover_checked += 1
     assert skipped > 1000 and overflowed > 1000 and cover_checked > 1000, (
         skipped, overflowed, cover_checked
     )
+    assert capped > 1000, capped

@@ -268,19 +268,28 @@ class TestPackedCoverage:
             level = ((packed | guard_bits) - t * low_bits) & guard_bits
             assert level == guard_mask(instance, [(k, s) for k, s in cells if short[k][s] >= t])
         # a grade-g nurse serves one band, so the column is her band state
-        last_band = Nurse(0, instance.g, (0,), {0: 0})
         unit_weight = EvalWeights(w_grade=(1.0,))
         for s in range(instance.g):
             column = (packed >> (s * span)) & ((1 << span) - 1)
-            terms = _band_terms(instance, unit_weight, last_band, "shortfall", column)
+            terms = _band_terms(instance, unit_weight, instance.g, N_PERIODS, "shortfall", column)
             levels = terms[0][1] if terms else ()
             assert [sum((bits & cells).bit_count() for cells in levels)
                     for bits in instance.pattern_bits] == [
                 sum(short[k][s] for k in p.periods) for p in instance.patterns
             ]
-            # the cap is the count of a pattern working every period
+            # at a limit of all 14 periods nothing is capped, so the cap is
+            # the count of a pattern working every period
             band_total = sum(short[k][s] for k in range(N_PERIODS))
             assert [cap for _, _, cap in terms] == ([band_total] if band_total else [])
+            # a nurse whose longest pattern works `longest` periods counts at
+            # most that many cells of level t, the cells short by at least t
+            for longest in range(N_PERIODS):
+                capped = _band_terms(instance, unit_weight, instance.g, longest, "shortfall",
+                                     column)
+                assert [cap for _, _, cap in capped] == ([sum(
+                    min(sum(short[k][s] >= t for k in range(N_PERIODS)), longest)
+                    for t in range(1, worst + 1)
+                )] if band_total else [])
 
     def test_add_remove_sequences_match_the_definitions(self):
         above_n = steps = 0

@@ -28,7 +28,7 @@ from nrp.reconstruct import (
 from nrp.solver import SolverConfig, run
 
 from bruteforce import combined_score_by_definition, cover_value_by_definition
-from conftest import demand_rows, flat_demand, make_instance, pattern
+from conftest import count_rows_scored, demand_rows, flat_demand, make_instance, pattern
 
 CHI2_CRIT_DF4_P001 = 18.467  # chi-square 0.999 quantile, 4 degrees of freedom
 
@@ -582,3 +582,25 @@ class TestReachKeys:
         for seed in range(6):
             run(instance, SolverConfig(max_iterations=200, seed=seed))
         assert calls == {"cover": 2161, "combined": 1384}
+
+    def test_ward_runs_score_the_pinned_rows(self, monkeypatch):
+        """The six runs above, in both e-modes.  Before the scans capped
+        their stops at the nurse's longest pattern they scored 27,336 cover
+        and 18,223 combined rows in indicator mode, and 29,620 and 36,635
+        in shortfall mode; the kernel calls, the memo's misses, are the same
+        either way."""
+        instance = generate_instance(WARD)
+        calls = count_kernel_calls(monkeypatch)
+        rows = count_rows_scored(monkeypatch)
+        scored = {}
+        for e_mode in E_MODES:
+            config = ReconstructionConfig(e_mode=e_mode)
+            for seed in range(6):
+                run(instance, SolverConfig(max_iterations=200, seed=seed, recon=config))
+            scored[e_mode] = (dict(rows), dict(calls))
+            for counts in (rows, calls):
+                counts.update(cover=0, combined=0)
+        assert scored == {
+            "indicator": ({"cover": 15812, "combined": 14298}, {"cover": 2161, "combined": 1384}),
+            "shortfall": ({"cover": 17160, "combined": 26109}, {"cover": 2294, "combined": 2067}),
+        }
