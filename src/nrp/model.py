@@ -125,9 +125,10 @@ class Instance:
     band and every band below it: the one all-band pattern table, indexed
     by nurse id and read by coverage, reconstruction, fitness and the exact
     solver.  Nurses of one grade share one row, so it holds a row per grade
-    and n references.  CoverageState.add and remove step by a nurse's row;
-    reconstruct adds the rows of its picks to a local copy of the coverage
-    and writes it back once per call, without calling add.
+    and n references.  CoverageState.add and remove step by a nurse's row.
+    The solver loop does not call them: it subtracts the rows of the nurses
+    it releases, and reconstruct adds the rows of its picks, on a local copy
+    of the coverage written back once per step.
 
     cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
     i, in feasible order, and combined_scan[i] the (cost, position in her
@@ -309,7 +310,9 @@ class CoverageState:
     add is the checked way in, used by compute_coverage and other callers.
     reconstruct does not call it: its loop places the picks on local copies
     of cov and cost, writing costs entries as it goes, and stores cov and
-    cost back once per call.  The solver releases nurses through remove.
+    cost back once per call.  The solver releases nurses the same way,
+    subtracting their rows and costs from local copies stored back once per
+    iteration, so remove serves other callers and the tests.
 
     Width rule: w = max(n, max demand).bit_length() + 1 keeps counts,
     demands, shortfalls and levels within 2**(w-1), so every field of these

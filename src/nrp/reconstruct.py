@@ -302,10 +302,12 @@ class PickMemo:
     limit entries is emptied before the next one is stored.  reconstruct
     reads one row per freed nurse and adds the pick's cells and cost to its
     local coverage, which it writes back once per call without calling
-    CoverageState.add.
+    CoverageState.add.  layout holds what every call reads of the packed
+    layout, built once per run: (band_span, the band mask (1 << band_span)
+    - 1, low_bits, guard_bits, demand_bits - low_bits, field_width - 1).
     """
 
-    __slots__ = ("nurses", "limit")
+    __slots__ = ("nurses", "limit", "layout")
 
     def __init__(self, instance: Instance) -> None:
         span, self.nurses = instance.band_span, []
@@ -313,6 +315,11 @@ class PickMemo:
             shift = (nurse.grade - 1) * span
             self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost, {}, {}))
         self.limit = MEMO_PICKS_PER_NURSE
+        low_bits = instance.low_bits
+        self.layout = (
+            span, (1 << span) - 1, low_bits, instance.guard_bits,
+            instance.demand_bits - low_bits, instance.field_width - 1,
+        )
 
 
 def reconstruct(
@@ -344,12 +351,11 @@ def reconstruct(
     if memo is None:
         memo = PickMemo(instance)
     rows, limit = memo.nurses, memo.limit
-    p1, p12 = config.p1, config.p1 + config.p2
-    e_mode, span, assignment = config.e_mode, instance.band_span, result.assignment
-    band, indicator = (1 << span) - 1, e_mode == "indicator"
     # the loop carries rest = demand - cov - ONE, whose guard bits are short_mask()
-    low_bits, guard_bits = instance.low_bits, instance.guard_bits
-    demand_less_one, guard_shift = instance.demand_bits - low_bits, instance.field_width - 1
+    span, band, low_bits, guard_bits, demand_less_one, guard_shift = memo.layout
+    p1, p12 = config.p1, config.p1 + config.p2
+    assignment, e_mode = result.assignment, config.e_mode
+    indicator = e_mode == "indicator"
     # the picks go on local copies, written back once after the loop
     rest, cost, costs = demand_less_one - coverage.cov, coverage.cost, coverage.costs
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import nrp.reconstruct as reconstruct_module
+import nrp.solver as solver_module
 from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
@@ -582,6 +583,22 @@ class TestReachKeys:
         for seed in range(6):
             run(instance, SolverConfig(max_iterations=200, seed=seed))
         assert calls == {"cover": 2161, "combined": 1384}
+
+    def test_ward_runs_sum_the_pinned_shortfalls(self, monkeypatch):
+        """The six runs above compute the penalized cost 61 times: once at
+        each start and then only where the kept preference cost alone beats
+        the best.  Computed after every repair, it took 6 * 201 = 1,206."""
+        instance = generate_instance(WARD)
+        calls, penalized = [0], solver_module.penalized_cost
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return penalized(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "penalized_cost", counted)
+        for seed in range(6):
+            run(instance, SolverConfig(max_iterations=200, seed=seed))
+        assert calls == [61]
 
     def test_ward_runs_score_the_pinned_rows(self, monkeypatch):
         """The six runs above, in both e-modes.  Before the scans capped

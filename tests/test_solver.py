@@ -20,7 +20,7 @@ from nrp.model import (
     preference_cost,
 )
 from nrp.oracle import OPTIMAL, exact_solve
-from nrp.reconstruct import E_MODES, ReconstructionConfig
+from nrp.reconstruct import E_MODES, ReconstructionConfig, reconstruct
 from nrp.solver import (
     RunResult,
     SolverConfig,
@@ -162,27 +162,43 @@ class TestRun:
         assert hits / pairs >= 0.9
 
     def test_incremental_state_matches_a_recomputation(self, monkeypatch):
-        # the loop patches coverage and cost in place; every iteration hands
-        # them to penalized_cost, so check them there against a fresh count
-        calls = 0
+        # the loop releases nurses from the state and reconstruct places its
+        # picks on it, both in place; every repair receives the state as
+        # coverage=, so check it there against a fresh count, on the way in
+        # and after the repair, and check the starting state too
+        starts = calls = 0
 
-        def checked(instance, roster, weights, coverage=None):
-            nonlocal calls
-            calls += 1
+        def recount(instance, roster, weights, coverage):
             coverage.check(roster)
             fresh = compute_coverage(instance, roster)
             assert coverage.covered == fresh.covered
             assert coverage.shortfall == fresh.shortfall
             assert coverage.total_shortfall() == fresh.total_shortfall()
-            cost = penalized_cost(instance, roster, weights, coverage=coverage)
-            recomputed = (
-                preference_cost(instance, roster)
-                + weights.w_demand * fresh.total_shortfall()
-            )
-            assert cost == recomputed
-            return cost
+            if roster.is_complete():
+                cost = penalized_cost(instance, roster, weights, coverage=coverage)
+                recomputed = (
+                    preference_cost(instance, roster)
+                    + weights.w_demand * fresh.total_shortfall()
+                )
+                assert cost == recomputed
 
-        monkeypatch.setattr("nrp.solver.penalized_cost", checked)
+        def started(instance, roster):
+            nonlocal starts
+            starts += 1
+            state = compute_coverage(instance, roster)
+            recount(instance, roster, EvalWeights(), state)
+            return state
+
+        def checked(instance, roster, config, weights, rng, coverage=None, memo=None):
+            nonlocal calls
+            calls += 1
+            recount(instance, roster, weights, coverage)
+            result = reconstruct(instance, roster, config, weights, rng, coverage=coverage, memo=memo)
+            recount(instance, result, weights, coverage)
+            return result
+
+        monkeypatch.setattr("nrp.solver.compute_coverage", started)
+        monkeypatch.setattr("nrp.solver.reconstruct", checked)
         suite = build_desk_suite(8)
         for e_mode in E_MODES:
             config = SolverConfig(
@@ -193,8 +209,8 @@ class TestRun:
             for inst in suite:
                 for seed in range(3):
                     run(inst, replace(config, seed=seed))
-        assert calls == len(E_MODES) * len(suite) * 3 * 301
-
+        assert starts == len(E_MODES) * len(suite) * 3
+        assert calls == len(E_MODES) * len(suite) * 3 * 300
 
     @pytest.mark.parametrize("params", [
         GeneratorParams(n=6, m=12, g=3, seed=11005),
@@ -250,6 +266,82 @@ def test_the_loop_never_calls_add(monkeypatch, params):
     monkeypatch.setattr(solver_module, "compute_coverage", start)
     result = run(instance, SolverConfig(max_iterations=300, seed=4))
     assert len(started) == 1 and result.iterations_executed == 300
+
+
+@pytest.mark.parametrize("params", [
+    GeneratorParams(n=6, m=12, g=3, seed=15),
+    GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1),
+], ids=["desk", "ward"])
+def test_the_loop_never_calls_remove(monkeypatch, params):
+    """The loop releases nurses on local copies of the coverage and writes
+    them back once per iteration, so CoverageState.remove is never called."""
+    instance = generate_instance(params)
+
+    def remove(state, i, j):
+        raise AssertionError(f"CoverageState.remove({i}, {j}) inside the loop")
+
+    monkeypatch.setattr(CoverageState, "remove", remove)
+    result = run(instance, SolverConfig(max_iterations=300, seed=4))
+    assert result.iterations_executed == 300
+
+
+def gain_cases():
+    """(name, instance, iterations, seeds): desk instances with and without a
+    known optimum, one desk instance at each g = 1-6, and the ward."""
+    desk = generate_instance(GeneratorParams(n=5, m=10, g=2, seed=33))
+    yield "desk-optimum", replace(desk, known_optimal=exact_solve(desk).optimal_cost), 300, 3
+    yield "desk", generate_instance(GeneratorParams(n=6, m=12, g=3, tightness=1.0, seed=31)), 300, 3
+    for g in range(1, 7):
+        yield f"g{g}", generate_instance(GeneratorParams(n=6, m=12, g=g, seed=13000 + g)), 300, 2
+    ward = GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1)
+    yield "ward", generate_instance(ward), 60, 1
+
+
+@pytest.mark.parametrize("w_demand", [200.0, 0.5, 1e-9])
+@pytest.mark.parametrize("e_mode", E_MODES)
+def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
+    """The loop sums the shortfall only when the kept preference cost alone
+    beats the best.  Recount every iteration's penalized cost from scratch,
+    derive the best, its roster, its feasibility, its iteration, the
+    trajectory and the early stop from the recounts alone, and compare."""
+    weights = EvalWeights(w_demand=w_demand)
+    recounts = []
+
+    def recorded(instance, roster):
+        recounts.append((penalized_cost(instance, roster, weights), roster.copy(),
+                         is_feasible(instance, roster)))
+
+    def started(instance, rng):
+        roster = initial_roster(instance, rng)
+        recorded(instance, roster)
+        return roster
+
+    def repaired(instance, *args, **kwargs):
+        result = reconstruct(instance, *args, **kwargs)
+        recorded(instance, result)
+        return result
+
+    monkeypatch.setattr("nrp.solver.initial_roster", started)
+    monkeypatch.setattr("nrp.solver.reconstruct", repaired)
+    for name, instance, iterations, seeds in gain_cases():
+        for seed in range(seeds):
+            config = SolverConfig(max_iterations=iterations, seed=seed, eval_weights=weights,
+                                  recon=ReconstructionConfig(e_mode=e_mode))
+            recounts.clear()
+            result = run(instance, config)
+            best_cost, best_roster, best_feasible = recounts[0]
+            best_t, trajectory = 0, [(0, best_cost)]
+            for t, (cost, roster, feasible) in enumerate(recounts[1:], 1):
+                if cost < best_cost:
+                    best_cost, best_roster, best_feasible, best_t = cost, roster, feasible, t
+                    trajectory.append((t, cost))
+            reached = (instance.known_optimal is not None and best_feasible
+                       and best_cost <= instance.known_optimal)
+            assert len(recounts) - 1 == (best_t if reached else iterations), name
+            assert result_fields(result) == (
+                best_cost, best_roster.assignment, best_feasible, len(recounts) - 1,
+                best_t, seed, "mt19937", trajectory,
+            ), name
 
 
 def count_fitness_calls(monkeypatch) -> list[int]:
