@@ -125,10 +125,13 @@ class Instance:
     band and every band below it: the one all-band pattern table, indexed
     by nurse id and read by coverage, reconstruction, fitness and the exact
     solver.  Nurses of one grade share one row, so it holds a row per grade
-    and n references.  CoverageState.add and remove step by a nurse's row.
-    The solver loop does not call them: it subtracts the rows of the nurses
-    it releases, and reconstruct adds the rows of its picks, on a local copy
-    of the coverage written back once per step.
+    and n references.  CoverageState keeps the residual rest = demand_bits -
+    low_bits - coverage, and its add and remove step rest by a nurse's row.
+    The solver loop does not call them: it adds back the rows of the nurses
+    it releases, and reconstruct subtracts the rows of its picks, on a local
+    copy of rest written back once per step.  Only the model and the exact
+    solver's components read demand_bits; every other reader starts from a
+    residual.
 
     cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
     i, in feasible order, and combined_scan[i] the (cost, position in her
@@ -295,24 +298,26 @@ class Roster:
 class CoverageState:
     """Per-(period, band) nurse counts against demand, maintained incrementally.
 
-    cov packs all counts into one int, in the layout of Instance: the number
-    of assigned nurses qualified for band s+1 and working period k sits in
-    the field at bit s * band_span + k * w.  A grade-q nurse counts toward
-    every band s >= q, so add and remove change all of those bands at once
-    by her row of Instance.nurse_cells.  With H = guard_bits, ONE = low_bits
-    and D = demand_bits, each mask covers all bands in one expression:
-    short_mask() = (D - cov - ONE) & H sets a cell's guard bit iff covered <
-    demand, needed_mask() = (D - cov) & H iff covered <= demand, and the
-    level mask ((shortfall_bits() | H) - t * ONE) & H iff the shortfall is
-    at least t, for t up to max demand + 1.  Readers slice out band s+1 by
-    a shift of s * band_span.
+    rest packs what every reader needs into one int, in the layout of
+    Instance: with H = guard_bits, ONE = low_bits and D = demand_bits, rest =
+    D - ONE - cov, where cov's field at bit s * band_span + k * w counts the
+    assigned nurses qualified for band s+1 working period k.  Each field of
+    rest so holds 2**(w-1) + demand - 1 - covered, and its guard bit is set
+    iff covered < demand.  A grade-q nurse counts toward every band s >= q,
+    so add and remove step rest by her row of Instance.nurse_cells, all of
+    those bands at once.  Each mask covers all bands in one expression:
+    short_mask() = rest & H, needed_mask() = (rest + ONE) & H iff covered <=
+    demand, and the level mask ((shortfall_bits() | H) - t * ONE) & H iff
+    the shortfall is at least t, for t up to max demand + 1.  Readers slice
+    out band s+1 by a shift of s * band_span.
 
     add is the checked way in, used by compute_coverage and other callers.
-    reconstruct does not call it: its loop places the picks on local copies
-    of cov and cost, writing costs entries as it goes, and stores cov and
-    cost back once per call.  The solver releases nurses the same way,
-    subtracting their rows and costs from local copies stored back once per
-    iteration, so remove serves other callers and the tests.
+    reconstruct does not call it: its loop subtracts the picks' rows from a
+    local copy of rest, adds their costs to a local cost, writing costs
+    entries as it goes, and stores rest and cost back once per call.  The
+    solver releases nurses the same way, adding their rows to a local rest
+    stored back once per iteration, so remove serves other callers and the
+    tests.
 
     Width rule: w = max(n, max demand).bit_length() + 1 keeps counts,
     demands, shortfalls and levels within 2**(w-1), so every field of these
@@ -330,20 +335,22 @@ class CoverageState:
     state with a recount of a roster.
     """
 
-    __slots__ = ("instance", "cov", "costs", "cost")
+    __slots__ = ("instance", "rest", "costs", "cost")
 
     def __init__(self, instance: Instance) -> None:
         """The state of the empty roster: nothing covered, all demand short."""
         self.instance = instance
-        self.cov = 0
+        self.rest = instance.demand_bits - instance.low_bits
         self.costs = [0] * instance.n
         self.cost = 0
 
     @property
     def covered(self) -> list[list[int]]:
         """covered[k][s]: assigned nurses qualified for band s+1 working period k."""
-        width, count = self.instance.field_width, N_PERIODS * self.instance.g
-        fields = [(self.cov >> (f * width)) % (1 << width) for f in range(count)]
+        instance = self.instance
+        cov = instance.demand_bits - instance.low_bits - self.rest
+        width, count = instance.field_width, N_PERIODS * instance.g
+        fields = [(cov >> (f * width)) % (1 << width) for f in range(count)]
         return [fields[k::N_PERIODS] for k in range(N_PERIODS)]  # field s * 14 + k is (k, s)
 
     @property
@@ -362,18 +369,18 @@ class CoverageState:
 
     def short_mask(self) -> int:
         """Cells still short, guard bit set iff covered < demand."""
-        instance = self.instance
-        return (instance.demand_bits - self.cov - instance.low_bits) & instance.guard_bits
+        return self.rest & self.instance.guard_bits
 
     def needed_mask(self) -> int:
         """Cells where one qualified nurse fewer would fall short (covered <= demand)."""
-        return (self.instance.demand_bits - self.cov) & self.instance.guard_bits
+        return (self.rest + self.instance.low_bits) & self.instance.guard_bits
 
     def shortfall_bits(self) -> int:
         """max(demand - covered, 0) in every cell's field."""
-        diff = self.instance.demand_bits - self.cov  # 2**(w-1) + demand - covered
-        met = diff & self.instance.guard_bits  # where demand >= covered
-        return diff & (met - (met >> (self.instance.field_width - 1)))
+        instance = self.instance
+        diff = self.rest + instance.low_bits  # 2**(w-1) + demand - covered
+        met = diff & instance.guard_bits  # where demand >= covered
+        return diff & (met - (met >> (instance.field_width - 1)))
 
     def add(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id starting to work pattern pattern_id.
@@ -388,25 +395,25 @@ class CoverageState:
             raise InvalidRosterError(
                 f"nurse {nurse_id} assigned pattern {pattern_id} outside A(i)"
             )
-        self.cov += instance.nurse_cells[nurse_id][pattern_id]
+        self.rest -= instance.nurse_cells[nurse_id][pattern_id]
         self.costs[nurse_id] = cost
         self.cost += cost
 
     def remove(self, nurse_id: int, pattern_id: int) -> None:
         """Account for nurse nurse_id being released from pattern pattern_id."""
-        self.cov -= self.instance.nurse_cells[nurse_id][pattern_id]
+        self.rest += self.instance.nurse_cells[nurse_id][pattern_id]
         self.cost -= self.costs[nurse_id]
 
     def check(self, roster: Roster) -> None:
         """Raise ValueError unless the state equals a recount of roster.
 
         The recount starts from the empty roster; the first field that
-        differs, cov, an assigned nurse's costs entry or cost, is named.
+        differs, rest, an assigned nurse's costs entry or cost, is named.
         Draws nothing from any rng.
         """
         fresh = compute_coverage(self.instance, roster)
-        if self.cov != fresh.cov:
-            raise ValueError("cov differs from a recount of the roster")
+        if self.rest != fresh.rest:
+            raise ValueError("rest differs from a recount of the roster")
         for i, j in enumerate(roster.assignment):
             if j is not None and self.costs[i] != fresh.costs[i]:
                 raise ValueError(

@@ -39,14 +39,16 @@ the search takes two sound bounds to cut a branch:
   Inside a nurse's cost-sorted patterns the cut ends the loop, because every
   later pattern costs at least as much.
 
-Both bounds read the coverage the search carries down as one int, packed
-for all bands in CoverageState's layout.  The coverage cut is one packed
-compare against the remaining nurses' packed counts, and the forced extra
-scans one list per depth that merges the distinct extras of every band,
-highest first, stopping at the first one whose cells meet the short mask.
-The coverage cut of a child and the leaf test run in the parent's pattern
-loop (the root's cut before its search), so only a child that passes costs
-a call; the call makes its cost cut, then tries its patterns.
+Both bounds read the residual demand the search carries down as one int,
+CoverageState's rest packed for all bands: it starts from the component's
+top and each pattern subtracts its cells, and a cell is short iff its guard
+bit is set in it.  The coverage cut subtracts the remaining nurses' packed
+counts from it, and the forced extra scans one list per depth that merges
+the distinct extras of every band, highest first, stopping at the first one
+whose cells, as guard bits, meet the residual.  A child's coverage cut and
+the leaf test are one test, run in the parent's pattern loop (the root's cut
+before its search), so only a child that passes costs a call; the call
+makes its cost cut, then tries its patterns.
 
 Why the roster is the one an undivided, unpruned search returns.  Both
 bounds only remove subtrees that hold no roster strictly cheaper than the
@@ -108,7 +110,9 @@ def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
     Nurses are taken in id order, and each one merges with every group whose
     packed reach shares a demanded cell with hers.  A component's top is
     demand_bits - low_bits with the demand of every cell outside the
-    component set to 0.  Components come in the order of their least id.
+    component set to 0: the residual, CoverageState's rest, of its empty
+    roster, from which the search starts.  Components come in the order of
+    their least id.
     """
     width = instance.field_width
     demanded = ((instance.demand_bits - instance.low_bits) & instance.guard_bits) >> (width - 1)
@@ -131,25 +135,23 @@ def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
 
 
 def _tables(
-    instance: Instance, ids: list[int], top: int
+    instance: Instance, ids: list[int]
 ) -> tuple[list[list[tuple[int, int, int]]], list[int], list[int], list[list[tuple[int, int]]]]:
     """The per-depth tables of the search over nurses ids, built in one
-    backward sweep.
-
-    Depth d is nurse ids[d] and top is demand_bits - low_bits with the
-    demand of the cells outside ids set to 0 (see _components).
+    backward sweep.  Depth d is nurse ids[d].
 
     choices[d] lists nurse ids[d]'s (pattern, its cost, its packed cells) in
     search order, without her dominated patterns (see the module docstring).
 
-    rest[d] is the sum of the cheapest pattern cost of nurses ids[d:].
+    to_go[d] is the sum of the cheapest pattern cost of nurses ids[d:].
 
-    cut[d] is top - avail, where avail packs, per cell (period, band), the
-    count of nurses ids[d:] qualified for the band with a pattern working
-    the period.  At depth d the coverage holds nurses ids[:d] only, so
-    avail + covered <= n < 2**(w-1) in every field and, by CoverageState's
-    width rule, (cut[d] - cov) cannot borrow: a cell's guard bit is set iff
-    the cell is short by more than avail, a cell no completion covers.
+    avail[d] packs, per cell (period, band), the count of nurses ids[d:]
+    qualified for the band with a pattern working the period, and
+    avail[len(ids)] is 0.  At depth d the search's residual rest holds
+    nurses ids[:d] only, so avail + covered <= n < 2**(w-1) in every field
+    and, by CoverageState's width rule, rest - avail[d] cannot borrow: a
+    cell's guard bit is set iff the cell is short by more than avail, a
+    cell no completion covers; past the last depth, iff it is short.
 
     extra[d] pairs each positive cost with the guard bits of the cells, in
     any band, that force it, highest cost first.  A cell's cost is the least
@@ -159,16 +161,15 @@ def _tables(
     """
     size, width, span = len(ids), instance.field_width, instance.band_span
     choices: list[list[tuple[int, int, int]]] = [[]] * size
-    rest, cut = [0] * (size + 1), [0] * size
+    to_go, avail = [0] * (size + 1), [0] * (size + 1)
     extra: list[list[tuple[int, int]]] = [[]] * size
-    avail = 0
     least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
     by_cost: dict[int, int] = {}  # a positive least extra -> the guard bits at it
     for d in range(size - 1, -1, -1):
         nurse = instance.nurses[ids[d]]
         rows, cells = instance.combined_scan[nurse.id], instance.nurse_cells[nurse.id]
         cheapest = rows[0][0]
-        rest[d] = rest[d + 1] + cheapest
+        to_go[d] = to_go[d + 1] + cheapest
         choices[d], seen = [], 0
         forced: dict[int, int] = {}  # a period -> her cheapest cover of it, above cheapest
         for price, _, j, _ in rows:
@@ -178,8 +179,7 @@ def _tables(
                     forced.setdefault(k, price - cheapest)
             seen |= 1 << j
         # a dominated pattern works no period its kept superset does not
-        avail += instance.reach[nurse.id] & instance.low_bits
-        cut[d] = top - avail
+        avail[d] = avail[d + 1] + (instance.reach[nurse.id] & instance.low_bits)
         # a cell's least extra only falls, so move its bit between buckets then
         for s in range(nurse.grade - 1, instance.g):
             for k, more in forced.items():
@@ -195,7 +195,7 @@ def _tables(
                 if more:
                     by_cost[more] = by_cost.get(more, 0) | 1 << bit
         extra[d] = sorted(by_cost.items(), reverse=True)
-    return choices, rest, cut, extra
+    return choices, to_go, avail, extra
 
 
 class _OutOfBudget(Exception):
@@ -219,47 +219,45 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
     guard_bits = instance.guard_bits
     nodes = cost_cuts = coverage_cuts = 0
 
-    def search(depth: int, cost: int, cov: int) -> None:
+    def search(depth: int, cost: int, rest: int) -> None:
         nonlocal best_cost, best, nodes, cost_cuts, coverage_cuts
-        short = (top - cov) & guard_bits  # guard bit set iff covered < demand
         forced = 0  # the forced extra cost: the first, costliest entry with a short cell
         for more, bits in extra[depth]:
-            if short & bits:
+            if rest & bits:  # bits are guard bits, set in rest iff covered < demand
                 forced = more
                 break
-        if cost + rest[depth] + forced >= best_cost:
+        if cost + to_go[depth] + forced >= best_cost:
             cost_cuts += 1
             return
-        to_go, leaf = rest[depth + 1], depth + 1 == size
-        below = top if leaf else cut[depth + 1]
+        later, below, leaf = to_go[depth + 1], avail[depth + 1], depth + 1 == size
         for j, price, cells in choices[depth]:
             new_cost = cost + price
-            if new_cost + to_go >= best_cost:
+            if new_cost + later >= best_cost:
                 cost_cuts += 1
-                break  # patterns are cost-sorted: the rest only cost more
+                break  # patterns are cost-sorted: the later ones only cost more
             if nodes == node_budget:
                 raise _OutOfBudget
             nodes += 1
             path[depth] = j
-            if (below - cov - cells) & guard_bits:  # a short leaf, or a cell no completion covers
+            if (rest - cells - below) & guard_bits:  # a short leaf, or a cell no completion covers
                 if not leaf:
                     coverage_cuts += 1
-            elif leaf:  # covered, and cheaper than the incumbent as to_go is 0
+            elif leaf:  # covered, and cheaper than the incumbent as later is 0
                 best_cost, best = new_cost, list(path)
             else:
-                search(depth + 1, new_cost, cov + cells)
+                search(depth + 1, new_cost, rest - cells)
 
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
     for ids, top in components:
-        choices, rest, cut, extra = _tables(instance, ids, top)
+        choices, to_go, avail, extra = _tables(instance, ids)
         size, path = len(ids), [0] * len(ids)  # path is overwritten before a leaf reads it
         best_cost, best = math.inf, None  # the incumbent's cost and roster
         try:
-            if cut[0] & guard_bits:
+            if (top - avail[0]) & guard_bits:
                 coverage_cuts += 1
             else:
-                search(0, 0, 0)
+                search(0, 0, top)
         except _OutOfBudget:
             status = TIMEOUT
         if best is not None:

@@ -6,11 +6,11 @@ the worst understaffed band the nurse can serve, the combined rule trades
 preference cost against shortfall reduction, and the random rule picks any
 feasible pattern.  Existing assignments are never touched, and coverage is
 updated after every assignment so later choices see earlier ones.  The loop
-keeps that coverage, and the roster's cost, in local variables: it carries
-rest = demand_bits - low_bits - cov, whose guard bits are the short mask,
+keeps that coverage, and the roster's cost, in local variables: it reads
+the CoverageState's residual rest, whose guard bits are the short mask,
 subtracts each pick's row of Instance.nurse_cells from it and adds its cost,
-and writes cov and cost back to the CoverageState once per call, without
-calling CoverageState.add.
+and writes rest and cost back once per call, without calling
+CoverageState.add.
 
 Scoring runs on the packed masks of CoverageState.  Each pattern carries
 its worked periods as band-1 guard bits (Instance.pattern_bits), and
@@ -19,7 +19,7 @@ band shifted down out of it gives the short periods a pattern covers there
 as (bits & short).bit_count().  The cover rule takes one band, the nurse's
 focus band, from the mask's lowest set bit at or above her own band.  The
 pick loop computes that focus mask, and the combined rule's band state,
-inline from the packed coverage; _focus_mask and _band_state are the
+inline from the residual it carries; _focus_mask and _band_state are the
 references they must equal, read by cover_value, combined_score and the
 tests.  The combined rule has one scorer for both e-modes, its scan
 (_scan_combined), which combined_score runs over a single pattern.  Per
@@ -299,26 +299,25 @@ class PickMemo:
     serves every coverage that differs only outside them.  The keys leave
     out the instance, the weights and the e-mode, which one run fixes, so a
     memo must not outlive the run it was made for.  A dict that has reached
-    limit entries is emptied before the next one is stored.  reconstruct
-    reads one row per freed nurse and adds the pick's cells and cost to its
-    local coverage, which it writes back once per call without calling
-    CoverageState.add.  layout holds what every call reads of the packed
-    layout, built once per run: (band_span, the band mask (1 << band_span)
-    - 1, low_bits, guard_bits, demand_bits - low_bits, field_width - 1).
+    MEMO_PICKS_PER_NURSE entries is emptied before the next one is stored.
+    reconstruct reads one row per freed nurse, subtracts the pick's cells
+    from its local residual and adds the pick's cost, and writes both back
+    once per call without calling CoverageState.add.  layout holds what
+    every call reads of the packed layout, built once per run: (band_span,
+    the band mask (1 << band_span) - 1, low_bits, guard_bits, and
+    field_width - 1, the shift from a guard bit to its low bit).
     """
 
-    __slots__ = ("nurses", "limit", "layout")
+    __slots__ = ("nurses", "layout")
 
     def __init__(self, instance: Instance) -> None:
         span, self.nurses = instance.band_span, []
         for nurse, reach, cells in zip(instance.nurses, instance.reach, instance.nurse_cells):
             shift = (nurse.grade - 1) * span
             self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost, {}, {}))
-        self.limit = MEMO_PICKS_PER_NURSE
-        low_bits = instance.low_bits
         self.layout = (
-            span, (1 << span) - 1, low_bits, instance.guard_bits,
-            instance.demand_bits - low_bits, instance.field_width - 1,
+            span, (1 << span) - 1, instance.low_bits, instance.guard_bits,
+            instance.field_width - 1,
         )
 
 
@@ -350,14 +349,13 @@ def reconstruct(
         coverage = compute_coverage(instance, roster)
     if memo is None:
         memo = PickMemo(instance)
-    rows, limit = memo.nurses, memo.limit
-    # the loop carries rest = demand - cov - ONE, whose guard bits are short_mask()
-    span, band, low_bits, guard_bits, demand_less_one, guard_shift = memo.layout
+    rows = memo.nurses
+    span, band, low_bits, guard_bits, guard_shift = memo.layout
     p1, p12 = config.p1, config.p1 + config.p2
     assignment, e_mode = result.assignment, config.e_mode
     indicator = e_mode == "indicator"
     # the picks go on local copies, written back once after the loop
-    rest, cost, costs = demand_less_one - coverage.cov, coverage.cost, coverage.costs
+    rest, cost, costs = coverage.rest, coverage.cost, coverage.costs
 
     for i in free:
         nurse, shift, works, cells, prices, cover_picks, combined_picks = rows[i]
@@ -369,11 +367,11 @@ def reconstruct(
                 short = short >> ((short & -short).bit_length() - 1) // span * span & band & works
             choice = cover_picks.get(short)
             if choice is None:
-                if len(cover_picks) >= limit:
+                if len(cover_picks) >= MEMO_PICKS_PER_NURSE:
                     cover_picks.clear()
                 choice = cover_picks[short] = _argmax_cover(instance, coverage, nurse, short)
         elif u < p12:
-            # _band_state inline; shortfall mode is shortfall_bits(), demand - cov = rest + ONE
+            # _band_state inline; shortfall mode is shortfall_bits()
             if indicator:
                 state = (rest & guard_bits) >> shift & works
             else:
@@ -381,7 +379,7 @@ def reconstruct(
                 state = (diff & (met - (met >> guard_shift))) >> shift & works
             choice = combined_picks.get(state)
             if choice is None:
-                if len(combined_picks) >= limit:
+                if len(combined_picks) >= MEMO_PICKS_PER_NURSE:
                     combined_picks.clear()
                 choice = combined_picks[state] = _argmax_combined(
                     instance, coverage, weights, nurse, e_mode, state
@@ -391,7 +389,7 @@ def reconstruct(
         assignment[i] = choice
         costs[i] = price = prices[choice]
         rest, cost = rest - cells[choice], cost + price
-    coverage.cov, coverage.cost = demand_less_one - rest, cost
+    coverage.rest, coverage.cost = rest, cost
     return result
 
 

@@ -8,12 +8,13 @@ improved it.  A single seeded rng stream drives initialization, both
 eliminations and reconstruction in a documented order, so a run is fully
 reproducible from (instance, config).
 
-One CoverageState follows the roster through the run.  The loop subtracts
-each released nurse's row of Instance.nurse_cells and her cost from local
-copies of cov and cost and writes them back once, as reconstruct does with
-its picks, so after each repair the state holds the current roster's
-coverage, each nurse's cost and their sum.  Fitness and penalized_cost read
-the costs from it instead of summing the roster.
+One CoverageState follows the roster through the run.  The loop adds each
+released nurse's row of Instance.nurse_cells to a local copy of the state's
+residual rest, subtracts her cost from a local cost, and writes both back
+once, as reconstruct does with its picks, so after each repair the state
+holds the current roster's residual demand, each nurse's cost and their
+sum.  Fitness and penalized_cost read the costs from it instead of summing
+the roster.
 
 The penalized cost is computed only when it can beat the best.  It is the
 kept preference cost plus w_demand times the total shortfall, and that term
@@ -150,12 +151,12 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 partial = eliminate_at_random(partial, config.elim, rng)
             # roster is complete here, so every unassigned nurse was just
             # released; the releases go on local copies, written back once
-            cov, kept, held = coverage.cov, coverage.cost, roster.assignment
+            rest, kept, held = coverage.rest, coverage.cost, roster.assignment
             for i, j in enumerate(partial.assignment):
                 if j is None:
-                    cov -= nurse_cells[i][held[i]]
+                    rest += nurse_cells[i][held[i]]
                     kept -= costs[i]
-            coverage.cov, coverage.cost = cov, kept
+            coverage.rest, coverage.cost = rest, kept
             roster = reconstruct(
                 instance, partial, config.recon, weights, rng, coverage=coverage, memo=memo
             )

@@ -101,7 +101,9 @@ def exact_solve_child_by_call(instance: Instance, node_budget: int) -> ExactResu
     Each search call tests, in this order, the leaf (no short cell and a
     strictly cheaper cost), the coverage cut and the cost cut of its own
     node, so a coverage-cut child, a leaf and the root's coverage cut each
-    take a call.  The tables come from the oracle's _components and _tables.
+    take a call.  The tables come from the oracle's _components and _tables,
+    and each call carries the residual demand rest from the component's top
+    down, as the oracle's search does.
     """
     components, stranded = _components(instance)
     if stranded:
@@ -109,14 +111,14 @@ def exact_solve_child_by_call(instance: Instance, node_budget: int) -> ExactResu
     guard_bits = instance.guard_bits
     nodes = cost_cuts = coverage_cuts = 0
 
-    def search(depth: int, cost: int, cov: int) -> None:
+    def search(depth: int, cost: int, rest: int) -> None:
         nonlocal best_cost, best, nodes, cost_cuts, coverage_cuts
-        short = (top - cov) & guard_bits
+        short = rest & guard_bits
         if depth == size:
             if not short and cost < best_cost:
                 best_cost, best = cost, list(path)
             return
-        if (cut[depth] - cov) & guard_bits:
+        if (rest - avail[depth]) & guard_bits:
             coverage_cuts += 1
             return
         forced = 0
@@ -124,29 +126,29 @@ def exact_solve_child_by_call(instance: Instance, node_budget: int) -> ExactResu
             if short & bits:
                 forced = more
                 break
-        if cost + rest[depth] + forced >= best_cost:
+        if cost + to_go[depth] + forced >= best_cost:
             cost_cuts += 1
             return
         for j, price, cells in choices[depth]:
             new_cost = cost + price
-            if new_cost + rest[depth + 1] >= best_cost:
+            if new_cost + to_go[depth + 1] >= best_cost:
                 cost_cuts += 1
                 break
             if nodes == node_budget:
                 raise _BudgetSpent
             nodes += 1
             path[depth] = j
-            search(depth + 1, new_cost, cov + cells)
+            search(depth + 1, new_cost, rest - cells)
 
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
     for ids, top in components:
-        choices, rest, cut, extra = _tables(instance, ids, top)
+        choices, to_go, avail, extra = _tables(instance, ids)
         size, path = len(ids), [0] * len(ids)
         best_cost: float = math.inf
         best: list[int] | None = None
         try:
-            search(0, 0, 0)
+            search(0, 0, top)
         except _BudgetSpent:
             status = TIMEOUT
         if best is not None:

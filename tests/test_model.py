@@ -256,6 +256,10 @@ class TestPackedCoverage:
         guard_bits, low_bits = instance.guard_bits, instance.low_bits
         cells = [(k, s) for s in range(instance.g) for k in range(N_PERIODS)]
         worst = max(map(max, demand))
+        # the state keeps the residual demand - ONE - covered, guard bits set
+        packed_covered = sum(covered[k][s] << (s * span + k * w) for k, s in cells)
+        assert state.rest == instance.demand_bits - low_bits - packed_covered
+        assert state.short_mask() == state.rest & guard_bits
         assert state.total_shortfall() == sum(map(sum, short))
         short_cells = [(k, s) for k, s in cells if short[k][s]]
         assert state.short_mask() == guard_mask(instance, short_cells)
@@ -345,7 +349,10 @@ class TestPackedCoverage:
         """Checked on the whole instance and on each component against its
         own demand, both in the solver's own order, which leaves the
         dominated patterns out.  The random instances here each form one
-        component; generated ones split in two."""
+        component; generated ones split in two.  The residual is carried as
+        the search carries it, from top down by each placed pattern's
+        cells, and each field of avail[d] is the count of nurses ids[d:] who
+        can work the cell."""
         rng, component_rng = random.Random(67), random.Random(68)
         cut_cells = forced_cells = split = 0
         for trial in range(90):
@@ -369,21 +376,29 @@ class TestPackedCoverage:
                 }
                 parts.append((component_rng, ids, top, workable))
             for draw, ids, top, kept in parts:
-                _, _, cut, extra = _tables(inst, ids, top)
+                _, _, avail, extra = _tables(inst, ids)
+                assert len(avail) == len(ids) + 1 and avail[len(ids)] == 0
                 for depth in range(len(ids)):
-                    # the solver's coverage at depth d holds nurses ids[:d] only
-                    roster = Roster.empty(inst.n)
+                    # the solver's residual at depth d holds nurses ids[:d] only
+                    roster, rest = Roster.empty(inst.n), top
                     for i in ids[:depth]:
-                        roster.assignment[i] = draw.choice(inst.nurses[i].feasible)
+                        roster.assignment[i] = j = draw.choice(inst.nurses[i].feasible)
+                        rest -= inst.nurse_cells[i][j]
                     state = compute_coverage(inst, roster)
+                    if top == inst.demand_bits - inst.low_bits:  # the empty roster's rest
+                        assert rest == state.rest
                     short = state.shortfall
-                    hopeless, forced = [], {}
+                    hopeless, forced, counts = [], {}, 0
                     for s in range(inst.g):
                         can = [
                             [i for i in ids[depth:] if qualified(inst, i, s + 1)
                              and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)]
                             for k in range(N_PERIODS)
                         ]
+                        counts += sum(
+                            len(can[k]) << (s * inst.band_span + k * inst.field_width)
+                            for k in range(N_PERIODS)
+                        )
                         hopeless += [(k, s) for k in range(N_PERIODS)
                                      if (k, s) in kept and short[k][s] > len(can[k])]
                         for k in range(N_PERIODS):
@@ -395,7 +410,8 @@ class TestPackedCoverage:
                             ]
                             if extras and min(extras) > 0:
                                 forced[k, s] = min(extras)
-                    assert (cut[depth] - state.cov) & inst.guard_bits == guard_mask(inst, hopeless)
+                    assert avail[depth] == counts
+                    assert (rest - avail[depth]) & inst.guard_bits == guard_mask(inst, hopeless)
                     # one list per depth merges every band's extras, highest cost first
                     costs = [cost for cost, _ in extra[depth]]
                     assert costs == sorted(set(forced.values()), reverse=True)
@@ -451,10 +467,10 @@ class TestKeptCosts:
             outside = set(range(inst.m)) - set(inst.nurses[i].feasible) if i is not None else ()
             if not outside:
                 continue
-            before = (state.cov, state.cost, list(state.costs))
+            before = (state.rest, state.cost, list(state.costs))
             with pytest.raises(InvalidRosterError):
                 state.add(i, min(outside))
-            assert (state.cov, state.cost, state.costs) == before
+            assert (state.rest, state.cost, state.costs) == before
             state.check(roster)
             tried += 1
         assert tried > 300
@@ -469,8 +485,8 @@ class TestKeptCosts:
         state.costs[1] += 1
         with pytest.raises(ValueError, match=r"^costs\[1\] is"):
             state.check(roster)
-        state.cov += week_instance.low_bits
-        with pytest.raises(ValueError, match="^cov differs"):
+        state.rest += week_instance.low_bits
+        with pytest.raises(ValueError, match="^rest differs"):
             state.check(roster)
         # the stale entry of an unassigned nurse is not compared
         state = compute_coverage(week_instance, roster)

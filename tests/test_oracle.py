@@ -330,7 +330,7 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
     periods of."""
     dropped = kept = tied = 0
     for inst in _search_order_cases():
-        choices, _, _, _ = _tables(inst, list(range(inst.n)), inst.demand_bits - inst.low_bits)
+        choices, _, _, _ = _tables(inst, list(range(inst.n)))
         for nurse, choice in zip(inst.nurses, choices):
             tied += len(nurse.feasible) - len(set(nurse.pref_cost.values()))
             order = [j for j, _, _ in choice]
@@ -357,22 +357,22 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
     assert tied > 70  # 19 of them without the tie-heavy cases
     hand_made = _dearer_subset_first()
     assert [row[2] for row in hand_made.combined_scan[0]] == [1, 0]
-    choices, _, _, _ = _tables(hand_made, [0], hand_made.demand_bits - hand_made.low_bits)
+    choices, _, _, _ = _tables(hand_made, [0])
     assert [j for j, _, _ in choices[0]] == [1]
 
 
-def _tables_rebuilding_by_cost(inst, ids, top):
+def _tables_rebuilding_by_cost(inst, ids):
     """_tables as it was when every depth rebuilt the cost buckets from all
     the least extras: the reference for the kept buckets."""
     size, width, span = len(ids), inst.field_width, inst.band_span
-    choices, rest, cut, extra = [[]] * size, [0] * (size + 1), [0] * size, [[]] * size
-    avail, least = 0, {}
+    choices, to_go, avail, extra = [[]] * size, [0] * (size + 1), [0] * (size + 1), [[]] * size
+    least = {}
     for d in range(size - 1, -1, -1):
         nurse = inst.nurses[ids[d]]
         price, cells = nurse.pref_cost, inst.nurse_cells[nurse.id]
         order = sorted(nurse.feasible, key=price.__getitem__)
         cheapest = price[order[0]]
-        rest[d] = rest[d + 1] + cheapest
+        to_go[d] = to_go[d + 1] + cheapest
         choices[d], seen, forced = [], 0, {}
         for j in order:
             if not inst.supersets[j] & seen:
@@ -380,8 +380,7 @@ def _tables_rebuilding_by_cost(inst, ids, top):
                 for k in inst.patterns[j].periods:
                     forced.setdefault(k, price[j] - cheapest)
             seen |= 1 << j
-        avail += inst.reach[nurse.id] & inst.low_bits
-        cut[d] = top - avail
+        avail[d] = avail[d + 1] + (inst.reach[nurse.id] & inst.low_bits)
         for s in range(nurse.grade - 1, inst.g):
             for k, more in forced.items():
                 bit = s * span + k * width + width - 1
@@ -391,7 +390,7 @@ def _tables_rebuilding_by_cost(inst, ids, top):
             if more:
                 by_cost[more] = by_cost.get(more, 0) | 1 << bit
         extra[d] = sorted(by_cost.items(), reverse=True)
-    return choices, rest, cut, extra
+    return choices, to_go, avail, extra
 
 
 def test_kept_cost_buckets_match_a_rebuild_per_depth():
@@ -403,8 +402,8 @@ def test_kept_cost_buckets_match_a_rebuild_per_depth():
                     n=n, m=12, g=g, feasible_min=3, feasible_max=8, seed=7900 + seed,
                 ))
                 components, _ = _components(inst)
-                for ids, top in components:
-                    assert _tables(inst, ids, top) == _tables_rebuilding_by_cost(inst, ids, top)
+                for ids, _ in components:
+                    assert _tables(inst, ids) == _tables_rebuilding_by_cost(inst, ids)
                     compared += 1
     assert compared > 200
 

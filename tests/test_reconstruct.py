@@ -365,16 +365,18 @@ LIMIT = 3  # the per-nurse, per-rule cap the emptying tests set
 class TestPickMemo:
     STEPS = 60
 
-    def repair_sequence(self, trial: int, e_mode: str, limit: int | None = None):
+    def repair_sequence(self, trial: int, e_mode: str, counted: bool = False):
         """Repair a release-and-repair sequence like the solver loop's twice:
         with one memo kept across the whole sequence and with a fresh memo
         per call.  Every step must give the same roster, coverage and rng
-        state.  Returns the shared memo and the fresh memos' total size."""
+        state, and no dict may outgrow MEMO_PICKS_PER_NURSE as it stands
+        (a test may have patched it).  With counted, the shared memo's dicts
+        count their clears.  Returns the shared memo and the fresh memos'
+        total size."""
         instance, weights, release = memo_sequence_case(trial)
         config = ReconstructionConfig(p1=0.5, p2=0.45, p3=0.05, e_mode=e_mode)
         shared = PickMemo(instance)
-        if limit is not None:
-            shared.limit = limit
+        if counted:
             shared.nurses = [row[:5] + (CountedClears(), CountedClears()) for row in shared.nurses]
         rng_shared, rng_fresh = random.Random(trial), random.Random(trial)
         roster = Roster.empty(instance.n)
@@ -395,7 +397,9 @@ class TestPickMemo:
             assert cov_shared.total_shortfall() == cov_fresh.total_shortfall()
             assert rng_shared.getstate() == rng_fresh.getstate()
             for rule in ("cover", "combined"):
-                assert max(map(len, memo_dicts(shared, rule))) <= shared.limit
+                assert max(map(len, memo_dicts(shared, rule))) <= (
+                    reconstruct_module.MEMO_PICKS_PER_NURSE
+                )
                 fresh_entries += len(memo_picks(fresh, rule))
             keep = release.random()
             roster = Roster(
@@ -413,25 +417,38 @@ class TestPickMemo:
                 cross_call_hits += fresh_entries - shared_entries
         assert cross_call_hits > 1000  # the shared memo did answer picks
 
-    def test_a_memo_emptied_at_its_limit_still_agrees(self):
+    def test_a_memo_emptied_at_its_limit_still_agrees(self, monkeypatch):
+        monkeypatch.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", LIMIT)
         cover_clears = combined_clears = 0
         for trial in range(12):
             for e_mode in E_MODES:
-                shared, _ = self.repair_sequence(trial, e_mode, limit=LIMIT)
+                shared, _ = self.repair_sequence(trial, e_mode, counted=True)
                 cover_clears += sum(picks.clears for picks in memo_dicts(shared, "cover"))
                 combined_clears += sum(picks.clears for picks in memo_dicts(shared, "combined"))
         assert cover_clears > 50 and combined_clears > 50
 
-    def test_the_limit_is_per_nurse_and_per_rule(self):
+    def test_the_limit_is_per_nurse_and_per_rule(self, monkeypatch):
         """Each nurse has a dict per rule, each capped at MEMO_PICKS_PER_NURSE,
         so a rule's memo holds at most n times that many picks."""
-        instance, _, _ = memo_sequence_case(0)
+        instance, weights, _ = memo_sequence_case(0)
         memo = PickMemo(instance)
-        assert memo.limit == MEMO_PICKS_PER_NURSE
         dicts = memo_dicts(memo, "cover") + memo_dicts(memo, "combined")
         assert len({id(picks) for picks in dicts}) == 2 * instance.n
+        # reconstruct reads the constant: a dict one short of it grows to
+        # it, a full one is emptied before the new pick is stored
+        roster = Roster([None] + [nurse.feasible[0] for nurse in instance.nurses[1:]])
+        for rule, mix in (("cover", (1.0, 0.0, 0.0)), ("combined", (0.0, 1.0, 0.0))):
+            for held, after in ((MEMO_PICKS_PER_NURSE - 1, MEMO_PICKS_PER_NURSE),
+                                (MEMO_PICKS_PER_NURSE, 1)):
+                memo = PickMemo(instance)
+                picks = memo_dicts(memo, rule)[0]
+                picks.update((-1 - key, 0) for key in range(held))  # no mask is negative
+                reconstruct(instance, roster, ReconstructionConfig(*mix), weights,
+                            random.Random(0), memo=memo)
+                assert len(picks) == after
         # a nurse's full dict leaves the others' picks alone
-        shared, _ = self.repair_sequence(0, "indicator", limit=LIMIT)
+        monkeypatch.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", LIMIT)
+        shared, _ = self.repair_sequence(0, "indicator", counted=True)
         for rule in ("cover", "combined"):
             assert max(map(len, memo_dicts(shared, rule))) <= LIMIT
             assert len(memo_picks(shared, rule)) > LIMIT
@@ -453,10 +470,10 @@ def test_each_write_back_matches_a_recount(monkeypatch, mix, e_mode):
     for g in range(1, 7):
         instance = generate_instance(GeneratorParams(n=8, m=16, g=g, seed=14000 + g))
         memo, rng, release = PickMemo(instance), random.Random(g), random.Random(100 + g)
-        assert memo.limit == 1
         roster, coverage = Roster.empty(instance.n), CoverageState(instance)
         for _ in range(40):
             roster = reconstruct(instance, roster, config, EvalWeights(), rng, coverage, memo)
+            assert max(map(len, memo_dicts(memo, "cover") + memo_dicts(memo, "combined"))) <= 1
             coverage.check(roster)
             keep = release.random()
             for i, j in enumerate(roster.assignment):
