@@ -50,21 +50,22 @@ def eliminate_by_fitness(
     Consumes exactly one rng draw when the threshold is random, none when it
     is fixed.  Returns a new roster; the input is untouched.
     """
-    if len(fitness) != len(roster.assignment):
+    held = roster.assignment
+    if len(fitness) != len(held):
         raise ValueError(
-            f"fitness length {len(fitness)} does not match roster size "
-            f"{len(roster.assignment)}"
+            f"fitness length {len(fitness)} does not match roster size {len(held)}"
         )
-    if not roster.is_complete():
+    if None in held:
         raise ValueError("fitness elimination expects a complete roster")
     if config.fixed_threshold is None:
         threshold = rng.random()
     else:
         threshold = config.fixed_threshold
     result = roster.copy()
+    assignment = result.assignment
     for i, fit in enumerate(fitness):
         if fit <= threshold:
-            result.assignment[i] = None
+            assignment[i] = None
     return result
 
 
@@ -76,9 +77,10 @@ def eliminate_at_random(
     Draws are consumed in ascending nurse id order, one per assigned nurse;
     unassigned nurses consume none.  Returns a new roster.
     """
-    r_m = config.r_m
+    r_m, draw = config.r_m, rng.random
     result = roster.copy()
+    assignment = result.assignment
     for i, j in enumerate(roster.assignment):
-        if j is not None and rng.random() < r_m:
-            result.assignment[i] = None
+        if j is not None and draw() < r_m:
+            assignment[i] = None
     return result

@@ -286,7 +286,15 @@ class Roster:
         return cls([None] * n)
 
     def copy(self) -> "Roster":
-        return Roster(self.assignment[:])
+        """A new roster with its own list.
+
+        It is built by object.__new__ and one slot store, not by the
+        dataclass __init__, whose frame costs more than the copy itself: the
+        solver makes three copies per iteration.
+        """
+        result = object.__new__(Roster)
+        result.assignment = self.assignment[:]
+        return result
 
     def is_complete(self) -> bool:
         return None not in self.assignment

@@ -342,7 +342,8 @@ def reconstruct(
     only.
     """
     result = roster.copy()
-    free = result.unassigned_ids()
+    assignment = result.assignment
+    free = [i for i, j in enumerate(assignment) if j is None]
     if not free:
         return result
     if coverage is None:
@@ -352,7 +353,7 @@ def reconstruct(
     rows = memo.nurses
     span, band, low_bits, guard_bits, guard_shift = memo.layout
     p1, p12 = config.p1, config.p1 + config.p2
-    assignment, e_mode = result.assignment, config.e_mode
+    e_mode = config.e_mode
     indicator = e_mode == "indicator"
     # the picks go on local copies, written back once after the loop
     rest, cost, costs = coverage.rest, coverage.cost, coverage.costs

@@ -36,6 +36,27 @@ def make_instance(patterns, nurses, demand, g=None, known_optimal=None) -> Insta
     )
 
 
+def count_solver_calls(monkeypatch) -> dict[str, int]:
+    """Count the run loop's reconstruct and penalized_cost calls."""
+    import nrp.solver as solver_module
+
+    calls = {}
+
+    def counting(name):
+        wrapped = getattr(solver_module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, counted)
+
+    counting("reconstruct")
+    counting("penalized_cost")
+    return calls
+
+
 def count_rows_scored(monkeypatch) -> dict[str, int]:
     """Count the rows the two reconstruction scans score.
 

@@ -52,6 +52,10 @@ def _full(iterations):
     return preset_spec("full", max_iterations=iterations)
 
 
+def _preset(name, iterations):
+    return lambda: preset_spec(name, max_iterations=iterations)
+
+
 def _shortfall_mode():
     spec = _full(300)
     recon = ReconstructionConfig(p1=0.3, p2=0.6, p3=0.1, e_mode="shortfall")
@@ -90,6 +94,23 @@ CASES = {
     "mid-fractional": (
         _mid, _fractional_weights, 2,
         "a5ad93cac3a192aea7e0ea318c810cc88434e160a8cd2a72e7c72e928028533a",
+    ),
+    # one elimination off: iterations that release no nurse are common here
+    "desk-b-elim1-only": (
+        _desk(1), _preset("elim1-only", 2000), 5,
+        "553161a7e4fbe0d1b20e9086c6ca8d5810563179bb5f8ecdf63f3191bded16bc",
+    ),
+    "desk-b-elim2-only": (
+        _desk(1), _preset("elim2-only", 2000), 5,
+        "99dc9c178664f6f4104ec432973e1e296f1adf944e02236e3104f2781fda7489",
+    ),
+    "ward-elim1-only": (
+        _ward, _preset("elim1-only", 50), 3,
+        "ba1b87ff986d3781408890e99f4111f53d20aa1ba3de8f52bab07be0a91aba04",
+    ),
+    "ward-elim2-only": (
+        _ward, _preset("elim2-only", 50), 3,
+        "8e67712aa0baed5445244ab522a683a287040118e29248b1c7d8e9f839617481",
     ),
 }
 

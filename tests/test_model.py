@@ -110,6 +110,18 @@ class TestTypeInvariants:
             )
 
 
+class TestRosterCopy:
+    @pytest.mark.parametrize("assignment", [[], [0, None, 2], [None, None], [3, 1]])
+    def test_copy_is_an_equal_roster_with_its_own_list(self, assignment):
+        roster = Roster(assignment)
+        copied = roster.copy()
+        assert type(copied) is Roster and copied == roster and copied is not roster
+        assert copied.assignment is not roster.assignment
+        assert not hasattr(copied, "__dict__")
+        copied.assignment.append(0)
+        assert roster.assignment == assignment and len(copied.assignment) == len(assignment) + 1
+
+
 class TestComputeCoverage:
     def test_empty_roster_covers_nothing(self, week_instance):
         state = compute_coverage(week_instance, Roster.empty(week_instance.n))

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,10 +27,18 @@ from nrp.reconstruct import (
     cover_value,
     reconstruct,
 )
+from nrp.oracle import exact_solve
 from nrp.solver import SolverConfig, run
 
 from bruteforce import combined_score_by_definition, cover_value_by_definition
-from conftest import count_rows_scored, demand_rows, flat_demand, make_instance, pattern
+from conftest import (
+    count_rows_scored,
+    count_solver_calls,
+    demand_rows,
+    flat_demand,
+    make_instance,
+    pattern,
+)
 
 CHI2_CRIT_DF4_P001 = 18.467  # chi-square 0.999 quantile, 4 degrees of freedom
 
@@ -602,20 +611,32 @@ class TestReachKeys:
         assert calls == {"cover": 2161, "combined": 1384}
 
     def test_ward_runs_sum_the_pinned_shortfalls(self, monkeypatch):
-        """The six runs above compute the penalized cost 61 times: once at
-        each start and then only where the kept preference cost alone beats
-        the best.  Computed after every repair, it took 6 * 201 = 1,206."""
+        """The six runs above repair 1,193 of their 1,200 iterations; the
+        other 7 release no nurse.  They compute the penalized cost 51 times:
+        once at each start and then only where the kept preference cost plus
+        w_demand per short cell beats the best.  With the kept cost alone as
+        the bound it took 61, and computed after every repair 6 * 201 =
+        1,206."""
         instance = generate_instance(WARD)
-        calls, penalized = [0], solver_module.penalized_cost
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return penalized(*args, **kwargs)
-
-        monkeypatch.setattr(solver_module, "penalized_cost", counted)
+        calls = count_solver_calls(monkeypatch)
         for seed in range(6):
             run(instance, SolverConfig(max_iterations=200, seed=seed))
-        assert calls == [61]
+        assert calls == {"reconstruct": 1193, "penalized_cost": 51}
+
+    def test_desk_runs_sum_the_pinned_shortfalls(self, monkeypatch):
+        """desk-03 of the benchmark's desk batch, seeds 0-9, run to its
+        proven optimum: 8,041 iterations.  172 of them release no nurse and
+        make no repair.  The penalized cost is computed 62 times; with the
+        kept cost alone as the bound it took 4,035."""
+        params = GeneratorParams(n=4, m=12, g=3, tightness=0.75, seed=11003,
+                                 feasible_min=2, feasible_max=8)
+        instance = generate_instance(params)
+        instance = replace(instance, known_optimal=exact_solve(instance).optimal_cost)
+        calls = count_solver_calls(monkeypatch)
+        iterations = sum(
+            run(instance, SolverConfig(seed=seed)).iterations_executed for seed in range(10)
+        )
+        assert (iterations, calls) == (8041, {"reconstruct": 7869, "penalized_cost": 62})
 
     def test_ward_runs_score_the_pinned_rows(self, monkeypatch):
         """The six runs above, in both e-modes.  Before the scans capped

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 import nrp.solver as solver_module
-from nrp.eliminate import EliminationConfig, eliminate_by_fitness
+from nrp.eliminate import EliminationConfig, eliminate_at_random, eliminate_by_fitness
 from nrp.evaluate import EvalWeights, component_fitness_all, penalized_cost
 from nrp.harness import PRESET_NAMES, preset_spec, run_batch, run_csv_row
 from nrp.instance_io import GeneratorParams, generate_instance
@@ -29,7 +30,7 @@ from nrp.solver import (
     run_construction_only,
 )
 
-from conftest import demand_rows, flat_demand, make_instance, pattern
+from conftest import count_solver_calls, demand_rows, flat_demand, make_instance, pattern
 from suite import build_desk_suite
 
 
@@ -165,8 +166,12 @@ class TestRun:
         # the loop releases nurses from the state and reconstruct places its
         # picks on it, both in place; every repair receives the state as
         # coverage=, so check it there against a fresh count, on the way in
-        # and after the repair, and check the starting state too
-        starts = calls = 0
+        # and after the repair, and check the starting state too.  An
+        # iteration that releases no one makes no repair, so also check the
+        # state once per iteration against the fitness elimination's input,
+        # the complete roster it holds at the top of the iteration
+        starts = calls = iterations = released = 0
+        current = {}
 
         def recount(instance, roster, weights, coverage):
             coverage.check(roster)
@@ -187,7 +192,21 @@ class TestRun:
             starts += 1
             state = compute_coverage(instance, roster)
             recount(instance, roster, EvalWeights(), state)
+            current.update(instance=instance, state=state)
             return state
+
+        def by_fitness(roster, fitness, config, rng):
+            nonlocal iterations
+            iterations += 1
+            assert roster.is_complete()
+            recount(current["instance"], roster, EvalWeights(), current["state"])
+            return eliminate_by_fitness(roster, fitness, config, rng)
+
+        def at_random(roster, config, rng):
+            nonlocal released
+            result = eliminate_at_random(roster, config, rng)
+            released += not result.is_complete()
+            return result
 
         def checked(instance, roster, config, weights, rng, coverage=None, memo=None):
             nonlocal calls
@@ -199,6 +218,8 @@ class TestRun:
 
         monkeypatch.setattr("nrp.solver.compute_coverage", started)
         monkeypatch.setattr("nrp.solver.reconstruct", checked)
+        monkeypatch.setattr("nrp.solver.eliminate_by_fitness", by_fitness)
+        monkeypatch.setattr("nrp.solver.eliminate_at_random", at_random)
         suite = build_desk_suite(8)
         for e_mode in E_MODES:
             config = SolverConfig(
@@ -210,7 +231,9 @@ class TestRun:
                 for seed in range(3):
                     run(inst, replace(config, seed=seed))
         assert starts == len(E_MODES) * len(suite) * 3
-        assert calls == len(E_MODES) * len(suite) * 3 * 300
+        assert iterations == len(E_MODES) * len(suite) * 3 * 300
+        # one repair per iteration that released a nurse, and only then
+        assert 0 < calls == released < iterations
 
     @pytest.mark.parametrize("params", [
         GeneratorParams(n=6, m=12, g=3, seed=11005),
@@ -285,6 +308,60 @@ def test_the_loop_never_calls_remove(monkeypatch, params):
     assert result.iterations_executed == 300
 
 
+@pytest.mark.parametrize("step", ["fitness", "random", "reconstruct"])
+def test_each_step_returns_a_new_roster_and_keeps_its_input(step):
+    """perfbench's shims count the Nones of each step's input and output
+    rosters after the call, so each step must return a new Roster with its
+    own list and leave its input's list as it was."""
+    instance = generate_instance(GeneratorParams(n=6, m=12, g=3, seed=15))
+    rng = random.Random(5)
+    for trial in range(40):
+        roster = initial_roster(instance, rng)
+        # the later steps take partial rosters: none, some or all released
+        if step == "random":
+            fitness = [trial % 3 / 2] * instance.n
+            roster = eliminate_by_fitness(roster, fitness, EliminationConfig(fixed_threshold=0.5), rng)
+        elif step == "reconstruct":
+            roster = eliminate_at_random(roster, EliminationConfig(r_m=trial % 4 / 3), rng)
+        assignment, before = roster.assignment, roster.assignment[:]
+        if step == "fitness":
+            fitness = component_fitness_all(instance, roster, EvalWeights())
+            result = eliminate_by_fitness(roster, fitness, EliminationConfig(), rng)
+        elif step == "random":
+            result = eliminate_at_random(roster, EliminationConfig(r_m=0.3), rng)
+        else:
+            result = reconstruct(instance, roster, ReconstructionConfig(), EvalWeights(), rng)
+        assert type(result) is Roster and result is not roster
+        assert result.assignment is not assignment
+        assert roster.assignment is assignment and assignment == before
+
+
+def test_a_run_that_releases_no_one_keeps_its_start(monkeypatch):
+    """With the fitness elimination off and r_m = 0 no iteration releases a
+    nurse, so after the start the loop never repairs and never sums the
+    shortfall again, and the result is the start roster's."""
+    instance = generate_instance(GeneratorParams(n=6, m=12, g=3, seed=15))
+    starts = []
+
+    def started(instance, rng):
+        roster = initial_roster(instance, rng)
+        starts.append((penalized_cost(instance, roster, EvalWeights()), roster.copy(),
+                       is_feasible(instance, roster)))
+        return roster
+
+    calls = count_solver_calls(monkeypatch)
+    monkeypatch.setattr(solver_module, "initial_roster", started)
+    elim = EliminationConfig(r_m=0.0, enable_fitness_elim=False)
+    for seed in range(3):
+        result = run(instance, SolverConfig(max_iterations=200, seed=seed, elim=elim))
+        cost, roster, feasible = starts[-1]
+        assert result_fields(result) == (
+            cost, roster.assignment, feasible, 200, 0, seed, "mt19937", [(0, cost)],
+        )
+    # one penalized cost per run, the start's
+    assert calls == {"reconstruct": 0, "penalized_cost": 3}
+
+
 def gain_cases():
     """(name, instance, iterations, seeds): desk instances with and without a
     known optimum, one desk instance at each g = 1-6, and the ward."""
@@ -300,12 +377,15 @@ def gain_cases():
 @pytest.mark.parametrize("w_demand", [200.0, 0.5, 1e-9])
 @pytest.mark.parametrize("e_mode", E_MODES)
 def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
-    """The loop sums the shortfall only when the kept preference cost alone
-    beats the best.  Recount every iteration's penalized cost from scratch,
-    derive the best, its roster, its feasibility, its iteration, the
-    trajectory and the early stop from the recounts alone, and compare."""
+    """The loop repairs only an iteration that released a nurse, and sums
+    the shortfall only when the kept preference cost plus w_demand per short
+    cell beats the best.  Recount every iteration's penalized cost from
+    scratch, at the repair, or from the eliminations' output when no one was
+    released; derive the best, its roster, its feasibility, its iteration,
+    the trajectory and the early stop from the recounts alone, and compare.
+    With one elimination off, most desk iterations release no one."""
     weights = EvalWeights(w_demand=w_demand)
-    recounts = []
+    recounts, current, unrepaired = [], {}, [0]
 
     def recorded(instance, roster):
         recounts.append((penalized_cost(instance, roster, weights), roster.copy(),
@@ -314,6 +394,7 @@ def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
     def started(instance, rng):
         roster = initial_roster(instance, rng)
         recorded(instance, roster)
+        current["instance"] = instance
         return roster
 
     def repaired(instance, *args, **kwargs):
@@ -321,12 +402,27 @@ def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
         recorded(instance, result)
         return result
 
+    def eliminated(elimination):
+        def hooked(*args):
+            result = elimination(*args)
+            config = args[-2]  # both eliminations take (..., config, rng)
+            last = elimination is eliminate_at_random or not config.enable_random_elim
+            if last and result.is_complete():
+                recorded(current["instance"], result)  # no release, so no repair
+                unrepaired[0] += 1
+            return result
+        return hooked
+
     monkeypatch.setattr("nrp.solver.initial_roster", started)
     monkeypatch.setattr("nrp.solver.reconstruct", repaired)
-    for name, instance, iterations, seeds in gain_cases():
+    monkeypatch.setattr("nrp.solver.eliminate_by_fitness", eliminated(eliminate_by_fitness))
+    monkeypatch.setattr("nrp.solver.eliminate_at_random", eliminated(eliminate_at_random))
+    elims = (EliminationConfig(), EliminationConfig(enable_random_elim=False),
+             EliminationConfig(enable_fitness_elim=False))
+    for (name, instance, iterations, seeds), elim in itertools.product(gain_cases(), elims):
         for seed in range(seeds):
             config = SolverConfig(max_iterations=iterations, seed=seed, eval_weights=weights,
-                                  recon=ReconstructionConfig(e_mode=e_mode))
+                                  elim=elim, recon=ReconstructionConfig(e_mode=e_mode))
             recounts.clear()
             result = run(instance, config)
             best_cost, best_roster, best_feasible = recounts[0]
@@ -342,6 +438,7 @@ def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
                 best_cost, best_roster.assignment, best_feasible, len(recounts) - 1,
                 best_t, seed, "mt19937", trajectory,
             ), name
+    assert unrepaired[0] > 0
 
 
 def count_fitness_calls(monkeypatch) -> list[int]:
