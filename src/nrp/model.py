@@ -126,7 +126,8 @@ class Instance:
     by nurse id and read by coverage, reconstruction, fitness and the exact
     solver.  Nurses of one grade share one row, so it holds a row per grade
     and n references.  CoverageState keeps the residual rest = demand_bits -
-    low_bits - coverage, and its add and remove step rest by a nurse's row.
+    low_bits - coverage, the one form of the coverage any reader takes, and
+    its add and remove step rest by a nurse's row.
     The solver loop does not call them: it adds back the rows of the nurses
     it releases, and reconstruct subtracts the rows of its picks, on a local
     copy of rest written back once per step.  Only the model and the exact
@@ -299,9 +300,6 @@ class Roster:
     def is_complete(self) -> bool:
         return None not in self.assignment
 
-    def unassigned_ids(self) -> list[int]:
-        return [i for i, j in enumerate(self.assignment) if j is None]
-
 
 class CoverageState:
     """Per-(period, band) nurse counts against demand, maintained incrementally.
@@ -338,9 +336,9 @@ class CoverageState:
     nurses.  The entry of an unassigned nurse is stale and never read.
     Fitness reads costs and penalized_cost reads cost, so neither sums the
     roster again.  The shortfall has no running total: total_shortfall()
-    adds up the level masks until one is empty.  covered and shortfall are
-    read-only 14 x g views, for recounts, and check() compares the whole
-    state with a recount of a roster.
+    adds up the level masks until one is empty.  There is no per-cell view:
+    rest fixes every count and every shortfall, so check() compares the
+    whole state, rest, costs and cost, with a recount of a roster.
     """
 
     __slots__ = ("instance", "rest", "costs", "cost")
@@ -351,21 +349,6 @@ class CoverageState:
         self.rest = instance.demand_bits - instance.low_bits
         self.costs = [0] * instance.n
         self.cost = 0
-
-    @property
-    def covered(self) -> list[list[int]]:
-        """covered[k][s]: assigned nurses qualified for band s+1 working period k."""
-        instance = self.instance
-        cov = instance.demand_bits - instance.low_bits - self.rest
-        width, count = instance.field_width, N_PERIODS * instance.g
-        fields = [(cov >> (f * width)) % (1 << width) for f in range(count)]
-        return [fields[k::N_PERIODS] for k in range(N_PERIODS)]  # field s * 14 + k is (k, s)
-
-    @property
-    def shortfall(self) -> list[list[int]]:
-        """shortfall[k][s] = max(demand[k][s] - covered[k][s], 0)."""
-        rows = zip(self.instance.demand.r, self.covered)
-        return [[max(d - c, 0) for d, c in zip(*row)] for row in rows]
 
     def total_shortfall(self) -> int:
         """The shortfall summed over every cell: level t's count, summed over t >= 1."""
@@ -434,9 +417,12 @@ class CoverageState:
 def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
     """Build the coverage state of a roster from scratch.
 
-    Unassigned nurses contribute nothing.  Raises InvalidRosterError when an
-    assignment falls outside the nurse's feasible set.
+    Unassigned nurses contribute nothing.  Raises InvalidRosterError when
+    the roster does not hold one entry per nurse or an assignment falls
+    outside the nurse's feasible set.
     """
+    if len(roster.assignment) != instance.n:
+        raise InvalidRosterError(f"{len(roster.assignment)} roster entries for {instance.n} nurses")
     state = CoverageState(instance)
     for i, j in enumerate(roster.assignment):
         if j is not None:
@@ -445,12 +431,21 @@ def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
 
 
 def is_feasible(instance: Instance, roster: Roster) -> bool:
-    """True iff the roster is complete and meets demand at every (period, band)."""
+    """True iff the roster is complete and meets demand at every (period, band).
+
+    A complete roster goes through compute_coverage, so one whose length is
+    not n raises InvalidRosterError.
+    """
     return roster.is_complete() and not compute_coverage(instance, roster).short_mask()
 
 
 def preference_cost(instance: Instance, roster: Roster) -> int:
-    """Total preference cost of a complete roster."""
+    """Total preference cost of a complete roster.
+
+    Raises InvalidRosterError unless the roster holds one entry per nurse.
+    """
+    if len(roster.assignment) != instance.n:
+        raise InvalidRosterError(f"{len(roster.assignment)} roster entries for {instance.n} nurses")
     total = 0
     for i, j in enumerate(roster.assignment):
         if j is None:

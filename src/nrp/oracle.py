@@ -63,7 +63,9 @@ superset keeps the roster feasible, costs no more and comes earlier.  Nor
 does it change a bound: the first pattern, every cell a nurse can work and
 her cheapest cover of each period all stay.  So the bounds and the
 order change only how many nodes are explored.  A node budget turns a
-runaway search into an explicit timeout.
+runaway search into an explicit timeout, and so does a search deeper than
+the interpreter's stack allows: the search recurses once per nurse, so a
+component of about a thousand nurses or more ends as a TIMEOUT.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class ExactResult:
     """Outcome of an exhaustive search.
 
     On OPTIMAL the roster is feasible, its preference cost equals
-    optimal_cost, and no feasible roster costs less.  On TIMEOUT the
-    incumbent (if any) is reported without an optimality claim.
+    optimal_cost, and no feasible roster costs less.  On TIMEOUT, when the
+    node budget ran out or a search went too deep for the interpreter's
+    stack, the incumbent (if any) is reported without an optimality claim.
 
     nodes_explored counts pattern assignments tried and never exceeds the
     node budget.  cost_cuts counts branches cut because their cost bound
@@ -203,11 +206,14 @@ class _OutOfBudget(Exception):
 
 
 def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResult:
-    """Minimum-cost feasible roster, INFEASIBLE if none, TIMEOUT on budget.
+    """Minimum-cost feasible roster, INFEASIBLE if none, else TIMEOUT.
+
+    TIMEOUT ends a search that runs out of node budget or recurses deeper
+    than the interpreter's stack allows, one level per nurse of a component.
 
     The components are searched in turn, each over its nurses in id order
     against its own top, and the first one that ends with no incumbent or
-    out of budget ends the call.  All share one node count, so a component
+    as a TIMEOUT ends the call.  All share one node count, so a component
     that starts with the budget spent allows the cuts at depth 0 and no
     node.  A TIMEOUT carries a roster only when every component has one.
     """
@@ -258,7 +264,7 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
                 coverage_cuts += 1
             else:
                 search(0, 0, top)
-        except _OutOfBudget:
+        except (_OutOfBudget, RecursionError):
             status = TIMEOUT
         if best is not None:
             total += int(best_cost)

@@ -370,7 +370,7 @@ def reconstruct(
             if choice is None:
                 if len(cover_picks) >= MEMO_PICKS_PER_NURSE:
                     cover_picks.clear()
-                choice = cover_picks[short] = _argmax_cover(instance, coverage, nurse, short)
+                choice = cover_picks[short] = _argmax_cover(instance, short, nurse)
         elif u < p12:
             # _band_state inline; shortfall mode is shortfall_bits()
             if indicator:
@@ -383,7 +383,7 @@ def reconstruct(
                 if len(combined_picks) >= MEMO_PICKS_PER_NURSE:
                     combined_picks.clear()
                 choice = combined_picks[state] = _argmax_combined(
-                    instance, coverage, weights, nurse, e_mode, state
+                    instance, weights, e_mode, nurse, state
                 )
         else:
             choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
@@ -394,17 +394,14 @@ def reconstruct(
     return result
 
 
-def _argmax_cover(
-    instance: Instance, coverage: CoverageState, nurse: Nurse, short: int
-) -> int:
+def _argmax_cover(instance: Instance, short: int, nurse: Nurse) -> int:
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
 
     No pattern fills more than min(short cells, Instance.longest) of them,
     so the first pattern filling that many wins outright and the scan stops
-    there; otherwise the first maximum wins.  coverage is unused, and stale
-    while reconstruct's loop runs (the loop writes its picks back after it):
-    it keeps the nurse at args[2], where perfbench's shims read it, and
-    tests/test_bench_contract.py fails if it moves.
+    there; otherwise the first maximum wins.  The pick reads the mask alone,
+    never the coverage state.  The nurse stays at args[2], where perfbench's
+    shims read her, and tests/test_bench_contract.py fails if she moves.
     """
     ids, bits = instance.cover_scan[nurse.id]
     full, best = min(short.bit_count(), instance.longest[nurse.id]), -1
@@ -418,21 +415,16 @@ def _argmax_cover(
 
 
 def _argmax_combined(
-    instance: Instance,
-    coverage: CoverageState,
-    weights: EvalWeights,
-    nurse: Nurse,
-    e_mode: str,
-    state: int,
+    instance: Instance, weights: EvalWeights, e_mode: str, nurse: Nurse, state: int
 ) -> int:
     """Combined-rule pick for the nurse's band state (see _band_state).
 
     The nurse's combined_scan rows go through _scan_combined, which runs
     cheapest first and stops at the first cost whose bound falls below the
-    best score; equal scores go to the earlier feasible position.  coverage
-    is unused, and stale while reconstruct's loop runs (the loop writes its
-    picks back after it): it keeps the nurse at args[3], where perfbench's
-    shims read it, and tests/test_bench_contract.py fails if it moves.
+    best score; equal scores go to the earlier feasible position.  The pick
+    reads the band state alone, never the coverage state.  The nurse stays
+    at args[3], where perfbench's shims read her, and
+    tests/test_bench_contract.py fails if she moves.
     """
     terms = _band_terms(instance, weights, nurse.grade, instance.longest[nurse.id], e_mode, state)
     return _scan_combined(instance.combined_scan[nurse.id], weights.w_p, terms)[1]

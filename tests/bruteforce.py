@@ -226,6 +226,21 @@ def shortfall_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
     ]
 
 
+def residual_by_definition(instance: Instance, roster: Roster) -> int:
+    """CoverageState.rest from the counts: 2**(w-1) + demand - 1 - covered per field.
+
+    The field of cell (period k, band s+1) starts at bit s * band_span +
+    k * field_width, w = field_width wide.
+    """
+    w, span = instance.field_width, instance.band_span
+    covered = coverage_matrix(instance, roster)
+    return sum(
+        ((1 << (w - 1)) + instance.demand.r[k][s] - 1 - covered[k][s]) << (s * span + k * w)
+        for k in range(N_PERIODS)
+        for s in range(instance.g)
+    )
+
+
 def cover_value_by_definition(
     instance: Instance, roster: Roster, i: int, j: int
 ) -> int:

@@ -37,6 +37,14 @@ def write_instance(tmp_path: Path, name="case.nrp", seed=60) -> Path:
     return path
 
 
+def write_deep_instance(tmp_path: Path) -> Path:
+    """An instance whose components hold more nurses than the exact
+    solver's search can recurse through."""
+    path = tmp_path / "deep.nrp"
+    save_instance(generate_instance(GeneratorParams(n=2600, m=12, g=1)), path)
+    return path
+
+
 def assert_one_line_error(capsys, *words) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -385,6 +393,11 @@ class TestExact:
         path = write_instance(tmp_path)
         assert main(["exact", str(path), "--node-budget", "1"]) == EXIT_TIMEOUT
 
+    def test_a_search_too_deep_for_the_stack_exits_as_a_timeout(self, tmp_path, capsys):
+        assert main(["exact", str(write_deep_instance(tmp_path))]) == EXIT_TIMEOUT
+        captured = capsys.readouterr()
+        assert "status: timeout" in captured.out and captured.err == ""
+
     def test_timeout_reports_at_most_the_budget(self, tmp_path, capsys):
         path = write_instance(tmp_path)
         assert main(["exact", str(path), "--node-budget", "3"]) == EXIT_TIMEOUT
@@ -559,6 +572,23 @@ class TestGen:
         assert code == EXIT_OK
         assert "timeout" in capsys.readouterr().err
         assert load_instance(out_dir / "inst_000.nrp").known_optimal is None
+
+    def test_a_search_too_deep_for_the_stack_during_gen_warns_and_omits_optimal(
+        self, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "suite"
+        code = main([
+            "gen", "--out-dir", str(out_dir), "--count", "1", "--n", "2600", "--m", "12",
+            "--g", "1", "--with-optimal",
+        ])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: instance 0: exact solve ended with timeout; written without OPTIMAL\n"
+        )
+        written = out_dir / "inst_000.nrp"
+        assert load_instance(written).known_optimal is None
+        assert written.read_bytes() == write_deep_instance(tmp_path).read_bytes()
 
 
 def _config(**fields) -> SolverConfig:

@@ -210,7 +210,7 @@ def test_scan_lists_on_hand_built_instance():
                     nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
                 )
                 short = _focus_mask(instance, coverage, nurse)
-                assert _argmax_cover(instance, coverage, nurse, short) == expected
+                assert _argmax_cover(instance, short, nurse) == expected
                 for mode in E_MODES:
                     expected = first_argmax(
                         nurse.feasible,
@@ -219,9 +219,7 @@ def test_scan_lists_on_hand_built_instance():
                         ),
                     )
                     state = _band_state(instance, coverage, nurse, mode)
-                    assert _argmax_combined(
-                        instance, coverage, weights, nurse, mode, state
-                    ) == expected
+                    assert _argmax_combined(instance, weights, mode, nurse, state) == expected
 
 
 def test_cover_argmax_matches_definition():
@@ -230,7 +228,7 @@ def test_cover_argmax_matches_definition():
     for trial in range(TRIALS):
         instance, roster = random_state(rng, trial)
         coverage = compute_coverage(instance, roster)
-        for i in roster.unassigned_ids():
+        for i in [i for i, j in enumerate(roster.assignment) if j is None]:
             nurse = instance.nurses[i]
             values = [
                 cover_value_by_definition(instance, roster, i, j) for j in nurse.feasible
@@ -241,7 +239,7 @@ def test_cover_argmax_matches_definition():
                 nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
             )
             short = _focus_mask(instance, coverage, nurse)
-            assert _argmax_cover(instance, coverage, nurse, short) == expected
+            assert _argmax_cover(instance, short, nurse) == expected
     assert ties > 50  # the tie-break to the first pattern was exercised
     assert dropped >= 10, dropped  # and a pattern left out of the scan tied the maximum
 
@@ -255,7 +253,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
         drawn = random_weights(rng, instance.g)
         # with w_p = 0 a dropped pattern ties its earlier superset whatever they cost
         for weights in (drawn, replace(drawn, w_p=0.0)):
-            for i in roster.unassigned_ids():
+            for i in [i for i, j in enumerate(roster.assignment) if j is None]:
                 nurse = instance.nurses[i]
                 for mode in E_MODES:
 
@@ -275,9 +273,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
                     )
                     expected = first_argmax(nurse.feasible, by_definition)
                     state = _band_state(instance, coverage, nurse, mode)
-                    assert _argmax_combined(
-                        instance, coverage, weights, nurse, mode, state
-                    ) == expected
+                    assert _argmax_combined(instance, weights, mode, nurse, state) == expected
     # a pattern left out of the scan tied the maximum, in each mode
     assert min(dropped.values()) >= 10, dropped
 
@@ -286,7 +282,7 @@ def combined_repair_by_definition(instance, roster, weights, mode) -> list[int]:
     """The combined rule's repair: each freed nurse, ascending, takes the first
     argmax of the definition on the roster repaired so far."""
     out = roster.copy()
-    for i in roster.unassigned_ids():
+    for i in [i for i, j in enumerate(roster.assignment) if j is None]:
         out.assignment[i] = first_argmax(
             instance.nurses[i].feasible,
             lambda j: combined_score_by_definition(
@@ -306,7 +302,7 @@ def test_band_weights_past_the_list_match_definition():
         zero_past = replace(weights, w_grade=weights.w_grade + (0.0,) * (g - len(weights.w_grade)))
         coverage = compute_coverage(instance, roster)
         for mode in E_MODES:
-            for i in roster.unassigned_ids():
+            for i in [i for i, j in enumerate(roster.assignment) if j is None]:
                 nurse = instance.nurses[i]
 
                 def by_definition(j, weights=weights):
@@ -320,9 +316,7 @@ def test_band_weights_past_the_list_match_definition():
                     )
                 expected = first_argmax(nurse.feasible, by_definition)
                 state = _band_state(instance, coverage, nurse, mode)
-                assert _argmax_combined(
-                    instance, coverage, weights, nurse, mode, state
-                ) == expected
+                assert _argmax_combined(instance, weights, mode, nurse, state) == expected
                 changed += expected != first_argmax(
                     nurse.feasible, lambda j: by_definition(j, zero_past)
                 )
@@ -415,8 +409,8 @@ def test_reach_mask_keeps_every_pick():
             works = instance.reach[nurse.id] >> (nurse.grade - 1) * instance.band_span
             short = _focus_mask(instance, coverage, nurse)
             masked_cover += short != short & works
-            assert _argmax_cover(instance, coverage, nurse, short & works) == (
-                _argmax_cover(instance, coverage, nurse, short)
+            assert _argmax_cover(instance, short & works, nurse) == _argmax_cover(
+                instance, short, nurse
             )
             for mode in E_MODES:
                 state = _band_state(instance, coverage, nurse, mode)
@@ -430,9 +424,9 @@ def test_reach_mask_keeps_every_pick():
                     _scan_combined((row,), weights.w_p, terms)[0]
                     for row in instance.combined_scan[nurse.id]
                 ]
-                assert _argmax_combined(
-                    instance, coverage, weights, nurse, mode, state & works
-                ) == _argmax_combined(instance, coverage, weights, nurse, mode, state)
+                assert _argmax_combined(instance, weights, mode, nurse, state & works) == (
+                    _argmax_combined(instance, weights, mode, nurse, state)
+                )
     assert masked_cover > 500 and masked_combined > 1000, (masked_cover, masked_combined)
 
 
@@ -455,7 +449,7 @@ def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
         scores = [combined_score(instance, coverage, weights, 0, j, mode) for j in (0, 1)]
         assert scores == [tie, tie]
         state = _band_state(instance, coverage, nurse, mode)
-        assert _argmax_combined(instance, coverage, weights, nurse, mode, state) == 0
+        assert _argmax_combined(instance, weights, mode, nurse, state) == 0
         config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
         repaired = reconstruct(instance, roster, config, weights, random.Random(0))
         assert repaired.assignment == [0]
@@ -474,7 +468,7 @@ def test_the_cover_rule_returns_the_first_of_two_patterns_filling_every_short_ce
     for nurse, first_full in zip(instance.nurses, (1, 2)):
         assert len(instance.cover_scan[nurse.id][0]) == 3
         short = _focus_mask(instance, coverage, nurse)
-        assert _argmax_cover(instance, coverage, nurse, short) == first_full
+        assert _argmax_cover(instance, short, nurse) == first_full
 
 
 def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkeypatch):
@@ -502,7 +496,7 @@ def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkey
         short = _focus_mask(instance, coverage, nurse)
         assert short.bit_count() == 5
         rows_scored["cover"] = 0
-        assert reconstruct_module._argmax_cover(instance, coverage, nurse, short) == pick
+        assert reconstruct_module._argmax_cover(instance, short, nurse) == pick
         assert rows_scored["cover"] == scored
         assert pick == first_argmax(
             nurse.feasible, lambda j: cover_value_by_definition(instance, roster, nurse.id, j)
@@ -540,7 +534,7 @@ def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatc
         for roster in (partial, Roster.empty(instance.n), one_nurse):
             coverage = compute_coverage(instance, roster)
             for weights in weight_sets:
-                for i in roster.unassigned_ids():
+                for i in [i for i, j in enumerate(roster.assignment) if j is None]:
                     nurse, longest = instance.nurses[i], instance.longest[i]
                     rows = instance.combined_scan[i]
                     for mode in E_MODES:
@@ -566,7 +560,7 @@ def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatc
                         assert bounds == sorted(bounds, reverse=True)
                         capped += binds
                         rows_scored["combined"] = 0
-                        pick = _argmax_combined(instance, coverage, weights, nurse, mode, state)
+                        pick = _argmax_combined(instance, weights, mode, nurse, state)
                         assert pick == first_argmax(
                             nurse.feasible,
                             lambda j: combined_score_by_definition(
@@ -577,7 +571,7 @@ def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatc
                             assert rows_scored["combined"] == len(rows)
                         skipped += len(rows) - rows_scored["combined"]
                     short = _focus_mask(instance, coverage, nurse)
-                    assert _argmax_cover(instance, coverage, nurse, short) == first_argmax(
+                    assert _argmax_cover(instance, short, nurse) == first_argmax(
                         nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
                     )
                     cover_checked += 1

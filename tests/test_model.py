@@ -16,10 +16,16 @@ from nrp.model import (
     preference_cost,
 )
 
-from nrp.oracle import _components, _tables
+from nrp.oracle import OPTIMAL, _components, _tables, exact_solve
 from nrp.reconstruct import _band_terms, _focus_mask
 
-from bruteforce import coverage_matrix, feasible_by_definition, qualified
+from bruteforce import (
+    coverage_matrix,
+    feasible_by_definition,
+    qualified,
+    residual_by_definition,
+    shortfall_matrix,
+)
 from conftest import (
     complete_roster,
     demand_rows,
@@ -124,9 +130,10 @@ class TestRosterCopy:
 
 class TestComputeCoverage:
     def test_empty_roster_covers_nothing(self, week_instance):
-        state = compute_coverage(week_instance, Roster.empty(week_instance.n))
-        assert all(v == 0 for row in state.covered for v in row)
-        assert tuple(tuple(row) for row in state.shortfall) == week_instance.demand.r
+        empty = Roster.empty(week_instance.n)
+        state = compute_coverage(week_instance, empty)
+        assert state.rest == residual_by_definition(week_instance, empty)
+        assert state.total_shortfall() == sum(map(sum, week_instance.demand.r))
 
     def test_single_weekday_nurse_covers_all_bands(self):
         # one grade-1 nurse on Mon-Fri days, demand 1 everywhere, 3 bands
@@ -136,14 +143,14 @@ class TestComputeCoverage:
             flat_demand(3, 1),
         )
         state = compute_coverage(inst, Roster([0]))
-        for k in range(N_PERIODS):
-            for s in range(3):
-                if k < 5:
-                    assert state.covered[k][s] == 1
-                    assert state.shortfall[k][s] == 0
-                else:
-                    assert state.covered[k][s] == 0
-                    assert state.shortfall[k][s] == 1
+        # field (k, s) holds 2**(w-1) + demand - 1 - covered: covered 1 on weekdays
+        w, span = inst.field_width, inst.band_span
+        assert state.rest == sum(
+            ((1 << (w - 1)) - (k < 5)) << (s * span + k * w)
+            for k in range(N_PERIODS) for s in range(3)
+        )
+        assert state.rest == residual_by_definition(inst, Roster([0]))
+        assert state.total_shortfall() == 3 * (N_PERIODS - 5)
 
     def test_rejects_assignment_outside_feasible_set(self, week_instance):
         roster = Roster([1, None, None])  # pattern 1 is not feasible for nurse 0
@@ -160,7 +167,7 @@ class TestComputeCoverage:
                 [rng.choice(nurse.feasible) for nurse in inst.nurses]
             )
             state = compute_coverage(inst, roster)
-            assert state.covered == coverage_matrix(inst, roster)
+            assert state.rest == residual_by_definition(inst, roster)
 
     def test_incremental_updates_match_scratch_recompute(self):
         rng = random.Random(21)
@@ -177,9 +184,8 @@ class TestComputeCoverage:
                 else:
                     state.remove(i, roster.assignment[i])
                     roster.assignment[i] = None
+                state.check(roster)
                 fresh = compute_coverage(inst, roster)
-                assert state.covered == fresh.covered
-                assert state.shortfall == fresh.shortfall
                 assert state.total_shortfall() == fresh.total_shortfall()
 
     def test_shortfall_always_consistent_with_covered(self):
@@ -188,10 +194,39 @@ class TestComputeCoverage:
             inst = generate_instance(GeneratorParams(n=5, m=8, g=2, seed=300 + trial))
             roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
             state = compute_coverage(inst, roster)
-            for k in range(N_PERIODS):
-                for s in range(inst.g):
-                    expected = max(inst.demand.r[k][s] - state.covered[k][s], 0)
-                    assert state.shortfall[k][s] == expected
+            assert state.rest == residual_by_definition(inst, roster)
+            short = shortfall_matrix(inst, roster)
+            w, span = inst.field_width, inst.band_span
+            assert state.shortfall_bits() == sum(
+                short[k][s] << (s * span + k * w) for k in range(N_PERIODS) for s in range(inst.g)
+            )
+
+
+class TestRosterLength:
+    """A roster holds one entry per nurse; any other length is rejected."""
+
+    def optimum(self):
+        inst = generate_instance(GeneratorParams(n=6, m=12, g=3, seed=0, tightness=0.3))
+        result = exact_solve(inst)
+        assert result.status == OPTIMAL and result.optimal_cost == 132
+        return inst, result.optimal_roster.assignment
+
+    def test_a_roster_one_nurse_short_is_rejected(self):
+        inst, best = self.optimum()
+        short = Roster(best[:-1])  # it would cost 127, below the optimum
+        for call in (compute_coverage, is_feasible, preference_cost):
+            with pytest.raises(InvalidRosterError, match="5 roster entries for 6 nurses"):
+                call(inst, short)
+
+    def test_a_roster_one_entry_long_is_rejected(self):
+        inst, best = self.optimum()
+        long = Roster(best + [best[0]])
+        for call in (compute_coverage, preference_cost):
+            with pytest.raises(InvalidRosterError, match="7 roster entries for 6 nurses"):
+                call(inst, long)
+        state = compute_coverage(inst, Roster(best))
+        with pytest.raises(ValueError):  # as check's docstring promises
+            state.check(long)
 
 
 def random_packing_instance(rng: random.Random, trial: int, sparse: bool = False):
@@ -255,8 +290,7 @@ class TestPackedCoverage:
             [max(demand[k][s] - covered[k][s], 0) for s in range(instance.g)]
             for k in range(N_PERIODS)
         ]
-        assert state.covered == covered
-        assert state.shortfall == short
+        assert state.rest == residual_by_definition(instance, roster)
         assigned = [(i, j) for i, j in enumerate(roster.assignment) if j is not None]
         for i, j in assigned:
             assert state.costs[i] == instance.nurses[i].pref_cost[j]
@@ -341,7 +375,7 @@ class TestPackedCoverage:
     def test_focus_mask_is_the_first_short_band_the_nurse_serves(self):
         focused = unfocused = 0
         for inst, roster, state in random_sequences(random.Random(71), sparse=True):
-            short = state.shortfall
+            short = shortfall_matrix(inst, roster)
             for nurse in inst.nurses:
                 served = [
                     s for s in range(nurse.grade - 1, inst.g)
@@ -399,7 +433,7 @@ class TestPackedCoverage:
                     state = compute_coverage(inst, roster)
                     if top == inst.demand_bits - inst.low_bits:  # the empty roster's rest
                         assert rest == state.rest
-                    short = state.shortfall
+                    short = shortfall_matrix(inst, roster)
                     hopeless, forced, counts = [], {}, 0
                     for s in range(inst.g):
                         can = [

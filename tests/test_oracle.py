@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 
 import pytest
@@ -101,6 +102,18 @@ def test_timeout_reports_a_feasible_costed_incumbent():
             assert preference_cost(inst, result.optimal_roster) == result.optimal_cost
             assert result.optimal_cost >= full.optimal_cost
     assert with_roster >= 10 and without >= 6  # both outcomes were exercised
+
+
+def test_a_component_too_deep_for_the_stack_times_out():
+    """The search recurses once per nurse of a component, so one of more
+    nurses than the recursion limit ends as a TIMEOUT, not a RecursionError."""
+    inst = generate_instance(GeneratorParams(n=2600, m=12, g=1))
+    components, _ = _components(inst)
+    assert max(len(ids) for ids, _ in components) > sys.getrecursionlimit()
+    result = exact_solve(inst)
+    assert result.status == TIMEOUT
+    assert result.optimal_cost is None and result.optimal_roster is None
+    assert 0 < result.nodes_explored < NODE_BUDGET
 
 
 def test_node_budget_below_one_is_rejected():
