@@ -13,14 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    CoverageState,
-    IncompleteRosterError,
-    Instance,
-    Roster,
-    compute_coverage,
-    preference_cost,
-)
+from .model import CoverageState, IncompleteRosterError, Instance, Roster
 
 
 @dataclass(frozen=True)
@@ -92,10 +85,7 @@ def coverage_contribution(
 
 
 def component_fitness_all(
-    instance: Instance,
-    roster: Roster,
-    weights: EvalWeights,
-    coverage: CoverageState | None = None,
+    instance: Instance, roster: Roster, weights: EvalWeights, coverage: CoverageState
 ) -> list[float]:
     """Fitness w1 * f1 + w2 * f2 of every nurse's assignment, one snapshot.
 
@@ -103,14 +93,13 @@ def component_fitness_all(
     expensive; f2 is 1 for the largest coverage contribution and 0 for the
     smallest.  Normalization bounds are the min/max preference costs and
     coverage contributions among the n current assignments.  Degenerate
-    bounds (all equal) pin the corresponding part to 0.5.  The costs are
-    read from the coverage state, which must match the roster; without one
-    a state is built from the roster.
+    bounds (all equal) pin the corresponding part to 0.5.  The caller passes
+    the coverage state, which must match the roster: the solver its run's
+    state, anyone else compute_coverage(instance, roster).  The costs and
+    the contributions are read from it.
     """
     if not roster.is_complete():
         raise IncompleteRosterError("fitness is only defined for complete rosters")
-    if coverage is None:
-        coverage = compute_coverage(instance, roster)
 
     costs = coverage.costs
     contribs = _contributions(instance, roster, coverage)
@@ -129,22 +118,14 @@ def component_fitness_all(
     return result
 
 
-def penalized_cost(
-    instance: Instance,
-    roster: Roster,
-    weights: EvalWeights,
-    coverage: CoverageState | None = None,
-) -> float:
+def penalized_cost(roster: Roster, weights: EvalWeights, coverage: CoverageState) -> float:
     """Preference cost plus w_demand per uncovered (period, band) shift.
 
-    The preference cost is the coverage state's kept total, which must
-    match the roster; without a state it is summed from the roster.
+    The caller passes the coverage state, which must match the roster: the
+    solver its run's state, anyone else compute_coverage(instance, roster).
+    The preference cost is the state's kept total, and the roster is read
+    only to refuse an incomplete one.
     """
-    if coverage is None:
-        cost = preference_cost(instance, roster)
-        coverage = compute_coverage(instance, roster)
-    elif None in roster.assignment:
+    if None in roster.assignment:
         raise IncompleteRosterError(f"nurse {roster.assignment.index(None)} is unassigned")
-    else:
-        cost = coverage.cost
-    return cost + weights.w_demand * coverage.total_shortfall()
+    return coverage.cost + weights.w_demand * coverage.total_shortfall()

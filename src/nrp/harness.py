@@ -21,7 +21,7 @@ from .eliminate import EliminationConfig
 from .instance_io import load_instance
 from .model import Instance
 from .reconstruct import ReconstructionConfig
-from .solver import RunResult, SolverConfig, run, run_construction_only
+from .solver import RNG_KIND, RunResult, SolverConfig, run, run_construction_only
 
 CENSOR_COST = 255.0  # stand-in cost for runs that never reach feasibility
 
@@ -208,7 +208,7 @@ def run_csv_row(name: str, result: RunResult) -> str:
             "1" if result.best_feasible else "0",
             str(result.iterations_executed),
             str(result.iteration_of_best),
-            result.rng_kind,
+            RNG_KIND,
         ]
     )
 
@@ -241,16 +241,12 @@ class AblationSpec:
                 raise ValueError(f"{name}: {repeated[0]} is listed twice")
 
 
-def ablation_csv(
-    named_instances: list[tuple[str, Instance]],
-    spec: AblationSpec,
-    threads: int | None = None,
-) -> str:
+def ablation_csv(named_instances: list[tuple[str, Instance]], spec: AblationSpec) -> str:
     """Censored-mean matrix: budget sweep columns, then preset columns.
 
     Columns with equal RunSpecs share one batch per instance: at the
     defaults the full preset column repeats iters_50000, so it is not run
-    again.
+    again.  Each batch runs on run_batch's default worker_count() processes.
     """
     if not named_instances:
         raise ValueError("ablation_csv needs at least one instance")
@@ -262,7 +258,7 @@ def ablation_csv(
     for name, instance in named_instances:
         means = {}
         for run_spec in dict.fromkeys(run_spec for _, run_spec in columns):
-            results = run_batch(instance, run_spec, spec.runs, spec.base_seed, threads)
+            results = run_batch(instance, run_spec, spec.runs, spec.base_seed)
             means[run_spec] = sum(censored_cost(r) for r in results) / len(results)
         row = [means[run_spec] for _, run_spec in columns]
         totals = [total + mean for total, mean in zip(totals, row)]

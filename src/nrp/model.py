@@ -335,10 +335,14 @@ class CoverageState:
     of nurse i's current pattern, and cost their sum over the assigned
     nurses.  The entry of an unassigned nurse is stale and never read.
     Fitness reads costs and penalized_cost reads cost, so neither sums the
-    roster again.  The shortfall has no running total: total_shortfall()
-    adds up the level masks until one is empty.  There is no per-cell view:
-    rest fixes every count and every shortfall, so check() compares the
-    whole state, rest, costs and cost, with a recount of a roster.
+    roster again.  reconstruct, component_fitness_all and penalized_cost
+    build no state of their own: the caller passes one that matches the
+    roster, the solver its run's state and any other caller the one
+    compute_coverage(instance, roster) returns.  The shortfall has no
+    running total: total_shortfall() adds up the level masks until one is
+    empty.  There is no per-cell view: rest fixes every count and every
+    shortfall, so check() compares the whole state, rest, costs and cost,
+    with a recount of a roster.
     """
 
     __slots__ = ("instance", "rest", "costs", "cost")
@@ -433,10 +437,10 @@ def compute_coverage(instance: Instance, roster: Roster) -> CoverageState:
 def is_feasible(instance: Instance, roster: Roster) -> bool:
     """True iff the roster is complete and meets demand at every (period, band).
 
-    A complete roster goes through compute_coverage, so one whose length is
-    not n raises InvalidRosterError.
+    Every roster goes through compute_coverage first, so one whose length
+    is not n raises InvalidRosterError, complete or not.
     """
-    return roster.is_complete() and not compute_coverage(instance, roster).short_mask()
+    return not compute_coverage(instance, roster).short_mask() and roster.is_complete()
 
 
 def preference_cost(instance: Instance, roster: Roster) -> int:

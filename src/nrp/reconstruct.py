@@ -65,10 +65,9 @@ with it the bound, never rises.  The scan evaluates the bound once per
 distinct cost and stops at the first whose bound is below the best score
 so far.  Scores equal to the best go to the lower feasible position, so the
 pick is the first maximum in feasible order, as without the stop.  With
-w_p = 0 no bound falls and the whole list is scored.  On the paper's ward
-shape, whose patterns work at most 4 or 5 periods, a cover miss scores
-about 7 of the 32 patterns of a cover list, and a combined miss about 10 of
-the 53 of a combined list in indicator mode and 13 in shortfall mode.
+w_p = 0 no bound falls and the whole list is scored.  Both stops pay most
+when patterns work few periods, as on the paper's ward shape, where none
+works more than 4 or 5.
 
 A pick is a pure function of the nurse and of what its rule reads of the
 coverage, and the same states recur across the iterations of a run, so
@@ -85,14 +84,12 @@ skipped, which leaves every score's float as it was (see _band_terms); and
 the focus band is still chosen from the unmasked short mask.  The keys
 leave out the weights and the e-mode because one run fixes them, so a memo
 lasts exactly one solver run: run makes one and passes it to every
-reconstruct call, and a reconstruct call without one memoizes for itself
-only.  A memo kept across runs would hand one run's picks to another with
-different weights.  New states keep arriving over a long run, so a nurse's
-dict is emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is
-pure, emptying it changes no pick.  A rule's memo so holds at most n *
-MEMO_PICKS_PER_NURSE picks.  On the paper's ward shape (30 nurses) the memo
-of a 100,000-iteration run peaked at about 0.6 MB; unbounded, it reached
-about 3 MB in shortfall mode, whose states vary the most.
+reconstruct call, and run_construction_only makes one for its one pass.  A
+memo kept across runs would hand one run's picks to another with different
+weights.  New states keep arriving over a long run, so a nurse's dict is
+emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is pure,
+emptying it changes no pick.  A rule's memo so holds at most n *
+MEMO_PICKS_PER_NURSE picks.
 """
 
 from __future__ import annotations
@@ -108,7 +105,6 @@ from .model import (
     InvalidRosterError,
     Nurse,
     Roster,
-    compute_coverage,
 )
 
 E_MODES = ("indicator", "shortfall")
@@ -327,29 +323,25 @@ def reconstruct(
     config: ReconstructionConfig,
     weights: EvalWeights,
     rng: random.Random,
-    coverage: CoverageState | None = None,
-    memo: PickMemo | None = None,
+    coverage: CoverageState,
+    memo: PickMemo,
 ) -> Roster:
     """Assign every freed nurse a pattern; existing assignments are kept.
 
     Per freed nurse (ascending id) one uniform draw selects the rule; the
     random rule consumes one extra draw to index the feasible set.  Ties on
-    rule scores go to the first pattern in the nurse's feasible list.  When a
-    coverage state is passed in it must match the input roster; it is brought
-    in place to the returned complete roster, with one write-back after the
-    last pick.  A memo passed in must come from the same run (same instance,
-    config and weights); without one the picks are memoized for this call
-    only.
+    rule scores go to the first pattern in the nurse's feasible list.  The
+    caller passes the coverage state, which must match the input roster
+    (the solver its run's state, anyone else compute_coverage(instance,
+    roster)); it is brought in place to the returned complete roster, with
+    one write-back after the last pick.  The memo must come from the same
+    run (same instance, config and weights), or be a new PickMemo(instance).
+    A complete roster comes back as an equal new roster, with no draw and
+    the state as it was.
     """
     result = roster.copy()
     assignment = result.assignment
     free = [i for i, j in enumerate(assignment) if j is None]
-    if not free:
-        return result
-    if coverage is None:
-        coverage = compute_coverage(instance, roster)
-    if memo is None:
-        memo = PickMemo(instance)
     rows = memo.nurses
     span, band, low_bits, guard_bits, guard_shift = memo.layout
     p1, p12 = config.p1, config.p1 + config.p2

@@ -21,9 +21,8 @@ next: with no free nurse reconstruct draws nothing and returns the same
 roster, whose penalized cost was already compared with the best when it was
 made (or set the best, as the start roster).  So the repair, the release
 loop and the cost test are skipped, and no draw, pick or float changes.
-That is 10.6% of a desk-batch pass's iterations, 0.6% of ward-paper's, and
-about three quarters, (1 - r_m)**n at n = 4-6, of a desk run with only the
-random elimination.
+With only the random elimination on, an iteration releases no one with
+probability (1 - r_m)**n, which is large on small instances.
 
 The penalized cost is computed only when it can beat the best.  It is the
 kept preference cost plus w_demand times the total shortfall, and every
@@ -33,9 +32,6 @@ w_demand <= 0, ints convert to float exactly, and float rounding is
 monotone, so when the kept cost plus w_demand per short cell is not below
 the best, neither is the penalized cost, and the loop goes on without
 summing the shortfall.  With no short cell the test is the kept cost alone.
-Over the six 200-iteration ward-paper runs that leaves 51 of 1,206 sums (61
-with the kept cost alone as the bound), and 802 of a desk-batch pass's
-52,988 iterations (14,393).
 
 Fitness memo.  A run keeps the fitness lists it has computed, keyed by the
 roster's assignment tuple, and calls component_fitness_all only for a roster
@@ -43,11 +39,10 @@ it has not met.  Fitness is a pure function of the instance, the roster and
 the weights, and one run fixes the instance and the weights, so the memo
 changes no float, no rng draw and no pick; like the PickMemo it must not
 outlive its run.  On desk-size instances the search keeps coming back to the
-same few rosters: about 93% of fitness calls score a roster the run has
-already scored.  On the paper's ward shape about 5% do.  The memo is emptied
-once it holds FITNESS_MEMO_ROSTERS rosters, which every desk-size run fits
-and which keeps it under about 0.4 MB at n = 30.  Fitness is only computed
-when fitness elimination is on.
+same few rosters, so most fitness calls score a roster the run has already
+scored; on the paper's ward shape few do.  The memo is emptied once it
+holds FITNESS_MEMO_ROSTERS rosters, which every desk-size run fits.
+Fitness is only computed when fitness elimination is on.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ from .evaluate import EvalWeights, component_fitness_all, penalized_cost
 from .model import CoverageState, Instance, Roster, compute_coverage
 from .reconstruct import PickMemo, ReconstructionConfig, reconstruct
 
-RNG_KIND = "mt19937"  # python random.Random; recorded in results for replay
+RNG_KIND = "mt19937"  # python random.Random; the run CSV's rng column, for replay
 FITNESS_MEMO_ROSTERS = 256  # per run; see the module docstring
 
 
@@ -97,7 +92,6 @@ class RunResult:
     iteration_of_best: int
     wall_time: float
     seed: int
-    rng_kind: str = RNG_KIND
     trajectory: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -121,7 +115,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
 
     roster = initial_roster(instance, rng)
     coverage = compute_coverage(instance, roster)
-    cost = penalized_cost(instance, roster, weights, coverage=coverage)
+    cost = penalized_cost(roster, weights, coverage)
 
     best_cost = cost
     best_roster = roster.copy()
@@ -156,7 +150,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                     if len(fitness_memo) >= FITNESS_MEMO_ROSTERS:
                         fitness_memo.clear()
                     fitness = fitness_memo[key] = component_fitness_all(
-                        instance, roster, weights, coverage=coverage
+                        instance, roster, weights, coverage
                     )
                 partial = eliminate_by_fitness(roster, fitness, elim, rng)
             else:
@@ -177,7 +171,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
             # each short cell is short by at least 1
             if coverage.cost + w_demand * (coverage.rest & guard_bits).bit_count() >= best_cost:
                 continue  # the full shortfall term cannot bring it lower
-            cost = penalized_cost(instance, roster, weights, coverage)
+            cost = penalized_cost(roster, weights, coverage)
 
             if cost < best_cost:
                 best_cost = cost
@@ -207,10 +201,9 @@ def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult
     started = time.perf_counter()
 
     coverage = CoverageState(instance)  # reconstruct brings it up to the roster
-    roster = reconstruct(
-        instance, Roster.empty(instance.n), config.recon, weights, rng, coverage
-    )
-    cost = penalized_cost(instance, roster, weights, coverage=coverage)
+    roster = reconstruct(instance, Roster.empty(instance.n), config.recon, weights, rng,
+                         coverage, PickMemo(instance))
+    cost = penalized_cost(roster, weights, coverage)
 
     return RunResult(
         best_cost=cost,

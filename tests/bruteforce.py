@@ -226,6 +226,12 @@ def shortfall_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
     ]
 
 
+def penalized_cost_by_definition(instance: Instance, roster: Roster, weights) -> float:
+    """pref_cost summed over a complete roster plus w_demand times the summed shortfall_matrix."""
+    cost = sum(instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment))
+    return cost + weights.w_demand * sum(map(sum, shortfall_matrix(instance, roster)))
+
+
 def residual_by_definition(instance: Instance, roster: Roster) -> int:
     """CoverageState.rest from the counts: 2**(w-1) + demand - 1 - covered per field.
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from nrp.model import N_PERIODS, Demand, Instance, Nurse, Roster, ShiftPattern
+from nrp.model import N_PERIODS, Demand, Instance, Nurse, Roster, ShiftPattern, compute_coverage
+from nrp.reconstruct import PickMemo, reconstruct
 
 
 def pattern(pid: int, *periods: int) -> ShiftPattern:
@@ -34,6 +35,14 @@ def make_instance(patterns, nurses, demand, g=None, known_optimal=None) -> Insta
         demand=demand,
         known_optimal=known_optimal,
     )
+
+
+def repair(instance, roster, config, weights, rng, memo=None) -> Roster:
+    """reconstruct on a state recounted from the roster and on memo, or on a
+    new PickMemo of the call's own when none is given."""
+    memo = PickMemo(instance) if memo is None else memo
+    return reconstruct(instance, roster, config, weights, rng,
+                       compute_coverage(instance, roster), memo)
 
 
 def count_solver_calls(monkeypatch) -> dict[str, int]:

@@ -19,7 +19,7 @@ from nrp.model import (
     preference_cost,
 )
 
-from bruteforce import contribution_by_removal
+from bruteforce import contribution_by_removal, penalized_cost_by_definition
 from conftest import demand_rows, field_maximum_instance, flat_demand, make_instance, pattern
 
 
@@ -138,16 +138,26 @@ PREFERENCE = EvalWeights(w1=1.0, w2=0.0)  # fitness equals the preference part f
 COVERAGE = EvalWeights(w1=0.0, w2=1.0)  # fitness equals the coverage part f2
 
 
+def fitness(inst, roster, weights):
+    """component_fitness_all on a state recounted from the roster."""
+    return component_fitness_all(inst, roster, weights, compute_coverage(inst, roster))
+
+
+def penalized(inst, roster, weights):
+    """penalized_cost on a state recounted from the roster."""
+    return penalized_cost(roster, weights, compute_coverage(inst, roster))
+
+
 class TestComponentFitness:
     def test_cheapest_assignment_gets_full_preference_fitness(self):
         inst = three_nurse_instance([0, 10, 100])
-        fits = component_fitness_all(inst, Roster([0, 1, 2]), PREFERENCE)
+        fits = fitness(inst, Roster([0, 1, 2]), PREFERENCE)
         assert fits[0] == 1.0
         assert fits[2] == 0.0
 
     def test_middle_cost_interpolates(self):
         inst = three_nurse_instance([0, 10, 100])
-        fits = component_fitness_all(inst, Roster([0, 1, 2]), PREFERENCE)
+        fits = fitness(inst, Roster([0, 1, 2]), PREFERENCE)
         assert fits[1] == pytest.approx(0.9)
 
     def test_largest_contribution_gets_full_coverage_fitness(self):
@@ -156,13 +166,13 @@ class TestComponentFitness:
         nurses = [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})]
         inst = make_instance(patterns, nurses, flat_demand(1, 1))
         roster = Roster([0, 1])
-        fits = component_fitness_all(inst, roster, COVERAGE)
+        fits = fitness(inst, roster, COVERAGE)
         assert fits[0] == 1.0
         assert fits[1] == 0.0
 
     def test_all_equal_costs_pin_preference_to_half(self):
         inst = three_nurse_instance([7, 7, 7])
-        fits = component_fitness_all(inst, Roster([0, 1, 2]), PREFERENCE)
+        fits = fitness(inst, Roster([0, 1, 2]), PREFERENCE)
         assert all(f == 0.5 for f in fits)
 
     def test_combined_is_weighted_blend_in_unit_range(self):
@@ -172,9 +182,9 @@ class TestComponentFitness:
             roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
             w = EvalWeights(w1=0.3, w2=0.7)
             parts = zip(
-                component_fitness_all(inst, roster, PREFERENCE),
-                component_fitness_all(inst, roster, COVERAGE),
-                component_fitness_all(inst, roster, w),
+                fitness(inst, roster, PREFERENCE),
+                fitness(inst, roster, COVERAGE),
+                fitness(inst, roster, w),
             )
             for preference, coverage, combined in parts:
                 assert 0.0 <= preference <= 1.0
@@ -184,12 +194,8 @@ class TestComponentFitness:
     def test_preference_fitness_shift_invariant(self):
         base = [5, 20, 60]
         shifted = [c + 30 for c in base]
-        fits_a = component_fitness_all(
-            three_nurse_instance(base), Roster([0, 1, 2]), PREFERENCE
-        )
-        fits_b = component_fitness_all(
-            three_nurse_instance(shifted), Roster([0, 1, 2]), PREFERENCE
-        )
+        fits_a = fitness(three_nurse_instance(base), Roster([0, 1, 2]), PREFERENCE)
+        fits_b = fitness(three_nurse_instance(shifted), Roster([0, 1, 2]), PREFERENCE)
         for a, b in zip(fits_a, fits_b):
             assert a == pytest.approx(b)
 
@@ -209,33 +215,33 @@ class TestComponentFitness:
                     roster.assignment[i] = rng.choice(inst.nurses[i].feasible)
                     state.add(i, roster.assignment[i])
                 for weights in (EvalWeights(), PREFERENCE, COVERAGE):
-                    kept = component_fitness_all(inst, roster, weights, coverage=state)
-                    assert kept == component_fitness_all(inst, roster, weights)
-                    assert penalized_cost(inst, roster, weights, coverage=state) == (
-                        penalized_cost(inst, roster, weights))
+                    kept = component_fitness_all(inst, roster, weights, state)
+                    assert kept == fitness(inst, roster, weights)
+                    assert penalized_cost(roster, weights, state) == (
+                        penalized_cost_by_definition(inst, roster, weights))
 
     def test_pure_function_repeats_bit_for_bit(self, week_instance):
         roster = Roster([0, 1, 2])
-        first = component_fitness_all(week_instance, roster, EvalWeights())
-        second = component_fitness_all(week_instance, roster, EvalWeights())
+        first = fitness(week_instance, roster, EvalWeights())
+        second = fitness(week_instance, roster, EvalWeights())
         assert first == second
 
     def test_requires_complete_roster(self, week_instance):
         with pytest.raises(IncompleteRosterError):
-            component_fitness_all(week_instance, Roster([0, None, 2]), EvalWeights())
+            fitness(week_instance, Roster([0, None, 2]), EvalWeights())
 
 
 class TestPenalizedCost:
     def test_feasible_roster_equals_preference_cost(self, week_instance):
         roster = Roster([0, 1, 2])
-        assert penalized_cost(week_instance, roster, EvalWeights()) == (
+        assert penalized(week_instance, roster, EvalWeights()) == (
             preference_cost(week_instance, roster)
         )
 
     def test_single_nurse_cost_8_stays_8(self):
         demand = demand_rows([[1]] + [[0]] * 13)
         inst = make_instance([pattern(0, 0)], [Nurse(0, 1, (0,), {0: 8})], demand)
-        assert penalized_cost(inst, Roster([0]), EvalWeights(w_demand=200)) == 8.0
+        assert penalized(inst, Roster([0]), EvalWeights(w_demand=200)) == 8.0
 
     def test_shortfall_is_charged_at_w_demand(self):
         # demand on two uncoverable nights: shortfall 2, preference cost 10
@@ -243,20 +249,20 @@ class TestPenalizedCost:
         nurses = [Nurse(0, 1, (0,), {0: 10})]
         demand = demand_rows([[0]] * 7 + [[1], [1]] + [[0]] * 5)
         inst = make_instance(patterns, nurses, demand)
-        assert penalized_cost(inst, Roster([0]), EvalWeights(w_demand=200)) == 410.0
+        assert penalized(inst, Roster([0]), EvalWeights(w_demand=200)) == 410.0
 
     def test_incomplete_roster_raises(self, week_instance):
         with pytest.raises(IncompleteRosterError):
-            penalized_cost(week_instance, Roster([None, 1, 2]), EvalWeights())
+            penalized(week_instance, Roster([None, 1, 2]), EvalWeights())
 
     @pytest.mark.parametrize("assignment", [[None, 1, 2], [0, None, None], [0, 1, None]])
     def test_a_state_on_an_incomplete_roster_raises_the_same_message(
         self, week_instance, assignment
     ):
         roster = Roster(assignment)
-        with pytest.raises(IncompleteRosterError) as without:
-            penalized_cost(week_instance, roster, EvalWeights())
+        with pytest.raises(IncompleteRosterError) as summed:
+            preference_cost(week_instance, roster)
         state = compute_coverage(week_instance, roster)
         with pytest.raises(IncompleteRosterError) as with_state:
-            penalized_cost(week_instance, roster, EvalWeights(), coverage=state)
-        assert str(with_state.value) == str(without.value)
+            penalized_cost(roster, EvalWeights(), state)
+        assert str(with_state.value) == str(summed.value)

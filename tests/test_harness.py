@@ -4,7 +4,6 @@ import random
 import pytest
 
 import nrp.harness as harness_module
-from nrp.evaluate import penalized_cost
 from nrp.harness import (
     AblationSpec,
     CENSOR_COST,
@@ -24,6 +23,7 @@ from nrp.model import Nurse, Roster, is_feasible
 from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
 from nrp.solver import RunResult
 
+from bruteforce import penalized_cost_by_definition
 from conftest import demand_rows, make_instance, pattern
 
 
@@ -249,7 +249,7 @@ class TestAblationCsv:
     def test_the_default_matrix_runs_eleven_of_its_twelve_columns(self, monkeypatch):
         inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=55))
 
-        def no_run(instance, run_spec, runs, base_seed, threads):
+        def no_run(instance, run_spec, runs, base_seed):
             return [fake_result(7, True, seed=base_seed + k) for k in range(runs)]
 
         specs = self.count_batches(monkeypatch, no_run)
@@ -279,7 +279,7 @@ def test_generator_domain_runs_through_the_solver_and_the_oracle(g):
             spec = preset_spec(name, max_iterations=30, seed=k)
             result = execute(instance, spec)
             roster = result.best_roster
-            assert penalized_cost(instance, roster, spec.config.eval_weights) == (
+            assert penalized_cost_by_definition(instance, roster, spec.config.eval_weights) == (
                 result.best_cost
             )
             assert is_feasible(instance, roster) == result.best_feasible

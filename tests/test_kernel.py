@@ -37,7 +37,6 @@ from nrp.reconstruct import (
     _focus_mask,
     _scan_combined,
     combined_score,
-    reconstruct,
 )
 
 from bruteforce import (
@@ -46,7 +45,7 @@ from bruteforce import (
     scan_lists_by_definition,
     shortfall_matrix,
 )
-from conftest import count_rows_scored, demand_rows, make_instance, pattern
+from conftest import count_rows_scored, demand_rows, make_instance, pattern, repair
 
 TRIALS = 150
 
@@ -324,8 +323,8 @@ def test_band_weights_past_the_list_match_definition():
             config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
             memo = PickMemo(instance)
             for _ in range(2):  # the second call is answered by the memo the first filled
-                repaired = reconstruct(instance, roster, config, weights, random.Random(trial),
-                                       memo=memo)
+                repaired = repair(instance, roster, config, weights, random.Random(trial),
+                                  memo=memo)
                 assert repaired.assignment == expected
     assert changed >= 10, changed
 
@@ -451,7 +450,7 @@ def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
         state = _band_state(instance, coverage, nurse, mode)
         assert _argmax_combined(instance, weights, mode, nurse, state) == 0
         config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
-        repaired = reconstruct(instance, roster, config, weights, random.Random(0))
+        repaired = repair(instance, roster, config, weights, random.Random(0))
         assert repaired.assignment == [0]
 
 

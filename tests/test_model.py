@@ -214,16 +214,19 @@ class TestRosterLength:
     def test_a_roster_one_nurse_short_is_rejected(self):
         inst, best = self.optimum()
         short = Roster(best[:-1])  # it would cost 127, below the optimum
-        for call in (compute_coverage, is_feasible, preference_cost):
-            with pytest.raises(InvalidRosterError, match="5 roster entries for 6 nurses"):
-                call(inst, short)
+        incomplete = Roster(best[:-2] + [None])
+        for roster in (short, incomplete):
+            for call in (compute_coverage, is_feasible, preference_cost):
+                with pytest.raises(InvalidRosterError, match="5 roster entries for 6 nurses"):
+                    call(inst, roster)
 
     def test_a_roster_one_entry_long_is_rejected(self):
         inst, best = self.optimum()
         long = Roster(best + [best[0]])
-        for call in (compute_coverage, preference_cost):
-            with pytest.raises(InvalidRosterError, match="7 roster entries for 6 nurses"):
-                call(inst, long)
+        for roster in (long, Roster([None] * 7)):
+            for call in (compute_coverage, is_feasible, preference_cost):
+                with pytest.raises(InvalidRosterError, match="7 roster entries for 6 nurses"):
+                    call(inst, roster)
         state = compute_coverage(inst, Roster(best))
         with pytest.raises(ValueError):  # as check's docstring promises
             state.check(long)

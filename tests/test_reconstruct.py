@@ -38,6 +38,7 @@ from conftest import (
     flat_demand,
     make_instance,
     pattern,
+    repair,
 )
 
 CHI2_CRIT_DF4_P001 = 18.467  # chi-square 0.999 quantile, 4 degrees of freedom
@@ -214,9 +215,31 @@ class TestReconstruct:
     def test_complete_roster_returned_unchanged_without_draws(self, week_instance):
         roster = Roster([0, 1, 2])
         rng = random.Random(77)
-        out = reconstruct(week_instance, roster, ReconstructionConfig(), EvalWeights(), rng)
+        out = repair(week_instance, roster, ReconstructionConfig(), EvalWeights(), rng)
         assert out.assignment == roster.assignment
         assert rng.random() == random.Random(77).random()
+
+    def test_a_complete_roster_leaves_the_rng_the_state_and_the_memo_alone(self):
+        """A complete roster frees no nurse, so reconstruct draws nothing,
+        returns an equal new roster and leaves the run's state as it was:
+        rest, costs and cost, and no pick in the memo."""
+        rng = random.Random(71)
+        config, weights = ReconstructionConfig(), EvalWeights()
+        for trial in range(30):
+            inst = generate_instance(GeneratorParams(
+                n=rng.randint(1, 9), m=12, g=1 + trial % 6, seed=7100 + trial))
+            memo, coverage = PickMemo(inst), CoverageState(inst)
+            # the state and the memo a run holds after its first repair
+            roster = reconstruct(inst, Roster.empty(inst.n), config, weights, rng, coverage, memo)
+            held = coverage.rest, coverage.costs[:], coverage.cost
+            picks = memo_picks(memo, "cover"), memo_picks(memo, "combined")
+            before = rng.getstate()
+            out = reconstruct(inst, roster, config, weights, rng, coverage, memo)
+            assert rng.getstate() == before
+            assert out == roster and out is not roster
+            assert out.assignment is not roster.assignment
+            assert (coverage.rest, coverage.costs, coverage.cost) == held
+            assert (memo_picks(memo, "cover"), memo_picks(memo, "combined")) == picks
 
     def test_existing_assignments_never_change(self):
         rng = random.Random(41)
@@ -230,7 +253,7 @@ class TestReconstruct:
                     for n in inst.nurses
                 ]
             )
-            out = reconstruct(inst, roster, config, weights, rng)
+            out = repair(inst, roster, config, weights, rng)
             assert out.is_complete()
             for i, before in enumerate(roster.assignment):
                 if before is not None:
@@ -253,7 +276,7 @@ class TestReconstruct:
         demand = demand_rows([[1], [1], [1]] + [[0]] * 11)
         inst = make_instance(patterns, nurses, demand)
         config = ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)
-        out = reconstruct(inst, Roster.empty(2), config, EvalWeights(), random.Random(0))
+        out = repair(inst, Roster.empty(2), config, EvalWeights(), random.Random(0))
         assert out.assignment == [0, 3]
 
     def test_pure_cover_from_empty_is_deterministic(self):
@@ -261,8 +284,8 @@ class TestReconstruct:
         weights = EvalWeights()
         for trial in range(10):
             inst = generate_instance(GeneratorParams(n=5, m=8, g=2, seed=3100 + trial))
-            a = reconstruct(inst, Roster.empty(5), config, weights, random.Random(1))
-            b = reconstruct(inst, Roster.empty(5), config, weights, random.Random(2))
+            a = repair(inst, Roster.empty(5), config, weights, random.Random(1))
+            b = repair(inst, Roster.empty(5), config, weights, random.Random(2))
             assert a.assignment == b.assignment
 
     def test_score_ties_break_to_first_feasible_pattern(self):
@@ -272,7 +295,7 @@ class TestReconstruct:
         inst = make_instance(patterns, nurses, flat_demand(1))
         for p1, p2 in ((1.0, 0.0), (0.0, 1.0)):
             config = ReconstructionConfig(p1=p1, p2=p2, p3=0.0)
-            out = reconstruct(inst, Roster.empty(1), config, EvalWeights(), random.Random(3))
+            out = repair(inst, Roster.empty(1), config, EvalWeights(), random.Random(3))
             assert out.assignment == [2]
 
     def test_random_rule_is_uniform_over_feasible_set(self):
@@ -284,7 +307,7 @@ class TestReconstruct:
         counts = [0] * 5
         trials = 10_000
         for _ in range(trials):
-            out = reconstruct(inst, Roster.empty(1), config, EvalWeights(), rng)
+            out = repair(inst, Roster.empty(1), config, EvalWeights(), rng)
             counts[out.assignment[0]] += 1
         expected = trials / 5
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -297,7 +320,7 @@ class TestReconstruct:
         counts = {j: 0 for j in range(4)}
         trials = 10_000
         for _ in range(trials):
-            out = reconstruct(inst, Roster.empty(1), config, EvalWeights(), rng)
+            out = repair(inst, Roster.empty(1), config, EvalWeights(), rng)
             counts[out.assignment[0]] += 1
         p3_hat = 2.0 * (counts[0] + counts[3]) / trials
         p1_hat = counts[1] / trials - p3_hat / 4
@@ -319,7 +342,7 @@ class TestReconstruct:
                 ]
             )
             cov = compute_coverage(inst, roster)
-            out = reconstruct(inst, roster, config, weights, rng, coverage=cov)
+            out = reconstruct(inst, roster, config, weights, rng, cov, PickMemo(inst))
             cov.check(out)
             fresh = compute_coverage(inst, out)
             assert cov.total_shortfall() == fresh.total_shortfall()
@@ -450,8 +473,8 @@ class TestPickMemo:
                 memo = PickMemo(instance)
                 picks = memo_dicts(memo, rule)[0]
                 picks.update((-1 - key, 0) for key in range(held))  # no mask is negative
-                reconstruct(instance, roster, ReconstructionConfig(*mix), weights,
-                            random.Random(0), memo=memo)
+                repair(instance, roster, ReconstructionConfig(*mix), weights,
+                       random.Random(0), memo=memo)
                 assert len(picks) == after
         # a nurse's full dict leaves the others' picks alone
         monkeypatch.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", LIMIT)
@@ -588,15 +611,15 @@ class TestReachKeys:
         weights = EvalWeights()
         calls = count_kernel_calls(monkeypatch)
         memo = PickMemo(instance)
-        first = reconstruct(instance, before, config, weights, random.Random(0), memo=memo)
+        first = repair(instance, before, config, weights, random.Random(0), memo=memo)
         assert calls[rule] == 1
         keys = memo_picks(memo, rule)
-        second = reconstruct(instance, after, config, weights, random.Random(0), memo=memo)
+        second = repair(instance, after, config, weights, random.Random(0), memo=memo)
         # the same key, answered from the memo without a kernel call
         assert calls[rule] == 1
         assert memo_picks(memo, rule) == keys
         assert second.assignment[day] == first.assignment[day]
-        fresh = reconstruct(instance, after, config, weights, random.Random(0))
+        fresh = repair(instance, after, config, weights, random.Random(0))
         assert calls[rule] == 2 and fresh.assignment == second.assignment
 
     def test_ward_runs_make_the_pinned_kernel_calls(self, monkeypatch):

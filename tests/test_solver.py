@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+import nrp.eliminate as eliminate_module
+import nrp.evaluate as evaluate_module
+import nrp.reconstruct as reconstruct_module
 import nrp.solver as solver_module
 from nrp.eliminate import EliminationConfig, eliminate_at_random, eliminate_by_fitness
 from nrp.evaluate import EvalWeights, component_fitness_all, penalized_cost
@@ -30,7 +33,15 @@ from nrp.solver import (
     run_construction_only,
 )
 
-from conftest import count_solver_calls, demand_rows, flat_demand, make_instance, pattern
+from bruteforce import penalized_cost_by_definition
+from conftest import (
+    count_solver_calls,
+    demand_rows,
+    flat_demand,
+    make_instance,
+    pattern,
+    repair,
+)
 from suite import build_desk_suite
 
 
@@ -43,7 +54,6 @@ def result_fields(result: RunResult):
         result.iterations_executed,
         result.iteration_of_best,
         result.seed,
-        result.rng_kind,
         result.trajectory,
     )
 
@@ -83,7 +93,8 @@ class TestRun:
         result = run(inst, SolverConfig(max_iterations=1, seed=3))
         assert result.iterations_executed == 1
         assert result.iteration_of_best in (0, 1)
-        assert result.best_cost == penalized_cost(inst, result.best_roster, EvalWeights())
+        assert result.best_cost == penalized_cost_by_definition(
+            inst, result.best_roster, EvalWeights())
 
     def test_forced_instance_resolves_at_iteration_zero(self):
         patterns = [pattern(0, 0)]
@@ -113,7 +124,8 @@ class TestRun:
     def test_result_invariants_hold(self):
         inst = generate_instance(GeneratorParams(n=6, m=12, g=3, seed=32))
         result = run(inst, SolverConfig(max_iterations=200, seed=7))
-        assert result.best_cost == penalized_cost(inst, result.best_roster, EvalWeights())
+        assert result.best_cost == penalized_cost_by_definition(
+            inst, result.best_roster, EvalWeights())
         assert result.best_feasible == is_feasible(inst, result.best_roster)
 
     def test_stops_early_at_known_optimal(self):
@@ -178,7 +190,7 @@ class TestRun:
             fresh = compute_coverage(instance, roster)
             assert coverage.total_shortfall() == fresh.total_shortfall()
             if roster.is_complete():
-                cost = penalized_cost(instance, roster, weights, coverage=coverage)
+                cost = penalized_cost(roster, weights, coverage)
                 recomputed = (
                     preference_cost(instance, roster)
                     + weights.w_demand * fresh.total_shortfall()
@@ -206,11 +218,11 @@ class TestRun:
             released += not result.is_complete()
             return result
 
-        def checked(instance, roster, config, weights, rng, coverage=None, memo=None):
+        def checked(instance, roster, config, weights, rng, coverage, memo):
             nonlocal calls
             calls += 1
             recount(instance, roster, weights, coverage)
-            result = reconstruct(instance, roster, config, weights, rng, coverage=coverage, memo=memo)
+            result = reconstruct(instance, roster, config, weights, rng, coverage, memo)
             recount(instance, result, weights, coverage)
             return result
 
@@ -239,14 +251,17 @@ class TestRun:
     ], ids=["desk", "ward"])
     def test_the_loop_never_sums_the_roster_cost_again(self, monkeypatch, params):
         """penalized_cost reads the state's kept cost, so the loop never
-        calls preference_cost."""
+        calls preference_cost: no module of the loop imports it, and a call
+        through nrp.model raises."""
         instance = generate_instance(params)
         expected = run(instance, SolverConfig(max_iterations=300, stop_at_known_optimal=False))
 
         def summed(*args):
             raise AssertionError("preference_cost called in the solver loop")
 
-        monkeypatch.setattr("nrp.evaluate.preference_cost", summed)
+        for module in (solver_module, evaluate_module, eliminate_module, reconstruct_module):
+            assert not hasattr(module, "preference_cost"), module.__name__
+        monkeypatch.setattr("nrp.model.preference_cost", summed)
         result = run(instance, SolverConfig(max_iterations=300, stop_at_known_optimal=False))
         assert result_fields(result) == result_fields(expected)
         assert result.iterations_executed == 300
@@ -323,12 +338,13 @@ def test_each_step_returns_a_new_roster_and_keeps_its_input(step):
             roster = eliminate_at_random(roster, EliminationConfig(r_m=trial % 4 / 3), rng)
         assignment, before = roster.assignment, roster.assignment[:]
         if step == "fitness":
-            fitness = component_fitness_all(instance, roster, EvalWeights())
+            fitness = component_fitness_all(instance, roster, EvalWeights(),
+                                            compute_coverage(instance, roster))
             result = eliminate_by_fitness(roster, fitness, EliminationConfig(), rng)
         elif step == "random":
             result = eliminate_at_random(roster, EliminationConfig(r_m=0.3), rng)
         else:
-            result = reconstruct(instance, roster, ReconstructionConfig(), EvalWeights(), rng)
+            result = repair(instance, roster, ReconstructionConfig(), EvalWeights(), rng)
         assert type(result) is Roster and result is not roster
         assert result.assignment is not assignment
         assert roster.assignment is assignment and assignment == before
@@ -343,7 +359,7 @@ def test_a_run_that_releases_no_one_keeps_its_start(monkeypatch):
 
     def started(instance, rng):
         roster = initial_roster(instance, rng)
-        starts.append((penalized_cost(instance, roster, EvalWeights()), roster.copy(),
+        starts.append((penalized_cost_by_definition(instance, roster, EvalWeights()), roster.copy(),
                        is_feasible(instance, roster)))
         return roster
 
@@ -354,7 +370,7 @@ def test_a_run_that_releases_no_one_keeps_its_start(monkeypatch):
         result = run(instance, SolverConfig(max_iterations=200, seed=seed, elim=elim))
         cost, roster, feasible = starts[-1]
         assert result_fields(result) == (
-            cost, roster.assignment, feasible, 200, 0, seed, "mt19937", [(0, cost)],
+            cost, roster.assignment, feasible, 200, 0, seed, [(0, cost)],
         )
     # one penalized cost per run, the start's
     assert calls == {"reconstruct": 0, "penalized_cost": 3}
@@ -386,7 +402,7 @@ def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
     recounts, current, unrepaired = [], {}, [0]
 
     def recorded(instance, roster):
-        recounts.append((penalized_cost(instance, roster, weights), roster.copy(),
+        recounts.append((penalized_cost_by_definition(instance, roster, weights), roster.copy(),
                          is_feasible(instance, roster)))
 
     def started(instance, rng):
@@ -434,7 +450,7 @@ def test_no_gain_is_skipped(monkeypatch, e_mode, w_demand):
             assert len(recounts) - 1 == (best_t if reached else iterations), name
             assert result_fields(result) == (
                 best_cost, best_roster.assignment, best_feasible, len(recounts) - 1,
-                best_t, seed, "mt19937", trajectory,
+                best_t, seed, trajectory,
             ), name
     assert unrepaired[0] > 0
 
@@ -487,7 +503,8 @@ class TestFitnessMemo:
         def checked(roster, fitness, config, rng):
             nonlocal calls
             calls += 1
-            assert fitness == component_fitness_all(inst, roster, EvalWeights())
+            assert fitness == component_fitness_all(inst, roster, EvalWeights(),
+                                                    compute_coverage(inst, roster))
             return eliminate_by_fitness(roster, fitness, config, rng)
 
         monkeypatch.setattr("nrp.solver.eliminate_by_fitness", checked)
