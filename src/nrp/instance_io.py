@@ -157,7 +157,6 @@ def parse_instance(text: str) -> Instance:
             raise InstanceParseError(no, "feasible set must be nonempty")
         if len(pairs) != count:
             raise InstanceParseError(no, f"expected {count} pattern:cost pairs, got {len(pairs)}")
-        feasible = []
         costs = {}
         for pair in pairs:
             j_str, sep, c_str = pair.partition(":")
@@ -171,9 +170,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceParseError(no, f"nurse {nid} lists pattern {j} twice")
             if not 0 <= cost <= 100:
                 raise InstanceParseError(no, f"cost {cost} outside [0, 100]")
-            feasible.append(j)
             costs[j] = cost
-        nurses.append(Nurse(nid, grade, tuple(feasible), costs))
+        nurses.append(Nurse(nid, grade, costs))
 
     known_optimal = None
     trailer = lines.peek()
@@ -189,7 +187,7 @@ def parse_instance(text: str) -> Instance:
         if extra is not None:
             raise InstanceParseError(extra[0], f"unexpected content after OPTIMAL: {extra[1]!r}")
 
-    return Instance(n, m, g, patterns, nurses, demand, known_optimal)
+    return Instance(patterns, nurses, demand, known_optimal)
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -284,12 +282,11 @@ def generate_instance(params: GeneratorParams) -> Instance:
         pool = night_ids if (night_ids and rng.random() < 0.5) else day_ids
         size = rng.randint(params.feasible_min, params.feasible_max)
         size = max(1, min(size, len(pool)))
-        feasible = tuple(rng.sample(pool, size))
         costs = {
             j: min(100, int(round(100 * rng.random() ** params.cost_exponent)))
-            for j in feasible
+            for j in rng.sample(pool, size)
         }
-        nurses.append(Nurse(i, grade, feasible, costs))
+        nurses.append(Nurse(i, grade, costs))
 
     # hidden witness roster; scaling its coverage keeps the instance feasible
     covered = [[0] * params.g for _ in range(N_PERIODS)]
@@ -304,4 +301,4 @@ def generate_instance(params: GeneratorParams) -> Instance:
             for k in range(N_PERIODS)
         )
     )
-    return Instance(params.n, params.m, params.g, patterns, nurses, demand)
+    return Instance(patterns, nurses, demand)

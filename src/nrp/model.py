@@ -50,28 +50,24 @@ class ShiftPattern:
 class Nurse:
     """A nurse: qualification grade plus her feasible patterns and their costs.
 
-    grade is 1-based with 1 the highest band.  pref_cost maps every feasible
-    pattern id, and no other, to a preference cost in [0, 100] (0 perfect,
-    100 unacceptable), so `j in pref_cost` tests feasibility.
+    grade is 1-based with 1 the highest band.  pref_cost maps each feasible
+    pattern id to its preference cost in [0, 100] (0 perfect, 100
+    unacceptable), so `j in pref_cost` tests feasibility.  feasible is
+    derived: the keys of pref_cost in their insertion order, which is the
+    order ties go by.  It is compared, since dict equality ignores order.
     """
 
     id: int
     grade: int
-    feasible: tuple[int, ...]
     pref_cost: dict[int, int]
+    feasible: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "feasible", tuple(self.pref_cost))
         if not self.feasible:
             raise ValueError(f"nurse {self.id}: feasible set is empty")
         if self.grade < 1:
             raise ValueError(f"nurse {self.id}: grade must be >= 1")
-        fset = frozenset(self.feasible)
-        if len(fset) != len(self.feasible):
-            raise ValueError(f"nurse {self.id}: duplicate pattern in feasible set")
-        if set(self.pref_cost) != fset:
-            raise ValueError(
-                f"nurse {self.id}: pref_cost keys must match the feasible set"
-            )
         for j, cost in self.pref_cost.items():
             if not 0 <= cost <= 100:
                 raise ValueError(
@@ -114,8 +110,10 @@ class Demand:
 class Instance:
     """A full rostering problem instance.
 
-    known_optimal, when present, is the verified minimum preference cost of a
-    feasible roster; it drives early stopping and batch statistics.
+    n, m and g are derived: the number of nurses, of patterns and of the
+    demand's grade columns.  known_optimal, when present, is the verified
+    minimum preference cost of a feasible roster, in [0, 100 * n] as every
+    roster's is; it drives early stopping and batch statistics.
     The rest is the packed layout of CoverageState: cell (period k, band
     s+1) in the field at bit s * band_span + k * field_width.  low_bits and
     guard_bits set the low and the top (guard) bit of every field; demand_bits
@@ -161,13 +159,13 @@ class Instance:
     scans cap their stopping bounds with it.
     """
 
-    n: int
-    m: int
-    g: int
     patterns: list[ShiftPattern]
     nurses: list[Nurse]
     demand: Demand
     known_optimal: int | None = None
+    n: int = field(init=False, compare=False)
+    m: int = field(init=False, compare=False)
+    g: int = field(init=False, compare=False)
     field_width: int = field(init=False, repr=False, compare=False)
     band_span: int = field(init=False, repr=False, compare=False)
     low_bits: int = field(init=False, repr=False, compare=False)
@@ -186,12 +184,11 @@ class Instance:
     longest: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1 or self.g < 1:
-            raise ValueError("n, m and g must all be >= 1")
-        if len(self.patterns) != self.m:
-            raise ValueError(f"expected {self.m} patterns, got {len(self.patterns)}")
-        if len(self.nurses) != self.n:
-            raise ValueError(f"expected {self.n} nurses, got {len(self.nurses)}")
+        if not self.patterns or not self.nurses:
+            raise ValueError("an instance needs at least one pattern and one nurse")
+        self.n, self.m, self.g = len(self.nurses), len(self.patterns), len(self.demand.r[0])
+        if self.known_optimal is not None and not 0 <= self.known_optimal <= 100 * self.n:
+            raise ValueError(f"known_optimal {self.known_optimal} outside [0, {100 * self.n}]")
         for idx, pattern in enumerate(self.patterns):
             if pattern.id != idx:
                 raise ValueError(f"pattern ids must be dense: slot {idx} holds id {pattern.id}")
@@ -203,10 +200,6 @@ class Instance:
             for j in nurse.feasible:
                 if not 0 <= j < self.m:
                     raise ValueError(f"nurse {idx} references unknown pattern {j}")
-        if len(self.demand.r[0]) != self.g:
-            raise ValueError(
-                f"demand has {len(self.demand.r[0])} grade columns, expected {self.g}"
-            )
         # the width rule and why it is enough: see CoverageState
         width = max(self.n, max(map(max, self.demand.r))).bit_length() + 1
         span = N_PERIODS * width
@@ -446,7 +439,8 @@ def is_feasible(instance: Instance, roster: Roster) -> bool:
 def preference_cost(instance: Instance, roster: Roster) -> int:
     """Total preference cost of a complete roster.
 
-    Raises InvalidRosterError unless the roster holds one entry per nurse.
+    Raises InvalidRosterError unless the roster holds one entry per nurse,
+    each inside the nurse's feasible set.
     """
     if len(roster.assignment) != instance.n:
         raise InvalidRosterError(f"{len(roster.assignment)} roster entries for {instance.n} nurses")
@@ -454,5 +448,7 @@ def preference_cost(instance: Instance, roster: Roster) -> int:
     for i, j in enumerate(roster.assignment):
         if j is None:
             raise IncompleteRosterError(f"nurse {i} is unassigned")
+        if j not in instance.nurses[i].pref_cost:
+            raise InvalidRosterError(f"nurse {i} assigned pattern {j} outside A(i)")
         total += instance.nurses[i].pref_cost[j]
     return total

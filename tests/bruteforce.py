@@ -31,12 +31,11 @@ def coverage_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
     for i, j in enumerate(roster.assignment):
         if j is None:
             continue
-        mask = instance.patterns[j].mask
-        for k in range(N_PERIODS):
-            if mask[k]:
-                for s in range(1, g + 1):
-                    if qualified(instance, i, s):
-                        covered[k][s - 1] += 1
+        bands = [s - 1 for s in range(1, g + 1) if qualified(instance, i, s)]
+        for on, row in zip(instance.patterns[j].mask, covered):
+            if on:
+                for s in bands:
+                    row[s] += 1
     return covered
 
 
@@ -221,8 +220,8 @@ def contribution_by_removal(instance: Instance, roster: Roster, i: int) -> int:
 def shortfall_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
     covered = coverage_matrix(instance, roster)
     return [
-        [max(instance.demand.r[k][s] - covered[k][s], 0) for s in range(instance.g)]
-        for k in range(N_PERIODS)
+        [max(demand - count, 0) for demand, count in zip(demands, counts)]
+        for demands, counts in zip(instance.demand.r, covered)
     ]
 
 
@@ -248,19 +247,23 @@ def residual_by_definition(instance: Instance, roster: Roster) -> int:
 
 
 def cover_value_by_definition(
-    instance: Instance, roster: Roster, i: int, j: int
+    instance: Instance, roster: Roster, i: int, j: int, short=None
 ) -> int:
-    """Cover-rule value recomputed from the partial roster itself."""
-    short = shortfall_matrix(instance, roster)
+    """Cover-rule value recomputed from the partial roster itself.
+
+    short, when given, is the roster's shortfall_matrix, counted once by a
+    caller that scores many patterns against one roster.
+    """
+    short = shortfall_matrix(instance, roster) if short is None else short
     focus = None
     for s in range(1, instance.g + 1):
-        if qualified(instance, i, s) and any(short[k][s - 1] > 0 for k in range(N_PERIODS)):
+        if qualified(instance, i, s) and any(row[s - 1] > 0 for row in short):
             focus = s - 1
             break
     if focus is None:
         return 0
     mask = instance.patterns[j].mask
-    return sum(1 for k in range(N_PERIODS) if mask[k] and short[k][focus] > 0)
+    return sum(1 for on, row in zip(mask, short) if on and row[focus] > 0)
 
 
 def combined_score_by_definition(
@@ -271,22 +274,23 @@ def combined_score_by_definition(
     i: int,
     j: int,
     e_mode: str = "indicator",
+    short=None,
 ) -> float:
     """Combined-rule score recomputed from the partial roster itself.
 
     Band s is weighted by w_grade[s - 1], or by the last weight when s is
-    past the end of w_grade.
+    past the end of w_grade.  short is as for cover_value_by_definition.
     """
-    short = shortfall_matrix(instance, roster)
+    short = shortfall_matrix(instance, roster) if short is None else short
     mask = instance.patterns[j].mask
     score = w_p * (100 - instance.nurses[i].pref_cost[j])
     for s in range(1, instance.g + 1):
         if not qualified(instance, i, s):
             continue
         gain = 0
-        for k in range(N_PERIODS):
-            if mask[k] and short[k][s - 1] > 0:
-                gain += 1 if e_mode == "indicator" else short[k][s - 1]
+        for on, row in zip(mask, short):
+            if on and row[s - 1] > 0:
+                gain += 1 if e_mode == "indicator" else row[s - 1]
         score += w_grade[min(s, len(w_grade)) - 1] * gain
     return score
 

@@ -24,17 +24,8 @@ def demand_rows(rows) -> Demand:
     return Demand(tuple(tuple(row) for row in rows))
 
 
-def make_instance(patterns, nurses, demand, g=None, known_optimal=None) -> Instance:
-    g = g if g is not None else len(demand.r[0])
-    return Instance(
-        n=len(nurses),
-        m=len(patterns),
-        g=g,
-        patterns=list(patterns),
-        nurses=list(nurses),
-        demand=demand,
-        known_optimal=known_optimal,
-    )
+def make_instance(patterns, nurses, demand, known_optimal=None) -> Instance:
+    return Instance(list(patterns), list(nurses), demand, known_optimal)
 
 
 def repair(instance, roster, config, weights, rng, memo=None) -> Roster:
@@ -113,7 +104,7 @@ def field_maximum_instance(rng, g: int) -> Instance:
     nurses = []
     for i in range(n):
         feasible = tuple(rng.sample(range(m), rng.randint(1, m)))
-        nurses.append(Nurse(i, rng.randint(1, g), feasible, {j: 0 for j in feasible}))
+        nurses.append(Nurse(i, rng.randint(1, g), {j: 0 for j in feasible}))
     rows = [sorted(rng.randint(0, peak) for _ in range(g)) for _ in range(N_PERIODS)]
     rows[rng.randrange(N_PERIODS)][g - 1] = peak
     instance = make_instance(patterns, nurses, demand_rows(rows))
@@ -135,9 +126,9 @@ def week_instance() -> Instance:
         pattern(3, 9),
     ]
     nurses = [
-        Nurse(0, 1, (0, 2), {0: 10, 2: 40}),
-        Nurse(1, 2, (1, 3), {1: 0, 3: 25}),
-        Nurse(2, 2, (0, 1, 2), {0: 5, 1: 30, 2: 0}),
+        Nurse(0, 1, {0: 10, 2: 40}),
+        Nurse(1, 2, {1: 0, 3: 25}),
+        Nurse(2, 2, {0: 5, 1: 30, 2: 0}),
     ]
     demand = demand_rows(
         [[0, 1]] * 5 + [[0, 0]] * 2 + [[0, 1]] * 5 + [[0, 0]] * 2

@@ -184,7 +184,7 @@ def test_criterion_6_score_arithmetic():
     # fixed fixture: cover value 3 for a Mon-Fri night pattern against net
     # night requirements (-4, 0, +1, -3, -1, -2, 0)
     patterns = [pattern(0, 7, 8, 9, 10, 11), pattern(1, 9)]
-    nurses = [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})]
+    nurses = [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})]
     demand = demand_rows([[0]] * 7 + [[4], [0], [0], [3], [1], [2], [0]])
     fixture = make_instance(patterns, nurses, demand)
     cov = compute_coverage(fixture, Roster([None, 1]))
@@ -193,7 +193,7 @@ def test_criterion_6_score_arithmetic():
 
     # hand fixtures for the combined score
     free = make_instance(
-        [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 0})],
+        [pattern(0, 0)], [Nurse(0, 1, {0: 0})],
         demand_rows([[1, 1, 1]] + [[0, 0, 0]] * 13),
     )
     cov_free = compute_coverage(free, Roster([None]))

@@ -55,7 +55,7 @@ def assert_one_line_error(capsys, *words) -> None:
 def write_impossible(tmp_path: Path) -> Path:
     inst = make_instance(
         [pattern(0, 0)],
-        [Nurse(0, 1, (0,), {0: 5})],
+        [Nurse(0, 1, {0: 5})],
         demand_rows([[2]] + [[0]] * 13),
     )
     path = tmp_path / "impossible.nrp"
@@ -200,7 +200,7 @@ def write_with_warnings(tmp_path: Path) -> Path:
     path = tmp_path / "warned.nrp"
     text = serialize_instance(make_instance(
         [pattern(0, 0), pattern(1, 1)],
-        [Nurse(0, 1, (0, 1), {0: 5, 1: 0})],
+        [Nurse(0, 1, {0: 5, 1: 0})],
         demand_rows([[0, 0]] * 14),
     ))
     text = text.replace("1 01000000000000", "1 00000000000000")

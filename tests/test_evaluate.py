@@ -27,7 +27,7 @@ def three_nurse_instance(costs):
     """Three grade-1 nurses, each with one fixed day pattern; demand zero."""
     patterns = [pattern(0, 0), pattern(1, 1), pattern(2, 2)]
     nurses = [
-        Nurse(i, 1, (i,), {i: costs[i]}) for i in range(3)
+        Nurse(i, 1, {i: costs[i]}) for i in range(3)
     ]
     return make_instance(patterns, nurses, flat_demand(1))
 
@@ -62,7 +62,7 @@ class TestEvalWeights:
 class TestCoverageContribution:
     def test_zero_mask_contributes_nothing(self):
         inst = make_instance(
-            [pattern(0)], [Nurse(0, 1, (0,), {0: 0})], flat_demand(2, 1), g=2
+            [pattern(0)], [Nurse(0, 1, {0: 0})], flat_demand(2, 1)
         )
         roster = Roster([0])
         cov = compute_coverage(inst, roster)
@@ -72,7 +72,7 @@ class TestCoverageContribution:
         # five covered days, three bands, demand one everywhere: 15 slots at risk
         inst = make_instance(
             [pattern(0, 0, 1, 2, 3, 4)],
-            [Nurse(0, 1, (0,), {0: 0})],
+            [Nurse(0, 1, {0: 0})],
             flat_demand(3, 1),
         )
         roster = Roster([0])
@@ -163,7 +163,7 @@ class TestComponentFitness:
     def test_largest_contribution_gets_full_coverage_fitness(self):
         # nurse 0 covers three demanded days, nurse 1 covers one
         patterns = [pattern(0, 0, 1, 2), pattern(1, 3)]
-        nurses = [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})]
+        nurses = [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})]
         inst = make_instance(patterns, nurses, flat_demand(1, 1))
         roster = Roster([0, 1])
         fits = fitness(inst, roster, COVERAGE)
@@ -240,13 +240,13 @@ class TestPenalizedCost:
 
     def test_single_nurse_cost_8_stays_8(self):
         demand = demand_rows([[1]] + [[0]] * 13)
-        inst = make_instance([pattern(0, 0)], [Nurse(0, 1, (0,), {0: 8})], demand)
+        inst = make_instance([pattern(0, 0)], [Nurse(0, 1, {0: 8})], demand)
         assert penalized(inst, Roster([0]), EvalWeights(w_demand=200)) == 8.0
 
     def test_shortfall_is_charged_at_w_demand(self):
         # demand on two uncoverable nights: shortfall 2, preference cost 10
         patterns = [pattern(0, 0)]
-        nurses = [Nurse(0, 1, (0,), {0: 10})]
+        nurses = [Nurse(0, 1, {0: 10})]
         demand = demand_rows([[0]] * 7 + [[1], [1]] + [[0]] * 5)
         inst = make_instance(patterns, nurses, demand)
         assert penalized(inst, Roster([0]), EvalWeights(w_demand=200)) == 410.0

@@ -43,7 +43,7 @@ def impossible_instance():
     """Demand two nurses where only one exists."""
     return make_instance(
         [pattern(0, 0)],
-        [Nurse(0, 1, (0,), {0: 5})],
+        [Nurse(0, 1, {0: 5})],
         demand_rows([[2]] + [[0]] * 13),
     )
 

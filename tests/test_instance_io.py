@@ -9,7 +9,9 @@ from nrp.instance_io import (
     GeneratorParams,
     InstanceParseError,
     generate_instance,
+    load_instance,
     parse_instance,
+    save_instance,
     serialize_instance,
 )
 from nrp.oracle import OPTIMAL, exact_solve
@@ -149,9 +151,10 @@ class TestParseFuzz:
                     seed=7000 + trial,
                 )
             )
-            if trial % 2:
-                inst = replace(inst, known_optimal=rng.randint(0, 300))
-            sources.append(serialize_instance(inst))
+            text = serialize_instance(inst)
+            if trial % 2:  # an optimum up to 300, outside some instances' range
+                text += f"OPTIMAL {rng.randint(0, 300)}\n"
+            sources.append(text)
         parsed = rejected = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero-mask patterns, non-cumulative demand
@@ -188,6 +191,16 @@ class TestSerialize:
     def test_round_trip_keeps_known_optimal(self):
         inst = parse_instance(MINIMAL + "OPTIMAL 5\n")
         assert parse_instance(serialize_instance(inst)) == inst
+
+    def test_known_optimal_is_held_to_the_range_the_file_accepts(self, tmp_path):
+        inst = generate_instance(GeneratorParams(n=3, seed=6))
+        for value in (-1, 100 * inst.n + 1):
+            with pytest.raises(ValueError, match=rf"known_optimal {value} outside \[0, 300\]"):
+                replace(inst, known_optimal=value)
+        for value in (0, 100 * inst.n):
+            annotated = replace(inst, known_optimal=value)
+            save_instance(annotated, tmp_path / "x.nrp")
+            assert load_instance(tmp_path / "x.nrp") == annotated
 
     def test_serialization_is_byte_stable(self):
         inst = generate_instance(GeneratorParams(seed=3))

@@ -179,8 +179,8 @@ def hand_scan_instance():
         pattern(4, 3),
     ]
     nurses = [
-        Nurse(0, 1, (2, 0, 1, 3, 4), {2: 10, 0: 20, 1: 20, 3: 5, 4: 30}),
-        Nurse(1, 1, (0, 2, 1), {0: 30, 2: 10, 1: 40}),
+        Nurse(0, 1, {2: 10, 0: 20, 1: 20, 3: 5, 4: 30}),
+        Nurse(1, 1, {0: 30, 2: 10, 1: 40}),
     ]
     demand = demand_rows([[2], [1], [2], [1]] + [[0]] * (N_PERIODS - 4))
     return make_instance(patterns, nurses, demand)
@@ -356,12 +356,12 @@ def hand_reach_instance():
         pattern(7, 7, 13),
     ]
     nurses = [
-        Nurse(0, 1, (0, 1, 2), {0: 20, 1: 5, 2: 0}),
-        Nurse(1, 2, (4, 3), {4: 10, 3: 10}),
-        Nurse(2, 2, (4, 6, 7), {4: 0, 6: 30, 7: 15}),
-        Nurse(3, 1, (3, 5), {3: 40, 5: 0}),
-        Nurse(4, 2, (6, 1, 5), {6: 5, 1: 5, 5: 50}),
-        Nurse(5, 1, (7, 6), {7: 0, 6: 0}),
+        Nurse(0, 1, {0: 20, 1: 5, 2: 0}),
+        Nurse(1, 2, {4: 10, 3: 10}),
+        Nurse(2, 2, {4: 0, 6: 30, 7: 15}),
+        Nurse(3, 1, {3: 40, 5: 0}),
+        Nurse(4, 2, {6: 5, 1: 5, 5: 50}),
+        Nurse(5, 1, {7: 0, 6: 0}),
     ]
     demand = demand_rows([[1, 2], [0, 1], [2, 3], [0, 2], [1, 1], [0, 1], [0, 0],
                           [1, 1], [0, 2], [1, 2], [0, 1], [0, 0], [1, 1], [0, 2]])
@@ -437,7 +437,7 @@ def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
     scan meets pattern 1 first."""
     instance = make_instance(
         [pattern(0, 0, 1), pattern(1, 2)],
-        [Nurse(0, 1, (0, 1), {0: 20, 1: 10})],
+        [Nurse(0, 1, {0: 20, 1: 10})],
         demand_rows([[2], [1], [1]] + [[0]] * (N_PERIODS - 3)),
     )
     assert combined_ids(instance, 0) == (1, 0)
@@ -460,8 +460,8 @@ def test_the_cover_rule_returns_the_first_of_two_patterns_filling_every_short_ce
     both stay in the cover list and the earlier one in the feasible list
     wins, whichever that is."""
     patterns = [pattern(0, 4), pattern(1, 0, 3), pattern(2, 0, 5)]
-    nurses = [Nurse(0, 1, (0, 1, 2), {0: 0, 1: 0, 2: 0}),
-              Nurse(1, 1, (0, 2, 1), {0: 0, 1: 0, 2: 0})]
+    nurses = [Nurse(0, 1, {0: 0, 1: 0, 2: 0}),
+              Nurse(1, 1, {0: 0, 2: 0, 1: 0})]
     instance = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * (N_PERIODS - 1)))
     coverage = compute_coverage(instance, Roster([None, None]))
     for nurse, first_full in zip(instance.nurses, (1, 2)):
@@ -480,9 +480,9 @@ def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkey
     patterns wins."""
     patterns = [pattern(0, 0, 7), pattern(1, 0, 1, 2), pattern(2, 2, 3, 4), pattern(3, 8, 9, 10),
                 pattern(4, 0, 1, 7), pattern(5, 3, 4, 8), pattern(6, 9, 10, 11)]
-    nurses = [Nurse(0, 1, (0, 1, 2, 3), dict.fromkeys((0, 1, 2, 3), 0)),
-              Nurse(1, 1, (2, 0, 1, 3), dict.fromkeys((0, 1, 2, 3), 0)),
-              Nurse(2, 1, (4, 5, 6), dict.fromkeys((4, 5, 6), 0))]
+    nurses = [Nurse(0, 1, dict.fromkeys((0, 1, 2, 3), 0)),
+              Nurse(1, 1, dict.fromkeys((2, 0, 1, 3), 0)),
+              Nurse(2, 1, dict.fromkeys((4, 5, 6), 0))]
     instance = make_instance(
         patterns, nurses, demand_rows([[1]] * 5 + [[0]] * (N_PERIODS - 5))
     )

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -46,15 +47,15 @@ class TestCoversGrade:
     pattern there only."""
 
     def test_highest_grade_covers_all_bands(self):
-        inst = make_instance([pattern(0, 0, 3)], [Nurse(0, 1, (0,), {0: 0})], flat_demand(3))
+        inst = make_instance([pattern(0, 0, 3)], [Nurse(0, 1, {0: 0})], flat_demand(3))
         assert inst.nurse_cells[0][0] == band_copies(inst, 1 | 1 << 3 * inst.field_width, range(3))
 
     def test_lowest_grade_covers_only_its_band(self):
-        inst = make_instance([pattern(0, 0)], [Nurse(0, 3, (0,), {0: 0})], flat_demand(3))
+        inst = make_instance([pattern(0, 0)], [Nurse(0, 3, {0: 0})], flat_demand(3))
         assert inst.nurse_cells[0][0] == band_copies(inst, 1, [2])
 
     def test_own_band(self):
-        inst = make_instance([pattern(0, 5)], [Nurse(0, 2, (0,), {0: 0})], flat_demand(3))
+        inst = make_instance([pattern(0, 5)], [Nurse(0, 2, {0: 0})], flat_demand(3))
         own = (inst.nurse_cells[0][0] >> inst.band_span) & ((1 << inst.band_span) - 1)
         assert own == 1 << 5 * inst.field_width
 
@@ -84,15 +85,17 @@ class TestTypeInvariants:
 
     def test_nurse_rejects_empty_feasible(self):
         with pytest.raises(ValueError, match="empty"):
-            Nurse(0, 1, (), {})
+            Nurse(0, 1, {})
 
-    def test_nurse_rejects_cost_mismatch(self):
-        with pytest.raises(ValueError, match="match"):
-            Nurse(0, 1, (0, 1), {0: 5})
+    def test_nurse_feasible_is_the_cost_maps_keys_in_their_order(self):
+        nurse = Nurse(0, 1, {2: 5, 0: 0, 1: 5})
+        assert nurse.feasible == (2, 0, 1)
+        # equal maps in another order are another tie order, so another nurse
+        assert nurse != Nurse(0, 1, {0: 0, 1: 5, 2: 5})
 
     def test_nurse_rejects_cost_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            Nurse(0, 1, (0,), {0: 101})
+            Nurse(0, 1, {0: 101})
 
     def test_demand_warns_on_non_cumulative_rows(self):
         rows = [[2, 1]] + [[0, 0]] * 13
@@ -106,13 +109,25 @@ class TestTypeInvariants:
     def test_instance_rejects_dangling_pattern(self):
         with pytest.raises(ValueError, match="unknown pattern"):
             make_instance(
-                [pattern(0, 0)], [Nurse(0, 1, (5,), {5: 0})], flat_demand(1)
+                [pattern(0, 0)], [Nurse(0, 1, {5: 0})], flat_demand(1)
             )
+
+    def test_instance_counts_n_m_and_g_from_its_lists(self, week_instance):
+        assert (week_instance.n, week_instance.m, week_instance.g) == (3, 4, 2)
+        generated = generate_instance(GeneratorParams(n=5, m=9, g=4, seed=2))
+        assert (generated.n, generated.m, generated.g) == (5, 9, 4)
+
+    @pytest.mark.parametrize(
+        "patterns, nurses", [([], [Nurse(0, 1, {0: 0})]), ([pattern(0, 0)], [])]
+    )
+    def test_instance_rejects_an_empty_list(self, patterns, nurses):
+        with pytest.raises(ValueError, match="at least one pattern and one nurse"):
+            make_instance(patterns, nurses, flat_demand(1))
 
     def test_instance_rejects_grade_above_g(self):
         with pytest.raises(ValueError, match="exceeds"):
             make_instance(
-                [pattern(0, 0)], [Nurse(0, 2, (0,), {0: 0})], flat_demand(1), g=1
+                [pattern(0, 0)], [Nurse(0, 2, {0: 0})], flat_demand(1)
             )
 
 
@@ -139,7 +154,7 @@ class TestComputeCoverage:
         # one grade-1 nurse on Mon-Fri days, demand 1 everywhere, 3 bands
         inst = make_instance(
             [pattern(0, 0, 1, 2, 3, 4)],
-            [Nurse(0, 1, (0,), {0: 0})],
+            [Nurse(0, 1, {0: 0})],
             flat_demand(3, 1),
         )
         state = compute_coverage(inst, Roster([0]))
@@ -247,7 +262,7 @@ def random_packing_instance(rng: random.Random, trial: int, sparse: bool = False
     for i in range(n):
         feasible = tuple(rng.sample(range(m), rng.randint(1, m)))
         nurses.append(
-            Nurse(i, rng.randint(1, g), feasible, {j: rng.randint(0, 100) for j in feasible})
+            Nurse(i, rng.randint(1, g), {j: rng.randint(0, 100) for j in feasible})
         )
 
     def draw() -> int:
@@ -567,13 +582,13 @@ class TestIsFeasible:
 class TestPreferenceCost:
     def test_all_zero_costs(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 0})], flat_demand(1)
+            [pattern(0, 0)], [Nurse(0, 1, {0: 0})], flat_demand(1)
         )
         assert preference_cost(inst, Roster([0])) == 0
 
     def test_single_nurse_cost(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 8})], flat_demand(1)
+            [pattern(0, 0)], [Nurse(0, 1, {0: 8})], flat_demand(1)
         )
         assert preference_cost(inst, Roster([0])) == 8
 
@@ -583,3 +598,10 @@ class TestPreferenceCost:
     def test_incomplete_roster_raises(self, week_instance):
         with pytest.raises(IncompleteRosterError):
             preference_cost(week_instance, Roster([0, None, 2]))
+
+    def test_pattern_outside_the_feasible_set_raises_as_add_does(self, week_instance):
+        roster = Roster([0, 0, 2])  # pattern 0 is not feasible for nurse 1
+        message = "nurse 1 assigned pattern 0 outside A(i)"
+        for call in (preference_cost, compute_coverage, is_feasible):
+            with pytest.raises(InvalidRosterError, match=re.escape(message)):
+                call(week_instance, roster)

@@ -25,7 +25,7 @@ from conftest import demand_rows, make_instance, pattern
 def test_single_nurse_with_covering_pattern():
     inst = make_instance(
         [pattern(0, 0)],
-        [Nurse(0, 1, (0,), {0: 7})],
+        [Nurse(0, 1, {0: 7})],
         demand_rows([[1]] + [[0]] * 13),
     )
     result = exact_solve(inst)
@@ -37,7 +37,7 @@ def test_single_nurse_with_covering_pattern():
 def test_demand_beyond_headcount_is_infeasible():
     inst = make_instance(
         [pattern(0, 0)],
-        [Nurse(0, 1, (0,), {0: 0})],
+        [Nurse(0, 1, {0: 0})],
         demand_rows([[2]] + [[0]] * 13),
     )
     result = exact_solve(inst)
@@ -60,7 +60,7 @@ def test_optimal_roster_is_verified_feasible_and_costed():
 
 def test_prefers_cheaper_of_two_feasible_choices():
     patterns = [pattern(0, 0), pattern(1, 0)]
-    nurses = [Nurse(0, 1, (0, 1), {0: 30, 1: 12})]
+    nurses = [Nurse(0, 1, {0: 30, 1: 12})]
     inst = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * 13))
     assert exact_solve(inst).optimal_cost == 12
 
@@ -126,7 +126,7 @@ def test_node_budget_below_one_is_rejected():
 def test_cut_counters():
     infeasible = make_instance(
         [pattern(0, 0)],
-        [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (0,), {0: 0})],
+        [Nurse(0, 1, {0: 0}), Nurse(1, 1, {0: 0})],
         demand_rows([[3]] + [[0]] * 13),
     )
     result = exact_solve(infeasible)
@@ -170,7 +170,7 @@ def test_matches_enumeration_on_hand_made_infeasible_variants():
         rows[rng.randrange(14)][rng.randrange(2)] += inst.n + 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bumped = make_instance(inst.patterns, inst.nurses, demand_rows(rows), g=inst.g)
+            bumped = make_instance(inst.patterns, inst.nurses, demand_rows(rows))
         status, cost = brute_force_solve(bumped)
         result = exact_solve(bumped)
         assert status == BF_INFEASIBLE
@@ -209,16 +209,15 @@ def _tie_break_cases():
         yield inst
         palette = rng.choice([(0, 10), (5, 5), (0, 0, 1)])
         tied = [
-            Nurse(nurse.id, nurse.grade, nurse.feasible,
-                  {j: rng.choice(palette) for j in nurse.feasible})
+            Nurse(nurse.id, nurse.grade, {j: rng.choice(palette) for j in nurse.feasible})
             for nurse in inst.nurses
         ]
-        yield make_instance(inst.patterns, tied, inst.demand, g=inst.g)
+        yield make_instance(inst.patterns, tied, inst.demand)
         rows = [list(row) for row in inst.demand.r]
         rows[rng.randrange(14)][rng.randrange(inst.g)] += inst.n + 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            yield make_instance(inst.patterns, tied, demand_rows(rows), g=inst.g)
+            yield make_instance(inst.patterns, tied, demand_rows(rows))
 
 
 def test_returns_the_first_optimal_roster_in_search_order():
@@ -237,7 +236,7 @@ def test_returns_the_first_optimal_roster_in_search_order():
 def _thinned(inst, rng):
     """inst with most demand cells set to 0, rows kept non-decreasing."""
     rows = [sorted(d if rng.random() < 0.3 else 0 for d in row) for row in inst.demand.r]
-    return make_instance(inst.patterns, inst.nurses, demand_rows(rows), g=inst.g)
+    return make_instance(inst.patterns, inst.nurses, demand_rows(rows))
 
 
 def test_components_match_the_definition_on_generated_instances():
@@ -260,11 +259,11 @@ def test_components_match_the_definition_on_generated_instances():
 
 def test_a_nurse_who_works_days_and_nights_merges_the_halves():
     patterns = [pattern(0, 0), pattern(1, 7), pattern(2, 0, 7)]
-    day, night = Nurse(0, 1, (0,), {0: 5}), Nurse(1, 1, (1,), {1: 5})
+    day, night = Nurse(0, 1, {0: 5}), Nurse(1, 1, {1: 5})
     demand = demand_rows([[1]] + [[0]] * 6 + [[2]] + [[0]] * 6)
-    split = make_instance(patterns, [day, night, Nurse(2, 1, (1,), {1: 9})], demand)
+    split = make_instance(patterns, [day, night, Nurse(2, 1, {1: 9})], demand)
     assert components_by_definition(split) == [[0], [1, 2]]
-    both = make_instance(patterns, [day, night, Nurse(2, 1, (0, 2), {0: 1, 2: 9})], demand)
+    both = make_instance(patterns, [day, night, Nurse(2, 1, {0: 1, 2: 9})], demand)
     assert components_by_definition(both) == [[0, 1, 2]]
     for inst in (split, both):
         result = exact_solve(inst)
@@ -280,8 +279,7 @@ def test_interleaved_components_stitch_the_first_optimal_roster():
     day = (0, 1, 2)
     night = (3, 4, 5)
     nurses = [
-        Nurse(i, 1 + i % 2, day if i % 2 == 0 else night,
-              {j: (i + j) % 3 for j in (day if i % 2 == 0 else night)})
+        Nurse(i, 1 + i % 2, {j: (i + j) % 3 for j in (day if i % 2 == 0 else night)})
         for i in range(5)
     ]
     demand = demand_rows([[1, 2], [1, 2]] + [[0, 0]] * 5 + [[0, 1], [0, 2]] + [[0, 0]] * 5)
@@ -297,11 +295,11 @@ def test_interleaved_components_stitch_the_first_optimal_roster():
 def test_a_demanded_cell_nobody_can_work_is_infeasible_before_any_node():
     patterns = [pattern(0, 0), pattern(1, 7)]
     no_period = make_instance(  # nobody works period 13
-        patterns, [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})],
+        patterns, [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
         demand_rows([[1]] + [[0]] * 12 + [[1]]),
     )
     no_grade = make_instance(  # band 1 wants a grade-1 nurse; both are grade 2
-        patterns, [Nurse(0, 2, (0,), {0: 0}), Nurse(1, 2, (1,), {1: 0})],
+        patterns, [Nurse(0, 2, {0: 0}), Nurse(1, 2, {1: 0})],
         demand_rows([[1, 1]] + [[0, 0]] * 13),
     )
     for inst in (no_period, no_grade):
@@ -316,7 +314,7 @@ def _dearer_subset_first():
     (cost 1, periods 0 and 1).  The combined scan keeps both, as A's only
     superset comes later, but in cost order B comes first and covers A."""
     patterns = [pattern(0, 0), pattern(1, 0, 1)]
-    nurse = Nurse(0, 1, (0, 1), {0: 5, 1: 1})
+    nurse = Nurse(0, 1, {0: 5, 1: 1})
     return make_instance(patterns, [nurse], demand_rows([[1]] * 2 + [[0]] * 12))
 
 
@@ -425,7 +423,7 @@ def _component_alone(inst, ids):
     """The instance of nurses ids alone, renumbered in id order, with the
     demand of every cell none of them can work set to 0."""
     nurses = [
-        Nurse(new, inst.nurses[i].grade, inst.nurses[i].feasible, inst.nurses[i].pref_cost)
+        Nurse(new, inst.nurses[i].grade, inst.nurses[i].pref_cost)
         for new, i in enumerate(ids)
     ]
     rows = [
@@ -441,7 +439,7 @@ def _component_alone(inst, ids):
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return make_instance(inst.patterns, nurses, demand_rows(rows), g=inst.g)
+        return make_instance(inst.patterns, nurses, demand_rows(rows))
 
 
 def test_a_budget_spent_at_a_component_boundary_times_out_without_a_roster():
@@ -481,18 +479,18 @@ def _budget_sweep_cases():
         ))
     yield make_instance(
         [pattern(0, 0)],
-        [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (0,), {0: 0})],
+        [Nurse(0, 1, {0: 0}), Nurse(1, 1, {0: 0})],
         demand_rows([[3]] + [[0]] * 13),
     )
     yield make_instance(
         [pattern(0, 0), pattern(1, 7)],
-        [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})],
+        [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
         demand_rows([[1]] + [[0]] * 12 + [[1]]),
     )
-    either = (0, 1)  # each nurse works period 0 or period 1, and each period wants both
+    # each nurse works period 0 or period 1, and each period wants both
     yield make_instance(
         [pattern(0, 0), pattern(1, 1)],
-        [Nurse(0, 1, either, {0: 0, 1: 1}), Nurse(1, 1, either, {0: 1, 1: 0})],
+        [Nurse(0, 1, {0: 0, 1: 1}), Nurse(1, 1, {0: 1, 1: 0})],
         demand_rows([[2], [2]] + [[0]] * 12),
     )
 

@@ -66,8 +66,8 @@ class TestCoverValue:
         # (Wednesday over-covered by an already-assigned nurse)
         patterns = [pattern(0, 7, 8, 9, 10, 11), pattern(1, 9)]
         nurses = [
-            Nurse(0, 1, (0,), {0: 0}),
-            Nurse(1, 1, (1,), {1: 0}),
+            Nurse(0, 1, {0: 0}),
+            Nurse(1, 1, {1: 0}),
         ]
         demand = demand_rows([[0]] * 7 + [[4], [0], [0], [3], [1], [2], [0]])
         inst = make_instance(patterns, nurses, demand)
@@ -87,8 +87,8 @@ class TestCoverValue:
         # scored against band 2, her next-priority band
         patterns = [pattern(0, 0), pattern(1, 1)]
         nurses = [
-            Nurse(0, 1, (0, 1), {0: 0, 1: 0}),
-            Nurse(1, 2, (0,), {0: 0}),
+            Nurse(0, 1, {0: 0, 1: 0}),
+            Nurse(1, 2, {0: 0}),
         ]
         demand = demand_rows([[0, 1], [0, 1]] + [[0, 0]] * 12)
         inst = make_instance(patterns, nurses, demand)
@@ -99,7 +99,7 @@ class TestCoverValue:
     def test_higher_band_shortfall_takes_priority_over_lower(self):
         # both bands short: a grade-1 nurse is scored at band 1 only
         patterns = [pattern(0, 0, 1)]
-        nurses = [Nurse(0, 1, (0,), {0: 0})]
+        nurses = [Nurse(0, 1, {0: 0})]
         demand = demand_rows([[1, 2], [0, 2]] + [[0, 0]] * 12)
         inst = make_instance(patterns, nurses, demand)
         cov = compute_coverage(inst, Roster([None]))
@@ -135,14 +135,14 @@ class TestCoverValue:
 class TestCombinedScore:
     def test_free_pattern_with_no_shortfall_scores_100(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 0})], flat_demand(1)
+            [pattern(0, 0)], [Nurse(0, 1, {0: 0})], flat_demand(1)
         )
         cov = compute_coverage(inst, Roster([None]))
         assert combined_score(inst, cov, EvalWeights(), 0, 0) == 100.0
 
     def test_worst_preference_with_no_shortfall_scores_0(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 100})], flat_demand(1)
+            [pattern(0, 0)], [Nurse(0, 1, {0: 100})], flat_demand(1)
         )
         cov = compute_coverage(inst, Roster([None]))
         assert combined_score(inst, cov, EvalWeights(), 0, 0) == 0.0
@@ -150,7 +150,7 @@ class TestCombinedScore:
     def test_one_short_period_at_three_bands_scores_111(self):
         # free pattern covering a period short at all 3 bands: 100 + 8 + 2 + 1
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 0})],
+            [pattern(0, 0)], [Nurse(0, 1, {0: 0})],
             demand_rows([[1, 1, 1]] + [[0, 0, 0]] * 13),
         )
         cov = compute_coverage(inst, Roster([None]))
@@ -159,7 +159,7 @@ class TestCombinedScore:
 
     def test_shortfall_mode_weights_by_missing_nurses(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, (0,), {0: 0})],
+            [pattern(0, 0)], [Nurse(0, 1, {0: 0})],
             demand_rows([[3]] + [[0]] * 13),
         )
         cov = compute_coverage(inst, Roster([None]))
@@ -206,7 +206,7 @@ def rule_probe_instance():
         pattern(2, 3),          # Y: covers nothing demanded, cost 0
         pattern(3, 5),          # z2: covers nothing demanded, cost 60
     ]
-    nurses = [Nurse(0, 1, (0, 1, 2, 3), {0: 60, 1: 100, 2: 0, 3: 60})]
+    nurses = [Nurse(0, 1, {0: 60, 1: 100, 2: 0, 3: 60})]
     demand = demand_rows([[1], [1], [1]] + [[0]] * 11)
     return make_instance(patterns, nurses, demand)
 
@@ -270,8 +270,8 @@ class TestReconstruct:
             pattern(3, 2),     # pD
         ]
         nurses = [
-            Nurse(0, 1, (0, 1), {0: 0, 1: 0}),
-            Nurse(1, 1, (2, 3), {2: 0, 3: 0}),
+            Nurse(0, 1, {0: 0, 1: 0}),
+            Nurse(1, 1, {2: 0, 3: 0}),
         ]
         demand = demand_rows([[1], [1], [1]] + [[0]] * 11)
         inst = make_instance(patterns, nurses, demand)
@@ -291,7 +291,7 @@ class TestReconstruct:
     def test_score_ties_break_to_first_feasible_pattern(self):
         # zero demand: every pattern scores alike under both rules
         patterns = [pattern(0, 0), pattern(1, 1), pattern(2, 2)]
-        nurses = [Nurse(0, 1, (2, 0, 1), {2: 5, 0: 5, 1: 5})]
+        nurses = [Nurse(0, 1, {2: 5, 0: 5, 1: 5})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         for p1, p2 in ((1.0, 0.0), (0.0, 1.0)):
             config = ReconstructionConfig(p1=p1, p2=p2, p3=0.0)
@@ -300,7 +300,7 @@ class TestReconstruct:
 
     def test_random_rule_is_uniform_over_feasible_set(self):
         patterns = [pattern(j, j) for j in range(5)]
-        nurses = [Nurse(0, 1, (0, 1, 2, 3, 4), {j: 0 for j in range(5)})]
+        nurses = [Nurse(0, 1, {j: 0 for j in range(5)})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         config = ReconstructionConfig(p1=0.0, p2=0.0, p3=1.0)
         rng = random.Random(55)

@@ -61,7 +61,7 @@ def result_fields(result: RunResult):
 class TestInitialRoster:
     def test_singleton_feasible_sets_force_the_unique_roster(self):
         patterns = [pattern(0, 0), pattern(1, 1)]
-        nurses = [Nurse(0, 1, (0,), {0: 0}), Nurse(1, 1, (1,), {1: 0})]
+        nurses = [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         roster = initial_roster(inst, random.Random(0))
         assert roster.assignment == [0, 1]
@@ -98,7 +98,7 @@ class TestRun:
 
     def test_forced_instance_resolves_at_iteration_zero(self):
         patterns = [pattern(0, 0)]
-        nurses = [Nurse(0, 1, (0,), {0: 9})]
+        nurses = [Nurse(0, 1, {0: 9})]
         inst = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * 13))
         result = run(inst, SolverConfig(max_iterations=50, seed=0))
         assert result.iteration_of_best == 0
