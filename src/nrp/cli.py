@@ -66,9 +66,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="fixed survival threshold instead of a random one per iteration")
     parser.add_argument("--p1", type=float, default=None, help="cover rule probability")
     parser.add_argument("--p2", type=float, default=None, help="combined rule probability")
-    parser.add_argument("--p3", type=float, default=None, help="random rule probability")
-    parser.add_argument("--w1", type=float, default=None, help="preference fitness weight")
-    parser.add_argument("--w2", type=float, default=None, help="coverage fitness weight")
+    parser.add_argument("--w1", type=float, default=None,
+                        help="preference fitness weight; coverage weighs 1 - w1")
     parser.add_argument("--wdemand", type=float, default=None,
                         help="penalty per uncovered shift")
     parser.add_argument("--e-mode", choices=E_MODES, default=None,
@@ -90,18 +89,12 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
     """The preset's spec with every given flag replaced; the configs validate each value."""
     spec = harness.preset_spec(args.preset, max_iterations=args.max_iters, seed=seed)
     config = spec.config
-    w1, w2 = args.w1, args.w2  # one weight given sets the other to 1 minus it
-    if w1 is None and w2 is not None:
-        w1 = 1.0 - w2
-    elif w2 is None and w1 is not None:
-        w2 = 1.0 - w1
     config = replace(
         config,
         elim=replace(config.elim, **_given(r_m=args.rm, fixed_threshold=args.fixed_rs)),
-        recon=replace(config.recon, **_given(p1=args.p1, p2=args.p2, p3=args.p3,
-                                             e_mode=args.e_mode)),
+        recon=replace(config.recon, **_given(p1=args.p1, p2=args.p2, e_mode=args.e_mode)),
         eval_weights=replace(config.eval_weights, **_given(
-            w1=w1, w2=w2, w_demand=args.wdemand, w_grade=_w_grade(args.w_grade))),
+            w1=args.w1, w_demand=args.wdemand, w_grade=_w_grade(args.w_grade))),
         stop_at_known_optimal=config.stop_at_known_optimal and not args.no_stop_at_optimal,
     )
     return replace(spec, config=config)

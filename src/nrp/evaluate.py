@@ -11,37 +11,37 @@ fitness is the one float w1 * f1 + w2 * f2, also in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import CoverageState, IncompleteRosterError, Instance, Roster
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalWeights:
     """Weights for component fitness, the repair score and the penalty term.
 
-    w1/w2 blend the preference and coverage fitness parts and must sum to 1.
-    w_demand is the penalty per uncovered (period, band) shift.  w_p and
-    w_grade belong to the combined reconstruction rule: preference weight and
-    the grade band weights, band 1 first.  Band s takes
+    w1 in [0, 1] weighs the preference fitness part, and the coverage part
+    takes w2 = 1 - w1, which is derived, not passed.  Every field is passed
+    by keyword.  w_demand is the penalty per uncovered (period, band) shift.
+    w_p and w_grade belong to the combined reconstruction rule: preference
+    weight and the grade band weights, band 1 first.  Band s takes
     w_grade[min(s, len(w_grade)) - 1], so the last weight also covers every
     band past the end of the tuple and any grade count fits.
     """
 
     w1: float = 0.5
-    w2: float = 0.5
+    w2: float = field(init=False)
     w_demand: float = 200.0
     w_p: float = 1.0
     w_grade: tuple[float, ...] = (8.0, 2.0, 1.0)
 
     def __post_init__(self) -> None:
-        finite = (self.w1, self.w2, self.w_demand, self.w_p, *self.w_grade)
+        finite = (self.w1, self.w_demand, self.w_p, *self.w_grade)
         if not all(map(math.isfinite, finite)):
-            raise ValueError("w1, w2, w_demand, w_p and the grade weights must be finite")
-        if abs(self.w1 + self.w2 - 1.0) > 1e-12:
-            raise ValueError("w1 + w2 must equal 1")
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError("w1 and w2 must be nonnegative")
+            raise ValueError("w1, w_demand, w_p and the grade weights must be finite")
+        if not 0 <= self.w1 <= 1:
+            raise ValueError("w1 must lie in [0, 1]")
+        object.__setattr__(self, "w2", 1.0 - self.w1)
         if self.w_demand <= 0:
             raise ValueError("w_demand must be positive")
         if self.w_p < 0:

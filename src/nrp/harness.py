@@ -31,8 +31,8 @@ PRESETS = {
     "elim1-fixed05": {"elim": EliminationConfig(fixed_threshold=0.5)},
     "elim1-only": {"elim": EliminationConfig(enable_random_elim=False)},
     "elim2-only": {"elim": EliminationConfig(enable_fitness_elim=False)},
-    "cover-only": {"recon": ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)},
-    "combined-only": {"recon": ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0)},
+    "cover-only": {"recon": ReconstructionConfig(p1=1.0, p2=0.0)},
+    "combined-only": {"recon": ReconstructionConfig(p1=0.0, p2=1.0)},
     "construct-only": {},  # the single reconstruction pass, not the loop
 }
 PRESET_NAMES = tuple(PRESETS)

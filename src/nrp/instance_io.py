@@ -18,9 +18,10 @@ The format is line oriented and human-diffable::
     1 2 1 1:0
     OPTIMAL 5        # optional verified optimum
 
-Blank lines and lines starting with '#' are ignored.  Serialization is
-canonical (fixed field order, '\\n' endings), so parse(serialize(x)) == x
-and repeated serializations are byte-identical.
+A '#' starts a comment that runs to the end of its line, and blank or
+comment-only lines are ignored.  Serialization is canonical (fixed field
+order, '\\n' endings), so parse(serialize(x)) == x and repeated
+serializations are byte-identical.
 
 The generator's shape is set by GeneratorParams; the number of days a
 pattern works is fixed: DAY_PERIODS for day patterns, NIGHT_PERIODS for
@@ -54,11 +55,9 @@ class _Lines:
     """Cursor over the meaningful lines of the file."""
 
     def __init__(self, text: str) -> None:
-        self.items = [
-            (no, line.strip())
-            for no, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        # a '#' starts a comment, on a line of its own or after the data
+        cut = (line.partition("#")[0].strip() for line in text.splitlines())
+        self.items = [(no, line) for no, line in enumerate(cut, start=1) if line]
         self.pos = 0
 
     def next(self, expecting: str) -> tuple[int, str]:

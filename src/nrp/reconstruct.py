@@ -111,27 +111,27 @@ E_MODES = ("indicator", "shortfall")
 MEMO_PICKS_PER_NURSE = 256  # per nurse and rule; see the module docstring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReconstructionConfig:
-    """Rule probabilities for {cover, combined, random} plus the e-term mode.
+    """Rule probabilities p1 (cover) and p2 (combined) plus the e-term mode.
 
-    e_mode chooses how the combined rule scores an understaffed period:
-    "indicator" counts it once, "shortfall" weights it by the number of
-    nurses still missing.
+    The random rule takes the rest, 1 - p1 - p2, so p1 + p2 may not exceed
+    1.  Every field is passed by keyword.  e_mode chooses how the combined
+    rule scores an understaffed period: "indicator" counts it once,
+    "shortfall" weights it by the number of nurses still missing.
     """
 
     p1: float = 0.80
     p2: float = 0.18
-    p3: float = 0.02
     e_mode: str = "indicator"
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.p1, self.p2, self.p3))):
+        if not all(map(math.isfinite, (self.p1, self.p2))):
             raise ValueError("rule probabilities must be finite")
-        if min(self.p1, self.p2, self.p3) < 0:
+        if min(self.p1, self.p2) < 0:
             raise ValueError("rule probabilities must be nonnegative")
-        if abs(self.p1 + self.p2 + self.p3 - 1.0) > 1e-12:
-            raise ValueError("p1 + p2 + p3 must equal 1")
+        if self.p1 + self.p2 > 1 + 1e-12:
+            raise ValueError("p1 + p2 must not exceed 1")
         if self.e_mode not in E_MODES:
             raise ValueError(f"e_mode must be one of {E_MODES}")
 

@@ -81,18 +81,24 @@ class RunResult:
     """Outcome of one seeded run.
 
     trajectory holds (0, starting cost), then one (t, best cost) entry per
-    iteration t that lowered the best cost, so its last entry is
-    (iteration_of_best, best_cost).
+    iteration t that lowered the best cost.  It is never empty, and its last
+    entry is the best: best_cost and iteration_of_best are read from it.
     """
 
-    best_cost: float
     best_roster: Roster
     best_feasible: bool
     iterations_executed: int
-    iteration_of_best: int
     wall_time: float
     seed: int
-    trajectory: list[tuple[int, float]] = field(default_factory=list)
+    trajectory: list[tuple[int, float]]
+
+    @property
+    def best_cost(self) -> float:
+        return self.trajectory[-1][1]
+
+    @property
+    def iteration_of_best(self) -> int:
+        return self.trajectory[-1][0]
 
 
 def initial_roster(instance: Instance, rng: random.Random) -> Roster:
@@ -120,7 +126,6 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     best_cost = cost
     best_roster = roster.copy()
     best_feasible = not coverage.short_mask()
-    iteration_of_best = 0
     trajectory = [(0, best_cost)]
     memo = PickMemo(instance)  # lives exactly as long as this run
     # fitness by roster, also for this run only; the stored lists are shared,
@@ -177,17 +182,14 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                 best_cost = cost
                 best_roster = roster.copy()
                 best_feasible = not coverage.short_mask()
-                iteration_of_best = t
                 trajectory.append((t, best_cost))
                 if optimum_reached():
                     break
 
     return RunResult(
-        best_cost=best_cost,
         best_roster=best_roster,
         best_feasible=best_feasible,
         iterations_executed=iterations,
-        iteration_of_best=iteration_of_best,
         wall_time=time.perf_counter() - started,
         seed=config.seed,
         trajectory=trajectory,
@@ -206,11 +208,9 @@ def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult
     cost = penalized_cost(roster, weights, coverage)
 
     return RunResult(
-        best_cost=cost,
         best_roster=roster,
         best_feasible=not coverage.short_mask(),
         iterations_executed=0,
-        iteration_of_best=0,
         wall_time=time.perf_counter() - started,
         seed=config.seed,
         trajectory=[(0, cost)],

@@ -200,11 +200,20 @@ def components_by_definition(instance: Instance) -> list[list[int]]:
     return components
 
 
-def contribution_by_removal(instance: Instance, roster: Roster, i: int) -> int:
-    """Remove nurse i, recount coverage, count her short covered slots."""
-    without = roster.copy()
-    without.assignment[i] = None
-    covered = coverage_matrix(instance, without)
+def contribution_by_removal(
+    instance: Instance, roster: Roster, i: int, covered: list[list[int]] | None = None
+) -> int:
+    """Remove nurse i, recount coverage, count her short covered slots.
+
+    covered, when given, is coverage_matrix(instance, roster): in each cell
+    that nurse i covers she counts 1, so the count without her is covered
+    less 1 there.  Without it, the roster less nurse i is recounted.
+    """
+    own = 1
+    if covered is None:
+        without = roster.copy()
+        without.assignment[i] = None
+        covered, own = coverage_matrix(instance, without), 0
     j = roster.assignment[i]
     mask = instance.patterns[j].mask
     total = 0
@@ -212,7 +221,7 @@ def contribution_by_removal(instance: Instance, roster: Roster, i: int) -> int:
         if not mask[k]:
             continue
         for s in range(1, instance.g + 1):
-            if qualified(instance, i, s) and covered[k][s - 1] < instance.demand.r[k][s - 1]:
+            if qualified(instance, i, s) and covered[k][s - 1] - own < instance.demand.r[k][s - 1]:
                 total += 1
     return total
 

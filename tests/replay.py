@@ -11,13 +11,14 @@ in the documented order:
 - per freed nurse in id order, the rule draw, plus one randrange for the
   random rule.
 
-Fitness is recounted by contribution_by_removal, the cover and combined
-picks take the first maximum over the nurse's feasible list of
-cover_value_by_definition and combined_score_by_definition, and every
-iteration's penalized cost is penalized_cost_by_definition: no memo, scan
-list, bound or skip.  A roster replaces the best only when strictly cheaper,
-and a feasible best at or below the known optimum stops the loop.  Only the
-data classes and the configs come from nrp; the scores come from bruteforce.
+Fitness is recounted by contribution_by_removal from one coverage_matrix
+of the roster, the cover and combined picks take the first maximum over
+the nurse's feasible list of cover_value_by_definition and
+combined_score_by_definition, and every iteration's penalized cost is
+penalized_cost_by_definition: no memo, scan list, bound or skip.  A
+roster replaces the best only when strictly cheaper, and a feasible best at
+or below the known optimum stops the loop.  Only the data classes and the
+configs come from nrp; the scores come from bruteforce.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from bruteforce import (
     combined_score_by_definition,
     contribution_by_removal,
     cover_value_by_definition,
+    coverage_matrix,
     feasible_by_definition,
     penalized_cost_by_definition,
     shortfall_matrix,
@@ -40,7 +42,8 @@ from bruteforce import (
 def fitness_by_definition(instance: Instance, roster: Roster, weights) -> list[float]:
     """w1 * f1 + w2 * f2 per nurse, each part rescaled over the current roster."""
     costs = [instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment)]
-    contribs = [contribution_by_removal(instance, roster, i) for i in range(instance.n)]
+    covered = coverage_matrix(instance, roster)  # once per roster, not once per nurse
+    contribs = [contribution_by_removal(instance, roster, i, covered) for i in range(instance.n)]
     p_min, p_max, c_min, c_max = min(costs), max(costs), min(contribs), max(contribs)
     return [
         weights.w1 * ((p_max - cost) / (p_max - p_min) if p_max > p_min else 0.5)

@@ -93,6 +93,9 @@ class TestSolve:
         (["--max-iters", "abc"], "--max-iters"),
         (["--e-mode", "both"], "--e-mode"),
         (["--no-such-flag"], "--no-such-flag"),
+        # the random rule's rate is 1 - p1 - p2 and w2 is 1 - w1: neither is a flag
+        (["--p3", "0.2"], "--p3"),
+        (["--w2", "0.75"], "--w2"),
     ])
     def test_rejected_flag_exits_one_with_one_line(self, tmp_path, capsys, flags, word):
         path = write_instance(tmp_path)
@@ -103,9 +106,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag, value, word", [
         ("--p1", "nan", "finite"),
-        ("--p3", "inf", "finite"),
+        ("--p2", "inf", "finite"),
         ("--w1", "nan", "finite"),
-        ("--w2", "inf", "finite"),
+        ("--w1", "inf", "finite"),
         ("--wdemand", "nan", "w_demand"),
     ])
     def test_non_finite_value_exits_one_with_one_line(self, tmp_path, capsys, flag, value, word):
@@ -118,7 +121,7 @@ class TestSolve:
         path = write_instance(tmp_path)
         code = main([
             "solve", str(path), "--preset", "elim1-only", "--max-iters", "100",
-            "--rm", "0.1", "--p1", "0.5", "--p2", "0.4", "--p3", "0.1",
+            "--rm", "0.1", "--p1", "0.5", "--p2", "0.4",
             "--w1", "0.6", "--wdemand", "150", "--e-mode", "shortfall",
         ])
         assert code == EXIT_OK
@@ -604,32 +607,32 @@ FLAG_SPECS = {
     "elim2-only": (["--preset", "elim2-only"],
                    RunSpec(_config(elim=EliminationConfig(enable_fitness_elim=False)))),
     "cover-only": (["--preset", "cover-only"],
-                   RunSpec(_config(recon=ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)))),
+                   RunSpec(_config(recon=ReconstructionConfig(p1=1.0, p2=0.0)))),
     "combined-only": (["--preset", "combined-only"],
-                      RunSpec(_config(recon=ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0)))),
+                      RunSpec(_config(recon=ReconstructionConfig(p1=0.0, p2=1.0)))),
     "construct-only": (["--preset", "construct-only"],
                        RunSpec(_config(), construction_only=True)),
     "rm-fixed-rs": (["--rm", "0.1", "--fixed-rs", "0.3"],
                     RunSpec(_config(elim=EliminationConfig(r_m=0.1, fixed_threshold=0.3)))),
-    "rules-e-mode": (["--p1", "0.5", "--p2", "0.3", "--p3", "0.2", "--e-mode", "shortfall"],
-                     RunSpec(_config(recon=ReconstructionConfig(0.5, 0.3, 0.2, "shortfall")))),
-    "w1": (["--w1", "0.25"], RunSpec(_config(eval_weights=EvalWeights(w1=0.25, w2=0.75)))),
-    "w2": (["--w2", "0.75"], RunSpec(_config(eval_weights=EvalWeights(w1=0.25, w2=0.75)))),
+    "rules-e-mode": (["--p1", "0.5", "--p2", "0.3", "--e-mode", "shortfall"],
+                     RunSpec(_config(recon=ReconstructionConfig(p1=0.5, p2=0.3,
+                                                                e_mode="shortfall")))),
+    "w1": (["--w1", "0.25"], RunSpec(_config(eval_weights=EvalWeights(w1=0.25)))),
     "wdemand": (["--wdemand", "150"], RunSpec(_config(eval_weights=EvalWeights(w_demand=150.0)))),
     "w-grade": (["--w-grade", "4,2,1"],
                 RunSpec(_config(eval_weights=EvalWeights(w_grade=(4.0, 2.0, 1.0))))),
     "no-stop": (["--no-stop-at-optimal"], RunSpec(_config(stop_at_known_optimal=False))),
     "all-on-elim1-only": (
         ["--preset", "elim1-only", "--max-iters", "123", "--rm", "0.1", "--fixed-rs", "0.3",
-         "--p1", "0.5", "--p2", "0.3", "--p3", "0.2", "--e-mode", "shortfall",
-         "--w1", "0.25", "--w2", "0.75", "--wdemand", "150", "--w-grade", "4,2,1",
+         "--p1", "0.5", "--p2", "0.3", "--e-mode", "shortfall",
+         "--w1", "0.25", "--wdemand", "150", "--w-grade", "4,2,1",
          "--no-stop-at-optimal"],
         RunSpec(SolverConfig(
             max_iterations=123,
             seed=7,
-            eval_weights=EvalWeights(w1=0.25, w2=0.75, w_demand=150.0, w_grade=(4.0, 2.0, 1.0)),
+            eval_weights=EvalWeights(w1=0.25, w_demand=150.0, w_grade=(4.0, 2.0, 1.0)),
             elim=EliminationConfig(r_m=0.1, fixed_threshold=0.3, enable_random_elim=False),
-            recon=ReconstructionConfig(0.5, 0.3, 0.2, "shortfall"),
+            recon=ReconstructionConfig(p1=0.5, p2=0.3, e_mode="shortfall"),
             stop_at_known_optimal=False,
         )),
     ),

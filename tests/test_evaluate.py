@@ -19,7 +19,7 @@ from nrp.model import (
     preference_cost,
 )
 
-from bruteforce import contribution_by_removal, penalized_cost_by_definition
+from bruteforce import contribution_by_removal, coverage_matrix, penalized_cost_by_definition
 from conftest import demand_rows, field_maximum_instance, flat_demand, make_instance, pattern
 
 
@@ -38,10 +38,23 @@ class TestEvalWeights:
         assert w.w1 + w.w2 == 1.0
 
     def test_rejects_unbalanced_fitness_weights(self):
-        with pytest.raises(ValueError, match="w1"):
-            EvalWeights(w1=0.7, w2=0.5)
+        # w2 = 1 - w1, so a w1 outside [0, 1] would make one of them negative
+        for w1 in (-0.2, 1.5):
+            with pytest.raises(ValueError, match="w1"):
+                EvalWeights(w1=w1)
 
-    @pytest.mark.parametrize("field", ["w1", "w2", "w_demand", "w_p"])
+    def test_w2_is_derived_from_w1(self):
+        for w1 in (0.0, 0.25, 0.3, 0.5, 0.6, 1.0):
+            assert EvalWeights(w1=w1).w2 == 1.0 - w1
+        # the blends in use give the float a passed w2 gave
+        assert (EvalWeights(w1=0.3).w2, EvalWeights(w1=0.25).w2) == (0.7, 0.75)
+
+    def test_takes_keywords_only(self):
+        # positionally, 0.7 would land in w_demand
+        with pytest.raises(TypeError):
+            EvalWeights(0.3, 0.7)
+
+    @pytest.mark.parametrize("field", ["w1", "w_demand", "w_p"])
     def test_rejects_non_finite_weights(self, field):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -100,10 +113,12 @@ class TestCoverageContribution:
             cases.append((inst, Roster([rng.choice(n.feasible) for n in inst.nurses])))
         for inst, roster in cases:
             cov = compute_coverage(inst, roster)
+            covered = coverage_matrix(inst, roster)
             for i in range(inst.n):
-                assert coverage_contribution(inst, roster, cov, i) == (
-                    contribution_by_removal(inst, roster, i)
-                )
+                expected = contribution_by_removal(inst, roster, i)
+                assert coverage_contribution(inst, roster, cov, i) == expected
+                # the replay's form: one matrix less her own count
+                assert contribution_by_removal(inst, roster, i, covered) == expected
 
     def test_packed_popcount_matches_per_band_count(self):
         # fitness counts every nurse with one popcount over packed band lanes
@@ -134,8 +149,8 @@ class TestCoverageContribution:
             ]
 
 
-PREFERENCE = EvalWeights(w1=1.0, w2=0.0)  # fitness equals the preference part f1
-COVERAGE = EvalWeights(w1=0.0, w2=1.0)  # fitness equals the coverage part f2
+PREFERENCE = EvalWeights(w1=1.0)  # fitness equals the preference part f1
+COVERAGE = EvalWeights(w1=0.0)  # fitness equals the coverage part f2
 
 
 def fitness(inst, roster, weights):
@@ -180,7 +195,7 @@ class TestComponentFitness:
         for trial in range(20):
             inst = generate_instance(GeneratorParams(n=5, m=8, g=2, seed=1300 + trial))
             roster = Roster([rng.choice(n.feasible) for n in inst.nurses])
-            w = EvalWeights(w1=0.3, w2=0.7)
+            w = EvalWeights(w1=0.3)
             parts = zip(
                 fitness(inst, roster, PREFERENCE),
                 fitness(inst, roster, COVERAGE),

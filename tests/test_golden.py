@@ -58,7 +58,7 @@ def _preset(name, iterations):
 
 def _shortfall_mode():
     spec = _full(300)
-    recon = ReconstructionConfig(p1=0.3, p2=0.6, p3=0.1, e_mode="shortfall")
+    recon = ReconstructionConfig(p1=0.3, p2=0.6, e_mode="shortfall")
     return replace(spec, config=replace(spec.config, recon=recon))
 
 
@@ -66,8 +66,8 @@ def _fractional_weights():
     # no preset uses non-integer scoring weights; the zero band weight
     # exercises the skip in the combined rule
     spec = _full(300)
-    recon = ReconstructionConfig(p1=0.25, p2=0.7, p3=0.05)
-    weights = EvalWeights(w1=0.3, w2=0.7, w_p=0.35, w_grade=(2.5, 0.0, 1.3))
+    recon = ReconstructionConfig(p1=0.25, p2=0.7)
+    weights = EvalWeights(w1=0.3, w_p=0.35, w_grade=(2.5, 0.0, 1.3))
     return replace(
         spec, config=replace(spec.config, recon=recon, eval_weights=weights)
     )

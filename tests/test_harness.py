@@ -29,13 +29,12 @@ from conftest import demand_rows, make_instance, pattern
 
 def fake_result(cost, feasible, seed=0):
     return RunResult(
-        best_cost=cost,
         best_roster=Roster([0]),
         best_feasible=feasible,
         iterations_executed=10,
-        iteration_of_best=3,
         wall_time=0.01,
         seed=seed,
+        trajectory=[(0, cost + 10), (3, cost)],
     )
 
 

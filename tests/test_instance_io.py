@@ -57,6 +57,18 @@ class TestParse:
         )
         assert parse_instance(noisy) == parse_instance(MINIMAL)
 
+    def test_a_comment_may_follow_every_kind_of_line(self):
+        # as in the format examples: "n 2   # nurses"
+        text = MINIMAL + "OPTIMAL 5\n"
+        lines = text.splitlines()
+        commented = "".join(f"{line}   # note {k}\n" for k, line in enumerate(lines))
+        assert parse_instance(commented) == parse_instance(text)
+        assert parse_instance(text.replace("0:5", "0:5#no space")).nurses[0].pref_cost == {0: 5}
+        # a comment that hides the value leaves the line short, on its own number
+        with pytest.raises(InstanceParseError, match="expected 'n <int>'") as err:
+            parse_instance(commented.replace("n 1", "n # 1"))
+        assert err.value.line == 2
+
     def test_dangling_pattern_reference_names_the_line(self):
         text = MINIMAL.replace("0 1 1 0:5", "0 1 1 99:5")
         with pytest.raises(InstanceParseError, match="unknown pattern 99") as err:

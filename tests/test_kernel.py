@@ -320,7 +320,7 @@ def test_band_weights_past_the_list_match_definition():
                     nurse.feasible, lambda j: by_definition(j, zero_past)
                 )
             expected = combined_repair_by_definition(instance, roster, weights, mode)
-            config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
+            config = ReconstructionConfig(p1=0.0, p2=1.0, e_mode=mode)
             memo = PickMemo(instance)
             for _ in range(2):  # the second call is answered by the memo the first filled
                 repaired = repair(instance, roster, config, weights, random.Random(trial),
@@ -449,7 +449,7 @@ def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
         assert scores == [tie, tie]
         state = _band_state(instance, coverage, nurse, mode)
         assert _argmax_combined(instance, weights, mode, nurse, state) == 0
-        config = ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode)
+        config = ReconstructionConfig(p1=0.0, p2=1.0, e_mode=mode)
         repaired = repair(instance, roster, config, weights, random.Random(0))
         assert repaired.assignment == [0]
 

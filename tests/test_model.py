@@ -7,6 +7,7 @@ from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
+    Demand,
     IncompleteRosterError,
     InvalidRosterError,
     Nurse,
@@ -105,6 +106,18 @@ class TestTypeInvariants:
     def test_demand_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             demand_rows([[0, -1]] + [[0, 0]] * 13)
+
+    # the parser rejects these shapes before it builds a Demand
+    @pytest.mark.parametrize("rows, message", [
+        ([[0]] * 13, "must have 14 rows"),
+        ([[0]] * 15, "must have 14 rows"),
+        ([[]] * 14, "at least one grade column"),
+        ([[0, 0]] + [[0]] * 13, "demand row 1: expected 2 entries"),
+        ([[0]] * 13 + [[0, 0]], "demand row 13: expected 1 entries"),
+    ])
+    def test_demand_rejects_a_wrong_shape(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Demand(r=tuple(map(tuple, rows)))
 
     def test_instance_rejects_dangling_pattern(self):
         with pytest.raises(ValueError, match="unknown pattern"):

@@ -46,12 +46,22 @@ CHI2_CRIT_DF4_P001 = 18.467  # chi-square 0.999 quantile, 4 degrees of freedom
 
 class TestReconstructionConfig:
     def test_rates_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="equal 1"):
-            ReconstructionConfig(p1=0.5, p2=0.5, p3=0.5)
+        # the random rule takes 1 - p1 - p2, so p1 + p2 above 1 is rejected
+        with pytest.raises(ValueError, match="exceed 1"):
+            ReconstructionConfig(p1=0.5, p2=0.6)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ReconstructionConfig(p1=1.2, p2=-0.2)
+        for p1, p2 in ((0.5, 0.5), (0.7, 0.3 + 1e-13), (0.0, 0.0)):
+            assert ReconstructionConfig(p1=p1, p2=p2).p1 == p1
+
+    def test_takes_keywords_only(self):
+        # positionally, a third rate would land in e_mode
+        with pytest.raises(TypeError):
+            ReconstructionConfig(0.5, 0.3)
 
     def test_rejects_non_finite_rates(self):
         for value in (math.nan, math.inf):
-            for rates in ({"p1": value}, {"p2": value}, {"p3": value}):
+            for rates in ({"p1": value}, {"p2": value}):
                 with pytest.raises(ValueError, match="finite"):
                     ReconstructionConfig(**rates)
 
@@ -275,12 +285,12 @@ class TestReconstruct:
         ]
         demand = demand_rows([[1], [1], [1]] + [[0]] * 11)
         inst = make_instance(patterns, nurses, demand)
-        config = ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)
+        config = ReconstructionConfig(p1=1.0, p2=0.0)
         out = repair(inst, Roster.empty(2), config, EvalWeights(), random.Random(0))
         assert out.assignment == [0, 3]
 
     def test_pure_cover_from_empty_is_deterministic(self):
-        config = ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)
+        config = ReconstructionConfig(p1=1.0, p2=0.0)
         weights = EvalWeights()
         for trial in range(10):
             inst = generate_instance(GeneratorParams(n=5, m=8, g=2, seed=3100 + trial))
@@ -294,7 +304,7 @@ class TestReconstruct:
         nurses = [Nurse(0, 1, {2: 5, 0: 5, 1: 5})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         for p1, p2 in ((1.0, 0.0), (0.0, 1.0)):
-            config = ReconstructionConfig(p1=p1, p2=p2, p3=0.0)
+            config = ReconstructionConfig(p1=p1, p2=p2)
             out = repair(inst, Roster.empty(1), config, EvalWeights(), random.Random(3))
             assert out.assignment == [2]
 
@@ -302,7 +312,7 @@ class TestReconstruct:
         patterns = [pattern(j, j) for j in range(5)]
         nurses = [Nurse(0, 1, {j: 0 for j in range(5)})]
         inst = make_instance(patterns, nurses, flat_demand(1))
-        config = ReconstructionConfig(p1=0.0, p2=0.0, p3=1.0)
+        config = ReconstructionConfig(p1=0.0, p2=0.0)
         rng = random.Random(55)
         counts = [0] * 5
         trials = 10_000
@@ -315,7 +325,7 @@ class TestReconstruct:
 
     def test_rule_draw_frequencies_match_configured_rates(self):
         inst = rule_probe_instance()
-        config = ReconstructionConfig(p1=0.80, p2=0.18, p3=0.02)
+        config = ReconstructionConfig(p1=0.80, p2=0.18)
         rng = random.Random(61)
         counts = {j: 0 for j in range(4)}
         trials = 10_000
@@ -405,7 +415,7 @@ class TestPickMemo:
         count their clears.  Returns the shared memo and the fresh memos'
         total size."""
         instance, weights, release = memo_sequence_case(trial)
-        config = ReconstructionConfig(p1=0.5, p2=0.45, p3=0.05, e_mode=e_mode)
+        config = ReconstructionConfig(p1=0.5, p2=0.45, e_mode=e_mode)
         shared = PickMemo(instance)
         if counted:
             shared.nurses = [row[:5] + (CountedClears(), CountedClears()) for row in shared.nurses]
@@ -467,13 +477,13 @@ class TestPickMemo:
         # reconstruct reads the constant: a dict one short of it grows to
         # it, a full one is emptied before the new pick is stored
         roster = Roster([None] + [nurse.feasible[0] for nurse in instance.nurses[1:]])
-        for rule, mix in (("cover", (1.0, 0.0, 0.0)), ("combined", (0.0, 1.0, 0.0))):
+        for rule, (p1, p2) in (("cover", (1.0, 0.0)), ("combined", (0.0, 1.0))):
             for held, after in ((MEMO_PICKS_PER_NURSE - 1, MEMO_PICKS_PER_NURSE),
                                 (MEMO_PICKS_PER_NURSE, 1)):
                 memo = PickMemo(instance)
                 picks = memo_dicts(memo, rule)[0]
                 picks.update((-1 - key, 0) for key in range(held))  # no mask is negative
-                repair(instance, roster, ReconstructionConfig(*mix), weights,
+                repair(instance, roster, ReconstructionConfig(p1=p1, p2=p2), weights,
                        random.Random(0), memo=memo)
                 assert len(picks) == after
         # a nurse's full dict leaves the others' picks alone
@@ -484,8 +494,8 @@ class TestPickMemo:
             assert len(memo_picks(shared, rule)) > LIMIT
 
 
-RULE_MIXES = {"cover": (1.0, 0.0, 0.0), "combined": (0.0, 1.0, 0.0),
-              "random": (0.0, 0.0, 1.0), "default": (0.80, 0.18, 0.02)}
+RULE_MIXES = {"cover": (1.0, 0.0), "combined": (0.0, 1.0), "random": (0.0, 0.0),
+              "default": (0.80, 0.18)}  # (p1, p2); the random rule takes the rest
 
 
 @pytest.mark.parametrize("e_mode", E_MODES)
@@ -496,7 +506,8 @@ def test_each_write_back_matches_a_recount(monkeypatch, mix, e_mode):
     memo and emptied dicts alike (one pick per nurse and rule), the state
     must equal a recount of the returned roster, at every grade count."""
     monkeypatch.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", 1)
-    config = ReconstructionConfig(*RULE_MIXES[mix], e_mode=e_mode)
+    p1, p2 = RULE_MIXES[mix]
+    config = ReconstructionConfig(p1=p1, p2=p2, e_mode=e_mode)
     for g in range(1, 7):
         instance = generate_instance(GeneratorParams(n=8, m=16, g=g, seed=14000 + g))
         memo, rng, release = PickMemo(instance), random.Random(g), random.Random(100 + g)
@@ -518,8 +529,8 @@ def test_the_pick_keys_are_the_reference_masks():
     (i, _focus_mask or _band_state & the cells she can work), whichever band
     the shortfall lies in."""
     rng = random.Random(131)
-    cover = ReconstructionConfig(p1=1.0, p2=0.0, p3=0.0)
-    combined = [ReconstructionConfig(p1=0.0, p2=1.0, p3=0.0, e_mode=mode) for mode in E_MODES]
+    cover = ReconstructionConfig(p1=1.0, p2=0.0)
+    combined = [ReconstructionConfig(p1=0.0, p2=1.0, e_mode=mode) for mode in E_MODES]
     focus_bands, above_own = set(), 0  # the focus bands met, as band indices or None
     for trial in range(360):
         instance = generate_instance(GeneratorParams(
@@ -607,7 +618,7 @@ class TestReachKeys:
         instance = generate_instance(WARD)
         day, (before, after) = self.night_change(instance)
         p = (1.0, 0.0) if rule == "cover" else (0.0, 1.0)
-        config = ReconstructionConfig(p1=p[0], p2=p[1], p3=0.0, e_mode=e_mode)
+        config = ReconstructionConfig(p1=p[0], p2=p[1], e_mode=e_mode)
         weights = EvalWeights()
         calls = count_kernel_calls(monkeypatch)
         memo = PickMemo(instance)

@@ -22,7 +22,7 @@ from replay import replay
 from test_golden import CASES, WARD
 
 
-GRID_ITERATIONS = 50  # per desk run, so the whole file takes about 5 s
+GRID_ITERATIONS = 100  # per desk run, so the whole file takes about 5 s
 
 
 def result_fields(result) -> tuple:
