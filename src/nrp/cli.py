@@ -4,10 +4,14 @@ Exit codes: 0 success (and a feasible best for solve), 1 any error,
 2 infeasible best (solve) and 3 exact-solver timeout.  Every error is one
 line starting "error:": the commands raise ValueError or OSError and main
 alone turns it into that line and exit 1 (argparse's own errors take the
-same form).  batch and ablate also print one such line per instance file
-that fails to parse and go on with the rest.  A warning, such as one for a
-pattern that works no period, is one line starting "warning:"; batch and
-ablate put the file's path after it, as in their error lines.  Batch
+same form).  batch and ablate share the instance files, --runs, --base-seed
+and --out; solve and batch share the solver flags.  batch and ablate load
+their files themselves: one such line per file that fails to parse, and
+they go on with the rest.  A warning, such as one for a pattern that works
+no period, is one line starting "warning:"; batch and ablate put the file's
+path after it, as in their error lines, and print each file's lines in file
+order.  An output path (--out, --per-run, --annotate) that is a directory,
+or whose parent is not one, is an error before any file is loaded.  Batch
 parallelism is set by the NRP_THREADS environment variable (default 1),
 capped at the CPU count; harness.worker_count reads it, and batch and
 ablate call it before loading any instance, so a value that is not a
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -56,30 +61,6 @@ def _w_grade(text: str | None) -> tuple[float, ...] | None:
     return weights
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", default="full", choices=harness.PRESET_NAMES,
-                        help="configuration preset (default: full)")
-    parser.add_argument("--max-iters", type=int, default=50_000)
-    parser.add_argument("--rm", type=float, default=None,
-                        help="random elimination rate r_m")
-    parser.add_argument("--fixed-rs", type=float, default=None,
-                        help="fixed survival threshold instead of a random one per iteration")
-    parser.add_argument("--p1", type=float, default=None, help="cover rule probability")
-    parser.add_argument("--p2", type=float, default=None, help="combined rule probability")
-    parser.add_argument("--w1", type=float, default=None,
-                        help="preference fitness weight; coverage weighs 1 - w1")
-    parser.add_argument("--wdemand", type=float, default=None,
-                        help="penalty per uncovered shift")
-    parser.add_argument("--e-mode", choices=E_MODES, default=None,
-                        help="combined-rule shortfall term: indicator or shortfall")
-    parser.add_argument("--w-grade", default=None, metavar="W1,W2,...",
-                        help="combined-rule weight per grade band, band 1 first "
-                             "(default 8,2,1); the last weight also covers every "
-                             "band past the list")
-    parser.add_argument("--no-stop-at-optimal", action="store_true",
-                        help="keep iterating even after reaching a known optimum")
-
-
 def _given(**values) -> dict:
     """The keyword arguments whose flag was given (is not None)."""
     return {name: value for name, value in values.items() if value is not None}
@@ -101,25 +82,36 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
 
 
 def _check_parent(path: str | None) -> None:
-    """Raise ValueError unless path is None or its parent is a directory."""
-    if path is not None and not Path(path).parent.is_dir():
+    """Raise ValueError unless path is empty, or is no directory and its parent is one."""
+    if path and Path(path).is_dir():
+        raise ValueError(f"{path} is a directory")
+    if path and not Path(path).parent.is_dir():
         raise ValueError(f"{path}: {Path(path).parent} is not a directory")
 
 
 def _load_batch(paths: list[str], *outputs: str | None):
-    """Check the batch set-up, then load the instances that parse.
+    """Check the batch set-up, then load the instances that parse, named by file.
 
-    A bad NRP_THREADS or an output without a directory raises ValueError
-    before any instance is loaded: batch results are written only after
-    every run, so no run's time is lost to them.  Each file that fails to
-    parse gets one error line; an empty list means none parsed.
+    A bad NRP_THREADS or an output path that _check_parent refuses raises
+    ValueError before any instance is loaded: batch results are written
+    only after every run, so no run's time is lost to them.  Each file that
+    fails to parse gets one error line, and each parse warning is issued
+    again after its file's path, so one file's warning never hides
+    another's; an empty list means none parsed.
     """
     harness.worker_count()  # raises on a bad NRP_THREADS
     for out in outputs:
         _check_parent(out)
-    named, errors = harness.load_named_instances(paths)
-    for message in errors:
-        print(f"error: {message}", file=sys.stderr)
+    named = []
+    for path in paths:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                named.append((os.path.splitext(os.path.basename(path))[0], load_instance(path)))
+            except (OSError, ValueError) as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+        for warning in caught:
+            warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
     return named
 
 
@@ -234,30 +226,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nrp", description="Nurse rostering solver and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[], help="solve a single instance")
+    config = argparse.ArgumentParser(add_help=False)  # the solver flags of solve and batch
+    config.add_argument("--preset", default="full", choices=harness.PRESET_NAMES,
+                        help="configuration preset (default: full)")
+    config.add_argument("--max-iters", type=int, default=50_000)
+    config.add_argument("--rm", type=float, help="random elimination rate r_m")
+    config.add_argument("--fixed-rs", type=float,
+                        help="fixed survival threshold instead of a random one per iteration")
+    config.add_argument("--p1", type=float, help="cover rule probability")
+    config.add_argument("--p2", type=float, help="combined rule probability")
+    config.add_argument("--w1", type=float,
+                        help="preference fitness weight; coverage weighs 1 - w1")
+    config.add_argument("--wdemand", type=float, help="penalty per uncovered shift")
+    config.add_argument("--e-mode", choices=E_MODES,
+                        help="combined-rule shortfall term: indicator or shortfall")
+    config.add_argument("--w-grade", metavar="W1,W2,...",
+                        help="combined-rule weight per grade band, band 1 first "
+                             "(default 8,2,1); the last weight also covers every "
+                             "band past the list")
+    config.add_argument("--no-stop-at-optimal", action="store_true",
+                        help="keep iterating even after reaching a known optimum")
+
+    inputs = argparse.ArgumentParser(add_help=False)  # the files and runs of batch and ablate
+    inputs.add_argument("instances", nargs="+")
+    inputs.add_argument("--runs", type=int, default=20)
+    inputs.add_argument("--base-seed", type=int, default=0)
+    inputs.add_argument("--out", help="write the CSV here instead of stdout")
+
+    p = sub.add_parser("solve", parents=[config], help="solve a single instance")
     p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("batch", help="multi-seed batches with summary statistics")
-    p.add_argument("instances", nargs="+")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--out", help="write the summary CSV here instead of stdout")
+    p = sub.add_parser("batch", parents=[inputs, config],
+                       help="multi-seed batches with summary statistics")
     p.add_argument("--per-run", help="also write one CSV row per run to this path")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("ablate", help="preset/budget matrix of censored means")
-    p.add_argument("instances", nargs="+")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--base-seed", type=int, default=0)
+    p = sub.add_parser("ablate", parents=[inputs], help="preset/budget matrix of censored means")
     p.add_argument("--budgets", type=int, nargs="*", default=list(harness.DEFAULT_BUDGETS))
     p.add_argument("--presets", nargs="*", default=list(harness.PRESET_NAMES),
                    choices=harness.PRESET_NAMES)
     p.add_argument("--preset-iters", type=int, default=50_000)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("exact", help="exact branch-and-bound solve")

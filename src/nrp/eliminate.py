@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import Roster
+from .model import IncompleteRosterError, Roster
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def eliminate_by_fitness(
             f"fitness length {len(fitness)} does not match roster size {len(held)}"
         )
     if None in held:
-        raise ValueError("fitness elimination expects a complete roster")
+        raise IncompleteRosterError(f"nurse {held.index(None)} is unassigned")
     if config.fixed_threshold is None:
         threshold = rng.random()
     else:

@@ -13,12 +13,10 @@ used for ablations.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .eliminate import EliminationConfig
-from .instance_io import load_instance
 from .model import Instance
 from .reconstruct import ReconstructionConfig
 from .solver import RNG_KIND, RunResult, SolverConfig, run, run_construction_only
@@ -266,23 +264,3 @@ def ablation_csv(named_instances: list[tuple[str, Instance]], spec: AblationSpec
     av = [t / len(named_instances) for t in totals]
     lines.append("Av.," + ",".join(f"{v:.1f}" for v in av))
     return "\n".join(lines) + "\n"
-
-
-def load_named_instances(paths: list[str]) -> tuple[list[tuple[str, Instance]], list[str]]:
-    """Parse instance files, collecting per-file errors instead of aborting.
-
-    Each file's parse warnings are issued again prefixed with its path, as
-    its error is, so one file's warning never hides another's.
-    """
-    loaded: list[tuple[str, Instance]] = []
-    errors: list[str] = []
-    for path in paths:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                loaded.append((os.path.splitext(os.path.basename(path))[0], load_instance(path)))
-            except (OSError, ValueError) as exc:
-                errors.append(f"{path}: {exc}")
-        for warning in caught:
-            warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
-    return loaded, errors

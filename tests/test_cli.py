@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nrp import harness, oracle
+from nrp import cli, harness, oracle
 from nrp.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -239,6 +239,20 @@ def test_batch_warnings_name_their_file_once_per_file(tmp_path, capsys, command)
         assert "demand row 0 is not non-decreasing" in pair[1]
 
 
+@pytest.mark.parametrize("command", [
+    ["batch", "--runs", "1", "--max-iters", "10"],
+    ["ablate", "--runs", "1", "--budgets", "10", "--presets", "full", "--preset-iters", "10"],
+], ids=["batch", "ablate"])
+def test_batch_error_and_warning_lines_come_in_file_order(tmp_path, capsys, command):
+    bad = tmp_path / "bad.nrp"
+    bad.write_text("not an instance\n")
+    paths = [str(bad), str(write_with_warnings(tmp_path))]
+    assert main([command[0], *paths, *command[1:]]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 2)[:2] for line in lines] == [
+        ["error", paths[0]], ["warning", paths[1]], ["warning", paths[1]]]
+
+
 @pytest.mark.parametrize("command", [["solve"], ["batch", "--runs", "1"]])
 def test_optimal_no_roster_can_cost_exits_one_with_one_line(tmp_path, capsys, command):
     path = write_instance(tmp_path)
@@ -429,12 +443,17 @@ class TestExact:
         assert lines[cuts + 1] == f"components: {expected}"
         assert expected == 2  # a generated instance splits into days and nights
 
-    @pytest.mark.parametrize("parent", ["missing", "file"])
+    @pytest.mark.parametrize("parent", ["missing", "file", "directory"])
     def test_bad_annotate_directory_exits_before_the_search(
         self, tmp_path, capsys, monkeypatch, parent
     ):
         instance = write_instance(tmp_path)
         where = tmp_path / "missing" if parent == "missing" else instance
+        words = (str(where), "not a directory")
+        if parent == "directory":  # the annotate path itself is a directory
+            where = tmp_path
+            (where / "a.nrp").mkdir()
+            words = (str(where / "a.nrp"), "is a directory")
 
         def refuse(*args, **kwargs):
             raise AssertionError("the search started")
@@ -442,7 +461,7 @@ class TestExact:
         monkeypatch.setattr(oracle, "exact_solve", refuse)
         code = main(["exact", str(instance), "--annotate", str(where / "a.nrp")])
         assert code == EXIT_ERROR
-        assert_one_line_error(capsys, str(where), "not a directory")
+        assert_one_line_error(capsys, *words)
 
 
 @pytest.mark.parametrize("command", [
@@ -473,19 +492,32 @@ def refuse_runs(monkeypatch) -> None:
         raise AssertionError("a batch started or an instance was loaded")
 
     monkeypatch.setattr(harness, "run_batch", refuse)
-    monkeypatch.setattr(harness, "load_named_instances", refuse)
+    monkeypatch.setattr(cli, "load_instance", refuse)
 
 
-@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("parent", ["missing", "file", "directory"])
 @pytest.mark.parametrize("command", list(BATCH_COMMANDS.values()), ids=list(BATCH_COMMANDS))
 def test_bad_output_directory_exits_before_any_run(tmp_path, capsys, monkeypatch, command, parent):
     instance = write_instance(tmp_path)
     paths = {"instance": str(instance), "parent": str(tmp_path / "missing")}
     if parent == "file":
         paths["parent"] = str(instance)
+    words = (paths["parent"], "not a directory")
+    if parent == "directory":  # the output path itself is a directory
+        paths["parent"] = str(tmp_path)
+        output = Path(command[-1].format(**paths))
+        output.mkdir()
+        words = (str(output), "is a directory")
     refuse_runs(monkeypatch)
     assert main([part.format(**paths) for part in command]) == EXIT_ERROR
-    assert_one_line_error(capsys, paths["parent"], "not a directory")
+    assert_one_line_error(capsys, *words)
+
+
+def test_an_empty_output_path_writes_to_stdout(tmp_path, capsys):
+    # "" names the current directory to pathlib, but no path to the commands
+    command = ["batch", str(write_instance(tmp_path)), "--runs", "1", "--max-iters", "10"]
+    assert main([*command, "--out", ""]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(harness.BATCH_CSV_HEADER + "\n")
 
 
 @pytest.mark.parametrize("value", ["junk", "0", "-2"])

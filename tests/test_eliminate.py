@@ -7,7 +7,7 @@ from nrp.eliminate import (
     eliminate_at_random,
     eliminate_by_fitness,
 )
-from nrp.model import Roster
+from nrp.model import IncompleteRosterError, Roster
 
 
 class TestEliminationConfig:
@@ -48,6 +48,15 @@ class TestFitnessElimination:
             eliminate_by_fitness(
                 Roster([0, 1]), [0.5], EliminationConfig(), random.Random(0)
             )
+
+    def test_incomplete_roster_raises_naming_the_first_unassigned_nurse(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(IncompleteRosterError, match="nurse 1 is unassigned"):
+            eliminate_by_fitness(
+                Roster([0, None, None]), [1.0, 1.0, 1.0], EliminationConfig(), rng
+            )
+        assert rng.getstate() == state  # refused before the threshold draw
 
     def test_fixed_threshold_consumes_no_draws(self):
         rng = random.Random(99)

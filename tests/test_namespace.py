@@ -1,11 +1,13 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import nrp
-from nrp import harness
+from nrp import cli, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -45,3 +47,20 @@ def test_readme_preset_table_lists_the_presets_in_order():
     table = section.split("\n\n", 2)[1]
     names = re.findall(r"^\| `([^`]+)`", table, re.M)
     assert tuple(names) == harness.PRESET_NAMES
+
+
+def test_console_script_runs_the_cli_main():
+    # pyproject's [project.scripts] entry; Python 3.10 has no tomllib, so a regex reads it
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^nrp\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target is not None
+    module, function = target.groups()
+    assert getattr(importlib.import_module(module), function) is cli.main
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nrp.cli", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: nrp ")
