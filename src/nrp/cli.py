@@ -10,15 +10,16 @@ their files themselves: one such line per file that fails to parse, and
 they go on with the rest.  A warning, such as one for a pattern that works
 no period, is one line starting "warning:"; batch and ablate put the file's
 path after it, as in their error lines, and print each file's lines in file
-order.  An output path (--out, --per-run, --annotate) that is a directory,
-or whose parent is not one, is an error before any file is loaded.  Batch
-parallelism is set by the NRP_THREADS environment variable (default 1),
-capped at the CPU count; harness.worker_count reads it, and batch and
-ablate call it before loading any instance, so a value that is not a
-positive integer ends in an error before any run.  gen has one flag per
-GeneratorParams field, --feasible-min for feasible_min, each defaulting to
-the field's default; every instance it writes runs through solve, batch and
-ablate with default flags.
+order, its warnings before its error.  An output path (--out, --per-run,
+--annotate) that is a directory, or whose parent is not one, is an error
+before any file is loaded.  Batch parallelism is set by the NRP_THREADS
+environment variable (default 1), capped at the CPU count;
+harness.worker_count reads it, and batch and ablate call it before loading
+any instance, so a value that is not a positive integer ends in an error
+before any run.  gen has one flag per GeneratorParams field, --feasible-min
+for feasible_min, each defaulting to the field's default; every instance it
+writes runs through solve, batch and ablate with default flags.  exact
+prints the search's wall time after its counters.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import math
 import os
 import sys
+import time
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -97,21 +99,25 @@ def _load_batch(paths: list[str], *outputs: str | None):
     only after every run, so no run's time is lost to them.  Each file that
     fails to parse gets one error line, and each parse warning is issued
     again after its file's path, so one file's warning never hides
-    another's; an empty list means none parsed.
+    another's.  A file's warnings, from the lines read before it failed,
+    come before its error line.  An empty list means none parsed.
     """
     harness.worker_count()  # raises on a bad NRP_THREADS
     for out in outputs:
         _check_parent(out)
     named = []
     for path in paths:
+        failure = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 named.append((os.path.splitext(os.path.basename(path))[0], load_instance(path)))
             except (OSError, ValueError) as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
+                failure = exc
         for warning in caught:
             warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
+        if failure is not None:  # after its warnings, which come from earlier lines
+            print(f"error: {path}: {failure}", file=sys.stderr)
     return named
 
 
@@ -175,7 +181,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_exact(args) -> int:
     _check_parent(args.annotate)  # before the proof, which can take long
     instance = load_instance(args.instance)
+    started = time.perf_counter()
     result = oracle.exact_solve(instance, node_budget=args.node_budget)
+    wall_time = time.perf_counter() - started
     print(f"status: {result.status}")
     if result.optimal_cost is not None:
         print(f"cost: {result.optimal_cost}")
@@ -183,6 +191,7 @@ def _cmd_exact(args) -> int:
     print(f"cost cuts: {result.cost_cuts}")
     print(f"coverage cuts: {result.coverage_cuts}")
     print(f"components: {result.components}")
+    print(f"wall time: {wall_time:.2f}s")
     if args.annotate:
         if result.status == oracle.OPTIMAL:
             annotated = replace(instance, known_optimal=result.optimal_cost)

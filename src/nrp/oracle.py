@@ -45,10 +45,13 @@ top and each pattern subtracts its cells, and a cell is short iff its guard
 bit is set in it.  The coverage cut subtracts the remaining nurses' packed
 counts from it, and the forced extra scans one list per depth that merges
 the distinct extras of every band, highest first, stopping at the first one
-whose cells, as guard bits, meet the residual.  A child's coverage cut and
-the leaf test are one test, run in the parent's pattern loop (the root's cut
-before its search), so only a child that passes costs a call; the call
-makes its cost cut, then tries its patterns.
+whose cells, as guard bits, meet the residual.  Every cut of a child runs
+in its parent's pattern loop, so only a child that passes them all costs a
+call: its coverage cut and the leaf test are one test, then comes its cost
+cut.  The root's coverage cut runs before its search, and the root needs no
+cost cut, because each component starts with the incumbent at infinity.
+Each depth reads one step record, built once per component: its patterns,
+and the cost to go, the counts and the extras of the depth below it.
 
 Why the roster is the one an undivided, unpruned search returns.  Both
 bounds only remove subtrees that hold no roster strictly cheaper than the
@@ -227,16 +230,8 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
 
     def search(depth: int, cost: int, rest: int) -> None:
         nonlocal best_cost, best, nodes, cost_cuts, coverage_cuts
-        forced = 0  # the forced extra cost: the first, costliest entry with a short cell
-        for more, bits in extra[depth]:
-            if rest & bits:  # bits are guard bits, set in rest iff covered < demand
-                forced = more
-                break
-        if cost + to_go[depth] + forced >= best_cost:
-            cost_cuts += 1
-            return
-        later, below, leaf = to_go[depth + 1], avail[depth + 1], depth + 1 == size
-        for j, price, cells in choices[depth]:
+        patterns, later, below, after = steps[depth]
+        for j, price, cells in patterns:
             new_cost = cost + price
             if new_cost + later >= best_cost:
                 cost_cuts += 1
@@ -245,19 +240,31 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
                 raise _OutOfBudget
             nodes += 1
             path[depth] = j
-            if (rest - cells - below) & guard_bits:  # a short leaf, or a cell no completion covers
-                if not leaf:
+            left = rest - cells
+            if (left - below) & guard_bits:  # a short leaf, or a cell no completion covers
+                if after is not None:
                     coverage_cuts += 1
-            elif leaf:  # covered, and cheaper than the incumbent as later is 0
+            elif after is None:  # covered, and cheaper than the incumbent as later is 0
                 best_cost, best = new_cost, list(path)
-            else:
-                search(depth + 1, new_cost, rest - cells)
+            else:  # the child's cost cut, with its forced extra: the costliest with a short cell
+                for more, bits in after:
+                    if left & bits:  # bits are guard bits, set in left iff covered < demand
+                        break
+                else:
+                    more = 0
+                if new_cost + later + more >= best_cost:
+                    cost_cuts += 1
+                else:
+                    search(depth + 1, new_cost, left)
 
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
     for ids, top in components:
         choices, to_go, avail, extra = _tables(instance, ids)
-        size, path = len(ids), [0] * len(ids)  # path is overwritten before a leaf reads it
+        # depth d's step: its patterns, then depth d + 1's cost to go, counts
+        # and extras, where None past the last depth marks a leaf
+        steps = list(zip(choices, to_go[1:], avail[1:], extra[1:] + [None]))
+        path = [0] * len(ids)  # overwritten before a leaf reads it
         best_cost, best = math.inf, None  # the incumbent's cost and roster
         try:
             if (top - avail[0]) & guard_bits:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -253,6 +254,24 @@ def test_batch_error_and_warning_lines_come_in_file_order(tmp_path, capsys, comm
         ["error", paths[0]], ["warning", paths[1]], ["warning", paths[1]]]
 
 
+@pytest.mark.parametrize("command", [
+    ["batch", "--runs", "1", "--max-iters", "10"],
+    ["ablate", "--runs", "1", "--budgets", "10", "--presets", "full", "--preset-iters", "10"],
+], ids=["batch", "ablate"])
+def test_a_file_that_warns_then_fails_prints_its_warning_before_its_error(
+    tmp_path, capsys, command
+):
+    # its pattern 1 works no period, and a later line, its first demand row, is garbage
+    bad = write_with_warnings(tmp_path)
+    bad.write_text(bad.read_text().replace("DEMAND\n1 0\n", "DEMAND\nnot a row\n"))
+    good = str(write_instance(tmp_path))
+    assert main([command[0], str(bad), good, *command[1:]]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 2)[:2] for line in lines] == [
+        ["warning", str(bad)], ["error", str(bad)]]
+    assert "pattern 1 covers no periods" in lines[0] and "demand row 0" in lines[1]
+
+
 @pytest.mark.parametrize("command", [["solve"], ["batch", "--runs", "1"]])
 def test_optimal_no_roster_can_cost_exits_one_with_one_line(tmp_path, capsys, command):
     path = write_instance(tmp_path)
@@ -442,6 +461,12 @@ class TestExact:
         expected = exact_solve(load_instance(path)).components
         assert lines[cuts + 1] == f"components: {expected}"
         assert expected == 2  # a generated instance splits into days and nights
+
+    def test_prints_the_wall_time_after_the_components(self, tmp_path, capsys):
+        assert main(["exact", str(write_instance(tmp_path))]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        components = next(i for i, line in enumerate(lines) if line.startswith("components:"))
+        assert re.fullmatch(r"wall time: \d+\.\d\ds", lines[components + 1])
 
     @pytest.mark.parametrize("parent", ["missing", "file", "directory"])
     def test_bad_annotate_directory_exits_before_the_search(
