@@ -6,6 +6,8 @@ count as 255), number of infeasible runs, and how many runs ended optimal
 or within three cost units of the optimum.  The runs of a batch go to up to
 worker_count() processes, read from the NRP_THREADS environment variable
 (default 1, capped at the CPU count), unless the caller passes threads.
+The process pool's modules load only when a batch runs on more than one
+worker, so a sequential batch never imports multiprocessing.
 Presets name the standard configuration plus the single-mechanism variants
 used for ablations.
 """
@@ -13,7 +15,6 @@ used for ablations.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .eliminate import EliminationConfig
@@ -90,6 +91,9 @@ def run_batch(
     threads = min(worker_count() if threads is None else threads, runs)
     if threads <= 1:
         return [execute(instance, run_spec) for run_spec in specs]
+    # imported here so that a sequential batch never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, runs // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(execute, [instance] * runs, specs, chunksize=chunksize))

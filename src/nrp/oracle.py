@@ -52,6 +52,10 @@ cut.  The root's coverage cut runs before its search, and the root needs no
 cost cut, because each component starts with the incumbent at infinity.
 Each depth reads one step record, built once per component: its patterns,
 and the cost to go, the counts and the extras of the depth below it.
+The search is a closure that calls itself; exact_solve breaks that
+reference cycle before it returns, so the search state, step records
+included, is freed when exact_solve returns, not left to the cyclic
+collector.
 
 Why the roster is the one an undivided, unpruned search returns.  Both
 bounds only remove subtrees that hold no roster strictly cheaper than the
@@ -281,6 +285,7 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
             status = INFEASIBLE
         if status != OPTIMAL:
             break
+    del search  # it refers to itself: break the cycle that holds the step tables
     roster = None if status == INFEASIBLE or None in assignment else Roster(assignment)
     cost = None if roster is None else total
     return ExactResult(status, cost, roster, nodes, cost_cuts, coverage_cuts, len(components))

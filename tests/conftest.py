@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from nrp.model import N_PERIODS, Demand, Instance, Nurse, Roster, ShiftPattern, compute_coverage
@@ -26,6 +28,18 @@ def demand_rows(rows) -> Demand:
 
 def make_instance(patterns, nurses, demand, known_optimal=None) -> Instance:
     return Instance(list(patterns), list(nurses), demand, known_optimal)
+
+
+def leftover_garbage(call) -> int:
+    """The unreachable objects gc.collect() finds after call(), run with
+    the cyclic collector off: what call left for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def repair(instance, roster, config, weights, rng, memo=None) -> Roster:

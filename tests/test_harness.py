@@ -21,10 +21,10 @@ from nrp.harness import (
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Nurse, Roster, is_feasible
 from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
-from nrp.solver import RunResult
+from nrp.solver import RunResult, SolverConfig, run
 
 from bruteforce import penalized_cost_by_definition
-from conftest import demand_rows, make_instance, pattern
+from conftest import demand_rows, leftover_garbage, make_instance, pattern
 
 
 def fake_result(cost, feasible, seed=0):
@@ -165,6 +165,12 @@ class TestRunBatch:
         seq = run_batch(inst, spec, 4, base_seed=0, threads=1)
         par = run_batch(inst, spec, 4, base_seed=0, threads=2)
         assert [run_csv_row("x", r) for r in seq] == [run_csv_row("x", r) for r in par]
+
+    def test_a_run_and_a_sequential_batch_leave_no_cyclic_garbage(self):
+        inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=55))
+        assert leftover_garbage(lambda: run(inst, SolverConfig(max_iterations=50))) == 0
+        spec = preset_spec("full", max_iterations=50)
+        assert leftover_garbage(lambda: run_batch(inst, spec, 3, base_seed=0, threads=1)) == 0
 
     def test_worker_count_reads_environment(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)

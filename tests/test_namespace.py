@@ -64,3 +64,23 @@ def test_console_script_runs_the_cli_main():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: nrp ")
+
+
+def test_a_sequential_batch_never_loads_the_process_pool():
+    # a fresh interpreter: this one may have run a pooled batch already
+    script = (
+        "import sys\n"
+        "import nrp, nrp.cli, nrp.harness\n"
+        "from nrp.instance_io import GeneratorParams, generate_instance\n"
+        "instance = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=1))\n"
+        "spec = nrp.harness.preset_spec('full', max_iterations=20)\n"
+        "assert len(nrp.harness.run_batch(instance, spec, 1, 0)) == 1\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -19,7 +19,7 @@ from bruteforce import (
     first_optimal_roster,
     qualified,
 )
-from conftest import demand_rows, make_instance, pattern
+from conftest import demand_rows, leftover_garbage, make_instance, pattern
 
 
 def test_single_nurse_with_covering_pattern():
@@ -137,6 +137,26 @@ def test_cut_counters():
     result = exact_solve(feasible)
     assert result.status == OPTIMAL
     assert result.cost_cuts > 0
+
+
+def test_each_outcome_leaves_no_cyclic_garbage():
+    """The search is a closure that calls itself; exact_solve breaks that
+    cycle, so its tables are freed on return, not by the cyclic collector."""
+    generated = generate_instance(GeneratorParams(n=6, m=10, g=3, seed=1))
+    stranded = make_instance(  # nobody works period 13
+        [pattern(0, 0), pattern(1, 7)], [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
+        demand_rows([[1]] + [[0]] * 12 + [[1]]),
+    )
+    either = make_instance(  # each period has a worker, but the one nurse works only one
+        [pattern(0, 0), pattern(1, 1)], [Nurse(0, 1, {0: 0, 1: 0})],
+        demand_rows([[1], [1]] + [[0]] * 12),
+    )
+    assert exact_solve(stranded).nodes_explored == 0 < exact_solve(either).nodes_explored
+    cases = [(generated, NODE_BUDGET, OPTIMAL), (stranded, NODE_BUDGET, INFEASIBLE),
+             (either, NODE_BUDGET, INFEASIBLE), (generated, 2, TIMEOUT)]
+    for inst, budget, status in cases:
+        assert exact_solve(inst, budget).status == status
+        assert leftover_garbage(lambda: exact_solve(inst, budget)) == 0
 
 
 def test_matches_unpruned_enumeration_on_random_instances():
