@@ -12,14 +12,16 @@ no period, is one line starting "warning:"; batch and ablate put the file's
 path after it, as in their error lines, and print each file's lines in file
 order, its warnings before its error.  An output path (--out, --per-run,
 --annotate) that is a directory, or whose parent is not one, is an error
-before any file is loaded.  Batch parallelism is set by the NRP_THREADS
-environment variable (default 1), capped at the CPU count;
-harness.worker_count reads it, and batch and ablate call it before loading
-any instance, so a value that is not a positive integer ends in an error
-before any run.  gen has one flag per GeneratorParams field, --feasible-min
-for feasible_min, each defaulting to the field's default; every instance it
-writes runs through solve, batch and ablate with default flags.  exact
-prints the search's wall time after its counters.
+before any file is loaded, and so is an output path of batch or ablate
+that resolves to one of its instance files or to its other output.  Batch
+parallelism is set by the NRP_THREADS environment variable (default 1),
+capped at the CPU count; harness.worker_count reads it, and batch and
+ablate call it before loading any instance, so a value that is not a
+positive integer ends in an error before any run.  gen has one flag per
+GeneratorParams field, --feasible-min for feasible_min, each defaulting to
+the field's default; every instance it writes runs through solve, batch
+and ablate with default flags.  exact prints the search's wall time after
+its counters.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def _check_parent(path: str | None) -> None:
 def _load_batch(paths: list[str], *outputs: str | None):
     """Check the batch set-up, then load the instances that parse, named by file.
 
-    A bad NRP_THREADS or an output path that _check_parent refuses raises
+    A bad NRP_THREADS, an output path that _check_parent refuses, or one
+    that resolves to an instance file or to the other output, raises
     ValueError before any instance is loaded: batch results are written
     only after every run, so no run's time is lost to them.  Each file that
     fails to parse gets one error line, and each parse warning is issued
@@ -103,8 +106,13 @@ def _load_batch(paths: list[str], *outputs: str | None):
     come before its error line.  An empty list means none parsed.
     """
     harness.worker_count()  # raises on a bad NRP_THREADS
-    for out in outputs:
+    taken = {Path(path).resolve(): f"instance file {path}" for path in paths}
+    for out in filter(None, outputs):
         _check_parent(out)
+        target = Path(out).resolve()
+        if target in taken:
+            raise ValueError(f"output {out} is the same file as {taken[target]}")
+        taken[target] = f"output {out}"
     named = []
     for path in paths:
         failure = None
@@ -237,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     config = argparse.ArgumentParser(add_help=False)  # the solver flags of solve and batch
     config.add_argument("--preset", default="full", choices=harness.PRESET_NAMES,
-                        help="configuration preset (default: full)")
+                        help="configuration preset (default: full); construct-only "
+                             "ignores --max-iters, --rm, --fixed-rs, --w1 and "
+                             "--no-stop-at-optimal")
     config.add_argument("--max-iters", type=int, default=50_000)
     config.add_argument("--rm", type=float, help="random elimination rate r_m")
     config.add_argument("--fixed-rs", type=float,

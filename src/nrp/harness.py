@@ -83,10 +83,13 @@ def run_batch(
     """runs independent executions with seeds base_seed, base_seed+1, ...
 
     threads (default worker_count()) caps the worker processes; the results
-    come back in seed order either way.
+    come back in seed order either way.  Raises ValueError when runs or
+    threads is below 1.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     specs = [replace(spec, config=replace(spec.config, seed=base_seed + k)) for k in range(runs)]
     threads = min(worker_count() if threads is None else threads, runs)
     if threads <= 1:
@@ -122,22 +125,18 @@ def compute_batch_stats(
     name: str, known_optimal: int | None, results: list[RunResult]
 ) -> BatchStats:
     values = [censored_cost(r) for r in results]
-    inf_count = sum(1 for r in results if not r.best_feasible)
+    feasible = [r.best_cost for r in results if r.best_feasible]
     if known_optimal is None:
         optimal_count = within3_count = None
     else:
-        optimal_count = sum(
-            1 for r in results if r.best_feasible and r.best_cost <= known_optimal
-        )
-        within3_count = sum(
-            1 for r in results if r.best_feasible and r.best_cost <= known_optimal + 3
-        )
+        optimal_count = sum(cost <= known_optimal for cost in feasible)
+        within3_count = sum(cost <= known_optimal + 3 for cost in feasible)
     return BatchStats(
         name=name,
         runs=len(results),
         best=min(values),
         mean_censored=sum(values) / len(values),
-        inf_count=inf_count,
+        inf_count=len(results) - len(feasible),
         optimal_count=optimal_count,
         within3_count=within3_count,
         known_optimal=known_optimal,
@@ -148,11 +147,22 @@ def format_cost(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:.1f}"
 
 
+def _column_means(rows: list[list]) -> list[float | None]:
+    """Each column's mean, summed in row order; None for a column with a None cell."""
+    return [None if None in column else sum(column) / len(rows) for column in zip(*rows)]
+
+
 BATCH_CSV_HEADER = "instance,runs,best,mean_censored,inf,optimal_count,within3"
 
 
 def batch_csv(stats: list[BatchStats]) -> str:
-    """CSV with one row per instance plus the Av. and % summary rows."""
+    """CSV with one row per instance plus the Av. and % summary rows.
+
+    Av. holds the column means; its two count cells are blank unless every
+    instance has a known optimum.  % holds 100 * (Av. best - Av. optimum) /
+    Av. optimum, and the same for the censored mean; both are blank when an
+    optimum is missing or Av. optimum is 0.
+    """
     if not stats:
         raise ValueError("batch_csv needs at least one instance's stats")
     lines = [BATCH_CSV_HEADER]
@@ -171,28 +181,15 @@ def batch_csv(stats: list[BatchStats]) -> str:
             )
         )
 
-    count = len(stats)
-    av_best = sum(s.best for s in stats) / count
-    av_mean = sum(s.mean_censored for s in stats) / count
-    av_inf = sum(s.inf_count for s in stats) / count
-    have_optima = all(s.known_optimal is not None for s in stats)
-    av_row = [
-        "Av.",
-        f"{sum(s.runs for s in stats) / count:.1f}",
-        f"{av_best:.1f}",
-        f"{av_mean:.1f}",
-        f"{av_inf:.1f}",
-        f"{sum(s.optimal_count for s in stats) / count:.1f}" if have_optima else "",
-        f"{sum(s.within3_count for s in stats) / count:.1f}" if have_optima else "",
-    ]
-    lines.append(",".join(av_row))
-
+    *av, av_opt = _column_means([
+        [s.runs, s.best, s.mean_censored, s.inf_count, s.optimal_count, s.within3_count,
+         s.known_optimal] for s in stats
+    ])
+    lines.append(",".join(["Av.", *("" if v is None else f"{v:.1f}" for v in av)]))
     pct_best = pct_mean = ""
-    if have_optima:
-        av_opt = sum(s.known_optimal for s in stats) / count
-        if av_opt > 0:
-            pct_best = f"{100.0 * (av_best - av_opt) / av_opt:.1f}"
-            pct_mean = f"{100.0 * (av_mean - av_opt) / av_opt:.1f}"
+    if av_opt:  # neither missing nor 0
+        pct_best = f"{100.0 * (av[1] - av_opt) / av_opt:.1f}"
+        pct_mean = f"{100.0 * (av[2] - av_opt) / av_opt:.1f}"
     lines.append(",".join(["%", "", pct_best, pct_mean, "", "", ""]))
     return "\n".join(lines) + "\n"
 
@@ -246,9 +243,11 @@ class AblationSpec:
 def ablation_csv(named_instances: list[tuple[str, Instance]], spec: AblationSpec) -> str:
     """Censored-mean matrix: budget sweep columns, then preset columns.
 
-    Columns with equal RunSpecs share one batch per instance: at the
-    defaults the full preset column repeats iters_50000, so it is not run
-    again.  Each batch runs on run_batch's default worker_count() processes.
+    Each cell is its batch's compute_batch_stats mean_censored, and the Av.
+    row holds the column means.  Columns with equal RunSpecs share one batch
+    per instance: at the defaults the full preset column repeats
+    iters_50000, so it is not run again.  Each batch runs on run_batch's
+    default worker_count() processes.
     """
     if not named_instances:
         raise ValueError("ablation_csv needs at least one instance")
@@ -256,15 +255,13 @@ def ablation_csv(named_instances: list[tuple[str, Instance]], spec: AblationSpec
     columns += [(preset, preset_spec(preset, spec.preset_iterations)) for preset in spec.presets]
 
     lines = ["instance," + ",".join(name for name, _ in columns)]
-    totals = [0.0] * len(columns)
+    rows = []
     for name, instance in named_instances:
         means = {}
         for run_spec in dict.fromkeys(run_spec for _, run_spec in columns):
             results = run_batch(instance, run_spec, spec.runs, spec.base_seed)
-            means[run_spec] = sum(censored_cost(r) for r in results) / len(results)
-        row = [means[run_spec] for _, run_spec in columns]
-        totals = [total + mean for total, mean in zip(totals, row)]
-        lines.append(name + "," + ",".join(f"{mean:.1f}" for mean in row))
-    av = [t / len(named_instances) for t in totals]
-    lines.append("Av.," + ",".join(f"{v:.1f}" for v in av))
+            means[run_spec] = compute_batch_stats(name, None, results).mean_censored
+        rows.append([means[run_spec] for _, run_spec in columns])
+        lines.append(name + "," + ",".join(f"{mean:.1f}" for mean in rows[-1]))
+    lines.append("Av.," + ",".join(f"{v:.1f}" for v in _column_means(rows)))
     return "\n".join(lines) + "\n"

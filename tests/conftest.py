@@ -30,6 +30,15 @@ def make_instance(patterns, nurses, demand, known_optimal=None) -> Instance:
     return Instance(list(patterns), list(nurses), demand, known_optimal)
 
 
+def impossible_instance() -> Instance:
+    """Demand two nurses where only one exists: no roster is feasible."""
+    return make_instance(
+        [pattern(0, 0)],
+        [Nurse(0, 1, {0: 5})],
+        demand_rows([[2]] + [[0]] * 13),
+    )
+
+
 def leftover_garbage(call) -> int:
     """The unreachable objects gc.collect() finds after call(), run with
     the cyclic collector off: what call left for the collector."""

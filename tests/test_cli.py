@@ -29,7 +29,7 @@ from nrp.oracle import exact_solve
 from nrp.reconstruct import ReconstructionConfig
 from nrp.solver import SolverConfig
 
-from conftest import demand_rows, make_instance, pattern
+from conftest import demand_rows, impossible_instance, make_instance, pattern
 
 
 def write_instance(tmp_path: Path, name="case.nrp", seed=60) -> Path:
@@ -54,13 +54,8 @@ def assert_one_line_error(capsys, *words) -> None:
 
 
 def write_impossible(tmp_path: Path) -> Path:
-    inst = make_instance(
-        [pattern(0, 0)],
-        [Nurse(0, 1, {0: 5})],
-        demand_rows([[2]] + [[0]] * 13),
-    )
     path = tmp_path / "impossible.nrp"
-    save_instance(inst, path)
+    save_instance(impossible_instance(), path)
     return path
 
 
@@ -536,6 +531,24 @@ def test_bad_output_directory_exits_before_any_run(tmp_path, capsys, monkeypatch
     refuse_runs(monkeypatch)
     assert main([part.format(**paths) for part in command]) == EXIT_ERROR
     assert_one_line_error(capsys, *words)
+
+
+@pytest.mark.parametrize("command, words", [
+    (["batch", "a.nrp", "--out", "./a.nrp"], ["./a.nrp", "instance file a.nrp"]),
+    (["batch", "a.nrp", "--out", "r.csv", "--per-run", "./r.csv"], ["./r.csv", "output r.csv"]),
+    (["ablate", "a.nrp", "--out", "sub/../a.nrp"], ["sub/../a.nrp", "instance file a.nrp"]),
+], ids=["batch-out-input", "batch-per-run-out", "ablate-out-input"])
+def test_an_output_that_is_an_input_or_the_other_output_exits_before_any_run(
+    tmp_path, capsys, monkeypatch, command, words
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    text = write_instance(tmp_path, "a.nrp").read_text()
+    refuse_runs(monkeypatch)
+    assert main(command) == EXIT_ERROR
+    assert_one_line_error(capsys, "same file", *words)
+    assert (tmp_path / "a.nrp").read_text() == text
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_an_empty_output_path_writes_to_stdout(tmp_path, capsys):

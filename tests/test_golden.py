@@ -1,7 +1,8 @@
-"""Golden per-run CSV rows on a small fixed grid.
+"""Golden per-run CSV rows and summary tables on a small fixed grid.
 
 Each case runs a seeded batch and compares the SHA-256 of its
-`harness.run_csv_row` lines with a recorded value.  The rows carry the best
+`harness.run_csv_row` lines with a recorded value; each table case does the
+same for a `batch_csv` or `ablation_csv` text.  The rows carry the best
 cost, the iteration it was reached at and the iteration count, so any change
 to the rng draw order, a tie-break or a score's float arithmetic shows up
 here.  A speedup must leave every hash unchanged; a deliberate behaviour
@@ -16,10 +17,20 @@ from dataclasses import replace
 import pytest
 
 from nrp.evaluate import EvalWeights
-from nrp.harness import preset_spec, run_batch, run_csv_row
+from nrp.harness import (
+    AblationSpec,
+    ablation_csv,
+    batch_csv,
+    compute_batch_stats,
+    preset_spec,
+    run_batch,
+    run_csv_row,
+)
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.oracle import OPTIMAL, exact_solve
 from nrp.reconstruct import ReconstructionConfig
+
+from conftest import impossible_instance
 
 WARD = GeneratorParams(n=30, m=411, g=3, feasible_min=75, feasible_max=150, seed=1)
 MID = GeneratorParams(n=12, m=40, g=3, feasible_min=6, feasible_max=16, seed=5)
@@ -27,6 +38,8 @@ DESK = (
     GeneratorParams(n=5, m=12, g=3, tightness=0.75, seed=11001),
     GeneratorParams(n=6, m=10, g=2, tightness=0.7, seed=11002),
 )
+# its optimum is 0, so a table of it alone leaves the % cells blank
+ZERO = GeneratorParams(n=5, m=10, g=2, cost_exponent=6.0, tightness=0.5, seed=11)
 
 
 def _with_optimum(params: GeneratorParams):
@@ -125,3 +138,65 @@ def rows_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_rows_match_recorded_hash(name):
     assert rows_digest(name) == CASES[name][3]
+
+
+# label -> (instance factory, iterations) of the summary tables' batches,
+# 5 seeds each: the desk ones with their optimum, the mid one without
+# OPTIMAL, one that no roster covers and one whose optimum is 0
+TABLE_BATCHES = {
+    "desk-a": (_desk(0), 3),
+    "desk-b": (_desk(1), 3),
+    "mid": (_mid, 1000),
+    "impossible": (impossible_instance, 3),
+    "zero": (lambda: _with_optimum(ZERO), 3),
+}
+
+# table -> (its labels, recorded sha256)
+TABLES = {
+    "batch-optima": (
+        ("desk-a", "desk-b", "zero"),
+        "7ba9307483ec1284092d573ab4c391cc668df5917a96d1036a5a9b434e4b0cb7",
+    ),
+    "batch-missing-optimum": (
+        ("desk-a", "mid", "impossible", "zero"),
+        "81c130f801b21897c2677032120b16d023f5d6ae8fdad3750ff219955d336fae",
+    ),
+    "batch-impossible": (
+        ("impossible",),
+        "863c4e585b9ba538981a16319347d8f621a9cddcade91cfee2c20cd93c11a936",
+    ),
+    "batch-zero-optimum": (
+        ("zero",),
+        "37c37ede6a51c32f91c631c65d971b3fe74a4d4eb7cd4544c0023daf059b428b",
+    ),
+    "ablation": (
+        tuple(TABLE_BATCHES),
+        "100bcda7d1be208f0e46390535d79eb80d533b4b6fec137421e6c9ca422bb216",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def table_inputs():
+    """Each label's instance and the stats of its batch."""
+    inputs = {}
+    for label, (build_instance, iterations) in TABLE_BATCHES.items():
+        instance = build_instance()
+        results = run_batch(instance, _full(iterations), 5, base_seed=0, threads=1)
+        inputs[label] = (instance, compute_batch_stats(label, instance.known_optimal, results))
+    return inputs
+
+
+def table_text(name: str, inputs: dict) -> str:
+    labels = TABLES[name][0]
+    if name == "ablation":
+        spec = AblationSpec(budgets=(10, 30), preset_iterations=30, runs=3,
+                            presets=("full", "construct-only"))
+        return ablation_csv([(label, inputs[label][0]) for label in labels], spec)
+    return batch_csv([inputs[label][1] for label in labels])
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_summary_tables_match_recorded_hash(name, table_inputs):
+    text = table_text(name, table_inputs)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == TABLES[name][1]

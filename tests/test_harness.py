@@ -19,12 +19,12 @@ from nrp.harness import (
     worker_count,
 )
 from nrp.instance_io import GeneratorParams, generate_instance
-from nrp.model import Nurse, Roster, is_feasible
+from nrp.model import Roster, is_feasible
 from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
 from nrp.solver import RunResult, SolverConfig, run
 
 from bruteforce import penalized_cost_by_definition
-from conftest import demand_rows, leftover_garbage, make_instance, pattern
+from conftest import impossible_instance, leftover_garbage
 
 
 def fake_result(cost, feasible, seed=0):
@@ -35,15 +35,6 @@ def fake_result(cost, feasible, seed=0):
         wall_time=0.01,
         seed=seed,
         trajectory=[(0, cost + 10), (3, cost)],
-    )
-
-
-def impossible_instance():
-    """Demand two nurses where only one exists."""
-    return make_instance(
-        [pattern(0, 0)],
-        [Nurse(0, 1, {0: 5})],
-        demand_rows([[2]] + [[0]] * 13),
     )
 
 
@@ -165,6 +156,16 @@ class TestRunBatch:
         seq = run_batch(inst, spec, 4, base_seed=0, threads=1)
         par = run_batch(inst, spec, 4, base_seed=0, threads=2)
         assert [run_csv_row("x", r) for r in seq] == [run_csv_row("x", r) for r in par]
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_fewer_than_one_thread_raises(self, monkeypatch, threads):
+        def refuse(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness_module, "execute", refuse)
+        inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=52))
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_batch(inst, preset_spec("full", max_iterations=20), 4, base_seed=0, threads=threads)
 
     def test_a_run_and_a_sequential_batch_leave_no_cyclic_garbage(self):
         inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=55))
