@@ -15,13 +15,13 @@ order, its warnings before its error.  An output path (--out, --per-run,
 before any file is loaded, and so is an output path of batch or ablate
 that resolves to one of its instance files or to its other output.  Batch
 parallelism is set by the NRP_THREADS environment variable (default 1),
-capped at the CPU count; harness.worker_count reads it, and batch and
-ablate call it before loading any instance, so a value that is not a
-positive integer ends in an error before any run.  gen has one flag per
-GeneratorParams field, --feasible-min for feasible_min, each defaulting to
-the field's default; every instance it writes runs through solve, batch
-and ablate with default flags.  exact prints the search's wall time after
-its counters.
+capped at the CPUs the process may run on; harness.worker_count reads it,
+and batch and ablate call it before loading any instance, so a value that
+is not a positive integer ends in an error before any run.  gen has one
+flag per GeneratorParams field, --feasible-min for feasible_min, each
+defaulting to the field's default; every instance it writes runs through
+solve, batch and ablate with default flags.  exact prints the search's
+wall time after its counters.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
     config = replace(
         config,
         elim=replace(config.elim, **_given(r_m=args.rm, fixed_threshold=args.fixed_rs)),
-        recon=replace(config.recon, **_given(p1=args.p1, p2=args.p2, e_mode=args.e_mode)),
-        eval_weights=replace(config.eval_weights, **_given(
-            w1=args.w1, w_demand=args.wdemand, w_grade=_w_grade(args.w_grade))),
+        recon=replace(config.recon, **_given(
+            p1=args.p1, p2=args.p2, e_mode=args.e_mode, w_grade=_w_grade(args.w_grade))),
+        eval_weights=replace(config.eval_weights, **_given(w1=args.w1, w_demand=args.wdemand)),
         stop_at_known_optimal=config.stop_at_known_optimal and not args.no_stop_at_optimal,
     )
     return replace(spec, config=config)

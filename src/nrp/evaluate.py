@@ -18,38 +18,27 @@ from .model import CoverageState, IncompleteRosterError, Instance, Roster
 
 @dataclass(frozen=True, kw_only=True)
 class EvalWeights:
-    """Weights for component fitness, the repair score and the penalty term.
+    """Weights for component fitness and the penalty term.
 
     w1 in [0, 1] weighs the preference fitness part, and the coverage part
     takes w2 = 1 - w1, which is derived, not passed.  Every field is passed
     by keyword.  w_demand is the penalty per uncovered (period, band) shift.
-    w_p and w_grade belong to the combined reconstruction rule: preference
-    weight and the grade band weights, band 1 first.  Band s takes
-    w_grade[min(s, len(w_grade)) - 1], so the last weight also covers every
-    band past the end of the tuple and any grade count fits.
+    The combined reconstruction rule's weights belong to its own config,
+    nrp.reconstruct.ReconstructionConfig.
     """
 
     w1: float = 0.5
     w2: float = field(init=False)
     w_demand: float = 200.0
-    w_p: float = 1.0
-    w_grade: tuple[float, ...] = (8.0, 2.0, 1.0)
 
     def __post_init__(self) -> None:
-        finite = (self.w1, self.w_demand, self.w_p, *self.w_grade)
-        if not all(map(math.isfinite, finite)):
-            raise ValueError("w1, w_demand, w_p and the grade weights must be finite")
+        if not all(map(math.isfinite, (self.w1, self.w_demand))):
+            raise ValueError("w1 and w_demand must be finite")
         if not 0 <= self.w1 <= 1:
             raise ValueError("w1 must lie in [0, 1]")
         object.__setattr__(self, "w2", 1.0 - self.w1)
         if self.w_demand <= 0:
             raise ValueError("w_demand must be positive")
-        if self.w_p < 0:
-            raise ValueError("w_p must be nonnegative")
-        if not self.w_grade:
-            raise ValueError("w_grade needs at least one grade weight")
-        if any(w < 0 for w in self.w_grade):
-            raise ValueError("grade weights must be nonnegative")
 
 
 def _contributions(instance: Instance, roster: Roster, coverage: CoverageState) -> list[int]:

@@ -5,7 +5,8 @@ the results to the usual table row: best, censored mean (infeasible runs
 count as 255), number of infeasible runs, and how many runs ended optimal
 or within three cost units of the optimum.  The runs of a batch go to up to
 worker_count() processes, read from the NRP_THREADS environment variable
-(default 1, capped at the CPU count), unless the caller passes threads.
+(default 1, capped at the CPUs the process may run on), unless the
+caller passes threads.
 The process pool's modules load only when a batch runs on more than one
 worker, so a sequential batch never imports multiprocessing.
 Presets name the standard configuration plus the single-mechanism variants
@@ -64,8 +65,10 @@ def execute(instance: Instance, spec: RunSpec) -> RunResult:
 def worker_count() -> int:
     """Batch parallelism from NRP_THREADS (default 1), at most the CPU count.
 
-    Raises ValueError when the variable is set to anything but a positive
-    integer.
+    The CPUs counted are the ones this process may run on, its affinity
+    set, where the platform reports one (os.sched_getaffinity), and
+    os.cpu_count() elsewhere.  Raises ValueError when the variable is set
+    to anything but a positive integer.
     """
     text = os.environ.get("NRP_THREADS", "1")
     try:
@@ -74,7 +77,8 @@ def worker_count() -> int:
         wanted = 0
     if wanted < 1:
         raise ValueError(f"NRP_THREADS must be a positive integer, got {text!r}")
-    return min(wanted, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(wanted, cpus or 1)
 
 
 def run_batch(
@@ -216,9 +220,10 @@ def run_csv_row(name: str, result: RunResult) -> str:
 class AblationSpec:
     """Which presets and iteration budgets an ablation matrix spans.
 
-    Every column runs with the default EvalWeights, whose band weights fit
-    any grade count.  Each preset and each budget names one column, so none
-    may be listed twice.
+    Every column runs with the default EvalWeights and, but for the rule
+    rates of cover-only and combined-only, the default ReconstructionConfig,
+    whose band weights fit any grade count.  Each preset and each budget
+    names one column, so none may be listed twice.
     """
 
     presets: tuple[str, ...] = PRESET_NAMES

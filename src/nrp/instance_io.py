@@ -18,10 +18,11 @@ The format is line oriented and human-diffable::
     1 2 1 1:0
     OPTIMAL 5        # optional verified optimum
 
-A '#' starts a comment that runs to the end of its line, and blank or
-comment-only lines are ignored.  Serialization is canonical (fixed field
-order, '\\n' endings), so parse(serialize(x)) == x and repeated
-serializations are byte-identical.
+A pattern line's 14-character mask reads as the ascending tuple of the
+periods it sets, the form Instance holds.  A '#' starts a comment that runs
+to the end of its line, and blank or comment-only lines are ignored.
+Serialization is canonical (fixed field order, '\\n' endings), so
+parse(serialize(x)) == x and repeated serializations are byte-identical.
 
 The generator's shape is set by GeneratorParams; the number of days a
 pattern works is fixed: DAY_PERIODS for day patterns, NIGHT_PERIODS for
@@ -36,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import N_PERIODS, Demand, Instance, Nurse, ShiftPattern
+from .model import N_PERIODS, Demand, Instance, Nurse
 
 FORMAT_HEADER = "NRP 1"
 DAY_PERIODS = (3, 5)  # days worked by a day pattern, inclusive range
@@ -122,7 +123,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceParseError(no, f"mask must be {N_PERIODS} characters of 0/1")
         if "1" not in mask:
             warnings.warn(f"line {no}: pattern {pid} covers no periods", stacklevel=2)
-        patterns.append(ShiftPattern(pid, tuple(c == "1" for c in mask)))
+        patterns.append(tuple(k for k, c in enumerate(mask) if c == "1"))
 
     _section(lines, "DEMAND")
     rows = []
@@ -193,8 +194,8 @@ def serialize_instance(instance: Instance) -> str:
     """Canonical text form; byte-stable and round-trips through parse."""
     out = [FORMAT_HEADER, f"n {instance.n}", f"m {instance.m}", f"g {instance.g}"]
     out.append("PATTERNS")
-    for p in instance.patterns:
-        out.append(f"{p.id} " + "".join("1" if on else "0" for on in p.mask))
+    for j, periods in enumerate(instance.patterns):
+        out.append(f"{j} " + "".join("1" if k in periods else "0" for k in range(N_PERIODS)))
     out.append("DEMAND")
     for row in instance.demand.r:
         out.append(" ".join(str(v) for v in row))
@@ -247,12 +248,8 @@ class GeneratorParams:
             raise ValueError("cost_exponent must be positive and finite")
 
 
-def _draw_mask(rng: random.Random, offset: int, lo: int, hi: int) -> tuple[bool, ...]:
-    worked = rng.sample(range(7), rng.randint(lo, hi))
-    mask = [False] * N_PERIODS
-    for d in worked:
-        mask[offset + d] = True
-    return tuple(mask)
+def _draw_periods(rng: random.Random, offset: int, lo: int, hi: int) -> tuple[int, ...]:
+    return tuple(sorted(offset + d for d in rng.sample(range(7), rng.randint(lo, hi))))
 
 
 def generate_instance(params: GeneratorParams) -> Instance:
@@ -265,13 +262,13 @@ def generate_instance(params: GeneratorParams) -> Instance:
     for pid in range(params.m):
         is_day = pid < n_day
         lo, hi = DAY_PERIODS if is_day else NIGHT_PERIODS
-        mask = _draw_mask(rng, 0 if is_day else 7, lo, hi)
-        for _ in range(20):  # prefer distinct masks, tolerate repeats
-            if mask not in seen:
+        periods = _draw_periods(rng, 0 if is_day else 7, lo, hi)
+        for _ in range(20):  # prefer distinct patterns, tolerate repeats
+            if periods not in seen:
                 break
-            mask = _draw_mask(rng, 0 if is_day else 7, lo, hi)
-        seen.add(mask)
-        patterns.append(ShiftPattern(pid, mask))
+            periods = _draw_periods(rng, 0 if is_day else 7, lo, hi)
+        seen.add(periods)
+        patterns.append(periods)
     day_ids = list(range(n_day))
     night_ids = list(range(n_day, params.m))
 
@@ -291,7 +288,7 @@ def generate_instance(params: GeneratorParams) -> Instance:
     covered = [[0] * params.g for _ in range(N_PERIODS)]
     for nurse in nurses:
         j = rng.choice(nurse.feasible)
-        for k in patterns[j].periods:
+        for k in patterns[j]:
             for s in range(nurse.grade - 1, params.g):
                 covered[k][s] += 1
     demand = Demand(

@@ -1,11 +1,13 @@
 """Domain model for the weekly ward rostering problem.
 
 A week is 14 periods: indices 0..6 are the day shifts Mon..Sun, indices
-7..13 the night shifts Mon..Sun.  Each nurse works exactly one shift
-pattern out of her personal feasible set, and staffing demand is given
-per (period, grade band).  Grade bands are numbered 1..g with 1 the
-highest qualification; a nurse of grade q counts toward every band
-s >= q, so demand figures are cumulative across bands.
+7..13 the night shifts Mon..Sun.  A shift pattern is the ascending tuple
+of the periods it works, and its id is its position in the instance's
+list.  Each nurse works exactly one pattern out of her personal feasible
+set, and staffing demand is given per (period, grade band).  Grade bands
+are numbered 1..g with 1 the highest qualification; a nurse of grade q
+counts toward every band s >= q, so demand figures are cumulative across
+bands.
 """
 
 from __future__ import annotations
@@ -28,22 +30,6 @@ class InvalidRosterError(RosterError):
 
 class IncompleteRosterError(RosterError):
     """An operation that requires a complete roster got a partial one."""
-
-
-@dataclass(frozen=True)
-class ShiftPattern:
-    """One weekly work pattern: which of the 14 periods are worked."""
-
-    id: int
-    mask: tuple[bool, ...]
-    # indices of worked periods, precomputed for the per-period loops
-    periods: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.mask) != N_PERIODS:
-            raise ValueError(f"pattern {self.id}: mask must have {N_PERIODS} entries")
-        periods = tuple(k for k, on in enumerate(self.mask) if on)
-        object.__setattr__(self, "periods", periods)
 
 
 @dataclass(frozen=True)
@@ -110,10 +96,13 @@ class Demand:
 class Instance:
     """A full rostering problem instance.
 
-    n, m and g are derived: the number of nurses, of patterns and of the
-    demand's grade columns.  known_optimal, when present, is the verified
-    minimum preference cost of a feasible roster, in [0, 100 * n] as every
-    roster's is; it drives early stopping and batch statistics.
+    patterns[j] is the ascending tuple of the periods pattern j works, and
+    its id j is its position in the list; a period lies in [0, N_PERIODS)
+    and appears at most once.  n, m and g are derived: the number of
+    nurses, of patterns and of the demand's grade columns.  known_optimal,
+    when present, is the verified minimum preference cost of a feasible
+    roster, in [0, 100 * n] as every roster's is; it drives early stopping
+    and batch statistics.
     The rest is the packed layout of CoverageState: cell (period k, band
     s+1) in the field at bit s * band_span + k * field_width.  low_bits and
     guard_bits set the low and the top (guard) bit of every field; demand_bits
@@ -159,7 +148,7 @@ class Instance:
     scans cap their stopping bounds with it.
     """
 
-    patterns: list[ShiftPattern]
+    patterns: list[tuple[int, ...]]
     nurses: list[Nurse]
     demand: Demand
     known_optimal: int | None = None
@@ -189,9 +178,13 @@ class Instance:
         self.n, self.m, self.g = len(self.nurses), len(self.patterns), len(self.demand.r[0])
         if self.known_optimal is not None and not 0 <= self.known_optimal <= 100 * self.n:
             raise ValueError(f"known_optimal {self.known_optimal} outside [0, {100 * self.n}]")
-        for idx, pattern in enumerate(self.patterns):
-            if pattern.id != idx:
-                raise ValueError(f"pattern ids must be dense: slot {idx} holds id {pattern.id}")
+        week = set(range(N_PERIODS))
+        for j, periods in enumerate(self.patterns):
+            if periods != tuple(sorted(set(periods) & week)):
+                raise ValueError(
+                    f"pattern {j}: {periods!r} is not an ascending tuple of distinct periods"
+                    f" in [0, {N_PERIODS})"
+                )
         for idx, nurse in enumerate(self.nurses):
             if nurse.id != idx:
                 raise ValueError(f"nurse ids must be dense: slot {idx} holds id {nurse.id}")
@@ -212,15 +205,15 @@ class Instance:
             d << (s * span + k * width)
             for k, row in enumerate(self.demand.r) for s, d in enumerate(row)
         )
-        cells = [sum(1 << (k * width) for k in p.periods) for p in self.patterns]
+        cells = [sum(1 << (k * width) for k in periods) for periods in self.patterns]
         self.pattern_bits = tuple(c << (width - 1) for c in cells)
         workers = [0] * N_PERIODS
-        for pattern in self.patterns:
-            for k in pattern.periods:
-                workers[k] |= 1 << pattern.id
+        for j, periods in enumerate(self.patterns):
+            for k in periods:
+                workers[k] |= 1 << j
         everyone = (1 << self.m) - 1
         self.supersets = tuple(
-            reduce(and_, (workers[k] for k in p.periods), everyone) for p in self.patterns
+            reduce(and_, (workers[k] for k in periods), everyone) for periods in self.patterns
         )
         self.cover_scan, self.combined_scan = self._scan_lists()
         fields = (1 << width) - 1  # low bits times this fill their fields
@@ -229,7 +222,7 @@ class Instance:
             for nurse, (_, bits) in zip(self.nurses, self.cover_scan)
         )
         self.longest = tuple(
-            max(len(self.patterns[j].periods) for j in nurse.feasible) for nurse in self.nurses
+            max(len(self.patterns[j]) for j in nurse.feasible) for nurse in self.nurses
         )
         rows = [tuple(c * copies for c in cells) for copies in spread]
         self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)

@@ -185,7 +185,7 @@ def _tables(
         for price, _, j, _ in rows:
             if not instance.supersets[j] & seen:
                 choices[d].append((j, price, cells[j]))
-                for k in instance.patterns[j].periods:
+                for k in instance.patterns[j]:
                     forced.setdefault(k, price - cheapest)
             seen |= 1 << j
         # a dominated pattern works no period its kept superset does not

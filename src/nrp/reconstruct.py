@@ -42,7 +42,8 @@ fills, in every band, so its cover value is at least j's; a tie goes to j',
 so j is never the cover rule's first maximum and leaves the cover list.
 The combined score adds the band terms w_s * count to the preference term
 w_p * (100 - cost).  j' scores at least as much as j on every band term
-because the weights are non-negative (EvalWeights rejects negative ones),
+because the weights are non-negative (ReconstructionConfig rejects negative
+ones),
 and the float sums keep that order because multiplication and addition
 round monotonically.  The preference term keeps it only if cost[j'] <=
 cost[j], so j leaves the combined list only when such a j' also costs no
@@ -82,13 +83,13 @@ pattern works only periods inside her reach, so each popcount and each
 shortfall sum is unchanged; a band whose masked column is empty is
 skipped, which leaves every score's float as it was (see _band_terms); and
 the focus band is still chosen from the unmasked short mask.  The keys
-leave out the weights and the e-mode because one run fixes them, so a memo
-lasts exactly one solver run: run makes one and passes it to every
-reconstruct call, and run_construction_only makes one for its one pass.  A
-memo kept across runs would hand one run's picks to another with different
-weights.  New states keep arriving over a long run, so a nurse's dict is
-emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is pure,
-emptying it changes no pick.  A rule's memo so holds at most n *
+leave out the rule config, its weights and e-mode, because one run fixes
+it, so a memo lasts exactly one solver run: run makes one and passes it to
+every reconstruct call, and run_construction_only makes one for its one
+pass.  A memo kept across runs would hand one run's picks to another with
+different weights.  New states keep arriving over a long run, so a nurse's
+dict is emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is
+pure, emptying it changes no pick.  A rule's memo so holds at most n *
 MEMO_PICKS_PER_NURSE picks.
 """
 
@@ -98,7 +99,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from .evaluate import EvalWeights
 from .model import (
     CoverageState,
     Instance,
@@ -113,17 +113,24 @@ MEMO_PICKS_PER_NURSE = 256  # per nurse and rule; see the module docstring
 
 @dataclass(frozen=True, kw_only=True)
 class ReconstructionConfig:
-    """Rule probabilities p1 (cover) and p2 (combined) plus the e-term mode.
+    """Rule probabilities p1 (cover) and p2 (combined), plus the combined
+    rule's e-term mode and weights.
 
     The random rule takes the rest, 1 - p1 - p2, so p1 + p2 may not exceed
     1.  Every field is passed by keyword.  e_mode chooses how the combined
     rule scores an understaffed period: "indicator" counts it once,
-    "shortfall" weights it by the number of nurses still missing.
+    "shortfall" weights it by the number of nurses still missing.  w_p is
+    the combined rule's preference weight and w_grade its grade band
+    weights, band 1 first.  Band s takes w_grade[min(s, len(w_grade)) - 1],
+    so the last weight also covers every band past the end of the tuple and
+    any grade count fits.
     """
 
     p1: float = 0.80
     p2: float = 0.18
     e_mode: str = "indicator"
+    w_p: float = 1.0
+    w_grade: tuple[float, ...] = (8.0, 2.0, 1.0)
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.p1, self.p2))):
@@ -134,6 +141,14 @@ class ReconstructionConfig:
             raise ValueError("p1 + p2 must not exceed 1")
         if self.e_mode not in E_MODES:
             raise ValueError(f"e_mode must be one of {E_MODES}")
+        if not all(map(math.isfinite, (self.w_p, *self.w_grade))):
+            raise ValueError("w_p and the grade weights must be finite")
+        if self.w_p < 0:
+            raise ValueError("w_p must be nonnegative")
+        if not self.w_grade:
+            raise ValueError("w_grade needs at least one grade weight")
+        if any(w < 0 for w in self.w_grade):
+            raise ValueError("grade weights must be nonnegative")
 
 
 def _focus_mask(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:
@@ -183,39 +198,36 @@ def cover_value(
 
 
 def combined_score(
-    instance: Instance,
-    coverage: CoverageState,
-    weights: EvalWeights,
-    i: int,
-    j: int,
-    e_mode: str = "indicator",
+    instance: Instance, coverage: CoverageState, config: ReconstructionConfig, i: int, j: int
 ) -> float:
     """Weighted blend of pattern cheapness and shortfall reduction.
 
     Score = w_p * (100 - cost) + sum over qualified bands s of
     w_grade[min(s, len(w_grade)) - 1] * (short periods the pattern covers
-    at band s), so the last weight covers every band past the tuple's end.
+    at band s, each weighted by its shortfall in config's shortfall
+    e-mode), so the last weight covers every band past the tuple's end.
     The pattern is scored by the combined rule's own scan (_scan_combined),
     run over its one row, so the float is the one the rule compares.
     """
     nurse = instance.nurses[i]
     if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    terms = _band_terms(instance, weights, nurse.grade, instance.longest[i], e_mode,
-                        _band_state(instance, coverage, nurse, e_mode))
+    terms = _band_terms(instance, config, nurse.grade, instance.longest[i],
+                        _band_state(instance, coverage, nurse, config.e_mode))
     row = (nurse.pref_cost[j], 0, j, instance.pattern_bits[j])
-    return _scan_combined((row,), weights.w_p, terms)[0]
+    return _scan_combined((row,), config.w_p, terms)[0]
 
 
 def _band_terms(
-    instance: Instance, weights: EvalWeights, grade: int, longest: int, e_mode: str, state: int
+    instance: Instance, config: ReconstructionConfig, grade: int, longest: int, state: int
 ) -> list[tuple[float, tuple[int, ...], float]]:
     """(w_s, levels, w_s * cap) for each band from grade up that can score.
 
     These are the bands a nurse of that grade serves, and state is her
-    _band_state, from which each band is sliced in turn, lowest first.  A
-    band's levels are guard-bit masks whose popcounts against a pattern's
-    bits sum to its count: in indicator mode one level, the short cells,
+    _band_state in config's e-mode, from which each band is sliced in turn,
+    lowest first, and weighted from config.w_grade.  A band's levels are
+    guard-bit masks whose popcounts against a pattern's bits sum to its
+    count: in indicator mode one level, the short cells,
     built in one step; in shortfall mode level t holds the cells short by
     at least t, so a cell short by r is counted once at each of the levels
     1..r.  No pattern working at most longest periods fills more than
@@ -228,7 +240,7 @@ def _band_terms(
     span = instance.band_span
     band = (1 << span) - 1
     guard_bits, low_bits = instance.guard_bits & band, instance.low_bits & band
-    w_grade = weights.w_grade
+    w_grade, indicator = config.w_grade, config.e_mode == "indicator"
     last = len(w_grade) - 1
     terms = []
     for s in range(grade - 1, instance.g):
@@ -236,7 +248,7 @@ def _band_terms(
         column, state = state & band, state >> span
         if ws == 0 or not column:
             continue
-        if e_mode == "indicator":
+        if indicator:
             terms.append((ws, (column,), ws * min(column.bit_count(), longest)))
             continue
         levels, cap = [], 0
@@ -293,8 +305,8 @@ class PickMemo:
     and combined her _band_state, both masked to works, the cells she can
     work (Instance.reach).  Her patterns fill no other cell, so one key
     serves every coverage that differs only outside them.  The keys leave
-    out the instance, the weights and the e-mode, which one run fixes, so a
-    memo must not outlive the run it was made for.  A dict that has reached
+    out the instance and the rule config, which one run fixes, so a memo
+    must not outlive the run it was made for.  A dict that has reached
     MEMO_PICKS_PER_NURSE entries is emptied before the next one is stored.
     reconstruct reads one row per freed nurse, subtracts the pick's cells
     from its local residual and adds the pick's cost, and writes both back
@@ -321,7 +333,6 @@ def reconstruct(
     instance: Instance,
     roster: Roster,
     config: ReconstructionConfig,
-    weights: EvalWeights,
     rng: random.Random,
     coverage: CoverageState,
     memo: PickMemo,
@@ -329,13 +340,13 @@ def reconstruct(
     """Assign every freed nurse a pattern; existing assignments are kept.
 
     Per freed nurse (ascending id) one uniform draw selects the rule; the
-    random rule consumes one extra draw to index the feasible set.  Ties on
-    rule scores go to the first pattern in the nurse's feasible list.  The
-    caller passes the coverage state, which must match the input roster
+    random rule consumes one extra draw, rng.choice of the feasible set.
+    Ties on rule scores go to the first pattern in the nurse's feasible
+    list.  The caller passes the coverage state, which must match the input roster
     (the solver its run's state, anyone else compute_coverage(instance,
     roster)); it is brought in place to the returned complete roster, with
     one write-back after the last pick.  The memo must come from the same
-    run (same instance, config and weights), or be a new PickMemo(instance).
+    run (same instance and rule config), or be a new PickMemo(instance).
     A complete roster comes back as an equal new roster, with no draw and
     the state as it was.
     """
@@ -345,8 +356,7 @@ def reconstruct(
     rows = memo.nurses
     span, band, low_bits, guard_bits, guard_shift = memo.layout
     p1, p12 = config.p1, config.p1 + config.p2
-    e_mode = config.e_mode
-    indicator = e_mode == "indicator"
+    indicator = config.e_mode == "indicator"
     # the picks go on local copies, written back once after the loop
     rest, cost, costs = coverage.rest, coverage.cost, coverage.costs
 
@@ -375,10 +385,10 @@ def reconstruct(
                 if len(combined_picks) >= MEMO_PICKS_PER_NURSE:
                     combined_picks.clear()
                 choice = combined_picks[state] = _argmax_combined(
-                    instance, weights, e_mode, nurse, state
+                    instance, config, state, nurse
                 )
         else:
-            choice = nurse.feasible[rng.randrange(len(nurse.feasible))]
+            choice = rng.choice(nurse.feasible)
         assignment[i] = choice
         costs[i] = price = prices[choice]
         rest, cost = rest - cells[choice], cost + price
@@ -407,7 +417,7 @@ def _argmax_cover(instance: Instance, short: int, nurse: Nurse) -> int:
 
 
 def _argmax_combined(
-    instance: Instance, weights: EvalWeights, e_mode: str, nurse: Nurse, state: int
+    instance: Instance, config: ReconstructionConfig, state: int, nurse: Nurse
 ) -> int:
     """Combined-rule pick for the nurse's band state (see _band_state).
 
@@ -418,5 +428,5 @@ def _argmax_combined(
     at args[3], where perfbench's shims read her, and
     tests/test_bench_contract.py fails if she moves.
     """
-    terms = _band_terms(instance, weights, nurse.grade, instance.longest[nurse.id], e_mode, state)
-    return _scan_combined(instance.combined_scan[nurse.id], weights.w_p, terms)[1]
+    terms = _band_terms(instance, config, nurse.grade, instance.longest[nurse.id], state)
+    return _scan_combined(instance.combined_scan[nurse.id], config.w_p, terms)[1]

@@ -103,9 +103,7 @@ class RunResult:
 
 def initial_roster(instance: Instance, rng: random.Random) -> Roster:
     """Uniform random pattern per nurse, drawn in ascending id order."""
-    return Roster(
-        [nurse.feasible[rng.randrange(len(nurse.feasible))] for nurse in instance.nurses]
-    )
+    return Roster([rng.choice(nurse.feasible) for nurse in instance.nurses])
 
 
 def run(instance: Instance, config: SolverConfig) -> RunResult:
@@ -172,7 +170,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
                     rest += nurse_cells[i][held[i]]
                     kept -= costs[i]
             coverage.rest, coverage.cost = rest, kept
-            roster = reconstruct(instance, partial, recon, weights, rng, coverage, memo)
+            roster = reconstruct(instance, partial, recon, rng, coverage, memo)
             # each short cell is short by at least 1
             if coverage.cost + w_demand * (coverage.rest & guard_bits).bit_count() >= best_cost:
                 continue  # the full shortfall term cannot bring it lower
@@ -203,8 +201,8 @@ def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult
     started = time.perf_counter()
 
     coverage = CoverageState(instance)  # reconstruct brings it up to the roster
-    roster = reconstruct(instance, Roster.empty(instance.n), config.recon, weights, rng,
-                         coverage, PickMemo(instance))
+    roster = reconstruct(instance, Roster.empty(instance.n), config.recon, rng, coverage,
+                         PickMemo(instance))
     cost = penalized_cost(roster, weights, coverage)
 
     return RunResult(

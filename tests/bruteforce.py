@@ -32,10 +32,9 @@ def coverage_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
         if j is None:
             continue
         bands = [s - 1 for s in range(1, g + 1) if qualified(instance, i, s)]
-        for on, row in zip(instance.patterns[j].mask, covered):
-            if on:
-                for s in bands:
-                    row[s] += 1
+        for k in instance.patterns[j]:
+            for s in bands:
+                covered[k][s] += 1
     return covered
 
 
@@ -178,7 +177,7 @@ def components_by_definition(instance: Instance) -> list[list[int]]:
             for s in range(instance.g)
             if instance.demand.r[k][s] > 0
             and qualified(instance, i, s + 1)
-            and any(instance.patterns[j].mask[k] for j in nurse.feasible)
+            and any(k in instance.patterns[j] for j in nurse.feasible)
         }
         for i, nurse in enumerate(instance.nurses)
     ]
@@ -214,12 +213,8 @@ def contribution_by_removal(
         without = roster.copy()
         without.assignment[i] = None
         covered, own = coverage_matrix(instance, without), 0
-    j = roster.assignment[i]
-    mask = instance.patterns[j].mask
     total = 0
-    for k in range(N_PERIODS):
-        if not mask[k]:
-            continue
+    for k in instance.patterns[roster.assignment[i]]:
         for s in range(1, instance.g + 1):
             if qualified(instance, i, s) and covered[k][s - 1] - own < instance.demand.r[k][s - 1]:
                 total += 1
@@ -271,8 +266,7 @@ def cover_value_by_definition(
             break
     if focus is None:
         return 0
-    mask = instance.patterns[j].mask
-    return sum(1 for on, row in zip(mask, short) if on and row[focus] > 0)
+    return sum(1 for k in instance.patterns[j] if short[k][focus] > 0)
 
 
 def combined_score_by_definition(
@@ -291,15 +285,14 @@ def combined_score_by_definition(
     past the end of w_grade.  short is as for cover_value_by_definition.
     """
     short = shortfall_matrix(instance, roster) if short is None else short
-    mask = instance.patterns[j].mask
     score = w_p * (100 - instance.nurses[i].pref_cost[j])
     for s in range(1, instance.g + 1):
         if not qualified(instance, i, s):
             continue
         gain = 0
-        for on, row in zip(mask, short):
-            if on and row[s - 1] > 0:
-                gain += 1 if e_mode == "indicator" else row[s - 1]
+        for k in instance.patterns[j]:
+            if short[k][s - 1] > 0:
+                gain += 1 if e_mode == "indicator" else short[k][s - 1]
         score += w_grade[min(s, len(w_grade)) - 1] * gain
     return score
 
@@ -316,11 +309,10 @@ def scan_lists_by_definition(
     nurse = instance.nurses[i]
     cover, combined = [], []
     for index, j in enumerate(nurse.feasible):
-        mask = instance.patterns[j].mask
         supersets = [
             earlier
             for earlier in nurse.feasible[:index]
-            if all(instance.patterns[earlier].mask[k] for k in range(N_PERIODS) if mask[k])
+            if all(k in instance.patterns[earlier] for k in instance.patterns[j])
         ]
         if not supersets:
             cover.append(j)

@@ -6,16 +6,8 @@ import gc
 
 import pytest
 
-from nrp.model import N_PERIODS, Demand, Instance, Nurse, Roster, ShiftPattern, compute_coverage
+from nrp.model import N_PERIODS, Demand, Instance, Nurse, Roster, compute_coverage
 from nrp.reconstruct import PickMemo, reconstruct
-
-
-def pattern(pid: int, *periods: int) -> ShiftPattern:
-    """Pattern working exactly the given period indices (0..13)."""
-    mask = [False] * N_PERIODS
-    for k in periods:
-        mask[k] = True
-    return ShiftPattern(pid, tuple(mask))
 
 
 def flat_demand(g: int, value: int = 0) -> Demand:
@@ -33,7 +25,7 @@ def make_instance(patterns, nurses, demand, known_optimal=None) -> Instance:
 def impossible_instance() -> Instance:
     """Demand two nurses where only one exists: no roster is feasible."""
     return make_instance(
-        [pattern(0, 0)],
+        [(0,)],
         [Nurse(0, 1, {0: 5})],
         demand_rows([[2]] + [[0]] * 13),
     )
@@ -51,12 +43,11 @@ def leftover_garbage(call) -> int:
         gc.enable()
 
 
-def repair(instance, roster, config, weights, rng, memo=None) -> Roster:
+def repair(instance, roster, config, rng, memo=None) -> Roster:
     """reconstruct on a state recounted from the roster and on memo, or on a
     new PickMemo of the call's own when none is given."""
     memo = PickMemo(instance) if memo is None else memo
-    return reconstruct(instance, roster, config, weights, rng,
-                       compute_coverage(instance, roster), memo)
+    return reconstruct(instance, roster, config, rng, compute_coverage(instance, roster), memo)
 
 
 def count_solver_calls(monkeypatch) -> dict[str, int]:
@@ -121,7 +112,7 @@ def field_maximum_instance(rng, g: int) -> Instance:
     n, m = rng.randint(1, 8), rng.randint(3, 10)
     peak = (1 << n.bit_length()) - 1  # >= n, so the width is peak's bits + 1
     patterns = [
-        pattern(j, *(k for k in range(N_PERIODS) if rng.random() < 0.4))
+        tuple(k for k in range(N_PERIODS) if rng.random() < 0.4)
         for j in range(m)
     ]
     nurses = []
@@ -143,10 +134,10 @@ def week_instance() -> Instance:
     Sat-Sun days, pattern 3 Wed night only.
     """
     patterns = [
-        pattern(0, 0, 1, 2, 3, 4),
-        pattern(1, 7, 8, 9, 10, 11),
-        pattern(2, 5, 6),
-        pattern(3, 9),
+        (0, 1, 2, 3, 4),
+        (7, 8, 9, 10, 11),
+        (5, 6),
+        (9,),
     ]
     nurses = [
         Nurse(0, 1, {0: 10, 2: 40}),

@@ -52,7 +52,7 @@ def fitness_by_definition(instance: Instance, roster: Roster, weights) -> list[f
     ]
 
 
-def repair_by_definition(instance: Instance, roster: Roster, recon, weights, rng) -> Roster:
+def repair_by_definition(instance: Instance, roster: Roster, recon, rng) -> Roster:
     """Give each freed nurse, in id order, the pick of the rule drawn for her.
 
     Each pick scores her feasible patterns against the roster as repaired so
@@ -71,7 +71,7 @@ def repair_by_definition(instance: Instance, roster: Roster, recon, weights, rng
         elif u < recon.p1 + recon.p2:
             short = shortfall_matrix(instance, result)
             pick = max(feasible, key=lambda j: combined_score_by_definition(
-                instance, result, weights.w_p, weights.w_grade, i, j, recon.e_mode, short=short))
+                instance, result, recon.w_p, recon.w_grade, i, j, recon.e_mode, short=short))
         else:
             pick = feasible[rng.randrange(len(feasible))]
         result.assignment[i] = pick  # max keeps the first of equal scores
@@ -84,7 +84,7 @@ def replay(instance: Instance, config: SolverConfig, construction_only: bool = F
     weights, elim, recon = config.eval_weights, config.elim, config.recon
     rng = random.Random(config.seed)
     if construction_only:
-        roster = repair_by_definition(instance, Roster.empty(instance.n), recon, weights, rng)
+        roster = repair_by_definition(instance, Roster.empty(instance.n), recon, rng)
         cost = penalized_cost_by_definition(instance, roster, weights)
         return cost, roster.assignment, feasible_by_definition(instance, roster), 0, 0, [(0, cost)]
 
@@ -112,7 +112,7 @@ def replay(instance: Instance, config: SolverConfig, construction_only: bool = F
             for i, j in enumerate(partial.assignment):
                 if j is not None and rng.random() < elim.r_m:
                     partial.assignment[i] = None
-        roster = repair_by_definition(instance, partial, recon, weights, rng)
+        roster = repair_by_definition(instance, partial, recon, rng)
         cost = penalized_cost_by_definition(instance, roster, weights)
         if cost < best_cost:
             best_cost, best, best_feasible = cost, roster, feasible_by_definition(instance, roster)

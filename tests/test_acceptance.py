@@ -9,17 +9,18 @@ reproducible run to run.
 import os
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nrp.eliminate import EliminationConfig, eliminate_by_fitness
-from nrp.evaluate import EvalWeights, coverage_contribution
+from nrp.evaluate import coverage_contribution
 from nrp.harness import censored_cost, preset_spec, run_batch
 from nrp.instance_io import GeneratorParams, generate_instance, load_instance
 from nrp.model import Nurse, Roster, compute_coverage
 from nrp.oracle import OPTIMAL, exact_solve
-from nrp.reconstruct import combined_score, cover_value
+from nrp.reconstruct import ReconstructionConfig, combined_score, cover_value
 from nrp.solver import SolverConfig, run
 
 from bruteforce import (
@@ -30,7 +31,7 @@ from bruteforce import (
     cover_value_by_definition,
     sign_test_p_value,
 )
-from conftest import demand_rows, make_instance, pattern
+from conftest import demand_rows, make_instance
 from suite import build_desk_suite
 
 DESK_SUITE_SIZE = 50
@@ -183,7 +184,7 @@ def test_criterion_5_survival_law():
 def test_criterion_6_score_arithmetic():
     # fixed fixture: cover value 3 for a Mon-Fri night pattern against net
     # night requirements (-4, 0, +1, -3, -1, -2, 0)
-    patterns = [pattern(0, 7, 8, 9, 10, 11), pattern(1, 9)]
+    patterns = [(7, 8, 9, 10, 11), (9,)]
     nurses = [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})]
     demand = demand_rows([[0]] * 7 + [[4], [0], [0], [3], [1], [2], [0]])
     fixture = make_instance(patterns, nurses, demand)
@@ -193,12 +194,13 @@ def test_criterion_6_score_arithmetic():
 
     # hand fixtures for the combined score
     free = make_instance(
-        [pattern(0, 0)], [Nurse(0, 1, {0: 0})],
+        [(0,)], [Nurse(0, 1, {0: 0})],
         demand_rows([[1, 1, 1]] + [[0, 0, 0]] * 13),
     )
     cov_free = compute_coverage(free, Roster([None]))
-    weights = EvalWeights(w_p=1.0, w_grade=(8.0, 2.0, 1.0))
+    weights = ReconstructionConfig(w_p=1.0, w_grade=(8.0, 2.0, 1.0))
     assert combined_score(free, cov_free, weights, 0, 0) == 111.0
+    configs = {mode: replace(weights, e_mode=mode) for mode in ("indicator", "shortfall")}
 
     # randomized cross-check of both scores and the coverage contribution
     rng = random.Random(515151)
@@ -230,7 +232,7 @@ def test_criterion_6_score_arithmetic():
             exact &= cover_value(instance, cov, i, j) == cover_value_by_definition(
                 instance, partial, i, j
             )
-            got = combined_score(instance, cov, weights, i, j, mode)
+            got = combined_score(instance, cov, configs[mode], i, j)
             want = combined_score_by_definition(
                 instance, partial, weights.w_p, weights.w_grade, i, j, mode
             )

@@ -29,7 +29,7 @@ from nrp.oracle import exact_solve
 from nrp.reconstruct import ReconstructionConfig
 from nrp.solver import SolverConfig
 
-from conftest import demand_rows, impossible_instance, make_instance, pattern
+from conftest import demand_rows, impossible_instance, make_instance
 
 
 def write_instance(tmp_path: Path, name="case.nrp", seed=60) -> Path:
@@ -198,7 +198,7 @@ def write_with_warnings(tmp_path: Path) -> Path:
     row 0 falls from band 1 to band 2: one parse warning each."""
     path = tmp_path / "warned.nrp"
     text = serialize_instance(make_instance(
-        [pattern(0, 0), pattern(1, 1)],
+        [(0,), (1,)],
         [Nurse(0, 1, {0: 5, 1: 0})],
         demand_rows([[0, 0]] * 14),
     ))
@@ -690,7 +690,7 @@ FLAG_SPECS = {
     "w1": (["--w1", "0.25"], RunSpec(_config(eval_weights=EvalWeights(w1=0.25)))),
     "wdemand": (["--wdemand", "150"], RunSpec(_config(eval_weights=EvalWeights(w_demand=150.0)))),
     "w-grade": (["--w-grade", "4,2,1"],
-                RunSpec(_config(eval_weights=EvalWeights(w_grade=(4.0, 2.0, 1.0))))),
+                RunSpec(_config(recon=ReconstructionConfig(w_grade=(4.0, 2.0, 1.0))))),
     "no-stop": (["--no-stop-at-optimal"], RunSpec(_config(stop_at_known_optimal=False))),
     "all-on-elim1-only": (
         ["--preset", "elim1-only", "--max-iters", "123", "--rm", "0.1", "--fixed-rs", "0.3",
@@ -700,9 +700,10 @@ FLAG_SPECS = {
         RunSpec(SolverConfig(
             max_iterations=123,
             seed=7,
-            eval_weights=EvalWeights(w1=0.25, w_demand=150.0, w_grade=(4.0, 2.0, 1.0)),
+            eval_weights=EvalWeights(w1=0.25, w_demand=150.0),
             elim=EliminationConfig(r_m=0.1, fixed_threshold=0.3, enable_random_elim=False),
-            recon=ReconstructionConfig(p1=0.5, p2=0.3, e_mode="shortfall"),
+            recon=ReconstructionConfig(p1=0.5, p2=0.3, e_mode="shortfall",
+                                       w_grade=(4.0, 2.0, 1.0)),
             stop_at_known_optimal=False,
         )),
     ),

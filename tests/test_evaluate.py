@@ -20,12 +20,12 @@ from nrp.model import (
 )
 
 from bruteforce import contribution_by_removal, coverage_matrix, penalized_cost_by_definition
-from conftest import demand_rows, field_maximum_instance, flat_demand, make_instance, pattern
+from conftest import demand_rows, field_maximum_instance, flat_demand, make_instance
 
 
 def three_nurse_instance(costs):
     """Three grade-1 nurses, each with one fixed day pattern; demand zero."""
-    patterns = [pattern(0, 0), pattern(1, 1), pattern(2, 2)]
+    patterns = [(0,), (1,), (2,)]
     nurses = [
         Nurse(i, 1, {i: costs[i]}) for i in range(3)
     ]
@@ -54,28 +54,27 @@ class TestEvalWeights:
         with pytest.raises(TypeError):
             EvalWeights(0.3, 0.7)
 
-    @pytest.mark.parametrize("field", ["w1", "w_demand", "w_p"])
+    @pytest.mark.parametrize("field", ["w1", "w_demand"])
     def test_rejects_non_finite_weights(self, field):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 EvalWeights(**{field: value})
-        with pytest.raises(ValueError, match="finite"):
-            EvalWeights(w_grade=(8.0, math.nan, 1.0))
 
     def test_rejects_nonpositive_penalty(self):
         with pytest.raises(ValueError, match="w_demand"):
             EvalWeights(w_demand=0)
 
-    def test_rejects_empty_grade_weights(self):
-        # band s reads w_grade[min(s, len(w_grade)) - 1], so one weight is needed
-        with pytest.raises(ValueError, match="w_grade"):
-            EvalWeights(w_grade=())
+    @pytest.mark.parametrize("field", ["w_p", "w_grade"])
+    def test_holds_no_reconstruction_weight(self, field):
+        # the combined rule's weights belong to ReconstructionConfig
+        with pytest.raises(TypeError):
+            EvalWeights(**{field: 1.0})
 
 
 class TestCoverageContribution:
     def test_zero_mask_contributes_nothing(self):
         inst = make_instance(
-            [pattern(0)], [Nurse(0, 1, {0: 0})], flat_demand(2, 1)
+            [()], [Nurse(0, 1, {0: 0})], flat_demand(2, 1)
         )
         roster = Roster([0])
         cov = compute_coverage(inst, roster)
@@ -84,7 +83,7 @@ class TestCoverageContribution:
     def test_sole_contributor_counts_every_band(self):
         # five covered days, three bands, demand one everywhere: 15 slots at risk
         inst = make_instance(
-            [pattern(0, 0, 1, 2, 3, 4)],
+            [(0, 1, 2, 3, 4)],
             [Nurse(0, 1, {0: 0})],
             flat_demand(3, 1),
         )
@@ -177,7 +176,7 @@ class TestComponentFitness:
 
     def test_largest_contribution_gets_full_coverage_fitness(self):
         # nurse 0 covers three demanded days, nurse 1 covers one
-        patterns = [pattern(0, 0, 1, 2), pattern(1, 3)]
+        patterns = [(0, 1, 2), (3,)]
         nurses = [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})]
         inst = make_instance(patterns, nurses, flat_demand(1, 1))
         roster = Roster([0, 1])
@@ -255,12 +254,12 @@ class TestPenalizedCost:
 
     def test_single_nurse_cost_8_stays_8(self):
         demand = demand_rows([[1]] + [[0]] * 13)
-        inst = make_instance([pattern(0, 0)], [Nurse(0, 1, {0: 8})], demand)
+        inst = make_instance([(0,)], [Nurse(0, 1, {0: 8})], demand)
         assert penalized(inst, Roster([0]), EvalWeights(w_demand=200)) == 8.0
 
     def test_shortfall_is_charged_at_w_demand(self):
         # demand on two uncoverable nights: shortfall 2, preference cost 10
-        patterns = [pattern(0, 0)]
+        patterns = [(0,)]
         nurses = [Nurse(0, 1, {0: 10})]
         demand = demand_rows([[0]] * 7 + [[1], [1]] + [[0]] * 5)
         inst = make_instance(patterns, nurses, demand)

@@ -1,6 +1,10 @@
-"""Golden per-run CSV rows and summary tables on a small fixed grid.
+"""Golden generated instances, per-run CSV rows and summary tables on a
+small fixed grid.
 
-Each case runs a seeded batch and compares the SHA-256 of its
+Each instance case compares the SHA-256 of the text that
+`serialize_instance` writes for a generated instance with a recorded value,
+so a change to the generator's draws or to the file format shows up here.
+Each run case runs a seeded batch and compares the SHA-256 of its
 `harness.run_csv_row` lines with a recorded value; each table case does the
 same for a `batch_csv` or `ablation_csv` text.  The rows carry the best
 cost, the iteration it was reached at and the iteration count, so any change
@@ -26,7 +30,7 @@ from nrp.harness import (
     run_batch,
     run_csv_row,
 )
-from nrp.instance_io import GeneratorParams, generate_instance
+from nrp.instance_io import GeneratorParams, generate_instance, serialize_instance
 from nrp.oracle import OPTIMAL, exact_solve
 from nrp.reconstruct import ReconstructionConfig
 
@@ -40,6 +44,27 @@ DESK = (
 )
 # its optimum is 0, so a table of it alone leaves the % cells blank
 ZERO = GeneratorParams(n=5, m=10, g=2, cost_exponent=6.0, tightness=0.5, seed=11)
+
+
+# name -> (generator params, recorded sha256 of the serialized instance)
+INSTANCES = {
+    "ward": (WARD, "c7878d2ee1cbd5b981db2b005cab9e0c1db34b49fe6917074a56bf960331a0f0"),
+    "mid": (MID, "f9f14321045eda5357e41c78b691e28d0542545a69373a7e31a10796a62cb9aa"),
+    "desk-a": (DESK[0], "b37445ffd130e4ef8e792838eb528c47f0d5ae8ec79697d87f4904e7d1072ea8"),
+    "desk-b": (DESK[1], "eeca47fad8b69407f5838c85c459cb8a97366e0b1367faa2bb66191463f73c9a"),
+    "zero": (ZERO, "e1455b74f745416c9eb32150fc35616192696b74fb31ec482a2392777e618dac"),
+    "six-grades": (
+        GeneratorParams(n=9, m=20, g=6, seed=6),
+        "6e5bae366041ce339451d0495c9b8fa08366e0ed44fb8907f38d04f5b9768d7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_generated_instance_text_matches_recorded_hash(name):
+    params, recorded = INSTANCES[name]
+    text = serialize_instance(generate_instance(params))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == recorded
 
 
 def _with_optimum(params: GeneratorParams):
@@ -79,8 +104,8 @@ def _fractional_weights():
     # no preset uses non-integer scoring weights; the zero band weight
     # exercises the skip in the combined rule
     spec = _full(300)
-    recon = ReconstructionConfig(p1=0.25, p2=0.7)
-    weights = EvalWeights(w1=0.3, w_p=0.35, w_grade=(2.5, 0.0, 1.3))
+    recon = ReconstructionConfig(p1=0.25, p2=0.7, w_p=0.35, w_grade=(2.5, 0.0, 1.3))
+    weights = EvalWeights(w1=0.3)
     return replace(
         spec, config=replace(spec.config, recon=recon, eval_weights=weights)
     )

@@ -174,6 +174,7 @@ class TestRunBatch:
         assert leftover_garbage(lambda: run_batch(inst, spec, 3, base_seed=0, threads=1)) == 0
 
     def test_worker_count_reads_environment(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("NRP_THREADS", "3")
         assert worker_count() == 3
@@ -187,6 +188,24 @@ class TestRunBatch:
     def test_worker_count_is_capped_at_the_cpu_count(self, monkeypatch):
         monkeypatch.setenv("NRP_THREADS", "100000")
         assert 1 <= worker_count() <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert worker_count() == len(os.sched_getaffinity(0))
+
+    def test_worker_count_is_capped_at_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # as under `taskset -c 0` on a two-CPU machine: one of the two is allowed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("NRP_THREADS", "2")
+        assert worker_count() == 1
+
+    def test_worker_count_falls_back_to_the_cpu_count(self, monkeypatch):
+        # a platform without an affinity set, as macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("NRP_THREADS", "4")
+        assert worker_count() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+        assert worker_count() == 1
 
 
 class TestAblationCsv:

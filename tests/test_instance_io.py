@@ -88,7 +88,7 @@ class TestParse:
         text = MINIMAL.replace("0 10000000000000", "0 00000000000000")
         with pytest.warns(UserWarning, match="covers no periods"):
             inst = parse_instance(text)
-        assert inst.patterns[0].periods == ()
+        assert inst.patterns[0] == ()
 
     @pytest.mark.parametrize(
         "mutation, message",
@@ -242,7 +242,7 @@ class TestGenerator:
             inst = generate_instance(GeneratorParams(n=8, m=12, g=3, seed=seed))
             for nurse in inst.nurses:
                 kinds = {
-                    "day" if all(k < 7 for k in inst.patterns[j].periods) else "night"
+                    "day" if all(k < 7 for k in inst.patterns[j]) else "night"
                     for j in nurse.feasible
                 }
                 assert len(kinds) == 1

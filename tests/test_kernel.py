@@ -23,7 +23,6 @@ import random
 from dataclasses import replace
 
 import nrp.reconstruct as reconstruct_module
-from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import N_PERIODS, Nurse, Roster, compute_coverage
 from nrp.reconstruct import (
@@ -45,7 +44,7 @@ from bruteforce import (
     scan_lists_by_definition,
     shortfall_matrix,
 )
-from conftest import count_rows_scored, demand_rows, make_instance, pattern, repair
+from conftest import count_rows_scored, demand_rows, make_instance, repair
 
 TRIALS = 150
 
@@ -74,11 +73,12 @@ def random_state(rng: random.Random, trial: int, g: int | None = None):
     return instance, roster
 
 
-def random_weights(rng: random.Random, g: int) -> EvalWeights:
+def random_weights(rng: random.Random, g: int) -> ReconstructionConfig:
+    """The default rule config with drawn combined-rule weights."""
     w_grade = tuple(
         0.0 if rng.random() < 0.2 else round(rng.uniform(0.05, 9.0), 3) for _ in range(g)
     )
-    return EvalWeights(w_p=round(rng.uniform(0.0, 2.5), 3), w_grade=w_grade)
+    return ReconstructionConfig(w_p=round(rng.uniform(0.0, 2.5), 3), w_grade=w_grade)
 
 
 def first_argmax(feasible, score) -> int:
@@ -105,13 +105,13 @@ def test_pattern_bits_match_mask():
     for trial in range(TRIALS):
         instance, _ = random_state(rng, trial)
         band = (1 << instance.band_span) - 1
-        for pattern in instance.patterns:
-            expected = sum(low_bit(instance, k) for k in range(N_PERIODS) if pattern.mask[k])
+        for j, periods in enumerate(instance.patterns):
+            expected = sum(low_bit(instance, k) for k in range(N_PERIODS) if k in periods)
             for nurse, cells in zip(instance.nurses, instance.nurse_cells):
                 # her own band, the lowest her row fills
-                own = cells[pattern.id] >> (nurse.grade - 1) * instance.band_span
+                own = cells[j] >> (nurse.grade - 1) * instance.band_span
                 assert own & band == expected
-            assert instance.pattern_bits[pattern.id] == expected << (instance.field_width - 1)
+            assert instance.pattern_bits[j] == expected << (instance.field_width - 1)
 
 
 def test_short_mask_matches_shortfall_matrix():
@@ -160,7 +160,7 @@ def test_scan_lists_match_pairwise_definition():
             assert instance.cover_scan[i] == (cover, tuple(instance.pattern_bits[j] for j in cover))
             assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
             # the longest feasible pattern stays in both lists
-            longest = max(len(instance.patterns[j].periods) for j in nurse.feasible)
+            longest = max(len(instance.patterns[j]) for j in nurse.feasible)
             assert instance.longest[i] == longest
             assert max(bits.bit_count() for bits in instance.cover_scan[i][1]) == longest
             assert max(row[3].bit_count() for row in instance.combined_scan[i]) == longest
@@ -172,11 +172,11 @@ def test_scan_lists_match_pairwise_definition():
 def hand_scan_instance():
     """Duplicate masks at equal cost, a superset costing more, an empty pattern."""
     patterns = [
-        pattern(0, 0, 1, 2),
-        pattern(1, 0, 1, 2),  # the same periods as pattern 0
-        pattern(2, 0, 1),
-        pattern(3),  # works nothing, so every pattern is a superset of it
-        pattern(4, 3),
+        (0, 1, 2),
+        (0, 1, 2),  # the same periods as pattern 0
+        (0, 1),
+        (),  # works nothing, so every pattern is a superset of it
+        (3,),
     ]
     nurses = [
         Nurse(0, 1, {2: 10, 0: 20, 1: 20, 3: 5, 4: 30}),
@@ -198,7 +198,8 @@ def test_scan_lists_on_hand_built_instance():
         assert instance.cover_scan[i][0] == scan_lists_by_definition(instance, i)[0]
         assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
     # every partial roster, with w_p = 0 so that pattern 1 ties pattern 0 outright
-    for weights in (EvalWeights(w_p=0.0, w_grade=(1.0,)), EvalWeights(w_p=0.5, w_grade=(2.0,))):
+    for weights in (ReconstructionConfig(w_p=0.0, w_grade=(1.0,)),
+                    ReconstructionConfig(w_p=0.5, w_grade=(2.0,))):
         for i, nurse in enumerate(instance.nurses):
             other = instance.nurses[1 - i]
             for assigned in (None, *other.feasible):
@@ -218,7 +219,8 @@ def test_scan_lists_on_hand_built_instance():
                         ),
                     )
                     state = _band_state(instance, coverage, nurse, mode)
-                    assert _argmax_combined(instance, weights, mode, nurse, state) == expected
+                    config = replace(weights, e_mode=mode)
+                    assert _argmax_combined(instance, config, state, nurse) == expected
 
 
 def test_cover_argmax_matches_definition():
@@ -255,6 +257,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
             for i in [i for i, j in enumerate(roster.assignment) if j is None]:
                 nurse = instance.nurses[i]
                 for mode in E_MODES:
+                    config = replace(weights, e_mode=mode)
 
                     def by_definition(j):
                         return combined_score_by_definition(
@@ -263,7 +266,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
 
                     for j in nurse.feasible:
                         # same float order, so bit-equal, not merely close
-                        assert combined_score(instance, coverage, weights, i, j, mode) == (
+                        assert combined_score(instance, coverage, config, i, j) == (
                             by_definition(j)
                         )
                     values = [by_definition(j) for j in nurse.feasible]
@@ -272,7 +275,7 @@ def test_combined_argmax_matches_definition_in_both_modes():
                     )
                     expected = first_argmax(nurse.feasible, by_definition)
                     state = _band_state(instance, coverage, nurse, mode)
-                    assert _argmax_combined(instance, weights, mode, nurse, state) == expected
+                    assert _argmax_combined(instance, config, state, nurse) == expected
     # a pattern left out of the scan tied the maximum, in each mode
     assert min(dropped.values()) >= 10, dropped
 
@@ -301,6 +304,7 @@ def test_band_weights_past_the_list_match_definition():
         zero_past = replace(weights, w_grade=weights.w_grade + (0.0,) * (g - len(weights.w_grade)))
         coverage = compute_coverage(instance, roster)
         for mode in E_MODES:
+            config = replace(weights, p1=0.0, p2=1.0, e_mode=mode)
             for i in [i for i, j in enumerate(roster.assignment) if j is None]:
                 nurse = instance.nurses[i]
 
@@ -310,21 +314,17 @@ def test_band_weights_past_the_list_match_definition():
                     )
 
                 for j in nurse.feasible:
-                    assert combined_score(instance, coverage, weights, i, j, mode) == (
-                        by_definition(j)
-                    )
+                    assert combined_score(instance, coverage, config, i, j) == by_definition(j)
                 expected = first_argmax(nurse.feasible, by_definition)
                 state = _band_state(instance, coverage, nurse, mode)
-                assert _argmax_combined(instance, weights, mode, nurse, state) == expected
+                assert _argmax_combined(instance, config, state, nurse) == expected
                 changed += expected != first_argmax(
                     nurse.feasible, lambda j: by_definition(j, zero_past)
                 )
             expected = combined_repair_by_definition(instance, roster, weights, mode)
-            config = ReconstructionConfig(p1=0.0, p2=1.0, e_mode=mode)
             memo = PickMemo(instance)
             for _ in range(2):  # the second call is answered by the memo the first filled
-                repaired = repair(instance, roster, config, weights, random.Random(trial),
-                                  memo=memo)
+                repaired = repair(instance, roster, config, random.Random(trial), memo=memo)
                 assert repaired.assignment == expected
     assert changed >= 10, changed
 
@@ -338,7 +338,7 @@ def reach_by_definition(instance, i: int) -> int:
         low_bit(instance, k, s) * fields
         for s in range(nurse.grade - 1, instance.g)
         for k in range(N_PERIODS)
-        if any(instance.patterns[j].mask[k] for j in nurse.feasible)
+        if any(k in instance.patterns[j] for j in nurse.feasible)
     )
 
 
@@ -346,14 +346,14 @@ def hand_reach_instance():
     """Nurse 0 works only Mon, Wed and Fri days, nurse 1 has a day and a
     night pattern, and nurse 3's patterns leave Sunday night unworked."""
     patterns = [
-        pattern(0, 0, 2, 4),
-        pattern(1, 0, 2),
-        pattern(2, 4),
-        pattern(3, 7, 8, 9),
-        pattern(4, 0, 1, 2, 3, 4),
-        pattern(5, 9, 10, 11, 12),
-        pattern(6, 1, 3, 5),
-        pattern(7, 7, 13),
+        (0, 2, 4),
+        (0, 2),
+        (4,),
+        (7, 8, 9),
+        (0, 1, 2, 3, 4),
+        (9, 10, 11, 12),
+        (1, 3, 5),
+        (7, 13),
     ]
     nurses = [
         Nurse(0, 1, {0: 20, 1: 5, 2: 0}),
@@ -412,19 +412,20 @@ def test_reach_mask_keeps_every_pick():
                 instance, short, nurse
             )
             for mode in E_MODES:
+                config = replace(weights, e_mode=mode)
                 state = _band_state(instance, coverage, nurse, mode)
                 masked_combined += state != state & works
                 longest = instance.longest[nurse.id]
-                terms = _band_terms(instance, weights, nurse.grade, longest, mode, state)
-                masked = _band_terms(instance, weights, nurse.grade, longest, mode, state & works)
+                terms = _band_terms(instance, config, nurse.grade, longest, state)
+                masked = _band_terms(instance, config, nurse.grade, longest, state & works)
                 # bit-equal floats, not merely the same pick
                 assert [_scan_combined((row,), weights.w_p, masked)[0]
                         for row in instance.combined_scan[nurse.id]] == [
                     _scan_combined((row,), weights.w_p, terms)[0]
                     for row in instance.combined_scan[nurse.id]
                 ]
-                assert _argmax_combined(instance, weights, mode, nurse, state & works) == (
-                    _argmax_combined(instance, weights, mode, nurse, state)
+                assert _argmax_combined(instance, config, state & works, nurse) == (
+                    _argmax_combined(instance, config, state, nurse)
                 )
     assert masked_cover > 500 and masked_combined > 1000, (masked_cover, masked_combined)
 
@@ -436,7 +437,7 @@ def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
     the scores tie, so the pick must be pattern 0 although the cost-ordered
     scan meets pattern 1 first."""
     instance = make_instance(
-        [pattern(0, 0, 1), pattern(1, 2)],
+        [(0, 1), (2,)],
         [Nurse(0, 1, {0: 20, 1: 10})],
         demand_rows([[2], [1], [1]] + [[0]] * (N_PERIODS - 3)),
     )
@@ -444,13 +445,13 @@ def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():
     nurse, roster = instance.nurses[0], Roster([None])
     coverage = compute_coverage(instance, roster)
     for mode, band_weight, tie in (("indicator", 10.0, 100.0), ("shortfall", 5.0, 95.0)):
-        weights = EvalWeights(w_p=1.0, w_grade=(band_weight,))
-        scores = [combined_score(instance, coverage, weights, 0, j, mode) for j in (0, 1)]
+        config = ReconstructionConfig(p1=0.0, p2=1.0, e_mode=mode, w_p=1.0,
+                                      w_grade=(band_weight,))
+        scores = [combined_score(instance, coverage, config, 0, j) for j in (0, 1)]
         assert scores == [tie, tie]
         state = _band_state(instance, coverage, nurse, mode)
-        assert _argmax_combined(instance, weights, mode, nurse, state) == 0
-        config = ReconstructionConfig(p1=0.0, p2=1.0, e_mode=mode)
-        repaired = repair(instance, roster, config, weights, random.Random(0))
+        assert _argmax_combined(instance, config, state, nurse) == 0
+        repaired = repair(instance, roster, config, random.Random(0))
         assert repaired.assignment == [0]
 
 
@@ -459,7 +460,7 @@ def test_the_cover_rule_returns_the_first_of_two_patterns_filling_every_short_ce
     and 2 both fill it and neither works all of the other's periods, so
     both stay in the cover list and the earlier one in the feasible list
     wins, whichever that is."""
-    patterns = [pattern(0, 4), pattern(1, 0, 3), pattern(2, 0, 5)]
+    patterns = [(4,), (0, 3), (0, 5)]
     nurses = [Nurse(0, 1, {0: 0, 1: 0, 2: 0}),
               Nurse(1, 1, {0: 0, 2: 0, 1: 0})]
     instance = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * (N_PERIODS - 1)))
@@ -478,8 +479,8 @@ def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkey
     with pattern 2, the earlier of the two that fill 3.  Nurse 2's patterns
     fill at most 2, so her whole list is scored and the first of the tied
     patterns wins."""
-    patterns = [pattern(0, 0, 7), pattern(1, 0, 1, 2), pattern(2, 2, 3, 4), pattern(3, 8, 9, 10),
-                pattern(4, 0, 1, 7), pattern(5, 3, 4, 8), pattern(6, 9, 10, 11)]
+    patterns = [(0, 7), (0, 1, 2), (2, 3, 4), (8, 9, 10),
+                (0, 1, 7), (3, 4, 8), (9, 10, 11)]
     nurses = [Nurse(0, 1, dict.fromkeys((0, 1, 2, 3), 0)),
               Nurse(1, 1, dict.fromkeys((2, 0, 1, 3), 0)),
               Nurse(2, 1, dict.fromkeys((4, 5, 6), 0))]
@@ -506,9 +507,10 @@ def bound_weights(rng: random.Random, g: int):
     """Drawn weights, the same with w_p = 0, and two whose products overflow:
     a band weight past 1e308 / 2 and a preference weight near 1e307."""
     drawn = random_weights(rng, g)
-    huge_band = EvalWeights(w_p=round(rng.uniform(0.5, 2.0), 3),
-                            w_grade=(1.7e308,) + drawn.w_grade[1:])
-    huge_preference = EvalWeights(w_p=rng.choice((1e307, 5e306)), w_grade=drawn.w_grade)
+    huge_band = ReconstructionConfig(w_p=round(rng.uniform(0.5, 2.0), 3),
+                                     w_grade=(1.7e308,) + drawn.w_grade[1:])
+    huge_preference = ReconstructionConfig(w_p=rng.choice((1e307, 5e306)),
+                                           w_grade=drawn.w_grade)
     return (drawn, replace(drawn, w_p=0.0), huge_band, huge_preference)
 
 
@@ -533,12 +535,13 @@ def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatc
         for roster in (partial, Roster.empty(instance.n), one_nurse):
             coverage = compute_coverage(instance, roster)
             for weights in weight_sets:
+                configs = {mode: replace(weights, e_mode=mode) for mode in E_MODES}
                 for i in [i for i, j in enumerate(roster.assignment) if j is None]:
                     nurse, longest = instance.nurses[i], instance.longest[i]
                     rows = instance.combined_scan[i]
-                    for mode in E_MODES:
+                    for mode, config in configs.items():
                         state = _band_state(instance, coverage, nurse, mode)
-                        terms = _band_terms(instance, weights, nurse.grade, longest, mode, state)
+                        terms = _band_terms(instance, config, nurse.grade, longest, state)
                         binds = False
                         for ws, levels, most in terms:
                             # w_s * cap, no level counting more than her longest pattern works
@@ -552,14 +555,13 @@ def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatc
                                 bound += most
                             score = _scan_combined((row,), weights.w_p, terms)[0]
                             assert bound >= score
-                            assert score == combined_score(instance, coverage, weights, i, row[2],
-                                                           mode)
+                            assert score == combined_score(instance, coverage, config, i, row[2])
                             overflowed += score == math.inf
                             bounds.append(bound)
                         assert bounds == sorted(bounds, reverse=True)
                         capped += binds
                         rows_scored["combined"] = 0
-                        pick = _argmax_combined(instance, weights, mode, nurse, state)
+                        pick = _argmax_combined(instance, config, state, nurse)
                         assert pick == first_argmax(
                             nurse.feasible,
                             lambda j: combined_score_by_definition(

@@ -3,7 +3,6 @@ import re
 
 import pytest
 
-from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
@@ -12,14 +11,13 @@ from nrp.model import (
     InvalidRosterError,
     Nurse,
     Roster,
-    ShiftPattern,
     compute_coverage,
     is_feasible,
     preference_cost,
 )
 
 from nrp.oracle import OPTIMAL, _components, _tables, exact_solve
-from nrp.reconstruct import _band_terms, _focus_mask
+from nrp.reconstruct import ReconstructionConfig, _band_terms, _focus_mask
 
 from bruteforce import (
     coverage_matrix,
@@ -34,7 +32,6 @@ from conftest import (
     field_maximum_instance,
     flat_demand,
     make_instance,
-    pattern,
 )
 
 
@@ -48,15 +45,15 @@ class TestCoversGrade:
     pattern there only."""
 
     def test_highest_grade_covers_all_bands(self):
-        inst = make_instance([pattern(0, 0, 3)], [Nurse(0, 1, {0: 0})], flat_demand(3))
+        inst = make_instance([(0, 3)], [Nurse(0, 1, {0: 0})], flat_demand(3))
         assert inst.nurse_cells[0][0] == band_copies(inst, 1 | 1 << 3 * inst.field_width, range(3))
 
     def test_lowest_grade_covers_only_its_band(self):
-        inst = make_instance([pattern(0, 0)], [Nurse(0, 3, {0: 0})], flat_demand(3))
+        inst = make_instance([(0,)], [Nurse(0, 3, {0: 0})], flat_demand(3))
         assert inst.nurse_cells[0][0] == band_copies(inst, 1, [2])
 
     def test_own_band(self):
-        inst = make_instance([pattern(0, 5)], [Nurse(0, 2, {0: 0})], flat_demand(3))
+        inst = make_instance([(5,)], [Nurse(0, 2, {0: 0})], flat_demand(3))
         own = (inst.nurse_cells[0][0] >> inst.band_span) & ((1 << inst.band_span) - 1)
         assert own == 1 << 5 * inst.field_width
 
@@ -67,7 +64,7 @@ class TestCoversGrade:
             band, bands = (1 << inst.band_span) - 1, range(inst.g)
             for i, nurse in enumerate(inst.nurses):
                 for j in nurse.feasible:
-                    cells = sum(1 << (k * inst.field_width) for k in inst.patterns[j].periods)
+                    cells = sum(1 << (k * inst.field_width) for k in inst.patterns[j])
                     row = inst.nurse_cells[i][j]
                     slices = [(row >> (s * inst.band_span)) & band for s in bands]
                     assert slices == [cells if qualified(inst, i, s + 1) else 0 for s in bands]
@@ -76,13 +73,23 @@ class TestCoversGrade:
 
 
 class TestTypeInvariants:
-    def test_pattern_needs_14_entries(self):
-        with pytest.raises(ValueError, match="14"):
-            ShiftPattern(0, (True,) * 13)
+    @pytest.mark.parametrize("periods", [
+        pytest.param((3, 14), id="past-the-week"),
+        pytest.param((-1, 3), id="negative"),
+        pytest.param((5, 2), id="out-of-order"),
+        pytest.param((2, 2, 9), id="repeated"),
+        pytest.param([2, 9], id="a-list"),
+    ])
+    def test_instance_rejects_a_bad_period_tuple(self, periods):
+        with pytest.raises(ValueError, match=r"pattern 1: .* ascending tuple of distinct periods"):
+            make_instance([(0,), periods], [Nurse(0, 1, {0: 0})], flat_demand(1))
 
     def test_pattern_period_indices(self):
-        p = pattern(0, 0, 7, 13)
-        assert p.periods == (0, 7, 13)
+        # the first period, a night and the last all land in their own field
+        inst = make_instance([(0, 7, 13), ()], [Nurse(0, 1, {0: 0, 1: 0})], flat_demand(1))
+        w = inst.field_width
+        assert inst.patterns == [(0, 7, 13), ()]
+        assert inst.pattern_bits == (((1 << 0) | (1 << 7 * w) | (1 << 13 * w)) << (w - 1), 0)
 
     def test_nurse_rejects_empty_feasible(self):
         with pytest.raises(ValueError, match="empty"):
@@ -122,7 +129,7 @@ class TestTypeInvariants:
     def test_instance_rejects_dangling_pattern(self):
         with pytest.raises(ValueError, match="unknown pattern"):
             make_instance(
-                [pattern(0, 0)], [Nurse(0, 1, {5: 0})], flat_demand(1)
+                [(0,)], [Nurse(0, 1, {5: 0})], flat_demand(1)
             )
 
     def test_instance_counts_n_m_and_g_from_its_lists(self, week_instance):
@@ -131,7 +138,7 @@ class TestTypeInvariants:
         assert (generated.n, generated.m, generated.g) == (5, 9, 4)
 
     @pytest.mark.parametrize(
-        "patterns, nurses", [([], [Nurse(0, 1, {0: 0})]), ([pattern(0, 0)], [])]
+        "patterns, nurses", [([], [Nurse(0, 1, {0: 0})]), ([(0,)], [])]
     )
     def test_instance_rejects_an_empty_list(self, patterns, nurses):
         with pytest.raises(ValueError, match="at least one pattern and one nurse"):
@@ -140,7 +147,7 @@ class TestTypeInvariants:
     def test_instance_rejects_grade_above_g(self):
         with pytest.raises(ValueError, match="exceeds"):
             make_instance(
-                [pattern(0, 0)], [Nurse(0, 2, {0: 0})], flat_demand(1)
+                [(0,)], [Nurse(0, 2, {0: 0})], flat_demand(1)
             )
 
 
@@ -166,7 +173,7 @@ class TestComputeCoverage:
     def test_single_weekday_nurse_covers_all_bands(self):
         # one grade-1 nurse on Mon-Fri days, demand 1 everywhere, 3 bands
         inst = make_instance(
-            [pattern(0, 0, 1, 2, 3, 4)],
+            [(0, 1, 2, 3, 4)],
             [Nurse(0, 1, {0: 0})],
             flat_demand(3, 1),
         )
@@ -269,7 +276,7 @@ def random_packing_instance(rng: random.Random, trial: int, sparse: bool = False
     n, m, g = rng.randint(1, 8), rng.randint(3, 12), 1 + trial % 4
     top = 2 * n + 3 if trial % 3 == 0 else n
     patterns = [
-        pattern(j, *(k for k in range(N_PERIODS) if rng.random() < 0.4)) for j in range(m)
+        tuple(k for k in range(N_PERIODS) if rng.random() < 0.4) for j in range(m)
     ]
     nurses = []
     for i in range(n):
@@ -349,14 +356,14 @@ class TestPackedCoverage:
             level = ((packed | guard_bits) - t * low_bits) & guard_bits
             assert level == guard_mask(instance, [(k, s) for k, s in cells if short[k][s] >= t])
         # a grade-g nurse serves one band, so the column is her band state
-        unit_weight = EvalWeights(w_grade=(1.0,))
+        unit_weight = ReconstructionConfig(w_grade=(1.0,), e_mode="shortfall")
         for s in range(instance.g):
             column = (packed >> (s * span)) & ((1 << span) - 1)
-            terms = _band_terms(instance, unit_weight, instance.g, N_PERIODS, "shortfall", column)
+            terms = _band_terms(instance, unit_weight, instance.g, N_PERIODS, column)
             levels = terms[0][1] if terms else ()
             assert [sum((bits & cells).bit_count() for cells in levels)
                     for bits in instance.pattern_bits] == [
-                sum(short[k][s] for k in p.periods) for p in instance.patterns
+                sum(short[k][s] for k in periods) for periods in instance.patterns
             ]
             # at a limit of all 14 periods nothing is capped, so the cap is
             # the count of a pattern working every period
@@ -365,8 +372,7 @@ class TestPackedCoverage:
             # a nurse whose longest pattern works `longest` periods counts at
             # most that many cells of level t, the cells short by at least t
             for longest in range(N_PERIODS):
-                capped = _band_terms(instance, unit_weight, instance.g, longest, "shortfall",
-                                     column)
+                capped = _band_terms(instance, unit_weight, instance.g, longest, column)
                 assert [cap for _, _, cap in capped] == ([sum(
                     min(sum(short[k][s] >= t for k in range(N_PERIODS)), longest)
                     for t in range(1, worst + 1)
@@ -449,7 +455,7 @@ class TestPackedCoverage:
                 workable = {
                     (k, s) for i in ids for s in range(inst.g) for k in range(N_PERIODS)
                     if qualified(inst, i, s + 1)
-                    and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)
+                    and any(k in inst.patterns[j] for j in inst.nurses[i].feasible)
                 }
                 parts.append((component_rng, ids, top, workable))
             for draw, ids, top, kept in parts:
@@ -469,7 +475,7 @@ class TestPackedCoverage:
                     for s in range(inst.g):
                         can = [
                             [i for i in ids[depth:] if qualified(inst, i, s + 1)
-                             and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)]
+                             and any(k in inst.patterns[j] for j in inst.nurses[i].feasible)]
                             for k in range(N_PERIODS)
                         ]
                         counts += sum(
@@ -481,7 +487,7 @@ class TestPackedCoverage:
                         for k in range(N_PERIODS):
                             extras = [
                                 min(nurse.pref_cost[j] for j in nurse.feasible
-                                    if inst.patterns[j].mask[k])
+                                    if k in inst.patterns[j])
                                 - min(nurse.pref_cost.values())
                                 for nurse in (inst.nurses[i] for i in can[k])
                             ]
@@ -595,13 +601,13 @@ class TestIsFeasible:
 class TestPreferenceCost:
     def test_all_zero_costs(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, {0: 0})], flat_demand(1)
+            [(0,)], [Nurse(0, 1, {0: 0})], flat_demand(1)
         )
         assert preference_cost(inst, Roster([0])) == 0
 
     def test_single_nurse_cost(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, {0: 8})], flat_demand(1)
+            [(0,)], [Nurse(0, 1, {0: 8})], flat_demand(1)
         )
         assert preference_cost(inst, Roster([0])) == 8
 

@@ -19,12 +19,12 @@ from bruteforce import (
     first_optimal_roster,
     qualified,
 )
-from conftest import demand_rows, leftover_garbage, make_instance, pattern
+from conftest import demand_rows, leftover_garbage, make_instance
 
 
 def test_single_nurse_with_covering_pattern():
     inst = make_instance(
-        [pattern(0, 0)],
+        [(0,)],
         [Nurse(0, 1, {0: 7})],
         demand_rows([[1]] + [[0]] * 13),
     )
@@ -36,7 +36,7 @@ def test_single_nurse_with_covering_pattern():
 
 def test_demand_beyond_headcount_is_infeasible():
     inst = make_instance(
-        [pattern(0, 0)],
+        [(0,)],
         [Nurse(0, 1, {0: 0})],
         demand_rows([[2]] + [[0]] * 13),
     )
@@ -59,7 +59,7 @@ def test_optimal_roster_is_verified_feasible_and_costed():
 
 
 def test_prefers_cheaper_of_two_feasible_choices():
-    patterns = [pattern(0, 0), pattern(1, 0)]
+    patterns = [(0,), (0,)]
     nurses = [Nurse(0, 1, {0: 30, 1: 12})]
     inst = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * 13))
     assert exact_solve(inst).optimal_cost == 12
@@ -125,7 +125,7 @@ def test_node_budget_below_one_is_rejected():
 
 def test_cut_counters():
     infeasible = make_instance(
-        [pattern(0, 0)],
+        [(0,)],
         [Nurse(0, 1, {0: 0}), Nurse(1, 1, {0: 0})],
         demand_rows([[3]] + [[0]] * 13),
     )
@@ -144,11 +144,11 @@ def test_each_outcome_leaves_no_cyclic_garbage():
     cycle, so its tables are freed on return, not by the cyclic collector."""
     generated = generate_instance(GeneratorParams(n=6, m=10, g=3, seed=1))
     stranded = make_instance(  # nobody works period 13
-        [pattern(0, 0), pattern(1, 7)], [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
+        [(0,), (7,)], [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
         demand_rows([[1]] + [[0]] * 12 + [[1]]),
     )
     either = make_instance(  # each period has a worker, but the one nurse works only one
-        [pattern(0, 0), pattern(1, 1)], [Nurse(0, 1, {0: 0, 1: 0})],
+        [(0,), (1,)], [Nurse(0, 1, {0: 0, 1: 0})],
         demand_rows([[1], [1]] + [[0]] * 12),
     )
     assert exact_solve(stranded).nodes_explored == 0 < exact_solve(either).nodes_explored
@@ -278,7 +278,7 @@ def test_components_match_the_definition_on_generated_instances():
 
 
 def test_a_nurse_who_works_days_and_nights_merges_the_halves():
-    patterns = [pattern(0, 0), pattern(1, 7), pattern(2, 0, 7)]
+    patterns = [(0,), (7,), (0, 7)]
     day, night = Nurse(0, 1, {0: 5}), Nurse(1, 1, {1: 5})
     demand = demand_rows([[1]] + [[0]] * 6 + [[2]] + [[0]] * 6)
     split = make_instance(patterns, [day, night, Nurse(2, 1, {1: 9})], demand)
@@ -294,8 +294,7 @@ def test_a_nurse_who_works_days_and_nights_merges_the_halves():
 
 def test_interleaved_components_stitch_the_first_optimal_roster():
     # nurses 0, 2 and 4 work days, 1 and 3 nights; costs tie so order decides
-    patterns = [pattern(0, 0, 1), pattern(1, 0), pattern(2, 1), pattern(3, 7), pattern(4, 8),
-                pattern(5, 7, 8)]
+    patterns = [(0, 1), (0,), (1,), (7,), (8,), (7, 8)]
     day = (0, 1, 2)
     night = (3, 4, 5)
     nurses = [
@@ -313,7 +312,7 @@ def test_interleaved_components_stitch_the_first_optimal_roster():
 
 
 def test_a_demanded_cell_nobody_can_work_is_infeasible_before_any_node():
-    patterns = [pattern(0, 0), pattern(1, 7)]
+    patterns = [(0,), (7,)]
     no_period = make_instance(  # nobody works period 13
         patterns, [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
         demand_rows([[1]] + [[0]] * 12 + [[1]]),
@@ -333,7 +332,7 @@ def _dearer_subset_first():
     """One nurse whose feasible list puts A (cost 5, period 0) before B
     (cost 1, periods 0 and 1).  The combined scan keeps both, as A's only
     superset comes later, but in cost order B comes first and covers A."""
-    patterns = [pattern(0, 0), pattern(1, 0, 1)]
+    patterns = [(0,), (0, 1)]
     nurse = Nurse(0, 1, {0: 5, 1: 1})
     return make_instance(patterns, [nurse], demand_rows([[1]] * 2 + [[0]] * 12))
 
@@ -369,7 +368,7 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
             dominated = [
                 j for index, j in enumerate(by_cost)
                 if any(
-                    all(inst.patterns[earlier].mask[k] for k in inst.patterns[j].periods)
+                    all(k in inst.patterns[earlier] for k in inst.patterns[j])
                     for earlier in by_cost[:index]
                 )
             ]
@@ -378,7 +377,7 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
             assert choice == [
                 (j, nurse.pref_cost[j], sum(
                     1 << (s * inst.band_span + k * inst.field_width)
-                    for s in range(nurse.grade - 1, inst.g) for k in inst.patterns[j].periods
+                    for s in range(nurse.grade - 1, inst.g) for k in inst.patterns[j]
                 ))
                 for j in order
             ]
@@ -408,7 +407,7 @@ def _tables_rebuilding_by_cost(inst, ids):
         for j in order:
             if not inst.supersets[j] & seen:
                 choices[d].append((j, price[j], cells[j]))
-                for k in inst.patterns[j].periods:
+                for k in inst.patterns[j]:
                     forced.setdefault(k, price[j] - cheapest)
             seen |= 1 << j
         avail[d] = avail[d + 1] + (inst.reach[nurse.id] & inst.low_bits)
@@ -450,7 +449,7 @@ def _component_alone(inst, ids):
         [
             d if any(
                 qualified(inst, i, s + 1)
-                and any(inst.patterns[j].mask[k] for j in inst.nurses[i].feasible)
+                and any(k in inst.patterns[j] for j in inst.nurses[i].feasible)
                 for i in ids
             ) else 0
             for s, d in enumerate(row)
@@ -498,18 +497,18 @@ def _budget_sweep_cases():
             seed=8100 + trial,
         ))
     yield make_instance(
-        [pattern(0, 0)],
+        [(0,)],
         [Nurse(0, 1, {0: 0}), Nurse(1, 1, {0: 0})],
         demand_rows([[3]] + [[0]] * 13),
     )
     yield make_instance(
-        [pattern(0, 0), pattern(1, 7)],
+        [(0,), (7,)],
         [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})],
         demand_rows([[1]] + [[0]] * 12 + [[1]]),
     )
     # each nurse works period 0 or period 1, and each period wants both
     yield make_instance(
-        [pattern(0, 0), pattern(1, 1)],
+        [(0,), (1,)],
         [Nurse(0, 1, {0: 0, 1: 1}), Nurse(1, 1, {0: 1, 1: 0})],
         demand_rows([[2], [2]] + [[0]] * 12),
     )

@@ -6,7 +6,6 @@ import pytest
 
 import nrp.reconstruct as reconstruct_module
 import nrp.solver as solver_module
-from nrp.evaluate import EvalWeights
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
@@ -37,7 +36,6 @@ from conftest import (
     demand_rows,
     flat_demand,
     make_instance,
-    pattern,
     repair,
 )
 
@@ -69,12 +67,30 @@ class TestReconstructionConfig:
         with pytest.raises(ValueError, match="e_mode"):
             ReconstructionConfig(e_mode="literal")
 
+    def test_rejects_non_finite_weights(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ReconstructionConfig(w_p=value)
+        with pytest.raises(ValueError, match="finite"):
+            ReconstructionConfig(w_grade=(8.0, math.nan, 1.0))
+
+    def test_rejects_negative_weights(self):
+        with pytest.raises(ValueError, match="w_p"):
+            ReconstructionConfig(w_p=-0.5)
+        with pytest.raises(ValueError, match="grade weights"):
+            ReconstructionConfig(w_grade=(8.0, -1.0, 1.0))
+
+    def test_rejects_empty_grade_weights(self):
+        # band s reads w_grade[min(s, len(w_grade)) - 1], so one weight is needed
+        with pytest.raises(ValueError, match="w_grade"):
+            ReconstructionConfig(w_grade=())
+
 
 class TestCoverValue:
     def test_week_of_mixed_night_shortfalls(self):
         # net night requirements Mon..Sun: -4, 0, +1, -3, -1, -2, 0
         # (Wednesday over-covered by an already-assigned nurse)
-        patterns = [pattern(0, 7, 8, 9, 10, 11), pattern(1, 9)]
+        patterns = [(7, 8, 9, 10, 11), (9,)]
         nurses = [
             Nurse(0, 1, {0: 0}),
             Nurse(1, 1, {1: 0}),
@@ -95,7 +111,7 @@ class TestCoverValue:
     def test_focus_band_is_highest_priority_short_band(self):
         # band 1 fully covered, band 2 short: a grade-1 nurse should be
         # scored against band 2, her next-priority band
-        patterns = [pattern(0, 0), pattern(1, 1)]
+        patterns = [(0,), (1,)]
         nurses = [
             Nurse(0, 1, {0: 0, 1: 0}),
             Nurse(1, 2, {0: 0}),
@@ -108,7 +124,7 @@ class TestCoverValue:
 
     def test_higher_band_shortfall_takes_priority_over_lower(self):
         # both bands short: a grade-1 nurse is scored at band 1 only
-        patterns = [pattern(0, 0, 1)]
+        patterns = [(0, 1)]
         nurses = [Nurse(0, 1, {0: 0})]
         demand = demand_rows([[1, 2], [0, 2]] + [[0, 0]] * 12)
         inst = make_instance(patterns, nurses, demand)
@@ -145,41 +161,42 @@ class TestCoverValue:
 class TestCombinedScore:
     def test_free_pattern_with_no_shortfall_scores_100(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, {0: 0})], flat_demand(1)
+            [(0,)], [Nurse(0, 1, {0: 0})], flat_demand(1)
         )
         cov = compute_coverage(inst, Roster([None]))
-        assert combined_score(inst, cov, EvalWeights(), 0, 0) == 100.0
+        assert combined_score(inst, cov, ReconstructionConfig(), 0, 0) == 100.0
 
     def test_worst_preference_with_no_shortfall_scores_0(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, {0: 100})], flat_demand(1)
+            [(0,)], [Nurse(0, 1, {0: 100})], flat_demand(1)
         )
         cov = compute_coverage(inst, Roster([None]))
-        assert combined_score(inst, cov, EvalWeights(), 0, 0) == 0.0
+        assert combined_score(inst, cov, ReconstructionConfig(), 0, 0) == 0.0
 
     def test_one_short_period_at_three_bands_scores_111(self):
         # free pattern covering a period short at all 3 bands: 100 + 8 + 2 + 1
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, {0: 0})],
+            [(0,)], [Nurse(0, 1, {0: 0})],
             demand_rows([[1, 1, 1]] + [[0, 0, 0]] * 13),
         )
         cov = compute_coverage(inst, Roster([None]))
-        weights = EvalWeights(w_p=1.0, w_grade=(8.0, 2.0, 1.0))
-        assert combined_score(inst, cov, weights, 0, 0) == 111.0
+        config = ReconstructionConfig(w_p=1.0, w_grade=(8.0, 2.0, 1.0))
+        assert combined_score(inst, cov, config, 0, 0) == 111.0
 
     def test_shortfall_mode_weights_by_missing_nurses(self):
         inst = make_instance(
-            [pattern(0, 0)], [Nurse(0, 1, {0: 0})],
+            [(0,)], [Nurse(0, 1, {0: 0})],
             demand_rows([[3]] + [[0]] * 13),
         )
         cov = compute_coverage(inst, Roster([None]))
-        w = EvalWeights(w_grade=(8.0,))
-        assert combined_score(inst, cov, w, 0, 0, e_mode="indicator") == 108.0
-        assert combined_score(inst, cov, w, 0, 0, e_mode="shortfall") == 124.0
+        indicator = ReconstructionConfig(w_grade=(8.0,), e_mode="indicator")
+        shortfall = replace(indicator, e_mode="shortfall")
+        assert combined_score(inst, cov, indicator, 0, 0) == 108.0
+        assert combined_score(inst, cov, shortfall, 0, 0) == 124.0
 
     def test_matches_brute_force_on_random_states(self):
         rng = random.Random(29)
-        weights = EvalWeights()
+        configs = {mode: ReconstructionConfig(e_mode=mode) for mode in E_MODES}
         for trial in range(60):
             inst = generate_instance(
                 GeneratorParams(n=rng.randint(2, 6), m=10, g=3, seed=2300 + trial)
@@ -192,12 +209,13 @@ class TestCombinedScore:
             )
             cov = compute_coverage(inst, roster)
             mode = "indicator" if trial % 2 == 0 else "shortfall"
+            config = configs[mode]
             for i in range(inst.n):
                 for j in inst.nurses[i].feasible:
-                    assert combined_score(inst, cov, weights, i, j, mode) == (
+                    assert combined_score(inst, cov, config, i, j) == (
                         pytest.approx(
                             combined_score_by_definition(
-                                inst, roster, weights.w_p, weights.w_grade, i, j, mode
+                                inst, roster, config.w_p, config.w_grade, i, j, mode
                             )
                         )
                     )
@@ -211,10 +229,10 @@ def rule_probe_instance():
     that was drawn.
     """
     patterns = [
-        pattern(0, 4),          # z1: covers nothing demanded, cost 60
-        pattern(1, 0, 1, 2),    # X: covers all three demanded days, cost 100
-        pattern(2, 3),          # Y: covers nothing demanded, cost 0
-        pattern(3, 5),          # z2: covers nothing demanded, cost 60
+        (4,),       # z1: covers nothing demanded, cost 60
+        (0, 1, 2),  # X: covers all three demanded days, cost 100
+        (3,),       # Y: covers nothing demanded, cost 0
+        (5,),       # z2: covers nothing demanded, cost 60
     ]
     nurses = [Nurse(0, 1, {0: 60, 1: 100, 2: 0, 3: 60})]
     demand = demand_rows([[1], [1], [1]] + [[0]] * 11)
@@ -225,7 +243,7 @@ class TestReconstruct:
     def test_complete_roster_returned_unchanged_without_draws(self, week_instance):
         roster = Roster([0, 1, 2])
         rng = random.Random(77)
-        out = repair(week_instance, roster, ReconstructionConfig(), EvalWeights(), rng)
+        out = repair(week_instance, roster, ReconstructionConfig(), rng)
         assert out.assignment == roster.assignment
         assert rng.random() == random.Random(77).random()
 
@@ -234,17 +252,17 @@ class TestReconstruct:
         returns an equal new roster and leaves the run's state as it was:
         rest, costs and cost, and no pick in the memo."""
         rng = random.Random(71)
-        config, weights = ReconstructionConfig(), EvalWeights()
+        config = ReconstructionConfig()
         for trial in range(30):
             inst = generate_instance(GeneratorParams(
                 n=rng.randint(1, 9), m=12, g=1 + trial % 6, seed=7100 + trial))
             memo, coverage = PickMemo(inst), CoverageState(inst)
             # the state and the memo a run holds after its first repair
-            roster = reconstruct(inst, Roster.empty(inst.n), config, weights, rng, coverage, memo)
+            roster = reconstruct(inst, Roster.empty(inst.n), config, rng, coverage, memo)
             held = coverage.rest, coverage.costs[:], coverage.cost
             picks = memo_picks(memo, "cover"), memo_picks(memo, "combined")
             before = rng.getstate()
-            out = reconstruct(inst, roster, config, weights, rng, coverage, memo)
+            out = reconstruct(inst, roster, config, rng, coverage, memo)
             assert rng.getstate() == before
             assert out == roster and out is not roster
             assert out.assignment is not roster.assignment
@@ -254,7 +272,6 @@ class TestReconstruct:
     def test_existing_assignments_never_change(self):
         rng = random.Random(41)
         config = ReconstructionConfig()
-        weights = EvalWeights()
         for trial in range(30):
             inst = generate_instance(GeneratorParams(n=6, m=10, g=3, seed=2900 + trial))
             roster = Roster(
@@ -263,7 +280,7 @@ class TestReconstruct:
                     for n in inst.nurses
                 ]
             )
-            out = repair(inst, roster, config, weights, rng)
+            out = repair(inst, roster, config, rng)
             assert out.is_complete()
             for i, before in enumerate(roster.assignment):
                 if before is not None:
@@ -274,10 +291,10 @@ class TestReconstruct:
         # nurse 0's best-cover pattern is unique; nurse 1 must then prefer
         # the remaining short day over an already-covered one
         patterns = [
-            pattern(0, 0, 1),  # pA
-            pattern(1, 2),     # pB
-            pattern(2, 0),     # pC: short before nurse 0 acts, covered after
-            pattern(3, 2),     # pD
+            (0, 1),  # pA
+            (2,),    # pB
+            (0,),    # pC: short before nurse 0 acts, covered after
+            (2,),    # pD
         ]
         nurses = [
             Nurse(0, 1, {0: 0, 1: 0}),
@@ -286,30 +303,29 @@ class TestReconstruct:
         demand = demand_rows([[1], [1], [1]] + [[0]] * 11)
         inst = make_instance(patterns, nurses, demand)
         config = ReconstructionConfig(p1=1.0, p2=0.0)
-        out = repair(inst, Roster.empty(2), config, EvalWeights(), random.Random(0))
+        out = repair(inst, Roster.empty(2), config, random.Random(0))
         assert out.assignment == [0, 3]
 
     def test_pure_cover_from_empty_is_deterministic(self):
         config = ReconstructionConfig(p1=1.0, p2=0.0)
-        weights = EvalWeights()
         for trial in range(10):
             inst = generate_instance(GeneratorParams(n=5, m=8, g=2, seed=3100 + trial))
-            a = repair(inst, Roster.empty(5), config, weights, random.Random(1))
-            b = repair(inst, Roster.empty(5), config, weights, random.Random(2))
+            a = repair(inst, Roster.empty(5), config, random.Random(1))
+            b = repair(inst, Roster.empty(5), config, random.Random(2))
             assert a.assignment == b.assignment
 
     def test_score_ties_break_to_first_feasible_pattern(self):
         # zero demand: every pattern scores alike under both rules
-        patterns = [pattern(0, 0), pattern(1, 1), pattern(2, 2)]
+        patterns = [(0,), (1,), (2,)]
         nurses = [Nurse(0, 1, {2: 5, 0: 5, 1: 5})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         for p1, p2 in ((1.0, 0.0), (0.0, 1.0)):
             config = ReconstructionConfig(p1=p1, p2=p2)
-            out = repair(inst, Roster.empty(1), config, EvalWeights(), random.Random(3))
+            out = repair(inst, Roster.empty(1), config, random.Random(3))
             assert out.assignment == [2]
 
     def test_random_rule_is_uniform_over_feasible_set(self):
-        patterns = [pattern(j, j) for j in range(5)]
+        patterns = [(j,) for j in range(5)]
         nurses = [Nurse(0, 1, {j: 0 for j in range(5)})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         config = ReconstructionConfig(p1=0.0, p2=0.0)
@@ -317,7 +333,7 @@ class TestReconstruct:
         counts = [0] * 5
         trials = 10_000
         for _ in range(trials):
-            out = repair(inst, Roster.empty(1), config, EvalWeights(), rng)
+            out = repair(inst, Roster.empty(1), config, rng)
             counts[out.assignment[0]] += 1
         expected = trials / 5
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -330,7 +346,7 @@ class TestReconstruct:
         counts = {j: 0 for j in range(4)}
         trials = 10_000
         for _ in range(trials):
-            out = repair(inst, Roster.empty(1), config, EvalWeights(), rng)
+            out = repair(inst, Roster.empty(1), config, rng)
             counts[out.assignment[0]] += 1
         p3_hat = 2.0 * (counts[0] + counts[3]) / trials
         p1_hat = counts[1] / trials - p3_hat / 4
@@ -342,7 +358,6 @@ class TestReconstruct:
     def test_incremental_coverage_matches_scratch_after_repair(self):
         rng = random.Random(67)
         config = ReconstructionConfig()
-        weights = EvalWeights()
         for trial in range(30):
             inst = generate_instance(GeneratorParams(n=6, m=10, g=3, seed=3700 + trial))
             roster = Roster(
@@ -352,14 +367,15 @@ class TestReconstruct:
                 ]
             )
             cov = compute_coverage(inst, roster)
-            out = reconstruct(inst, roster, config, weights, rng, cov, PickMemo(inst))
+            out = reconstruct(inst, roster, config, rng, cov, PickMemo(inst))
             cov.check(out)
             fresh = compute_coverage(inst, out)
             assert cov.total_shortfall() == fresh.total_shortfall()
 
 
 def memo_sequence_case(trial: int):
-    """A small instance, fractional weights and a release rng for one sequence."""
+    """A small instance, the default rule config with fractional weights, and
+    a release rng for one sequence."""
     rng = random.Random(8100 + trial)
     g = 1 + trial % 3
     instance = generate_instance(
@@ -374,7 +390,7 @@ def memo_sequence_case(trial: int):
         )
     )
     w_grade = tuple(round(rng.uniform(0.05, 6.0), 3) for _ in range(g))
-    weights = EvalWeights(w_p=round(rng.uniform(0.1, 2.0), 3), w_grade=w_grade)
+    weights = ReconstructionConfig(w_p=round(rng.uniform(0.1, 2.0), 3), w_grade=w_grade)
     return instance, weights, rng
 
 
@@ -415,7 +431,7 @@ class TestPickMemo:
         count their clears.  Returns the shared memo and the fresh memos'
         total size."""
         instance, weights, release = memo_sequence_case(trial)
-        config = ReconstructionConfig(p1=0.5, p2=0.45, e_mode=e_mode)
+        config = replace(weights, p1=0.5, p2=0.45, e_mode=e_mode)
         shared = PickMemo(instance)
         if counted:
             shared.nurses = [row[:5] + (CountedClears(), CountedClears()) for row in shared.nurses]
@@ -427,10 +443,10 @@ class TestPickMemo:
             cov_fresh = compute_coverage(instance, roster)
             fresh = PickMemo(instance)
             out_shared = reconstruct(
-                instance, roster, config, weights, rng_shared, cov_shared, memo=shared
+                instance, roster, config, rng_shared, cov_shared, memo=shared
             )
             out_fresh = reconstruct(
-                instance, roster, config, weights, rng_fresh, cov_fresh, memo=fresh
+                instance, roster, config, rng_fresh, cov_fresh, memo=fresh
             )
             assert out_shared.assignment == out_fresh.assignment
             assert cov_shared.rest == cov_fresh.rest
@@ -483,8 +499,8 @@ class TestPickMemo:
                 memo = PickMemo(instance)
                 picks = memo_dicts(memo, rule)[0]
                 picks.update((-1 - key, 0) for key in range(held))  # no mask is negative
-                repair(instance, roster, ReconstructionConfig(p1=p1, p2=p2), weights,
-                       random.Random(0), memo=memo)
+                repair(instance, roster, replace(weights, p1=p1, p2=p2), random.Random(0),
+                       memo=memo)
                 assert len(picks) == after
         # a nurse's full dict leaves the others' picks alone
         monkeypatch.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", LIMIT)
@@ -513,7 +529,7 @@ def test_each_write_back_matches_a_recount(monkeypatch, mix, e_mode):
         memo, rng, release = PickMemo(instance), random.Random(g), random.Random(100 + g)
         roster, coverage = Roster.empty(instance.n), CoverageState(instance)
         for _ in range(40):
-            roster = reconstruct(instance, roster, config, EvalWeights(), rng, coverage, memo)
+            roster = reconstruct(instance, roster, config, rng, coverage, memo)
             assert max(map(len, memo_dicts(memo, "cover") + memo_dicts(memo, "combined"))) <= 1
             coverage.check(roster)
             keep = release.random()
@@ -549,7 +565,7 @@ def test_the_pick_keys_are_the_reference_masks():
         above_own += bool(above)
         for config in [cover, *combined]:
             memo = PickMemo(instance)
-            reconstruct(instance, roster, config, EvalWeights(), random.Random(trial),
+            reconstruct(instance, roster, config, random.Random(trial),
                         coverage=compute_coverage(instance, roster), memo=memo)
             cover_keys, combined_keys = memo_picks(memo, "cover"), memo_picks(memo, "combined")
             if config is cover:
@@ -589,7 +605,7 @@ class TestReachKeys:
         unmasked mask her rules read differs."""
         def works_nights(i):
             return any(
-                instance.patterns[j].mask[k] for j in instance.nurses[i].feasible for k in NIGHTS
+                k in instance.patterns[j] for j in instance.nurses[i].feasible for k in NIGHTS
             )
 
         day = next(i for i in range(instance.n) if not works_nights(i))
@@ -619,18 +635,17 @@ class TestReachKeys:
         day, (before, after) = self.night_change(instance)
         p = (1.0, 0.0) if rule == "cover" else (0.0, 1.0)
         config = ReconstructionConfig(p1=p[0], p2=p[1], e_mode=e_mode)
-        weights = EvalWeights()
         calls = count_kernel_calls(monkeypatch)
         memo = PickMemo(instance)
-        first = repair(instance, before, config, weights, random.Random(0), memo=memo)
+        first = repair(instance, before, config, random.Random(0), memo=memo)
         assert calls[rule] == 1
         keys = memo_picks(memo, rule)
-        second = repair(instance, after, config, weights, random.Random(0), memo=memo)
+        second = repair(instance, after, config, random.Random(0), memo=memo)
         # the same key, answered from the memo without a kernel call
         assert calls[rule] == 1
         assert memo_picks(memo, rule) == keys
         assert second.assignment[day] == first.assignment[day]
-        fresh = repair(instance, after, config, weights, random.Random(0))
+        fresh = repair(instance, after, config, random.Random(0))
         assert calls[rule] == 2 and fresh.assignment == second.assignment
 
     def test_ward_runs_make_the_pinned_kernel_calls(self, monkeypatch):

@@ -39,7 +39,6 @@ from conftest import (
     demand_rows,
     flat_demand,
     make_instance,
-    pattern,
     repair,
 )
 from suite import build_desk_suite
@@ -60,7 +59,7 @@ def result_fields(result: RunResult):
 
 class TestInitialRoster:
     def test_singleton_feasible_sets_force_the_unique_roster(self):
-        patterns = [pattern(0, 0), pattern(1, 1)]
+        patterns = [(0,), (1,)]
         nurses = [Nurse(0, 1, {0: 0}), Nurse(1, 1, {1: 0})]
         inst = make_instance(patterns, nurses, flat_demand(1))
         roster = initial_roster(inst, random.Random(0))
@@ -97,7 +96,7 @@ class TestRun:
             inst, result.best_roster, EvalWeights())
 
     def test_forced_instance_resolves_at_iteration_zero(self):
-        patterns = [pattern(0, 0)]
+        patterns = [(0,)]
         nurses = [Nurse(0, 1, {0: 9})]
         inst = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * 13))
         result = run(inst, SolverConfig(max_iterations=50, seed=0))
@@ -218,12 +217,12 @@ class TestRun:
             released += not result.is_complete()
             return result
 
-        def checked(instance, roster, config, weights, rng, coverage, memo):
+        def checked(instance, roster, config, rng, coverage, memo):
             nonlocal calls
             calls += 1
-            recount(instance, roster, weights, coverage)
-            result = reconstruct(instance, roster, config, weights, rng, coverage, memo)
-            recount(instance, result, weights, coverage)
+            recount(instance, roster, EvalWeights(), coverage)
+            result = reconstruct(instance, roster, config, rng, coverage, memo)
+            recount(instance, result, EvalWeights(), coverage)
             return result
 
         monkeypatch.setattr("nrp.solver.compute_coverage", started)
@@ -344,7 +343,7 @@ def test_each_step_returns_a_new_roster_and_keeps_its_input(step):
         elif step == "random":
             result = eliminate_at_random(roster, EliminationConfig(r_m=0.3), rng)
         else:
-            result = repair(instance, roster, ReconstructionConfig(), EvalWeights(), rng)
+            result = repair(instance, roster, ReconstructionConfig(), rng)
         assert type(result) is Roster and result is not roster
         assert result.assignment is not assignment
         assert roster.assignment is assignment and assignment == before
