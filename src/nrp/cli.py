@@ -27,7 +27,6 @@ wall time after its counters.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -37,7 +36,7 @@ from pathlib import Path
 
 from . import harness, oracle
 from .instance_io import GeneratorParams, generate_instance, load_instance, save_instance
-from .reconstruct import E_MODES
+from .reconstruct import E_MODES, ReconstructionConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,17 +51,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"error: {message} (see {self.prog} --help)\n")
 
 
-def _w_grade(text: str | None) -> tuple[float, ...] | None:
-    """Parse --w-grade: comma-separated non-negative finite numbers, band 1 first."""
+def _w_grade(recon: ReconstructionConfig, text: str | None) -> ReconstructionConfig:
+    """recon with --w-grade's comma-separated weights, band 1 first, if given.
+
+    Only the numbers are parsed here: the config's own check decides which
+    weights it takes, and its ValueError is raised again naming the flag.
+    """
     if text is None:
-        return None
+        return recon
     try:
         weights = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--w-grade: expected numbers like 8,2,1, got {text!r}") from None
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ValueError(f"--w-grade: weights must be non-negative finite numbers, got {text!r}")
-    return weights
+    try:
+        return replace(recon, w_grade=weights)
+    except ValueError as exc:
+        raise ValueError(f"--w-grade: {exc}, got {text!r}") from None
 
 
 def _given(**values) -> dict:
@@ -77,8 +81,8 @@ def _build_spec(args, seed: int) -> harness.RunSpec:
     config = replace(
         config,
         elim=replace(config.elim, **_given(r_m=args.rm, fixed_threshold=args.fixed_rs)),
-        recon=replace(config.recon, **_given(
-            p1=args.p1, p2=args.p2, e_mode=args.e_mode, w_grade=_w_grade(args.w_grade))),
+        recon=_w_grade(replace(config.recon, **_given(
+            p1=args.p1, p2=args.p2, e_mode=args.e_mode)), args.w_grade),
         eval_weights=replace(config.eval_weights, **_given(w1=args.w1, w_demand=args.wdemand)),
         stop_at_known_optimal=config.stop_at_known_optimal and not args.no_stop_at_optimal,
     )

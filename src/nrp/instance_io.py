@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import N_PERIODS, Demand, Instance, Nurse
+from .model import N_PERIODS, Instance, Nurse
 
 FORMAT_HEADER = "NRP 1"
 DAY_PERIODS = (3, 5)  # days worked by a day pattern, inclusive range
@@ -52,27 +53,6 @@ class InstanceParseError(ValueError):
         self.line = line
 
 
-class _Lines:
-    """Cursor over the meaningful lines of the file."""
-
-    def __init__(self, text: str) -> None:
-        # a '#' starts a comment, on a line of its own or after the data
-        cut = (line.partition("#")[0].strip() for line in text.splitlines())
-        self.items = [(no, line) for no, line in enumerate(cut, start=1) if line]
-        self.pos = 0
-
-    def next(self, expecting: str) -> tuple[int, str]:
-        if self.pos >= len(self.items):
-            last = self.items[-1][0] if self.items else 0
-            raise InstanceParseError(last + 1, f"unexpected end of file, expected {expecting}")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def peek(self) -> tuple[int, str] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-
 def _int_field(no: int, token: str, name: str) -> int:
     try:
         return int(token)
@@ -80,8 +60,8 @@ def _int_field(no: int, token: str, name: str) -> int:
         raise InstanceParseError(no, f"{name}: expected an integer, got {token!r}") from None
 
 
-def _scalar(lines: _Lines, name: str) -> int:
-    no, line = lines.next(f"'{name} <int>'")
+def _scalar(take: Callable[[str], tuple[int, str]], name: str) -> int:
+    no, line = take(f"'{name} <int>'")
     parts = line.split()
     if len(parts) != 2 or parts[0] != name:
         raise InstanceParseError(no, f"expected '{name} <int>', got {line!r}")
@@ -91,27 +71,43 @@ def _scalar(lines: _Lines, name: str) -> int:
     return value
 
 
-def _section(lines: _Lines, name: str) -> None:
-    no, line = lines.next(f"'{name}'")
+def _section(take: Callable[[str], tuple[int, str]], name: str) -> None:
+    no, line = take(f"'{name}'")
     if line != name:
         raise InstanceParseError(no, f"expected '{name}', got {line!r}")
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the text format into an Instance, validating every invariant."""
-    lines = _Lines(text)
+    """Parse the text format into an Instance, validating every invariant.
 
-    no, line = lines.next(f"header {FORMAT_HEADER!r}")
+    A pattern that works no period and a demand row that is not
+    non-decreasing across grade bands are accepted, each with a warning
+    that names its line.  An unexpected end of file is reported on the line
+    after the last meaningful one, line 1 for a file with none.
+    """
+    # a '#' starts a comment, on a line of its own or after the data
+    cut = (line.partition("#")[0].strip() for line in text.splitlines())
+    items = [(no, line) for no, line in enumerate(cut, start=1) if line]
+    lines = iter(items)
+    end = items[-1][0] + 1 if items else 1  # the line an unexpected end is reported on
+
+    def take(expecting: str) -> tuple[int, str]:
+        item = next(lines, None)
+        if item is None:
+            raise InstanceParseError(end, f"unexpected end of file, expected {expecting}")
+        return item
+
+    no, line = take(f"header {FORMAT_HEADER!r}")
     if line != FORMAT_HEADER:
         raise InstanceParseError(no, f"expected header {FORMAT_HEADER!r}, got {line!r}")
-    n = _scalar(lines, "n")
-    m = _scalar(lines, "m")
-    g = _scalar(lines, "g")
+    n = _scalar(take, "n")
+    m = _scalar(take, "m")
+    g = _scalar(take, "g")
 
-    _section(lines, "PATTERNS")
+    _section(take, "PATTERNS")
     patterns = []
     for idx in range(m):
-        no, line = lines.next(f"pattern line {idx}")
+        no, line = take(f"pattern line {idx}")
         parts = line.split()
         if len(parts) != 2:
             raise InstanceParseError(no, f"expected '<id> <14-char 0/1 mask>', got {line!r}")
@@ -125,23 +121,25 @@ def parse_instance(text: str) -> Instance:
             warnings.warn(f"line {no}: pattern {pid} covers no periods", stacklevel=2)
         patterns.append(tuple(k for k, c in enumerate(mask) if c == "1"))
 
-    _section(lines, "DEMAND")
+    _section(take, "DEMAND")
     rows = []
     for k in range(N_PERIODS):
-        no, line = lines.next(f"demand row {k}")
+        no, line = take(f"demand row {k}")
         parts = line.split()
         if len(parts) != g:
             raise InstanceParseError(no, f"demand row {k}: expected {g} integers")
         row = tuple(_int_field(no, p, f"demand[{k}]") for p in parts)
         if any(v < 0 for v in row):
             raise InstanceParseError(no, f"demand row {k}: entries must be >= 0")
+        if any(a > b for a, b in zip(row, row[1:])):
+            warnings.warn(f"line {no}: demand row {k} is not non-decreasing across grade"
+                          " bands; demands are interpreted as cumulative", stacklevel=2)
         rows.append(row)
-    demand = Demand(tuple(rows))
 
-    _section(lines, "NURSES")
+    _section(take, "NURSES")
     nurses = []
     for idx in range(n):
-        no, line = lines.next(f"nurse line {idx}")
+        no, line = take(f"nurse line {idx}")
         parts = line.split()
         if len(parts) < 3:
             raise InstanceParseError(no, "expected '<id> <grade> <count> <pattern>:<cost> ...'")
@@ -174,20 +172,20 @@ def parse_instance(text: str) -> Instance:
         nurses.append(Nurse(nid, grade, costs))
 
     known_optimal = None
-    trailer = lines.peek()
+    trailer = next(lines, None)
     if trailer is not None:
-        no, line = lines.next("'OPTIMAL <int>' or end of file")
+        no, line = trailer
         parts = line.split()
         if len(parts) != 2 or parts[0] != "OPTIMAL":
             raise InstanceParseError(no, f"expected 'OPTIMAL <int>' or end of file, got {line!r}")
         known_optimal = _int_field(no, parts[1], "OPTIMAL")
         if not 0 <= known_optimal <= 100 * n:  # every roster costs 0..100 per nurse
             raise InstanceParseError(no, f"OPTIMAL {known_optimal} outside [0, {100 * n}]")
-        extra = lines.peek()
+        extra = next(lines, None)
         if extra is not None:
             raise InstanceParseError(extra[0], f"unexpected content after OPTIMAL: {extra[1]!r}")
 
-    return Instance(patterns, nurses, demand, known_optimal)
+    return Instance(patterns, nurses, tuple(rows), known_optimal)
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -197,7 +195,7 @@ def serialize_instance(instance: Instance) -> str:
     for j, periods in enumerate(instance.patterns):
         out.append(f"{j} " + "".join("1" if k in periods else "0" for k in range(N_PERIODS)))
     out.append("DEMAND")
-    for row in instance.demand.r:
+    for row in instance.demand:
         out.append(" ".join(str(v) for v in row))
     out.append("NURSES")
     for nurse in instance.nurses:
@@ -209,7 +207,8 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    """Parse the UTF-8 file at path; a leading byte order mark is skipped."""
+    return parse_instance(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -291,10 +290,5 @@ def generate_instance(params: GeneratorParams) -> Instance:
         for k in patterns[j]:
             for s in range(nurse.grade - 1, params.g):
                 covered[k][s] += 1
-    demand = Demand(
-        tuple(
-            tuple(int(params.tightness * covered[k][s] + 0.5) for s in range(params.g))
-            for k in range(N_PERIODS)
-        )
-    )
+    demand = tuple(tuple(int(params.tightness * c + 0.5) for c in row) for row in covered)
     return Instance(patterns, nurses, demand)

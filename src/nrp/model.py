@@ -12,7 +12,6 @@ bands.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
@@ -61,44 +60,17 @@ class Nurse:
                 )
 
 
-@dataclass(frozen=True)
-class Demand:
-    """Required nurse counts, one row per period, one column per grade band.
-
-    Column s-1 holds the demand for nurses of grade s or higher.  Rows are
-    expected to be non-decreasing across bands (cumulative convention); a
-    violation is tolerated but reported as a warning.
-    """
-
-    r: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.r) != N_PERIODS:
-            raise ValueError(f"demand must have {N_PERIODS} rows")
-        width = len(self.r[0])
-        if width < 1:
-            raise ValueError("demand must have at least one grade column")
-        for k, row in enumerate(self.r):
-            if len(row) != width:
-                raise ValueError(f"demand row {k}: expected {width} entries")
-            for value in row:
-                if value < 0:
-                    raise ValueError(f"demand row {k}: negative entry")
-            if any(row[s] > row[s + 1] for s in range(width - 1)):
-                warnings.warn(
-                    f"demand row {k} is not non-decreasing across grade bands; "
-                    "demands are interpreted as cumulative",
-                    stacklevel=2,
-                )
-
-
 @dataclass
 class Instance:
     """A full rostering problem instance.
 
     patterns[j] is the ascending tuple of the periods pattern j works, and
     its id j is its position in the list; a period lies in [0, N_PERIODS)
-    and appears at most once.  n, m and g are derived: the number of
+    and appears at most once.  demand holds N_PERIODS rows of g counts, a
+    tuple of tuples: demand[k][s-1] nurses of grade s or higher must work
+    period k.  Rows are expected to be non-decreasing across bands (the
+    cumulative convention); the parser warns about a row that is not, and
+    the instance takes it as given.  n, m and g are derived: the number of
     nurses, of patterns and of the demand's grade columns.  known_optimal,
     when present, is the verified minimum preference cost of a feasible
     roster, in [0, 100 * n] as every roster's is; it drives early stopping
@@ -150,7 +122,7 @@ class Instance:
 
     patterns: list[tuple[int, ...]]
     nurses: list[Nurse]
-    demand: Demand
+    demand: tuple[tuple[int, ...], ...]
     known_optimal: int | None = None
     n: int = field(init=False, compare=False)
     m: int = field(init=False, compare=False)
@@ -175,7 +147,16 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.patterns or not self.nurses:
             raise ValueError("an instance needs at least one pattern and one nurse")
-        self.n, self.m, self.g = len(self.nurses), len(self.patterns), len(self.demand.r[0])
+        if len(self.demand) != N_PERIODS:
+            raise ValueError(f"demand must have {N_PERIODS} rows")
+        self.n, self.m, self.g = len(self.nurses), len(self.patterns), len(self.demand[0])
+        if self.g < 1:
+            raise ValueError("demand must have at least one grade column")
+        for k, row in enumerate(self.demand):
+            if len(row) != self.g:
+                raise ValueError(f"demand row {k}: expected {self.g} entries")
+            if min(row) < 0:
+                raise ValueError(f"demand row {k}: negative entry")
         if self.known_optimal is not None and not 0 <= self.known_optimal <= 100 * self.n:
             raise ValueError(f"known_optimal {self.known_optimal} outside [0, {100 * self.n}]")
         week = set(range(N_PERIODS))
@@ -194,7 +175,7 @@ class Instance:
                 if not 0 <= j < self.m:
                     raise ValueError(f"nurse {idx} references unknown pattern {j}")
         # the width rule and why it is enough: see CoverageState
-        width = max(self.n, max(map(max, self.demand.r))).bit_length() + 1
+        width = max(self.n, max(map(max, self.demand))).bit_length() + 1
         span = N_PERIODS * width
         self.field_width, self.band_span = width, span
         # spread[q-1] * x copies band-1 bits x into bands q..g, without carries
@@ -203,7 +184,7 @@ class Instance:
         self.guard_bits = self.low_bits << (width - 1)
         self.demand_bits = self.guard_bits | sum(
             d << (s * span + k * width)
-            for k, row in enumerate(self.demand.r) for s, d in enumerate(row)
+            for k, row in enumerate(self.demand) for s, d in enumerate(row)
         )
         cells = [sum(1 << (k * width) for k in periods) for periods in self.patterns]
         self.pattern_bits = tuple(c << (width - 1) for c in cells)

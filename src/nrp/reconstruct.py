@@ -141,14 +141,12 @@ class ReconstructionConfig:
             raise ValueError("p1 + p2 must not exceed 1")
         if self.e_mode not in E_MODES:
             raise ValueError(f"e_mode must be one of {E_MODES}")
-        if not all(map(math.isfinite, (self.w_p, *self.w_grade))):
-            raise ValueError("w_p and the grade weights must be finite")
-        if self.w_p < 0:
-            raise ValueError("w_p must be nonnegative")
+        if not (math.isfinite(self.w_p) and self.w_p >= 0):
+            raise ValueError("w_p must be non-negative and finite")
         if not self.w_grade:
             raise ValueError("w_grade needs at least one grade weight")
-        if any(w < 0 for w in self.w_grade):
-            raise ValueError("grade weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.w_grade):
+            raise ValueError("grade weights must be non-negative and finite")
 
 
 def _focus_mask(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:

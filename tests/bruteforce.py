@@ -43,7 +43,7 @@ def feasible_by_definition(instance: Instance, roster: Roster) -> bool:
         return False
     covered = coverage_matrix(instance, roster)
     return all(
-        covered[k][s] >= instance.demand.r[k][s]
+        covered[k][s] >= instance.demand[k][s]
         for k in range(N_PERIODS)
         for s in range(instance.g)
     )
@@ -175,7 +175,7 @@ def components_by_definition(instance: Instance) -> list[list[int]]:
             (k, s)
             for k in range(N_PERIODS)
             for s in range(instance.g)
-            if instance.demand.r[k][s] > 0
+            if instance.demand[k][s] > 0
             and qualified(instance, i, s + 1)
             and any(k in instance.patterns[j] for j in nurse.feasible)
         }
@@ -216,7 +216,7 @@ def contribution_by_removal(
     total = 0
     for k in instance.patterns[roster.assignment[i]]:
         for s in range(1, instance.g + 1):
-            if qualified(instance, i, s) and covered[k][s - 1] - own < instance.demand.r[k][s - 1]:
+            if qualified(instance, i, s) and covered[k][s - 1] - own < instance.demand[k][s - 1]:
                 total += 1
     return total
 
@@ -225,7 +225,7 @@ def shortfall_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
     covered = coverage_matrix(instance, roster)
     return [
         [max(demand - count, 0) for demand, count in zip(demands, counts)]
-        for demands, counts in zip(instance.demand.r, covered)
+        for demands, counts in zip(instance.demand, covered)
     ]
 
 
@@ -244,7 +244,7 @@ def residual_by_definition(instance: Instance, roster: Roster) -> int:
     w, span = instance.field_width, instance.band_span
     covered = coverage_matrix(instance, roster)
     return sum(
-        ((1 << (w - 1)) + instance.demand.r[k][s] - 1 - covered[k][s]) << (s * span + k * w)
+        ((1 << (w - 1)) + instance.demand[k][s] - 1 - covered[k][s]) << (s * span + k * w)
         for k in range(N_PERIODS)
         for s in range(instance.g)
     )

@@ -6,16 +6,16 @@ import gc
 
 import pytest
 
-from nrp.model import N_PERIODS, Demand, Instance, Nurse, Roster, compute_coverage
+from nrp.model import N_PERIODS, Instance, Nurse, Roster, compute_coverage
 from nrp.reconstruct import PickMemo, reconstruct
 
 
-def flat_demand(g: int, value: int = 0) -> Demand:
-    return Demand(tuple((value,) * g for _ in range(N_PERIODS)))
+def flat_demand(g: int, value: int = 0) -> tuple[tuple[int, ...], ...]:
+    return ((value,) * g,) * N_PERIODS
 
 
-def demand_rows(rows) -> Demand:
-    return Demand(tuple(tuple(row) for row in rows))
+def demand_rows(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows))
 
 
 def make_instance(patterns, nurses, demand, known_optimal=None) -> Instance:

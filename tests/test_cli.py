@@ -179,10 +179,14 @@ class TestGradeWeights:
         assert exited.value.code == EXIT_ERROR
         assert_one_line_error(capsys, "--w-grade")
 
-    # each bad value and a phrase of its message; 1e400 parses as inf
-    BAD_W_GRADES = {"8,-1,2": "non-negative finite", "8,x": "expected numbers",
-                    "nan": "non-negative finite", "1,,2": "expected numbers",
-                    "1e400": "non-negative finite", "inf": "non-negative finite"}
+    # each bad value and a phrase of its message, the config's for a parsed
+    # number; 1e400 parses as inf
+    BAD_W_GRADES = {"8,-1,2": "grade weights must be non-negative and finite",
+                    "8,x": "expected numbers",
+                    "nan": "grade weights must be non-negative and finite",
+                    "1,,2": "expected numbers",
+                    "1e400": "grade weights must be non-negative and finite",
+                    "inf": "grade weights must be non-negative and finite"}
 
     @pytest.mark.parametrize("value", list(BAD_W_GRADES))
     def test_bad_w_grade_exits_one_with_one_line(self, tmp_path, capsys, value):
@@ -215,6 +219,27 @@ def test_parse_warnings_print_one_line_each(tmp_path, capsys, command):
     assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
     assert "pattern 1 covers no periods" in lines[0]
     assert "demand row 0 is not non-decreasing" in lines[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--max-iters", "10"],
+    ["batch", "--runs", "1", "--max-iters", "10"],
+    ["exact", "--annotate"],
+], ids=["solve", "batch", "exact-annotate"])
+def test_a_non_cumulative_demand_row_prints_one_warning_naming_its_line(
+    tmp_path, capsys, command
+):
+    # --annotate rebuilds the instance with its optimum, which must not warn again
+    path = write_with_warnings(tmp_path)
+    path.write_text(path.read_text().replace("1 00000000000000", "1 01000000000000"))
+    annotated = [str(tmp_path / "annotated.nrp")] if command[0] == "exact" else []
+    assert main([command[0], str(path), *command[1:], *annotated]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert lines[0].endswith(
+        "line 9: demand row 0 is not non-decreasing across grade bands;"
+        " demands are interpreted as cumulative"
+    )
 
 
 @pytest.mark.parametrize("command", [

@@ -24,7 +24,7 @@ from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
 from nrp.solver import RunResult, SolverConfig, run
 
 from bruteforce import penalized_cost_by_definition
-from conftest import impossible_instance, leftover_garbage
+from conftest import leftover_garbage
 
 
 def fake_result(cost, feasible, seed=0):

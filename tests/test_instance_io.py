@@ -81,8 +81,17 @@ class TestParse:
             parse_instance(text)
 
     def test_truncated_file_reports_expected_item(self):
-        with pytest.raises(InstanceParseError, match="unexpected end"):
-            parse_instance(MINIMAL.rsplit("NURSES", 1)[0])
+        # the end of file is the line after the last meaningful one, here demand row 13's
+        truncated = MINIMAL.rsplit("NURSES", 1)[0]
+        for text, line in [
+            (truncated, 22),
+            (truncated + "# trailing\n\n   # comments\n", 22),
+            ("", 1),
+            ("# nothing but a comment\n", 1),
+        ]:
+            with pytest.raises(InstanceParseError, match="unexpected end") as err:
+                parse_instance(text)
+            assert err.value.line == line
 
     def test_zero_mask_pattern_accepted_with_warning(self):
         text = MINIMAL.replace("0 10000000000000", "0 00000000000000")
@@ -121,6 +130,29 @@ class TestParse:
         text = text.replace("0\n" * 14, "2 1\n" + "0 0\n" * 13)
         with pytest.warns(UserWarning, match="non-decreasing"):
             parse_instance(text)
+
+    def test_each_non_cumulative_demand_row_warns_once_naming_its_line(self):
+        # demand rows 0 and 13 fall across the bands; they sit on lines 8 and 21
+        text = MINIMAL.replace("g 1", "g 2")
+        text = text.replace("0\n" * 14, "2 1\n" + "0 0\n" * 11 + "0 3\n1 0\n")
+        text = text.replace("0 0\n0 3\n", "0 0\n0 3 # rises, which is fine\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_instance(text)
+        assert [str(w.message) for w in caught] == [
+            "line 8: demand row 0 is not non-decreasing across grade bands;"
+            " demands are interpreted as cumulative",
+            "line 21: demand row 13 is not non-decreasing across grade bands;"
+            " demands are interpreted as cumulative",
+        ]
+
+    def test_a_file_with_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        plain, marked = tmp_path / "plain.nrp", tmp_path / "marked.nrp"
+        save_instance(generate_instance(GeneratorParams(seed=3)), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_instance(marked) == load_instance(plain)
+        save_instance(load_instance(marked), marked)  # written back without the mark
+        assert marked.read_bytes() == plain.read_bytes()
 
 
 FUZZ_TOKENS = (
@@ -250,7 +282,7 @@ class TestGenerator:
     def test_demand_is_cumulative_across_bands(self):
         for seed in range(30):
             inst = generate_instance(GeneratorParams(n=6, m=12, g=3, seed=seed))
-            for row in inst.demand.r:
+            for row in inst.demand:
                 assert all(row[s] <= row[s + 1] for s in range(inst.g - 1))
 
     def test_mostly_solvable_at_default_tightness(self):

@@ -1,12 +1,13 @@
 import random
 import re
+import warnings
+from dataclasses import replace
 
 import pytest
 
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
-    Demand,
     IncompleteRosterError,
     InvalidRosterError,
     Nurse,
@@ -105,16 +106,21 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="outside"):
             Nurse(0, 1, {0: 101})
 
-    def test_demand_warns_on_non_cumulative_rows(self):
-        rows = [[2, 1]] + [[0, 0]] * 13
-        with pytest.warns(UserWarning, match="non-decreasing"):
-            demand_rows(rows)
+    def test_instance_takes_non_cumulative_rows_without_a_warning(self):
+        # the parser warns about the file's row; a rebuilt instance stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = demand_rows([[2, 1]] + [[0, 0]] * 13)
+            instance = make_instance([(0,)], [Nurse(0, 1, {0: 0})], rows)
+            assert replace(instance, known_optimal=0).demand == rows
 
     def test_demand_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            demand_rows([[0, -1]] + [[0, 0]] * 13)
+        with pytest.raises(ValueError, match="demand row 0: negative entry"):
+            make_instance(
+                [(0,)], [Nurse(0, 1, {0: 0})], demand_rows([[0, -1]] + [[0, 0]] * 13)
+            )
 
-    # the parser rejects these shapes before it builds a Demand
+    # the parser rejects these shapes before it builds an Instance
     @pytest.mark.parametrize("rows, message", [
         ([[0]] * 13, "must have 14 rows"),
         ([[0]] * 15, "must have 14 rows"),
@@ -124,7 +130,7 @@ class TestTypeInvariants:
     ])
     def test_demand_rejects_a_wrong_shape(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            Demand(r=tuple(map(tuple, rows)))
+            make_instance([(0,)], [Nurse(0, 1, {0: 0})], demand_rows(rows))
 
     def test_instance_rejects_dangling_pattern(self):
         with pytest.raises(ValueError, match="unknown pattern"):
@@ -168,7 +174,7 @@ class TestComputeCoverage:
         empty = Roster.empty(week_instance.n)
         state = compute_coverage(week_instance, empty)
         assert state.rest == residual_by_definition(week_instance, empty)
-        assert state.total_shortfall() == sum(map(sum, week_instance.demand.r))
+        assert state.total_shortfall() == sum(map(sum, week_instance.demand))
 
     def test_single_weekday_nurse_covers_all_bands(self):
         # one grade-1 nurse on Mon-Fri days, demand 1 everywhere, 3 bands
@@ -323,7 +329,7 @@ class TestPackedCoverage:
 
     def check_state(self, instance, roster, state) -> None:
         covered = coverage_matrix(instance, roster)
-        demand = instance.demand.r
+        demand = instance.demand
         short = [
             [max(demand[k][s] - covered[k][s], 0) for s in range(instance.g)]
             for k in range(N_PERIODS)
@@ -382,7 +388,7 @@ class TestPackedCoverage:
         above_n = steps = 0
         for inst, roster, state in random_sequences(random.Random(61)):
             steps += 1
-            above_n += max(map(max, inst.demand.r)) > inst.n
+            above_n += max(map(max, inst.demand)) > inst.n
             self.check_state(inst, roster, state)
         assert steps == 60 * 31 and above_n >= 10 * 31
 

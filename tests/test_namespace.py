@@ -84,3 +84,31 @@ def test_a_sequential_batch_never_loads_the_process_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_every_imported_name_is_read():
+    # a name an import binds and no expression reads is dead; __future__
+    # imports and the names __all__ re-exports are read by their own means
+    unread = []
+    for folder in ("src/nrp", "tests", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported, read = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets
+                ):
+                    read.update(ast.literal_eval(node.value))
+            unread += [
+                f"{path.relative_to(ROOT)}:{line}: {name}"
+                for name, line in imported.items() if name not in read
+            ]
+    assert not unread

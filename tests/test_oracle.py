@@ -1,6 +1,5 @@
 import random
 import sys
-import warnings
 
 import pytest
 
@@ -182,15 +181,13 @@ def test_matches_unpruned_enumeration_on_random_instances():
 
 def test_matches_enumeration_on_hand_made_infeasible_variants():
     # bump one demand cell beyond reach to force disagreement opportunities;
-    # the bump may break the cumulative convention, which only warns
+    # the bump may break the cumulative convention, which an instance takes as given
     rng = random.Random(15)
     for trial in range(10):
         inst = generate_instance(GeneratorParams(n=3, m=6, g=2, feasible_max=3, seed=5500 + trial))
-        rows = [list(row) for row in inst.demand.r]
+        rows = [list(row) for row in inst.demand]
         rows[rng.randrange(14)][rng.randrange(2)] += inst.n + 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bumped = make_instance(inst.patterns, inst.nurses, demand_rows(rows))
+        bumped = make_instance(inst.patterns, inst.nurses, demand_rows(rows))
         status, cost = brute_force_solve(bumped)
         result = exact_solve(bumped)
         assert status == BF_INFEASIBLE
@@ -233,11 +230,9 @@ def _tie_break_cases():
             for nurse in inst.nurses
         ]
         yield make_instance(inst.patterns, tied, inst.demand)
-        rows = [list(row) for row in inst.demand.r]
+        rows = [list(row) for row in inst.demand]
         rows[rng.randrange(14)][rng.randrange(inst.g)] += inst.n + 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            yield make_instance(inst.patterns, tied, demand_rows(rows))
+        yield make_instance(inst.patterns, tied, demand_rows(rows))
 
 
 def test_returns_the_first_optimal_roster_in_search_order():
@@ -255,7 +250,7 @@ def test_returns_the_first_optimal_roster_in_search_order():
 
 def _thinned(inst, rng):
     """inst with most demand cells set to 0, rows kept non-decreasing."""
-    rows = [sorted(d if rng.random() < 0.3 else 0 for d in row) for row in inst.demand.r]
+    rows = [sorted(d if rng.random() < 0.3 else 0 for d in row) for row in inst.demand]
     return make_instance(inst.patterns, inst.nurses, demand_rows(rows))
 
 
@@ -454,11 +449,9 @@ def _component_alone(inst, ids):
             ) else 0
             for s, d in enumerate(row)
         ]
-        for k, row in enumerate(inst.demand.r)
+        for k, row in enumerate(inst.demand)
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_instance(inst.patterns, nurses, demand_rows(rows))
+    return make_instance(inst.patterns, nurses, demand_rows(rows))
 
 
 def test_a_budget_spent_at_a_component_boundary_times_out_without_a_roster():

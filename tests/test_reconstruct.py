@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 import nrp.reconstruct as reconstruct_module
-import nrp.solver as solver_module
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
