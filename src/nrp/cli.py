@@ -100,16 +100,23 @@ def _check_parent(path: str | None) -> None:
 def _load_batch(paths: list[str], *outputs: str | None):
     """Check the batch set-up, then load the instances that parse, named by file.
 
-    A bad NRP_THREADS, an output path that _check_parent refuses, or one
-    that resolves to an instance file or to the other output, raises
-    ValueError before any instance is loaded: batch results are written
-    only after every run, so no run's time is lost to them.  Each file that
-    fails to parse gets one error line, and each parse warning is issued
-    again after its file's path, so one file's warning never hides
-    another's.  A file's warnings, from the lines read before it failed,
-    come before its error line.  An empty list means none parsed.
+    An instance is named by its file's base name without the extension.  A
+    bad NRP_THREADS, two files of one name, an output path that
+    _check_parent refuses, or one that resolves to an instance file or to
+    the other output, raises ValueError before any instance is loaded: batch
+    results are written only after every run, so no run's time is lost to
+    them.  Each file that fails to parse gets one error line, and each parse
+    warning is issued again after its file's path, so one file's warning
+    never hides another's.  A file's warnings, from the lines read before it
+    failed, come before its error line.  An empty list means none parsed.
     """
     harness.worker_count()  # raises on a bad NRP_THREADS
+    files: dict[str, str] = {}  # a name -> its file
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in files:
+            raise ValueError(f"instance files {files[name]} and {path} share the name {name!r}")
+        files[name] = path
     taken = {Path(path).resolve(): f"instance file {path}" for path in paths}
     for out in filter(None, outputs):
         _check_parent(out)
@@ -118,12 +125,12 @@ def _load_batch(paths: list[str], *outputs: str | None):
             raise ValueError(f"output {out} is the same file as {taken[target]}")
         taken[target] = f"output {out}"
     named = []
-    for path in paths:
+    for name, path in files.items():
         failure = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                named.append((os.path.splitext(os.path.basename(path))[0], load_instance(path)))
+                named.append((name, load_instance(path)))
             except (OSError, ValueError) as exc:
                 failure = exc
         for warning in caught:

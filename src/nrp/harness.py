@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 from .eliminate import EliminationConfig
 from .model import Instance
@@ -152,8 +154,10 @@ def format_cost(x: float) -> str:
 
 
 def _column_means(rows: list[list]) -> list[float | None]:
-    """Each column's mean, summed in row order; None for a column with a None cell."""
-    return [None if None in column else sum(column) / len(rows) for column in zip(*rows)]
+    """Each column's mean, summed left to right in row order; None for a
+    column with a None cell.  Plain adds, not sum(): since Python 3.12,
+    sum() compensates float rounding, which can move a printed mean."""
+    return [None if None in column else reduce(add, column) / len(rows) for column in zip(*rows)]
 
 
 BATCH_CSV_HEADER = "instance,runs,best,mean_censored,inf,optimal_count,within3"

@@ -39,6 +39,11 @@ the search takes two sound bounds to cut a branch:
   Inside a nurse's cost-sorted patterns the cut ends the loop, because every
   later pattern costs at least as much.
 
+The sweep builds the forced extras one kept pattern at a time, cheapest
+first, not one cell at a time: the cells a pattern works that her cheaper
+kept patterns do not are forced at its extra, and a cell moves between the
+cost buckets only when its least extra falls (see _tables).
+
 Both bounds read the residual demand the search carries down as one int,
 CoverageState's rest packed for all bands: it starts from the component's
 top and each pattern subtracts its cells, and a cell is short iff its guard
@@ -168,43 +173,54 @@ def _tables(
     any of nurses ids[d:] qualified for its band pays above her cheapest
     pattern to work its period.  Cells no remaining nurse can work are left
     out: the coverage cut settles them before the extras are read.
+
+    The sweep walks each nurse's kept patterns cheapest first.  The cells a
+    pattern works that her cheaper kept ones do not are those it is her
+    cheapest cover of, at its extra.  Each of them whose least extra so
+    falls leaves its dearer bucket for the bucket at that extra or, at extra
+    0, for a mask kept apart from the list.  Each fall builds a new list, so
+    extra[d], the list as it stood after nurse ids[d], is shared with the
+    depths above it until the next fall; no depth sorts or copies it.
     """
-    size, width, span = len(ids), instance.field_width, instance.band_span
+    size, shift, supersets = len(ids), instance.field_width - 1, instance.supersets
     choices: list[list[tuple[int, int, int]]] = [[]] * size
     to_go, avail = [0] * (size + 1), [0] * (size + 1)
     extra: list[list[tuple[int, int]]] = [[]] * size
-    least: dict[int, int] = {}  # a cell's guard bit index -> its least extra
-    by_cost: dict[int, int] = {}  # a positive least extra -> the guard bits at it
+    free, buckets = 0, []  # the cells at least extra 0; the others' (extra, bits)
     for d in range(size - 1, -1, -1):
-        nurse = instance.nurses[ids[d]]
-        rows, cells = instance.combined_scan[nurse.id], instance.nurse_cells[nurse.id]
+        i = ids[d]
+        rows, cells = instance.combined_scan[i], instance.nurse_cells[i]
         cheapest = rows[0][0]
         to_go[d] = to_go[d + 1] + cheapest
-        choices[d], seen = [], 0
-        forced: dict[int, int] = {}  # a period -> her cheapest cover of it, above cheapest
+        choices[d] = mine = []
+        seen = worked = 0  # the ids walked, and the cells her kept patterns work
         for price, _, j, _ in rows:
-            if not instance.supersets[j] & seen:
-                choices[d].append((j, price, cells[j]))
-                for k in instance.patterns[j]:
-                    forced.setdefault(k, price - cheapest)
+            if not supersets[j] & seen:
+                mine.append((j, price, cells[j]))
+                new = cells[j] & ~worked  # j is her cheapest cover of these
+                if new:
+                    worked |= new
+                    more, held, at = price - cheapest, free, len(buckets)
+                    while at and buckets[at - 1][0] < more:  # the cheaper buckets
+                        at -= 1
+                        held |= buckets[at][1]
+                    new = (new << shift) & ~held
+                    if new:  # their least extra falls to more: dearer buckets give them up
+                        merged = []
+                        for c, b in buckets[:at]:
+                            if c == more:
+                                new |= b
+                            elif b & ~new:
+                                merged.append((c, b & ~new))
+                        if more:
+                            merged.append((more, new))
+                        else:
+                            free |= new
+                        buckets = merged + buckets[at:]  # a new list: extra[d + 1] keeps the old
             seen |= 1 << j
         # a dominated pattern works no period its kept superset does not
-        avail[d] = avail[d + 1] + (instance.reach[nurse.id] & instance.low_bits)
-        # a cell's least extra only falls, so move its bit between buckets then
-        for s in range(nurse.grade - 1, instance.g):
-            for k, more in forced.items():
-                bit = s * span + k * width + width - 1
-                was = least.get(bit)
-                if was is not None and was <= more:
-                    continue
-                least[bit] = more
-                if was:
-                    by_cost[was] ^= 1 << bit
-                    if not by_cost[was]:
-                        del by_cost[was]
-                if more:
-                    by_cost[more] = by_cost.get(more, 0) | 1 << bit
-        extra[d] = sorted(by_cost.items(), reverse=True)
+        avail[d] = avail[d + 1] + (instance.reach[i] & instance.low_bits)
+        extra[d] = buckets
     return choices, to_go, avail, extra
 
 

@@ -197,10 +197,10 @@ class TestGradeWeights:
             assert_one_line_error(capsys, "--w-grade", self.BAD_W_GRADES[value])
 
 
-def write_with_warnings(tmp_path: Path) -> Path:
+def write_with_warnings(tmp_path: Path, name="warned.nrp") -> Path:
     """A feasible instance whose pattern 1 works no period and whose demand
     row 0 falls from band 1 to band 2: one parse warning each."""
-    path = tmp_path / "warned.nrp"
+    path = tmp_path / name
     text = serialize_instance(make_instance(
         [(0,), (1,)],
         [Nurse(0, 1, {0: 5, 1: 0})],
@@ -247,10 +247,8 @@ def test_a_non_cumulative_demand_row_prints_one_warning_naming_its_line(
     ["ablate", "--runs", "1", "--budgets", "10", "--presets", "full", "--preset-iters", "10"],
 ], ids=["batch", "ablate"])
 def test_batch_warnings_name_their_file_once_per_file(tmp_path, capsys, command):
-    paths = []
-    for name in ("w1", "w2"):
-        (tmp_path / name).mkdir()
-        paths.append(str(write_with_warnings(tmp_path / name)))
+    # two names: a batch refuses two files of one name
+    paths = [str(write_with_warnings(tmp_path, f"{name}.nrp")) for name in ("w1", "w2")]
     assert main([command[0], *paths, *command[1:]]) == EXIT_OK
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 4 and all(line.startswith("warning: ") for line in lines)
@@ -574,6 +572,21 @@ def test_an_output_that_is_an_input_or_the_other_output_exits_before_any_run(
     assert_one_line_error(capsys, "same file", *words)
     assert (tmp_path / "a.nrp").read_text() == text
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["batch", "ablate"])
+def test_two_inputs_of_one_name_exit_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # both would be named inst_000, so their rows could not be told apart
+    for folder in ("d1", "d2"):
+        (tmp_path / folder).mkdir()
+        write_instance(tmp_path / folder, "inst_000.nrp")
+    monkeypatch.chdir(tmp_path)
+    refuse_runs(monkeypatch)
+    out = tmp_path / "r.csv"
+    code = main([command, "d1/inst_000.nrp", "d2/inst_000.nrp", "--runs", "1", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert_one_line_error(capsys, "d1/inst_000.nrp", "d2/inst_000.nrp", "'inst_000'")
+    assert not out.exists()
 
 
 def test_an_empty_output_path_writes_to_stdout(tmp_path, capsys):

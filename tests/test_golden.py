@@ -23,6 +23,7 @@ import pytest
 from nrp.evaluate import EvalWeights
 from nrp.harness import (
     AblationSpec,
+    BatchStats,
     ablation_csv,
     batch_csv,
     compute_batch_stats,
@@ -225,3 +226,22 @@ def table_text(name: str, inputs: dict) -> str:
 def test_summary_tables_match_recorded_hash(name, table_inputs):
     text = table_text(name, table_inputs)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == TABLES[name][1]
+
+
+def test_av_row_keeps_its_bytes_where_compensated_sum_rounds_otherwise():
+    """The mean of these four censored means prints 120.6 when summed left
+    to right, as on Python 3.11, where every hash here was recorded; the
+    compensated sum() of Python 3.12 and later prints 120.7."""
+    stats = [
+        BatchStats(f"i{k}", 10, 0.0, mean, 0, None, None, None)
+        for k, mean in enumerate((188.7, 70.2, 208.4, 15.3))
+    ]
+    assert batch_csv(stats) == (
+        "instance,runs,best,mean_censored,inf,optimal_count,within3\n"
+        "i0,10,0,188.7,0,,\n"
+        "i1,10,0,70.2,0,,\n"
+        "i2,10,0,208.4,0,,\n"
+        "i3,10,0,15.3,0,,\n"
+        "Av.,10.0,0.0,120.6,0.0,,\n"
+        "%,,,,,,\n"
+    )

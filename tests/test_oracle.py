@@ -418,19 +418,56 @@ def _tables_rebuilding_by_cost(inst, ids):
     return choices, to_go, avail, extra
 
 
-def test_kept_cost_buckets_match_a_rebuild_per_depth():
-    compared = 0
+def _bucket_cases():
+    """Desk-sized instances for g = 1-6, then the mid (n=30, m=100) and ward
+    (n=30, m=411, feasible sets of 75-150) shapes at cost exponents 0.5, 2
+    and 4: 0.5 draws few equal costs, 4 many extras of 0 and many ties."""
     for g in range(1, 7):
         for n in range(4, 17, 3):
             for seed in range(6):
-                inst = generate_instance(GeneratorParams(
+                yield GeneratorParams(
                     n=n, m=12, g=g, feasible_min=3, feasible_max=8, seed=7900 + seed,
-                ))
-                components, _ = _components(inst)
-                for ids, _ in components:
-                    assert _tables(inst, ids) == _tables_rebuilding_by_cost(inst, ids)
-                    compared += 1
-    assert compared > 200
+                )
+    for exponent in (0.5, 2.0, 4.0):
+        for seed in range(3):
+            yield GeneratorParams(n=30, m=100, g=3, cost_exponent=exponent, seed=seed)
+            yield GeneratorParams(
+                n=30, m=411, g=3, feasible_min=75, feasible_max=150,
+                cost_exponent=exponent, seed=seed,
+            )
+
+
+def test_kept_cost_buckets_match_a_rebuild_per_depth():
+    compared = 0
+    for params in _bucket_cases():
+        inst = generate_instance(params)
+        components, _ = _components(inst)
+        for ids, _ in components:
+            assert _tables(inst, ids) == _tables_rebuilding_by_cost(inst, ids)
+            compared += 1
+    assert compared > 350
+
+
+def test_a_least_extra_that_falls_again_moves_its_cell_each_time():
+    """Period 1's least extra falls 40 -> 20 -> 10 -> 0 as the sweep walks
+    back from nurse 3, whose patterns (1,) and (2,) tie at extra 40, so the
+    second joins the first's bucket.  Period 2's falls 40 -> 10 and joins
+    period 1 there, as nurse 1's pattern (1, 2) forces both at 10."""
+    inst = make_instance(
+        [(0,), (1,), (2,), (1, 2)],
+        [
+            Nurse(0, 1, {1: 0}),
+            Nurse(1, 1, {0: 0, 3: 10}),
+            Nurse(2, 1, {0: 10, 1: 30}),
+            Nurse(3, 1, {0: 0, 1: 40, 2: 40}),
+        ],
+        demand_rows([[1]] * 3 + [[0]] * 11),
+    )
+    width = inst.field_width
+    one, two = (1 << (k * width + width - 1) for k in (1, 2))
+    tables = _tables(inst, [0, 1, 2, 3])
+    assert tables[3] == [[(10, two)], [(10, one | two)], [(40, two), (20, one)], [(40, one | two)]]
+    assert tables == _tables_rebuilding_by_cost(inst, [0, 1, 2, 3])
 
 
 def _component_alone(inst, ids):
