@@ -26,7 +26,10 @@ parse(serialize(x)) == x and repeated serializations are byte-identical.
 
 The generator's shape is set by GeneratorParams; the number of days a
 pattern works is fixed: DAY_PERIODS for day patterns, NIGHT_PERIODS for
-night patterns, each an inclusive range drawn uniformly.
+night patterns, each an inclusive range drawn uniformly.  A pattern's
+periods are drawn through getrandbits, exactly as rng.randint and then
+rng.sample(range(7), k) would draw them, so they consume the same words in
+the same order; the golden hashes of tests/test_golden.py pin the result.
 """
 
 from __future__ import annotations
@@ -247,8 +250,32 @@ class GeneratorParams:
             raise ValueError("cost_exponent must be positive and finite")
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """random.Random._randbelow_with_getrandbits, the same on Python 3.10-3.13."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+# _PERIODS[offset][mask]: the ascending periods offset + d of the days d in a 7-bit mask
+_PERIODS = {offset: [tuple(offset + d for d in range(7) if mask >> d & 1) for mask in range(128)]
+            for offset in (0, 7)}
+
+
 def _draw_periods(rng: random.Random, offset: int, lo: int, hi: int) -> tuple[int, ...]:
-    return tuple(sorted(offset + d for d in rng.sample(range(7), rng.randint(lo, hi))))
+    """The periods tuple(sorted(offset + d for d in rng.sample(range(7),
+    rng.randint(lo, hi)))) returns, from the same getrandbits calls in the
+    same order: randint's one draw, then sample's pool swap over range(7)."""
+    getrandbits = rng.getrandbits
+    pool = [0, 1, 2, 3, 4, 5, 6]
+    mask = 0
+    for i in range(lo + _below(getrandbits, hi - lo + 1)):
+        j = _below(getrandbits, 7 - i)
+        mask |= 1 << pool[j]
+        pool[j] = pool[6 - i]
+    return _PERIODS[offset][mask]
 
 
 def generate_instance(params: GeneratorParams) -> Instance:

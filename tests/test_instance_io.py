@@ -8,6 +8,7 @@ import pytest
 from nrp.instance_io import (
     GeneratorParams,
     InstanceParseError,
+    _draw_periods,
     generate_instance,
     load_instance,
     parse_instance,
@@ -306,3 +307,17 @@ class TestGenerator:
         for exponent in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="cost_exponent"):
                 GeneratorParams(cost_exponent=exponent)
+
+    def test_pattern_periods_are_the_draws_of_randint_then_sample(self):
+        # _draw_periods reads getrandbits itself; it must consume the same
+        # words in the same order as randint(lo, hi) then sample(range(7), k)
+        for offset in (0, 7):
+            for lo in range(8):
+                for hi in range(lo, 8):
+                    for seed in range(200):
+                        rng, twin = random.Random(seed), random.Random(seed)
+                        got = _draw_periods(rng, offset, lo, hi)
+                        days = twin.sample(range(7), twin.randint(lo, hi))
+                        want = tuple(sorted(offset + d for d in days))
+                        assert (got, rng.getstate()) == (want, twin.getstate()), (
+                            f"offset {offset}: first (seed, lo, hi) that differs is {(seed, lo, hi)}")
