@@ -39,6 +39,7 @@ import random
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from .model import N_PERIODS, Instance, Nurse
@@ -80,6 +81,9 @@ def _section(take: Callable[[str], tuple[int, str]], name: str) -> None:
         raise InstanceParseError(no, f"expected '{name}', got {line!r}")
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's bytes as the 0/1 selectors of compress
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the text format into an Instance, validating every invariant.
 
@@ -118,11 +122,11 @@ def parse_instance(text: str) -> Instance:
         if pid != idx:
             raise InstanceParseError(no, f"pattern ids must be dense: expected {idx}, got {pid}")
         mask = parts[1]
-        if len(mask) != N_PERIODS or set(mask) - {"0", "1"}:
+        if len(mask) != N_PERIODS or mask.strip("01"):
             raise InstanceParseError(no, f"mask must be {N_PERIODS} characters of 0/1")
         if "1" not in mask:
             warnings.warn(f"line {no}: pattern {pid} covers no periods", stacklevel=2)
-        patterns.append(tuple(k for k, c in enumerate(mask) if c == "1"))
+        patterns.append(tuple(compress(range(N_PERIODS), mask.encode().translate(_BITS))))
 
     _section(take, "DEMAND")
     rows = []
@@ -196,13 +200,16 @@ def serialize_instance(instance: Instance) -> str:
     out = [FORMAT_HEADER, f"n {instance.n}", f"m {instance.m}", f"g {instance.g}"]
     out.append("PATTERNS")
     for j, periods in enumerate(instance.patterns):
-        out.append(f"{j} " + "".join("1" if k in periods else "0" for k in range(N_PERIODS)))
+        mask = ["0"] * N_PERIODS
+        for k in periods:
+            mask[k] = "1"
+        out.append(f"{j} " + "".join(mask))
     out.append("DEMAND")
     for row in instance.demand:
-        out.append(" ".join(str(v) for v in row))
+        out.append(" ".join(map(str, row)))
     out.append("NURSES")
     for nurse in instance.nurses:
-        pairs = " ".join(f"{j}:{nurse.pref_cost[j]}" for j in nurse.feasible)
+        pairs = " ".join(f"{j}:{cost}" for j, cost in nurse.pref_cost.items())
         out.append(f"{nurse.id} {nurse.grade} {len(nurse.feasible)} {pairs}")
     if instance.known_optimal is not None:
         out.append(f"OPTIMAL {instance.known_optimal}")

@@ -13,7 +13,7 @@ bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 N_PERIODS = 14  # 7 day shifts followed by 7 night shifts
@@ -60,6 +60,24 @@ class Nurse:
                 )
 
 
+class _BuiltOnFirstRead(cached_property):
+    """functools.cached_property, but the value is stored with setattr.
+
+    Later reads find the plain attribute first, since the descriptor
+    defines no __set__.  cached_property itself stores into the instance's
+    __dict__, and on CPython 3.11 and 3.12 reading that __dict__ turns the
+    instance's inline attribute values into a dict: every later read of
+    any attribute of the instance then takes about twice as long.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        setattr(instance, self.attrname, value)
+        return value
+
+
 @dataclass
 class Instance:
     """A full rostering problem instance.
@@ -92,6 +110,15 @@ class Instance:
     copy of rest written back once per step.  Only the model and the exact
     solver's components read demand_bits; every other reader starts from a
     residual.
+
+    The five search tables below, supersets, cover_scan, combined_scan,
+    reach and longest, are each built the first time a run, a pick or a
+    proof reads it, the two scan lists in one pass, and then kept on the
+    instance as a plain attribute (_BuiltOnFirstRead).  An instance that is
+    only serialized, and a dataclasses.replace copy, hold none of them until
+    one is read.  A read of a table's name is not specialised by CPython and
+    costs about twice a plain attribute's, so a loop over nurses takes the
+    table into a local first.
 
     cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
     i, in feasible order, and combined_scan[i] the (cost, position in her
@@ -133,16 +160,7 @@ class Instance:
     guard_bits: int = field(init=False, repr=False, compare=False)
     demand_bits: int = field(init=False, repr=False, compare=False)
     pattern_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    cover_scan: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    combined_scan: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
     nurse_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    supersets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    longest: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.patterns or not self.nurses:
@@ -188,28 +206,43 @@ class Instance:
         )
         cells = [sum(1 << (k * width) for k in periods) for periods in self.patterns]
         self.pattern_bits = tuple(c << (width - 1) for c in cells)
+        rows = [tuple(c * copies for c in cells) for copies in spread]
+        self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)
+
+    @_BuiltOnFirstRead
+    def supersets(self) -> tuple[int, ...]:
         workers = [0] * N_PERIODS
         for j, periods in enumerate(self.patterns):
             for k in periods:
                 workers[k] |= 1 << j
         everyone = (1 << self.m) - 1
-        self.supersets = tuple(
-            reduce(and_, (workers[k] for k in periods), everyone) for periods in self.patterns
+        return tuple(
+            reduce(and_, map(workers.__getitem__, periods), everyone) for periods in self.patterns
         )
-        self.cover_scan, self.combined_scan = self._scan_lists()
-        fields = (1 << width) - 1  # low bits times this fill their fields
-        self.reach = tuple(
-            spread[nurse.grade - 1] * (reduce(or_, bits) >> (width - 1)) * fields
-            for nurse, (_, bits) in zip(self.nurses, self.cover_scan)
+
+    @_BuiltOnFirstRead
+    def cover_scan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        return self._scan_lists()[0]
+
+    @_BuiltOnFirstRead
+    def combined_scan(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        return self._scan_lists()[1]
+
+    @_BuiltOnFirstRead
+    def reach(self) -> tuple[int, ...]:
+        fields = (1 << self.field_width) - 1  # low bits times this fill their fields
+        return tuple(
+            reduce(or_, map(row.__getitem__, ids)) * fields
+            for row, (ids, _) in zip(self.nurse_cells, self.cover_scan)
         )
-        self.longest = tuple(
-            max(len(self.patterns[j]) for j in nurse.feasible) for nurse in self.nurses
-        )
-        rows = [tuple(c * copies for c in cells) for copies in spread]
-        self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)
+
+    @_BuiltOnFirstRead
+    def longest(self) -> tuple[int, ...]:
+        return tuple(max(len(self.patterns[j]) for j in nurse.feasible) for nurse in self.nurses)
 
     def _scan_lists(self) -> tuple[tuple, tuple]:
-        """Per nurse, the feasible patterns that can be a first maximum.
+        """Per nurse, the feasible patterns that can be a first maximum,
+        stored as cover_scan and combined_scan and returned.
 
         Walking a nurse's feasible list with seen the ids already walked, j
         is left out of her cover list iff supersets[j] & seen is nonzero,
@@ -217,7 +250,7 @@ class Instance:
         costs no more than j.  The combined rows are then sorted by (cost,
         position).
         """
-        sup = self.supersets
+        sup, pattern_bits = self.supersets, self.pattern_bits
         cover, combined = [], []
         for nurse in self.nurses:
             costs = nurse.pref_cost
@@ -233,11 +266,12 @@ class Instance:
                 while earlier and costs[(earlier & -earlier).bit_length() - 1] > cost:
                     earlier &= earlier - 1
                 if not earlier:
-                    rows.append((cost, position, j, self.pattern_bits[j]))
-            cover.append((tuple(cover_ids), tuple(self.pattern_bits[j] for j in cover_ids)))
+                    rows.append((cost, position, j, pattern_bits[j]))
+            cover.append((tuple(cover_ids), tuple(pattern_bits[j] for j in cover_ids)))
             # (cost, position) is unique, so this is the stable sort by cost
             combined.append(tuple(sorted(rows)))
-        return tuple(cover), tuple(combined)
+        self.cover_scan, self.combined_scan = tuple(cover), tuple(combined)
+        return self.cover_scan, self.combined_scan
 
 
 @dataclass(slots=True)

@@ -183,13 +183,15 @@ def _tables(
     depths above it until the next fall; no depth sorts or copies it.
     """
     size, shift, supersets = len(ids), instance.field_width - 1, instance.supersets
+    # a table's name is a descriptor's (Instance): read once per component, not per nurse
+    scans, reach = instance.combined_scan, instance.reach
     choices: list[list[tuple[int, int, int]]] = [[]] * size
     to_go, avail = [0] * (size + 1), [0] * (size + 1)
     extra: list[list[tuple[int, int]]] = [[]] * size
     free, buckets = 0, []  # the cells at least extra 0; the others' (extra, bits)
     for d in range(size - 1, -1, -1):
         i = ids[d]
-        rows, cells = instance.combined_scan[i], instance.nurse_cells[i]
+        rows, cells = scans[i], instance.nurse_cells[i]
         cheapest = rows[0][0]
         to_go[d] = to_go[d + 1] + cheapest
         choices[d] = mine = []
@@ -219,7 +221,7 @@ def _tables(
                         buckets = merged + buckets[at:]  # a new list: extra[d + 1] keeps the old
             seen |= 1 << j
         # a dominated pattern works no period its kept superset does not
-        avail[d] = avail[d + 1] + (instance.reach[i] & instance.low_bits)
+        avail[d] = avail[d + 1] + (reach[i] & instance.low_bits)
         extra[d] = buckets
     return choices, to_go, avail, extra
 

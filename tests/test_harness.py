@@ -151,11 +151,23 @@ class TestRunBatch:
         assert [run_csv_row("x", r) for r in a] == [run_csv_row("x", r) for r in b]
 
     def test_parallel_execution_matches_sequential(self):
-        inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=54))
+        params = GeneratorParams(n=4, m=8, g=2, seed=54)
         spec = preset_spec("full", max_iterations=50)
-        seq = run_batch(inst, spec, 4, base_seed=0, threads=1)
-        par = run_batch(inst, spec, 4, base_seed=0, threads=2)
-        assert [run_csv_row("x", r) for r in seq] == [run_csv_row("x", r) for r in par]
+        tables = {"supersets", "cover_scan", "combined_scan", "reach", "longest"}
+
+        def rows(inst, threads):
+            batch = run_batch(inst, spec, 4, base_seed=0, threads=threads)
+            return [run_csv_row("x", r) for r in batch]
+
+        # sequential first: the workers get the tables its runs built
+        inst = generate_instance(params)
+        seq = rows(inst, 1)
+        assert rows(inst, 2) == seq
+        # pooled first: they get an instance whose tables were never read
+        inst = generate_instance(params)
+        assert not tables & set(vars(inst))
+        par = rows(inst, 2)
+        assert par == rows(inst, 1) == seq
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_fewer_than_one_thread_raises(self, monkeypatch, threads):

@@ -15,6 +15,7 @@ from nrp.instance_io import (
     save_instance,
     serialize_instance,
 )
+from nrp.model import N_PERIODS, Instance, Nurse
 from nrp.oracle import OPTIMAL, exact_solve
 
 MINIMAL = """\
@@ -246,6 +247,23 @@ class TestSerialize:
             annotated = replace(inst, known_optimal=value)
             save_instance(annotated, tmp_path / "x.nrp")
             assert load_instance(tmp_path / "x.nrp") == annotated
+
+    def test_every_mask_of_the_week_is_written_read_and_round_tripped(self):
+        patterns = [tuple(k for k in range(N_PERIODS) if bits >> k & 1)
+                    for bits in range(1 << N_PERIODS)]
+        inst = Instance(patterns, [Nurse(0, 1, {0: 0})], ((0,),) * N_PERIODS)
+        text = serialize_instance(inst)
+        rows = text.splitlines()[5:5 + len(patterns)]  # the PATTERNS section
+        assert rows == [
+            f"{j} " + "".join("1" if k in periods else "0" for k in range(N_PERIODS))
+            for j, periods in enumerate(patterns)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parsed = parse_instance(text)
+        assert [str(w.message) for w in caught] == ["line 6: pattern 0 covers no periods"]
+        assert parsed.patterns == [
+            tuple(k for k, c in enumerate(row.split()[1]) if c == "1") for row in rows]
+        assert parsed.patterns == patterns
 
     def test_serialization_is_byte_stable(self):
         inst = generate_instance(GeneratorParams(seed=3))

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from nrp.instance_io import GeneratorParams, generate_instance
+from nrp.instance_io import GeneratorParams, generate_instance, parse_instance, serialize_instance
 from nrp.model import (
     N_PERIODS,
     IncompleteRosterError,
+    Instance,
     InvalidRosterError,
     Nurse,
     Roster,
@@ -19,6 +20,7 @@ from nrp.model import (
 
 from nrp.oracle import OPTIMAL, _components, _tables, exact_solve
 from nrp.reconstruct import ReconstructionConfig, _band_terms, _focus_mask
+from nrp.solver import SolverConfig, run
 
 from bruteforce import (
     coverage_matrix,
@@ -630,3 +632,69 @@ class TestPreferenceCost:
         for call in (preference_cost, compute_coverage, is_feasible):
             with pytest.raises(InvalidRosterError, match=re.escape(message)):
                 call(week_instance, roster)
+
+
+TABLES = ("supersets", "cover_scan", "combined_scan", "reach", "longest")
+
+
+def count_table_builds(monkeypatch) -> dict[str, int]:
+    """Count the builds of supersets, reach and longest, and the one pass
+    that builds both scan lists, by wrapping each builder."""
+    builds = dict.fromkeys(("supersets", "_scan_lists", "reach", "longest"), 0)
+
+    def counting(build, name):
+        def counted(self):
+            builds[name] += 1
+            return build(self)
+        return counted
+
+    for name in ("supersets", "reach", "longest"):
+        table = Instance.__dict__[name]
+        wrapped = type(table)(counting(table.func, name))
+        wrapped.__set_name__(Instance, name)
+        monkeypatch.setattr(Instance, name, wrapped)
+    monkeypatch.setattr(Instance, "_scan_lists", counting(Instance._scan_lists, "_scan_lists"))
+    return builds
+
+
+class TestSearchTables:
+    """The five search tables are built on first read, once per instance."""
+
+    PARAMS = GeneratorParams(n=8, m=16, g=3, feasible_min=3, feasible_max=8, seed=7)
+
+    def test_an_instance_that_is_only_serialized_or_copied_holds_no_table(self):
+        inst = generate_instance(self.PARAMS)
+        text = serialize_instance(inst)
+        copies = [replace(inst, known_optimal=100), parse_instance(text)]
+        serialize_instance(copies[0])
+        for each in [inst] + copies:
+            assert not set(TABLES) & set(vars(each))
+
+    def test_a_copy_builds_its_own_tables_equal_to_the_originals(self):
+        inst = generate_instance(self.PARAMS)
+        tables = {name: getattr(inst, name) for name in TABLES}
+        copy = replace(inst, known_optimal=100)
+        assert not set(TABLES) & set(vars(copy))
+        assert {name: getattr(copy, name) for name in TABLES} == tables
+
+    def test_a_run_builds_each_table_once_and_a_second_run_reads_the_same(self, monkeypatch):
+        builds = count_table_builds(monkeypatch)
+        inst = generate_instance(self.PARAMS)
+        run(inst, SolverConfig(max_iterations=100, seed=1))
+        assert builds == dict.fromkeys(builds, 1)
+        first = {name: vars(inst)[name] for name in TABLES}  # all five were read
+        run(inst, SolverConfig(max_iterations=100, seed=2))
+        assert builds == dict.fromkeys(builds, 1)
+        assert all(vars(inst)[name] is table for name, table in first.items())
+
+    def test_a_proof_builds_the_tables_it_reads_once(self, monkeypatch):
+        builds = count_table_builds(monkeypatch)
+        inst = generate_instance(self.PARAMS)
+        assert exact_solve(inst).status == OPTIMAL
+        # longest serves reconstruction only
+        read = {name: 0 if name == "longest" else 1 for name in builds}
+        assert builds == read
+        first = {name: vars(inst)[name] for name in TABLES if name != "longest"}
+        exact_solve(inst)
+        assert builds == read
+        assert all(vars(inst)[name] is table for name, table in first.items())

@@ -6,7 +6,8 @@ checking the oracle, and need no second oracle: the instances are generated with
 n = 8-14, m = 12, g = 3 and seeds 0-11, and each is proven first.  Every
 variant must end OPTIMAL (raised demand may also end INFEASIBLE) with a
 roster that is_feasible accepts on the variant and whose preference_cost
-equals the predicted optimum.
+equals the predicted optimum.  The merge relation takes the day half of one
+instance and the night half of another, proves each, and merges them.
 """
 
 import functools
@@ -110,3 +111,41 @@ def test_raising_one_demand_cell_never_lowers_the_optimum(n):
         assert preference_cost(variant, result.optimal_roster) == result.optimal_cost, case
         if is_feasible(variant, roster):  # the old optimum still serves
             assert result.optimal_cost == optimum, case
+
+
+def half(inst: Instance, nights: bool) -> Instance:
+    """The nurses and patterns of inst on one half of the week, with the
+    demand of the other half set to 0; patterns and nurses keep their
+    order and are numbered anew."""
+    on_half = [j for j, periods in enumerate(inst.patterns)
+               if (periods[0] >= 7) == nights]
+    new_id = {old: new for new, old in enumerate(on_half)}
+    kept = [nurse for nurse in inst.nurses if nurse.feasible[0] in new_id]
+    nurses = [Nurse(i, nurse.grade, {new_id[j]: cost for j, cost in nurse.pref_cost.items()})
+              for i, nurse in enumerate(kept)]
+    zero = (0,) * inst.g
+    demand = tuple(row if (k >= 7) == nights else zero for k, row in enumerate(inst.demand))
+    return Instance([inst.patterns[j] for j in on_half], nurses, demand)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_day_and_a_night_instance_merged_cost_the_sum_of_their_optima(n):
+    for seed in SEEDS:
+        case = (n, seed)
+        day = half(proven(n, seed)[0], nights=False)
+        night = half(proven(n, (seed + 1) % len(SEEDS))[0], nights=True)
+        parts = [exact_solve(day), exact_solve(night)]
+        assert [part.status for part in parts] == [OPTIMAL, OPTIMAL], case
+        shift = day.m
+        nurses = list(day.nurses) + [
+            Nurse(day.n + nurse.id, nurse.grade,
+                  {shift + j: cost for j, cost in nurse.pref_cost.items()})
+            for nurse in night.nurses]
+        merged = Instance(day.patterns + night.patterns, nurses, day.demand[:7] + night.demand[7:])
+        assert_optimum(merged, parts[0].optimal_cost + parts[1].optimal_cost, case)
+        # the components of both, and each one's first optimal roster
+        result = exact_solve(merged)
+        assert result.components == parts[0].components + parts[1].components, case
+        night_roster = [shift + j for j in parts[1].optimal_roster.assignment]
+        assert result.optimal_roster.assignment == (
+            parts[0].optimal_roster.assignment + night_roster), case
