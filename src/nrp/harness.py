@@ -103,6 +103,9 @@ def run_batch(
     # imported here so that a sequential batch never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # the pool sends each chunk of runs its own pickled copy of the instance:
+    # build the search tables here, once, so that every copy carries them
+    instance.reach, instance.longest  # reach builds the other three first
     chunksize = max(1, runs // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(execute, [instance] * runs, specs, chunksize=chunksize))

@@ -216,9 +216,8 @@ class Instance:
             for k in periods:
                 workers[k] |= 1 << j
         everyone = (1 << self.m) - 1
-        return tuple(
-            reduce(and_, map(workers.__getitem__, periods), everyone) for periods in self.patterns
-        )
+        return tuple(reduce(and_, map(workers.__getitem__, periods), everyone)
+                     for periods in self.patterns)
 
     @_BuiltOnFirstRead
     def cover_scan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -231,10 +230,8 @@ class Instance:
     @_BuiltOnFirstRead
     def reach(self) -> tuple[int, ...]:
         fields = (1 << self.field_width) - 1  # low bits times this fill their fields
-        return tuple(
-            reduce(or_, map(row.__getitem__, ids)) * fields
-            for row, (ids, _) in zip(self.nurse_cells, self.cover_scan)
-        )
+        return tuple(reduce(or_, map(row.__getitem__, ids)) * fields
+                     for row, (ids, _) in zip(self.nurse_cells, self.cover_scan))
 
     @_BuiltOnFirstRead
     def longest(self) -> tuple[int, ...]:

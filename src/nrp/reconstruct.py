@@ -297,16 +297,19 @@ class PickMemo:
     A pick depends only on the nurse and on what the rule reads of the
     coverage, so the memo maps exactly that to the chosen pattern.  It keeps
     one row per nurse, nurses[i] = (nurse, shift, works, cells, pref_cost,
-    cover, combined): her band offset (grade - 1) * band_span, her reach
-    moved down by it, her row of Instance.nurse_cells, her costs, and two
-    dicts keyed by a mask int alone.  cover maps her focus-band short mask
-    and combined her _band_state, both masked to works, the cells she can
-    work (Instance.reach).  Her patterns fill no other cell, so one key
-    serves every coverage that differs only outside them.  The keys leave
-    out the instance and the rule config, which one run fixes, so a memo
-    must not outlive the run it was made for.  A dict that has reached
-    MEMO_PICKS_PER_NURSE entries is emptied before the next one is stored.
-    reconstruct reads one row per freed nurse, subtracts the pick's cells
+    cover, combined, scan): her band offset (grade - 1) * band_span, her
+    reach moved down by it, her row of Instance.nurse_cells, her costs, two
+    dicts keyed by a mask int alone, and scan, what a memo miss scans: her
+    cover ids, their pattern bits, her combined rows and her longest, from
+    Instance.cover_scan, combined_scan and longest, so that a miss reads no
+    table's name, a read CPython does not specialise (see Instance).  cover
+    maps her focus-band short mask and combined her _band_state, both
+    masked to works, the cells she can work (Instance.reach).  Her patterns
+    fill no other cell, so one key serves every coverage that differs only
+    outside them.  The keys leave out the instance and the rule config,
+    which one run fixes, so a memo must not outlive the run it was made
+    for.  A dict that has reached MEMO_PICKS_PER_NURSE entries is emptied
+    before the next one is stored.  reconstruct reads one row per freed nurse, subtracts the pick's cells
     from its local residual and adds the pick's cost, and writes both back
     once per call without calling CoverageState.add.  layout holds what
     every call reads of the packed layout, built once per run: (band_span,
@@ -318,9 +321,11 @@ class PickMemo:
 
     def __init__(self, instance: Instance) -> None:
         span, self.nurses = instance.band_span, []
-        for nurse, reach, cells in zip(instance.nurses, instance.reach, instance.nurse_cells):
-            shift = (nurse.grade - 1) * span
-            self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost, {}, {}))
+        tables = zip(instance.nurses, instance.reach, instance.nurse_cells, instance.cover_scan,
+                     instance.combined_scan, instance.longest)
+        for nurse, reach, cells, cover, rows, longest in tables:
+            shift, scan = (nurse.grade - 1) * span, (*cover, rows, longest)
+            self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost, {}, {}, scan))
         self.layout = (
             span, (1 << span) - 1, instance.low_bits, instance.guard_bits,
             instance.field_width - 1,
@@ -359,7 +364,7 @@ def reconstruct(
     rest, cost, costs = coverage.rest, coverage.cost, coverage.costs
 
     for i in free:
-        nurse, shift, works, cells, prices, cover_picks, combined_picks = rows[i]
+        nurse, shift, works, cells, prices, cover_picks, combined_picks, scan = rows[i]
         u = rng.random()
         if u < p1:
             # _focus_mask inline: the band of the lowest short cell she serves
@@ -370,7 +375,7 @@ def reconstruct(
             if choice is None:
                 if len(cover_picks) >= MEMO_PICKS_PER_NURSE:
                     cover_picks.clear()
-                choice = cover_picks[short] = _argmax_cover(instance, short, nurse)
+                choice = cover_picks[short] = _argmax_cover(instance, short, nurse, scan)
         elif u < p12:
             # _band_state inline; shortfall mode is shortfall_bits()
             if indicator:
@@ -383,7 +388,7 @@ def reconstruct(
                 if len(combined_picks) >= MEMO_PICKS_PER_NURSE:
                     combined_picks.clear()
                 choice = combined_picks[state] = _argmax_combined(
-                    instance, config, state, nurse
+                    instance, config, state, nurse, scan
                 )
         else:
             choice = rng.choice(nurse.feasible)
@@ -394,17 +399,18 @@ def reconstruct(
     return result
 
 
-def _argmax_cover(instance: Instance, short: int, nurse: Nurse) -> int:
+def _argmax_cover(instance: Instance, short: int, nurse: Nurse, scan: tuple) -> int:
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
 
     No pattern fills more than min(short cells, Instance.longest) of them,
     so the first pattern filling that many wins outright and the scan stops
-    there; otherwise the first maximum wins.  The pick reads the mask alone,
-    never the coverage state.  The nurse stays at args[2], where perfbench's
-    shims read her, and tests/test_bench_contract.py fails if she moves.
+    there; otherwise the first maximum wins.  scan is the nurse's, from her
+    PickMemo row.  The pick reads the mask alone, never the coverage state.
+    The nurse stays at args[2], where perfbench's shims read her, and
+    tests/test_bench_contract.py fails if she moves.
     """
-    ids, bits = instance.cover_scan[nurse.id]
-    full, best = min(short.bit_count(), instance.longest[nurse.id]), -1
+    ids, bits, _, longest = scan
+    full, best = min(short.bit_count(), longest), -1
     for j, pattern_bits in zip(ids, bits):
         value = (pattern_bits & short).bit_count()
         if value > best:
@@ -415,16 +421,18 @@ def _argmax_cover(instance: Instance, short: int, nurse: Nurse) -> int:
 
 
 def _argmax_combined(
-    instance: Instance, config: ReconstructionConfig, state: int, nurse: Nurse
+    instance: Instance, config: ReconstructionConfig, state: int, nurse: Nurse, scan: tuple
 ) -> int:
     """Combined-rule pick for the nurse's band state (see _band_state).
 
-    The nurse's combined_scan rows go through _scan_combined, which runs
-    cheapest first and stops at the first cost whose bound falls below the
-    best score; equal scores go to the earlier feasible position.  The pick
-    reads the band state alone, never the coverage state.  The nurse stays
-    at args[3], where perfbench's shims read her, and
-    tests/test_bench_contract.py fails if she moves.
+    The nurse's combined rows, from the scan of her PickMemo row, go
+    through _scan_combined, which runs cheapest first and stops at the
+    first cost whose bound falls below the best score; equal scores go to
+    the earlier feasible position.  The pick reads the band state alone,
+    never the coverage state.  The nurse stays at args[3], where
+    perfbench's shims read her, and tests/test_bench_contract.py fails if
+    she moves.
     """
-    terms = _band_terms(instance, config, nurse.grade, instance.longest[nurse.id], state)
-    return _scan_combined(instance.combined_scan[nurse.id], config.w_p, terms)[1]
+    _, _, rows, longest = scan
+    terms = _band_terms(instance, config, nurse.grade, longest, state)
+    return _scan_combined(rows, config.w_p, terms)[1]

@@ -95,8 +95,8 @@ def count_rows_scored(monkeypatch) -> dict[str, int]:
     cover_kernel, band_terms = reconstruct_module._argmax_cover, reconstruct_module._band_terms
     short_mask, empty_level = counting("cover"), counting("combined")(0)
 
-    def cover(instance, short, nurse):
-        return cover_kernel(instance, short_mask(short), nurse)
+    def cover(instance, short, nurse, scan):
+        return cover_kernel(instance, short_mask(short), nurse, scan)
 
     def terms(*args):
         return band_terms(*args) + [(0.0, (empty_level,), 0.0)]

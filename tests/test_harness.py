@@ -163,10 +163,12 @@ class TestRunBatch:
         inst = generate_instance(params)
         seq = rows(inst, 1)
         assert rows(inst, 2) == seq
-        # pooled first: they get an instance whose tables were never read
+        # pooled first, on an instance whose tables were never read: the batch
+        # builds them once before the pool pickles it, so every copy carries them
         inst = generate_instance(params)
         assert not tables & set(vars(inst))
         par = rows(inst, 2)
+        assert tables <= set(vars(inst))
         assert par == rows(inst, 1) == seq
 
     @pytest.mark.parametrize("threads", [0, -4])

@@ -29,8 +29,6 @@ from nrp.reconstruct import (
     E_MODES,
     PickMemo,
     ReconstructionConfig,
-    _argmax_combined,
-    _argmax_cover,
     _band_state,
     _band_terms,
     _focus_mask,
@@ -47,6 +45,23 @@ from bruteforce import (
 from conftest import count_rows_scored, demand_rows, make_instance, repair
 
 TRIALS = 150
+cover_kernel = reconstruct_module._argmax_cover
+combined_kernel = reconstruct_module._argmax_combined
+
+
+def memo_scan(instance, nurse) -> tuple:
+    """The nurse's scan lists as her PickMemo row holds them for the kernels."""
+    return PickMemo(instance).nurses[nurse.id][-1]
+
+
+def _argmax_cover(instance, short, nurse):
+    """The cover kernel, given the scan lists reconstruct passes it."""
+    return cover_kernel(instance, short, nurse, memo_scan(instance, nurse))
+
+
+def _argmax_combined(instance, config, state, nurse):
+    """The combined kernel, given the scan lists reconstruct passes it."""
+    return combined_kernel(instance, config, state, nurse, memo_scan(instance, nurse))
 
 
 def random_state(rng: random.Random, trial: int, g: int | None = None):
@@ -496,7 +511,8 @@ def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkey
         short = _focus_mask(instance, coverage, nurse)
         assert short.bit_count() == 5
         rows_scored["cover"] = 0
-        assert reconstruct_module._argmax_cover(instance, short, nurse) == pick
+        scan = memo_scan(instance, nurse)
+        assert reconstruct_module._argmax_cover(instance, short, nurse, scan) == pick
         assert rows_scored["cover"] == scored
         assert pick == first_argmax(
             nurse.feasible, lambda j: cover_value_by_definition(instance, roster, nurse.id, j)

@@ -433,7 +433,8 @@ class TestPickMemo:
         config = replace(weights, p1=0.5, p2=0.45, e_mode=e_mode)
         shared = PickMemo(instance)
         if counted:
-            shared.nurses = [row[:5] + (CountedClears(), CountedClears()) for row in shared.nurses]
+            shared.nurses = [row[:5] + (CountedClears(), CountedClears()) + row[7:]
+                             for row in shared.nurses]
         rng_shared, rng_fresh = random.Random(trial), random.Random(trial)
         roster = Roster.empty(instance.n)
         fresh_entries = 0
