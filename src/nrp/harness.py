@@ -103,12 +103,24 @@ def run_batch(
     # imported here so that a sequential batch never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # the pool sends each chunk of runs its own pickled copy of the instance:
-    # build the search tables here, once, so that every copy carries them
-    instance.reach, instance.longest  # reach builds the other three first
-    chunksize = max(1, runs // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(execute, [instance] * runs, specs, chunksize=chunksize))
+    # each worker receives the instance once, through the pool's initializer,
+    # and each task only its RunSpec; any read builds all five search tables,
+    # so read one here and no worker builds its own
+    instance.reach
+    with ProcessPoolExecutor(threads, initializer=_keep, initargs=(instance,)) as pool:
+        return list(pool.map(_execute_kept, specs))
+
+
+_kept: Instance | None = None  # a pool worker's batch instance, set by _keep
+
+
+def _keep(instance: Instance) -> None:
+    global _kept
+    _kept = instance
+
+
+def _execute_kept(spec: RunSpec) -> RunResult:
+    return execute(_kept, spec)
 
 
 def censored_cost(result: RunResult) -> float:

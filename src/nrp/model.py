@@ -13,7 +13,7 @@ bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 
 N_PERIODS = 14  # 7 day shifts followed by 7 night shifts
@@ -60,22 +60,27 @@ class Nurse:
                 )
 
 
-class _BuiltOnFirstRead(cached_property):
-    """functools.cached_property, but the value is stored with setattr.
+class _SearchTable:
+    """One of Instance's five search tables, built on first read.
 
-    Later reads find the plain attribute first, since the descriptor
-    defines no __set__.  cached_property itself stores into the instance's
-    __dict__, and on CPython 3.11 and 3.12 reading that __dict__ turns the
-    instance's inline attribute values into a dict: every later read of
-    any attribute of the instance then takes about twice as long.
+    The first read of any of the five calls Instance._build_search_tables,
+    which stores all five with setattr; later reads find the plain
+    attribute first, since the descriptor defines no __set__.  It does not
+    store into the instance's __dict__ itself, as the standard library's
+    cached property does: on CPython 3.11 and 3.12 reading that __dict__
+    turns the instance's inline attribute values into a dict, and every
+    later read of any attribute of the instance then takes about twice as
+    long.
     """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = self.func(instance)
-        setattr(instance, self.attrname, value)
-        return value
+        instance._build_search_tables()
+        return getattr(instance, self.name)
 
 
 @dataclass
@@ -112,13 +117,14 @@ class Instance:
     residual.
 
     The five search tables below, supersets, cover_scan, combined_scan,
-    reach and longest, are each built the first time a run, a pick or a
-    proof reads it, the two scan lists in one pass, and then kept on the
-    instance as a plain attribute (_BuiltOnFirstRead).  An instance that is
-    only serialized, and a dataclasses.replace copy, hold none of them until
-    one is read.  A read of a table's name is not specialised by CPython and
-    costs about twice a plain attribute's, so a loop over nurses takes the
-    table into a local first.
+    reach and longest, are built together, in one pass, the first time a
+    run, a pick or a proof reads any of them, and then kept on the instance
+    as plain attributes (_SearchTable).  An instance that is only
+    serialized, and a dataclasses.replace copy, hold none of them until one
+    is read; a pickled copy carries those already built.  A read of a
+    table's name is not specialised by CPython and costs about twice a
+    plain attribute's, so a loop over nurses takes the table into a local
+    first.
 
     cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
     i, in feasible order, and combined_scan[i] the (cost, position in her
@@ -209,50 +215,29 @@ class Instance:
         rows = [tuple(c * copies for c in cells) for copies in spread]
         self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)
 
-    @_BuiltOnFirstRead
-    def supersets(self) -> tuple[int, ...]:
-        workers = [0] * N_PERIODS
-        for j, periods in enumerate(self.patterns):
-            for k in periods:
-                workers[k] |= 1 << j
-        everyone = (1 << self.m) - 1
-        return tuple(reduce(and_, map(workers.__getitem__, periods), everyone)
-                     for periods in self.patterns)
+    supersets, cover_scan, combined_scan, reach, longest = (_SearchTable() for _ in range(5))
 
-    @_BuiltOnFirstRead
-    def cover_scan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        return self._scan_lists()[0]
-
-    @_BuiltOnFirstRead
-    def combined_scan(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-        return self._scan_lists()[1]
-
-    @_BuiltOnFirstRead
-    def reach(self) -> tuple[int, ...]:
-        fields = (1 << self.field_width) - 1  # low bits times this fill their fields
-        return tuple(reduce(or_, map(row.__getitem__, ids)) * fields
-                     for row, (ids, _) in zip(self.nurse_cells, self.cover_scan))
-
-    @_BuiltOnFirstRead
-    def longest(self) -> tuple[int, ...]:
-        return tuple(max(len(self.patterns[j]) for j in nurse.feasible) for nurse in self.nurses)
-
-    def _scan_lists(self) -> tuple[tuple, tuple]:
-        """Per nurse, the feasible patterns that can be a first maximum,
-        stored as cover_scan and combined_scan and returned.
+    def _build_search_tables(self) -> None:
+        """Build the five search tables and store them on the instance.
 
         Walking a nurse's feasible list with seen the ids already walked, j
         is left out of her cover list iff supersets[j] & seen is nonzero,
         and out of her combined list iff one of those earlier supersets also
         costs no more than j.  The combined rows are then sorted by (cost,
-        position).
+        position).  reach and longest are read off her cover list.
         """
-        sup, pattern_bits = self.supersets, self.pattern_bits
-        cover, combined = [], []
-        for nurse in self.nurses:
+        workers = [0] * N_PERIODS
+        for j, periods in enumerate(self.patterns):
+            for k in periods:
+                workers[k] |= 1 << j
+        sup = tuple(reduce(and_, map(workers.__getitem__, periods), (1 << self.m) - 1)
+                    for periods in self.patterns)
+        pattern_bits = self.pattern_bits
+        fields = (1 << self.field_width) - 1  # low bits times this fill their fields
+        cover, combined, reach, longest = [], [], [], []
+        for nurse, cells in zip(self.nurses, self.nurse_cells):
             costs = nurse.pref_cost
-            seen = 0
-            cover_ids, rows = [], []
+            seen, cover_ids, rows = 0, [], []
             for position, j in enumerate(nurse.feasible):
                 earlier = sup[j] & seen
                 seen |= 1 << j
@@ -264,11 +249,14 @@ class Instance:
                     earlier &= earlier - 1
                 if not earlier:
                     rows.append((cost, position, j, pattern_bits[j]))
-            cover.append((tuple(cover_ids), tuple(pattern_bits[j] for j in cover_ids)))
+            cover_bits = tuple(pattern_bits[j] for j in cover_ids)
+            cover.append((tuple(cover_ids), cover_bits))
             # (cost, position) is unique, so this is the stable sort by cost
             combined.append(tuple(sorted(rows)))
-        self.cover_scan, self.combined_scan = tuple(cover), tuple(combined)
-        return self.cover_scan, self.combined_scan
+            reach.append(reduce(or_, map(cells.__getitem__, cover_ids)) * fields)
+            longest.append(max(map(int.bit_count, cover_bits)))
+        self.supersets, self.cover_scan, self.combined_scan = sup, tuple(cover), tuple(combined)
+        self.reach, self.longest = tuple(reach), tuple(longest)
 
 
 @dataclass(slots=True)

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from nrp.harness import (
     worker_count,
 )
 from nrp.instance_io import GeneratorParams, generate_instance
-from nrp.model import Roster, is_feasible
+from nrp.model import Instance, Roster, is_feasible
 from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
 from nrp.solver import RunResult, SolverConfig, run
 
@@ -164,12 +165,30 @@ class TestRunBatch:
         seq = rows(inst, 1)
         assert rows(inst, 2) == seq
         # pooled first, on an instance whose tables were never read: the batch
-        # builds them once before the pool pickles it, so every copy carries them
+        # builds them once before the pool starts, so every worker receives them
         inst = generate_instance(params)
         assert not tables & set(vars(inst))
         par = rows(inst, 2)
         assert tables <= set(vars(inst))
         assert par == rows(inst, 1) == seq
+
+    def test_a_pooled_batch_pickles_the_instance_at_most_once_per_worker(self, monkeypatch):
+        inst = generate_instance(GeneratorParams(n=4, m=8, g=2, seed=56))
+        spec = preset_spec("full", max_iterations=20)
+        seq = [run_csv_row("x", r) for r in run_batch(inst, spec, 8, base_seed=0, threads=1)]
+        pickled = []
+
+        def getstate(self):
+            pickled.append(self)
+            return self.__dict__
+
+        monkeypatch.setattr(Instance, "__getstate__", getstate, raising=False)
+        assert pickle.loads(pickle.dumps(inst)) == inst and len(pickled) == 1  # it counts
+        pickled.clear()
+        # 8 runs on 2 workers: a copy sent with each task would make 8 pickles
+        par = [run_csv_row("x", r) for r in run_batch(inst, spec, 8, base_seed=0, threads=2)]
+        assert len(pickled) <= 2
+        assert par == seq
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_fewer_than_one_thread_raises(self, monkeypatch, threads):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import warnings
@@ -637,38 +638,34 @@ class TestPreferenceCost:
 TABLES = ("supersets", "cover_scan", "combined_scan", "reach", "longest")
 
 
-def count_table_builds(monkeypatch) -> dict[str, int]:
-    """Count the builds of supersets, reach and longest, and the one pass
-    that builds both scan lists, by wrapping each builder."""
-    builds = dict.fromkeys(("supersets", "_scan_lists", "reach", "longest"), 0)
+def count_table_builds(monkeypatch) -> list[Instance]:
+    """Record each call of Instance._build_search_tables, the one builder
+    of the five search tables, by the instance it builds for."""
+    builds = []
+    build = Instance._build_search_tables
 
-    def counting(build, name):
-        def counted(self):
-            builds[name] += 1
-            return build(self)
-        return counted
+    def counted(self):
+        builds.append(self)
+        build(self)
 
-    for name in ("supersets", "reach", "longest"):
-        table = Instance.__dict__[name]
-        wrapped = type(table)(counting(table.func, name))
-        wrapped.__set_name__(Instance, name)
-        monkeypatch.setattr(Instance, name, wrapped)
-    monkeypatch.setattr(Instance, "_scan_lists", counting(Instance._scan_lists, "_scan_lists"))
+    monkeypatch.setattr(Instance, "_build_search_tables", counted)
     return builds
 
 
 class TestSearchTables:
-    """The five search tables are built on first read, once per instance."""
+    """The five search tables are built together on first read, once per instance."""
 
     PARAMS = GeneratorParams(n=8, m=16, g=3, feasible_min=3, feasible_max=8, seed=7)
 
-    def test_an_instance_that_is_only_serialized_or_copied_holds_no_table(self):
+    def test_an_instance_that_is_only_serialized_or_copied_holds_no_table(self, monkeypatch):
+        builds = count_table_builds(monkeypatch)
         inst = generate_instance(self.PARAMS)
         text = serialize_instance(inst)
         copies = [replace(inst, known_optimal=100), parse_instance(text)]
         serialize_instance(copies[0])
         for each in [inst] + copies:
             assert not set(TABLES) & set(vars(each))
+        assert builds == []
 
     def test_a_copy_builds_its_own_tables_equal_to_the_originals(self):
         inst = generate_instance(self.PARAMS)
@@ -677,24 +674,44 @@ class TestSearchTables:
         assert not set(TABLES) & set(vars(copy))
         assert {name: getattr(copy, name) for name in TABLES} == tables
 
+    @pytest.mark.parametrize("first", TABLES)
+    def test_reading_any_one_table_first_builds_all_five_in_one_call(self, monkeypatch, first):
+        builds = count_table_builds(monkeypatch)
+        inst = generate_instance(self.PARAMS)
+        table = getattr(inst, first)
+        assert len(builds) == 1 and builds[0] is inst
+        assert set(TABLES) <= set(vars(inst))
+        assert vars(inst)[first] is table
+        tables = {name: getattr(inst, name) for name in TABLES}
+        assert len(builds) == 1
+        assert all(vars(inst)[name] is table for name, table in tables.items())
+
     def test_a_run_builds_each_table_once_and_a_second_run_reads_the_same(self, monkeypatch):
         builds = count_table_builds(monkeypatch)
         inst = generate_instance(self.PARAMS)
         run(inst, SolverConfig(max_iterations=100, seed=1))
-        assert builds == dict.fromkeys(builds, 1)
-        first = {name: vars(inst)[name] for name in TABLES}  # all five were read
+        assert len(builds) == 1 and builds[0] is inst
+        first = {name: vars(inst)[name] for name in TABLES}  # all five were built
         run(inst, SolverConfig(max_iterations=100, seed=2))
-        assert builds == dict.fromkeys(builds, 1)
+        assert len(builds) == 1
         assert all(vars(inst)[name] is table for name, table in first.items())
 
     def test_a_proof_builds_the_tables_it_reads_once(self, monkeypatch):
         builds = count_table_builds(monkeypatch)
         inst = generate_instance(self.PARAMS)
         assert exact_solve(inst).status == OPTIMAL
-        # longest serves reconstruction only
-        read = {name: 0 if name == "longest" else 1 for name in builds}
-        assert builds == read
-        first = {name: vars(inst)[name] for name in TABLES if name != "longest"}
+        # longest serves reconstruction only, but it is built with the rest
+        assert len(builds) == 1 and builds[0] is inst
+        first = {name: vars(inst)[name] for name in TABLES}
         exact_solve(inst)
-        assert builds == read
+        assert len(builds) == 1
         assert all(vars(inst)[name] is table for name, table in first.items())
+
+    def test_a_pickled_instance_carries_the_tables_it_had_built(self, monkeypatch):
+        inst = generate_instance(self.PARAMS)
+        tables = {name: getattr(inst, name) for name in TABLES}
+        builds = count_table_builds(monkeypatch)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert set(TABLES) <= set(vars(copy))
+        assert {name: getattr(copy, name) for name in TABLES} == tables
+        assert builds == []

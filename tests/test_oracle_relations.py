@@ -3,11 +3,13 @@ has an optimum that the instance's own proven optimum predicts.
 
 They check optima past n <= 8, where brute force (tests/bruteforce.py) stops
 checking the oracle, and need no second oracle: the instances are generated with
-n = 8-14, m = 12, g = 3 and seeds 0-11, and each is proven first.  Every
+n = 8-14, m = 12, g = 3 and seeds 0-11, or are the 8 of build_desk_suite(8)
+(n = 4-6, m = 10-12, g = 2-3), and each is proven first.  Every
 variant must end OPTIMAL (raised demand may also end INFEASIBLE) with a
 roster that is_feasible accepts on the variant and whose preference_cost
 equals the predicted optimum.  The merge relation takes the day half of one
-instance and the night half of another, proves each, and merges them.
+instance and the night half of the next one with as many grades, proves
+each, and merges them.
 """
 
 import functools
@@ -19,15 +21,32 @@ from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import Instance, Nurse, Roster, is_feasible, preference_cost
 from nrp.oracle import INFEASIBLE, OPTIMAL, exact_solve
 
+from suite import build_desk_suite
+
 SIZES = range(8, 15)
 SEEDS = range(12)
+DESK = "desk"  # the source of the desk suite's instances, beside the sizes
+SOURCES = [*SIZES, DESK]
 
 
 @functools.cache
-def proven(n: int, seed: int) -> tuple[Instance, int, Roster]:
-    inst = generate_instance(GeneratorParams(n=n, m=12, g=3, seed=seed))
+def desk_suite() -> list[Instance]:
+    return build_desk_suite(8)
+
+
+def indices(source) -> range:
+    """The seeds of a generated size, or the positions in the desk suite."""
+    return range(len(desk_suite())) if source == DESK else SEEDS
+
+
+@functools.cache
+def proven(source, index: int) -> tuple[Instance, int, Roster]:
+    if source == DESK:
+        inst = desk_suite()[index]
+    else:
+        inst = generate_instance(GeneratorParams(n=source, m=12, g=3, seed=index))
     result = exact_solve(inst)
-    assert result.status == OPTIMAL, (n, seed)
+    assert result.status == OPTIMAL, (source, index)
     return inst, result.optimal_cost, result.optimal_roster
 
 
@@ -39,15 +58,15 @@ def assert_optimum(inst: Instance, expected: int, case) -> None:
     assert preference_cost(inst, result.optimal_roster) == expected, case
 
 
-def cases(n: int):
-    for seed in SEEDS:
-        inst, optimum, roster = proven(n, seed)
-        yield (n, seed), random.Random(f"{n}-{seed}"), inst, optimum, roster
+def cases(source):
+    for index in indices(source):
+        inst, optimum, roster = proven(source, index)
+        yield (source, index), random.Random(f"{source}-{index}"), inst, optimum, roster
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_relabelling_nurses_patterns_and_feasible_order_keeps_the_optimum(n):
-    for case, rng, inst, optimum, _ in cases(n):
+@pytest.mark.parametrize("source", SOURCES)
+def test_relabelling_nurses_patterns_and_feasible_order_keeps_the_optimum(source):
+    for case, rng, inst, optimum, _ in cases(source):
         order = rng.sample(range(inst.m), inst.m)  # new pattern id -> old id
         new_id = {old: new for new, old in enumerate(order)}
         nurses = []
@@ -58,9 +77,9 @@ def test_relabelling_nurses_patterns_and_feasible_order_keeps_the_optimum(n):
         assert_optimum(variant, optimum, case)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_shifting_one_nurses_costs_by_c_shifts_the_optimum_by_c(n):
-    for case, rng, inst, optimum, _ in cases(n):
+@pytest.mark.parametrize("source", SOURCES)
+def test_shifting_one_nurses_costs_by_c_shifts_the_optimum_by_c(source):
+    for case, rng, inst, optimum, _ in cases(source):
         i = rng.randrange(inst.n)
         room = 100 - max(inst.nurses[i].pref_cost.values())
         assert room > 0, case
@@ -71,9 +90,9 @@ def test_shifting_one_nurses_costs_by_c_shifts_the_optimum_by_c(n):
         assert_optimum(Instance(inst.patterns, nurses, inst.demand), optimum + c, case)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_a_dearer_copy_of_each_nurses_first_pattern_keeps_the_optimum(n):
-    for case, _, inst, optimum, _ in cases(n):
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_dearer_copy_of_each_nurses_first_pattern_keeps_the_optimum(source):
+    for case, _, inst, optimum, _ in cases(source):
         patterns, nurses = list(inst.patterns), []
         for nurse in inst.nurses:
             first = nurse.feasible[0]
@@ -86,17 +105,17 @@ def test_a_dearer_copy_of_each_nurses_first_pattern_keeps_the_optimum(n):
         assert_optimum(Instance(patterns, nurses, inst.demand), optimum, case)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_zero_demand_costs_each_nurses_cheapest_pattern(n):
-    for case, _, inst, _, _ in cases(n):
+@pytest.mark.parametrize("source", SOURCES)
+def test_zero_demand_costs_each_nurses_cheapest_pattern(source):
+    for case, _, inst, _, _ in cases(source):
         variant = Instance(inst.patterns, inst.nurses, ((0,) * inst.g,) * len(inst.demand))
         cheapest = sum(min(nurse.pref_cost.values()) for nurse in inst.nurses)
         assert_optimum(variant, cheapest, case)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_raising_one_demand_cell_never_lowers_the_optimum(n):
-    for case, rng, inst, optimum, roster in cases(n):
+@pytest.mark.parametrize("source", SOURCES)
+def test_raising_one_demand_cell_never_lowers_the_optimum(source):
+    for case, rng, inst, optimum, roster in cases(source):
         k, s = rng.randrange(len(inst.demand)), rng.randrange(inst.g)
         rows = [list(row) for row in inst.demand]
         rows[k][s] += 1
@@ -128,12 +147,20 @@ def half(inst: Instance, nights: bool) -> Instance:
     return Instance([inst.patterns[j] for j in on_half], nurses, demand)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_a_day_and_a_night_instance_merged_cost_the_sum_of_their_optima(n):
-    for seed in SEEDS:
-        case = (n, seed)
-        day = half(proven(n, seed)[0], nights=False)
-        night = half(proven(n, (seed + 1) % len(SEEDS))[0], nights=True)
+def partner(source, index: int) -> int:
+    """The next instance of the source after index, cyclically, with the
+    same grade count: the next seed for a generated size."""
+    g = proven(source, index)[0].g
+    same = [i for i in indices(source) if proven(source, i)[0].g == g]
+    return same[(same.index(index) + 1) % len(same)]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_day_and_a_night_instance_merged_cost_the_sum_of_their_optima(source):
+    for index in indices(source):
+        case = (source, index)
+        day = half(proven(source, index)[0], nights=False)
+        night = half(proven(source, partner(source, index))[0], nights=True)
         parts = [exact_solve(day), exact_solve(night)]
         assert [part.status for part in parts] == [OPTIMAL, OPTIMAL], case
         shift = day.m
