@@ -30,6 +30,13 @@ night patterns, each an inclusive range drawn uniformly.  A pattern's
 periods are drawn through getrandbits, exactly as rng.randint and then
 rng.sample(range(7), k) would draw them, so they consume the same words in
 the same order; the golden hashes of tests/test_golden.py pin the result.
+A slot that draws a pattern already in its pool draws again, up to 20
+times, and keeps the last draw.  Once every period set of the pool's size
+range has been drawn (91 day sets, 70 night sets), each slot makes all 21
+draws and keeps the 21st, so its first 20 are made as their getrandbits
+calls alone: whether a call is rejected rests only on the word it returns,
+never on the periods, so the words consumed, and every later draw, are
+those of the full draws.
 """
 
 from __future__ import annotations
@@ -167,8 +174,11 @@ def parse_instance(text: str) -> Instance:
             j_str, sep, c_str = pair.partition(":")
             if not sep:
                 raise InstanceParseError(no, f"expected '<pattern>:<cost>', got {pair!r}")
-            j = _int_field(no, j_str, "pattern id")
-            cost = _int_field(no, c_str, "cost")
+            try:
+                j, cost = int(j_str), int(c_str)
+            except ValueError:  # _int_field names the first token that is not an integer
+                j = _int_field(no, j_str, "pattern id")
+                cost = _int_field(no, c_str, "cost")
             if not 0 <= j < m:
                 raise InstanceParseError(no, f"nurse {nid} references unknown pattern {j}")
             if j in costs:
@@ -257,14 +267,8 @@ class GeneratorParams:
             raise ValueError("cost_exponent must be positive and finite")
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """random.Random._randbelow_with_getrandbits, the same on Python 3.10-3.13."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
+# _STEPS[k]: the k steps of sample(range(7), k), each (slots left, their bit length, last slot)
+_STEPS = [[(7 - i, (7 - i).bit_length(), 6 - i) for i in range(k)] for k in range(8)]
 
 # _PERIODS[offset][mask]: the ascending periods offset + d of the days d in a 7-bit mask
 _PERIODS = {offset: [tuple(offset + d for d in range(7) if mask >> d & 1) for mask in range(128)]
@@ -274,15 +278,39 @@ _PERIODS = {offset: [tuple(offset + d for d in range(7) if mask >> d & 1) for ma
 def _draw_periods(rng: random.Random, offset: int, lo: int, hi: int) -> tuple[int, ...]:
     """The periods tuple(sorted(offset + d for d in rng.sample(range(7),
     rng.randint(lo, hi)))) returns, from the same getrandbits calls in the
-    same order: randint's one draw, then sample's pool swap over range(7)."""
+    same order: randint's one draw, then sample's pool swap over range(7).
+    Each draw below n is random.Random._randbelow_with_getrandbits, the same
+    on Python 3.10-3.13: getrandbits(n.bit_length()) until it is below n."""
     getrandbits = rng.getrandbits
+    span = hi - lo + 1
+    width = span.bit_length()
+    k = getrandbits(width)
+    while k >= span:
+        k = getrandbits(width)
     pool = [0, 1, 2, 3, 4, 5, 6]
     mask = 0
-    for i in range(lo + _below(getrandbits, hi - lo + 1)):
-        j = _below(getrandbits, 7 - i)
+    for n, bits, last in _STEPS[lo + k]:
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
         mask |= 1 << pool[j]
-        pool[j] = pool[6 - i]
+        pool[j] = pool[last]
     return _PERIODS[offset][mask]
+
+
+def _skip_draws(rng: random.Random, lo: int, hi: int, draws: int) -> None:
+    """Make the getrandbits calls of that many _draw_periods draws, in the
+    same order, and build nothing: no pool, mask or periods."""
+    getrandbits = rng.getrandbits
+    span = hi - lo + 1
+    width = span.bit_length()
+    for _ in range(draws):
+        k = getrandbits(width)
+        while k >= span:
+            k = getrandbits(width)
+        for n, bits, _ in _STEPS[lo + k]:
+            while getrandbits(bits) >= n:
+                pass
 
 
 def generate_instance(params: GeneratorParams) -> Instance:
@@ -291,30 +319,32 @@ def generate_instance(params: GeneratorParams) -> Instance:
     n_day = math.ceil(params.m / 2)
 
     patterns = []
-    seen = set()
-    for pid in range(params.m):
-        is_day = pid < n_day
-        lo, hi = DAY_PERIODS if is_day else NIGHT_PERIODS
-        periods = _draw_periods(rng, 0 if is_day else 7, lo, hi)
-        for _ in range(20):  # prefer distinct patterns, tolerate repeats
-            if periods not in seen:
-                break
-            periods = _draw_periods(rng, 0 if is_day else 7, lo, hi)
-        seen.add(periods)
-        patterns.append(periods)
+    for offset, (lo, hi), count in ((0, DAY_PERIODS, n_day), (7, NIGHT_PERIODS, params.m - n_day)):
+        distinct = sum(math.comb(7, k) for k in range(lo, hi + 1))
+        seen = set()
+        for _ in range(count):
+            if len(seen) == distinct:  # every draw repeats: the first 20 are made, not kept
+                _skip_draws(rng, lo, hi, 20)
+                periods = _draw_periods(rng, offset, lo, hi)
+            else:
+                periods = _draw_periods(rng, offset, lo, hi)
+                for _ in range(20):  # prefer distinct patterns, tolerate repeats
+                    if periods not in seen:
+                        break
+                    periods = _draw_periods(rng, offset, lo, hi)
+            seen.add(periods)
+            patterns.append(periods)
     day_ids = list(range(n_day))
     night_ids = list(range(n_day, params.m))
 
+    draw, exponent = rng.random, params.cost_exponent
     nurses = []
     for i in range(params.n):
         grade = rng.randint(1, params.g)
-        pool = night_ids if (night_ids and rng.random() < 0.5) else day_ids
+        pool = night_ids if (night_ids and draw() < 0.5) else day_ids
         size = rng.randint(params.feasible_min, params.feasible_max)
         size = max(1, min(size, len(pool)))
-        costs = {
-            j: min(100, int(round(100 * rng.random() ** params.cost_exponent)))
-            for j in rng.sample(pool, size)
-        }
+        costs = {j: min(100, round(100 * draw() ** exponent)) for j in rng.sample(pool, size)}
         nurses.append(Nurse(i, grade, costs))
 
     # hidden witness roster; scaling its coverage keeps the instance feasible

@@ -217,6 +217,83 @@ class TestParseFuzz:
         assert parsed > 100 and rejected > 1000  # both outcomes were exercised
 
 
+def reference_pairs(no: int, nid: int, m: int, pairs: list[str]) -> dict[int, int]:
+    """A nurse's pattern:cost pairs read one token at a time, each through an
+    integer-field helper, as parse_instance read them before it took both
+    integers of a pair under one try: the reference for its messages."""
+
+    def int_field(token: str, name: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise InstanceParseError(no, f"{name}: expected an integer, got {token!r}") from None
+
+    costs = {}
+    for pair in pairs:
+        j_str, sep, c_str = pair.partition(":")
+        if not sep:
+            raise InstanceParseError(no, f"expected '<pattern>:<cost>', got {pair!r}")
+        j = int_field(j_str, "pattern id")
+        cost = int_field(c_str, "cost")
+        if not 0 <= j < m:
+            raise InstanceParseError(no, f"nurse {nid} references unknown pattern {j}")
+        if j in costs:
+            raise InstanceParseError(no, f"nurse {nid} lists pattern {j} twice")
+        if not 0 <= cost <= 100:
+            raise InstanceParseError(no, f"cost {cost} outside [0, 100]")
+        costs[j] = cost
+    return costs
+
+
+# valid pairs, and pairs with one fault or two: no colon, a non-integer id or
+# cost, an id outside [0, 3), a cost outside [0, 100]; a repeat of an earlier
+# valid pair is a duplicate id
+PAIR_TOKENS = (
+    "0:5", "2:100", "1:0", "05", "0=5", ":", "x:5", ":5", "1.0:5", "0:x", "0:", "0:5.5",
+    "3:5", "-1:5", "0:-1", "0:101", "x:y", "3:x", "-1:101", "3:0:1", "1:+7", "1_0:5",
+)
+PAIR_FAULTS = {  # a piece of each kind of message
+    "no colon": "expected '<pattern>:<cost>'", "id": "pattern id: expected an integer",
+    "cost": "cost: expected an integer", "unknown id": "references unknown pattern",
+    "duplicate": "twice", "cost range": "outside [0, 100]",
+}
+
+
+class TestPairMessages:
+    @staticmethod
+    def nurse_file(pairs: list[str]) -> str:
+        # nurse 1's line is line 26
+        return (f"NRP 1\nn 2\nm 3\ng 1\nPATTERNS\n0 {'1' * 14}\n1 {'0' * 13}1\n2 {'1' + '0' * 13}\n"
+                "DEMAND\n" + "0\n" * 14 + f"NURSES\n0 1 1 0:5\n1 1 {len(pairs)} {' '.join(pairs)}\n")
+
+    def test_every_pair_fault_reads_as_the_per_token_loop_reads_it(self):
+        lines = [[a] for a in PAIR_TOKENS] + [[a, b] for a in PAIR_TOKENS for b in PAIR_TOKENS]
+        faults = set()
+        for pairs in lines:
+            try:
+                want = reference_pairs(26, 1, 3, pairs)
+            except InstanceParseError as err:
+                with pytest.raises(InstanceParseError) as got:
+                    parse_instance(self.nurse_file(pairs))
+                assert (str(got.value), got.value.line) == (str(err), 26), pairs
+                faults.update(kind for kind, text in PAIR_FAULTS.items() if text in str(err))
+            else:
+                assert parse_instance(self.nurse_file(pairs)).nurses[1].pref_cost == want, pairs
+        assert faults == set(PAIR_FAULTS)
+
+    @pytest.mark.parametrize("pairs, message", [
+        (["x:y"], "pattern id: expected an integer, got 'x'"),
+        (["3:x"], "cost: expected an integer, got 'x'"),
+        (["-1:101"], "nurse 1 references unknown pattern -1"),
+        (["0:5", "05", "0:5"], "expected '<pattern>:<cost>', got '05'"),
+        (["0:5", "0:101"], "nurse 1 lists pattern 0 twice"),
+        (["0:101", "x:5"], r"cost 101 outside \[0, 100\]"),
+    ])
+    def test_the_first_fault_on_a_line_wins(self, pairs, message):
+        with pytest.raises(InstanceParseError, match=f"^line 26: {message}$"):
+            parse_instance(self.nurse_file(pairs))
+
+
 class TestSerialize:
     def test_round_trip_identity_on_generated_instances(self):
         rng = random.Random(101)

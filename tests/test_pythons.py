@@ -26,3 +26,40 @@ def test_failing_tests_fail_and_src_comes_before_the_inherited_path(tmp_path, mo
     assert pythons.main([str(fake)]) == 1
     src = ROOT / "src"
     assert capsys.readouterr().out == f"{fake}: failed ({src}{os.pathsep}inherited)\n"
+
+
+def stand_in(path, script):
+    path.write_text("#!/bin/sh\n" + script)
+    path.chmod(0o755)
+    return path
+
+
+def test_a_pyenv_shim_of_a_version_not_active_names_the_missing_command(tmp_path, capsys):
+    # what a pyenv shim prints on stderr, for any arguments, when its version is not active
+    shim = stand_in(tmp_path / "python3.12", """cat >&2 <<'END'
+pyenv: python3.12: command not found
+
+The `python3.12' command exists in these Python versions:
+  3.12.1
+
+Note: See 'pyenv help global' for tips on allowing multiple
+      Python versions to be found at the same time.
+END
+exit 127
+""")
+    assert pythons.main([str(shim)]) == 1
+    assert capsys.readouterr().out == (
+        f"{shim}: could not run (pyenv: python3.12: command not found)\n")
+
+
+def test_an_interpreter_without_pytest_names_the_import_error(tmp_path, capsys):
+    # it starts, but `-c "import pytest"` ends in a traceback
+    bare = stand_in(tmp_path / "bare-python", """[ "$2" = "import pytest" ] || exit 0
+echo 'Traceback (most recent call last):' >&2
+echo '  File "<string>", line 1, in <module>' >&2
+echo "ModuleNotFoundError: No module named 'pytest'" >&2
+exit 1
+""")
+    assert pythons.main([str(bare)]) == 1
+    assert capsys.readouterr().out == (
+        f"{bare}: could not run (ModuleNotFoundError: No module named 'pytest')\n")

@@ -9,7 +9,10 @@ tests pin generated instances, solver runs, CSV tables and oracle results
 byte for byte, so they pass under an interpreter only if it draws, sums and
 prints exactly as the one that recorded them.  One line per interpreter
 reads `passed` or `failed` with pytest's summary, or `could not run` with
-the reason: no such interpreter, or no pytest that it can import.  The exit
+the reason: no such interpreter; the first line it printed on stderr when
+it could not start, such as a pyenv shim's `command not found` for a
+version that is not active; or the last line of the error when it starts
+but cannot import pytest.  The exit
 status is 0 only when every interpreter passed.  Only the standard library
 is used.
 """
@@ -25,23 +28,26 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_golden.py", "tests/test_replay.py", "tests/test_oracle_pin.py")
 
 
-def _last_line(text: str) -> str:
+def _line(text: str, index: int = -1) -> str:
     lines = text.strip().splitlines()
-    return lines[-1].strip("= ") if lines else ""
+    return lines[index].strip("= ") if lines else ""
 
 
 def check(python: str, env: dict[str, str]) -> tuple[str, str]:
     """(verdict, detail) for the pinned tests under one interpreter."""
     try:
-        probe = subprocess.run([python, "-c", "import pytest"], cwd=ROOT, env=env,
-                               capture_output=True, text=True)
+        start = subprocess.run([python, "-c", ""], cwd=ROOT, env=env, capture_output=True, text=True)
     except OSError as exc:
         return "could not run", exc.strerror or str(exc)
+    if start.returncode:
+        return "could not run", _line(start.stderr, 0) or f"exit status {start.returncode}"
+    probe = subprocess.run([python, "-c", "import pytest"], cwd=ROOT, env=env,
+                           capture_output=True, text=True)
     if probe.returncode:
-        return "could not run", _last_line(probe.stderr) or f"exit status {probe.returncode}"
+        return "could not run", _line(probe.stderr) or f"exit status {probe.returncode}"
     run = subprocess.run([python, "-m", "pytest", "-q", "-p", "no:cacheprovider", *TESTS],
                          cwd=ROOT, env=env, capture_output=True, text=True)
-    summary = _last_line(run.stdout) or _last_line(run.stderr)
+    summary = _line(run.stdout) or _line(run.stderr)
     if run.returncode == 0:
         return "passed", summary
     if run.returncode in (1, 2):  # tests failed, or collection stopped on an error
