@@ -151,6 +151,16 @@ class Instance:
     earlier superset, which works at least as many periods; no pattern
     fills more short cells than that in a band, so the reconstruction
     scans cap their stopping bounds with it.
+
+    pick_memos maps the scoring fields of a ReconstructionConfig, (e_mode,
+    w_p, w_grade), to the reconstruction's PickMemo for them, made by
+    PickMemo.of on first use and kept for the instance's lifetime, so that
+    every run on the instance with those weights shares one.  A pick is a
+    pure function of the instance, the nurse, those fields and the masked
+    coverage its memo key holds, so what ran before changes no pick.  Each
+    memo holds at most n * 2 * MEMO_PICKS_PER_NURSE picks.  The field is left
+    out of equality and repr; a dataclasses.replace copy starts with none,
+    and a pickled copy carries those already made.
     """
 
     patterns: list[tuple[int, ...]]
@@ -167,6 +177,7 @@ class Instance:
     demand_bits: int = field(init=False, repr=False, compare=False)
     pattern_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
     nurse_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    pick_memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.patterns or not self.nurses:

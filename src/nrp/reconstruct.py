@@ -82,15 +82,19 @@ leaves her keys as they were.  The picks stay the same: every scanned
 pattern works only periods inside her reach, so each popcount and each
 shortfall sum is unchanged; a band whose masked column is empty is
 skipped, which leaves every score's float as it was (see _band_terms); and
-the focus band is still chosen from the unmasked short mask.  The keys
-leave out the rule config, its weights and e-mode, because one run fixes
-it, so a memo lasts exactly one solver run: run makes one and passes it to
-every reconstruct call, and run_construction_only makes one for its one
-pass.  A memo kept across runs would hand one run's picks to another with
-different weights.  New states keep arriving over a long run, so a nurse's
-dict is emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is
-pure, emptying it changes no pick.  A rule's memo so holds at most n *
-MEMO_PICKS_PER_NURSE picks.
+the focus band is still chosen from the unmasked short mask.  The mask
+keys leave out what else a pick reads, the instance and the rule config's
+scoring fields (e_mode, w_p, w_grade), so a memo serves one instance and
+one set of those fields: the instance keeps one memo per set
+(Instance.pick_memos), and PickMemo.of hands it to every run and
+construction pass with those fields, whatever their seed.  p1 and p2 only
+choose the rule, so presets that differ in them alone share a memo.  The
+states recur across seeds, so a run on an instance that has run before
+finds many of its picks made.  New states keep arriving, so a nurse's dict
+is emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is
+pure, neither emptying a dict nor what ran before changes a pick.  A rule's
+memo so holds at most n * MEMO_PICKS_PER_NURSE picks, and an instance at
+most n * 2 * MEMO_PICKS_PER_NURSE per set of scoring fields.
 """
 
 from __future__ import annotations
@@ -147,6 +151,9 @@ class ReconstructionConfig:
             raise ValueError("w_grade needs at least one grade weight")
         if not all(math.isfinite(w) and w >= 0 for w in self.w_grade):
             raise ValueError("grade weights must be non-negative and finite")
+        # floats, so weights spelled 1 and 1.0 score alike and key one PickMemo
+        object.__setattr__(self, "w_p", float(self.w_p))
+        object.__setattr__(self, "w_grade", tuple(map(float, self.w_grade)))
 
 
 def _focus_mask(instance: Instance, coverage: CoverageState, nurse: Nurse) -> int:
@@ -292,7 +299,8 @@ def _scan_combined(rows, w_p: float, terms: list) -> tuple[float, int]:
 
 
 class PickMemo:
-    """The cover and combined picks already made in one solver run.
+    """The cover and combined picks already made on one instance under one
+    set of scoring fields (ReconstructionConfig's e_mode, w_p and w_grade).
 
     A pick depends only on the nurse and on what the rule reads of the
     coverage, so the memo maps exactly that to the chosen pattern.  It keeps
@@ -306,15 +314,18 @@ class PickMemo:
     maps her focus-band short mask and combined her _band_state, both
     masked to works, the cells she can work (Instance.reach).  Her patterns
     fill no other cell, so one key serves every coverage that differs only
-    outside them.  The keys leave out the instance and the rule config,
-    which one run fixes, so a memo must not outlive the run it was made
-    for.  A dict that has reached MEMO_PICKS_PER_NURSE entries is emptied
-    before the next one is stored.  reconstruct reads one row per freed nurse, subtracts the pick's cells
-    from its local residual and adds the pick's cost, and writes both back
-    once per call without calling CoverageState.add.  layout holds what
-    every call reads of the packed layout, built once per run: (band_span,
-    the band mask (1 << band_span) - 1, low_bits, guard_bits, and
-    field_width - 1, the shift from a guard bit to its low bit).
+    outside them.  The keys leave out the instance and the scoring fields,
+    so a memo serves only the instance it was made for and one set of those
+    fields: PickMemo.of keeps one per set on the instance, for every run
+    with them.  A new PickMemo(instance) holds no pick yet, so any one
+    config may use it.  A dict that has reached MEMO_PICKS_PER_NURSE
+    entries is emptied before the next one is stored.  reconstruct reads
+    one row per freed nurse, subtracts the pick's cells from its local
+    residual and adds the pick's cost, and writes both back once per call
+    without calling CoverageState.add.  layout holds what every call reads
+    of the packed layout, built once per memo: (band_span, the band mask
+    (1 << band_span) - 1, low_bits, guard_bits, and field_width - 1, the
+    shift from a guard bit to its low bit).
     """
 
     __slots__ = ("nurses", "layout")
@@ -330,6 +341,15 @@ class PickMemo:
             span, (1 << span) - 1, instance.low_bits, instance.guard_bits,
             instance.field_width - 1,
         )
+
+    @classmethod
+    def of(cls, instance: Instance, config: ReconstructionConfig) -> PickMemo:
+        """The instance's memo for config's scoring fields, made on first use."""
+        key = config.e_mode, config.w_p, config.w_grade
+        memo = instance.pick_memos.get(key)
+        if memo is None:
+            memo = instance.pick_memos[key] = cls(instance)
+        return memo
 
 
 def reconstruct(
@@ -348,8 +368,9 @@ def reconstruct(
     list.  The caller passes the coverage state, which must match the input roster
     (the solver its run's state, anyone else compute_coverage(instance,
     roster)); it is brought in place to the returned complete roster, with
-    one write-back after the last pick.  The memo must come from the same
-    run (same instance and rule config), or be a new PickMemo(instance).
+    one write-back after the last pick.  The memo must be PickMemo.of(instance,
+    config), or any memo made for this instance and used only with config's
+    scoring fields, such as a new PickMemo(instance).
     A complete roster comes back as an equal new roster, with no draw and
     the state as it was.
     """

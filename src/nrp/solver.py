@@ -37,11 +37,14 @@ Fitness memo.  A run keeps the fitness lists it has computed, keyed by the
 roster's assignment tuple, and calls component_fitness_all only for a roster
 it has not met.  Fitness is a pure function of the instance, the roster and
 the weights, and one run fixes the instance and the weights, so the memo
-changes no float, no rng draw and no pick; like the PickMemo it must not
-outlive its run.  On desk-size instances the search keeps coming back to the
-same few rosters, so most fitness calls score a roster the run has already
-scored; on the paper's ward shape few do.  The memo is emptied once it
-holds FITNESS_MEMO_ROSTERS rosters, which every desk-size run fits.
+changes no float, no rng draw and no pick.  Unlike the PickMemo, which the
+instance keeps for every run with the same scoring fields, it lasts one
+run: its keys are whole rosters, which a run with a fresh seed seldom
+meets, so kept across runs it would pay only on a repeated seed.  On
+desk-size instances the search keeps coming back to the same few rosters,
+so most fitness calls score a roster the run has already scored; on the
+paper's ward shape few do.  The memo is emptied once it holds
+FITNESS_MEMO_ROSTERS rosters, which every desk-size run fits.
 Fitness is only computed when fitness elimination is on.
 """
 
@@ -125,8 +128,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
     best_roster = roster.copy()
     best_feasible = not coverage.short_mask()
     trajectory = [(0, best_cost)]
-    memo = PickMemo(instance)  # lives exactly as long as this run
-    # fitness by roster, also for this run only; the stored lists are shared,
+    # fitness by roster, for this run only; the stored lists are shared,
     # so no caller may mutate them (eliminate_by_fitness only reads them)
     fitness_memo: dict[tuple[int, ...], list[float]] = {}
 
@@ -139,6 +141,7 @@ def run(instance: Instance, config: SolverConfig) -> RunResult:
         )
 
     elim, recon = config.elim, config.recon
+    memo = PickMemo.of(instance, recon)  # the instance's, shared by every run with these weights
     fitness_elim, random_elim = elim.enable_fitness_elim, elim.enable_random_elim
     nurse_cells, costs = instance.nurse_cells, coverage.costs
     guard_bits, w_demand = instance.guard_bits, weights.w_demand
@@ -202,7 +205,7 @@ def run_construction_only(instance: Instance, config: SolverConfig) -> RunResult
 
     coverage = CoverageState(instance)  # reconstruct brings it up to the roster
     roster = reconstruct(instance, Roster.empty(instance.n), config.recon, rng, coverage,
-                         PickMemo(instance))
+                         PickMemo.of(instance, config.recon))
     cost = penalized_cost(roster, weights, coverage)
 
     return RunResult(

@@ -1,10 +1,12 @@
 import math
+import pickle
 import random
 from dataclasses import replace
 
 import pytest
 
 import nrp.reconstruct as reconstruct_module
+from nrp.harness import RunSpec, execute, preset_spec, run_batch, run_csv_row
 from nrp.instance_io import GeneratorParams, generate_instance
 from nrp.model import (
     N_PERIODS,
@@ -29,6 +31,7 @@ from nrp.oracle import exact_solve
 from nrp.solver import SolverConfig, run
 
 from bruteforce import combined_score_by_definition, cover_value_by_definition
+from suite import build_desk_suite
 from conftest import (
     count_rows_scored,
     count_solver_calls,
@@ -78,6 +81,15 @@ class TestReconstructionConfig:
             ReconstructionConfig(w_p=-0.5)
         with pytest.raises(ValueError, match="grade weights"):
             ReconstructionConfig(w_grade=(8.0, -1.0, 1.0))
+
+    def test_stores_its_weights_as_floats(self):
+        # so a PickMemo key, which holds them, is one tuple of floats
+        config = ReconstructionConfig(w_p=1, w_grade=[8, 2, True])
+        assert (config.w_p, config.w_grade) == (1.0, (8.0, 2.0, 1.0))
+        assert type(config.w_p) is float and type(config.w_grade) is tuple
+        assert {type(w) for w in config.w_grade} == {float}
+        with pytest.raises(TypeError):
+            ReconstructionConfig(w_p="1.0")
 
     def test_rejects_empty_grade_weights(self):
         # band s reads w_grade[min(s, len(w_grade)) - 1], so one weight is needed
@@ -649,13 +661,21 @@ class TestReachKeys:
         assert calls[rule] == 2 and fresh.assignment == second.assignment
 
     def test_ward_runs_make_the_pinned_kernel_calls(self, monkeypatch):
-        """Six 200-iteration runs on the ward shape.  Keyed on all 14
-        periods, the memo missed 4,844 cover and 2,132 combined picks."""
-        instance = generate_instance(WARD)
+        """Six 200-iteration runs on the ward shape, each on an instance of
+        its own, so with a memo of its own, and then the same six on one
+        instance, whose memo they share.  Keyed on all 14 periods, the
+        memos of their own missed 4,844 cover and 2,132 combined picks.
+        The shared memo misses less than half as often: states recur across
+        seeds."""
         calls = count_kernel_calls(monkeypatch)
-        for seed in range(6):
-            run(instance, SolverConfig(max_iterations=200, seed=seed))
-        assert calls == {"cover": 2161, "combined": 1384}
+        counted, instance = [], generate_instance(WARD)
+        for shared in (False, True):
+            for seed in range(6):
+                run(instance if shared else generate_instance(WARD),
+                    SolverConfig(max_iterations=200, seed=seed))
+            counted.append(dict(calls))
+            calls.update(cover=0, combined=0)
+        assert counted == [{"cover": 2161, "combined": 1384}, {"cover": 772, "combined": 711}]
 
     def test_ward_runs_sum_the_pinned_shortfalls(self, monkeypatch):
         """The six runs above repair 1,193 of their 1,200 iterations; the
@@ -686,23 +706,126 @@ class TestReachKeys:
         assert (iterations, calls) == (8041, {"reconstruct": 7869, "penalized_cost": 62})
 
     def test_ward_runs_score_the_pinned_rows(self, monkeypatch):
-        """The six runs above, in both e-modes.  Before the scans capped
-        their stops at the nurse's longest pattern they scored 27,336 cover
-        and 18,223 combined rows in indicator mode, and 29,620 and 36,635
-        in shortfall mode; the kernel calls, the memo's misses, are the same
+        """The six runs above, in both e-modes, each on an instance of its
+        own and then all twelve on one instance, which keeps a memo per
+        e-mode.  Before the scans capped their stops at the nurse's longest
+        pattern, the runs on instances of their own scored 27,336 cover and
+        18,223 combined rows in indicator mode, and 29,620 and 36,635 in
+        shortfall mode; the kernel calls, the memo's misses, are the same
         either way."""
-        instance = generate_instance(WARD)
         calls = count_kernel_calls(monkeypatch)
         rows = count_rows_scored(monkeypatch)
-        scored = {}
-        for e_mode in E_MODES:
-            config = ReconstructionConfig(e_mode=e_mode)
-            for seed in range(6):
-                run(instance, SolverConfig(max_iterations=200, seed=seed, recon=config))
-            scored[e_mode] = (dict(rows), dict(calls))
-            for counts in (rows, calls):
-                counts.update(cover=0, combined=0)
+        scored, instance = {}, generate_instance(WARD)
+        for shared in (False, True):
+            for e_mode in E_MODES:
+                config = ReconstructionConfig(e_mode=e_mode)
+                for seed in range(6):
+                    run(instance if shared else generate_instance(WARD),
+                        SolverConfig(max_iterations=200, seed=seed, recon=config))
+                scored[shared, e_mode] = (dict(rows), dict(calls))
+                for counts in (rows, calls):
+                    counts.update(cover=0, combined=0)
         assert scored == {
-            "indicator": ({"cover": 15812, "combined": 14298}, {"cover": 2161, "combined": 1384}),
-            "shortfall": ({"cover": 17160, "combined": 26109}, {"cover": 2294, "combined": 2067}),
+            (False, "indicator"): ({"cover": 15812, "combined": 14298},
+                                   {"cover": 2161, "combined": 1384}),
+            (False, "shortfall"): ({"cover": 17160, "combined": 26109},
+                                   {"cover": 2294, "combined": 2067}),
+            (True, "indicator"): ({"cover": 6143, "combined": 7971},
+                                  {"cover": 772, "combined": 711}),
+            (True, "shortfall"): ({"cover": 6843, "combined": 18165},
+                                  {"cover": 823, "combined": 1392}),
         }
+
+
+def ward_spec(preset: str, seed: int, **recon) -> RunSpec:
+    """A 200-iteration run of the preset, its rule config changed by recon."""
+    spec = preset_spec(preset, 200, seed)
+    config = spec.config
+    return replace(spec, config=replace(config, recon=replace(config.recon, **recon)))
+
+
+def outcome(instance, spec: RunSpec) -> tuple[str, list[int]]:
+    """A run's per-run CSV row and its best roster."""
+    result = execute(instance, spec)
+    return run_csv_row("ward", result), result.best_roster.assignment
+
+
+class TestInstanceMemos:
+    """An instance keeps one PickMemo per set of scoring fields for all its
+    runs.  A pick is pure, so a run must come out the same whatever ran on
+    the instance before."""
+
+    # four sets of scoring fields, each differing from the first in one: the
+    # presets share the first
+    CONFIGS = (("full", {}), ("cover-only", {}), ("combined-only", {}),
+               ("full", {"e_mode": "shortfall"}), ("full", {"w_p": 0.35}),
+               ("full", {"w_grade": (2.5, 0.0, 1.3)}))
+
+    def test_a_used_instance_runs_as_a_fresh_one(self, monkeypatch):
+        targets = [ward_spec(preset, seed, **recon) for preset, recon in self.CONFIGS
+                   for seed in (0, 1)]
+        calls = count_kernel_calls(monkeypatch)
+        fresh = [outcome(generate_instance(WARD), spec) for spec in targets]
+        cold = dict(calls)
+        used = generate_instance(WARD)
+        for preset, recon in self.CONFIGS:  # other seeds
+            for seed in (7, 8):
+                execute(used, ward_spec(preset, seed, **recon))
+        with monkeypatch.context() as patched:  # each dict emptied before every store
+            patched.setattr(reconstruct_module, "MEMO_PICKS_PER_NURSE", 1)
+            for preset, recon in self.CONFIGS:
+                execute(used, ward_spec(preset, 9, **recon))
+        for preset, recon in self.CONFIGS[::-1]:
+            execute(used, ward_spec(preset, 10, **recon))
+        assert len(used.pick_memos) == 4
+        calls.update(cover=0, combined=0)
+        assert [outcome(used, spec) for spec in targets] == fresh
+        # the history answered picks the fresh instances had to compute
+        assert calls["cover"] < cold["cover"] / 2 and calls["combined"] < cold["combined"] / 2
+        cover, combined = (preset_spec(name).config.recon for name in ("cover-only", "combined-only"))
+        assert PickMemo.of(used, cover) is PickMemo.of(used, combined)
+
+    def test_a_replace_copy_starts_with_no_memo(self):
+        instance = generate_instance(WARD)
+        before = outcome(instance, ward_spec("full", 0))
+        copy = replace(instance)
+        assert instance.pick_memos and not copy.pick_memos
+        assert copy == instance and repr(copy) == repr(instance)
+        assert outcome(copy, ward_spec("full", 0)) == before
+
+    def test_a_pooled_batch_after_sequential_runs_gives_their_rows(self):
+        instance, spec = generate_instance(WARD), ward_spec("full", 0)
+
+        def rows(threads):
+            return [run_csv_row("ward", r) for r in run_batch(instance, spec, 4, 0, threads=threads)]
+
+        sequential = rows(1)
+        memo = PickMemo.of(instance, spec.config.recon)
+        # each worker receives the instance, and its memo, pickled
+        carried = PickMemo.of(pickle.loads(pickle.dumps(instance)), spec.config.recon)
+        assert memo_picks(carried, "cover") == memo_picks(memo, "cover")
+        assert memo_picks(carried, "combined") == memo_picks(memo, "combined")
+        assert rows(2) == sequential
+
+
+def test_int_and_float_weights_key_one_memo_and_pick_alike():
+    """Weights spelled as ints and as floats of equal value make one memo
+    key and the same picks on the desk suite."""
+    floats = {"w_p": 1.0, "w_grade": (8.0, 2.0, 1.0)}
+    spellings = [floats, {**floats, "w_p": 1}, {**floats, "w_grade": (8, 2, 1)}]
+    compared = 0
+    for instance in build_desk_suite(8):
+        for e_mode in E_MODES:
+            configs = [ReconstructionConfig(p1=0.4, p2=0.6, e_mode=e_mode, **weights)
+                       for weights in spellings]
+            assert len({PickMemo.of(instance, config) for config in configs}) == 1
+            picks = []
+            for config in configs:
+                copy = replace(instance)
+                for seed in range(3):
+                    run(copy, SolverConfig(max_iterations=300, seed=seed, recon=config))
+                memo = PickMemo.of(copy, config)
+                picks.append((memo_picks(memo, "cover"), memo_picks(memo, "combined")))
+            assert picks[1] == picks[2] == picks[0]
+            compared += len(picks[0][1])
+    assert compared > 100
