@@ -6,12 +6,20 @@ coverage would be lost if it were removed (f2).  Both are rescaled to [0, 1]
 against the minima/maxima over the current schedule only, so the fitness of
 a component is always relative to the schedule it sits in.  A nurse's
 fitness is the one float w1 * f1 + w2 * f2, also in [0, 1].
+
+The costs and the contributions are integers, so each term takes one of
+few values: w1 * f1 is fixed by w1, the cost span and p_max - cost, and
+w2 * f2 by w2, the contribution span and contrib - c_min.  _terms builds
+each such table once per (weight, span) for the process, with the division
+and the multiplication of the definition, and a nurse's fitness is the sum
+of her two entries, the same addition; so every float is the definition's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .model import CoverageState, IncompleteRosterError, Instance, Roster
 
@@ -85,7 +93,10 @@ def component_fitness_all(
     bounds (all equal) pin the corresponding part to 0.5.  The caller passes
     the coverage state, which must match the roster: the solver its run's
     state, anyone else compute_coverage(instance, roster).  The costs and
-    the contributions are read from it.
+    the contributions are read from it.  Each term is looked up in a table
+    of _terms, built with the definition's division and multiplication, and
+    the two are added as the definition adds them, so every float equals
+    the per-nurse loop's (tests/bruteforce.py, fitness_by_definition).
     """
     if not roster.is_complete():
         raise IncompleteRosterError("fitness is only defined for complete rosters")
@@ -93,18 +104,25 @@ def component_fitness_all(
     costs = coverage.costs
     contribs = _contributions(instance, roster, coverage)
 
-    p_min, p_max = min(costs), max(costs)
-    c_min, c_max = min(contribs), max(contribs)
-    p_span = p_max - p_min
-    c_span = c_max - c_min
-    w1, w2 = weights.w1, weights.w2
+    p_max, c_min = max(costs), min(contribs)
+    a = _terms(weights.w1, p_max - min(costs))
+    b = _terms(weights.w2, max(contribs) - c_min)
+    return [a[p_max - cost] + b[contrib - c_min] for cost, contrib in zip(costs, contribs)]
 
-    result = []
-    for cost, contrib in zip(costs, contribs):
-        f1 = (p_max - cost) / p_span if p_span else 0.5
-        f2 = (contrib - c_min) / c_span if c_span else 0.5
-        result.append(w1 * f1 + w2 * f2)
-    return result
+
+# A cost span is at most 100 and a contribution span at most 14 * g, so one
+# pair of weights needs about a hundred tables at the paper's g = 3.
+@lru_cache(maxsize=256)
+def _terms(w: float, span: int) -> tuple[float, ...]:
+    """w * f for every value v = 0..span of a span's numerator, f = v / span.
+
+    f is pinned to 0.5 when the span is 0.  Equal weights share a table,
+    and so may 0 and -0.0, whose products differ only in a zero's sign.
+    That changes no fitness: of w1 and w2 = 1 - w1 at most one is zero, the
+    other's term is never -0.0, and adding a zero of either sign to it
+    gives the same float.
+    """
+    return tuple(w * (v / span if span else 0.5) for v in range(span + 1))
 
 
 def penalized_cost(roster: Roster, weights: EvalWeights, coverage: CoverageState) -> float:

@@ -157,10 +157,12 @@ class Instance:
     PickMemo.of on first use and kept for the instance's lifetime, so that
     every run on the instance with those weights shares one.  A pick is a
     pure function of the instance, the nurse, those fields and the masked
-    coverage its memo key holds, so what ran before changes no pick.  Each
-    memo holds at most n * 2 * MEMO_PICKS_PER_NURSE picks.  The field is left
-    out of equality and repr; a dataclasses.replace copy starts with none,
-    and a pickled copy carries those already made.
+    coverage its memo key holds, so what ran before changes no pick.  A
+    cover pick reads none of those fields, so the memos share one set of
+    cover dicts.  Each memo holds at most n * 2 * MEMO_PICKS_PER_NURSE
+    picks.  The field is left out of equality and repr; a
+    dataclasses.replace copy starts with none, and a pickled copy carries
+    those already made.
     """
 
     patterns: list[tuple[int, ...]]

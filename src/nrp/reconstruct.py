@@ -82,13 +82,18 @@ leaves her keys as they were.  The picks stay the same: every scanned
 pattern works only periods inside her reach, so each popcount and each
 shortfall sum is unchanged; a band whose masked column is empty is
 skipped, which leaves every score's float as it was (see _band_terms); and
-the focus band is still chosen from the unmasked short mask.  The mask
-keys leave out what else a pick reads, the instance and the rule config's
-scoring fields (e_mode, w_p, w_grade), so a memo serves one instance and
-one set of those fields: the instance keeps one memo per set
-(Instance.pick_memos), and PickMemo.of hands it to every run and
-construction pass with those fields, whatever their seed.  p1 and p2 only
-choose the rule, so presets that differ in them alone share a memo.  The
+the focus band is still chosen from the unmasked short mask.  The pick
+loop finds it from per-band masks of the nurse's memo row: the first band
+from hers up whose guard bits meet the short cells is the focus band, and
+the short cells there, kept to her reach and moved down to band 1's bits,
+are the cover key.  The mask keys leave out what else a pick reads, the
+instance and the rule config's scoring fields (e_mode, w_p, w_grade), so a
+memo serves one instance and one set of those fields: the instance keeps
+one memo per set (Instance.pick_memos), and PickMemo.of hands it to every
+run and construction pass with those fields, whatever their seed.  A cover
+pick reads none of those fields, so the memos of one instance share their
+cover dicts.  p1 and p2 only choose the rule, so presets that differ in
+them alone share a memo.  The
 states recur across seeds, so a run on an instance that has run before
 finds many of its picks made.  New states keep arriving, so a nurse's dict
 is emptied once it holds MEMO_PICKS_PER_NURSE entries; since a pick is
@@ -305,50 +310,67 @@ class PickMemo:
     A pick depends only on the nurse and on what the rule reads of the
     coverage, so the memo maps exactly that to the chosen pattern.  It keeps
     one row per nurse, nurses[i] = (nurse, shift, works, cells, pref_cost,
-    cover, combined, scan): her band offset (grade - 1) * band_span, her
-    reach moved down by it, her row of Instance.nurse_cells, her costs, two
-    dicts keyed by a mask int alone, and scan, what a memo miss scans: her
-    cover ids, their pattern bits, her combined rows and her longest, from
-    Instance.cover_scan, combined_scan and longest, so that a miss reads no
-    table's name, a read CPython does not specialise (see Instance).  cover
-    maps her focus-band short mask and combined her _band_state, both
-    masked to works, the cells she can work (Instance.reach).  Her patterns
-    fill no other cell, so one key serves every coverage that differs only
-    outside them.  The keys leave out the instance and the scoring fields,
-    so a memo serves only the instance it was made for and one set of those
-    fields: PickMemo.of keeps one per set on the instance, for every run
-    with them.  A new PickMemo(instance) holds no pick yet, so any one
-    config may use it.  A dict that has reached MEMO_PICKS_PER_NURSE
-    entries is emptied before the next one is stored.  reconstruct reads
-    one row per freed nurse, subtracts the pick's cells from its local
-    residual and adds the pick's cost, and writes both back once per call
-    without calling CoverageState.add.  layout holds what every call reads
-    of the packed layout, built once per memo: (band_span, the band mask
-    (1 << band_span) - 1, low_bits, guard_bits, and field_width - 1, the
-    shift from a guard bit to its low bit).
+    cover, combined, bands, scan): her band offset (grade - 1) * band_span,
+    her reach moved down by it, her row of Instance.nurse_cells, her costs,
+    two dicts keyed by a mask int alone, bands, and scan, what a memo miss
+    scans: her cover ids, their pattern bits, her combined rows and her
+    longest, from Instance.cover_scan, combined_scan and longest, so that a
+    miss reads no table's name, a read CPython does not specialise (see
+    Instance).  scan stays last; tests/test_kernel.py reads it as row[-1].
+    bands holds, for each band from her grade up, lowest first, (the band's
+    guard bits, those of them in her reach, the band's offset s *
+    band_span).  cover maps her focus-band short mask and combined her
+    _band_state, both masked to works, the cells she can work
+    (Instance.reach).  reconstruct finds the cover key from bands: the
+    first band whose guard bits meet the short mask is her focus band, and
+    the key is the short mask kept to her reach there, shifted down by the
+    band's offset, or 0 when no band meets it; that is _focus_mask & works,
+    since her reach is the same periods in every band she serves.  Her
+    patterns fill no other cell, so one key serves every coverage that
+    differs only outside them.  The keys leave out the instance and the
+    scoring fields, so a memo serves only the instance it was made for and
+    one set of those fields: PickMemo.of keeps one per set on the instance,
+    for every run with them.  A cover pick reads none of the scoring
+    fields, so a memo made with covers, another memo of the instance,
+    shares its cover dicts.  A new PickMemo(instance) holds no pick yet, so
+    any one config may use it.  A dict that has reached
+    MEMO_PICKS_PER_NURSE entries is emptied before the next one is stored.
+    reconstruct reads one row per freed nurse, subtracts the pick's cells
+    from its local residual and adds the pick's cost, and writes both back
+    once per call without calling CoverageState.add.  layout holds what
+    every call reads of the packed layout, built once per memo: (low_bits,
+    guard_bits, and field_width - 1, the shift from a guard bit to its low
+    bit).
     """
 
     __slots__ = ("nurses", "layout")
 
-    def __init__(self, instance: Instance) -> None:
+    def __init__(self, instance: Instance, covers: PickMemo | None = None) -> None:
         span, self.nurses = instance.band_span, []
+        guards = [(instance.guard_bits & ((1 << span) - 1) << at, at)
+                  for at in range(0, instance.g * span, span)]
         tables = zip(instance.nurses, instance.reach, instance.nurse_cells, instance.cover_scan,
                      instance.combined_scan, instance.longest)
         for nurse, reach, cells, cover, rows, longest in tables:
             shift, scan = (nurse.grade - 1) * span, (*cover, rows, longest)
-            self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost, {}, {}, scan))
-        self.layout = (
-            span, (1 << span) - 1, instance.low_bits, instance.guard_bits,
-            instance.field_width - 1,
-        )
+            bands = tuple((guard, guard & reach, at) for guard, at in guards[nurse.grade - 1:])
+            cover_picks = {} if covers is None else covers.nurses[nurse.id][5]  # her cover dict
+            self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost,
+                                cover_picks, {}, bands, scan))
+        self.layout = instance.low_bits, instance.guard_bits, instance.field_width - 1
 
     @classmethod
     def of(cls, instance: Instance, config: ReconstructionConfig) -> PickMemo:
-        """The instance's memo for config's scoring fields, made on first use."""
+        """The instance's memo for config's scoring fields, made on first use.
+
+        A new memo shares the cover dicts of one the instance already
+        holds, since a cover pick reads none of those fields.
+        """
         key = config.e_mode, config.w_p, config.w_grade
         memo = instance.pick_memos.get(key)
         if memo is None:
-            memo = instance.pick_memos[key] = cls(instance)
+            covers = next(iter(instance.pick_memos.values()), None)
+            memo = instance.pick_memos[key] = cls(instance, covers)
         return memo
 
 
@@ -378,20 +400,24 @@ def reconstruct(
     assignment = result.assignment
     free = [i for i, j in enumerate(assignment) if j is None]
     rows = memo.nurses
-    span, band, low_bits, guard_bits, guard_shift = memo.layout
+    low_bits, guard_bits, guard_shift = memo.layout
     p1, p12 = config.p1, config.p1 + config.p2
     indicator = config.e_mode == "indicator"
     # the picks go on local copies, written back once after the loop
     rest, cost, costs = coverage.rest, coverage.cost, coverage.costs
 
     for i in free:
-        nurse, shift, works, cells, prices, cover_picks, combined_picks, scan = rows[i]
+        nurse, shift, works, cells, prices, cover_picks, combined_picks, bands, scan = rows[i]
         u = rng.random()
         if u < p1:
-            # _focus_mask inline: the band of the lowest short cell she serves
-            short = (rest & guard_bits) >> shift
-            if short:
-                short = short >> ((short & -short).bit_length() - 1) // span * span & band & works
+            # _focus_mask inline: the first band she serves with a short cell
+            short = rest & guard_bits
+            for guard, mine, at in bands:
+                if short & guard:
+                    short = (short & mine) >> at
+                    break
+            else:
+                short = 0
             choice = cover_picks.get(short)
             if choice is None:
                 if len(cover_picks) >= MEMO_PICKS_PER_NURSE:

@@ -221,6 +221,31 @@ def contribution_by_removal(
     return total
 
 
+def fitness_by_definition(instance: Instance, roster: Roster, weights) -> list[float]:
+    """w1 * f1 + w2 * f2 per nurse of a complete roster, one float at a time.
+
+    Costs come from pref_cost and contributions from contribution_by_removal;
+    the loop is the per-nurse one component_fitness_all ran before its term
+    tables, so its floats are the ones the tables must give bit for bit.
+    """
+    costs = [instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment)]
+    covered = coverage_matrix(instance, roster)
+    contribs = [contribution_by_removal(instance, roster, i, covered) for i in range(instance.n)]
+
+    p_min, p_max = min(costs), max(costs)
+    c_min, c_max = min(contribs), max(contribs)
+    p_span = p_max - p_min
+    c_span = c_max - c_min
+    w1, w2 = weights.w1, weights.w2
+
+    result = []
+    for cost, contrib in zip(costs, contribs):
+        f1 = (p_max - cost) / p_span if p_span else 0.5
+        f2 = (contrib - c_min) / c_span if c_span else 0.5
+        result.append(w1 * f1 + w2 * f2)
+    return result
+
+
 def shortfall_matrix(instance: Instance, roster: Roster) -> list[list[int]]:
     covered = coverage_matrix(instance, roster)
     return [

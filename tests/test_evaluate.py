@@ -6,6 +6,7 @@ import pytest
 from nrp.evaluate import (
     EvalWeights,
     _contributions,
+    _terms,
     component_fitness_all,
     coverage_contribution,
     penalized_cost,
@@ -19,7 +20,12 @@ from nrp.model import (
     preference_cost,
 )
 
-from bruteforce import contribution_by_removal, coverage_matrix, penalized_cost_by_definition
+from bruteforce import (
+    contribution_by_removal,
+    coverage_matrix,
+    fitness_by_definition,
+    penalized_cost_by_definition,
+)
 from conftest import demand_rows, field_maximum_instance, flat_demand, make_instance
 
 
@@ -233,6 +239,47 @@ class TestComponentFitness:
                     assert kept == fitness(inst, roster, weights)
                     assert penalized_cost(roster, weights, state) == (
                         penalized_cost_by_definition(inst, roster, weights))
+
+    # 0 and -0.0, and 1 and 1.0, key the same term tables
+    W1S = (0, -0.0, 0.25, 0.5, 1, 1.0)
+
+    def fitness_cases(self):
+        """Complete rosters at g = 1-6, then rosters whose costs are all
+        equal, whose contributions are all equal, and of one nurse."""
+        rng = random.Random(47)
+        for trial in range(60):
+            inst = generate_instance(GeneratorParams(
+                n=rng.randint(1, 9), m=rng.randint(4, 40), g=1 + trial % 6,
+                tightness=rng.uniform(0.3, 1.0), seed=4700 + trial))
+            yield inst, Roster([rng.choice(n.feasible) for n in inst.nurses])
+        patterns = [(0, 1, 2), (3,), (1, 4, 5, 6)]
+        same_cost = [Nurse(i, 1, {i: 7}) for i in range(3)]
+        yield make_instance(patterns, same_cost, flat_demand(1, 1)), Roster([0, 1, 2])
+        priced = [Nurse(i, 1, {i: 30 * i + 1}) for i in range(3)]
+        yield make_instance(patterns, priced, flat_demand(1)), Roster([0, 1, 2])
+        for cost in (0, 55):
+            yield make_instance(patterns, [Nurse(0, 1, {2: cost})], flat_demand(2, 1)), Roster([2])
+
+    def test_tables_give_the_definitions_floats_bit_for_bit(self):
+        """Every fitness float equals the per-nurse loop's, compared by
+        float.hex so that a zero's sign counts too, with the term tables
+        built in either order of the weights."""
+        spans = set()
+        for order in (self.W1S, self.W1S[::-1]):
+            _terms.cache_clear()
+            for inst, roster in self.fitness_cases():
+                state = compute_coverage(inst, roster)
+                for w1 in order:
+                    weights = EvalWeights(w1=w1)
+                    got = component_fitness_all(inst, roster, weights, state)
+                    want = fitness_by_definition(inst, roster, weights)
+                    assert list(map(float.hex, got)) == list(map(float.hex, want)), (inst, w1)
+                contribs = _contributions(inst, roster, state)
+                spans.add((inst.n == 1, max(state.costs) - min(state.costs) > 0,
+                           max(contribs) - min(contribs) > 0))
+        # one nurse, either span degenerate and both spans wide all occur
+        assert spans >= {(True, False, False), (False, False, True), (False, True, False),
+                         (False, True, True)}
 
     def test_pure_function_repeats_bit_for_bit(self, week_instance):
         roster = Roster([0, 1, 2])

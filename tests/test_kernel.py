@@ -10,10 +10,12 @@ against the shortfall matrix recomputed from the roster, and each nurse's
 scan lists (the feasible patterns the argmax scans) against a pairwise
 filter, the combined list in its (cost, feasible position) order.  Each
 nurse's reach is checked against her whole feasible list, and the masks kept
-to it, as the pick memo keys them, against the unmasked ones.  The scans'
-early stops, capped by each nurse's longest pattern, are checked on
-hand-built ties and stops and, over random states, empty rosters and
-weights that overflow to inf, against the first argmax of the whole list.
+to it, as the pick memo keys them, against the unmasked ones; the cover key
+reconstruct finds from a memo row's per-band masks is checked against the
+focus mask kept to her reach.  The scans' early stops, capped by each
+nurse's longest pattern, are checked on hand-built ties and stops and, over
+random states, empty rosters and weights that overflow to inf, against the
+first argmax of the whole list.
 """
 
 from __future__ import annotations
@@ -412,11 +414,49 @@ def test_reach_is_the_union_over_the_whole_feasible_list():
     assert worked[3] == [7, 8, 9, 10, 11, 12]
 
 
+COVER_ONLY = ReconstructionConfig(p1=1.0, p2=0.0)
+
+
+def cover_keys(instance, roster) -> list[tuple[int, int, int]]:
+    """(focus band, key, key by definition) for every nurse, each freed in
+    turn from the roster, at every freed nurse's turn of reconstruct.
+
+    The key is the one reconstruct filed her cover pick under in a new
+    memo, found from her row's per-band masks; by definition it is
+    _focus_mask, on the coverage of her turn, kept to her reach.  The focus
+    band counts from her own, 0, and is None when no band she serves is
+    short.
+    """
+    span, found = instance.band_span, []
+    for i in range(instance.n):
+        before = roster.assignment.copy()
+        before[i] = None
+        memo = PickMemo(instance)
+        after = repair(instance, Roster(before), COVER_ONLY, random.Random(0), memo=memo).assignment
+        turn = before.copy()
+        for k in (k for k, j in enumerate(before) if j is None):
+            nurse, coverage = instance.nurses[k], compute_coverage(instance, Roster(turn))
+            short = coverage.short_mask() >> (nurse.grade - 1) * span
+            focus = ((short & -short).bit_length() - 1) // span if short else None
+            (key, pick), = memo.nurses[k][5].items()
+            assert pick == after[k]
+            works = instance.reach[k] >> (nurse.grade - 1) * span
+            found.append((focus, key, _focus_mask(instance, coverage, nurse) & works))
+            turn[k] = after[k]
+    return found
+
+
 def test_reach_mask_keeps_every_pick():
     """The rules' masks kept to a nurse's reach, as reconstruct keys its
-    memo, give the same picks and scores as the unmasked ones."""
+    memo, give the same picks and scores as the unmasked ones, and the
+    cover key reconstruct finds from its per-band masks is the focus mask
+    kept to her reach."""
     masked_cover = masked_combined = 0
+    focus_bands = {}
     for rng, instance, roster in reach_cases():
+        for focus, key, by_definition in cover_keys(instance, roster):
+            assert key == by_definition
+            focus_bands[focus] = focus_bands.get(focus, 0) + 1
         coverage = compute_coverage(instance, roster)
         weights = random_weights(rng, instance.g)
         for nurse in instance.nurses:
@@ -443,6 +483,8 @@ def test_reach_mask_keeps_every_pick():
                     _argmax_combined(instance, config, state, nurse)
                 )
     assert masked_cover > 500 and masked_combined > 1000, (masked_cover, masked_combined)
+    # keys from her own band, from each of the next four, and none
+    assert all(focus_bands.get(b, 0) >= 5 for b in (None, 0, 1, 2, 3, 4)), focus_bands
 
 
 def test_a_dearer_earlier_pattern_wins_a_tie_with_a_cheaper_later_one():

@@ -708,11 +708,13 @@ class TestReachKeys:
     def test_ward_runs_score_the_pinned_rows(self, monkeypatch):
         """The six runs above, in both e-modes, each on an instance of its
         own and then all twelve on one instance, which keeps a memo per
-        e-mode.  Before the scans capped their stops at the nurse's longest
-        pattern, the runs on instances of their own scored 27,336 cover and
-        18,223 combined rows in indicator mode, and 29,620 and 36,635 in
-        shortfall mode; the kernel calls, the memo's misses, are the same
-        either way."""
+        e-mode.  The shortfall memo there shares the indicator memo's cover
+        picks, which read no scoring field; with cover dicts of its own it
+        made 823 cover kernel calls and scored 6,843 cover rows.  Before the
+        scans capped their stops at the nurse's longest pattern, the runs on
+        instances of their own scored 27,336 cover and 18,223 combined rows
+        in indicator mode, and 29,620 and 36,635 in shortfall mode; the
+        kernel calls, the memo's misses, are the same either way."""
         calls = count_kernel_calls(monkeypatch)
         rows = count_rows_scored(monkeypatch)
         scored, instance = {}, generate_instance(WARD)
@@ -732,8 +734,8 @@ class TestReachKeys:
                                    {"cover": 2294, "combined": 2067}),
             (True, "indicator"): ({"cover": 6143, "combined": 7971},
                                   {"cover": 772, "combined": 711}),
-            (True, "shortfall"): ({"cover": 6843, "combined": 18165},
-                                  {"cover": 823, "combined": 1392}),
+            (True, "shortfall"): ({"cover": 2493, "combined": 18165},
+                                  {"cover": 245, "combined": 1392}),
         }
 
 
@@ -778,6 +780,9 @@ class TestInstanceMemos:
         for preset, recon in self.CONFIGS[::-1]:
             execute(used, ward_spec(preset, 10, **recon))
         assert len(used.pick_memos) == 4
+        # a cover pick reads no scoring field, so the four memos share one cover dict a nurse
+        assert len({id(d) for memo in used.pick_memos.values()
+                    for d in memo_dicts(memo, "cover")}) == used.n
         calls.update(cover=0, combined=0)
         assert [outcome(used, spec) for spec in targets] == fresh
         # the history answered picks the fresh instances had to compute

@@ -3,12 +3,14 @@
     python3 tools/pythons.py PYTHON [PYTHON ...]
 
 Each PYTHON, a path or a command name, runs tests/test_golden.py,
-tests/test_replay.py and tests/test_oracle_pin.py through `-m pytest`, with
-this tree's src first on PYTHONPATH, ahead of any inherited entries.  These
-tests pin generated instances, solver runs, CSV tables and oracle results
-byte for byte, so they pass under an interpreter only if it draws, sums and
-prints exactly as the one that recorded them.  One line per interpreter
-reads `passed` or `failed` with pytest's summary, or `could not run` with
+tests/test_replay.py, tests/test_oracle_pin.py and the fitness test that
+compares component_fitness_all with its per-nurse definition through
+`-m pytest`, with this tree's src first on PYTHONPATH, ahead of any
+inherited entries.  These tests pin generated instances, solver runs, CSV
+tables, oracle results and fitness floats byte for byte, so they pass under
+an interpreter only if it draws, sums and prints exactly as the one that
+recorded them.  One line per interpreter reads `passed` or `failed` with
+pytest's summary, or `could not run` with
 the reason: no such interpreter; the first line it printed on stderr when
 it could not start, such as a pyenv shim's `command not found` for a
 version that is not active; or the last line of the error when it starts
@@ -25,7 +27,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_golden.py", "tests/test_replay.py", "tests/test_oracle_pin.py")
+TESTS = ("tests/test_golden.py", "tests/test_replay.py", "tests/test_oracle_pin.py",
+         "tests/test_evaluate.py::TestComponentFitness::test_tables_give_the_definitions_floats_bit_for_bit")
 
 
 def _line(text: str, index: int = -1) -> str:
