@@ -104,9 +104,9 @@ def run_batch(
     from concurrent.futures import ProcessPoolExecutor
 
     # each worker receives the instance once, through the pool's initializer,
-    # and each task only its RunSpec; any read builds all five search tables,
-    # so read one here and no worker builds its own
-    instance.reach
+    # and each task only its RunSpec; build the search tables here, so that
+    # no worker builds its own
+    instance.search_tables()
     with ProcessPoolExecutor(threads, initializer=_keep, initargs=(instance,)) as pool:
         return list(pool.map(_execute_kept, specs))
 

@@ -60,29 +60,6 @@ class Nurse:
                 )
 
 
-class _SearchTable:
-    """One of Instance's five search tables, built on first read.
-
-    The first read of any of the five calls Instance._build_search_tables,
-    which stores all five with setattr; later reads find the plain
-    attribute first, since the descriptor defines no __set__.  It does not
-    store into the instance's __dict__ itself, as the standard library's
-    cached property does: on CPython 3.11 and 3.12 reading that __dict__
-    turns the instance's inline attribute values into a dict, and every
-    later read of any attribute of the instance then takes about twice as
-    long.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        instance._build_search_tables()
-        return getattr(instance, self.name)
-
-
 @dataclass
 class Instance:
     """A full rostering problem instance.
@@ -116,27 +93,31 @@ class Instance:
     solver's components read demand_bits; every other reader starts from a
     residual.
 
-    The five search tables below, supersets, cover_scan, combined_scan,
-    reach and longest, are built together, in one pass, the first time a
-    run, a pick or a proof reads any of them, and then kept on the instance
-    as plain attributes (_SearchTable).  An instance that is only
-    serialized, and a dataclasses.replace copy, hold none of them until one
-    is read; a pickled copy carries those already built.  A read of a
-    table's name is not specialised by CPython and costs about twice a
-    plain attribute's, so a loop over nurses takes the table into a local
-    first.
+    search_tables() returns the instance's search tables, (supersets,
+    scans, reach).  Its first call, by a run, a pick or a proof, builds all
+    three in one pass, and the field _search_tables keeps them for the
+    instance's lifetime; the field is left out of equality and repr.  An
+    instance that is only serialized, and a dataclasses.replace copy, hold
+    none until the method is called; a pickled copy carries them if built.
 
-    cover_scan[i] is the (ids, pattern bits) the cover rule scans for nurse
-    i, in feasible order, and combined_scan[i] the (cost, position in her
-    feasible list, id, pattern bits) rows the combined rule scans, cheapest
-    first and, at equal cost, in feasible order.  The cover list leaves out
-    a pattern when an earlier feasible pattern works all of its periods:
-    that one fills every short cell it fills, wins the ties, and so the
-    later pattern is never the first maximum.  The combined score also
-    rewards a low cost, so its list leaves a pattern out only when such an
-    earlier superset costs no more; with non-negative weights it then
+    scans[i] is nurse i's (cover ids, cover bits, combined rows, longest),
+    the tuple the reconstruction scans unpack.  The cover ids are the
+    patterns the cover rule scans for her, in feasible order, and the cover
+    bits their pattern bits; the combined rows are the (cost, position in
+    her feasible list, id, pattern bits) rows the combined rule scans,
+    cheapest first and, at equal cost, in feasible order.  The cover list
+    leaves out a pattern when an earlier feasible pattern works all of its
+    periods: that one fills every short cell it fills, wins the ties, and
+    so the later pattern is never the first maximum.  The combined score
+    also rewards a low cost, so its list leaves a pattern out only when such
+    an earlier superset costs no more; with non-negative weights it then
     scores at least as much (see the reconstruct module).  The exact solver
-    takes its cost-ordered search lists from combined_scan too.
+    takes its cost-ordered search lists from the combined rows too.  longest
+    is the most periods any pattern of her feasible list works.  It is also
+    the longest pattern of both her scan lists, since a pattern leaves a
+    list only for an earlier superset, which works at least as many
+    periods; no pattern fills more short cells than that in a band, so the
+    reconstruction scans cap their stopping bounds with it.
     supersets[j] is the set, as a bitset over pattern ids, of the patterns
     that work every period j works (j among them): the one superset test
     of the scan lists and of the exact solver's dominated patterns.
@@ -145,12 +126,7 @@ class Instance:
     grade serves.  It is the union of her cover list's patterns, because a
     pattern leaves that list only for an earlier one working all its
     periods.  Reconstruction masks its memo keys with it and the exact
-    solver finds its components with it.  longest[i] is the most periods
-    any pattern of her feasible list works.  It is also the longest pattern
-    of both her scan lists, since a pattern leaves a list only for an
-    earlier superset, which works at least as many periods; no pattern
-    fills more short cells than that in a band, so the reconstruction
-    scans cap their stopping bounds with it.
+    solver finds its components with it.
 
     pick_memos maps the scoring fields of a ReconstructionConfig, (e_mode,
     w_p, w_grade), to the reconstruction's PickMemo for them, made by
@@ -179,6 +155,7 @@ class Instance:
     demand_bits: int = field(init=False, repr=False, compare=False)
     pattern_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
     nurse_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _search_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     pick_memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -228,17 +205,17 @@ class Instance:
         rows = [tuple(c * copies for c in cells) for copies in spread]
         self.nurse_cells = tuple(rows[nurse.grade - 1] for nurse in self.nurses)
 
-    supersets, cover_scan, combined_scan, reach, longest = (_SearchTable() for _ in range(5))
-
-    def _build_search_tables(self) -> None:
-        """Build the five search tables and store them on the instance.
+    def search_tables(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[int, ...]]:
+        """(supersets, scans, reach), built on the first call and then kept.
 
         Walking a nurse's feasible list with seen the ids already walked, j
         is left out of her cover list iff supersets[j] & seen is nonzero,
         and out of her combined list iff one of those earlier supersets also
         costs no more than j.  The combined rows are then sorted by (cost,
-        position).  reach and longest are read off her cover list.
+        position).  Her reach and longest are read off her cover list.
         """
+        if self._search_tables is not None:
+            return self._search_tables
         workers = [0] * N_PERIODS
         for j, periods in enumerate(self.patterns):
             for k in periods:
@@ -247,7 +224,7 @@ class Instance:
                     for periods in self.patterns)
         pattern_bits = self.pattern_bits
         fields = (1 << self.field_width) - 1  # low bits times this fill their fields
-        cover, combined, reach, longest = [], [], [], []
+        scans, reach = [], []
         for nurse, cells in zip(self.nurses, self.nurse_cells):
             costs = nurse.pref_cost
             seen, cover_ids, rows = 0, [], []
@@ -263,13 +240,12 @@ class Instance:
                 if not earlier:
                     rows.append((cost, position, j, pattern_bits[j]))
             cover_bits = tuple(pattern_bits[j] for j in cover_ids)
-            cover.append((tuple(cover_ids), cover_bits))
-            # (cost, position) is unique, so this is the stable sort by cost
-            combined.append(tuple(sorted(rows)))
+            # (cost, position) is unique, so sorted is the stable sort by cost
+            scans.append((tuple(cover_ids), cover_bits, tuple(sorted(rows)),
+                          max(map(int.bit_count, cover_bits))))
             reach.append(reduce(or_, map(cells.__getitem__, cover_ids)) * fields)
-            longest.append(max(map(int.bit_count, cover_bits)))
-        self.supersets, self.cover_scan, self.combined_scan = sup, tuple(cover), tuple(combined)
-        self.reach, self.longest = tuple(reach), tuple(longest)
+        self._search_tables = sup, tuple(scans), tuple(reach)
+        return self._search_tables
 
 
 @dataclass(slots=True)
@@ -338,8 +314,12 @@ class CoverageState:
     build no state of their own: the caller passes one that matches the
     roster, the solver its run's state and any other caller the one
     compute_coverage(instance, roster) returns.  The shortfall has no
-    running total: total_shortfall() adds up the level masks until one is
-    empty.  There is no per-cell view: rest fixes every count and every
+    running total: total_shortfall() reads the packed shortfall one bit
+    plane at a time, 2**k for each field whose bit k is set, over the w - 1
+    bits the width rule leaves a shortfall, so its cost grows with the
+    field width, not with the demand.  (The shortfall e-mode's band terms,
+    reconstruct._band_terms, still build one level mask per unit of
+    shortfall.)  There is no per-cell view: rest fixes every count and every
     shortfall, so check() compares the whole state, rest, costs and cost,
     with a recount of a roster.
     """
@@ -354,12 +334,10 @@ class CoverageState:
         self.cost = 0
 
     def total_shortfall(self) -> int:
-        """The shortfall summed over every cell: level t's count, summed over t >= 1."""
-        guard_bits, low_bits = self.instance.guard_bits, self.instance.low_bits
-        rest, total = self.shortfall_bits() | guard_bits, 0
-        while (rest := rest - low_bits) & guard_bits:  # the level mask of the next t
-            total += (rest & guard_bits).bit_count()
-        return total
+        """The shortfall summed over every cell: bit plane k's count times 2**k."""
+        short, low_bits = self.shortfall_bits(), self.instance.low_bits
+        return sum((short >> k & low_bits).bit_count() << k
+                   for k in range(self.instance.field_width - 1))
 
     def short_mask(self) -> int:
         """Cells still short, guard bit set iff covered < demand."""

@@ -7,26 +7,28 @@ incumbent is replaced only by a strictly cheaper roster.
 Components.  Two nurses are joined when both can work some demanded cell
 (period, band): demand above 0, a grade that serves the band and a
 feasible pattern working the period.  Taking the nurses in id order, each
-one merges with every group whose packed reach (Instance.reach) shares a
-demanded cell with hers.  Each component is searched on its own, over its
-nurses in id order, against the demand of its own cells only; the rosters
-are stitched together and their costs added.  A generated instance draws
-every nurse's patterns from days or from nights, so its two halves are
-searched apart instead of multiplying each other's trees.  A demanded cell
+one merges with every group whose packed reach (Instance.search_tables())
+shares a demanded cell with hers.  Each component is searched on its own,
+over its nurses in id order, against the demand of its own cells only; the
+rosters are stitched together and their costs added.  A generated instance
+draws every nurse's patterns from days or from nights, so its two halves
+are searched apart instead of multiplying each other's trees.  A demanded cell
 no nurse can work makes the instance infeasible before any search.  One
 node budget and one set of counters cover all components, and exact_solve
 alone decides the status.
 
 Dominated patterns.  A nurse's pattern is left out of her cost-ordered
 list when an earlier entry of that list works every period it works
-(Instance.supersets): that entry costs no more and covers at least as much.
-The list walks her combined_scan rows, already in cost order.  Each pattern
-they lack has a superset among them earlier in cost order, so the filter
-keeps the same patterns as over her whole feasible list.
+(the supersets of Instance.search_tables()): that entry costs no more and
+covers at least as much.  The list walks her combined rows, already in cost
+order.  Each pattern they lack has a superset among them earlier in cost
+order, so the filter keeps the same patterns as over her whole feasible
+list.
 
-One backward sweep over a component's nurses builds four per-depth tables
-once: each nurse's patterns in search order, and three tables from which
-the search takes two sound bounds to cut a branch:
+One backward sweep over a component's nurses builds one step record per
+depth, once: the nurse's patterns in search order, and three figures of
+the depth below, from which the search takes two sound bounds to cut a
+branch:
 
 * Coverage.  A cell (period, band) still short by more than the number of
   remaining nurses who could work it can never be covered.
@@ -53,14 +55,14 @@ the distinct extras of every band, highest first, stopping at the first one
 whose cells, as guard bits, meet the residual.  Every cut of a child runs
 in its parent's pattern loop, so only a child that passes them all costs a
 call: its coverage cut and the leaf test are one test, then comes its cost
-cut.  The root's coverage cut runs before its search, and the root needs no
-cost cut, because each component starts with the incumbent at infinity.
-Each depth reads one step record, built once per component: its patterns,
-and the cost to go, the counts and the extras of the depth below it.
-The search is a closure that calls itself; exact_solve breaks that
-reference cycle before it returns, so the search state, step records
-included, is freed when exact_solve returns, not left to the cyclic
-collector.
+cut.  The root's coverage cut runs before its search, against the root's
+counts, and the root needs no cost cut, because each component starts with
+the incumbent at infinity.  Each depth reads its step record alone: its
+patterns, and the cost to go, the counts and the extras of the depth below
+it, where extras of None mark the last depth.  The search is a closure that
+calls itself; exact_solve breaks that reference cycle before it returns, so
+the search state, step records included, is freed when exact_solve
+returns, not left to the cyclic collector.
 
 Why the roster is the one an undivided, unpruned search returns.  Both
 bounds only remove subtrees that hold no roster strictly cheaper than the
@@ -132,7 +134,7 @@ def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
     width = instance.field_width
     demanded = ((instance.demand_bits - instance.low_bits) & instance.guard_bits) >> (width - 1)
     groups: list[tuple[list[int], int]] = []  # (ids, the union of their reach)
-    for i, mine in enumerate(instance.reach):
+    for i, mine in enumerate(instance.search_tables()[2]):
         ids, fields, apart = [i], mine, []
         for other_ids, other in groups:
             if other & mine & demanded:
@@ -149,52 +151,50 @@ def _components(instance: Instance) -> tuple[list[tuple[list[int], int]], int]:
     return components, demanded & ~workable
 
 
-def _tables(
-    instance: Instance, ids: list[int]
-) -> tuple[list[list[tuple[int, int, int]]], list[int], list[int], list[list[tuple[int, int]]]]:
-    """The per-depth tables of the search over nurses ids, built in one
-    backward sweep.  Depth d is nurse ids[d].
+def _tables(instance: Instance, ids: list[int]) -> tuple[list[tuple], int]:
+    """The search's step records over nurses ids, built in one backward
+    sweep, and the counts of the root.  Depth d is nurse ids[d].
 
-    choices[d] lists nurse ids[d]'s (pattern, its cost, its packed cells) in
+    steps[d] = (patterns, later, below, after) is what depth d reads:
+
+    patterns lists nurse ids[d]'s (pattern, its cost, its packed cells) in
     search order, without her dominated patterns (see the module docstring).
 
-    to_go[d] is the sum of the cheapest pattern cost of nurses ids[d:].
+    later is the sum of the cheapest pattern cost of nurses ids[d + 1:].
 
-    avail[d] packs, per cell (period, band), the count of nurses ids[d:]
-    qualified for the band with a pattern working the period, and
-    avail[len(ids)] is 0.  At depth d the search's residual rest holds
-    nurses ids[:d] only, so avail + covered <= n < 2**(w-1) in every field
-    and, by CoverageState's width rule, rest - avail[d] cannot borrow: a
-    cell's guard bit is set iff the cell is short by more than avail, a
-    cell no completion covers; past the last depth, iff it is short.
+    below packs, per cell (period, band), the count of nurses ids[d + 1:]
+    qualified for the band with a pattern working the period; the second
+    value returned is that count over all of ids, the root's.  Once nurse
+    ids[d] has a pattern the search's residual holds nurses ids[:d + 1]
+    only, so below + covered <= n < 2**(w-1) in every field and, by
+    CoverageState's width rule, the residual minus below cannot borrow: a
+    cell's guard bit is set iff the cell is short by more than below, a
+    cell no completion covers; at the last depth, where below is 0, iff it
+    is short.  The root's counts test the component's top the same way.
 
-    extra[d] pairs each positive cost with the guard bits of the cells, in
-    any band, that force it, highest cost first.  A cell's cost is the least
-    any of nurses ids[d:] qualified for its band pays above her cheapest
-    pattern to work its period.  Cells no remaining nurse can work are left
-    out: the coverage cut settles them before the extras are read.
+    after pairs each positive cost with the guard bits of the cells, in any
+    band, that force it, highest cost first, or is None at the last depth,
+    which marks a leaf.  A cell's cost is the least any of nurses ids[d +
+    1:] qualified for its band pays above her cheapest pattern to work its
+    period.  Cells no such nurse can work are left out: the coverage cut
+    settles them before the extras are read.
 
     The sweep walks each nurse's kept patterns cheapest first.  The cells a
     pattern works that her cheaper kept ones do not are those it is her
     cheapest cover of, at its extra.  Each of them whose least extra so
     falls leaves its dearer bucket for the bucket at that extra or, at extra
     0, for a mask kept apart from the list.  Each fall builds a new list, so
-    extra[d], the list as it stood after nurse ids[d], is shared with the
-    depths above it until the next fall; no depth sorts or copies it.
+    the list as it stood after a nurse is shared with the records above it
+    until the next fall; no depth sorts or copies it.
     """
-    size, shift, supersets = len(ids), instance.field_width - 1, instance.supersets
-    # a table's name is a descriptor's (Instance): read once per component, not per nurse
-    scans, reach = instance.combined_scan, instance.reach
-    choices: list[list[tuple[int, int, int]]] = [[]] * size
-    to_go, avail = [0] * (size + 1), [0] * (size + 1)
-    extra: list[list[tuple[int, int]]] = [[]] * size
-    free, buckets = 0, []  # the cells at least extra 0; the others' (extra, bits)
-    for d in range(size - 1, -1, -1):
-        i = ids[d]
-        rows, cells = scans[i], instance.nurse_cells[i]
-        cheapest = rows[0][0]
-        to_go[d] = to_go[d + 1] + cheapest
-        choices[d] = mine = []
+    supersets, scans, reach = instance.search_tables()
+    shift, steps = instance.field_width - 1, []
+    later = counts = 0  # of the nurses below the one walked
+    after, free, buckets = None, 0, []  # the cells at least extra 0; the others' (extra, bits)
+    for i in reversed(ids):
+        rows, cells = scans[i][2], instance.nurse_cells[i]
+        cheapest, mine = rows[0][0], []
+        steps.append((mine, later, counts, after))
         seen = worked = 0  # the ids walked, and the cells her kept patterns work
         for price, _, j, _ in rows:
             if not supersets[j] & seen:
@@ -218,12 +218,12 @@ def _tables(
                             merged.append((more, new))
                         else:
                             free |= new
-                        buckets = merged + buckets[at:]  # a new list: extra[d + 1] keeps the old
+                        buckets = merged + buckets[at:]  # a new list: records below keep the old
             seen |= 1 << j
         # a dominated pattern works no period its kept superset does not
-        avail[d] = avail[d + 1] + (reach[i] & instance.low_bits)
-        extra[d] = buckets
-    return choices, to_go, avail, extra
+        later, counts, after = later + cheapest, counts + (reach[i] & instance.low_bits), buckets
+    steps.reverse()
+    return steps, counts
 
 
 class _OutOfBudget(Exception):
@@ -241,6 +241,9 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
     as a TIMEOUT ends the call.  All share one node count, so a component
     that starts with the budget spent allows the cuts at depth 0 and no
     node.  A TIMEOUT carries a roster only when every component has one.
+    Each component's search reads the step records _tables builds for it,
+    one per depth, unpacked as they come, and its root's coverage cut the
+    root's counts returned with them.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
@@ -282,14 +285,11 @@ def exact_solve(instance: Instance, node_budget: int = NODE_BUDGET) -> ExactResu
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
     for ids, top in components:
-        choices, to_go, avail, extra = _tables(instance, ids)
-        # depth d's step: its patterns, then depth d + 1's cost to go, counts
-        # and extras, where None past the last depth marks a leaf
-        steps = list(zip(choices, to_go[1:], avail[1:], extra[1:] + [None]))
+        steps, counts = _tables(instance, ids)
         path = [0] * len(ids)  # overwritten before a leaf reads it
         best_cost, best = math.inf, None  # the incumbent's cost and roster
         try:
-            if (top - avail[0]) & guard_bits:
+            if (top - counts) & guard_bits:
                 coverage_cuts += 1
             else:
                 search(0, 0, top)

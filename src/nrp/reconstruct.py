@@ -35,7 +35,7 @@ them in, so the float scores, and hence the tie-breaks, equal the
 definition's.
 
 A rule scans only the patterns that can be its first maximum, listed per
-nurse in Instance.cover_scan and Instance.combined_scan.  Take pattern j
+nurse in her scans entry of Instance.search_tables().  Take pattern j
 and an earlier pattern j' of the nurse's feasible list that works every
 period j works.  Whatever the coverage, j' fills at least the short cells j
 fills, in every band, so its cover value is at least j's; a tie goes to j',
@@ -53,9 +53,10 @@ so scanning the shorter list gives the same pick.
 
 Both scans also stop once no later pattern can win.  No pattern fills more
 cells than are short, nor more than the periods it works, and none of the
-nurse's works more than Instance.longest.  So the cover rule, walking its
-list in feasible order, returns the first pattern that fills min(short
-cells, longest) of them; only when none does is the whole list scored.
+nurse's works more than her longest (Instance.search_tables()).  So the
+cover rule, walking its list in feasible order, returns the first pattern
+that fills min(short cells, longest) of them; only when none does is the
+whole list scored.
 The combined list is stored cheapest first, each pattern with its position
 in the feasible list.  A pattern's bound is the float chain of its score
 with each band's count replaced by the band's cap, the sum over its levels
@@ -76,13 +77,14 @@ picks are memoized in a PickMemo, which holds two dicts per nurse, one per
 rule, each keyed by one mask int.  The cover rule's key is her focus-band
 short mask; the combined rule's is the short mask of the bands the nurse
 serves, or in shortfall mode their packed shortfall.  Both masks keep only
-the cells the nurse can work (Instance.reach), so a change of coverage in
-periods she never works, the other half of the week for a ward nurse,
-leaves her keys as they were.  The picks stay the same: every scanned
-pattern works only periods inside her reach, so each popcount and each
-shortfall sum is unchanged; a band whose masked column is empty is
-skipped, which leaves every score's float as it was (see _band_terms); and
-the focus band is still chosen from the unmasked short mask.  The pick
+the cells the nurse can work (her reach, Instance.search_tables()), so a
+change of coverage in periods she never works, the other half of the week
+for a ward nurse, leaves her keys as they were.  The picks stay the same:
+every scanned pattern works only periods inside her reach, so each
+popcount and each shortfall sum is unchanged; a band whose masked column
+is empty is skipped, which leaves every score's float as it was (see
+_band_terms); and the focus band is still chosen from the unmasked short
+mask.  The pick
 loop finds it from per-band masks of the nurse's memo row: the first band
 from hers up whose guard bits meet the short cells is the focus band, and
 the short cells there, kept to her reach and moved down to band 1's bits,
@@ -222,7 +224,8 @@ def combined_score(
     nurse = instance.nurses[i]
     if j not in nurse.pref_cost:
         raise InvalidRosterError(f"pattern {j} is not feasible for nurse {i}")
-    terms = _band_terms(instance, config, nurse.grade, instance.longest[i],
+    longest = instance.search_tables()[1][i][3]
+    terms = _band_terms(instance, config, nurse.grade, longest,
                         _band_state(instance, coverage, nurse, config.e_mode))
     row = (nurse.pref_cost[j], 0, j, instance.pattern_bits[j])
     return _scan_combined((row,), config.w_p, terms)[0]
@@ -237,15 +240,18 @@ def _band_terms(
     _band_state in config's e-mode, from which each band is sliced in turn,
     lowest first, and weighted from config.w_grade.  A band's levels are
     guard-bit masks whose popcounts against a pattern's bits sum to its
-    count: in indicator mode one level, the short cells,
-    built in one step; in shortfall mode level t holds the cells short by
-    at least t, so a cell short by r is counted once at each of the levels
-    1..r.  No pattern working at most longest periods fills more than
+    count: in indicator mode one level, the short cells, built in one step;
+    in shortfall mode level t holds the cells short by at least t, so a cell
+    short by r is counted once at each of the levels 1..r.  The shortfall
+    mode so builds, and the scan popcounts, one level per unit of the
+    band's largest shortfall within her reach: its time grows with the
+    demand, where CoverageState.total_shortfall's grows with the field
+    width only.  No pattern working at most longest periods fills more than
     min(popcount, longest) cells of a level, so cap, the sum of that over
     the levels, bounds the band's count for every pattern of the nurse (see
-    Instance.longest).  A band with weight 0 or no short cell is left out:
-    it would add ws * 0 = +0.0 to every score, which changes no float but a
-    -0.0, and that one compares equal.
+    Instance.search_tables()).  A band with weight 0 or no short cell is
+    left out: it would add ws * 0 = +0.0 to every score, which changes no
+    float but a -0.0, and that one compares equal.
     """
     span = instance.band_span
     band = (1 << span) - 1
@@ -274,14 +280,14 @@ def _band_terms(
 def _scan_combined(rows, w_p: float, terms: list) -> tuple[float, int]:
     """The best score over rows, cheapest first, and its first pattern.
 
-    rows are combined_scan rows (cost, position, id, bits), sorted by cost,
-    and terms the nurse's _band_terms.  A row's score is its preference term
-    w_p * (100 - cost), then each band term w_s * count added lowest band
-    first, the order the per-period definition sums them in, so equal
-    inputs give bit-equal floats.  Once per distinct cost the bound, the
-    same chain with each count replaced by its cap, is compared with the
-    best score so far, and the scan stops when it is below.  Equal scores go
-    to the lower position.
+    rows are a nurse's combined rows (cost, position, id, bits), sorted by
+    cost (Instance.search_tables()), and terms the nurse's _band_terms.  A
+    row's score is its preference term w_p * (100 - cost), then each band
+    term w_s * count added lowest band first, the order the per-period
+    definition sums them in, so equal inputs give bit-equal floats.  Once
+    per distinct cost the bound, the same chain with each count replaced by
+    its cap, is compared with the best score so far, and the scan stops when
+    it is below.  Equal scores go to the lower position.
     """
     best, pick, first, last = -math.inf, 0, 0, None
     for cost, position, j, bits in rows:
@@ -313,19 +319,19 @@ class PickMemo:
     cover, combined, bands, scan): her band offset (grade - 1) * band_span,
     her reach moved down by it, her row of Instance.nurse_cells, her costs,
     two dicts keyed by a mask int alone, bands, and scan, what a memo miss
-    scans: her cover ids, their pattern bits, her combined rows and her
-    longest, from Instance.cover_scan, combined_scan and longest, so that a
-    miss reads no table's name, a read CPython does not specialise (see
-    Instance).  scan stays last; tests/test_kernel.py reads it as row[-1].
-    bands holds, for each band from her grade up, lowest first, (the band's
-    guard bits, those of them in her reach, the band's offset s *
-    band_span).  cover maps her focus-band short mask and combined her
-    _band_state, both masked to works, the cells she can work
-    (Instance.reach).  reconstruct finds the cover key from bands: the
-    first band whose guard bits meet the short mask is her focus band, and
-    the key is the short mask kept to her reach there, shifted down by the
-    band's offset, or 0 when no band meets it; that is _focus_mask & works,
-    since her reach is the same periods in every band she serves.  Her
+    scans: her entry of the scans that Instance.search_tables() returns,
+    (cover ids, cover bits, combined rows, longest), taken as it is, the
+    tuple _argmax_cover and _argmax_combined unpack.  scan stays last;
+    tests/test_kernel.py reads it as row[-1].  bands holds, for each band
+    from her grade up, lowest first, (the band's guard bits, those of them
+    in her reach, the band's offset s * band_span).  cover maps her
+    focus-band short mask and combined her _band_state, both masked to
+    works, the cells she can work (her reach).  reconstruct finds the cover
+    key from bands: the first band whose guard bits meet the short mask is
+    her focus band, and the key is the short mask kept to her reach there,
+    shifted down by the band's offset, or 0 when no band meets it; that is
+    _focus_mask & works, since her reach is the same periods in every band
+    she serves.  Her
     patterns fill no other cell, so one key serves every coverage that
     differs only outside them.  The keys leave out the instance and the
     scoring fields, so a memo serves only the instance it was made for and
@@ -349,13 +355,12 @@ class PickMemo:
         span, self.nurses = instance.band_span, []
         guards = [(instance.guard_bits & ((1 << span) - 1) << at, at)
                   for at in range(0, instance.g * span, span)]
-        tables = zip(instance.nurses, instance.reach, instance.nurse_cells, instance.cover_scan,
-                     instance.combined_scan, instance.longest)
-        for nurse, reach, cells, cover, rows, longest in tables:
-            shift, scan = (nurse.grade - 1) * span, (*cover, rows, longest)
-            bands = tuple((guard, guard & reach, at) for guard, at in guards[nurse.grade - 1:])
+        _, scans, reach = instance.search_tables()
+        for nurse, mine, cells, scan in zip(instance.nurses, reach, instance.nurse_cells, scans):
+            shift = (nurse.grade - 1) * span
+            bands = tuple((guard, guard & mine, at) for guard, at in guards[nurse.grade - 1:])
             cover_picks = {} if covers is None else covers.nurses[nurse.id][5]  # her cover dict
-            self.nurses.append((nurse, shift, reach >> shift, cells, nurse.pref_cost,
+            self.nurses.append((nurse, shift, mine >> shift, cells, nurse.pref_cost,
                                 cover_picks, {}, bands, scan))
         self.layout = instance.low_bits, instance.guard_bits, instance.field_width - 1
 
@@ -449,7 +454,7 @@ def reconstruct(
 def _argmax_cover(instance: Instance, short: int, nurse: Nurse, scan: tuple) -> int:
     """Cover-rule pick for the nurse's focus mask short (see _focus_mask).
 
-    No pattern fills more than min(short cells, Instance.longest) of them,
+    No pattern fills more than min(short cells, her longest) of them,
     so the first pattern filling that many wins outright and the scan stops
     there; otherwise the first maximum wins.  scan is the nurse's, from her
     PickMemo row.  The pick reads the mask alone, never the coverage state.

@@ -89,6 +89,24 @@ def first_optimal_roster(instance: Instance) -> list[int] | None:
     return best_combo
 
 
+def tables_by_depth(instance: Instance, ids: list[int]) -> tuple[list, list, list, list]:
+    """The oracle's step records for nurses ids as four per-depth lists:
+    choices[d], to_go[d], avail[d] and extra[d] for every depth d < len(ids),
+    and to_go and avail past the last depth, where both are 0.
+
+    A record holds its own patterns and the figures of the depth below it,
+    and _tables returns the root's counts besides.  The search reads no cost
+    to go or extras at the root, so those are read from the first record of
+    ids with ids[0] put in front once more, which holds them as the figures
+    below it.
+    """
+    steps, root = _tables(instance, ids)
+    _, to_go, avail, extra = _tables(instance, ids[:1] + ids)[0][0]
+    assert avail == root and steps[-1][3] is None  # the last depth is a leaf's parent
+    return ([step[0] for step in steps], [to_go] + [step[1] for step in steps],
+            [root] + [step[2] for step in steps], [extra] + [step[3] for step in steps[:-1]])
+
+
 class _BudgetSpent(Exception):
     """The node budget of exact_solve_child_by_call ran out."""
 
@@ -99,7 +117,8 @@ def exact_solve_child_by_call(instance: Instance, node_budget: int) -> ExactResu
     Each search call tests, in this order, the leaf (no short cell and a
     strictly cheaper cost), the coverage cut and the cost cut of its own
     node, so a coverage-cut child, a leaf and the root's coverage cut each
-    take a call.  The tables come from the oracle's _components and _tables,
+    take a call.  The tables come from the oracle's _components and, by
+    tables_by_depth, _tables,
     and each call carries the residual demand rest from the component's top
     down, as the oracle's search does.
     """
@@ -141,7 +160,7 @@ def exact_solve_child_by_call(instance: Instance, node_budget: int) -> ExactResu
     assignment: list[int | None] = [None] * instance.n
     status, total = OPTIMAL, 0
     for ids, top in components:
-        choices, to_go, avail, extra = _tables(instance, ids)
+        choices, to_go, avail, extra = tables_by_depth(instance, ids)
         size, path = len(ids), [0] * len(ids)
         best_cost: float = math.inf
         best: list[int] | None = None

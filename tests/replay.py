@@ -11,7 +11,8 @@ in the documented order:
 - per freed nurse in id order, the rule draw, plus one randrange for the
   random rule.
 
-Fitness is recounted by contribution_by_removal from one coverage_matrix
+Fitness is bruteforce's fitness_by_definition, which recounts each
+nurse's contribution by contribution_by_removal from one coverage_matrix
 of the roster, the cover and combined picks take the first maximum over
 the nurse's feasible list of cover_value_by_definition and
 combined_score_by_definition, and every iteration's penalized cost is
@@ -30,26 +31,12 @@ from nrp.solver import SolverConfig
 
 from bruteforce import (
     combined_score_by_definition,
-    contribution_by_removal,
     cover_value_by_definition,
-    coverage_matrix,
     feasible_by_definition,
+    fitness_by_definition,
     penalized_cost_by_definition,
     shortfall_matrix,
 )
-
-
-def fitness_by_definition(instance: Instance, roster: Roster, weights) -> list[float]:
-    """w1 * f1 + w2 * f2 per nurse, each part rescaled over the current roster."""
-    costs = [instance.nurses[i].pref_cost[j] for i, j in enumerate(roster.assignment)]
-    covered = coverage_matrix(instance, roster)  # once per roster, not once per nurse
-    contribs = [contribution_by_removal(instance, roster, i, covered) for i in range(instance.n)]
-    p_min, p_max, c_min, c_max = min(costs), max(costs), min(contribs), max(contribs)
-    return [
-        weights.w1 * ((p_max - cost) / (p_max - p_min) if p_max > p_min else 0.5)
-        + weights.w2 * ((contrib - c_min) / (c_max - c_min) if c_max > c_min else 0.5)
-        for cost, contrib in zip(costs, contribs)
-    ]
 
 
 def repair_by_definition(instance: Instance, roster: Roster, recon, rng) -> Roster:

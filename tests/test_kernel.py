@@ -56,6 +56,16 @@ def memo_scan(instance, nurse) -> tuple:
     return PickMemo(instance).nurses[nurse.id][-1]
 
 
+def scans(instance) -> tuple:
+    """Each nurse's (cover ids, cover bits, combined rows, longest)."""
+    return instance.search_tables()[1]
+
+
+def reach(instance) -> tuple:
+    """Each nurse's reach: every bit of each cell she can work."""
+    return instance.search_tables()[2]
+
+
 def _argmax_cover(instance, short, nurse):
     """The cover kernel, given the scan lists reconstruct passes it."""
     return cover_kernel(instance, short, nurse, memo_scan(instance, nurse))
@@ -164,7 +174,7 @@ def combined_rows_by_definition(instance, i: int) -> tuple:
 
 
 def combined_ids(instance, i: int) -> tuple[int, ...]:
-    return tuple(j for _, _, j, _ in instance.combined_scan[i])
+    return tuple(j for _, _, j, _ in scans(instance)[i][2])
 
 
 def test_scan_lists_match_pairwise_definition():
@@ -174,13 +184,13 @@ def test_scan_lists_match_pairwise_definition():
         instance, _ = random_state(rng, trial)
         for i, nurse in enumerate(instance.nurses):
             cover, combined = scan_lists_by_definition(instance, i)
-            assert instance.cover_scan[i] == (cover, tuple(instance.pattern_bits[j] for j in cover))
-            assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
+            assert scans(instance)[i][:2] == (cover, tuple(instance.pattern_bits[j] for j in cover))
+            assert scans(instance)[i][2] == combined_rows_by_definition(instance, i)
             # the longest feasible pattern stays in both lists
             longest = max(len(instance.patterns[j]) for j in nurse.feasible)
-            assert instance.longest[i] == longest
-            assert max(bits.bit_count() for bits in instance.cover_scan[i][1]) == longest
-            assert max(row[3].bit_count() for row in instance.combined_scan[i]) == longest
+            assert scans(instance)[i][3] == longest
+            assert max(bits.bit_count() for bits in scans(instance)[i][1]) == longest
+            assert max(row[3].bit_count() for row in scans(instance)[i][2]) == longest
             dropped[0] += len(nurse.feasible) - len(cover)
             dropped[1] += len(nurse.feasible) - len(combined)
     assert dropped[0] > dropped[1] > 0  # both filters and the cost condition dropped some
@@ -205,15 +215,15 @@ def hand_scan_instance():
 
 def test_scan_lists_on_hand_built_instance():
     instance = hand_scan_instance()
-    assert [scan[0] for scan in instance.cover_scan] == [(2, 0, 4), (0,)]
+    assert [scan[0] for scan in scans(instance)] == [(2, 0, 4), (0,)]
     # the combined lists (2, 0, 3, 4) and (0, 2), cheapest first
     assert [combined_ids(instance, i) for i in range(instance.n)] == [(3, 2, 0, 4), (2, 0)]
-    assert [[row[:2] for row in scan] for scan in instance.combined_scan] == [
+    assert [[row[:2] for row in scan[2]] for scan in scans(instance)] == [
         [(5, 3), (10, 0), (20, 1), (30, 4)], [(10, 1), (30, 0)]
     ]
     for i in range(instance.n):
-        assert instance.cover_scan[i][0] == scan_lists_by_definition(instance, i)[0]
-        assert instance.combined_scan[i] == combined_rows_by_definition(instance, i)
+        assert scans(instance)[i][0] == scan_lists_by_definition(instance, i)[0]
+        assert scans(instance)[i][2] == combined_rows_by_definition(instance, i)
     # every partial roster, with w_p = 0 so that pattern 1 ties pattern 0 outright
     for weights in (ReconstructionConfig(w_p=0.0, w_grade=(1.0,)),
                     ReconstructionConfig(w_p=0.5, w_grade=(2.0,))):
@@ -252,7 +262,7 @@ def test_cover_argmax_matches_definition():
                 cover_value_by_definition(instance, roster, i, j) for j in nurse.feasible
             ]
             ties += values.count(max(values)) > 1
-            dropped += dropped_ties(nurse.feasible, instance.cover_scan[i][0], values)
+            dropped += dropped_ties(nurse.feasible, scans(instance)[i][0], values)
             expected = first_argmax(
                 nurse.feasible, lambda j: cover_value_by_definition(instance, roster, i, j)
             )
@@ -405,10 +415,10 @@ def reach_cases():
 def test_reach_is_the_union_over_the_whole_feasible_list():
     for _, instance, _ in reach_cases():
         for i in range(instance.n):
-            assert instance.reach[i] == reach_by_definition(instance, i)
+            assert reach(instance)[i] == reach_by_definition(instance, i)
     instance = hand_reach_instance()
     # nurse 0 reaches days 0, 2 and 4 only, nurse 1 days 0-4 and nights 7-9
-    worked = [[k for k in range(N_PERIODS) if instance.reach[i] & low_bit(instance, k, 1)]
+    worked = [[k for k in range(N_PERIODS) if reach(instance)[i] & low_bit(instance, k, 1)]
               for i in range(instance.n)]
     assert worked[0] == [0, 2, 4] and worked[1] == [0, 1, 2, 3, 4, 7, 8, 9]
     assert worked[3] == [7, 8, 9, 10, 11, 12]
@@ -440,7 +450,7 @@ def cover_keys(instance, roster) -> list[tuple[int, int, int]]:
             focus = ((short & -short).bit_length() - 1) // span if short else None
             (key, pick), = memo.nurses[k][5].items()
             assert pick == after[k]
-            works = instance.reach[k] >> (nurse.grade - 1) * span
+            works = reach(instance)[k] >> (nurse.grade - 1) * span
             found.append((focus, key, _focus_mask(instance, coverage, nurse) & works))
             turn[k] = after[k]
     return found
@@ -460,7 +470,7 @@ def test_reach_mask_keeps_every_pick():
         coverage = compute_coverage(instance, roster)
         weights = random_weights(rng, instance.g)
         for nurse in instance.nurses:
-            works = instance.reach[nurse.id] >> (nurse.grade - 1) * instance.band_span
+            works = reach(instance)[nurse.id] >> (nurse.grade - 1) * instance.band_span
             short = _focus_mask(instance, coverage, nurse)
             masked_cover += short != short & works
             assert _argmax_cover(instance, short & works, nurse) == _argmax_cover(
@@ -470,14 +480,14 @@ def test_reach_mask_keeps_every_pick():
                 config = replace(weights, e_mode=mode)
                 state = _band_state(instance, coverage, nurse, mode)
                 masked_combined += state != state & works
-                longest = instance.longest[nurse.id]
+                longest = scans(instance)[nurse.id][3]
                 terms = _band_terms(instance, config, nurse.grade, longest, state)
                 masked = _band_terms(instance, config, nurse.grade, longest, state & works)
                 # bit-equal floats, not merely the same pick
                 assert [_scan_combined((row,), weights.w_p, masked)[0]
-                        for row in instance.combined_scan[nurse.id]] == [
+                        for row in scans(instance)[nurse.id][2]] == [
                     _scan_combined((row,), weights.w_p, terms)[0]
-                    for row in instance.combined_scan[nurse.id]
+                    for row in scans(instance)[nurse.id][2]
                 ]
                 assert _argmax_combined(instance, config, state & works, nurse) == (
                     _argmax_combined(instance, config, state, nurse)
@@ -523,7 +533,7 @@ def test_the_cover_rule_returns_the_first_of_two_patterns_filling_every_short_ce
     instance = make_instance(patterns, nurses, demand_rows([[1]] + [[0]] * (N_PERIODS - 1)))
     coverage = compute_coverage(instance, Roster([None, None]))
     for nurse, first_full in zip(instance.nurses, (1, 2)):
-        assert len(instance.cover_scan[nurse.id][0]) == 3
+        assert len(scans(instance)[nurse.id][0]) == 3
         short = _focus_mask(instance, coverage, nurse)
         assert _argmax_cover(instance, short, nurse) == first_full
 
@@ -544,12 +554,12 @@ def test_the_cover_rule_stops_at_the_first_pattern_as_long_as_her_longest(monkey
     instance = make_instance(
         patterns, nurses, demand_rows([[1]] * 5 + [[0]] * (N_PERIODS - 5))
     )
-    assert instance.longest == (3, 3, 3)
+    assert tuple(scan[3] for scan in scans(instance)) == (3, 3, 3)
     roster = Roster.empty(instance.n)
     coverage = compute_coverage(instance, roster)
     rows_scored = count_rows_scored(monkeypatch)
     for nurse, pick, scored in zip(instance.nurses, (1, 2, 4), (2, 1, 3)):
-        assert instance.cover_scan[nurse.id][0] == nurse.feasible
+        assert scans(instance)[nurse.id][0] == nurse.feasible
         short = _focus_mask(instance, coverage, nurse)
         assert short.bit_count() == 5
         rows_scored["cover"] = 0
@@ -595,8 +605,8 @@ def test_the_bound_stops_the_combined_scan_only_past_the_first_argmax(monkeypatc
             for weights in weight_sets:
                 configs = {mode: replace(weights, e_mode=mode) for mode in E_MODES}
                 for i in [i for i, j in enumerate(roster.assignment) if j is None]:
-                    nurse, longest = instance.nurses[i], instance.longest[i]
-                    rows = instance.combined_scan[i]
+                    nurse, longest = instance.nurses[i], scans(instance)[i][3]
+                    rows = scans(instance)[i][2]
                     for mode, config in configs.items():
                         state = _band_state(instance, coverage, nurse, mode)
                         terms = _band_terms(instance, config, nurse.grade, longest, state)

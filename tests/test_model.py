@@ -19,7 +19,7 @@ from nrp.model import (
     preference_cost,
 )
 
-from nrp.oracle import OPTIMAL, _components, _tables, exact_solve
+from nrp.oracle import OPTIMAL, _components, exact_solve
 from nrp.reconstruct import ReconstructionConfig, _band_terms, _focus_mask
 from nrp.solver import SolverConfig, run
 
@@ -29,6 +29,7 @@ from bruteforce import (
     qualified,
     residual_by_definition,
     shortfall_matrix,
+    tables_by_depth,
 )
 from conftest import (
     complete_roster,
@@ -418,6 +419,34 @@ class TestPackedCoverage:
                 self.check_state(inst, roster, state)
         assert planes == {1, 2, 3, 4}
 
+    def test_total_shortfall_matches_the_summed_matrix_for_demands_far_above_n(self):
+        """g = 1-6, demands up to 10**15 beside small ones: total_shortfall,
+        which reads the packed shortfall one bit plane at a time, is the
+        shortfall matrix summed, in a time that grows with the field width,
+        not with the demand."""
+        rng = random.Random(89)
+        widths, states = set(), 0
+        for trial in range(60):
+            g, n, m = 1 + trial % 6, rng.randint(1, 8), rng.randint(3, 10)
+            patterns = [tuple(k for k in range(N_PERIODS) if rng.random() < 0.4)
+                        for _ in range(m)]
+            nurses = [Nurse(i, rng.randint(1, g),
+                            dict.fromkeys(rng.sample(range(m), rng.randint(1, m)), 0))
+                      for i in range(n)]
+            top = 10 ** rng.randint(2, 15)
+            rows = [sorted(rng.choice((0, rng.randint(0, n), rng.randint(n, top)))
+                           for _ in range(g))
+                    for _ in range(N_PERIODS)]
+            inst = make_instance(patterns, nurses, demand_rows(rows))
+            widths.add(inst.field_width)
+            for _ in range(5):
+                roster = Roster([rng.choice(nurse.feasible) if rng.random() < 0.7 else None
+                                 for nurse in nurses])
+                state = compute_coverage(inst, roster)
+                assert state.total_shortfall() == sum(map(sum, shortfall_matrix(inst, roster)))
+                states += 1
+        assert states == 300 and min(widths) <= 9 and max(widths) >= 48
+
     def test_focus_mask_is_the_first_short_band_the_nurse_serves(self):
         focused = unfocused = 0
         for inst, roster, state in random_sequences(random.Random(71), sparse=True):
@@ -468,7 +497,7 @@ class TestPackedCoverage:
                 }
                 parts.append((component_rng, ids, top, workable))
             for draw, ids, top, kept in parts:
-                _, _, avail, extra = _tables(inst, ids)
+                _, _, avail, extra = tables_by_depth(inst, ids)
                 assert len(avail) == len(ids) + 1 and avail[len(ids)] == 0
                 for depth in range(len(ids)):
                     # the solver's residual at depth d holds nurses ids[:d] only
@@ -635,25 +664,39 @@ class TestPreferenceCost:
                 call(week_instance, roster)
 
 
-TABLES = ("supersets", "cover_scan", "combined_scan", "reach", "longest")
+# each of the five search tables as its readers take it from Instance.search_tables()
+TABLES = {
+    "supersets": lambda tables: tables[0],
+    "cover_scan": lambda tables: tuple(scan[:2] for scan in tables[1]),
+    "combined_scan": lambda tables: tuple(scan[2] for scan in tables[1]),
+    "reach": lambda tables: tables[2],
+    "longest": lambda tables: tuple(scan[3] for scan in tables[1]),
+}
+
+
+def all_tables(tables) -> dict:
+    return {name: read(tables) for name, read in TABLES.items()}
 
 
 def count_table_builds(monkeypatch) -> list[Instance]:
-    """Record each call of Instance._build_search_tables, the one builder
-    of the five search tables, by the instance it builds for."""
+    """Record, by the instance it builds for, each call of
+    Instance.search_tables that stores new tables: a build."""
     builds = []
-    build = Instance._build_search_tables
+    search_tables = Instance.search_tables
 
     def counted(self):
-        builds.append(self)
-        build(self)
+        before = vars(self).get("_search_tables")
+        tables = search_tables(self)
+        if vars(self)["_search_tables"] is not before:
+            builds.append(self)
+        return tables
 
-    monkeypatch.setattr(Instance, "_build_search_tables", counted)
+    monkeypatch.setattr(Instance, "search_tables", counted)
     return builds
 
 
 class TestSearchTables:
-    """The five search tables are built together on first read, once per instance."""
+    """The search tables are built together on the first call, once per instance."""
 
     PARAMS = GeneratorParams(n=8, m=16, g=3, feasible_min=3, feasible_max=8, seed=7)
 
@@ -664,37 +707,37 @@ class TestSearchTables:
         copies = [replace(inst, known_optimal=100), parse_instance(text)]
         serialize_instance(copies[0])
         for each in [inst] + copies:
-            assert not set(TABLES) & set(vars(each))
+            assert "_search_tables" not in vars(each)
         assert builds == []
 
     def test_a_copy_builds_its_own_tables_equal_to_the_originals(self):
         inst = generate_instance(self.PARAMS)
-        tables = {name: getattr(inst, name) for name in TABLES}
+        tables = all_tables(inst.search_tables())
         copy = replace(inst, known_optimal=100)
-        assert not set(TABLES) & set(vars(copy))
-        assert {name: getattr(copy, name) for name in TABLES} == tables
+        assert "_search_tables" not in vars(copy)
+        assert all_tables(copy.search_tables()) == tables
 
     @pytest.mark.parametrize("first", TABLES)
     def test_reading_any_one_table_first_builds_all_five_in_one_call(self, monkeypatch, first):
         builds = count_table_builds(monkeypatch)
         inst = generate_instance(self.PARAMS)
-        table = getattr(inst, first)
+        table = TABLES[first](inst.search_tables())
         assert len(builds) == 1 and builds[0] is inst
-        assert set(TABLES) <= set(vars(inst))
-        assert vars(inst)[first] is table
-        tables = {name: getattr(inst, name) for name in TABLES}
+        kept = vars(inst)["_search_tables"]
+        assert TABLES[first](kept) == table
+        tables = all_tables(inst.search_tables())
         assert len(builds) == 1
-        assert all(vars(inst)[name] is table for name, table in tables.items())
+        assert inst.search_tables() is kept and all_tables(kept) == tables
 
     def test_a_run_builds_each_table_once_and_a_second_run_reads_the_same(self, monkeypatch):
         builds = count_table_builds(monkeypatch)
         inst = generate_instance(self.PARAMS)
         run(inst, SolverConfig(max_iterations=100, seed=1))
         assert len(builds) == 1 and builds[0] is inst
-        first = {name: vars(inst)[name] for name in TABLES}  # all five were built
+        first = vars(inst)["_search_tables"]  # all five were built
         run(inst, SolverConfig(max_iterations=100, seed=2))
         assert len(builds) == 1
-        assert all(vars(inst)[name] is table for name, table in first.items())
+        assert vars(inst)["_search_tables"] is first
 
     def test_a_proof_builds_the_tables_it_reads_once(self, monkeypatch):
         builds = count_table_builds(monkeypatch)
@@ -702,16 +745,16 @@ class TestSearchTables:
         assert exact_solve(inst).status == OPTIMAL
         # longest serves reconstruction only, but it is built with the rest
         assert len(builds) == 1 and builds[0] is inst
-        first = {name: vars(inst)[name] for name in TABLES}
+        first = vars(inst)["_search_tables"]
         exact_solve(inst)
         assert len(builds) == 1
-        assert all(vars(inst)[name] is table for name, table in first.items())
+        assert vars(inst)["_search_tables"] is first
 
     def test_a_pickled_instance_carries_the_tables_it_had_built(self, monkeypatch):
         inst = generate_instance(self.PARAMS)
-        tables = {name: getattr(inst, name) for name in TABLES}
+        tables = all_tables(inst.search_tables())
         builds = count_table_builds(monkeypatch)
         copy = pickle.loads(pickle.dumps(inst))
-        assert set(TABLES) <= set(vars(copy))
-        assert {name: getattr(copy, name) for name in TABLES} == tables
+        assert "_search_tables" in vars(copy)
+        assert all_tables(copy.search_tables()) == tables
         assert builds == []

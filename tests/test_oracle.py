@@ -17,6 +17,7 @@ from bruteforce import (
     exact_solve_child_by_call,
     first_optimal_roster,
     qualified,
+    tables_by_depth,
 )
 from conftest import demand_rows, leftover_garbage, make_instance
 
@@ -355,8 +356,8 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
     periods of."""
     dropped = kept = tied = 0
     for inst in _search_order_cases():
-        choices, _, _, _ = _tables(inst, list(range(inst.n)))
-        for nurse, choice in zip(inst.nurses, choices):
+        steps, _ = _tables(inst, list(range(inst.n)))
+        for nurse, (choice, *_) in zip(inst.nurses, steps):
             tied += len(nurse.feasible) - len(set(nurse.pref_cost.values()))
             order = [j for j, _, _ in choice]
             by_cost = sorted(nurse.feasible, key=lambda j: nurse.pref_cost[j])
@@ -381,16 +382,18 @@ def test_search_orders_drop_exactly_the_dominated_patterns():
     assert dropped > 20 and kept > 100
     assert tied > 70  # 19 of them without the tie-heavy cases
     hand_made = _dearer_subset_first()
-    assert [row[2] for row in hand_made.combined_scan[0]] == [1, 0]
-    choices, _, _, _ = _tables(hand_made, [0])
-    assert [j for j, _, _ in choices[0]] == [1]
+    assert [row[2] for row in hand_made.search_tables()[1][0][2]] == [1, 0]
+    (choice, *_), = _tables(hand_made, [0])[0]
+    assert [j for j, _, _ in choice] == [1]
 
 
 def _tables_rebuilding_by_cost(inst, ids):
     """_tables as it was when every depth rebuilt the cost buckets from all
-    the least extras: the reference for the kept buckets."""
+    the least extras, in tables_by_depth's per-depth lists: the reference
+    for the kept buckets."""
     size, width, span = len(ids), inst.field_width, inst.band_span
     choices, to_go, avail, extra = [[]] * size, [0] * (size + 1), [0] * (size + 1), [[]] * size
+    supersets, _, reach = inst.search_tables()
     least = {}
     for d in range(size - 1, -1, -1):
         nurse = inst.nurses[ids[d]]
@@ -400,12 +403,12 @@ def _tables_rebuilding_by_cost(inst, ids):
         to_go[d] = to_go[d + 1] + cheapest
         choices[d], seen, forced = [], 0, {}
         for j in order:
-            if not inst.supersets[j] & seen:
+            if not supersets[j] & seen:
                 choices[d].append((j, price[j], cells[j]))
                 for k in inst.patterns[j]:
                     forced.setdefault(k, price[j] - cheapest)
             seen |= 1 << j
-        avail[d] = avail[d + 1] + (inst.reach[nurse.id] & inst.low_bits)
+        avail[d] = avail[d + 1] + (reach[nurse.id] & inst.low_bits)
         for s in range(nurse.grade - 1, inst.g):
             for k, more in forced.items():
                 bit = s * span + k * width + width - 1
@@ -443,7 +446,7 @@ def test_kept_cost_buckets_match_a_rebuild_per_depth():
         inst = generate_instance(params)
         components, _ = _components(inst)
         for ids, _ in components:
-            assert _tables(inst, ids) == _tables_rebuilding_by_cost(inst, ids)
+            assert tables_by_depth(inst, ids) == _tables_rebuilding_by_cost(inst, ids)
             compared += 1
     assert compared > 350
 
@@ -465,7 +468,7 @@ def test_a_least_extra_that_falls_again_moves_its_cell_each_time():
     )
     width = inst.field_width
     one, two = (1 << (k * width + width - 1) for k in (1, 2))
-    tables = _tables(inst, [0, 1, 2, 3])
+    tables = tables_by_depth(inst, [0, 1, 2, 3])
     assert tables[3] == [[(10, two)], [(10, one | two)], [(40, two), (20, one)], [(40, one | two)]]
     assert tables == _tables_rebuilding_by_cost(inst, [0, 1, 2, 3])
 

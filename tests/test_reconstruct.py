@@ -570,7 +570,7 @@ def test_the_pick_keys_are_the_reference_masks():
         roster.assignment[i] = None
         before = compute_coverage(instance, roster)
         nurse, span = instance.nurses[i], instance.band_span
-        works = instance.reach[i] >> (nurse.grade - 1) * span
+        works = instance.search_tables()[2][i] >> (nurse.grade - 1) * span
         short = before.short_mask() >> (nurse.grade - 1) * span
         above = ((short & -short).bit_length() - 1) // span if short else None
         focus_bands.add(None if above is None else nurse.grade - 1 + above)
